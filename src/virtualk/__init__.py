@@ -4,6 +4,7 @@ Everything is computed over the cyclotomic field Q(zeta_n) with canonical
 representatives, so every stated identity is checked by exact equality.
 """
 
+from .coords import Coords, basis, basis_vectors, gen, power, unit, zero
 from .cyclotomic import Cyc, CycPoly, Rat, cyclotomic_polynomial, phi_degree, zeta_pow
 from .line_elements import (
     LineCertificate,
@@ -18,28 +19,18 @@ from .line_elements import (
     span_rank,
 )
 from .localization import (
-    LocClass,
-    UClass,
     adams_solutions,
     from_u_basis,
     gamma,
     gamma_inverse,
     loc_adams,
-    loc_basis,
     loc_mul,
-    loc_one,
-    loc_unit,
-    loc_x00,
     to_u_basis,
     u_adams,
-    u_basis,
-    u_gen,
     u_inverse,
     u_mul,
-    u_unit,
 )
 from .presentation import (
-    ResolutionClass,
     gamma0_project,
     resolution_adams,
     resolution_mul,
@@ -47,22 +38,19 @@ from .presentation import (
     verify_resolution_isomorphism,
 )
 from .sector_ring import (
-    SectorClass,
     bott_class,
     sector_adams,
     sector_monomial,
     sector_mul,
-    sector_one,
     sector_x_inverse,
 )
 from .verify import run_verify
 from .virtual_ring import (
-    KClass,
     euler_factor,
+    from_sectors,
     k_monomial,
-    k_one,
-    k_zero,
     lambda_from_adams,
+    sector_part,
     virtual_adams,
     virtual_augmentation,
     virtual_mul,

@@ -20,9 +20,7 @@ from .expr import (
     value_to_json,
 )
 from .line_elements import is_line_element
-from .localization import LocClass
 from .verify import SUITES, run_verify
-from .virtual_ring import KClass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "line":
             e = parse(args.expression, args.n)
             basis, value = evaluate(e, args.n)
-            if not isinstance(value, LocClass):
+            if basis != "loc":
                 raise EvalError("line membership applies to localized classes")
             cert = is_line_element(loc.to_u_basis(value), args.k_max)
             if args.json:

@@ -212,6 +212,9 @@ class Cyc:
         return self.n == other.n and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # Rational values compare equal to their int/Fraction, so hash like it.
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.n, self.num, self.den))
 
     def __neg__(self) -> "Cyc":
@@ -310,14 +313,6 @@ class Cyc:
             base = base * base
             k >>= 1
         return result
-
-    def __complex__(self) -> complex:
-        # Debug embedding only; nothing in the engine depends on it.
-        z = complex(math.cos(2 * math.pi / self.n), math.sin(2 * math.pi / self.n))
-        total = 0j
-        for e, c in enumerate(self.num):
-            total += c * z**e
-        return total / self.den
 
     def __repr__(self) -> str:
         return format_cyc(self)
@@ -494,15 +489,3 @@ class CycPoly:
             self.n, rem[: len(d.coeffs) - 1]
         )
 
-
-def cycpoly_modular_inverse(a: CycPoly, mod: CycPoly) -> CycPoly:
-    """Inverse of ``a`` modulo ``mod`` when they are coprime over Q(zeta_n)."""
-    old_r, r = a, mod
-    old_s, s = CycPoly.one_poly(a.n), CycPoly.zero(a.n)
-    while not r.is_zero():
-        q, rem = old_r.divmod_by(r)
-        old_r, r = r, rem
-        old_s, s = s, old_s - q * s
-    if old_r.degree != 0:
-        raise ArithmeticError("element is not invertible modulo the given polynomial")
-    return old_s.scale(old_r.coeffs[0].inv())

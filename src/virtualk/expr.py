@@ -37,11 +37,9 @@ from fractions import Fraction
 
 from . import localization as loc
 from . import virtual_ring as vr
+from .coords import Coords, gen, power, unit
 from .cyclotomic import Cyc, format_cyc, zeta_pow
 from .line_elements import line_element, line_realize
-from .localization import LocClass, UClass
-from .sector_ring import sector_monomial
-from .virtual_ring import KClass
 
 
 class ParseError(ValueError):
@@ -508,7 +506,7 @@ def format_expr(e: Expr) -> str:
 # Evaluation
 
 
-Value = Cyc | KClass | LocClass
+Value = Cyc | Coords
 
 
 def evaluate(e: Expr, n: int) -> tuple[str, Value]:
@@ -517,20 +515,12 @@ def evaluate(e: Expr, n: int) -> tuple[str, Value]:
     return basis, _eval(e, n)
 
 
-def _unit_for(v: Value) -> Value:
-    if isinstance(v, KClass):
-        return vr.k_one(v.n)
-    if isinstance(v, LocClass):
-        return loc.loc_unit(v.n)
-    raise TypeError
-
-
 def _coerce_pair(a: Value, b: Value, n: int):
     # scalar op class: lift the scalar to a multiple of the unit.
     if isinstance(a, Cyc) and not isinstance(b, Cyc):
-        return _unit_for(b).scale(a), b
+        return unit(b.n, b.kind).scale(a), b
     if isinstance(b, Cyc) and not isinstance(a, Cyc):
-        return a, _unit_for(a).scale(b)
+        return a, unit(a.n, a.kind).scale(b)
     return a, b
 
 
@@ -542,13 +532,13 @@ def _eval(e: Expr, n: int) -> Value:
     if isinstance(e, XAtom):
         return vr.k_monomial(n, e.m, 1)
     if isinstance(e, OneAtom):
-        return vr.k_from_sector(sector_monomial(n, e.m, 0))
+        return vr.k_monomial(n, e.m, 0)
     if isinstance(e, EAtom):
-        return loc.loc_one(n, e.m, e.l)
+        return gen(n, "loc", "e[%d,%d]" % (e.m, e.l))
     if isinstance(e, XEAtom):
-        return loc.loc_x00(n)
+        return gen(n, "loc", "xe[0,0]")
     if isinstance(e, UAtom):
-        return loc.from_u_basis(loc.u_gen(n, e.l, e.q))
+        return loc.from_u_basis(gen(n, "u", "u[%d,%d]" % (e.l, e.q)))
     if isinstance(e, SigmaAtom):
         from .line_elements import sigma
 
@@ -581,7 +571,7 @@ def _eval(e: Expr, n: int) -> Value:
             return b.scale(a)
         if isinstance(b, Cyc):
             return a.scale(b)
-        if isinstance(a, KClass):
+        if a.kind == SECTOR:
             return vr.virtual_mul(a, b)
         return loc.loc_mul(a, b)
     if isinstance(e, Pow):
@@ -593,28 +583,31 @@ def _eval(e: Expr, n: int) -> Value:
                 return v**e.exp
             except ZeroDivisionError as exc:
                 raise EvalError(str(exc)) from exc
-        if isinstance(v, LocClass):
+        if v.kind == LOC:
+            if e.exp >= 0:
+                return power(v, e.exp, loc.loc_mul)
             try:
-                return loc.loc_pow(v, e.exp)
+                u = loc.u_inverse(loc.to_u_basis(v))
             except ZeroDivisionError as exc:
                 raise EvalError(str(exc)) from exc
+            return loc.from_u_basis(power(u, -e.exp, loc.u_mul))
         if e.exp < 0:
             u = loc.to_u_basis(loc.gamma(v))
             if not loc.u_is_invertible(u):
                 raise EvalError("class is not invertible in the virtual ring")
             inv = loc.gamma_inverse(loc.from_u_basis(loc.u_inverse(u)))
-            return vr.virtual_pow(inv, -e.exp)
-        return vr.virtual_pow(v, e.exp)
+            return power(inv, -e.exp, vr.virtual_mul)
+        return power(v, e.exp, vr.virtual_mul)
     if isinstance(e, Psi):
         if e.k == 0:
             return _eval(Eps(e.x), n)
         v = _eval(e.x, n)
-        if isinstance(v, KClass):
+        if v.kind == SECTOR:
             return vr.virtual_adams(v, e.k)
         return loc.loc_adams(v, e.k)
     if isinstance(e, Eps):
         v = _eval(e.x, n)
-        if isinstance(v, KClass):
+        if v.kind == SECTOR:
             return vr.virtual_augmentation(v)
         return loc.loc_augmentation(v)
     if isinstance(e, GammaOp):
@@ -628,67 +621,13 @@ def _eval(e: Expr, n: int) -> Value:
 # Output formatting
 
 
-def _coeff_prefix(c: Cyc, first: bool) -> tuple[str, str]:
-    # Returns (sign-or-separator, coefficient text without sign); "" means 1.
-    if c.is_rational():
-        r = c.rational_value()
-        sign = "-" if r < 0 else "+"
-        mag = abs(r)
-        text = "" if mag == 1 else str(mag)
-    else:
-        sign = "+"
-        text = "(%s)" % format_cyc(c)
-    if first:
-        lead = "-" if sign == "-" else ""
-        return lead, text
-    return " %s " % sign, text
-
-
-def _join_terms(terms: list[tuple[Cyc, str]]) -> str:
-    if not terms:
-        return "0"
-    out = []
-    for i, (c, sym) in enumerate(terms):
-        sep, text = _coeff_prefix(c, i == 0)
-        if sym == "1":
-            body = text if text else "1"
-        else:
-            body = "%s*%s" % (text, sym) if text else sym
-        out.append(sep + body)
-    return "".join(out)
-
-
 def format_value(basis: str, v: Value, display: str | None = None) -> str:
     """Deterministic text form; coefficients in fixed basis order."""
     if basis == SCALAR:
         return format_cyc(v)
-    if basis == SECTOR:
-        terms = []
-        for m, s in enumerate(v.sectors):
-            for j, c in enumerate(s.coeffs):
-                if c:
-                    terms.append((c, vr.monomial_label(m, j)))
-        return _join_terms(terms)
     if display == "u":
-        u = loc.to_u_basis(v)
-        terms = []
-        if u.c1:
-            terms.append((u.c1, "e[0,0]"))
-        for l in range(u.n):
-            for q in range(u.n):
-                if u.u[l][q]:
-                    terms.append((u.u[l][q], "u[%d,%d]" % (l, q)))
-        return _join_terms(terms)
-    terms = []
-    if v.c00:
-        terms.append((v.c00, "e[0,0]"))
-    if v.cx00:
-        terms.append((v.cx00, "xe[0,0]"))
-    for m in range(v.n):
-        for l in range(v.n):
-            if (m, l) != (0, 0) and v.twist[m][l]:
-                terms.append((v.twist[m][l], "e[%d,%d]" % (m, l)))
-    return _join_terms(terms)
+        v = loc.to_u_basis(v)
+    return str(v)
 
 
 def _rat_vector(c: Cyc) -> list[str]:
@@ -700,31 +639,9 @@ def value_to_json(n: int, basis: str, v: Value, display: str | None = None) -> s
     if basis == SCALAR:
         doc = {"n": n, "basis": "scalar", "value": _rat_vector(v)}
         return json.dumps(doc, sort_keys=True)
-    coeffs = []
-    if basis == SECTOR:
-        out_basis = "sector"
-        for m, s in enumerate(v.sectors):
-            for j, c in enumerate(s.coeffs):
-                if c:
-                    coeffs.append({"index": ["x", m, j], "value": _rat_vector(c)})
-    elif display == "u":
-        out_basis = "u"
-        u = loc.to_u_basis(v)
-        if u.c1:
-            coeffs.append({"index": ["e", 0, 0], "value": _rat_vector(u.c1)})
-        for l in range(u.n):
-            for q in range(u.n):
-                if u.u[l][q]:
-                    coeffs.append({"index": ["u", l, q], "value": _rat_vector(u.u[l][q])})
-    else:
-        out_basis = "loc"
-        if v.c00:
-            coeffs.append({"index": ["e", 0, 0], "value": _rat_vector(v.c00)})
-        if v.cx00:
-            coeffs.append({"index": ["xe", 0, 0], "value": _rat_vector(v.cx00)})
-        for m in range(v.n):
-            for l in range(v.n):
-                if (m, l) != (0, 0) and v.twist[m][l]:
-                    coeffs.append({"index": ["e", m, l], "value": _rat_vector(v.twist[m][l])})
-    doc = {"n": n, "basis": out_basis, "coeffs": coeffs}
+    if display == "u":
+        v = loc.to_u_basis(v)
+    coeffs = [{"index": list(index), "value": _rat_vector(c)}
+              for index, c in zip(v.basis.json, v.coeffs) if c]
+    doc = {"n": n, "basis": v.kind, "coeffs": coeffs}
     return json.dumps(doc, sort_keys=True)

@@ -16,16 +16,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import linalg
+from .coords import Coords, grid, zero
 from .cyclotomic import Cyc, zeta_pow
-from .localization import (
-    UClass,
-    _freeze,
-    _zero_matrix,
-    u_adams,
-    u_is_invertible,
-    u_mul,
-    u_pow,
-)
+from .localization import u_adams, u_is_invertible, u_mul
 
 
 @dataclass(frozen=True)
@@ -67,15 +60,16 @@ def nu(n: int, j: int) -> LineElt:
     return line_element(n, [0] * n, beta)
 
 
-def line_realize(L: LineElt) -> UClass:
-    """The class of L in semisimple coordinates: u[l][q] = zeta^(l f_q), u[0][q] = beta_q."""
+def line_realize(L: LineElt) -> Coords:
+    """The class of L in semisimple coordinates: u[l,q] = zeta^(l f_q), u[0,q] = beta_q."""
     n = L.n
-    rows = _zero_matrix(n)
+    out = list(zero(n, "u").coeffs)
+    out[0] = Cyc.one(n)
     for q in range(n):
-        rows[0][q] = L.beta[q]
+        out[grid(n, 0, q)] = L.beta[q]
         for l in range(1, n):
-            rows[l][q] = zeta_pow(n, l * L.f[q])
-    return UClass(n, Cyc.one(n), _freeze(rows))
+            out[grid(n, l, q)] = zeta_pow(n, l * L.f[q])
+    return Coords(n, "u", out)
 
 
 def line_mul(a: LineElt, b: LineElt) -> LineElt:
@@ -92,10 +86,6 @@ def line_inverse(a: LineElt) -> LineElt:
     return line_element(a.n, (-x for x in a.f), (-x for x in a.beta))
 
 
-def line_pow(a: LineElt, k: int) -> LineElt:
-    return line_element(a.n, (k * x for x in a.f), (x.scale_int(k) for x in a.beta))
-
-
 @dataclass(frozen=True)
 class LineCertificate:
     ok: bool
@@ -103,7 +93,7 @@ class LineCertificate:
     params: LineElt | None
 
 
-def is_line_element(b: UClass, k_max: int | None = None) -> LineCertificate:
+def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
     """Decide membership in the line-element group, with parameter recovery.
 
     Checks invertibility and psi^k(b) = b^k for 2 <= k <= k_max (default 2n),
@@ -126,12 +116,12 @@ def is_line_element(b: UClass, k_max: int | None = None) -> LineCertificate:
             return LineCertificate(
                 False, "psi^%d does not equal the %d-th power" % (k, k), None
             )
-    if b.c1 != Cyc.one(n):
+    if b.coeffs[0] != Cyc.one(n):
         return LineCertificate(False, "unit coefficient is not 1", None)
     roots = [zeta_pow(n, t) for t in range(n)]
     f = []
     for q in range(n):
-        val = b.u[1][q] if n > 1 else Cyc.one(n)
+        val = b.coeffs[grid(n, 1, q)] if n > 1 else Cyc.one(n)
         try:
             fq = roots.index(val)
         except ValueError:
@@ -139,12 +129,12 @@ def is_line_element(b: UClass, k_max: int | None = None) -> LineCertificate:
                 False, "column %d is not generated by a root of unity" % q, None
             )
         for l in range(2, n):
-            if b.u[l][q] != zeta_pow(n, l * fq):
+            if b.coeffs[grid(n, l, q)] != zeta_pow(n, l * fq):
                 return LineCertificate(
                     False, "column %d does not follow the power law" % q, None
                 )
         f.append(fq)
-    params = line_element(n, f, b.u[0])
+    params = line_element(n, f, b.coeffs[grid(n, 0, 0):grid(n, 1, 0)])
     if line_realize(params) != b:
         return LineCertificate(False, "parameter recovery failed to re-realize", None)
     return LineCertificate(True, "", params)
@@ -222,10 +212,8 @@ def span_rank(n: int) -> SpanWitnesses:
     return SpanWitnesses(n, r, combos)
 
 
-def realize_combo(n: int, combo: Combo) -> UClass:
-    from .localization import u_zero
-
-    total = u_zero(n)
+def realize_combo(n: int, combo: Combo) -> Coords:
+    total = zero(n, "u")
     for L, c in combo:
         total = total + line_realize(L).scale(c)
     return total

@@ -10,21 +10,22 @@ no rational-function arithmetic exists anywhere.
 
 ``loc_mul`` is the localized product table; ``loc_adams`` the localized
 Adams operations, with solution sets of k*y = l (mod n) listed ascending.
-``UClass`` is the semisimple coordinate system: idempotents u_l^q for l != 0
-plus the square-zero elements u_0^q and the block unit 1_00, in which the
-product is diagonal and line-element computations are immediate.
+Localized classes are ``Coords`` of kind "loc"; kind "u" is the semisimple
+coordinate system: idempotents u_l^q for l != 0 plus the square-zero elements
+u_0^q and the block unit 1_00, in which the product is diagonal and
+line-element computations are immediate.  Both index their n x n grid through
+``coords.grid``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from .coords import Coords, grid, unit, zero
 from .cyclotomic import Cyc, CycPoly, zeta_pow
-from .sector_ring import SectorClass, sector_zero
-from .virtual_ring import KClass, k_zero
+from .virtual_ring import from_sectors, sector_part
 
 
 @cache
@@ -43,191 +44,32 @@ def _w_inv(n: int, l: int) -> Cyc:
     return _w(n, l).inv()
 
 
-def _freeze(rows: list[list[Cyc]]) -> tuple[tuple[Cyc, ...], ...]:
-    return tuple(tuple(r) for r in rows)
-
-
-def _zero_matrix(n: int) -> list[list[Cyc]]:
-    z = Cyc.zero(n)
-    return [[z] * n for _ in range(n)]
-
-
-@dataclass(frozen=True)
-class LocClass:
-    """Coordinates in the localized basis {1_00, x_00} + {1_ml : (m,l) != (0,0)}.
-
-    ``twist[m][l]`` is the coefficient of 1_ml; the (0,0) slot is carried by
-    ``c00`` and ``cx00`` instead and must stay zero in ``twist``.
-    """
-
-    n: int
-    c00: Cyc
-    cx00: Cyc
-    twist: tuple[tuple[Cyc, ...], ...]
-
-    def __post_init__(self):
-        if len(self.twist) != self.n or any(len(r) != self.n for r in self.twist):
-            raise ValueError("twist matrix must be n x n")
-        if self.twist[0][0]:
-            raise ValueError("the (0,0) slot belongs to c00/cx00")
-
-    def is_zero(self) -> bool:
-        return not (self.c00 or self.cx00 or any(any(r) for r in self.twist))
-
-    def __add__(self, other: "LocClass") -> "LocClass":
-        _same_n(self, other)
-        rows = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.twist, other.twist)
-        ]
-        return LocClass(self.n, self.c00 + other.c00, self.cx00 + other.cx00, _freeze(rows))
-
-    def __neg__(self) -> "LocClass":
-        rows = [[-c for c in r] for r in self.twist]
-        return LocClass(self.n, -self.c00, -self.cx00, _freeze(rows))
-
-    def __sub__(self, other: "LocClass") -> "LocClass":
-        return self + (-other)
-
-    def scale(self, c: Cyc | int | Fraction) -> "LocClass":
-        c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
-        rows = [[a * c for a in r] for r in self.twist]
-        return LocClass(self.n, self.c00 * c, self.cx00 * c, _freeze(rows))
-
-
-@dataclass(frozen=True)
-class UClass:
-    """Coordinates in the semisimple basis {1_00} + {u_l^q}; ``u[l][q]``."""
-
-    n: int
-    c1: Cyc
-    u: tuple[tuple[Cyc, ...], ...]
-
-    def __post_init__(self):
-        if len(self.u) != self.n or any(len(r) != self.n for r in self.u):
-            raise ValueError("u matrix must be n x n")
-
-    def is_zero(self) -> bool:
-        return not (self.c1 or any(any(r) for r in self.u))
-
-    def __add__(self, other: "UClass") -> "UClass":
-        _same_n(self, other)
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.u, other.u)]
-        return UClass(self.n, self.c1 + other.c1, _freeze(rows))
-
-    def __neg__(self) -> "UClass":
-        return UClass(self.n, -self.c1, _freeze([[-c for c in r] for r in self.u]))
-
-    def __sub__(self, other: "UClass") -> "UClass":
-        return self + (-other)
-
-    def scale(self, c: Cyc | int | Fraction) -> "UClass":
-        c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
-        rows = [[a * c for a in r] for r in self.u]
-        return UClass(self.n, self.c1 * c, _freeze(rows))
-
-
-def _same_n(a, b) -> None:
-    if a.n != b.n:
-        raise ValueError("mixed weights: n=%d vs n=%d" % (a.n, b.n))
-
-
-def loc_zero(n: int) -> LocClass:
-    z = Cyc.zero(n)
-    return LocClass(n, z, z, _freeze(_zero_matrix(n)))
-
-
-def loc_one(n: int, m: int, l: int) -> LocClass:
-    """The generator 1_ml (for (m,l) = (0,0) this is 1_00)."""
-    z = Cyc.zero(n)
-    rows = _zero_matrix(n)
-    if (m, l) == (0, 0):
-        return LocClass(n, Cyc.one(n), z, _freeze(rows))
-    rows[m][l] = Cyc.one(n)
-    return LocClass(n, z, z, _freeze(rows))
-
-
-def loc_x00(n: int) -> LocClass:
-    z = Cyc.zero(n)
-    return LocClass(n, z, Cyc.one(n), _freeze(_zero_matrix(n)))
-
-
-def loc_unit(n: int) -> LocClass:
-    """The ring unit: the sum of the row idempotents 1_0l over all l."""
-    rows = _zero_matrix(n)
-    for l in range(1, n):
-        rows[0][l] = Cyc.one(n)
-    return LocClass(n, Cyc.one(n), Cyc.zero(n), _freeze(rows))
-
-
-@cache
-def loc_basis(n: int) -> tuple[tuple[str, LocClass], ...]:
-    """Labelled basis in fixed order: e[0,0], xe[0,0], then e[m,l] lexicographic."""
-    out = [("e[0,0]", loc_one(n, 0, 0)), ("xe[0,0]", loc_x00(n))]
-    for m in range(n):
-        for l in range(n):
-            if (m, l) == (0, 0):
-                continue
-            out.append(("e[%d,%d]" % (m, l), loc_one(n, m, l)))
-    return tuple(out)
-
-
-def u_zero(n: int) -> UClass:
-    return UClass(n, Cyc.zero(n), _freeze(_zero_matrix(n)))
-
-
-def u_one00(n: int) -> UClass:
-    return UClass(n, Cyc.one(n), _freeze(_zero_matrix(n)))
-
-
-def u_gen(n: int, l: int, q: int) -> UClass:
-    rows = _zero_matrix(n)
-    rows[l][q] = Cyc.one(n)
-    return UClass(n, Cyc.zero(n), _freeze(rows))
-
-
-def u_unit(n: int) -> UClass:
-    """The ring unit 1 = 1_00 + sum of all u_l^q with l != 0."""
-    rows = _zero_matrix(n)
-    for l in range(1, n):
-        for q in range(n):
-            rows[l][q] = Cyc.one(n)
-    return UClass(n, Cyc.one(n), _freeze(rows))
-
-
-@cache
-def u_basis(n: int) -> tuple[tuple[str, UClass], ...]:
-    """Labelled basis in fixed order: e[0,0] (the block unit 1_00), then u[l,q]."""
-    out = [("e[0,0]", u_one00(n))]
-    for l in range(n):
-        for q in range(n):
-            out.append(("u[%d,%d]" % (l, q), u_gen(n, l, q)))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # The decomposition map and its closed-form inverse.
 
 
-def gamma(a: KClass) -> LocClass:
+def gamma(a: Coords) -> Coords:
     """Evaluate each sector representative at every root of unity.
 
-    Block (0,0) stores the 2-jet at 1: coefficients c00 = f(1) - f'(1) and
-    cx00 = f'(1), so that f = c00 * 1 + cx00 * x modulo (x-1)^2.
+    Block (0,0) stores the 2-jet at 1: coefficients e[0,0] = f(1) - f'(1) and
+    xe[0,0] = f'(1), so that f = e[0,0] * 1 + xe[0,0] * x modulo (x-1)^2.
     """
     n = a.n
     zs = _zetas(n)
-    rows = _zero_matrix(n)
-    for m, s in enumerate(a.sectors):
+    out = list(zero(n, "loc").coeffs)
+    for m in range(n):
+        s = sector_part(a, m)
         if s.is_zero():
             continue
         for l in range(n):
             if m == 0 and l == 0:
                 continue
-            rows[m][l] = s.eval_at(zs[l])
-    f = a.sectors[0]
-    f1 = f.eval_at(Cyc.one(n))
-    d1 = f.poly.derivative()(Cyc.one(n))
-    return LocClass(n, f1 - d1, d1, _freeze(rows))
+            out[grid(n, m, l)] = s(zs[l])
+    f = sector_part(a, 0)
+    f1 = f(Cyc.one(n))
+    d1 = f.derivative()(Cyc.one(n))
+    out[0], out[1] = f1 - d1, d1
+    return Coords(n, "loc", out)
 
 
 @cache
@@ -243,58 +85,56 @@ def _geom_div(n: int, l: int) -> CycPoly:
 
 @cache
 def _gamma_inverse_images(n: int) -> dict:
-    """Preimages of every localized generator, as sector classes.
+    """Preimages of every localized generator, as polynomials on their sector.
 
-    1_00  -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)
-    x_00  -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)
-    1_0l  -> zeta^l / (n(zeta^l - 1)) (x-1)(x^n-1)/(x-zeta^l)      (l != 0)
-    1_ml  -> (zeta^l / n) (x^n-1)/(x-zeta^l)                       (m != 0)
+    1_00  -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)                  (sector 0)
+    x_00  -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)                  (sector 0)
+    1_0l  -> zeta^l / (n(zeta^l - 1)) (x-1)(x^n-1)/(x-zeta^l)      (l != 0, sector 0)
+    1_ml  -> (zeta^l / n) (x^n-1)/(x-zeta^l)                       (m != 0, sector m)
     """
-    images: dict[tuple[int, int] | str, SectorClass] = {}
+    images: dict[tuple[int, int] | str, CycPoly] = {}
     geom0 = _geom_div(n, 0)
     half = Fraction(1, 2 * n)
     lin_100 = CycPoly.from_ints(n, [1 + n, 1 - n])
     lin_x00 = CycPoly.from_ints(n, [n - 1, 3 - n])
-    images["1_00"] = SectorClass(n, 0, (lin_100 * geom0).scale(half).coeffs)
-    images["x_00"] = SectorClass(n, 0, (lin_x00 * geom0).scale(half).coeffs)
+    images["1_00"] = (lin_100 * geom0).scale(half)
+    images["x_00"] = (lin_x00 * geom0).scale(half)
     x_minus_one = CycPoly.from_ints(n, [-1, 1])
     for l in range(1, n):
         zl = zeta_pow(n, l)
         scalar = zl / ((zl - Cyc.one(n)) * n)
-        poly = (x_minus_one * _geom_div(n, l)).scale(scalar)
-        images[(0, l)] = SectorClass(n, 0, poly.coeffs)
+        images[(0, l)] = (x_minus_one * _geom_div(n, l)).scale(scalar)
     for l in range(n):
         zl = zeta_pow(n, l)
         scalar = zl * Fraction(1, n)
-        coeffs = _geom_div(n, l).scale(scalar).coeffs
+        poly = _geom_div(n, l).scale(scalar)
         for m in range(1, n):
-            images[(m, l)] = SectorClass(n, m, coeffs)
+            images[(m, l)] = poly
     return images
 
 
-def gamma_inverse(b: LocClass) -> KClass:
+def gamma_inverse(b: Coords) -> Coords:
     """Linear extension of the four closed-form preimages."""
     n = b.n
     images = _gamma_inverse_images(n)
-    acc: list[SectorClass] = [sector_zero(n, m) for m in range(n)]
-    if b.c00:
-        acc[0] = acc[0] + images["1_00"].scale(b.c00)
-    if b.cx00:
-        acc[0] = acc[0] + images["x_00"].scale(b.cx00)
+    acc = [CycPoly.zero(n)] * n
+    if b.coeffs[0]:
+        acc[0] = acc[0] + images["1_00"].scale(b.coeffs[0])
+    if b.coeffs[1]:
+        acc[0] = acc[0] + images["x_00"].scale(b.coeffs[1])
     for m in range(n):
         for l in range(n):
-            c = b.twist[m][l]
-            if c:
-                img = images[(m, l)]
-                acc[m] = acc[m] + img.scale(c)
-    return KClass(n, tuple(acc))
+            c = b.coeffs[grid(n, m, l)]
+            if c and (m, l) != (0, 0):
+                acc[m] = acc[m] + images[(m, l)].scale(c)
+    return from_sectors(n, dict(enumerate(acc)))
 
 
 # ---------------------------------------------------------------------------
 # The localized product table.
 
 
-def loc_mul(a: LocClass, b: LocClass) -> LocClass:
+def loc_mul(a: Coords, b: Coords) -> Coords:
     """Bilinear extension of the localized product table.
 
     Row 0: 1_00 is the unit, x_00 * x_00 = 2 x_00 - 1_00, x_00 fixes 1_m0,
@@ -303,57 +143,48 @@ def loc_mul(a: LocClass, b: LocClass) -> LocClass:
     with weight 1 - zeta^(-l), squared when the sector indices sum to n.
     Cross-row products vanish.
     """
-    _same_n(a, b)
+    a.check(b)
     n = a.n
-    c00 = a.c00 * b.c00 - a.cx00 * b.cx00
-    cx00 = a.c00 * b.cx00 + a.cx00 * b.c00 + (a.cx00 * b.cx00).scale_int(2)
-    rows = _zero_matrix(n)
-    ra = a.c00 + a.cx00
-    rb = b.c00 + b.cx00
+    A, B = a.coeffs, b.coeffs
+    out = list(zero(n, "loc").coeffs)
+    out[0] = A[0] * B[0] - A[1] * B[1]
+    out[1] = A[0] * B[1] + A[1] * B[0] + (A[1] * B[1]).scale_int(2)
+    ra = A[0] + A[1]
+    rb = B[0] + B[1]
     for m in range(1, n):
-        rows[m][0] = ra * b.twist[m][0] + rb * a.twist[m][0]
+        i = grid(n, m, 0)
+        out[i] = ra * B[i] + rb * A[i]
     for l in range(1, n):
         w = _w(n, l)
-        au, bu = a.twist[0][l], b.twist[0][l]
+        row = grid(n, 0, l)
+        au, bu = A[row], B[row]
         if au and bu:
-            rows[0][l] = rows[0][l] + au * bu
+            out[row] = out[row] + au * bu
         for m in range(1, n):
-            t = au * b.twist[m][l] + bu * a.twist[m][l]
+            i = grid(n, m, l)
+            t = au * B[i] + bu * A[i]
             if t:
-                rows[m][l] = rows[m][l] + t
+                out[i] = out[i] + t
         for m1 in range(1, n):
-            c1 = a.twist[m1][l]
+            c1 = A[grid(n, m1, l)]
             if not c1:
                 continue
             for m2 in range(1, n):
-                c2 = b.twist[m2][l]
+                c2 = B[grid(n, m2, l)]
                 if not c2:
                     continue
                 c = c1 * c2
                 if m1 + m2 == n:
-                    rows[0][l] = rows[0][l] + c * w * w
+                    out[row] = out[row] + c * w * w
                 else:
-                    t = (m1 + m2) % n
-                    rows[t][l] = rows[t][l] + c * w
-    return LocClass(n, c00, cx00, _freeze(rows))
+                    i = grid(n, (m1 + m2) % n, l)
+                    out[i] = out[i] + c * w
+    return Coords(n, "loc", out)
 
 
-def loc_pow(a: LocClass, k: int) -> LocClass:
-    if k < 0:
-        return from_u_basis(u_pow(to_u_basis(a), k))
-    result = loc_unit(a.n)
-    base = a
-    while k:
-        if k & 1:
-            result = loc_mul(result, base)
-        base = loc_mul(base, base)
-        k >>= 1
-    return result
-
-
-def loc_augmentation(a: LocClass) -> LocClass:
-    """Transport of the virtual augmentation: (c00 + cx00) times the unit."""
-    return loc_unit(a.n).scale(a.c00 + a.cx00)
+def loc_augmentation(a: Coords) -> Coords:
+    """Transport of the virtual augmentation: (e[0,0] + xe[0,0]) times the unit."""
+    return unit(a.n, "loc").scale(a.coeffs[0] + a.coeffs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +201,7 @@ def adams_solutions(n: int, k: int, l: int) -> tuple[int, ...]:
     return tuple(y0 + i * nd for i in range(d))
 
 
-def loc_adams(a: LocClass, k: int) -> LocClass:
+def loc_adams(a: Coords, k: int) -> Coords:
     """Localized virtual Adams operation, extended linearly over the basis.
 
     With d = gcd(k, n) and s_1 < ... < s_d the solutions of k*y = l (mod n):
@@ -381,49 +212,49 @@ def loc_adams(a: LocClass, k: int) -> LocClass:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     n = a.n
-    c00 = Cyc.zero(n)
-    cx00 = Cyc.zero(n)
-    rows = _zero_matrix(n)
+    A = a.coeffs
+    out = list(zero(n, "loc").coeffs)
     sols0 = adams_solutions(n, k, 0)
-    if a.c00:
-        c00 = c00 + a.c00
+    if A[0]:
+        out[0] = out[0] + A[0]
         for s in sols0[1:]:
-            rows[0][s] = rows[0][s] + a.c00
-    if a.cx00:
-        cx00 = cx00 + a.cx00.scale_int(k)
-        c00 = c00 - a.cx00.scale_int(k - 1)
+            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[0]
+    if A[1]:
+        out[1] = out[1] + A[1].scale_int(k)
+        out[0] = out[0] - A[1].scale_int(k - 1)
         for s in sols0[1:]:
-            rows[0][s] = rows[0][s] + a.cx00
+            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[1]
     for m in range(1, n):
-        c = a.twist[m][0]
-        if c:
-            rows[m][0] = rows[m][0] + c.scale_int(k)
+        i = grid(n, m, 0)
+        if A[i]:
+            out[i] = out[i] + A[i].scale_int(k)
     for l in range(1, n):
         sols = adams_solutions(n, k, l)
         if not sols:
             continue
-        cu = a.twist[0][l]
+        cu = A[grid(n, 0, l)]
         if cu:
             for s in sols:
                 assert s != 0, "k*0 = l (mod n) is impossible for l != 0"
-                rows[0][s] = rows[0][s] + cu
+                out[grid(n, 0, s)] = out[grid(n, 0, s)] + cu
         wl = zeta_pow(n, -l) - Cyc.one(n)
         for m in range(1, n):
-            c = a.twist[m][l]
+            c = A[grid(n, m, l)]
             if not c:
                 continue
             for s in sols:
                 assert s != 0
                 factor = wl * (zeta_pow(n, -s) - Cyc.one(n)).inv()
-                rows[m][s] = rows[m][s] + c * factor
-    return LocClass(n, c00, cx00, _freeze(rows))
+                i = grid(n, m, s)
+                out[i] = out[i] + c * factor
+    return Coords(n, "loc", out)
 
 
 # ---------------------------------------------------------------------------
 # Change of basis to the semisimple generators and operations there.
 
 
-def from_u_basis(b: UClass) -> LocClass:
+def from_u_basis(b: Coords) -> Coords:
     """Expand 1_00 and the u_l^q into the localized generators.
 
     u_0^0 = x_00 - 1_00, u_0^m = 1_m0, and for l != 0
@@ -431,102 +262,85 @@ def from_u_basis(b: UClass) -> LocClass:
     uhat_il = 1_il/(1 - zeta^(-l)).
     """
     n = b.n
-    c00 = b.c1 - b.u[0][0]
-    cx00 = b.u[0][0]
-    rows = _zero_matrix(n)
+    U = b.coeffs
+    out = list(zero(n, "loc").coeffs)
+    out[0] = U[0] - U[1]
+    out[1] = U[1]
     for m in range(1, n):
-        rows[m][0] = b.u[0][m]
+        out[grid(n, m, 0)] = U[grid(n, 0, m)]
     inv_n = Fraction(1, n)
     for l in range(1, n):
         winv = _w_inv(n, l)
-        row = b.u[l]
+        row = U[grid(n, l, 0):grid(n, l + 1, 0)]
         if not any(row):
             continue
         total = Cyc.zero(n)
         for q in range(n):
             total = total + row[q]
-        rows[0][l] = total * inv_n
+        out[grid(n, 0, l)] = total * inv_n
         for i in range(1, n):
             acc = Cyc.zero(n)
             for q in range(n):
                 c = row[q]
                 if c:
                     acc = acc + c * zeta_pow(n, -i * q)
-            rows[i][l] = acc * winv * inv_n
-    return LocClass(n, c00, cx00, _freeze(rows))
+            out[grid(n, i, l)] = acc * winv * inv_n
+    return Coords(n, "loc", out)
 
 
-def to_u_basis(a: LocClass) -> UClass:
+def to_u_basis(a: Coords) -> Coords:
     """Inverse change of basis: 1_0l = sum_q u_l^q and
     1_il = (1 - zeta^(-l)) sum_q zeta^(iq) u_l^q for i != 0."""
     n = a.n
-    c1 = a.c00 + a.cx00
-    rows = _zero_matrix(n)
-    rows[0][0] = a.cx00
+    L = a.coeffs
+    out = list(zero(n, "u").coeffs)
+    out[0] = L[0] + L[1]
+    out[1] = L[1]
     for m in range(1, n):
-        rows[0][m] = a.twist[m][0]
+        out[grid(n, 0, m)] = L[grid(n, m, 0)]
     for l in range(1, n):
         w = _w(n, l)
-        base = a.twist[0][l]
+        base = L[grid(n, 0, l)]
         for q in range(n):
             acc = base
             for i in range(1, n):
-                c = a.twist[i][l]
+                c = L[grid(n, i, l)]
                 if c:
                     acc = acc + c * w * zeta_pow(n, i * q)
-            rows[l][q] = acc
-    return UClass(n, c1, _freeze(rows))
+            out[grid(n, l, q)] = acc
+    return Coords(n, "u", out)
 
 
-def u_mul(a: UClass, b: UClass) -> UClass:
+def u_mul(a: Coords, b: Coords) -> Coords:
     """Product in semisimple coordinates: diagonal on l != 0, square-zero on l = 0."""
-    _same_n(a, b)
+    a.check(b)
     n = a.n
-    rows = _zero_matrix(n)
-    for q in range(n):
-        rows[0][q] = a.c1 * b.u[0][q] + b.c1 * a.u[0][q]
-    for l in range(1, n):
-        for q in range(n):
-            rows[l][q] = a.u[l][q] * b.u[l][q]
-    return UClass(n, a.c1 * b.c1, _freeze(rows))
+    A, B = a.coeffs, b.coeffs
+    out = [A[0] * B[0]]
+    out += [A[0] * B[i] + B[0] * A[i] for i in range(grid(n, 0, 0), grid(n, 1, 0))]
+    out += [A[i] * B[i] for i in range(grid(n, 1, 0), len(A))]
+    return Coords(n, "u", out)
 
 
-def u_pow(a: UClass, k: int) -> UClass:
-    if k < 0:
-        return u_pow(u_inverse(a), -k)
-    result = u_unit(a.n)
-    base = a
-    while k:
-        if k & 1:
-            result = u_mul(result, base)
-        base = u_mul(base, base)
-        k >>= 1
-    return result
+def u_is_invertible(a: Coords) -> bool:
+    return bool(a.coeffs[0]) and all(a.coeffs[grid(a.n, 1, 0):])
 
 
-def u_is_invertible(a: UClass) -> bool:
-    if not a.c1:
-        return False
-    return all(a.u[l][q] for l in range(1, a.n) for q in range(a.n))
-
-
-def u_inverse(a: UClass) -> UClass:
+def u_inverse(a: Coords) -> Coords:
     """Inverse: entrywise on the semisimple rows, square-zero expansion on row 0."""
     if not u_is_invertible(a):
         raise ZeroDivisionError("class is not invertible in the localized ring")
     n = a.n
-    c1_inv = a.c1.inv()
+    A = a.coeffs
+    c1_inv = A[0].inv()
     neg_sq = -(c1_inv * c1_inv)
-    rows = _zero_matrix(n)
-    for q in range(n):
-        rows[0][q] = a.u[0][q] * neg_sq
-    for l in range(1, n):
-        for q in range(n):
-            rows[l][q] = a.u[l][q].inv()
-    return UClass(n, c1_inv, _freeze(rows))
+    out = [c1_inv]
+    out += [A[i] * neg_sq for i in range(grid(n, 0, 0), grid(n, 1, 0))]
+    out += [A[i].inv() for i in range(grid(n, 1, 0), len(A))]
+    return Coords(n, "u", out)
 
 
-def u_adams(a: UClass, k: int) -> UClass:
+def u_adams(a: Coords, k: int) -> Coords:
     """Adams operations on semisimple coordinates.
 
     u_0^q -> k u_0^q; u_l^q -> sum over solutions s of k*y = l (mod n) of
@@ -536,28 +350,25 @@ def u_adams(a: UClass, k: int) -> UClass:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     n = a.n
-    rows = _zero_matrix(n)
-    if a.c1:
+    A = a.coeffs
+    out = list(zero(n, "u").coeffs)
+    out[0] = A[0]
+    if A[0]:
         for s in adams_solutions(n, k, 0)[1:]:
             for q in range(n):
-                rows[s][q] = rows[s][q] + a.c1
+                out[grid(n, s, q)] = out[grid(n, s, q)] + A[0]
     for q in range(n):
-        c = a.u[0][q]
+        c = A[grid(n, 0, q)]
         if c:
-            rows[0][q] = rows[0][q] + c.scale_int(k)
+            out[grid(n, 0, q)] = out[grid(n, 0, q)] + c.scale_int(k)
     for l in range(1, n):
         sols = adams_solutions(n, k, l)
         if not sols:
             continue
         for q in range(n):
-            c = a.u[l][q]
+            c = A[grid(n, l, q)]
             if c:
                 for s in sols:
                     assert s != 0
-                    rows[s][q] = rows[s][q] + c
-    return UClass(n, a.c1, _freeze(rows))
-
-
-def u_augmentation(a: UClass) -> UClass:
-    """Transport of the virtual augmentation: the unit scaled by the 1_00 coordinate."""
-    return u_unit(a.n).scale(a.c1)
+                    out[grid(n, s, q)] = out[grid(n, s, q)] + c
+    return Coords(n, "u", out)

@@ -7,100 +7,40 @@ and leaves the ring presented by unipotent generators with square-zero
 augmentation ideal.  That quotient is the ordinary K-theory of the crepant
 resolution of the cotangent bundle, and the identification respects the
 Adams operations on both sides.
+
+A resolution class is a ``Coords`` of kind "res": a*1 + sum_q b_q*e[q], where
+the e[q] = nuhat_q - 1 span a square-zero ideal.  Every relation is reported
+with both sides in the labelled text form of ``Coords``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclotomic import Cyc
+from .coords import Coords, basis_vectors, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
 from .line_elements import line_element, line_realize, nu, sigma
-from .localization import (
-    UClass,
-    u_adams,
-    u_basis,
-    u_gen,
-    u_mul,
-    u_one00,
-    u_pow,
-    u_unit,
-)
+from .localization import u_adams, u_mul
 
 
-@dataclass(frozen=True)
-class ResolutionClass:
-    """An element a*1 + sum_q b_q*e_q of the resolution K-theory, where the
-    e_q = nuhat_q - 1 span a square-zero ideal."""
-
-    n: int
-    a: Cyc
-    b: tuple[Cyc, ...]
-
-    def __post_init__(self):
-        if len(self.b) != self.n:
-            raise ValueError("expected n square-zero coordinates")
-
-    def is_zero(self) -> bool:
-        return not (self.a or any(self.b))
-
-    def __add__(self, other: "ResolutionClass") -> "ResolutionClass":
-        _same_n(self, other)
-        return ResolutionClass(
-            self.n, self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b))
-        )
-
-    def __neg__(self) -> "ResolutionClass":
-        return ResolutionClass(self.n, -self.a, tuple(-x for x in self.b))
-
-    def __sub__(self, other: "ResolutionClass") -> "ResolutionClass":
-        return self + (-other)
-
-    def scale(self, c: Cyc | int | Fraction) -> "ResolutionClass":
-        c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
-        return ResolutionClass(self.n, self.a * c, tuple(x * c for x in self.b))
-
-
-def _same_n(a, b) -> None:
-    if a.n != b.n:
-        raise ValueError("mixed weights")
-
-
-def resolution_zero(n: int) -> ResolutionClass:
-    return ResolutionClass(n, Cyc.zero(n), (Cyc.zero(n),) * n)
-
-
-def resolution_one(n: int) -> ResolutionClass:
-    return ResolutionClass(n, Cyc.one(n), (Cyc.zero(n),) * n)
-
-
-def resolution_nu_hat(n: int, i: int) -> ResolutionClass:
-    b = [Cyc.zero(n)] * n
-    b[i] = Cyc.one(n)
-    return ResolutionClass(n, Cyc.one(n), tuple(b))
-
-
-def resolution_mul(x: ResolutionClass, y: ResolutionClass) -> ResolutionClass:
+def resolution_mul(x: Coords, y: Coords) -> Coords:
     """(a, b).(a', b') = (a a', a b' + a' b): the square-zero product rule."""
-    _same_n(x, y)
-    return ResolutionClass(
-        x.n,
-        x.a * y.a,
-        tuple(x.a * v + y.a * u for u, v in zip(x.b, y.b)),
-    )
+    x.check(y)
+    a, b = x.coeffs[0], x.coeffs[1:]
+    a2, b2 = y.coeffs[0], y.coeffs[1:]
+    return Coords(x.n, "res", (a * a2,) + tuple(a * v + a2 * u for u, v in zip(b, b2)))
 
 
-def resolution_adams(x: ResolutionClass, k: int) -> ResolutionClass:
+def resolution_adams(x: Coords, k: int) -> Coords:
     """psi^k fixes the unit and scales the square-zero part by k."""
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
-    return ResolutionClass(x.n, x.a, tuple(v.scale_int(k) for v in x.b))
+    return Coords(x.n, "res", x.coeffs[:1] + tuple(v.scale_int(k) for v in x.coeffs[1:]))
 
 
-def gamma0_project(b: UClass) -> ResolutionClass:
+def gamma0_project(b: Coords) -> Coords:
     """Projection onto the l = 0 block: keep 1_00 and the u_0^q coordinates."""
-    return ResolutionClass(b.n, b.c1, b.u[0])
+    return Coords(b.n, "res", b.coeffs[:grid(b.n, 1, 0)])
 
 
 @dataclass(frozen=True)
@@ -120,21 +60,21 @@ def verify_presentation(n: int) -> list[RelationReport]:
     generator monomials of total degree <= n+1 span the full space."""
     if n < 2:
         raise ValueError("the weight n must be at least 2")
-    unit = u_unit(n)
+    one = unit(n, "u")
     sigmas = [line_realize(sigma(n, i)) for i in range(n)]
     nus = [line_realize(nu(n, j)) for j in range(n)]
     reports = []
     for i in range(n):
         reports.append(
-            _report("sigma[%d]^%d = 1" % (i, n), u_pow(sigmas[i], n), unit)
+            _report("sigma[%d]^%d = 1" % (i, n), power(sigmas[i], n, u_mul), one)
         )
     for i in range(n):
         for j in range(n):
             reports.append(
                 _report(
                     "(nu[%d]-1)*(nu[%d]-1) = 0" % (i, j),
-                    u_mul(nus[i] - unit, nus[j] - unit),
-                    u_gen(n, 0, 0).scale(0),
+                    u_mul(nus[i] - one, nus[j] - one),
+                    zero(n, "u"),
                 )
             )
     for i in range(n):
@@ -142,8 +82,8 @@ def verify_presentation(n: int) -> list[RelationReport]:
             reports.append(
                 _report(
                     "sigma[%d]*(nu[%d]-1) = nu[%d]-1" % (i, j, j),
-                    u_mul(sigmas[i], nus[j] - unit),
-                    nus[j] - unit,
+                    u_mul(sigmas[i], nus[j] - one),
+                    nus[j] - one,
                 )
             )
     for i in range(n):
@@ -152,8 +92,8 @@ def verify_presentation(n: int) -> list[RelationReport]:
                 reports.append(
                     _report(
                         "(sigma[%d]-1)*(sigma[%d]-1) = 0" % (i, j),
-                        u_mul(sigmas[i] - unit, sigmas[j] - unit),
-                        u_gen(n, 0, 0).scale(0),
+                        u_mul(sigmas[i] - one, sigmas[j] - one),
+                        zero(n, "u"),
                     )
                 )
     rank = _generation_rank(n)
@@ -168,13 +108,6 @@ def verify_presentation(n: int) -> list[RelationReport]:
     return reports
 
 
-def _flatten(b: UClass) -> list[Cyc]:
-    out = [b.c1]
-    for row in b.u:
-        out.extend(row)
-    return out
-
-
 def _generation_rank(n: int) -> int:
     """Rank of the span of monomials in sigma_i^(+-1), nu_j^(+-1).
 
@@ -185,7 +118,7 @@ def _generation_rank(n: int) -> int:
     full = n * n + 1
     acc = SpanAccumulator()
 
-    def monomial(fe: dict[int, int], be: dict[int, int]) -> UClass:
+    def monomial(fe: dict[int, int], be: dict[int, int]) -> Coords:
         f = [0] * n
         beta = [0] * n
         for i, e in fe.items():
@@ -194,7 +127,7 @@ def _generation_rank(n: int) -> int:
             beta[j] = e
         return line_realize(line_element(n, f, beta))
 
-    acc.add(_flatten(u_unit(n)))
+    acc.add(unit(n, "u").coeffs)
     gens = [("s", i) for i in range(n)] + [("n", j) for j in range(n)]
     for deg in range(1, n + 2):
         if acc.rank == full:
@@ -203,7 +136,7 @@ def _generation_rank(n: int) -> int:
             for e in (deg, -deg):
                 fe = {i: e} if kind == "s" else {}
                 be = {i: e} if kind == "n" else {}
-                acc.add(_flatten(monomial(fe, be)))
+                acc.add(monomial(fe, be).coeffs)
         for a in range(len(gens)):
             if acc.rank == full:
                 break
@@ -221,7 +154,7 @@ def _generation_rank(n: int) -> int:
                                 fe[ib] = fe.get(ib, 0) + e2
                             else:
                                 be[ib] = be.get(ib, 0) + e2
-                            acc.add(_flatten(monomial(fe, be)))
+                            acc.add(monomial(fe, be).coeffs)
     return acc.rank
 
 
@@ -244,15 +177,13 @@ def verify_resolution_isomorphism(n: int, k_max: int | None = None) -> list[Rela
     reports.append(
         RelationReport("dimension of l=0 block vs resolution", str(n + 1), str(n + 1), True)
     )
-    block0 = [("e[0,0]", u_one00(n))] + [
-        ("u[0,%d]" % q, u_gen(n, 0, q)) for q in range(n)
-    ]
+    basis = basis_vectors(n, "u")
+    block0 = basis[:grid(n, 1, 0)]
     for la, ea in block0:
         for lb, eb in block0:
             lhs = gamma0_project(u_mul(ea, eb))
             rhs = resolution_mul(gamma0_project(ea), gamma0_project(eb))
             reports.append(_report("Theta multiplicative on %s,%s" % (la, lb), lhs, rhs))
-    basis = u_basis(n)
     for la, ea in basis:
         for lb, eb in basis:
             lhs = gamma0_project(u_mul(ea, eb))
@@ -269,14 +200,14 @@ def verify_resolution_isomorphism(n: int, k_max: int | None = None) -> list[Rela
             )
     # Surjectivity: explicit preimages of the resolution basis.
     reports.append(
-        _report("preimage of 1", gamma0_project(u_unit(n)), resolution_one(n))
+        _report("preimage of 1", gamma0_project(unit(n, "u")), unit(n, "res"))
     )
     for q in range(n):
         reports.append(
             _report(
                 "preimage of nuhat[%d]-1" % q,
-                gamma0_project(u_gen(n, 0, q)),
-                resolution_nu_hat(n, q) - resolution_one(n),
+                gamma0_project(gen(n, "u", "u[0,%d]" % q)),
+                (unit(n, "res") + gen(n, "res", "e[%d]" % q)) - unit(n, "res"),
             )
         )
     return reports

@@ -6,16 +6,17 @@ a twisted sector (m != 0) is Q(zeta_n)[x]/(x^n-1) with representatives of
 degree <= n-1.  Both moduli have unit constant term, so x is invertible in
 every sector and negative powers are eliminated at construction time.
 
-Canonical representatives make equality a plain tuple comparison.
+A class in sector m is a ``CycPoly`` in x_m; the sector index is passed
+alongside it.  Canonical representatives make equality a plain tuple
+comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
-from .cyclotomic import Cyc, CycPoly, cycpoly_modular_inverse
+from .cyclotomic import Cyc, CycPoly
 
 
 def _check_n(n: int) -> None:
@@ -35,75 +36,13 @@ def sector_modulus(n: int, m: int) -> CycPoly:
     return CycPoly.from_ints(n, coeffs)
 
 
-def _max_degree(n: int, m: int) -> int:
-    return n if m == 0 else n - 1
-
-
-@dataclass(frozen=True)
-class SectorClass:
-    """A reduced class in sector m, coefficients ascending in x_m."""
-
-    n: int
-    m: int
-    coeffs: tuple[Cyc, ...]
-
-    def __post_init__(self):
-        _check_n(self.n)
-        if not 0 <= self.m < self.n:
-            raise ValueError("sector index out of range")
-        if len(self.coeffs) > _max_degree(self.n, self.m) + 1:
-            raise ValueError("representative is not reduced")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "SectorClass") -> "SectorClass":
-        _check_match(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return SectorClass(self.n, self.m, _strip(out))
-
-    def __neg__(self) -> "SectorClass":
-        return SectorClass(self.n, self.m, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "SectorClass") -> "SectorClass":
-        return self + (-other)
-
-    def scale(self, c: Cyc | int | Fraction) -> "SectorClass":
-        c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
-        if not c:
-            return sector_zero(self.n, self.m)
-        return SectorClass(self.n, self.m, tuple(a * c for a in self.coeffs))
-
-    @property
-    def poly(self) -> CycPoly:
-        return CycPoly(self.n, self.coeffs)
-
-    def eval_at(self, x: Cyc) -> Cyc:
-        total = Cyc.zero(self.n)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-
 def _strip(coeffs: list[Cyc]) -> tuple[Cyc, ...]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 
 
-def _check_match(a: SectorClass, b: SectorClass) -> None:
-    if a.n != b.n or a.m != b.m:
-        raise ValueError(
-            "sector mismatch: (n=%d, m=%d) vs (n=%d, m=%d)" % (a.n, a.m, b.n, b.m)
-        )
-
-
-def reduce_coeffs(n: int, m: int, coeffs: list[Cyc]) -> tuple[Cyc, ...]:
+def reduce_coeffs(n: int, m: int, coeffs: Sequence[Cyc]) -> tuple[Cyc, ...]:
     """Reduce an arbitrary coefficient list to the canonical representative."""
     if m % n:
         # x^n = 1: fold exponents.
@@ -119,90 +58,57 @@ def reduce_coeffs(n: int, m: int, coeffs: list[Cyc]) -> tuple[Cyc, ...]:
     return rem.coeffs
 
 
-def sector_zero(n: int, m: int) -> SectorClass:
-    return SectorClass(n, m, ())
-
-
-def sector_one(n: int, m: int) -> SectorClass:
-    return SectorClass(n, m, (Cyc.one(n),))
-
-
-@cache
-def _x0_inverse_coeffs(n: int) -> tuple[Cyc, ...]:
-    x = CycPoly.monomial(n, 1)
-    inv = cycpoly_modular_inverse(x, sector_modulus(n, 0))
-    return inv.coeffs
-
-
-def sector_x_inverse(n: int, m: int) -> SectorClass:
+def sector_x_inverse(n: int, m: int) -> CycPoly:
     """The class y with y * x_m = 1_m.
 
-    For m != 0 this is x_m^(n-1); for m = 0 it comes from the extended
-    Euclidean algorithm against (x-1)(x^n-1), whose constant term is a unit.
+    For m != 0 this is x_m^(n-1); for m = 0 it is 1 + x^(n-1) - x^n, since
+    x (1 + x^(n-1) - x^n) = 1 modulo (x-1)(x^n-1) = x^(n+1) - x^n - x + 1.
     """
     _check_n(n)
     if m % n:
         return sector_monomial(n, m, n - 1)
-    return SectorClass(n, 0, _x0_inverse_coeffs(n))
+    return CycPoly.from_ints(n, [1] + [0] * (n - 2) + [1, -1])
 
 
-def sector_monomial(n: int, m: int, a: int) -> SectorClass:
+def sector_monomial(n: int, m: int, a: int) -> CycPoly:
     """x_m^a for any integer a, negative powers included."""
     _check_n(n)
     if m % n:
-        e = a % n
-        coeffs = [Cyc.zero(n)] * e + [Cyc.one(n)]
-        return SectorClass(n, m, tuple(coeffs))
-    if a >= 0:
-        if a <= n:
-            coeffs = [Cyc.zero(n)] * a + [Cyc.one(n)]
-            return SectorClass(n, 0, tuple(coeffs))
-        acc = sector_one(n, 0)
-        x = sector_monomial(n, 0, 1)
-        for _ in range(a):
-            acc = sector_mul(acc, x)
-        return acc
-    acc = sector_one(n, 0)
-    xinv = sector_x_inverse(n, 0)
-    for _ in range(-a):
-        acc = sector_mul(acc, xinv)
+        return CycPoly.monomial(n, a % n)
+    if 0 <= a <= n:
+        return CycPoly.monomial(n, a)
+    acc = CycPoly.one_poly(n)
+    x = sector_monomial(n, 0, 1) if a > 0 else sector_x_inverse(n, 0)
+    for _ in range(abs(a)):
+        acc = sector_mul(0, acc, x)
     return acc
 
 
-def sector_mul(a: SectorClass, b: SectorClass) -> SectorClass:
-    """Ordinary product within one sector, reduced modulo the sector modulus."""
-    _check_match(a, b)
-    if a.is_zero() or b.is_zero():
-        return sector_zero(a.n, a.m)
-    out = [Cyc.zero(a.n)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j, bj in enumerate(b.coeffs):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return SectorClass(a.n, a.m, reduce_coeffs(a.n, a.m, out))
+def sector_mul(m: int, a: CycPoly, b: CycPoly) -> CycPoly:
+    """Ordinary product within sector m, reduced modulo the sector modulus."""
+    return CycPoly(a.n, reduce_coeffs(a.n, m, (a * b).coeffs))
 
 
-def sector_adams(a: SectorClass, k: int) -> SectorClass:
+def sector_adams(m: int, a: CycPoly, k: int) -> CycPoly:
     """Ordinary Adams operation psi^k: x_m^j -> x_m^(jk), extended linearly."""
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
-    n, m = a.n, a.m
+    n = a.n
     if m:
         folded = [Cyc.zero(n) for _ in range(n)]
         for j, c in enumerate(a.coeffs):
             if c:
                 e = (j * k) % n
                 folded[e] = folded[e] + c
-        return SectorClass(n, m, _strip(folded))
+        return CycPoly(n, _strip(folded))
     out = [Cyc.zero(n)] * (k * max(len(a.coeffs) - 1, 0) + 1)
     for j, c in enumerate(a.coeffs):
         if c:
             out[j * k] = out[j * k] + c
-    return SectorClass(n, 0, reduce_coeffs(n, 0, out))
+    return CycPoly(n, reduce_coeffs(n, 0, out))
 
 
-def bott_class(n: int, m: int, j: int) -> SectorClass:
+def bott_class(n: int, m: int, j: int) -> CycPoly:
     """The j-th Bott class of the dual tautological character on sector m.
 
     This is the geometric sum 1 + x_m^(-1) + ... + x_m^(-(j-1)), reduced.
@@ -215,11 +121,11 @@ def bott_class(n: int, m: int, j: int) -> SectorClass:
         for i in range(j):
             e = (-i) % n
             folded[e] = folded[e] + Cyc.one(n)
-        return SectorClass(n, m, _strip(folded))
-    total = sector_one(n, 0)
-    power = sector_one(n, 0)
+        return CycPoly(n, _strip(folded))
+    total = CycPoly.one_poly(n)
+    power = CycPoly.one_poly(n)
     xinv = sector_x_inverse(n, 0)
     for _ in range(j - 1):
-        power = sector_mul(power, xinv)
+        power = sector_mul(0, power, xinv)
         total = total + power
     return total

@@ -16,8 +16,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import linalg
-from .cyclotomic import Cyc, zeta_pow
+from .coords import Coords, basis_vectors, gen, unit, zero
+from .cyclotomic import Cyc, phi_degree
 from .line_elements import (
     LineElt,
     is_line_element,
@@ -37,30 +37,16 @@ from .localization import (
     gamma_inverse,
     loc_adams,
     loc_augmentation,
-    loc_basis,
     loc_mul,
-    loc_one,
-    loc_pow,
-    loc_unit,
-    loc_x00,
     to_u_basis,
     u_adams,
-    u_basis,
-    u_gen,
     u_mul,
-    u_one00,
-    u_pow,
-    u_unit,
-    u_zero,
 )
 from .presentation import verify_presentation, verify_resolution_isomorphism
 from .virtual_ring import (
     EulerFn,
-    KClass,
     k_monomial,
-    k_one,
     lambda_from_adams,
-    monomial_basis,
     virtual_adams,
     virtual_augmentation,
     virtual_mul,
@@ -145,26 +131,9 @@ class Report:
 
 
 def _eq(checks: list[Check], cid: str, lhs, rhs, fmt=str) -> None:
+    # ``str`` renders a Coords in the labelled form of its own basis.
     ok = lhs == rhs
     checks.append(Check(cid, "pass" if ok else "fail", fmt(lhs), fmt(rhs)))
-
-
-def _fmt_loc(v) -> str:
-    from .expr import format_value
-
-    return format_value("loc", v)
-
-
-def _fmt_u(v) -> str:
-    from .expr import format_value
-
-    return format_value("loc", from_u_basis(v), display="u")
-
-
-def _fmt_k(v) -> str:
-    from .expr import format_value
-
-    return format_value("sector", v)
 
 
 # ---------------------------------------------------------------------------
@@ -173,45 +142,45 @@ def _fmt_k(v) -> str:
 
 def checks_gamma_roundtrip(n: int) -> list[Check]:
     out: list[Check] = []
-    for label, e in loc_basis(n):
+    for label, e in basis_vectors(n, "loc"):
         _eq(out, "product-oracle/n=%d/roundtrip-loc/%s" % (n, label),
-            gamma(gamma_inverse(e)), e, _fmt_loc)
-    for label, a in monomial_basis(n):
+            gamma(gamma_inverse(e)), e)
+    for label, a in basis_vectors(n, "sector"):
         _eq(out, "product-oracle/n=%d/roundtrip-sector/%s" % (n, label),
-            gamma_inverse(gamma(a)), a, _fmt_k)
+            gamma_inverse(gamma(a)), a)
     return out
 
 
 def checks_product_oracle(n: int, euler: EulerFn | None = None) -> list[Check]:
     """Localized product table against the transported polynomial product."""
     out: list[Check] = []
-    basis = loc_basis(n)
+    basis = basis_vectors(n, "loc")
     pre = [(label, e, gamma_inverse(e)) for label, e in basis]
     for i, (la, ea, ka) in enumerate(pre):
         for lb, eb, kb in pre[i:]:
             oracle = gamma(virtual_mul(ka, kb, euler=euler))
             _eq(out, "product-oracle/n=%d/pair/%s*%s" % (n, la, lb),
-                loc_mul(ea, eb), oracle, _fmt_loc)
+                loc_mul(ea, eb), oracle)
     for la, ea in basis:
         for lb, eb in basis:
             if la < lb:
                 _eq(out, "product-oracle/n=%d/symmetry/%s*%s" % (n, la, lb),
-                    loc_mul(ea, eb), loc_mul(eb, ea), _fmt_loc)
+                    loc_mul(ea, eb), loc_mul(eb, ea))
     # Semisimple structure constants: Kronecker products and square-zero row 0.
-    ubasis = u_basis(n)
+    ubasis = basis_vectors(n, "u")
     for la, ua in ubasis:
         for lb, ub in ubasis:
             prod = u_mul(ua, ub)
             if la == "e[0,0]" and lb == "e[0,0]":
-                expected = u_one00(n)
+                expected = gen(n, "u", "e[0,0]")
             elif la == "e[0,0]":
-                expected = ub if lb.startswith("u[0,") else u_zero(n)
+                expected = ub if lb.startswith("u[0,") else zero(n, "u")
             elif lb == "e[0,0]":
-                expected = ua if la.startswith("u[0,") else u_zero(n)
+                expected = ua if la.startswith("u[0,") else zero(n, "u")
             else:
-                expected = ua if la == lb and not la.startswith("u[0,") else u_zero(n)
+                expected = ua if la == lb and not la.startswith("u[0,") else zero(n, "u")
             _eq(out, "product-oracle/n=%d/u-product/%s*%s" % (n, la, lb),
-                prod, expected, _fmt_u)
+                prod, expected)
     # The two coordinate systems agree on products of dense classes.
     rng = random.Random(_SEED + n)
     for trial in range(8):
@@ -220,55 +189,52 @@ def checks_product_oracle(n: int, euler: EulerFn | None = None) -> list[Check]:
         via_u = u_mul(a, b)
         via_loc = to_u_basis(loc_mul(from_u_basis(a), from_u_basis(b)))
         _eq(out, "product-oracle/n=%d/u-loc-consistency/%d" % (n, trial),
-            via_u, via_loc, _fmt_u)
+            via_u, via_loc)
     # Remaining presentation-ideal families: the unit decomposes into the row
     # idempotents, rows sum to their idempotent, idempotents are orthogonal,
     # and each row idempotent fixes exactly its own semisimple generators.
-    unit_decomp = loc_one(n, 0, 0)
+    unit_decomp = gen(n, "loc", "e[0,0]")
     for l in range(1, n):
-        unit_decomp = unit_decomp + loc_one(n, 0, l)
+        unit_decomp = unit_decomp + gen(n, "loc", "e[0,%d]" % l)
     _eq(out, "product-oracle/n=%d/ideal/unit-decomposition" % n,
-        unit_decomp, loc_unit(n), _fmt_loc)
+        unit_decomp, unit(n, "loc"))
     for l in range(1, n):
-        total = u_zero(n)
+        total = zero(n, "u")
         for q in range(n):
-            total = total + u_gen(n, l, q)
+            total = total + gen(n, "u", "u[%d,%d]" % (l, q))
         _eq(out, "product-oracle/n=%d/ideal/row-sum/l=%d" % (n, l),
-            from_u_basis(total), loc_one(n, 0, l), _fmt_loc)
+            from_u_basis(total), gen(n, "loc", "e[0,%d]" % l))
     for l1 in range(n):
-        e1 = loc_one(n, 0, l1)
+        e1 = gen(n, "loc", "e[0,%d]" % l1)
         for l2 in range(n):
-            expected = e1 if l1 == l2 else loc_unit(n).scale(0)
+            expected = e1 if l1 == l2 else zero(n, "loc")
             _eq(out, "product-oracle/n=%d/ideal/idempotents/l=%d,%d" % (n, l1, l2),
-                loc_mul(e1, loc_one(n, 0, l2)), expected, _fmt_loc)
+                loc_mul(e1, gen(n, "loc", "e[0,%d]" % l2)), expected)
         for l2 in range(n):
             for q in range(n):
-                ug = from_u_basis(u_gen(n, l2, q))
-                expected = ug if l1 == l2 else loc_unit(n).scale(0)
+                ug = from_u_basis(gen(n, "u", "u[%d,%d]" % (l2, q)))
+                expected = ug if l1 == l2 else zero(n, "loc")
                 _eq(out, "product-oracle/n=%d/ideal/row-unit/u[%d,%d]*e[0,%d]" % (n, l2, q, l1),
-                    loc_mul(ug, e1), expected, _fmt_loc)
+                    loc_mul(ug, e1), expected)
     # Powers of x_00 collapse linearly.
-    x = loc_x00(n)
-    e00 = loc_one(n, 0, 0)
+    x = gen(n, "loc", "xe[0,0]")
+    e00 = gen(n, "loc", "e[0,0]")
     power = x
     for k in range(2, 11):
         power = loc_mul(power, x)
         _eq(out, "product-oracle/n=%d/x00-power/k=%d" % (n, k),
-            power, x.scale(k) - e00.scale(k - 1), _fmt_loc)
+            power, x.scale(k) - e00.scale(k - 1))
     return out
 
 
 def _random_cyc(rng: random.Random, n: int) -> Cyc:
-    from .cyclotomic import phi_degree
-
     return Cyc(n, [rng.randint(-3, 3) for _ in range(phi_degree(n))], rng.choice([1, 1, 2, 3]))
 
 
-def _random_u(rng: random.Random, n: int):
-    from .localization import UClass, _freeze
-
-    rows = [[_random_cyc(rng, n) for _ in range(n)] for _ in range(n)]
-    return UClass(n, _random_cyc(rng, n), _freeze(rows))
+def _random_u(rng: random.Random, n: int) -> Coords:
+    # Draw order (grid first, then e[0,0]) fixes the seeded values in the report.
+    grid = [_random_cyc(rng, n) for _ in range(n * n)]
+    return Coords(n, "u", [_random_cyc(rng, n)] + grid)
 
 
 def suite_product_oracle(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
@@ -284,15 +250,15 @@ def checks_adams_oracle(n: int, k_max: int | None = None,
     out: list[Check] = []
     if k_max is None:
         k_max = 2 * n
-    pre = [(label, e, gamma_inverse(e)) for label, e in loc_basis(n)]
+    pre = [(label, e, gamma_inverse(e)) for label, e in basis_vectors(n, "loc")]
     for k in range(1, k_max + 1):
         for label, e, ke in pre:
             _eq(out, "adams-oracle/n=%d/loc/%s/k=%d" % (n, label, k),
-                loc_adams(e, k), gamma(virtual_adams(ke, k)), _fmt_loc)
+                loc_adams(e, k), gamma(virtual_adams(ke, k)))
     for k in range(1, k_max + 1):
-        for label, b in u_basis(n):
+        for label, b in basis_vectors(n, "u"):
             _eq(out, "adams-oracle/n=%d/u/%s/k=%d" % (n, label, k),
-                u_adams(b, k), to_u_basis(loc_adams(from_u_basis(b), k)), _fmt_u)
+                u_adams(b, k), to_u_basis(loc_adams(from_u_basis(b), k)))
     # The Adams operations are multiplicative for the virtual product; this
     # family touches every Euler case, so it is sensitive to the case table.
     for m1 in range(n):
@@ -303,8 +269,7 @@ def checks_adams_oracle(n: int, k_max: int | None = None,
             for k in (2, 3):
                 _eq(out, "adams-oracle/n=%d/psi-mult/x[%d]*x[%d]/k=%d" % (n, m1, m2, k),
                     virtual_adams(ab, k),
-                    virtual_mul(virtual_adams(a, k), virtual_adams(b, k), euler=euler),
-                    _fmt_k)
+                    virtual_mul(virtual_adams(a, k), virtual_adams(b, k), euler=euler))
     return out
 
 
@@ -318,36 +283,36 @@ def suite_adams_oracle(n: int, k_max: int | None, euler: EulerFn | None) -> list
 
 def checks_psi_ring(n: int, k_max: int | None = None) -> list[Check]:
     out: list[Check] = []
-    basis = monomial_basis(n)
-    unit = k_one(n)
+    basis = basis_vectors(n, "sector")
+    one = unit(n, "sector")
     for label, a in basis:
         _eq(out, "psi-ring/n=%d/identity-op/%s" % (n, label),
-            virtual_adams(a, 1), a, _fmt_k)
+            virtual_adams(a, 1), a)
         _eq(out, "psi-ring/n=%d/unit-law/%s" % (n, label),
-            virtual_mul(unit, a), a, _fmt_k)
+            virtual_mul(one, a), a)
     for k in range(1, 5):
         for l in range(1, 5):
             for label, a in basis:
                 _eq(out, "psi-ring/n=%d/composition/%s/k=%d,l=%d" % (n, label, k, l),
                     virtual_adams(virtual_adams(a, l), k),
-                    virtual_adams(a, k * l), _fmt_k)
+                    virtual_adams(a, k * l))
     for i, (la, a) in enumerate(basis):
         for lb, b in basis[i:]:
             ab = virtual_mul(a, b)
             _eq(out, "psi-ring/n=%d/commutativity/%s*%s" % (n, la, lb),
-                ab, virtual_mul(b, a), _fmt_k)
+                ab, virtual_mul(b, a))
             for k in range(2, 5):
                 _eq(out, "psi-ring/n=%d/homomorphism/%s*%s/k=%d" % (n, la, lb, k),
                     virtual_adams(ab, k),
-                    virtual_mul(virtual_adams(a, k), virtual_adams(b, k)), _fmt_k)
+                    virtual_mul(virtual_adams(a, k), virtual_adams(b, k)))
     for label, a in basis:
         ea = virtual_augmentation(a)
         for k in range(1, 7):
             pa = virtual_adams(a, k)
             _eq(out, "psi-ring/n=%d/augmentation/eps-psi/%s/k=%d" % (n, label, k),
-                virtual_augmentation(pa), ea, _fmt_k)
+                virtual_augmentation(pa), ea)
             _eq(out, "psi-ring/n=%d/augmentation/psi-eps/%s/k=%d" % (n, label, k),
-                virtual_adams(ea, k), ea, _fmt_k)
+                virtual_adams(ea, k), ea)
     if n <= 4:
         triples = [(a, b, c) for _, a in basis for _, b in basis for _, c in basis]
         labels = [(la, lb, lc) for la, _ in basis for lb, _ in basis for lc, _ in basis]
@@ -359,7 +324,7 @@ def checks_psi_ring(n: int, k_max: int | None = None) -> list[Check]:
     for (a, b, c), (la, lb, lc) in zip(triples, labels):
         _eq(out, "psi-ring/n=%d/associativity/%s*%s*%s" % (n, la, lb, lc),
             virtual_mul(virtual_mul(a, b), c),
-            virtual_mul(a, virtual_mul(b, c)), _fmt_k)
+            virtual_mul(a, virtual_mul(b, c)))
     return out
 
 
@@ -391,30 +356,30 @@ def checks_line_elements(n: int, k_max: int | None = None) -> list[Check]:
         for k in range(2, k_max + 1):
             power = u_mul(power, b)
             _eq(out, "line-elements/n=%d/power-law/%s/k=%d" % (n, label, k),
-                u_adams(b, k), power, _fmt_u)
+                u_adams(b, k), power)
         cert = is_line_element(b, k_max)
         _eq(out, "line-elements/n=%d/certificate/%s" % (n, label),
             (cert.ok, cert.params), (True, L),
             lambda t: "ok=%s params=%s" % (t[0], t[1]))
         _eq(out, "line-elements/n=%d/inverse/%s" % (n, label),
-            u_mul(b, line_realize(line_inverse(L))), u_unit(n), _fmt_u)
+            u_mul(b, line_realize(line_inverse(L))), unit(n, "u"))
     for la, La in gens[: n + 2]:
         for lb, Lb in gens[: n + 2]:
             _eq(out, "line-elements/n=%d/group-law/%s*%s" % (n, la, lb),
                 line_realize(line_mul(La, Lb)),
-                u_mul(line_realize(La), line_realize(Lb)), _fmt_u)
+                u_mul(line_realize(La), line_realize(Lb)))
     for i in range(n):
         torsion = sigma(n, i)
         power = torsion
         for _ in range(n - 1):
             power = line_mul(power, torsion)
         _eq(out, "line-elements/n=%d/torsion/sigma[%d]^%d" % (n, i, n),
-            line_realize(power), u_unit(n), _fmt_u)
+            line_realize(power), unit(n, "u"))
     # Failure modes: the zero-unit class and a scaled unit are not line elements.
     _eq(out, "line-elements/n=%d/reject-noninvertible" % n,
-        is_line_element(u_gen(n, 1, 0), k_max).ok, False)
+        is_line_element(gen(n, "u", "u[1,0]"), k_max).ok, False)
     _eq(out, "line-elements/n=%d/reject-scaled-unit" % n,
-        is_line_element(u_unit(n).scale(2), k_max).ok, False)
+        is_line_element(unit(n, "u").scale(2), k_max).ok, False)
     if n <= 5:
         for t in range(20):
             L = _random_line(rng, n)
@@ -446,15 +411,15 @@ def checks_span(n: int) -> list[Check]:
         for c in range(n - 1)
     )
     _eq(out, "span/n=%d/block-square-pattern" % n, ok, True)
-    expected = {"1": u_unit(n)}
+    expected = {"1": unit(n, "u")}
     for q in range(n):
-        expected["u[0,%d]" % q] = u_gen(n, 0, q)
+        expected["u[0,%d]" % q] = gen(n, "u", "u[0,%d]" % q)
         for l in range(1, n):
-            expected["u[%d,%d]" % (l, q)] = u_gen(n, l, q)
+            expected["u[%d,%d]" % (l, q)] = gen(n, "u", "u[%d,%d]" % (l, q))
     for key, target in expected.items():
         combo = witnesses.combos[key]
         _eq(out, "span/n=%d/witness/%s" % (n, key),
-            realize_combo(n, combo), target, _fmt_u)
+            realize_combo(n, combo), target)
     return out
 
 
@@ -482,13 +447,13 @@ def checks_resolution(n: int, k_max: int | None = None) -> list[Check]:
         out.append(Check("resolution/n=%d/%s" % (n, rep.relation),
                          "pass" if rep.equal else "fail", rep.lhs, rep.rhs))
     # Augmentation compatibility across the decomposition map.
-    for label, a in monomial_basis(n):
+    for label, a in basis_vectors(n, "sector"):
         _eq(out, "resolution/n=%d/augmentation-transport/%s" % (n, label),
-            gamma(virtual_augmentation(a)), loc_augmentation(gamma(a)), _fmt_loc)
+            gamma(virtual_augmentation(a)), loc_augmentation(gamma(a)))
         ea = virtual_augmentation(a)
         for k in range(1, k_max + 1):
             _eq(out, "resolution/n=%d/augmentation-stability/%s/k=%d" % (n, label, k),
-                virtual_augmentation(virtual_adams(a, k)), ea, _fmt_k)
+                virtual_augmentation(virtual_adams(a, k)), ea)
     return out
 
 

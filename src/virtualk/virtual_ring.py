@@ -1,6 +1,7 @@
 """The full inertial K-theory ring of P(1,n) with the virtual product.
 
-A class is a vector of n sector classes, one per inertia sector.  The
+A class is a sector ``Coords``: the coefficients of x_m^j for every inertia
+sector m, read out per sector as a ``CycPoly`` by ``sector_part``.  The
 virtual product of monomials is
 
     x_{m1}^{a1} * x_{m2}^{a2} = x_{m1+m2}^{a1+a2} . e(m1, m2)
@@ -14,84 +15,52 @@ sector carries the ordinary Adams operations untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Callable
+from typing import Callable, Mapping
 
-from .cyclotomic import Cyc
+from .coords import Coords, sector_start, unit, zero
+from .cyclotomic import Cyc, CycPoly
 from .sector_ring import (
-    SectorClass,
     bott_class,
     reduce_coeffs,
     sector_adams,
     sector_monomial,
     sector_mul,
-    sector_one,
     sector_x_inverse,
-    sector_zero,
 )
 
-EulerFn = Callable[[int, int, int], SectorClass]
+EulerFn = Callable[[int, int, int], CycPoly]
 
 
-@dataclass(frozen=True)
-class KClass:
-    """An element of the inertial K-theory ring, one reduced class per sector."""
-
-    n: int
-    sectors: tuple[SectorClass, ...]
-
-    def __post_init__(self):
-        if len(self.sectors) != self.n:
-            raise ValueError("expected one class per sector")
-        for i, s in enumerate(self.sectors):
-            if s.n != self.n or s.m != i:
-                raise ValueError("sector %d carries the wrong ring" % i)
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.sectors)
-
-    def __add__(self, other: "KClass") -> "KClass":
-        _check_same_n(self, other)
-        return KClass(self.n, tuple(a + b for a, b in zip(self.sectors, other.sectors)))
-
-    def __neg__(self) -> "KClass":
-        return KClass(self.n, tuple(-s for s in self.sectors))
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
-
-    def scale(self, c: Cyc | int | Fraction) -> "KClass":
-        return KClass(self.n, tuple(s.scale(c) for s in self.sectors))
+def _width(n: int, m: int) -> int:
+    return n + 1 if m == 0 else n
 
 
-def _check_same_n(a: KClass, b: KClass) -> None:
-    if a.n != b.n:
-        raise ValueError("mixed weights: n=%d vs n=%d" % (a.n, b.n))
+def sector_part(a: Coords, m: int) -> CycPoly:
+    """The class of ``a`` in sector m, as a polynomial in x_m."""
+    start = sector_start(a.n, m)
+    return CycPoly.from_cycs(a.n, a.coeffs[start:start + _width(a.n, m)])
 
 
-def k_zero(n: int) -> KClass:
-    return KClass(n, tuple(sector_zero(n, m) for m in range(n)))
+def from_sectors(n: int, parts: Mapping[int, CycPoly]) -> Coords:
+    """The class with the reduced polynomial ``parts[m]`` on sector m, zero elsewhere."""
+    coeffs = list(zero(n, "sector").coeffs)
+    for m, p in parts.items():
+        if not 0 <= m < n:
+            raise ValueError("sector index out of range")
+        if len(p.coeffs) > _width(n, m):
+            raise ValueError("representative is not reduced")
+        start = sector_start(n, m)
+        coeffs[start:start + len(p.coeffs)] = p.coeffs
+    return Coords(n, "sector", coeffs)
 
 
-def k_one(n: int) -> KClass:
-    """The multiplicative unit: 1_0 on the untwisted sector."""
-    return k_from_sector(sector_one(n, 0))
-
-
-def k_from_sector(s: SectorClass) -> KClass:
-    sectors = [sector_zero(s.n, m) for m in range(s.n)]
-    sectors[s.m] = s
-    return KClass(s.n, tuple(sectors))
-
-
-def k_monomial(n: int, m: int, a: int) -> KClass:
+def k_monomial(n: int, m: int, a: int) -> Coords:
     """The class of x_m^a, supported on sector m."""
-    return k_from_sector(sector_monomial(n, m, a))
+    return from_sectors(n, {m: sector_monomial(n, m, a)})
 
 
-def euler_factor(n: int, m1: int, m2: int) -> SectorClass:
+def euler_factor(n: int, m1: int, m2: int) -> CycPoly:
     """K-theory Euler class attached to a sector pair, in sector m1+m2 mod n.
 
     Three cases: 1 when either index is 0; 1 - 2/x + 1/x^2 when the indices
@@ -99,99 +68,59 @@ def euler_factor(n: int, m1: int, m2: int) -> SectorClass:
     """
     if not (0 <= m1 < n and 0 <= m2 < n):
         raise ValueError("sector indices out of range")
-    t = (m1 + m2) % n
+    one = CycPoly.one_poly(n)
     if m1 == 0 or m2 == 0:
-        return sector_one(n, t)
-    one = sector_one(n, t)
+        return one
+    t = (m1 + m2) % n
     xinv = sector_x_inverse(n, t)
     if m1 + m2 == n:
-        return one - xinv.scale(2) + sector_mul(xinv, xinv)
+        return one - xinv.scale(2) + sector_mul(t, xinv, xinv)
     return one - xinv
 
 
-def virtual_mul(a: KClass, b: KClass, *, euler: EulerFn | None = None) -> KClass:
+def virtual_mul(a: Coords, b: Coords, *, euler: EulerFn | None = None) -> Coords:
     """Bilinear extension of the monomial product with its Euler factor."""
-    _check_same_n(a, b)
+    a.check(b)
     e = euler if euler is not None else euler_factor
     n = a.n
-    acc: list[list[Cyc] | None] = [None] * n
-    for m1, s1 in enumerate(a.sectors):
+    parts_b = [sector_part(b, m) for m in range(n)]
+    acc: dict[int, CycPoly] = {}
+    for m1 in range(n):
+        s1 = sector_part(a, m1)
         if s1.is_zero():
             continue
-        for m2, s2 in enumerate(b.sectors):
+        for m2, s2 in enumerate(parts_b):
             if s2.is_zero():
                 continue
             t = (m1 + m2) % n
-            ef = e(n, m1, m2)
-            if ef.m != t:
-                raise ValueError("Euler factor lives in the wrong sector")
-            conv = [Cyc.zero(n)] * (len(s1.coeffs) + len(s2.coeffs) - 1)
-            for i, ci in enumerate(s1.coeffs):
-                if ci:
-                    for j, cj in enumerate(s2.coeffs):
-                        if cj:
-                            conv[i + j] = conv[i + j] + ci * cj
-            if not ef.is_zero():
-                full = [Cyc.zero(n)] * (len(conv) + len(ef.coeffs) - 1)
-                for i, ci in enumerate(conv):
-                    if ci:
-                        for j, cj in enumerate(ef.coeffs):
-                            if cj:
-                                full[i + j] = full[i + j] + ci * cj
-            else:
-                full = []
-            slot = acc[t]
-            if slot is None:
-                acc[t] = full
-            else:
-                if len(slot) < len(full):
-                    slot.extend([Cyc.zero(n)] * (len(full) - len(slot)))
-                for i, c in enumerate(full):
-                    slot[i] = slot[i] + c
-    sectors = []
-    for m in range(n):
-        slot = acc[m]
-        if slot is None:
-            sectors.append(sector_zero(n, m))
-        else:
-            sectors.append(SectorClass(n, m, reduce_coeffs(n, m, slot)))
-    return KClass(n, tuple(sectors))
+            full = s1 * s2 * e(n, m1, m2)
+            acc[t] = acc[t] + full if t in acc else full
+    return from_sectors(n, {t: CycPoly(n, reduce_coeffs(n, t, p.coeffs))
+                            for t, p in acc.items()})
 
 
-def virtual_pow(a: KClass, k: int, *, euler: EulerFn | None = None) -> KClass:
-    if k < 0:
-        raise ValueError("negative powers need an explicit inverse")
-    result = k_one(a.n)
-    base = a
-    while k:
-        if k & 1:
-            result = virtual_mul(result, base, euler=euler)
-        base = virtual_mul(base, base, euler=euler)
-        k >>= 1
-    return result
-
-
-def virtual_adams(a: KClass, k: int) -> KClass:
+def virtual_adams(a: Coords, k: int) -> Coords:
     """Virtual Adams operation: psi^k twisted by the Bott class on twisted sectors."""
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
-    sectors = []
-    for m, s in enumerate(a.sectors):
-        ps = sector_adams(s, k) if not s.is_zero() else s
+    parts = {}
+    for m in range(a.n):
+        s = sector_part(a, m)
+        if s.is_zero():
+            continue
+        ps = sector_adams(m, s, k)
         if m and not ps.is_zero():
-            ps = sector_mul(ps, bott_class(a.n, m, k))
-        sectors.append(ps)
-    return KClass(a.n, tuple(sectors))
+            ps = sector_mul(m, ps, bott_class(a.n, m, k))
+        parts[m] = ps
+    return from_sectors(a.n, parts)
 
 
-def virtual_augmentation(a: KClass) -> KClass:
+def virtual_augmentation(a: Coords) -> Coords:
     """Rank projection: sector 0 maps to its value at 1 times 1_0, twisted sectors die."""
-    n = a.n
-    c = a.sectors[0].eval_at(Cyc.one(n))
-    return k_from_sector(sector_one(n, 0).scale(c))
+    return unit(a.n, "sector").scale(sector_part(a, 0)(Cyc.one(a.n)))
 
 
-def lambda_from_adams(a: KClass, i: int) -> KClass:
+def lambda_from_adams(a: Coords, i: int) -> Coords:
     """i-th lambda operation derived from the virtual Adams operations.
 
     Newton's identity i*lam^i(a) = sum_{j=1..i} (-1)^(j-1) lam^(i-j)(a) * psi^j(a),
@@ -199,33 +128,14 @@ def lambda_from_adams(a: KClass, i: int) -> KClass:
     """
     if i < 0:
         raise ValueError("lambda operations are defined for i >= 0")
-    lams = [k_one(a.n)]
+    lams = [unit(a.n, "sector")]
     psis = [None, a]
     for t in range(1, i + 1):
         while len(psis) <= t:
             psis.append(virtual_adams(a, len(psis)))
-        total = k_zero(a.n)
+        total = zero(a.n, "sector")
         for j in range(1, t + 1):
             term = virtual_mul(lams[t - j], psis[j])
             total = total + (term if j % 2 else -term)
         lams.append(total.scale(Fraction(1, t)))
     return lams[i]
-
-
-def monomial_label(m: int, j: int) -> str:
-    if j == 0:
-        return "one[%d]" % m
-    if j == 1:
-        return "x[%d]" % m
-    return "x[%d]^%d" % (m, j)
-
-
-@cache
-def monomial_basis(n: int) -> tuple[tuple[str, KClass], ...]:
-    """The monomial vector-space basis: x_0^0..x_0^n and x_m^0..x_m^(n-1)."""
-    out = []
-    for m in range(n):
-        top = n if m == 0 else n - 1
-        for j in range(top + 1):
-            out.append((monomial_label(m, j), k_monomial(n, m, j)))
-    return tuple(out)

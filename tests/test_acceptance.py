@@ -22,12 +22,8 @@ from virtualk.localization import (
     from_u_basis,
     gamma,
     gamma_inverse,
-    loc_basis,
     u_adams,
-    u_gen,
     u_mul,
-    u_pow,
-    u_unit,
 )
 from virtualk.verify import (
     checks_adams_oracle,
@@ -39,7 +35,7 @@ from virtualk.verify import (
     checks_span,
     run_verify,
 )
-from virtualk.virtual_ring import lambda_from_adams, monomial_basis
+from virtualk.virtual_ring import lambda_from_adams
 
 
 def _report(num: int, title: str, checks) -> None:

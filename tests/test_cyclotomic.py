@@ -120,6 +120,17 @@ def test_canonical_representation():
     assert hash(Cyc(4, [1, 2], 2)) == hash(Cyc(4, [1, 2], 2))
 
 
+def test_rational_hash_matches_int_and_fraction():
+    # Equal values hash equally, so sets and dicts see one element.
+    for n in (1, 2, 3, 4, 7, 8):
+        for v in (0, 1, 3, -5, Fraction(1, 2), Fraction(-7, 3)):
+            c = Cyc.rational(n, v)
+            assert c == v and hash(c) == hash(v)
+            assert len({c, v}) == 1
+    assert len({Cyc.rational(3, 1), 1}) == 1
+    assert hash(zeta_pow(5, 1)) == hash(zeta_pow(5, 6))
+
+
 def test_coeffs_property_and_rational_detection():
     a = Cyc(4, [3, 1], 2)
     assert a.coeffs == (Fraction(3, 2), Fraction(1, 2))

@@ -14,17 +14,10 @@ from virtualk.expr import (
     preferred_display,
     value_to_json,
 )
+from virtualk.coords import gen, unit, zero
 from virtualk.line_elements import line_realize, sigma
-from virtualk.localization import (
-    from_u_basis,
-    gamma,
-    loc_one,
-    loc_unit,
-    loc_x00,
-    loc_zero,
-    u_gen,
-)
-from virtualk.virtual_ring import k_monomial, k_one
+from virtualk.localization import from_u_basis
+from virtualk.virtual_ring import k_monomial
 
 
 def _eval(text, n):
@@ -34,14 +27,14 @@ def _eval(text, n):
 def test_sector_expression_with_negative_power():
     basis, v = _eval("one[0] + 2*x[1]^-1", 3)
     assert basis == "sector"
-    assert v == k_one(3) + k_monomial(3, 1, -1).scale(2)
-    assert v.sectors[1].coeffs[2] == Cyc.rational(3, 2)
+    assert v == unit(3, "sector") + k_monomial(3, 1, -1).scale(2)
+    assert v["x[1]^2"] == Cyc.rational(3, 2)
 
 
 def test_u_idempotent_square():
     basis, v = _eval("u[1,0]*u[1,0]", 3)
     assert basis == "loc"
-    assert v == from_u_basis(u_gen(3, 1, 0))
+    assert v == from_u_basis(gen(3, "u", "u[1,0]"))
 
 
 def test_line_constructor_is_sigma():
@@ -53,7 +46,7 @@ def test_line_constructor_is_sigma():
 
 def test_adams_on_jet_block():
     basis, v = _eval("psi[2](xe[0,0])", 2)
-    expected = loc_x00(2).scale(2) - loc_one(2, 0, 0) + loc_one(2, 0, 1)
+    expected = gen(2, "loc", "xe[0,0]", 2) - gen(2, "loc", "e[0,0]") + gen(2, "loc", "e[0,1]")
     assert v == expected
     assert format_value(basis, v) == "-e[0,0] + 2*xe[0,0] + e[0,1]"
 
@@ -61,16 +54,16 @@ def test_adams_on_jet_block():
 def test_gamma_of_unit():
     basis, v = _eval("gamma(one[0])", 3)
     assert basis == "loc"
-    assert v == loc_unit(3)
+    assert v == unit(3, "loc")
 
 
 def test_eps_examples():
     _, v = _eval("eps(x[0]^3)", 3)
-    assert v == k_one(3)
+    assert v == unit(3, "sector")
     _, v = _eval("eps(x[2]^5)", 3)
     assert v.is_zero()
     _, v = _eval("psi[0](x[0]^2)", 3)
-    assert v == k_one(3)
+    assert v == unit(3, "sector")
 
 
 def test_scalar_arithmetic():
@@ -81,9 +74,9 @@ def test_scalar_arithmetic():
 
 def test_scalar_lifts_to_unit_multiple():
     _, v = _eval("one[0] + 2", 2)
-    assert v == k_one(2).scale(3)
+    assert v == unit(2, "sector").scale(3)
     _, w = _eval("e[0,1] - 1", 2)
-    assert w == loc_one(2, 0, 1) - loc_unit(2)
+    assert w == gen(2, "loc", "e[0,1]") - unit(2, "loc")
 
 
 def test_precedence_and_unary_minus():
@@ -102,7 +95,7 @@ def test_loc_negative_power():
     _, v = _eval("(2*e[0,0] + e[0,1] + e[1,1])^-1", 2)
     from virtualk.localization import loc_mul
     _, a = _eval("2*e[0,0] + e[0,1] + e[1,1]", 2)
-    assert loc_mul(v, a) == loc_unit(2)
+    assert loc_mul(v, a) == unit(2, "loc")
 
 
 def test_noninvertible_power_raises():
@@ -186,4 +179,4 @@ def test_json_serialization():
 
 
 def test_format_value_zero():
-    assert format_value("loc", loc_zero(2)) == "0"
+    assert format_value("loc", zero(2, "loc")) == "0"

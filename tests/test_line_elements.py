@@ -17,35 +17,29 @@ from virtualk.line_elements import (
     span_matrix,
     span_rank,
 )
+from virtualk.coords import gen, power, unit, zero
 from virtualk.linalg import rank
-from virtualk.localization import (
-    u_adams,
-    u_gen,
-    u_mul,
-    u_pow,
-    u_unit,
-    u_zero,
-)
+from virtualk.localization import u_adams, u_mul
 
 
 def test_identity_realizes_to_unit():
     for n in (2, 3, 5):
-        assert line_realize(line_identity(n)) == u_unit(n)
+        assert line_realize(line_identity(n)) == unit(n, "u")
 
 
 def test_nu_realization():
     for n in (2, 4):
         for j in range(n):
-            assert line_realize(nu(n, j)) == u_unit(n) + u_gen(n, 0, j)
+            assert line_realize(nu(n, j)) == unit(n, "u") + gen(n, "u", "u[0,%d]" % j)
 
 
 def test_sigma_realization():
     n = 3
     i = 1
     got = line_realize(sigma(n, i))
-    expected = u_unit(n)
+    expected = unit(n, "u")
     for l in range(1, n):
-        expected = expected + u_gen(n, l, i).scale(zeta_pow(n, l) - Cyc.one(n))
+        expected = expected + gen(n, "u", "u[%d,%d]" % (l, i), zeta_pow(n, l) - Cyc.one(n))
     assert got == expected
 
 
@@ -73,7 +67,7 @@ def test_inverse_and_torsion():
 
 def test_nu_products_are_square_zero():
     n = 3
-    unit = u_unit(n)
+    one = unit(n, "u")
     for i in range(n):
         for j in range(n):
             prod = line_mul(nu(n, i), nu(n, j))
@@ -81,8 +75,8 @@ def test_nu_products_are_square_zero():
             beta[i] += 1
             beta[j] += 1
             assert prod == line_element(n, [0] * n, beta)
-            lhs = u_mul(line_realize(nu(n, i)) - unit, line_realize(nu(n, j)) - unit)
-            assert lhs == u_zero(n)
+            lhs = u_mul(line_realize(nu(n, i)) - one, line_realize(nu(n, j)) - one)
+            assert lhs == zero(n, "u")
 
 
 def test_power_law_for_generators():
@@ -91,7 +85,7 @@ def test_power_law_for_generators():
         for L in gens:
             b = line_realize(L)
             for k in range(1, 2 * n + 1):
-                assert u_adams(b, k) == u_pow(b, k)
+                assert u_adams(b, k) == power(b, k, u_mul)
 
 
 def test_certificate_recovers_parameters():
@@ -106,21 +100,21 @@ def test_certificate_recovers_parameters():
 
 def test_rejections():
     n = 3
-    no_unit = u_gen(n, 1, 0) + u_gen(n, 0, 1)
+    no_unit = gen(n, "u", "u[1,0]") + gen(n, "u", "u[0,1]")
     cert = is_line_element(no_unit)
     assert not cert.ok and "invertible" in cert.reason
-    doubled = u_unit(n).scale(2)
+    doubled = unit(n, "u").scale(2)
     cert = is_line_element(doubled)
     assert not cert.ok and "psi^2" in cert.reason
     # invertible, passes no power law: a non-root unit coefficient
-    skewed = u_unit(n) + u_gen(n, 1, 0)
+    skewed = unit(n, "u") + gen(n, "u", "u[1,0]")
     cert = is_line_element(skewed)
     assert not cert.ok
 
 
 def test_k_max_validation():
     with pytest.raises(ValueError):
-        is_line_element(u_unit(3), k_max=1)
+        is_line_element(unit(3, "u"), k_max=1)
 
 
 def test_span_rank_values():
@@ -153,8 +147,9 @@ def test_block_square_pattern():
 def test_witnesses_reconstruct_basis():
     for n in (2, 3):
         w = span_rank(n)
-        assert realize_combo(n, w.combos["1"]) == u_unit(n)
+        assert realize_combo(n, w.combos["1"]) == unit(n, "u")
         for q in range(n):
-            assert realize_combo(n, w.combos["u[0,%d]" % q]) == u_gen(n, 0, q)
+            assert realize_combo(n, w.combos["u[0,%d]" % q]) == gen(n, "u", "u[0,%d]" % q)
             for l in range(1, n):
-                assert realize_combo(n, w.combos["u[%d,%d]" % (l, q)]) == u_gen(n, l, q)
+                label = "u[%d,%d]" % (l, q)
+                assert realize_combo(n, w.combos[label]) == gen(n, "u", label)

@@ -1,45 +1,45 @@
 import pytest
 
+from virtualk.coords import Coords, gen, unit, zero
 from virtualk.cyclotomic import Cyc
 from virtualk.line_elements import line_realize, nu, sigma
-from virtualk.localization import u_gen, u_one00, u_unit
 from virtualk.presentation import (
-    ResolutionClass,
     gamma0_project,
     resolution_adams,
     resolution_mul,
-    resolution_nu_hat,
-    resolution_one,
-    resolution_zero,
     verify_presentation,
     verify_resolution_isomorphism,
 )
+
+
+def _nu_hat(n, i):
+    return unit(n, "res") + gen(n, "res", "e[%d]" % i)
 
 
 def test_resolution_square_zero():
     n = 4
     for i in range(n):
         for j in range(n):
-            e_i = resolution_nu_hat(n, i) - resolution_one(n)
-            e_j = resolution_nu_hat(n, j) - resolution_one(n)
-            assert resolution_mul(e_i, e_j) == resolution_zero(n)
+            e_i = _nu_hat(n, i) - unit(n, "res")
+            e_j = _nu_hat(n, j) - unit(n, "res")
+            assert resolution_mul(e_i, e_j) == zero(n, "res")
 
 
 def test_resolution_adams_on_generators():
     n = 3
     for i in range(n):
-        nh = resolution_nu_hat(n, i)
+        nh = _nu_hat(n, i)
         for k in (1, 2, 5):
-            expected = resolution_one(n) + (nh - resolution_one(n)).scale(k)
+            expected = unit(n, "res") + (nh - unit(n, "res")).scale(k)
             assert resolution_adams(nh, k) == expected
-    x = ResolutionClass(n, Cyc.rational(n, 2), tuple(Cyc.one(n) for _ in range(n)))
+    x = Coords(n, "res", (Cyc.rational(n, 2),) + tuple(Cyc.one(n) for _ in range(n)))
     assert resolution_adams(x, 1) == x
 
 
 def test_resolution_adams_is_ring_map():
     n = 3
-    x = resolution_nu_hat(n, 0) + resolution_nu_hat(n, 2).scale(3)
-    y = resolution_nu_hat(n, 1) - resolution_one(n).scale(2)
+    x = _nu_hat(n, 0) + _nu_hat(n, 2).scale(3)
+    y = _nu_hat(n, 1) - unit(n, "res").scale(2)
     for k in (2, 3, 4):
         assert resolution_adams(resolution_mul(x, y), k) == resolution_mul(
             resolution_adams(x, k), resolution_adams(y, k)
@@ -49,11 +49,11 @@ def test_resolution_adams_is_ring_map():
 def test_gamma0_on_generators():
     n = 3
     for i in range(n):
-        assert gamma0_project(line_realize(sigma(n, i))) == resolution_one(n)
-        assert gamma0_project(line_realize(nu(n, i))) == resolution_nu_hat(n, i)
-    assert gamma0_project(u_unit(n)) == resolution_one(n)
-    assert gamma0_project(u_one00(n)) == resolution_one(n)
-    assert gamma0_project(u_gen(n, 1, 2)) == resolution_zero(n)
+        assert gamma0_project(line_realize(sigma(n, i))) == unit(n, "res")
+        assert gamma0_project(line_realize(nu(n, i))) == _nu_hat(n, i)
+    assert gamma0_project(unit(n, "u")) == unit(n, "res")
+    assert gamma0_project(gen(n, "u", "e[0,0]")) == unit(n, "res")
+    assert gamma0_project(gen(n, "u", "u[1,2]")) == zero(n, "res")
 
 
 def test_presentation_relations_hold():

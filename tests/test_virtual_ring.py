@@ -4,19 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from virtualk.cyclotomic import Cyc
-from virtualk.sector_ring import sector_one, sector_x_inverse, sector_mul
+from virtualk.coords import basis_vectors, power, unit, zero
+from virtualk.cyclotomic import Cyc, CycPoly
+from virtualk.sector_ring import sector_x_inverse, sector_mul
 from virtualk.virtual_ring import (
     euler_factor,
     k_monomial,
-    k_one,
-    k_zero,
     lambda_from_adams,
-    monomial_basis,
+    sector_part,
     virtual_adams,
     virtual_augmentation,
     virtual_mul,
-    virtual_pow,
 )
 
 
@@ -26,37 +24,37 @@ def _ints(s):
 
 def test_euler_unit_case():
     e = euler_factor(5, 0, 3)
-    assert e == sector_one(5, 3)
-    assert euler_factor(5, 3, 0) == sector_one(5, 3)
+    assert e == CycPoly.one_poly(5)
+    assert euler_factor(5, 3, 0) == CycPoly.one_poly(5)
 
 
 def test_euler_coincident_case():
     # n=2, (1,1): 1 - 2/x + 1/x^2 lands in sector 0 as x^2 - 2x + 1.
     e = euler_factor(2, 1, 1)
     assert _ints(e) == [1, -2, 1]
-    t = sector_one(5, 0) - sector_x_inverse(5, 0).scale(2) + sector_mul(
-        sector_x_inverse(5, 0), sector_x_inverse(5, 0)
+    t = CycPoly.one_poly(5) - sector_x_inverse(5, 0).scale(2) + sector_mul(
+        0, sector_x_inverse(5, 0), sector_x_inverse(5, 0)
     )
     assert euler_factor(5, 2, 3) == t
 
 
 def test_euler_generic_case():
     e = euler_factor(5, 1, 2)
-    assert e == sector_one(5, 3) - sector_x_inverse(5, 3)
+    assert e == CycPoly.one_poly(5) - sector_x_inverse(5, 3)
 
 
 def test_unit_is_identity():
     rng = random.Random(5)
     for n in (2, 3, 5):
-        for label, a in monomial_basis(n):
-            assert virtual_mul(k_one(n), a) == a, label
-            assert virtual_mul(a, k_one(n)) == a, label
+        for label, a in basis_vectors(n, "sector"):
+            assert virtual_mul(unit(n, "sector"), a) == a, label
+            assert virtual_mul(a, unit(n, "sector")) == a, label
 
 
 def test_twisted_square_example():
     r = virtual_mul(k_monomial(2, 1, 1), k_monomial(2, 1, 1))
-    assert r.sectors[1].is_zero()
-    assert _ints(r.sectors[0]) == [1, -2, 1]
+    assert sector_part(r, 1).is_zero()
+    assert _ints(sector_part(r, 0)) == [1, -2, 1]
 
 
 def test_untwisted_sector_is_ordinary():
@@ -69,7 +67,7 @@ def test_untwisted_sector_is_ordinary():
 
 def test_mul_commutative_associative_small():
     for n in (2, 3):
-        basis = [a for _, a in monomial_basis(n)]
+        basis = [a for _, a in basis_vectors(n, "sector")]
         for a, b in itertools.product(basis, repeat=2):
             assert virtual_mul(a, b) == virtual_mul(b, a)
         for a, b, c in itertools.product(basis, repeat=3):
@@ -78,7 +76,7 @@ def test_mul_commutative_associative_small():
 
 def test_adams_identity_operation():
     for n in (2, 3, 5):
-        for _, a in monomial_basis(n):
+        for _, a in basis_vectors(n, "sector"):
             assert virtual_adams(a, 1) == a
 
 
@@ -97,17 +95,17 @@ def test_adams_twisted_example():
 
 def test_augmentation():
     n = 3
-    assert virtual_augmentation(k_one(n)) == k_one(n)
-    assert virtual_augmentation(k_monomial(n, 0, 3)) == k_one(n)
-    assert virtual_augmentation(k_monomial(n, 2, 2)) == k_zero(n)
+    assert virtual_augmentation(unit(n, "sector")) == unit(n, "sector")
+    assert virtual_augmentation(k_monomial(n, 0, 3)) == unit(n, "sector")
+    assert virtual_augmentation(k_monomial(n, 2, 2)) == zero(n, "sector")
     mixed = k_monomial(n, 0, 2).scale(5) + k_monomial(n, 1, 1)
-    assert virtual_augmentation(mixed) == k_one(n).scale(5)
+    assert virtual_augmentation(mixed) == unit(n, "sector").scale(5)
 
 
 def test_lambda_low_orders():
     n = 3
     a = k_monomial(n, 1, 1) + k_monomial(n, 0, 2).scale(Fraction(1, 2))
-    assert lambda_from_adams(a, 0) == k_one(n)
+    assert lambda_from_adams(a, 0) == unit(n, "sector")
     assert lambda_from_adams(a, 1) == a
 
 
@@ -131,15 +129,17 @@ def test_lambda_matches_direct_formula():
 def test_pow():
     n = 3
     a = k_monomial(n, 1, 1)
-    assert virtual_pow(a, 0) == k_one(n)
-    assert virtual_pow(a, 3) == virtual_mul(a, virtual_mul(a, a))
+    assert power(a, 0, virtual_mul) == unit(n, "sector")
+    assert power(a, 3, virtual_mul) == virtual_mul(a, virtual_mul(a, a))
+    with pytest.raises(ValueError):
+        power(a, -1, virtual_mul)
 
 
 def test_weight_mismatch_rejected():
     with pytest.raises(ValueError):
-        virtual_mul(k_one(2), k_one(3))
+        virtual_mul(unit(2, "sector"), unit(3, "sector"))
 
 
 def test_n_must_be_at_least_two():
     with pytest.raises(ValueError):
-        k_one(1)
+        unit(1, "sector")
