@@ -2,6 +2,11 @@
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage,
 parse or evaluation errors.
+
+Inputs are bounded so that no query runs for long: the weight n (``--n``,
+``--n-min``, ``--n-max``) is at most ``MAX_N``, and the parser bounds
+exponents and Adams indices (``expr.MAX_EXPONENT``, ``expr.MAX_ADAMS_INDEX``).
+An input beyond a bound exits with code 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .expr import (
 from .line_elements import is_line_element
 from .verify import SUITES, run_verify
 
+#: Largest accepted weight n.
+MAX_N = 8
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -31,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--n", type=int, required=True, help="weight, n >= 2")
+        sp.add_argument("--n", type=int, required=True, help="weight, 2 <= n <= %d" % MAX_N)
         sp.add_argument("--json", action="store_true", help="structured output")
         sp.add_argument(
             "--basis",
@@ -105,6 +113,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
+            if not 2 <= args.n_min <= args.n_max <= MAX_N:
+                print("error: need 2 <= --n-min <= --n-max <= %d" % MAX_N, file=sys.stderr)
+                return 2
             suites = tuple(args.suite) if args.suite else ("all",)
             report = run_verify(args.n_min, args.n_max, suites, args.k_max)
             text = report.to_json() if args.json else report.text_summary(args.verbose)
@@ -114,8 +125,8 @@ def main(argv: list[str] | None = None) -> int:
                     fh.write(text + "\n")
             return 0 if report.ok else 1
 
-        if args.n < 2:
-            print("error: --n must be at least 2", file=sys.stderr)
+        if not 2 <= args.n <= MAX_N:
+            print("error: --n must be between 2 and %d" % MAX_N, file=sys.stderr)
             return 2
 
         if args.command == "eval":

@@ -15,6 +15,7 @@ the workhorse for the quotient-ring reductions in the ring modules.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -124,46 +125,64 @@ def _normalized(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
+@cache
+def _fold(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    # For each power e = deg .. 2*deg - 2 that a product of two reduced
+    # vectors reaches, the nonzero entries (i, r) of the row of x^e mod Phi_n.
+    deg = phi_degree(n)
+    table = _xpow(n)
+    return tuple(
+        (e, tuple((i, r) for i, r in enumerate(table[e % n]) if r))
+        for e in range(deg, 2 * deg - 1)
+    )
+
+
+_MIXED = "mixed cyclotomic orders: %d vs %d"
+
+
 class Cyc:
-    """An element of Q(zeta_n): integer numerator vector over one denominator."""
+    """An element of Q(zeta_n): integer numerator vector over one denominator.
+
+    The arithmetic operators take a fast path by operand kind: a zero operand
+    returns at once, and a rational operand (an ``int``, a ``Fraction`` or a
+    ``Cyc`` whose numerator is zero past the constant term) scales the other
+    numerator vector by one integer.  Only two irrational operands pay for
+    the convolution modulo Phi_n.  Results are canonical either way.
+    """
 
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: Iterable[int] = (), den: int = 1):
         if n < 1:
             raise ValueError("n must be a positive integer")
-        num = _reduce_int_coeffs(n, [int(c) for c in coeffs])
-        num_t, den = _normalized(num, den)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", num_t)
-        object.__setattr__(self, "den", den)
+        # operator.index rejects floats and Fractions instead of truncating
+        # them; Cyc.from_rats is the rational constructor.
+        num = _reduce_int_coeffs(n, [operator.index(c) for c in coeffs])
+        num_t, den = _normalized(num, operator.index(den))
+        _set_n(self, n)
+        _set_num(self, num_t)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc values are immutable")
 
-    @classmethod
-    def _raw(cls, n: int, num: tuple[int, ...], den: int) -> "Cyc":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        return obj
+    @staticmethod
+    @cache
+    def zero(n: int) -> "Cyc":
+        """The zero of Q(zeta_n); one shared object per n."""
+        return _raw(n, (0,) * phi_degree(n), 1)
 
-    @classmethod
-    def zero(cls, n: int) -> "Cyc":
-        return cls._raw(n, (0,) * phi_degree(n), 1)
-
-    @classmethod
-    def one(cls, n: int) -> "Cyc":
-        return cls.rational(n, 1)
+    @staticmethod
+    @cache
+    def one(n: int) -> "Cyc":
+        """The unit of Q(zeta_n); one shared object per n."""
+        return _raw(n, (1,) + (0,) * (phi_degree(n) - 1), 1)
 
     @classmethod
     def rational(cls, n: int, value: int | Fraction) -> "Cyc":
-        value = Fraction(value)
-        deg = phi_degree(n)
-        num = [value.numerator] + [0] * (deg - 1)
-        num_t, den = _normalized(num, value.denominator)
-        return cls._raw(n, num_t, den)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _raw(n, (value.numerator,) + (0,) * (phi_degree(n) - 1), value.denominator)
 
     @classmethod
     def from_rats(cls, n: int, coeffs: Iterable[int | Fraction]) -> "Cyc":
@@ -173,7 +192,7 @@ class Cyc:
         nums = [f.numerator * (den // f.denominator) for f in fracs]
         num = _reduce_int_coeffs(n, nums)
         num_t, den = _normalized(num, den)
-        return cls._raw(n, num_t, den)
+        return _raw(n, num_t, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -191,13 +210,9 @@ class Cyc:
     def _coerce(self, other) -> "Cyc | None":
         if isinstance(other, Cyc):
             if other.n != self.n:
-                raise ValueError(
-                    "mixed cyclotomic orders: %d vs %d" % (self.n, other.n)
-                )
+                raise ValueError(_MIXED % (self.n, other.n))
             return other
-        if isinstance(other, int):
-            return Cyc.rational(self.n, other)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return Cyc.rational(self.n, other)
         return None
 
@@ -218,64 +233,63 @@ class Cyc:
         return hash((self.n, self.num, self.den))
 
     def __neg__(self) -> "Cyc":
-        return Cyc._raw(self.n, tuple(-c for c in self.num), self.den)
+        return _raw(self.n, tuple(-c for c in self.num), self.den)
 
     def __add__(self, other) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            num = [a + b for a, b in zip(self.num, o.num)]
-            num_t, den = _normalized(num, self.den)
-        else:
-            num = [a * o.den + b * self.den for a, b in zip(self.num, o.num)]
-            num_t, den = _normalized(num, self.den * o.den)
-        return Cyc._raw(self.n, num_t, den)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        diff = self._combine(other, operator.sub)
+        return diff if diff is NotImplemented else -diff
+
+    def _combine(self, other, op) -> "Cyc":
+        # self + other or self - other, as op is operator.add or operator.sub.
+        n, a, da = self.n, self.num, self.den
+        if isinstance(other, Cyc):
+            if other.n != n:
+                raise ValueError(_MIXED % (n, other.n))
+            b, db = other.num, other.den
+            if not any(b):
+                return self
+            if op is operator.add and not any(a):
+                return other
+            if da == db:
+                return _raw(n, *_normalized(list(map(op, a, b)), da))
+            return _raw(n, *_normalized(
+                [op(x * db, y * da) for x, y in zip(a, b)], da * db))
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            q = other.denominator
+            num = [x * q for x in a]
+            num[0] = op(num[0], other.numerator * da)
+            return _raw(n, *_normalized(num, da * q))
+        return NotImplemented
 
     def __mul__(self, other) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.num, o.num
-        deg = len(a)
-        conv = [0] * (2 * deg - 1) if deg else []
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        if len(conv) > deg:
-            out = conv[:deg]
-            table = _xpow(self.n)
-            for e in range(deg, len(conv)):
-                c = conv[e]
-                if c:
-                    row = table[e % self.n]
-                    for i in range(deg):
-                        out[i] += c * row[i]
-        else:
-            out = conv + [0] * (deg - len(conv))
-        num_t, den = _normalized(out, self.den * o.den)
-        return Cyc._raw(self.n, num_t, den)
+        n, a = self.n, self.num
+        if isinstance(other, Cyc):
+            if other.n != n:
+                raise ValueError(_MIXED % (n, other.n))
+            b = other.num
+            if not any(b[1:]):
+                return _scaled(n, a, self.den * other.den, b[0])
+            if not any(a[1:]):
+                return _scaled(n, b, self.den * other.den, a[0])
+            return _product(n, a, b, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return _scaled(n, a, self.den * other.denominator, other.numerator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def scale_int(self, k: int) -> "Cyc":
-        num_t, den = _normalized([c * k for c in self.num], self.den)
-        return Cyc._raw(self.n, num_t, den)
+        return _scaled(self.n, self.num, self.den, k)
 
     def inv(self) -> "Cyc":
         """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
@@ -320,10 +334,49 @@ class Cyc:
     __str__ = __repr__
 
 
+# Slot setters that bypass the immutability guard in Cyc.__setattr__.
+_set_n, _set_num, _set_den = Cyc.n.__set__, Cyc.num.__set__, Cyc.den.__set__
+
+
+def _raw(n: int, num: tuple[int, ...], den: int) -> Cyc:
+    # (num, den) must already be canonical: lowest terms, den > 0.
+    obj = object.__new__(Cyc)
+    _set_n(obj, n)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    return obj
+
+
+def _scaled(n: int, num: tuple[int, ...], den: int, k: int) -> Cyc:
+    # k * num / den for an integer k and den > 0.
+    if not k or not any(num):
+        return Cyc.zero(n)
+    return _raw(n, *_normalized([c * k for c in num], den))
+
+
+def _product(n: int, a: tuple[int, ...], b: tuple[int, ...], den: int) -> Cyc:
+    # a * b / den: schoolbook convolution over the nonzero entries of both
+    # vectors, then the powers past deg(Phi_n) folded back through x^e mod Phi_n.
+    deg = len(a)
+    conv = [0] * (2 * deg - 1)
+    b_nz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_nz:
+                conv[i + j] += x * y
+    out = conv[:deg]
+    for e, row in _fold(n):
+        c = conv[e]
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return _raw(n, *_normalized(out, den))
+
+
 def zeta_pow(n: int, k: int) -> Cyc:
     """zeta_n^k as an exact scalar (exponent reduced mod n)."""
     row = _xpow(n)[k % n]
-    return Cyc._raw(n, row, 1)
+    return _raw(n, row, 1)
 
 
 def format_cyc(value: Cyc, zeta: str = "zeta") -> str:

@@ -26,6 +26,10 @@ line-element constructors on the localized side.  Mixing the two sides in
 one expression is rejected at parse time; ``gamma``/``gammainv`` are the
 only bridges.  "*" means the virtual product on the sector side and the
 localized product on the localized side; ``psi[0]`` is the augmentation.
+
+Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
+indices by ``MAX_ADAMS_INDEX``; larger values are parse errors, because
+sector powers and Adams operations take time linear in the index.
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ from . import virtual_ring as vr
 from .coords import Coords, gen, power, unit
 from .cyclotomic import Cyc, format_cyc, zeta_pow
 from .line_elements import line_element, line_realize
+
+
+#: Largest accepted |exponent| in ``^``.
+MAX_EXPONENT = 2000
+#: Largest accepted Adams index k in ``psi[k]``.
+MAX_ADAMS_INDEX = 3000
 
 
 class ParseError(ValueError):
@@ -258,7 +268,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "sym" and tok[1] == "^":
             self.next()
+            pos = self.peek()[2]
             exp = self.parse_signed_int()
+            if abs(exp) > MAX_EXPONENT:
+                raise ParseError("exponent %d exceeds the bound %d" % (exp, MAX_EXPONENT), pos)
             return Pow(base, exp)
         return base
 
@@ -345,7 +358,12 @@ class _Parser:
             return LineAtom(tuple(v % self.n for v in f), tuple(beta))
         if text == "psi":
             self.expect_sym("[")
-            k = int(self.expect("num")[1])
+            k_tok = self.expect("num")
+            k = int(k_tok[1])
+            if k > MAX_ADAMS_INDEX:
+                raise ParseError(
+                    "Adams index %d exceeds the bound %d" % (k, MAX_ADAMS_INDEX), k_tok[2]
+                )
             self.expect_sym("]")
             self.expect_sym("(")
             e = self.parse_expr()
@@ -595,8 +613,10 @@ def _eval(e: Expr, n: int) -> Value:
             u = loc.to_u_basis(loc.gamma(v))
             if not loc.u_is_invertible(u):
                 raise EvalError("class is not invertible in the virtual ring")
-            inv = loc.gamma_inverse(loc.from_u_basis(loc.u_inverse(u)))
-            return power(inv, -e.exp, vr.virtual_mul)
+            # Powering in the diagonal u-ring and mapping back once keeps the
+            # rational coefficients from growing through every virtual product.
+            inv_pow = power(loc.u_inverse(u), -e.exp, loc.u_mul)
+            return loc.gamma_inverse(loc.from_u_basis(inv_pow))
         return power(v, e.exp, vr.virtual_mul)
     if isinstance(e, Psi):
         if e.k == 0:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+from hypothesis import settings
+
 from virtualk.cyclotomic import CycPoly
 from virtualk.sector_ring import sector_x_inverse
 from virtualk.virtual_ring import euler_factor
+
+# Property tests draw a fixed sequence of examples, so every run checks the
+# same cases, and are not timed, so a slow host cannot fail them.
+settings.register_profile("virtualk", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("virtualk")
 
 
 def perturbed_euler(n: int, m1: int, m2: int) -> CycPoly:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import virtualk.cli as cli
 import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
-from virtualk.cli import main
+from virtualk.cli import MAX_N, main
+from virtualk.expr import MAX_ADAMS_INDEX, MAX_EXPONENT, parse
 
 
 def run(capsys, *argv):
@@ -131,3 +133,44 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make any evaluation or verify run fail the test, so bounds are checked
+    without running a large value."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started for an out-of-bounds input")
+
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    monkeypatch.setattr(cli, "run_verify", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "9", "x[0]"],
+    ["eval", "--n", "1", "x[0]"],
+    ["eval", "--n", "3", "x[0]^%d" % (MAX_EXPONENT + 1)],
+    ["eval", "--n", "3", "x[0]^-%d" % (MAX_EXPONENT + 1)],
+    ["eval", "--n", "3", "(x[0] + x[1])^200000"],
+    ["eval", "--n", "3", "zeta^%d" % (MAX_EXPONENT + 1)],
+    ["eval", "--n", "3", "psi[%d](x[0])" % (MAX_ADAMS_INDEX + 1)],
+    ["eval", "--n", "3", "psi[3000000](x[0])"],
+    ["adams", str(MAX_ADAMS_INDEX + 1), "--n", "3", "x[0]"],
+    ["localize", "--n", "3", "x[0]^200000"],
+    ["line", "--n", str(MAX_N + 1), "sigma[1]"],
+    ["verify", "--n-max", str(MAX_N + 1)],
+    ["verify", "--n-min", str(MAX_N + 1), "--n-max", str(MAX_N + 1)],
+    ["verify", "--n-min", "1", "--n-max", "2"],
+])
+def test_inputs_beyond_the_bounds_exit_2_before_any_work(capsys, no_work, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+def test_bounds_admit_the_documented_limits():
+    assert MAX_N >= 8 and MAX_EXPONENT >= 2000 and MAX_ADAMS_INDEX >= 3000
+    for text in ("x[0]^%d" % MAX_EXPONENT, "x[0]^-%d" % MAX_EXPONENT,
+                 "psi[%d](x[0])" % MAX_ADAMS_INDEX):
+        parse(text, MAX_N)

@@ -171,3 +171,161 @@ def test_cycpoly_divmod_and_eval():
     x = zeta_pow(n, 1)
     assert p(x) == d(x) * q(x) + r(x)
     assert p.derivative().degree == p.degree - 1
+
+
+# ---------------------------------------------------------------------------
+# The operand-kind fast paths against a reference: plain schoolbook
+# convolution with the x^e mod Phi_n fold, on rational coordinate vectors.
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from virtualk.cyclotomic import _xpow
+
+KINDS = ("zero", "int", "fraction", "rational", "irrational")
+
+
+def _vector(n, v):
+    deg = phi_degree(n)
+    if isinstance(v, Cyc):
+        return list(v.coeffs)
+    return [Fraction(v)] + [Fraction(0)] * (deg - 1)
+
+
+def _ref_mul(n, a, b):
+    deg = len(a)
+    conv = [Fraction(0)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    out = conv[:deg]
+    for e in range(deg, len(conv)):
+        for i, r in enumerate(_xpow(n)[e % n]):
+            out[i] += conv[e] * r
+    return out
+
+
+def _canonical(n, vec):
+    den = math.lcm(*(f.denominator for f in vec))
+    return n, tuple(int(f * den) for f in vec), den
+
+
+def _data(c):
+    return c.n, c.num, c.den
+
+
+def _operand(rng, n, kind):
+    deg = phi_degree(n)
+    if kind == "zero":
+        return rng.choice([Cyc.zero(n), Cyc(n, [0] * deg, 5), 0, Fraction(0)])
+    if kind == "int":
+        return rng.choice([-1, 1]) * rng.randint(1, 40)
+    if kind == "fraction":
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(2, 12))
+    if kind == "rational":
+        return Cyc.rational(n, Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 12)))
+    coeffs = [rng.randint(-9, 9) for _ in range(deg)]
+    coeffs[rng.randrange(1, deg)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return Cyc(n, coeffs, rng.randint(1, 12))
+
+
+def _check_ops(n, a, b):
+    """Compare a op b, for whichever of a, b is a Cyc, with the reference."""
+    va, vb = _vector(n, a), _vector(n, b)
+    assert _data(a + b) == _canonical(n, [x + y for x, y in zip(va, vb)])
+    assert _data(a - b) == _canonical(n, [x - y for x, y in zip(va, vb)])
+    assert _data(a * b) == _canonical(n, _ref_mul(n, va, vb))
+    if any(vb):
+        q = a / b
+        assert _canonical(n, _ref_mul(n, _vector(n, q), vb)) == _canonical(n, va)
+        assert _data(q) == _canonical(n, _vector(n, q))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+def test_fast_paths_match_reference_on_every_operand_pairing():
+    rng = random.Random(20131)
+    for n in range(2, 13):
+        for ka in KINDS:
+            for kb in KINDS:
+                if "irrational" in (ka, kb) and phi_degree(n) == 1:
+                    continue
+                for _ in range(4):
+                    a, b = _operand(rng, n, ka), _operand(rng, n, kb)
+                    if not isinstance(a, Cyc) and not isinstance(b, Cyc):
+                        a = Cyc.rational(n, a)
+                    _check_ops(n, a, b)
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.integers(2, 12))
+    deg = phi_degree(n)
+    kinds = [k for k in KINDS if k != "irrational" or deg > 1]
+    small = st.integers(-50, 50)
+
+    def one(cyc_only):
+        kind = draw(st.sampled_from(kinds[:1] + kinds[3:] if cyc_only else kinds))
+        if kind == "zero":
+            return Cyc.zero(n) if cyc_only else draw(st.sampled_from([Cyc.zero(n), 0, Fraction(0)]))
+        if kind == "int":
+            return draw(small)
+        if kind == "fraction":
+            return Fraction(draw(small), draw(st.integers(1, 30)))
+        if kind == "rational":
+            return Cyc.rational(n, Fraction(draw(small), draw(st.integers(1, 30))))
+        coeffs = draw(st.lists(small, min_size=deg, max_size=deg))
+        return Cyc(n, coeffs, draw(st.integers(1, 30)))
+
+    a = one(True)
+    b = one(False)
+    if draw(st.booleans()):
+        a, b = b, a
+    return n, a, b
+
+
+@given(_operands())
+def test_fast_paths_match_reference_property(case):
+    n, a, b = case
+    _check_ops(n, a, b)
+
+
+def test_fast_paths_share_canonical_constants():
+    for n in range(2, 13):
+        z = zeta_pow(n, 1)
+        assert Cyc.zero(n) is Cyc.zero(n) and Cyc.one(n) is Cyc.one(n)
+        assert (z * 0) is Cyc.zero(n) and (Cyc.zero(n) * z) is Cyc.zero(n)
+        assert (z + Cyc.zero(n)) is z and (Cyc.zero(n) + z) is z
+        assert (z - 0) is z
+        assert _data(Cyc.rational(n, 3)) == _data(Cyc.rational(n, Fraction(3)))
+
+
+def test_mixed_order_rejected_with_a_zero_operand():
+    with pytest.raises(ValueError):
+        Cyc.zero(3) * Cyc.one(4)
+    with pytest.raises(ValueError):
+        Cyc.one(4) + Cyc.zero(3)
+    with pytest.raises(ValueError):
+        Cyc.one(4) - Cyc.zero(3)
+    with pytest.raises(ValueError):
+        Cyc.zero(4) * Cyc.zero(3)
+
+
+def test_immutable_after_construction():
+    for c in (Cyc(5, [1, 2]), Cyc.zero(5), Cyc.one(5), zeta_pow(5, 2) * zeta_pow(5, 1)):
+        with pytest.raises(AttributeError):
+            c.num = (0, 0, 0, 0)
+    assert Cyc.zero(5).num == (0, 0, 0, 0)
+
+
+def test_constructor_rejects_non_integers():
+    with pytest.raises(TypeError):
+        Cyc(3, [Fraction(1, 2), 1])
+    with pytest.raises(TypeError):
+        Cyc(3, [0.9, 2.7])
+    with pytest.raises(TypeError):
+        Cyc(3, [1, 2], 1.0)
+    with pytest.raises(TypeError):
+        Cyc(3, [1, 2], Fraction(1, 2))
+    assert Cyc.from_rats(3, [Fraction(1, 2), 1]) == Cyc(3, [1, 2], 2)

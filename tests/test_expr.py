@@ -17,7 +17,7 @@ from virtualk.expr import (
 from virtualk.coords import gen, unit, zero
 from virtualk.line_elements import line_realize, sigma
 from virtualk.localization import from_u_basis
-from virtualk.virtual_ring import k_monomial
+from virtualk.virtual_ring import k_monomial, virtual_mul
 
 
 def _eval(text, n):
@@ -29,6 +29,16 @@ def test_sector_expression_with_negative_power():
     assert basis == "sector"
     assert v == unit(3, "sector") + k_monomial(3, 1, -1).scale(2)
     assert v["x[1]^2"] == Cyc.rational(3, 2)
+
+
+def test_dense_sector_negative_power_matches_virtual_products():
+    # Negative sector powers are taken in the u-ring; the product route agrees.
+    base = "x[0] + 2*x[1] - 1/3*one[2] + x[2]^2"
+    _, v = _eval("(%s)^-3" % base, 3)
+    _, w = _eval("((%s)^-1)^3" % base, 3)
+    _, b3 = _eval("(%s)^3" % base, 3)
+    assert v == w
+    assert virtual_mul(v, b3) == unit(3, "sector")
 
 
 def test_u_idempotent_square():
