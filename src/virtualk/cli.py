@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage,
 parse or evaluation errors.
 
 Inputs are bounded so that no query runs for long: the weight n (``--n``,
-``--n-min``, ``--n-max``) is at most ``MAX_N``, and the parser bounds
-exponents and Adams indices (``expr.MAX_EXPONENT``, ``expr.MAX_ADAMS_INDEX``).
-An input beyond a bound exits with code 2 before any work starts.
+``--n-min``, ``--n-max``) is at most ``MAX_N``, ``--k-max`` of ``verify`` and
+``line`` lies in 2..``MAX_K_MAX``, and the parser bounds exponents and Adams
+indices (``expr.MAX_EXPONENT``, ``expr.MAX_ADAMS_INDEX``).  An input beyond a
+bound exits with code 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .verify import SUITES, run_verify
 
 #: Largest accepted weight n.
 MAX_N = 8
+
+#: Largest accepted ``--k-max``: four times the default 2n at n = MAX_N.  The
+#: Adams and line-element checks run k = 1..k_max, so time grows with it.
+MAX_K_MAX = 64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("line", help="test a localized class for line-element membership")
     sp.add_argument("expression")
-    sp.add_argument("--k-max", type=int, default=None)
+    sp.add_argument("--k-max", type=int, default=None,
+                    help="default 2n, 2 <= k-max <= %d" % MAX_K_MAX)
     common(sp)
 
     sp = sub.add_parser("verify", help="run verification suites")
@@ -80,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=5)
     sp.add_argument("--suite", action="append", default=None,
                     help="suite name or 'all' (repeatable); default all")
-    sp.add_argument("--k-max", type=int, default=None, help="default 2n per weight")
+    sp.add_argument("--k-max", type=int, default=None,
+                    help="default 2n per weight, 2 <= k-max <= %d" % MAX_K_MAX)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--verbose", action="store_true")
     sp.add_argument("--out", default=None, help="write the report to a file")
@@ -111,6 +118,9 @@ def _emit(args, basis: str, value, display_hint: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "k_max", None) is not None and not 2 <= args.k_max <= MAX_K_MAX:
+        print("error: --k-max must be between 2 and %d" % MAX_K_MAX, file=sys.stderr)
+        return 2
     try:
         if args.command == "verify":
             if not 2 <= args.n_min <= args.n_max <= MAX_N:

@@ -44,6 +44,13 @@ def _w_inv(n: int, l: int) -> Cyc:
     return _w(n, l).inv()
 
 
+@cache
+def _adams_weight(n: int, l: int, s: int) -> Cyc:
+    # (zeta^(-l) - 1)/(zeta^(-s) - 1) = w_l / w_s, the factor 1_ml picks up
+    # on its way to 1_ms under psi^k when k*s = l (mod n).
+    return _w(n, l) * _w_inv(n, s)
+
+
 # ---------------------------------------------------------------------------
 # The decomposition map and its closed-form inverse.
 
@@ -237,16 +244,14 @@ def loc_adams(a: Coords, k: int) -> Coords:
             for s in sols:
                 assert s != 0, "k*0 = l (mod n) is impossible for l != 0"
                 out[grid(n, 0, s)] = out[grid(n, 0, s)] + cu
-        wl = zeta_pow(n, -l) - Cyc.one(n)
         for m in range(1, n):
             c = A[grid(n, m, l)]
             if not c:
                 continue
             for s in sols:
                 assert s != 0
-                factor = wl * (zeta_pow(n, -s) - Cyc.one(n)).inv()
                 i = grid(n, m, s)
-                out[i] = out[i] + c * factor
+                out[i] = out[i] + c * _adams_weight(n, l, s)
     return Coords(n, "loc", out)
 
 

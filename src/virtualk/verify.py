@@ -480,11 +480,14 @@ def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",
                k_max: int | None = None, euler: EulerFn | None = None) -> Report:
     """Run the selected suites over n_min..n_max and collect a report.
 
-    ``k_max`` of None means 2n per weight.  ``euler`` substitutes the Euler
-    case table inside the transported products (used by negative controls).
+    ``k_max`` of None means 2n per weight; any other value must be at least 2.
+    ``euler`` substitutes the Euler case table inside the transported
+    products (used by negative controls).
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
+    if k_max is not None and k_max < 2:
+        raise ValueError("k_max must be at least 2")
     names = []
     for s in suites:
         if s == "all":

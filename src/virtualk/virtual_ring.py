@@ -11,12 +11,21 @@ where the Euler factor e(m1, m2) follows the three-case table implemented by
 m1 + m2 = n is detected before reduction).  Virtual Adams operations twist
 the ordinary ones by a Bott class on each twisted sector; the untwisted
 sector carries the ordinary Adams operations untouched.
+
+Both operations run on structure constants derived lazily from the sector
+polynomial code, which stays their single source: ``_euler_rows`` holds the
+reduced class of x^s * e for every exponent sum s of two monomials, keyed on
+the Euler polynomial e itself, so an ``euler=`` override gets rows of its
+own; ``_adams_column`` holds the image of one monomial x_m^j under psi~^k.
+Rows and columns are sparse (offset, coefficient) pairs with integral
+coefficients stored as ``int``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from functools import cache, lru_cache
+from typing import Callable, Mapping, Sequence
 
 from .coords import Coords, sector_start, unit, zero
 from .cyclotomic import Cyc, CycPoly
@@ -30,6 +39,13 @@ from .sector_ring import (
 )
 
 EulerFn = Callable[[int, int, int], CycPoly]
+
+#: Columns kept by the Adams column cache.  Verify's working set at n = 8 is
+#: k = 1..16 on all 65 monomials; a stream of distinct Adams indices evicts
+#: the least recently used columns instead of growing the cache.
+ADAMS_COLUMN_CACHE_SIZE = 2048
+
+Sparse = tuple[tuple[int, "Cyc | int"], ...]
 
 
 def _width(n: int, m: int) -> int:
@@ -60,6 +76,7 @@ def k_monomial(n: int, m: int, a: int) -> Coords:
     return from_sectors(n, {m: sector_monomial(n, m, a)})
 
 
+@cache
 def euler_factor(n: int, m1: int, m2: int) -> CycPoly:
     """K-theory Euler class attached to a sector pair, in sector m1+m2 mod n.
 
@@ -78,41 +95,78 @@ def euler_factor(n: int, m1: int, m2: int) -> CycPoly:
     return one - xinv
 
 
+def _sparse(coeffs: Sequence[Cyc]) -> Sparse:
+    # Nonzero entries of a reduced representative; integral ones as int.
+    return tuple((i, c.num[0] if c.den == 1 and c.is_rational() else c)
+                 for i, c in enumerate(coeffs) if c)
+
+
+@cache
+def _euler_rows(e: CycPoly, untwisted: bool) -> tuple[Sparse, ...]:
+    """Row s = 0..2n: the reduced class of x^s * e in an untwisted or a twisted sector."""
+    n = e.n
+    pad = (Cyc.zero(n),)
+    return tuple(_sparse(reduce_coeffs(n, 0 if untwisted else 1, pad * s + e.coeffs))
+                 for s in range(2 * n + 1))
+
+
+def _terms(a: Coords) -> dict[int, list[tuple[int, Cyc]]]:
+    # Sector m -> the nonzero coordinates (j, coefficient of x_m^j).
+    out: dict[int, list[tuple[int, Cyc]]] = {}
+    for (_, m, j), c in zip(a.basis.json, a.coeffs):
+        if c:
+            out.setdefault(m, []).append((j, c))
+    return out
+
+
 def virtual_mul(a: Coords, b: Coords, *, euler: EulerFn | None = None) -> Coords:
-    """Bilinear extension of the monomial product with its Euler factor."""
+    """Bilinear extension of the monomial product with its Euler factor.
+
+    For each pair of nonzero sectors the coordinates are convolved by exponent
+    sum, and each sum s is scattered through row s of the Euler rows.
+    """
     a.check(b)
     e = euler if euler is not None else euler_factor
     n = a.n
-    parts_b = [sector_part(b, m) for m in range(n)]
-    acc: dict[int, CycPoly] = {}
-    for m1 in range(n):
-        s1 = sector_part(a, m1)
-        if s1.is_zero():
-            continue
-        for m2, s2 in enumerate(parts_b):
-            if s2.is_zero():
-                continue
+    out = list(zero(n, "sector").coeffs)
+    terms_b = _terms(b)
+    for m1, ta in _terms(a).items():
+        for m2, tb in terms_b.items():
+            conv: dict[int, Cyc] = {}
+            for j1, c1 in ta:
+                for j2, c2 in tb:
+                    s, c = j1 + j2, c1 * c2
+                    conv[s] = conv[s] + c if s in conv else c
             t = (m1 + m2) % n
-            full = s1 * s2 * e(n, m1, m2)
-            acc[t] = acc[t] + full if t in acc else full
-    return from_sectors(n, {t: CycPoly(n, reduce_coeffs(n, t, p.coeffs))
-                            for t, p in acc.items()})
+            rows = _euler_rows(e(n, m1, m2), t == 0)
+            start = sector_start(n, t)
+            for s, c in conv.items():
+                for offset, r in rows[s]:
+                    out[start + offset] = out[start + offset] + (c if r == 1 else c * r)
+    return Coords(n, "sector", out)
+
+
+@lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)
+def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
+    """psi~^k(x_m^j) on sector m: psi^k, times the k-th Bott class when m != 0."""
+    ps = sector_adams(m, CycPoly.monomial(n, j), k)
+    if m and not ps.is_zero():
+        ps = sector_mul(m, ps, bott_class(n, m, k))
+    return _sparse(ps.coeffs)
 
 
 def virtual_adams(a: Coords, k: int) -> Coords:
     """Virtual Adams operation: psi^k twisted by the Bott class on twisted sectors."""
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
-    parts = {}
-    for m in range(a.n):
-        s = sector_part(a, m)
-        if s.is_zero():
-            continue
-        ps = sector_adams(m, s, k)
-        if m and not ps.is_zero():
-            ps = sector_mul(m, ps, bott_class(a.n, m, k))
-        parts[m] = ps
-    return from_sectors(a.n, parts)
+    n = a.n
+    out = list(zero(n, "sector").coeffs)
+    for (_, m, j), c in zip(a.basis.json, a.coeffs):
+        if c:
+            start = sector_start(n, m)
+            for offset, r in _adams_column(n, m, j, k):
+                out[start + offset] = out[start + offset] + (c if r == 1 else c * r)
+    return Coords(n, "sector", out)
 
 
 def virtual_augmentation(a: Coords) -> Coords:

@@ -5,8 +5,9 @@ import pytest
 import virtualk.cli as cli
 import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
-from virtualk.cli import MAX_N, main
+from virtualk.cli import MAX_K_MAX, MAX_N, main
 from virtualk.expr import MAX_ADAMS_INDEX, MAX_EXPONENT, parse
+from virtualk.verify import run_verify
 
 
 def run(capsys, *argv):
@@ -145,6 +146,7 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(cli, "evaluate", refuse)
     monkeypatch.setattr(cli, "run_verify", refuse)
+    monkeypatch.setattr(cli, "is_line_element", refuse)
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,6 +164,11 @@ def no_work(monkeypatch):
     ["verify", "--n-max", str(MAX_N + 1)],
     ["verify", "--n-min", str(MAX_N + 1), "--n-max", str(MAX_N + 1)],
     ["verify", "--n-min", "1", "--n-max", "2"],
+    ["verify", "--n-min", "3", "--n-max", "3", "--suite", "adams-oracle", "--k-max", "-5"],
+    ["verify", "--k-max", "1"],
+    ["verify", "--k-max", str(MAX_K_MAX + 1)],
+    ["line", "--n", "3", "--k-max", "1", "sigma[1]"],
+    ["line", "--n", "3", "--k-max", str(MAX_K_MAX + 1), "sigma[1]"],
 ])
 def test_inputs_beyond_the_bounds_exit_2_before_any_work(capsys, no_work, argv):
     code, out, err = run(capsys, *argv)
@@ -171,6 +178,13 @@ def test_inputs_beyond_the_bounds_exit_2_before_any_work(capsys, no_work, argv):
 
 def test_bounds_admit_the_documented_limits():
     assert MAX_N >= 8 and MAX_EXPONENT >= 2000 and MAX_ADAMS_INDEX >= 3000
+    assert MAX_K_MAX >= 2 * MAX_N
     for text in ("x[0]^%d" % MAX_EXPONENT, "x[0]^-%d" % MAX_EXPONENT,
                  "psi[%d](x[0])" % MAX_ADAMS_INDEX):
         parse(text, MAX_N)
+
+
+@pytest.mark.parametrize("k_max", [-5, 0, 1])
+def test_run_verify_rejects_k_max_below_two(k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        run_verify(3, 3, ("adams-oracle",), k_max)

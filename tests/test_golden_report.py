@@ -12,9 +12,11 @@ from virtualk.verify import run_verify
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
-#: SHA-256 of the canonical JSON report below; any change to a check id, a
-#: status or a rendered side moves it.
+#: SHA-256 of the canonical JSON reports below; any change to a check id, a
+#: status or a rendered side moves them.
 REPORT_SHA256 = "c4823430bd7a77e29e682d20e11731c0b2924e2f5f5586479436925067ed49cc"
+#: run_verify(5, 5) over all suites: 5,989 checks, dense irrational sides.
+REPORT_N5_SHA256 = "8c9c131cd89b1149914957e0b9d533e3b279a7f7e49291538a44390729e6bde9"
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:
@@ -34,6 +36,12 @@ def test_canonical_report_bytes():
     report = run_verify(2, 4, ("product-oracle", "adams-oracle", "psi-ring",
                                "line-elements", "span"))
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256
+
+
+def test_canonical_report_bytes_all_suites_n5():
+    report = run_verify(5, 5)
+    assert len(report.checks) == 5989
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_N5_SHA256
 
 
 EXAMPLES = _readme_examples()

@@ -3,12 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from virtualk.coords import basis_vectors, power, unit, zero
-from virtualk.cyclotomic import Cyc, CycPoly
-from virtualk.sector_ring import sector_x_inverse, sector_mul
+import virtualk.virtual_ring as vr
+from conftest import perturbed_euler
+from virtualk.coords import Coords, basis_vectors, power, unit, zero
+from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
+from virtualk.sector_ring import (
+    bott_class,
+    reduce_coeffs,
+    sector_adams,
+    sector_mul,
+    sector_x_inverse,
+)
 from virtualk.virtual_ring import (
     euler_factor,
+    from_sectors,
     k_monomial,
     lambda_from_adams,
     sector_part,
@@ -143,3 +154,94 @@ def test_weight_mismatch_rejected():
 def test_n_must_be_at_least_two():
     with pytest.raises(ValueError):
         unit(1, "sector")
+
+
+# ---------------------------------------------------------------------------
+# The cached tables against the polynomial products they are derived from.
+
+
+def reference_mul(a, b, euler=euler_factor):
+    """The virtual product computed on whole sector polynomials."""
+    n = a.n
+    acc = {}
+    for m1 in range(n):
+        s1 = sector_part(a, m1)
+        if s1.is_zero():
+            continue
+        for m2 in range(n):
+            s2 = sector_part(b, m2)
+            if s2.is_zero():
+                continue
+            t = (m1 + m2) % n
+            full = s1 * s2 * euler(n, m1, m2)
+            acc[t] = acc[t] + full if t in acc else full
+    return from_sectors(n, {t: CycPoly(n, reduce_coeffs(n, t, p.coeffs))
+                            for t, p in acc.items()})
+
+
+def reference_adams(a, k):
+    """The virtual Adams operation computed on whole sector polynomials."""
+    parts = {}
+    for m in range(a.n):
+        s = sector_part(a, m)
+        if s.is_zero():
+            continue
+        ps = sector_adams(m, s, k)
+        if m and not ps.is_zero():
+            ps = sector_mul(m, ps, bott_class(a.n, m, k))
+        parts[m] = ps
+    return from_sectors(a.n, parts)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mul_table_matches_reference_on_all_basis_pairs(n):
+    basis = [a for _, a in basis_vectors(n, "sector")]
+    for a, b in itertools.product(basis, repeat=2):
+        assert virtual_mul(a, b) == reference_mul(a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_adams_columns_match_reference_on_all_basis_vectors(n):
+    for label, a in basis_vectors(n, "sector"):
+        for k in list(range(1, 2 * n + 3)) + [97, 3000]:
+            assert virtual_adams(a, k) == reference_adams(a, k), (label, k)
+
+
+@st.composite
+def _dense_classes(draw, count):
+    n = draw(st.integers(2, 6))
+    small = st.integers(-4, 4)
+
+    def scalar():
+        if draw(st.booleans()):
+            return Cyc.zero(n)
+        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
+                   draw(st.integers(1, 3)))
+
+    size = len(zero(n, "sector").coeffs)
+    return [Coords(n, "sector", [scalar() for _ in range(size)]) for _ in range(count)]
+
+
+@settings(max_examples=40)
+@given(_dense_classes(2), st.integers(1, 14))
+def test_tables_match_reference_on_dense_classes(ab, k):
+    a, b = ab
+    assert virtual_mul(a, b) == reference_mul(a, b)
+    assert virtual_adams(a, k) == reference_adams(a, k)
+
+
+def test_euler_override_reaches_warm_tables():
+    for n in (2, 3, 4):
+        a, b = k_monomial(n, 1, 1), k_monomial(n, n - 1, 2)
+        default = virtual_mul(a, b)
+        perturbed = virtual_mul(a, b, euler=perturbed_euler)
+        assert perturbed == reference_mul(a, b, perturbed_euler)
+        assert perturbed != default
+        assert virtual_mul(a, b) == default
+
+
+def test_adams_column_cache_is_bounded():
+    maxsize = vr._adams_column.cache_info().maxsize
+    assert maxsize == vr.ADAMS_COLUMN_CACHE_SIZE
+    # verify at n = 8 uses k = 1..16 on all 65 monomials
+    assert 16 * 65 <= maxsize < 10 ** 5
