@@ -13,7 +13,9 @@ its JSON index, in the fixed output order:
 
 so loc and u share one n x n grid after the leading e[0,0], whose (0,0) cell
 holds xe[0,0] in loc.  The products live with their rings; this module knows
-the linear structure, the ring units and the shared text form.
+the linear structure, the ring units and the shared text form.  A linear map
+is stored as sparse columns, one per source coordinate, and applied by
+``apply_columns``.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import Cyc, format_cyc
 
 KINDS = ("sector", "loc", "u", "res")
+
+#: Nonzero entries of a column or row, as (position, entry) pairs; integral
+#: entries are stored as ``int``.
+Sparse = tuple[tuple[int, "Cyc | int"], ...]
 
 
 def sector_start(n: int, m: int) -> int:
@@ -163,6 +169,26 @@ def unit(n: int, kind: str) -> Coords:
 def basis_vectors(n: int, kind: str) -> tuple[tuple[str, Coords], ...]:
     """Every basis vector with its label, in coordinate order."""
     return tuple((label, gen(n, kind, label)) for label in basis(n, kind).labels)
+
+
+def sparse(coeffs: Sequence[Cyc]) -> Sparse:
+    """The nonzero entries of a dense coefficient sequence, integral ones as int."""
+    return tuple((i, c.num[0] if c.den == 1 and c.is_rational() else c)
+                 for i, c in enumerate(coeffs) if c)
+
+
+def apply_columns(n: int, kind: str, terms: Iterable[tuple[Cyc, int, Sparse]]) -> Coords:
+    """The sum of c * column over ``terms`` of (c, start, column), in basis ``kind``.
+
+    A column's positions count from ``start``.  An entry 1 adds c without a
+    multiplication.
+    """
+    out = list(zero(n, kind).coeffs)
+    for c, start, column in terms:
+        for offset, r in column:
+            i = start + offset
+            out[i] = out[i] + (c if r == 1 else c * r)
+    return Coords(n, kind, out)
 
 
 def power(a: Coords, k: int, mul: Callable[[Coords, Coords], Coords]) -> Coords:

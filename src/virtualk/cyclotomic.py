@@ -220,6 +220,9 @@ class Cyc:
         return any(self.num)
 
     def __eq__(self, other) -> bool:
+        # Comparing with an int builds no Cyc: tables test entries against 1.
+        if other.__class__ is int:
+            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
         if isinstance(other, (int, Fraction)):
             other = Cyc.rational(self.n, other)
         if not isinstance(other, Cyc):
@@ -373,10 +376,17 @@ def _product(n: int, a: tuple[int, ...], b: tuple[int, ...], den: int) -> Cyc:
     return _raw(n, *_normalized(out, den))
 
 
+@cache
+def _zeta_powers(n: int) -> tuple[Cyc, ...]:
+    return tuple(_raw(n, row, 1) for row in _xpow(n))
+
+
 def zeta_pow(n: int, k: int) -> Cyc:
-    """zeta_n^k as an exact scalar (exponent reduced mod n)."""
-    row = _xpow(n)[k % n]
-    return _raw(n, row, 1)
+    """zeta_n^k as an exact scalar (exponent reduced mod n).
+
+    One shared object per power, so cached tables store each power once.
+    """
+    return _zeta_powers(n)[k % n]
 
 
 def format_cyc(value: Cyc, zeta: str = "zeta") -> str:
@@ -519,11 +529,6 @@ class CycPoly:
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
-
-    def derivative(self) -> "CycPoly":
-        return CycPoly.from_cycs(
-            self.n, (c * e for e, c in enumerate(self.coeffs) if e)
-        )
 
     def divmod_by(self, d: "CycPoly") -> tuple["CycPoly", "CycPoly"]:
         if d.is_zero():

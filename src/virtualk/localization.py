@@ -15,6 +15,21 @@ coordinate system: idempotents u_l^q for l != 0 plus the square-zero elements
 u_0^q and the block unit 1_00, in which the product is diagonal and
 line-element computations are immediate.  Both index their n x n grid through
 ``coords.grid``.
+
+The maps and the product read per-n tables, each built lazily on first use
+(``functools.cache``) from the closed forms in its docstring and applied
+through ``coords.apply_columns`` to the nonzero coordinates only; nothing is
+built at import:
+
+- ``_gamma_columns``: the image of each monomial x_m^j, zeta^(lj) in e[m,l]
+  and the 2-jet (1 - j, j) in (e[0,0], xe[0,0]);
+- ``_gamma_inverse_columns``: the preimages ``_gamma_inverse_images``;
+- ``_loc_mul_table``: e_i * e_j for every pair of generators with a nonzero
+  product, from the rules of ``loc_mul``;
+- ``_to_u_map`` and ``_from_u_map``: columns of zeta powers and integers, and
+  the weights w_l = 1 - zeta^(-l) (to u) or 1/(n w_l) and 1/n (from u),
+  applied once per coordinate rather than folded into every entry;
+- ``_adams_weight``: w_l / w_s for ``loc_adams``.
 """
 
 from __future__ import annotations
@@ -23,14 +38,11 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .coords import Coords, grid, unit, zero
+from .coords import Coords, Sparse, apply_columns, basis, grid, sector_start, sparse, unit, zero
 from .cyclotomic import Cyc, CycPoly, zeta_pow
-from .virtual_ring import from_sectors, sector_part
 
-
-@cache
-def _zetas(n: int) -> tuple[Cyc, ...]:
-    return tuple(zeta_pow(n, l) for l in range(n))
+#: Weights (position, factor) that multiply single coordinates.
+Weights = tuple[tuple[int, Cyc], ...]
 
 
 @cache
@@ -51,8 +63,41 @@ def _adams_weight(n: int, l: int, s: int) -> Cyc:
     return _w(n, l) * _w_inv(n, s)
 
 
+def _apply(a: Coords, kind: str, columns: tuple[Sparse, ...]) -> Coords:
+    # The linear map with one column per coordinate of ``a``.
+    return apply_columns(a.n, kind, ((c, 0, col) for c, col in zip(a.coeffs, columns) if c))
+
+
+def _weighted(coeffs: tuple[Cyc, ...], weights: Weights) -> list[Cyc]:
+    out = list(coeffs)
+    for i, w in weights:
+        if out[i]:
+            out[i] = out[i] * w
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The decomposition map and its closed-form inverse.
+
+
+@cache
+def _gamma_columns(n: int) -> tuple[Sparse, ...]:
+    """Image of each monomial x_m^j, in sector coordinate order.
+
+    x^j takes the value zeta^(lj) at zeta^l, stored in e[m,l]; on sector 0
+    the block (0,0) holds its 2-jet at 1 instead: value 1 and derivative j,
+    stored as e[0,0] = 1 - j and xe[0,0] = j.
+    """
+    size = len(basis(n, "loc").labels)
+    columns = []
+    for _, m, j in basis(n, "sector").json:
+        col = [Cyc.zero(n)] * size
+        for l in range(1 if m == 0 else 0, n):
+            col[grid(n, m, l)] = zeta_pow(n, l * j)
+        if m == 0:
+            col[0], col[1] = Cyc.rational(n, 1 - j), Cyc.rational(n, j)
+        columns.append(sparse(col))
+    return tuple(columns)
 
 
 def gamma(a: Coords) -> Coords:
@@ -61,25 +106,9 @@ def gamma(a: Coords) -> Coords:
     Block (0,0) stores the 2-jet at 1: coefficients e[0,0] = f(1) - f'(1) and
     xe[0,0] = f'(1), so that f = e[0,0] * 1 + xe[0,0] * x modulo (x-1)^2.
     """
-    n = a.n
-    zs = _zetas(n)
-    out = list(zero(n, "loc").coeffs)
-    for m in range(n):
-        s = sector_part(a, m)
-        if s.is_zero():
-            continue
-        for l in range(n):
-            if m == 0 and l == 0:
-                continue
-            out[grid(n, m, l)] = s(zs[l])
-    f = sector_part(a, 0)
-    f1 = f(Cyc.one(n))
-    d1 = f.derivative()(Cyc.one(n))
-    out[0], out[1] = f1 - d1, d1
-    return Coords(n, "loc", out)
+    return _apply(a, "loc", _gamma_columns(a.n))
 
 
-@cache
 def _geom_div(n: int, l: int) -> CycPoly:
     # (x^n - 1)/(x - zeta^l) expanded as prod_{i != l} (x - zeta^i).
     prod = CycPoly.one_poly(n)
@@ -90,9 +119,10 @@ def _geom_div(n: int, l: int) -> CycPoly:
     return prod
 
 
-@cache
 def _gamma_inverse_images(n: int) -> dict:
     """Preimages of every localized generator, as polynomials on their sector.
+
+    Not cached: ``_gamma_inverse_columns`` keeps what it needs.
 
     1_00  -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)                  (sector 0)
     x_00  -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)                  (sector 0)
@@ -100,45 +130,76 @@ def _gamma_inverse_images(n: int) -> dict:
     1_ml  -> (zeta^l / n) (x^n-1)/(x-zeta^l)                       (m != 0, sector m)
     """
     images: dict[tuple[int, int] | str, CycPoly] = {}
-    geom0 = _geom_div(n, 0)
+    geom = [_geom_div(n, l) for l in range(n)]
     half = Fraction(1, 2 * n)
     lin_100 = CycPoly.from_ints(n, [1 + n, 1 - n])
     lin_x00 = CycPoly.from_ints(n, [n - 1, 3 - n])
-    images["1_00"] = (lin_100 * geom0).scale(half)
-    images["x_00"] = (lin_x00 * geom0).scale(half)
+    images["1_00"] = (lin_100 * geom[0]).scale(half)
+    images["x_00"] = (lin_x00 * geom[0]).scale(half)
     x_minus_one = CycPoly.from_ints(n, [-1, 1])
     for l in range(1, n):
         zl = zeta_pow(n, l)
         scalar = zl / ((zl - Cyc.one(n)) * n)
-        images[(0, l)] = (x_minus_one * _geom_div(n, l)).scale(scalar)
+        images[(0, l)] = (x_minus_one * geom[l]).scale(scalar)
     for l in range(n):
         zl = zeta_pow(n, l)
         scalar = zl * Fraction(1, n)
-        poly = _geom_div(n, l).scale(scalar)
+        poly = geom[l].scale(scalar)
         for m in range(1, n):
             images[(m, l)] = poly
     return images
 
 
+@cache
+def _gamma_inverse_columns(n: int) -> tuple[Sparse, ...]:
+    """Preimage of each localized generator, in loc coordinate order, as sector coordinates."""
+    images = _gamma_inverse_images(n)
+    keys = [("1_00", 0), ("x_00", 0)] + [((m, l), m) for _, m, l in basis(n, "loc").json[2:]]
+    return tuple(tuple((sector_start(n, m) + j, c) for j, c in sparse(images[key].coeffs))
+                 for key, m in keys)
+
+
 def gamma_inverse(b: Coords) -> Coords:
     """Linear extension of the four closed-form preimages."""
-    n = b.n
-    images = _gamma_inverse_images(n)
-    acc = [CycPoly.zero(n)] * n
-    if b.coeffs[0]:
-        acc[0] = acc[0] + images["1_00"].scale(b.coeffs[0])
-    if b.coeffs[1]:
-        acc[0] = acc[0] + images["x_00"].scale(b.coeffs[1])
-    for m in range(n):
-        for l in range(n):
-            c = b.coeffs[grid(n, m, l)]
-            if c and (m, l) != (0, 0):
-                acc[m] = acc[m] + images[(m, l)].scale(c)
-    return from_sectors(n, dict(enumerate(acc)))
+    return _apply(b, "sector", _gamma_inverse_columns(b.n))
 
 
 # ---------------------------------------------------------------------------
 # The localized product table.
+
+
+@cache
+def _loc_mul_table(n: int) -> tuple[tuple[tuple[int, Sparse], ...], ...]:
+    """Entry i lists (j, e_i * e_j) for every generator e_j with a nonzero product.
+
+    Built from the rules in the ``loc_mul`` docstring: the row 0 block, the
+    row units 1_0l, and the weight w_l (w_l^2 when m1 + m2 = n) on
+    1_{m1,l} * 1_{m2,l}.
+    """
+    table: list[dict[int, Sparse]] = [{} for _ in basis(n, "loc").labels]
+    shared: dict[Sparse, Sparse] = {}  # equal products are stored once
+
+    def put(i: int, j: int, product: Sparse) -> None:
+        table[i][j] = table[j][i] = shared.setdefault(product, product)
+
+    put(0, 0, ((0, 1),))
+    put(0, 1, ((1, 1),))
+    put(1, 1, ((0, -1), (1, 2)))
+    for m in range(1, n):
+        i = grid(n, m, 0)
+        put(0, i, ((i, 1),))
+        put(1, i, ((i, 1),))
+    for l in range(1, n):
+        w = _w(n, l)
+        row = grid(n, 0, l)
+        put(row, row, ((row, 1),))
+        for m1 in range(1, n):
+            i = grid(n, m1, l)
+            put(row, i, ((i, 1),))
+            for m2 in range(m1, n):
+                target = ((row, w * w),) if m1 + m2 == n else ((grid(n, (m1 + m2) % n, l), w),)
+                put(i, grid(n, m2, l), target)
+    return tuple(tuple(entries.items()) for entries in table)
 
 
 def loc_mul(a: Coords, b: Coords) -> Coords:
@@ -148,45 +209,15 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
     and twisted 1_m0 are square-zero against each other.  Row l != 0 is a
     twisted group ring: 1_0l is the row unit and twisted generators multiply
     with weight 1 - zeta^(-l), squared when the sector indices sum to n.
-    Cross-row products vanish.
+    Cross-row products vanish.  Each nonzero coordinate of ``a`` meets only
+    the nonzero coordinates of ``b`` that its table entry lists.
     """
     a.check(b)
-    n = a.n
-    A, B = a.coeffs, b.coeffs
-    out = list(zero(n, "loc").coeffs)
-    out[0] = A[0] * B[0] - A[1] * B[1]
-    out[1] = A[0] * B[1] + A[1] * B[0] + (A[1] * B[1]).scale_int(2)
-    ra = A[0] + A[1]
-    rb = B[0] + B[1]
-    for m in range(1, n):
-        i = grid(n, m, 0)
-        out[i] = ra * B[i] + rb * A[i]
-    for l in range(1, n):
-        w = _w(n, l)
-        row = grid(n, 0, l)
-        au, bu = A[row], B[row]
-        if au and bu:
-            out[row] = out[row] + au * bu
-        for m in range(1, n):
-            i = grid(n, m, l)
-            t = au * B[i] + bu * A[i]
-            if t:
-                out[i] = out[i] + t
-        for m1 in range(1, n):
-            c1 = A[grid(n, m1, l)]
-            if not c1:
-                continue
-            for m2 in range(1, n):
-                c2 = B[grid(n, m2, l)]
-                if not c2:
-                    continue
-                c = c1 * c2
-                if m1 + m2 == n:
-                    out[row] = out[row] + c * w * w
-                else:
-                    i = grid(n, (m1 + m2) % n, l)
-                    out[i] = out[i] + c * w
-    return Coords(n, "loc", out)
+    B = b.coeffs
+    return apply_columns(a.n, "loc", (
+        (ca * B[j], 0, product)
+        for ca, entries in zip(a.coeffs, _loc_mul_table(a.n)) if ca
+        for j, product in entries if B[j]))
 
 
 def loc_augmentation(a: Coords) -> Coords:
@@ -259,6 +290,29 @@ def loc_adams(a: Coords, k: int) -> Coords:
 # Change of basis to the semisimple generators and operations there.
 
 
+@cache
+def _from_u_map(n: int) -> tuple[tuple[Sparse, ...], Weights]:
+    """Columns, in u coordinate order, and output weights of ``from_u_basis``.
+
+    e[0,0] -> e[0,0]; u[0,0] -> xe[0,0] - e[0,0]; u[0,m] -> e[m,0]; and for
+    l != 0, u[l,q] -> e[0,l] + sum_i zeta^(-iq) e[i,l], after which e[0,l] is
+    weighted by 1/n and e[i,l] by 1/(n w_l).
+    """
+    inv_n = Cyc.rational(n, Fraction(1, n))
+    columns: list[Sparse] = [((0, 1),), ((0, -1), (1, 1))]
+    columns += [((grid(n, m, 0), 1),) for m in range(1, n)]
+    weights = []
+    for l in range(1, n):
+        for q in range(n):
+            columns.append(((grid(n, 0, l), 1),) + tuple(
+                (grid(n, i, l), c) for i, c in sparse([zeta_pow(n, -i * q) for i in range(n)])
+                if i))
+        weights.append((grid(n, 0, l), inv_n))
+        winv = _w_inv(n, l) * inv_n
+        weights += [(grid(n, i, l), winv) for i in range(1, n)]
+    return tuple(columns), tuple(weights)
+
+
 def from_u_basis(b: Coords) -> Coords:
     """Expand 1_00 and the u_l^q into the localized generators.
 
@@ -266,54 +320,34 @@ def from_u_basis(b: Coords) -> Coords:
     u_l^q = (1/n) sum_i zeta^(-iq) uhat_il with uhat_0l = 1_0l and
     uhat_il = 1_il/(1 - zeta^(-l)).
     """
-    n = b.n
-    U = b.coeffs
-    out = list(zero(n, "loc").coeffs)
-    out[0] = U[0] - U[1]
-    out[1] = U[1]
-    for m in range(1, n):
-        out[grid(n, m, 0)] = U[grid(n, 0, m)]
-    inv_n = Fraction(1, n)
-    for l in range(1, n):
-        winv = _w_inv(n, l)
-        row = U[grid(n, l, 0):grid(n, l + 1, 0)]
-        if not any(row):
-            continue
-        total = Cyc.zero(n)
-        for q in range(n):
-            total = total + row[q]
-        out[grid(n, 0, l)] = total * inv_n
-        for i in range(1, n):
-            acc = Cyc.zero(n)
-            for q in range(n):
-                c = row[q]
-                if c:
-                    acc = acc + c * zeta_pow(n, -i * q)
-            out[grid(n, i, l)] = acc * winv * inv_n
-    return Coords(n, "loc", out)
+    columns, weights = _from_u_map(b.n)
+    return Coords(b.n, "loc", _weighted(_apply(b, "loc", columns).coeffs, weights))
+
+
+@cache
+def _to_u_map(n: int) -> tuple[tuple[Sparse, ...], Weights]:
+    """Columns, in loc coordinate order, and input weights of ``to_u_basis``.
+
+    e[0,0] -> e[0,0]; xe[0,0] -> e[0,0] + u[0,0]; e[m,0] -> u[0,m]; and for
+    l != 0, e[i,l] -> sum_q zeta^(iq) u[l,q], where e[i,l] with i != 0 is
+    first weighted by w_l.
+    """
+    columns: list[Sparse] = [((0, 1),), ((0, 1), (1, 1))]
+    for _, i, l in basis(n, "loc").json[2:]:
+        if l == 0:
+            columns.append(((grid(n, 0, i), 1),))
+        else:
+            row = sparse([zeta_pow(n, i * q) for q in range(n)])
+            columns.append(tuple((grid(n, l, q), c) for q, c in row))
+    weights = tuple((grid(n, i, l), _w(n, l)) for i in range(1, n) for l in range(1, n))
+    return tuple(columns), weights
 
 
 def to_u_basis(a: Coords) -> Coords:
     """Inverse change of basis: 1_0l = sum_q u_l^q and
     1_il = (1 - zeta^(-l)) sum_q zeta^(iq) u_l^q for i != 0."""
-    n = a.n
-    L = a.coeffs
-    out = list(zero(n, "u").coeffs)
-    out[0] = L[0] + L[1]
-    out[1] = L[1]
-    for m in range(1, n):
-        out[grid(n, 0, m)] = L[grid(n, m, 0)]
-    for l in range(1, n):
-        w = _w(n, l)
-        base = L[grid(n, 0, l)]
-        for q in range(n):
-            acc = base
-            for i in range(1, n):
-                c = L[grid(n, i, l)]
-                if c:
-                    acc = acc + c * w * zeta_pow(n, i * q)
-            out[grid(n, l, q)] = acc
-    return Coords(n, "u", out)
+    columns, weights = _to_u_map(a.n)
+    return _apply(Coords(a.n, "loc", _weighted(a.coeffs, weights)), "u", columns)
 
 
 def u_mul(a: Coords, b: Coords) -> Coords:

@@ -131,9 +131,13 @@ class Report:
 
 
 def _eq(checks: list[Check], cid: str, lhs, rhs, fmt=str) -> None:
-    # ``str`` renders a Coords in the labelled form of its own basis.
+    # ``str`` renders a Coords in the labelled form of its own basis.  Equal
+    # Coords have identical canonical coordinates, so a passing check renders
+    # one side and reuses the text.
     ok = lhs == rhs
-    checks.append(Check(cid, "pass" if ok else "fail", fmt(lhs), fmt(rhs)))
+    left = fmt(lhs)
+    same = ok and fmt is str and isinstance(lhs, Coords) and isinstance(rhs, Coords)
+    checks.append(Check(cid, "pass" if ok else "fail", left, left if same else fmt(rhs)))
 
 
 # ---------------------------------------------------------------------------

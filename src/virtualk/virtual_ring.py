@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .coords import Coords, sector_start, unit, zero
+from .coords import Coords, Sparse, apply_columns, sector_start, sparse, unit, zero
 from .cyclotomic import Cyc, CycPoly
 from .sector_ring import (
     bott_class,
@@ -44,8 +44,6 @@ EulerFn = Callable[[int, int, int], CycPoly]
 #: k = 1..16 on all 65 monomials; a stream of distinct Adams indices evicts
 #: the least recently used columns instead of growing the cache.
 ADAMS_COLUMN_CACHE_SIZE = 2048
-
-Sparse = tuple[tuple[int, "Cyc | int"], ...]
 
 
 def _width(n: int, m: int) -> int:
@@ -95,18 +93,12 @@ def euler_factor(n: int, m1: int, m2: int) -> CycPoly:
     return one - xinv
 
 
-def _sparse(coeffs: Sequence[Cyc]) -> Sparse:
-    # Nonzero entries of a reduced representative; integral ones as int.
-    return tuple((i, c.num[0] if c.den == 1 and c.is_rational() else c)
-                 for i, c in enumerate(coeffs) if c)
-
-
 @cache
 def _euler_rows(e: CycPoly, untwisted: bool) -> tuple[Sparse, ...]:
     """Row s = 0..2n: the reduced class of x^s * e in an untwisted or a twisted sector."""
     n = e.n
     pad = (Cyc.zero(n),)
-    return tuple(_sparse(reduce_coeffs(n, 0 if untwisted else 1, pad * s + e.coeffs))
+    return tuple(sparse(reduce_coeffs(n, 0 if untwisted else 1, pad * s + e.coeffs))
                  for s in range(2 * n + 1))
 
 
@@ -152,7 +144,7 @@ def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
     ps = sector_adams(m, CycPoly.monomial(n, j), k)
     if m and not ps.is_zero():
         ps = sector_mul(m, ps, bott_class(n, m, k))
-    return _sparse(ps.coeffs)
+    return sparse(ps.coeffs)
 
 
 def virtual_adams(a: Coords, k: int) -> Coords:
@@ -160,13 +152,9 @@ def virtual_adams(a: Coords, k: int) -> Coords:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     n = a.n
-    out = list(zero(n, "sector").coeffs)
-    for (_, m, j), c in zip(a.basis.json, a.coeffs):
-        if c:
-            start = sector_start(n, m)
-            for offset, r in _adams_column(n, m, j, k):
-                out[start + offset] = out[start + offset] + (c if r == 1 else c * r)
-    return Coords(n, "sector", out)
+    return apply_columns(n, "sector", (
+        (c, sector_start(n, m), _adams_column(n, m, j, k))
+        for (_, m, j), c in zip(a.basis.json, a.coeffs) if c))
 
 
 def virtual_augmentation(a: Coords) -> Coords:

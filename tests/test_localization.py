@@ -1,10 +1,17 @@
+import functools
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from virtualk.coords import basis_vectors, gen, power, unit, zero
-from virtualk.cyclotomic import Cyc, zeta_pow
+import virtualk.localization as loc
+from virtualk.coords import Coords, basis_vectors, gen, grid, power, unit, zero
+from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
 from virtualk.localization import (
     adams_solutions,
     from_u_basis,
@@ -19,6 +26,7 @@ from virtualk.localization import (
     u_mul,
 )
 from virtualk.virtual_ring import (
+    from_sectors,
     k_monomial,
     sector_part,
     virtual_adams,
@@ -242,3 +250,202 @@ def test_weight_mismatch_rejected():
         loc_mul(unit(2, "loc"), unit(3, "loc"))
     with pytest.raises(ValueError):
         u_mul(unit(2, "u"), unit(3, "u"))
+
+
+# ---------------------------------------------------------------------------
+# The cached tables against the dense loops they replaced.
+
+
+def reference_gamma(a):
+    """Horner evaluation of each sector at every root, and the 2-jet at 1."""
+    n = a.n
+    out = list(zero(n, "loc").coeffs)
+    for m in range(n):
+        s = sector_part(a, m)
+        if s.is_zero():
+            continue
+        for l in range(n):
+            if m == 0 and l == 0:
+                continue
+            out[grid(n, m, l)] = s(zeta_pow(n, l))
+    f = sector_part(a, 0).coeffs
+    f1 = sum(f, Cyc.zero(n))
+    d1 = sum((c * j for j, c in enumerate(f)), Cyc.zero(n))
+    out[0], out[1] = f1 - d1, d1
+    return Coords(n, "loc", out)
+
+
+_images = functools.cache(loc._gamma_inverse_images)
+
+
+def reference_gamma_inverse(b):
+    """Sum of the scaled preimage polynomials, sector by sector."""
+    n = b.n
+    images = _images(n)
+    acc = [CycPoly.zero(n)] * n
+    if b.coeffs[0]:
+        acc[0] = acc[0] + images["1_00"].scale(b.coeffs[0])
+    if b.coeffs[1]:
+        acc[0] = acc[0] + images["x_00"].scale(b.coeffs[1])
+    for m in range(n):
+        for l in range(n):
+            c = b.coeffs[grid(n, m, l)]
+            if c and (m, l) != (0, 0):
+                acc[m] = acc[m] + images[(m, l)].scale(c)
+    return from_sectors(n, dict(enumerate(acc)))
+
+
+def reference_loc_mul(a, b):
+    """The localized product rules as one dense loop."""
+    n = a.n
+    A, B = a.coeffs, b.coeffs
+    out = list(zero(n, "loc").coeffs)
+    out[0] = A[0] * B[0] - A[1] * B[1]
+    out[1] = A[0] * B[1] + A[1] * B[0] + (A[1] * B[1]).scale_int(2)
+    ra = A[0] + A[1]
+    rb = B[0] + B[1]
+    for m in range(1, n):
+        i = grid(n, m, 0)
+        out[i] = ra * B[i] + rb * A[i]
+    for l in range(1, n):
+        w = Cyc.one(n) - zeta_pow(n, -l)
+        row = grid(n, 0, l)
+        au, bu = A[row], B[row]
+        if au and bu:
+            out[row] = out[row] + au * bu
+        for m in range(1, n):
+            i = grid(n, m, l)
+            t = au * B[i] + bu * A[i]
+            if t:
+                out[i] = out[i] + t
+        for m1 in range(1, n):
+            c1 = A[grid(n, m1, l)]
+            if not c1:
+                continue
+            for m2 in range(1, n):
+                c2 = B[grid(n, m2, l)]
+                if not c2:
+                    continue
+                c = c1 * c2
+                if m1 + m2 == n:
+                    out[row] = out[row] + c * w * w
+                else:
+                    i = grid(n, (m1 + m2) % n, l)
+                    out[i] = out[i] + c * w
+    return Coords(n, "loc", out)
+
+
+def reference_from_u_basis(b):
+    """A discrete Fourier transform per row, with the row weight on every term."""
+    n = b.n
+    U = b.coeffs
+    out = list(zero(n, "loc").coeffs)
+    out[0] = U[0] - U[1]
+    out[1] = U[1]
+    for m in range(1, n):
+        out[grid(n, m, 0)] = U[grid(n, 0, m)]
+    inv_n = Fraction(1, n)
+    for l in range(1, n):
+        winv = (Cyc.one(n) - zeta_pow(n, -l)).inv()
+        row = U[grid(n, l, 0):grid(n, l + 1, 0)]
+        if not any(row):
+            continue
+        total = Cyc.zero(n)
+        for q in range(n):
+            total = total + row[q]
+        out[grid(n, 0, l)] = total * inv_n
+        for i in range(1, n):
+            acc = Cyc.zero(n)
+            for q in range(n):
+                c = row[q]
+                if c:
+                    acc = acc + c * zeta_pow(n, -i * q)
+            out[grid(n, i, l)] = acc * winv * inv_n
+    return Coords(n, "loc", out)
+
+
+def reference_to_u_basis(a):
+    """The inverse transform per row, with the row weight on every term."""
+    n = a.n
+    L = a.coeffs
+    out = list(zero(n, "u").coeffs)
+    out[0] = L[0] + L[1]
+    out[1] = L[1]
+    for m in range(1, n):
+        out[grid(n, 0, m)] = L[grid(n, m, 0)]
+    for l in range(1, n):
+        w = Cyc.one(n) - zeta_pow(n, -l)
+        base = L[grid(n, 0, l)]
+        for q in range(n):
+            acc = base
+            for i in range(1, n):
+                c = L[grid(n, i, l)]
+                if c:
+                    acc = acc + c * w * zeta_pow(n, i * q)
+            out[grid(n, l, q)] = acc
+    return Coords(n, "u", out)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_loc_mul_table_matches_reference_on_all_basis_pairs(n):
+    basis = basis_vectors(n, "loc")
+    for (la, a), (lb, b) in itertools.product(basis, repeat=2):
+        assert loc_mul(a, b) == reference_loc_mul(a, b), (la, lb)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_basis_changes_match_reference_on_all_basis_vectors(n):
+    for label, a in basis_vectors(n, "sector"):
+        assert gamma(a) == reference_gamma(a), label
+    for label, b in basis_vectors(n, "loc"):
+        assert gamma_inverse(b) == reference_gamma_inverse(b), label
+        assert to_u_basis(b) == reference_to_u_basis(b), label
+    for label, u in basis_vectors(n, "u"):
+        assert from_u_basis(u) == reference_from_u_basis(u), label
+
+
+@st.composite
+def _dense(draw, kind):
+    n = draw(st.integers(2, 8))
+    small = st.integers(-4, 4)
+
+    def scalar():
+        if draw(st.booleans()):
+            return Cyc.zero(n)
+        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
+                   draw(st.integers(1, 3)))
+
+    return [Coords(n, k, [scalar() for _ in range(n * n + 1)]) for k in kind]
+
+
+@settings(max_examples=40)
+@given(_dense(("loc", "loc", "sector", "u")))
+def test_tables_match_reference_on_dense_classes(classes):
+    a, b, s, u = classes
+    assert loc_mul(a, b) == reference_loc_mul(a, b)
+    assert gamma(s) == reference_gamma(s)
+    assert gamma_inverse(a) == reference_gamma_inverse(a)
+    assert to_u_basis(a) == reference_to_u_basis(a)
+    assert from_u_basis(u) == reference_from_u_basis(u)
+
+
+TABLES = ("_gamma_columns", "_gamma_inverse_columns", "_loc_mul_table", "_to_u_map",
+          "_from_u_map")
+
+
+def test_tables_are_not_built_at_import():
+    script = ("import virtualk.cli, virtualk.localization as loc; "
+              "print([getattr(loc, t).cache_info().currsize for t in %r])" % (TABLES,))
+    src = os.path.dirname(os.path.dirname(loc.__file__))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == str([0] * len(TABLES))
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_cleared_table_rebuilds_the_same(table):
+    build = getattr(loc, table)
+    before = build(4)
+    build.cache_clear()
+    after = build(4)
+    assert after == before and after is not before

@@ -1,5 +1,5 @@
-"""Planted-defect controls: one wrong structure constant each, and the suite
-that must catch it with a check id naming the damaged entry.
+"""Planted-defect controls: one wrong structure constant or table entry each,
+and the suite that must catch it with a check id naming the damaged entry.
 
 Each defect is planted by monkeypatching one cached table function, so the
 correct cache behind it is never written with a wrong value.
@@ -7,6 +7,7 @@ correct cache behind it is never written with a wrong value.
 
 import virtualk.localization as loc
 import virtualk.virtual_ring as vr
+from virtualk.coords import grid
 from virtualk.verify import run_verify
 
 
@@ -54,5 +55,69 @@ def test_planted_bott_twist_column_entry_is_caught(monkeypatch):
     assert all("k=2" in cid or "l=2" in cid for cid in failed)
 
 
+def test_planted_loc_mul_weight_is_caught(monkeypatch):
+    # At n = 3, e[1,1] * e[1,1] = w_1 e[2,1]; plant (w_1 + 1) e[2,1] instead.
+    original = loc._loc_mul_table
+    e11 = grid(3, 1, 1)
+
+    def planted(n):
+        table = original(n)
+        if n != 3:
+            return table
+        entries = tuple((j, tuple((k, w + 1) for k, w in product) if j == e11 else product)
+                        for j, product in table[e11])
+        return table[:e11] + (entries,) + table[e11 + 1:]
+
+    monkeypatch.setattr(loc, "_loc_mul_table", planted)
+    failed = _failed_ids(("product-oracle",))
+    assert "product-oracle/n=3/pair/e[1,1]*e[1,1]" in failed
+    assert "product-oracle/n=3/u-loc-consistency/0" in failed
+    # Only the damaged square fails among the basis pairs; dense classes hit it too.
+    assert all(cid == "product-oracle/n=3/pair/e[1,1]*e[1,1]" or "/u-loc-consistency/" in cid
+               for cid in failed)
+
+
+def test_planted_gamma_inverse_column_is_caught(monkeypatch):
+    # Double the leading coefficient of the preimage of e[1,1] at n = 3.
+    original = loc._gamma_inverse_columns
+    e11 = grid(3, 1, 1)
+
+    def planted(n):
+        columns = original(n)
+        if n != 3:
+            return columns
+        (position, c), rest = columns[e11][0], columns[e11][1:]
+        return columns[:e11] + (((position, c * 2),) + rest,) + columns[e11 + 1:]
+
+    monkeypatch.setattr(loc, "_gamma_inverse_columns", planted)
+    failed = _failed_ids(("product-oracle",))
+    assert "product-oracle/n=3/roundtrip-loc/e[1,1]" in failed
+    assert "product-oracle/n=3/roundtrip-sector/x[1]" in failed
+    assert "product-oracle/n=3/pair/e[1,1]*e[1,1]" in failed
+    # Every failure names e[1,1] or a class on sector 1.
+    assert all(any(s in cid for s in ("e[1,1]", "x[1]", "one[1]")) for cid in failed)
+
+
+def test_planted_gamma_jet_convention_is_caught(monkeypatch):
+    # Store the value f(1) in e[0,0] instead of f(1) - f'(1) on sector 0.
+    original = loc._gamma_columns
+
+    def planted(n):
+        columns = original(n)
+        if n != 3:
+            return columns
+        jets = tuple(((0, 1),) + tuple(e for e in col if e[0] != 0) for col in columns[:n + 1])
+        return jets + columns[n + 1:]
+
+    monkeypatch.setattr(loc, "_gamma_columns", planted)
+    failed = _failed_ids(("product-oracle",))
+    assert "product-oracle/n=3/roundtrip-loc/xe[0,0]" in failed
+    assert "product-oracle/n=3/roundtrip-sector/x[0]" in failed
+    assert "product-oracle/n=3/pair/xe[0,0]*xe[0,0]" in failed
+    # Only the families that pass through gamma fail.
+    assert all(cid.split("/")[2] in ("roundtrip-loc", "roundtrip-sector", "pair")
+               for cid in failed)
+
+
 def test_suites_pass_without_a_planted_defect():
-    assert run_verify(3, 3, ("psi-ring", "adams-oracle")).ok
+    assert run_verify(3, 3, ("psi-ring", "adams-oracle", "product-oracle")).ok
