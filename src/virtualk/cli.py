@@ -26,7 +26,7 @@ from .expr import (
     value_to_json,
 )
 from .line_elements import is_line_element
-from .verify import SUITES, run_verify
+from .verify import run_verify
 
 #: Largest accepted weight n.
 MAX_N = 8
@@ -34,6 +34,18 @@ MAX_N = 8
 #: Largest accepted ``--k-max``: four times the default 2n at n = MAX_N.  The
 #: Adams and line-element checks run k = 1..k_max, so time grows with it.
 MAX_K_MAX = 64
+
+#: The verbs that evaluate one expression: help, positional arguments and the
+#: expression built from them.
+_VERBS = {
+    "eval": ("evaluate an expression", ("expression",), "{expression}"),
+    "mul": ("product of two expressions in their shared basis", ("lhs", "rhs"),
+            "({lhs})*({rhs})"),
+    "adams": ("apply the k-th Adams operation", ("k", "expression"), "psi[{k}]({expression})"),
+    "localize": ("gamma of a sector-basis expression", ("expression",), "gamma({expression})"),
+    "delocalize": ("gamma^(-1) of a localized expression", ("expression",),
+                   "gammainv({expression})"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,27 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help="display basis (no implicit gamma conversions)",
         )
 
-    sp = sub.add_parser("eval", help="evaluate an expression")
-    sp.add_argument("expression")
-    common(sp)
-
-    sp = sub.add_parser("mul", help="product of two expressions in their shared basis")
-    sp.add_argument("lhs")
-    sp.add_argument("rhs")
-    common(sp)
-
-    sp = sub.add_parser("adams", help="apply the k-th Adams operation")
-    sp.add_argument("k", type=int)
-    sp.add_argument("expression")
-    common(sp)
-
-    sp = sub.add_parser("localize", help="gamma of a sector-basis expression")
-    sp.add_argument("expression")
-    common(sp)
-
-    sp = sub.add_parser("delocalize", help="gamma^(-1) of a localized expression")
-    sp.add_argument("expression")
-    common(sp)
+    for verb, (help_text, positionals, _) in _VERBS.items():
+        sp = sub.add_parser(verb, help=help_text)
+        for name in positionals:
+            sp.add_argument(name, type=int if name == "k" else str)
+        common(sp)
 
     sp = sub.add_parser("line", help="test a localized class for line-element membership")
     sp.add_argument("expression")
@@ -95,20 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, basis: str, value, display_hint: str) -> None:
-    display = args.basis
-    if display == "auto":
-        display = display_hint
+    display = display_hint if args.basis == "auto" else args.basis
     if basis == "scalar":
         display = "scalar"
-    elif basis == "sector":
-        if display in ("loc", "u"):
-            raise EvalError("sector-basis value; use localize/gamma for a localized view")
-        display = "sector"
-    else:
-        if display == "sector":
-            raise EvalError("localized value; use delocalize/gammainv for the sector view")
-        if display == "auto":
-            display = "loc"
+    elif basis == "sector" and display in ("loc", "u"):
+        raise EvalError("sector-basis value; use localize/gamma for a localized view")
+    elif basis == "loc" and display == "sector":
+        raise EvalError("localized value; use delocalize/gammainv for the sector view")
     if args.json:
         print(value_to_json(args.n, basis, value, display=display))
     else:
@@ -139,30 +128,10 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --n must be between 2 and %d" % MAX_N, file=sys.stderr)
             return 2
 
-        if args.command == "eval":
-            e = parse(args.expression, args.n)
+        if args.command in _VERBS:
+            e = parse(_VERBS[args.command][2].format(**vars(args)), args.n)
             basis, value = evaluate(e, args.n)
             _emit(args, basis, value, preferred_display(e))
-            return 0
-        if args.command == "mul":
-            e = parse("(%s)*(%s)" % (args.lhs, args.rhs), args.n)
-            basis, value = evaluate(e, args.n)
-            _emit(args, basis, value, preferred_display(e))
-            return 0
-        if args.command == "adams":
-            e = parse("psi[%d](%s)" % (args.k, args.expression), args.n)
-            basis, value = evaluate(e, args.n)
-            _emit(args, basis, value, preferred_display(e))
-            return 0
-        if args.command == "localize":
-            e = parse("gamma(%s)" % args.expression, args.n)
-            basis, value = evaluate(e, args.n)
-            _emit(args, basis, value, "loc")
-            return 0
-        if args.command == "delocalize":
-            e = parse("gammainv(%s)" % args.expression, args.n)
-            basis, value = evaluate(e, args.n)
-            _emit(args, basis, value, "sector")
             return 0
         if args.command == "line":
             e = parse(args.expression, args.n)

@@ -200,8 +200,9 @@ def power(a: Coords, k: int, mul: Callable[[Coords, Coords], Coords]) -> Coords:
     while k:
         if k & 1:
             result = mul(result, base)
-        base = mul(base, base)
         k >>= 1
+        if k:
+            base = mul(base, base)
     return result
 
 

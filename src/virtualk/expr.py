@@ -22,20 +22,24 @@ associate left.  Rational literals are INT or INT/INT; exponents are integer
 literals, negative allowed on invertible operands.
 
 Atoms fix the ambient basis: x/one live on the sector side, e/xe/u and the
-line-element constructors on the localized side.  Mixing the two sides in
-one expression is rejected at parse time; ``gamma``/``gammainv`` are the
-only bridges.  "*" means the virtual product on the sector side and the
+line-element constructors on the localized side (``ATOMS``).  Mixing the two
+sides in one expression is rejected at parse time; ``gamma``/``gammainv`` are
+the only bridges.  "*" means the virtual product on the sector side and the
 localized product on the localized side; ``psi[0]`` is the augmentation.
 
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
 indices by ``MAX_ADAMS_INDEX``; larger values are parse errors, because
-sector powers and Adams operations take time linear in the index.
+sector powers and Adams operations take time linear in the index.  A power
+whose coefficients outgrow Python's integer-to-text limit is an evaluation
+error, raised as soon as a step of the power meets such a coefficient.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +47,7 @@ from . import localization as loc
 from . import virtual_ring as vr
 from .coords import Coords, gen, power, unit
 from .cyclotomic import Cyc, format_cyc, zeta_pow
-from .line_elements import line_element, line_realize
+from .line_elements import line_element, line_realize, nu, sigma
 
 
 #: Largest accepted |exponent| in ``^``.
@@ -66,6 +70,24 @@ class EvalError(ValueError):
     pass
 
 
+SCALAR, SECTOR, LOC = "scalar", "sector", "loc"
+
+#: Atom name -> (number of indices, ring side, display side).  Except for
+#: zeta, sigma and nu, an atom's text is its label in the basis of its
+#: display side: ``x[1]`` and ``one[1]`` in sector, ``e[1,0]`` and
+#: ``xe[0,0]`` in loc, ``u[1,0]`` in u.
+ATOMS = {
+    "zeta": (0, SCALAR, SCALAR),
+    "x": (1, SECTOR, SECTOR),
+    "one": (1, SECTOR, SECTOR),
+    "e": (2, LOC, LOC),
+    "xe": (2, LOC, LOC),
+    "u": (2, LOC, "u"),
+    "sigma": (1, LOC, "u"),
+    "nu": (1, LOC, "u"),
+}
+
+
 # ---------------------------------------------------------------------------
 # AST
 
@@ -76,45 +98,15 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Zeta:
-    pass
+class Atom:
+    """A generator named in ``ATOMS`` with its indices."""
 
+    name: str
+    idx: tuple[int, ...] = ()
 
-@dataclass(frozen=True)
-class XAtom:
-    m: int
-
-
-@dataclass(frozen=True)
-class OneAtom:
-    m: int
-
-
-@dataclass(frozen=True)
-class EAtom:
-    m: int
-    l: int
-
-
-@dataclass(frozen=True)
-class XEAtom:
-    pass
-
-
-@dataclass(frozen=True)
-class UAtom:
-    l: int
-    q: int
-
-
-@dataclass(frozen=True)
-class SigmaAtom:
-    i: int
-
-
-@dataclass(frozen=True)
-class NuAtom:
-    j: int
+    @property
+    def label(self) -> str:
+        return "%s[%s]" % (self.name, ",".join(map(str, self.idx))) if self.idx else self.name
 
 
 @dataclass(frozen=True)
@@ -124,24 +116,19 @@ class LineAtom:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Unary:
+    """``op`` is "-", "psi" (with Adams index ``k``), "eps", "gamma" or "gammainv"."""
+
+    op: str
     x: "Expr"
+    k: int = 0
 
 
 @dataclass(frozen=True)
-class Add:
-    a: "Expr"
-    b: "Expr"
+class Binary:
+    """``op`` is "+", "-" or "*"."""
 
-
-@dataclass(frozen=True)
-class Sub:
-    a: "Expr"
-    b: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
+    op: str
     a: "Expr"
     b: "Expr"
 
@@ -152,31 +139,19 @@ class Pow:
     exp: int
 
 
-@dataclass(frozen=True)
-class Psi:
-    k: int
-    x: "Expr"
+Expr = Num | Atom | LineAtom | Unary | Binary | Pow
 
 
-@dataclass(frozen=True)
-class Eps:
-    x: "Expr"
-
-
-@dataclass(frozen=True)
-class GammaOp:
-    x: "Expr"
-
-
-@dataclass(frozen=True)
-class GammaInvOp:
-    x: "Expr"
-
-
-Expr = (
-    Num | Zeta | XAtom | OneAtom | EAtom | XEAtom | UAtom | SigmaAtom | NuAtom
-    | LineAtom | Neg | Add | Sub | Mul | Pow | Psi | Eps | GammaOp | GammaInvOp
-)
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, LineAtom):
+        return e.beta
+    if isinstance(e, Unary):
+        return (e.x,)
+    if isinstance(e, Binary):
+        return (e.a, e.b)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +189,17 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, sym: str) -> bool:
+        """Consume the next token if it is the symbol ``sym``."""
+        if self.peek()[:2] == ("sym", sym):
+            self.i += 1
+            return True
+        return False
+
     def expect(self, kind: str, value: str | None = None):
         tok = self.next()
         if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(
-                "expected %s" % (value or kind), tok[2]
-            )
+            raise ParseError("expected %s" % (value or kind), tok[2])
         return tok
 
     def expect_sym(self, sym: str):
@@ -234,80 +214,84 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         e = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok[0] == "sym" and tok[1] in "+-":
-                self.next()
-                rhs = self.parse_term()
-                e = Add(e, rhs) if tok[1] == "+" else Sub(e, rhs)
-            else:
-                return e
+        while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
+            e = Binary(self.next()[1], e, self.parse_term())
+        return e
 
     def parse_term(self) -> Expr:
         e = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok[0] == "sym" and tok[1] == "*":
-                self.next()
-                e = Mul(e, self.parse_unary())
-            else:
-                return e
+        while self.accept("*"):
+            e = Binary("*", e, self.parse_unary())
+        return e
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "sym" and tok[1] == "-":
-            self.next()
+        if self.accept("-"):
             inner = self.parse_unary()
             if isinstance(inner, Num):
                 return Num(-inner.value)
-            return Neg(inner)
+            return Unary("-", inner)
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_primary()
-        tok = self.peek()
-        if tok[0] == "sym" and tok[1] == "^":
-            self.next()
+        if self.accept("^"):
             pos = self.peek()[2]
-            exp = self.parse_signed_int()
+            exp = self.parse_int()
             if abs(exp) > MAX_EXPONENT:
                 raise ParseError("exponent %d exceeds the bound %d" % (exp, MAX_EXPONENT), pos)
             return Pow(base, exp)
         return base
 
-    def parse_signed_int(self) -> int:
-        tok = self.peek()
-        sign = 1
-        if tok[0] == "sym" and tok[1] == "-":
-            self.next()
-            sign = -1
-        tok = self.expect("num")
-        return sign * int(tok[1])
-
     def parse_int(self) -> int:
-        tok = self.peek()
-        if tok[0] == "sym" and tok[1] == "-":
-            return self.parse_signed_int()
-        return int(self.expect("num")[1])
+        sign = -1 if self.accept("-") else 1
+        return sign * int(self.expect("num")[1])
 
-    def _index(self, what: str, value: int, pos: int) -> int:
-        if not 0 <= value < self.n:
-            raise ParseError(
-                "%s index %d out of range for n=%d" % (what, value, self.n), pos
-            )
-        return value
+    def parse_list(self, item) -> list:
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
+    def parse_argument(self) -> Expr:
+        self.expect_sym("(")
+        e = self.parse_expr()
+        self.expect_sym(")")
+        return e
+
+    def parse_atom(self, name: str) -> Atom:
+        arity = ATOMS[name][0]
+        idx, at = [], []
+        if arity:
+            self.expect_sym("[")
+        for i in range(arity):
+            if i:
+                self.expect_sym(",")
+            at.append(self.peek()[2])
+            idx.append(self.parse_int())
+        # A one-index atom is range-checked before its "]", a two-index atom after it.
+        if arity == 2:
+            self.expect_sym("]")
+        if name == "xe" and idx != [0, 0]:
+            raise ParseError("xe exists only at block [0,0]", at[0])
+        for value, pos in zip(idx, at):
+            if not 0 <= value < self.n:
+                raise ParseError(
+                    "%s index %d out of range for n=%d" % (name, value, self.n), pos
+                )
+        if arity == 1:
+            self.expect_sym("]")
+        return Atom(name, tuple(idx))
 
     def parse_primary(self) -> Expr:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
             value = Fraction(int(text))
-            nxt = self.peek()
-            if nxt[0] == "sym" and nxt[1] == "/":
-                self.next()
+            slash = self.peek()[2]
+            if self.accept("/"):
                 den = int(self.expect("num")[1])
                 if den == 0:
-                    raise ParseError("zero denominator", nxt[2])
+                    raise ParseError("zero denominator", slash)
                 value = Fraction(int(text), den)
             return Num(value)
         if kind == "sym" and text == "(":
@@ -316,40 +300,13 @@ class _Parser:
             return e
         if kind != "name":
             raise ParseError("unexpected token %r" % text, pos)
-        if text == "zeta":
-            return Zeta()
-        if text in ("x", "one", "sigma", "nu"):
-            self.expect_sym("[")
-            idx_tok = self.peek()
-            idx = self._index(text, self.parse_int(), idx_tok[2])
-            self.expect_sym("]")
-            return {"x": XAtom, "one": OneAtom, "sigma": SigmaAtom, "nu": NuAtom}[text](idx)
-        if text in ("e", "xe", "u"):
-            self.expect_sym("[")
-            first_tok = self.peek()
-            first = self.parse_int()
-            self.expect_sym(",")
-            second_tok = self.peek()
-            second = self.parse_int()
-            self.expect_sym("]")
-            if text == "xe":
-                if (first, second) != (0, 0):
-                    raise ParseError("xe exists only at block [0,0]", first_tok[2])
-                return XEAtom()
-            self._index(text, first, first_tok[2])
-            self._index(text, second, second_tok[2])
-            return EAtom(first, second) if text == "e" else UAtom(first, second)
+        if text in ATOMS:
+            return self.parse_atom(text)
         if text == "L":
             self.expect_sym("(")
-            f = [self.parse_int()]
-            while self.peek()[:2] == ("sym", ","):
-                self.next()
-                f.append(self.parse_int())
+            f = self.parse_list(self.parse_int)
             self.expect_sym(";")
-            beta = [self.parse_expr()]
-            while self.peek()[:2] == ("sym", ","):
-                self.next()
-                beta.append(self.parse_expr())
+            beta = self.parse_list(self.parse_expr)
             self.expect_sym(")")
             if len(f) != self.n or len(beta) != self.n:
                 raise ParseError(
@@ -365,62 +322,44 @@ class _Parser:
                     "Adams index %d exceeds the bound %d" % (k, MAX_ADAMS_INDEX), k_tok[2]
                 )
             self.expect_sym("]")
-            self.expect_sym("(")
-            e = self.parse_expr()
-            self.expect_sym(")")
-            return Psi(k, e)
+            return Unary("psi", self.parse_argument(), k)
         if text in ("eps", "gamma", "gammainv"):
-            self.expect_sym("(")
-            e = self.parse_expr()
-            self.expect_sym(")")
-            return {"eps": Eps, "gamma": GammaOp, "gammainv": GammaInvOp}[text](e)
+            return Unary(text, self.parse_argument())
         raise ParseError("unknown symbol %r" % text, pos)
-
-
-SCALAR, SECTOR, LOC = "scalar", "sector", "loc"
 
 
 def infer_basis(e: Expr) -> str:
     """Ambient basis of an expression; raises BasisMixError on a sector/loc mix."""
-
-    def join(a: str, b: str) -> str:
-        if a == SCALAR:
-            return b
-        if b == SCALAR or a == b:
-            return a
-        raise BasisMixError(
-            "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", 0
-        )
-
-    if isinstance(e, (Num, Zeta)):
+    if isinstance(e, Num):
         return SCALAR
-    if isinstance(e, (XAtom, OneAtom)):
-        return SECTOR
-    if isinstance(e, (EAtom, XEAtom, UAtom, SigmaAtom, NuAtom)):
-        return LOC
+    if isinstance(e, Atom):
+        return ATOMS[e.name][1]
     if isinstance(e, LineAtom):
         for b in e.beta:
             if infer_basis(b) != SCALAR:
                 raise BasisMixError("L(...) scalar slots must be scalar expressions", 0)
         return LOC
-    if isinstance(e, (Neg, Pow)):
-        return infer_basis(e.x if isinstance(e, Neg) else e.base)
-    if isinstance(e, (Add, Sub, Mul)):
-        return join(infer_basis(e.a), infer_basis(e.b))
-    if isinstance(e, (Psi, Eps)):
-        inner = infer_basis(e.x)
-        if inner == SCALAR:
-            raise BasisMixError("psi/eps apply to ring elements, not scalars", 0)
-        return inner
-    if isinstance(e, GammaOp):
-        if infer_basis(e.x) != SECTOR:
+    if isinstance(e, Pow):
+        return infer_basis(e.base)
+    if isinstance(e, Binary):
+        a, b = infer_basis(e.a), infer_basis(e.b)
+        if a != b and SCALAR not in (a, b):
+            raise BasisMixError(
+                "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", 0
+            )
+        return b if a == SCALAR else a
+    inner = infer_basis(e.x)
+    if e.op in ("psi", "eps") and inner == SCALAR:
+        raise BasisMixError("psi/eps apply to ring elements, not scalars", 0)
+    if e.op == "gamma":
+        if inner != SECTOR:
             raise BasisMixError("gamma expects a sector-basis expression", 0)
         return LOC
-    if isinstance(e, GammaInvOp):
-        if infer_basis(e.x) != LOC:
+    if e.op == "gammainv":
+        if inner != LOC:
             raise BasisMixError("gammainv expects a localized-basis expression", 0)
         return SECTOR
-    raise TypeError("unknown AST node %r" % (e,))
+    return inner
 
 
 def preferred_display(e: Expr) -> str:
@@ -428,28 +367,18 @@ def preferred_display(e: Expr) -> str:
     basis = infer_basis(e)
     if basis != LOC:
         return basis
-
-    saw_loc = False
-    saw_u = False
-
-    def walk(node: Expr) -> None:
-        nonlocal saw_loc, saw_u
-        if isinstance(node, (EAtom, XEAtom)) or isinstance(node, GammaOp):
-            saw_loc = True
-        if isinstance(node, (UAtom, SigmaAtom, NuAtom, LineAtom)):
-            saw_u = True
-        for attr in ("a", "b", "x", "base"):
-            child = getattr(node, attr, None)
-            if child is not None and not isinstance(child, int):
-                walk(child)
-        if isinstance(node, LineAtom):
-            for b in node.beta:
-                walk(b)
-
-    walk(e)
-    if saw_u and not saw_loc:
-        return "u"
-    return LOC
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            seen.add(ATOMS[node.name][2])
+        elif isinstance(node, LineAtom):
+            seen.add("u")
+        elif isinstance(node, Unary) and node.op == "gamma":
+            seen.add(LOC)
+        stack.extend(_children(node))
+    return "u" if "u" in seen and LOC not in seen else LOC
 
 
 def parse(text: str, n: int) -> Expr:
@@ -468,51 +397,30 @@ def parse(text: str, n: int) -> Expr:
 def format_expr(e: Expr) -> str:
     def fmt(node: Expr, parent: int) -> str:
         # precedence levels: add 1, mul 2, unary 3, pow 4, atom 5
+        level = 5
         if isinstance(node, Num):
             s = str(node.value)
             level = 3 if node.value < 0 else 5
-        elif isinstance(node, Zeta):
-            s, level = "zeta", 5
-        elif isinstance(node, XAtom):
-            s, level = "x[%d]" % node.m, 5
-        elif isinstance(node, OneAtom):
-            s, level = "one[%d]" % node.m, 5
-        elif isinstance(node, EAtom):
-            s, level = "e[%d,%d]" % (node.m, node.l), 5
-        elif isinstance(node, XEAtom):
-            s, level = "xe[0,0]", 5
-        elif isinstance(node, UAtom):
-            s, level = "u[%d,%d]" % (node.l, node.q), 5
-        elif isinstance(node, SigmaAtom):
-            s, level = "sigma[%d]" % node.i, 5
-        elif isinstance(node, NuAtom):
-            s, level = "nu[%d]" % node.j, 5
+        elif isinstance(node, Atom):
+            s = node.label
         elif isinstance(node, LineAtom):
             s = "L(%s; %s)" % (
                 ",".join(str(v) for v in node.f),
                 ",".join(fmt(b, 1) for b in node.beta),
             )
-            level = 5
-        elif isinstance(node, Neg):
-            s, level = "-" + fmt(node.x, 3), 3
-        elif isinstance(node, Add):
-            s, level = "%s + %s" % (fmt(node.a, 1), fmt(node.b, 2)), 1
-        elif isinstance(node, Sub):
-            s, level = "%s - %s" % (fmt(node.a, 1), fmt(node.b, 2)), 1
-        elif isinstance(node, Mul):
-            s, level = "%s*%s" % (fmt(node.a, 2), fmt(node.b, 3)), 2
-        elif isinstance(node, Pow):
-            s, level = "%s^%d" % (fmt(node.base, 5), node.exp), 4
-        elif isinstance(node, Psi):
-            s, level = "psi[%d](%s)" % (node.k, fmt(node.x, 1)), 5
-        elif isinstance(node, Eps):
-            s, level = "eps(%s)" % fmt(node.x, 1), 5
-        elif isinstance(node, GammaOp):
-            s, level = "gamma(%s)" % fmt(node.x, 1), 5
-        elif isinstance(node, GammaInvOp):
-            s, level = "gammainv(%s)" % fmt(node.x, 1), 5
+        elif isinstance(node, Unary):
+            if node.op == "-":
+                s, level = "-" + fmt(node.x, 3), 3
+            else:
+                op = "psi[%d]" % node.k if node.op == "psi" else node.op
+                s = "%s(%s)" % (op, fmt(node.x, 1))
+        elif isinstance(node, Binary):
+            if node.op == "*":
+                s, level = "%s*%s" % (fmt(node.a, 2), fmt(node.b, 3)), 2
+            else:
+                s, level = "%s %s %s" % (fmt(node.a, 1), node.op, fmt(node.b, 2)), 1
         else:
-            raise TypeError("unknown AST node %r" % (node,))
+            s, level = "%s^%d" % (fmt(node.base, 5), node.exp), 4
         if level < parent:
             return "(%s)" % s
         return s
@@ -533,7 +441,7 @@ def evaluate(e: Expr, n: int) -> tuple[str, Value]:
     return basis, _eval(e, n)
 
 
-def _coerce_pair(a: Value, b: Value, n: int):
+def _coerce_pair(a: Value, b: Value):
     # scalar op class: lift the scalar to a multiple of the unit.
     if isinstance(a, Cyc) and not isinstance(b, Cyc):
         return unit(b.n, b.kind).scale(a), b
@@ -542,29 +450,39 @@ def _coerce_pair(a: Value, b: Value, n: int):
     return a, b
 
 
+def _printable(v: Coords) -> Coords:
+    """``v``, or EvalError if it holds an integer too long to print.
+
+    Python converts no integer of more than ``sys.get_int_max_str_digits()``
+    digits to text (0, or an interpreter without the call, means no limit).
+    Bit lengths are compared, so the check converts nothing.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # An integer of more bits than this is at least 10**limit.
+    max_bits = int(limit * math.log2(10)) + 1
+    if limit and any(i.bit_length() > max_bits for c in v.coeffs if c for i in (c.den, *c.num)):
+        raise EvalError("the power has coefficients of more than %d digits, "
+                        "over the limit for integer string conversion" % limit)
+    return v
+
+
+def _power(v: Coords, k: int, mul) -> Coords:
+    """v^k, failing fast: every product of the loop goes through ``_printable``."""
+    return power(v, k, lambda a, b: _printable(mul(a, b)))
+
+
 def _eval(e: Expr, n: int) -> Value:
     if isinstance(e, Num):
         return Cyc.rational(n, e.value)
-    if isinstance(e, Zeta):
-        return zeta_pow(n, 1)
-    if isinstance(e, XAtom):
-        return vr.k_monomial(n, e.m, 1)
-    if isinstance(e, OneAtom):
-        return vr.k_monomial(n, e.m, 0)
-    if isinstance(e, EAtom):
-        return gen(n, "loc", "e[%d,%d]" % (e.m, e.l))
-    if isinstance(e, XEAtom):
-        return gen(n, "loc", "xe[0,0]")
-    if isinstance(e, UAtom):
-        return loc.from_u_basis(gen(n, "u", "u[%d,%d]" % (e.l, e.q)))
-    if isinstance(e, SigmaAtom):
-        from .line_elements import sigma
-
-        return loc.from_u_basis(line_realize(sigma(n, e.i)))
-    if isinstance(e, NuAtom):
-        from .line_elements import nu
-
-        return loc.from_u_basis(line_realize(nu(n, e.j)))
+    if isinstance(e, Atom):
+        if e.name == "zeta":
+            return zeta_pow(n, 1)
+        if e.name in ("sigma", "nu"):
+            generator = sigma if e.name == "sigma" else nu
+            return loc.from_u_basis(line_realize(generator(n, e.idx[0])))
+        display = ATOMS[e.name][2]
+        v = gen(n, display, e.label)
+        return loc.from_u_basis(v) if display == "u" else v
     if isinstance(e, LineAtom):
         betas = []
         for b in e.beta:
@@ -573,16 +491,11 @@ def _eval(e: Expr, n: int) -> Value:
                 raise EvalError("L(...) scalar slot did not evaluate to a scalar")
             betas.append(v)
         return loc.from_u_basis(line_realize(line_element(n, e.f, betas)))
-    if isinstance(e, Neg):
-        v = _eval(e.x, n)
-        return -v if not isinstance(v, Cyc) else v.scale_int(-1)
-    if isinstance(e, (Add, Sub)):
-        a, b = _coerce_pair(_eval(e.a, n), _eval(e.b, n), n)
-        if isinstance(e, Add):
-            return a + b
-        return a - b
-    if isinstance(e, Mul):
+    if isinstance(e, Binary):
         a, b = _eval(e.a, n), _eval(e.b, n)
+        if e.op != "*":
+            a, b = _coerce_pair(a, b)
+            return a + b if e.op == "+" else a - b
         if isinstance(a, Cyc) and isinstance(b, Cyc):
             return a * b
         if isinstance(a, Cyc):
@@ -593,8 +506,8 @@ def _eval(e: Expr, n: int) -> Value:
             return vr.virtual_mul(a, b)
         return loc.loc_mul(a, b)
     if isinstance(e, Pow):
-        if isinstance(e.base, XAtom):
-            return vr.k_monomial(n, e.base.m, e.exp)
+        if isinstance(e.base, Atom) and e.base.name == "x":
+            return vr.k_monomial(n, e.base.idx[0], e.exp)
         v = _eval(e.base, n)
         if isinstance(v, Cyc):
             try:
@@ -603,38 +516,33 @@ def _eval(e: Expr, n: int) -> Value:
                 raise EvalError(str(exc)) from exc
         if v.kind == LOC:
             if e.exp >= 0:
-                return power(v, e.exp, loc.loc_mul)
+                return _power(v, e.exp, loc.loc_mul)
             try:
                 u = loc.u_inverse(loc.to_u_basis(v))
             except ZeroDivisionError as exc:
                 raise EvalError(str(exc)) from exc
-            return loc.from_u_basis(power(u, -e.exp, loc.u_mul))
+            return loc.from_u_basis(_power(u, -e.exp, loc.u_mul))
         if e.exp < 0:
             u = loc.to_u_basis(loc.gamma(v))
             if not loc.u_is_invertible(u):
                 raise EvalError("class is not invertible in the virtual ring")
             # Powering in the diagonal u-ring and mapping back once keeps the
             # rational coefficients from growing through every virtual product.
-            inv_pow = power(loc.u_inverse(u), -e.exp, loc.u_mul)
-            return loc.gamma_inverse(loc.from_u_basis(inv_pow))
-        return power(v, e.exp, vr.virtual_mul)
-    if isinstance(e, Psi):
-        if e.k == 0:
-            return _eval(Eps(e.x), n)
-        v = _eval(e.x, n)
-        if v.kind == SECTOR:
-            return vr.virtual_adams(v, e.k)
-        return loc.loc_adams(v, e.k)
-    if isinstance(e, Eps):
-        v = _eval(e.x, n)
-        if v.kind == SECTOR:
-            return vr.virtual_augmentation(v)
-        return loc.loc_augmentation(v)
-    if isinstance(e, GammaOp):
-        return loc.gamma(_eval(e.x, n))
-    if isinstance(e, GammaInvOp):
-        return loc.gamma_inverse(_eval(e.x, n))
-    raise TypeError("unknown AST node %r" % (e,))
+            # gamma_inverse takes seconds on over-long coefficients and, on
+            # the classes tried, never shortens them, so its input is checked.
+            inv_pow = _power(loc.u_inverse(u), -e.exp, loc.u_mul)
+            return loc.gamma_inverse(_printable(loc.from_u_basis(inv_pow)))
+        return _power(v, e.exp, vr.virtual_mul)
+    v = _eval(e.x, n)
+    if e.op == "-":
+        return -v
+    if e.op == "gamma":
+        return loc.gamma(v)
+    if e.op == "gammainv":
+        return loc.gamma_inverse(v)
+    if e.op == "psi" and e.k:
+        return vr.virtual_adams(v, e.k) if v.kind == SECTOR else loc.loc_adams(v, e.k)
+    return vr.virtual_augmentation(v) if v.kind == SECTOR else loc.loc_augmentation(v)
 
 
 # ---------------------------------------------------------------------------

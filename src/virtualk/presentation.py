@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coords import Coords, basis_vectors, gen, grid, power, unit, zero
+from .coords import Coords, basis, basis_vectors, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
 from .line_elements import line_element, line_realize, nu, sigma
 from .localization import u_adams, u_mul
@@ -109,52 +109,26 @@ def verify_presentation(n: int) -> list[RelationReport]:
 
 
 def _generation_rank(n: int) -> int:
-    """Rank of the span of monomials in sigma_i^(+-1), nu_j^(+-1).
+    """Rank of the span of the powers sigma_i^(+-d), nu_j^(+-d) for d <= n+1.
 
-    Monomials are inserted in ascending total degree (single generators,
-    then pairs); the scan stops as soon as the span is full, which certifies
-    that the full degree <= n+1 monomial set spans.
+    The powers are inserted in ascending degree after the unit, and the scan
+    stops as soon as the span is full.  They are part of the monomials of
+    degree <= n+1 in the generators, so a full span certifies that those
+    monomials span.
     """
     full = n * n + 1
     acc = SpanAccumulator()
-
-    def monomial(fe: dict[int, int], be: dict[int, int]) -> Coords:
-        f = [0] * n
-        beta = [0] * n
-        for i, e in fe.items():
-            f[i] = e % n
-        for j, e in be.items():
-            beta[j] = e
-        return line_realize(line_element(n, f, beta))
-
     acc.add(unit(n, "u").coeffs)
-    gens = [("s", i) for i in range(n)] + [("n", j) for j in range(n)]
     for deg in range(1, n + 2):
         if acc.rank == full:
             break
-        for kind, i in gens:
-            for e in (deg, -deg):
-                fe = {i: e} if kind == "s" else {}
-                be = {i: e} if kind == "n" else {}
-                acc.add(monomial(fe, be).coeffs)
-        for a in range(len(gens)):
-            if acc.rank == full:
-                break
-            for b in range(a + 1, len(gens)):
-                for d1 in range(1, deg):
-                    d2 = deg - d1
-                    for e1 in (d1, -d1):
-                        for e2 in (d2, -d2):
-                            ka, ia = gens[a]
-                            kb, ib = gens[b]
-                            fe: dict[int, int] = {}
-                            be: dict[int, int] = {}
-                            (fe if ka == "s" else be)[ia] = e1
-                            if kb == "s":
-                                fe[ib] = fe.get(ib, 0) + e2
-                            else:
-                                be[ib] = be.get(ib, 0) + e2
-                            acc.add(monomial(fe, be).coeffs)
+        for torsion in (True, False):
+            for i in range(n):
+                for e in (deg, -deg):
+                    slot = [0] * n
+                    slot[i] = e
+                    f, beta = (slot, [0] * n) if torsion else ([0] * n, slot)
+                    acc.add(line_realize(line_element(n, f, beta)).coeffs)
     return acc.rank
 
 
@@ -173,25 +147,23 @@ def verify_resolution_isomorphism(n: int, k_max: int | None = None) -> list[Rela
         raise ValueError("the weight n must be at least 2")
     if k_max is None:
         k_max = 2 * n
-    reports = []
-    reports.append(
-        RelationReport("dimension of l=0 block vs resolution", str(n + 1), str(n + 1), True)
-    )
-    basis = basis_vectors(n, "u")
-    block0 = basis[:grid(n, 1, 0)]
+    vectors = basis_vectors(n, "u")
+    block0 = vectors[:grid(n, 1, 0)]
+    reports = [_report("dimension of l=0 block vs resolution",
+                       len(block0), len(basis(n, "res").labels))]
     for la, ea in block0:
         for lb, eb in block0:
             lhs = gamma0_project(u_mul(ea, eb))
             rhs = resolution_mul(gamma0_project(ea), gamma0_project(eb))
             reports.append(_report("Theta multiplicative on %s,%s" % (la, lb), lhs, rhs))
-    for la, ea in basis:
-        for lb, eb in basis:
+    for la, ea in vectors:
+        for lb, eb in vectors:
             lhs = gamma0_project(u_mul(ea, eb))
             rhs = resolution_mul(gamma0_project(ea), gamma0_project(eb))
             reports.append(
                 _report("Gamma_0 ring map on %s,%s" % (la, lb), lhs, rhs)
             )
-    for label, e in basis:
+    for label, e in vectors:
         for k in range(1, k_max + 1):
             lhs = gamma0_project(u_adams(e, k))
             rhs = resolution_adams(gamma0_project(e), k)

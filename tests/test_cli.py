@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -182,6 +183,35 @@ def test_bounds_admit_the_documented_limits():
     for text in ("x[0]^%d" % MAX_EXPONENT, "x[0]^-%d" % MAX_EXPONENT,
                  "psi[%d](x[0])" % MAX_ADAMS_INDEX):
         parse(text, MAX_N)
+
+
+@pytest.mark.parametrize("expression", [
+    "(x[0] + 2*x[3] - x[7] + 5*one[4])^-2000",
+    "(x[0] + x[1] + x[7])^-2000",
+])
+def test_powers_too_long_to_print_exit_2(capsys, expression):
+    code, out, err = run(capsys, "eval", "--n", "8", expression)
+    assert code == 2
+    assert out == "" and "the power has coefficients of more than" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no conversion limit")
+def test_the_power_check_follows_the_interpreter_limit(capsys):
+    # At a 640-digit limit (the least Python allows) the power -250 prints and
+    # the power -300, whose answer holds integers of about 690 digits, does not.
+    base = "(x[0]^2 + 3*x[1] + x[2])"
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, _ = run(capsys, "eval", "--n", "3", base + "^-250")
+        assert code == 0 and "/" in out
+        code, out, err = run(capsys, "eval", "--n", "3", base + "^-300")
+        assert code == 2 and "more than 640 digits" in err
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run(capsys, "eval", "--n", "3", base + "^-300")
+        assert code == 0
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("k_max", [-5, 0, 1])

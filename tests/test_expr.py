@@ -1,12 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtualk.cyclotomic import Cyc, zeta_pow
 from virtualk.expr import (
+    ATOMS,
+    MAX_ADAMS_INDEX,
+    MAX_EXPONENT,
+    Atom,
     BasisMixError,
+    Binary,
     EvalError,
+    LineAtom,
+    Num,
     ParseError,
+    Pow,
+    Unary,
     evaluate,
     format_expr,
     format_value,
@@ -165,6 +176,66 @@ def test_format_parse_round_trip():
     for n, text in corpus:
         ast = parse(text, n)
         assert parse(format_expr(ast), n) == ast, text
+
+
+def _atoms(n, side):
+    def indices(name):
+        if name == "xe":
+            return st.just((0, 0))
+        return st.tuples(*[st.integers(0, n - 1)] * ATOMS[name][0])
+
+    return st.one_of([indices(name).map(lambda idx, name=name: Atom(name, idx))
+                      for name, (_, atom_side, _) in ATOMS.items() if atom_side == side])
+
+
+@st.composite
+def _asts(draw, n, side, depth=3):
+    """An expression on ``side`` in the form the parser builds: basis-correct,
+    with a negated number folded into its literal."""
+
+    def sub(s=side):
+        return draw(_asts(n, s, depth - 1))
+
+    kinds = ["leaf"]
+    if depth:
+        kinds += ["neg", "binary", "pow"] + {
+            "scalar": [], "sector": ["psi", "eps", "gammainv"], "loc": ["psi", "eps", "gamma"],
+        }[side]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        if side == "scalar" and draw(st.booleans()):
+            return Num(draw(st.fractions(max_denominator=40)))
+        if side == "loc" and draw(st.booleans()):
+            f = draw(st.tuples(*[st.integers(0, n - 1)] * n))
+            beta = draw(st.tuples(*[_asts(n, "scalar", max(depth - 1, 0))] * n))
+            return LineAtom(f, beta)
+        return draw(_atoms(n, side))
+    if kind == "neg":
+        x = sub()
+        return Num(-x.value) if isinstance(x, Num) else Unary("-", x)
+    if kind == "binary":
+        sides = draw(st.sampled_from([(side, side), ("scalar", side), (side, "scalar")]))
+        return Binary(draw(st.sampled_from("+-*")), sub(sides[0]), sub(sides[1]))
+    if kind == "pow":
+        return Pow(sub(), draw(st.integers(-MAX_EXPONENT, MAX_EXPONENT)))
+    if kind == "psi":
+        return Unary("psi", sub(), draw(st.integers(0, MAX_ADAMS_INDEX)))
+    if kind == "gamma":
+        return Unary("gamma", sub("sector"))
+    if kind == "gammainv":
+        return Unary("gammainv", sub("loc"))
+    return Unary(kind, sub())
+
+
+_cases = st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(["scalar", "sector", "loc"]).flatmap(lambda s: _asts(n, s))))
+
+
+@settings(max_examples=150)
+@given(_cases)
+def test_format_parse_round_trip_on_random_asts(case):
+    n, e = case
+    assert parse(format_expr(e), n) == e
 
 
 def test_preferred_display():

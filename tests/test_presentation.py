@@ -1,5 +1,6 @@
 import pytest
 
+import virtualk.presentation as pres
 from virtualk.coords import Coords, gen, unit, zero
 from virtualk.cyclotomic import Cyc
 from virtualk.line_elements import line_realize, nu, sigma
@@ -80,6 +81,20 @@ def test_resolution_isomorphism_reports():
 def test_dimension_report_present():
     reports = verify_resolution_isomorphism(2, k_max=2)
     assert any("dimension" in r.relation for r in reports)
+
+
+def test_dimension_report_compares_the_real_sizes(monkeypatch):
+    # Give the resolution one coordinate too many: the check must fail.
+    real = pres.basis
+    monkeypatch.setattr(pres, "basis", lambda n, kind: real(n + 1 if kind == "res" else n, kind))
+    report = verify_resolution_isomorphism(3, k_max=2)[0]
+    assert report.relation == "dimension of l=0 block vs resolution"
+    assert (report.lhs, report.rhs, report.equal) == ("4", "5", False)
+
+
+def test_generation_rank_is_full_for_every_n():
+    for n in range(2, 9):
+        assert pres._generation_rank(n) == n * n + 1
 
 
 def test_invalid_n_rejected():

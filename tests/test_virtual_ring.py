@@ -179,18 +179,42 @@ def reference_mul(a, b, euler=euler_factor):
                             for t, p in acc.items()})
 
 
+def reference_x0_power(n, e):
+    """x_0^e for e >= 0 by square-and-multiply through sector_mul."""
+    result, base = CycPoly.one_poly(n), CycPoly.monomial(n, 1)
+    while e:
+        if e & 1:
+            result = sector_mul(0, result, base)
+        e >>= 1
+        if e:
+            base = sector_mul(0, base, base)
+    return result
+
+
 def reference_adams(a, k):
-    """The virtual Adams operation computed on whole sector polynomials."""
+    """The virtual Adams operation computed on whole sector polynomials.
+
+    On sector 0, x_0^j maps to x_0^(jk), taken by repeated squaring rather
+    than by the long division of ``sector_adams``, so the reference does not
+    share the table's sector-0 route.
+    """
+    n = a.n
     parts = {}
-    for m in range(a.n):
+    for m in range(n):
         s = sector_part(a, m)
         if s.is_zero():
             continue
-        ps = sector_adams(m, s, k)
-        if m and not ps.is_zero():
-            ps = sector_mul(m, ps, bott_class(a.n, m, k))
+        if m:
+            ps = sector_adams(m, s, k)
+            if not ps.is_zero():
+                ps = sector_mul(m, ps, bott_class(n, m, k))
+        else:
+            ps = CycPoly.zero(n)
+            for j, c in enumerate(s.coeffs):
+                if c:
+                    ps = ps + reference_x0_power(n, j * k).scale(c)
         parts[m] = ps
-    return from_sectors(a.n, parts)
+    return from_sectors(n, parts)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
