@@ -295,15 +295,26 @@ class Cyc:
         return _scaled(self.n, self.num, self.den, k)
 
     def inv(self) -> "Cyc":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse by the Galois norm.
+
+        sigma_j (j in (Z/n)*) sends zeta to zeta^j.  With P the product of
+        the conjugates sigma_j(num) for j != 1, num * P is the norm N(num), a
+        nonzero integer, so (num/den)^-1 = den * P / N(num).
+        """
+        n, num = self.n, self.num
         if not self:
-            raise ZeroDivisionError("0 has no inverse in Q(zeta_%d)" % self.n)
+            raise ZeroDivisionError("0 has no inverse in Q(zeta_%d)" % n)
         if self.is_rational():
-            return Cyc.rational(self.n, 1 / Fraction(self.num[0], self.den))
-        a = [Fraction(c, self.den) for c in self.num]
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        s = _frac_modular_inverse(a, mod)
-        return Cyc.from_rats(self.n, s)
+            return Cyc.rational(n, 1 / Fraction(num[0], self.den))
+        p = Cyc.one(n).num
+        for j in range(2, n):
+            if math.gcd(j, n) == 1:
+                conjugate = [0] * n
+                for e, c in enumerate(num):
+                    conjugate[e * j % n] += c
+                p = _product(n, p, tuple(_reduce_int_coeffs(n, conjugate)), 1).num
+        norm = _product(n, num, p, 1).num[0]
+        return _raw(n, *_normalized([self.den * c for c in p], norm))
 
     def __truediv__(self, other) -> "Cyc":
         o = self._coerce(other)
@@ -409,49 +420,6 @@ def format_cyc(value: Cyc, zeta: str = "zeta") -> str:
     return "".join(terms) if terms else "0"
 
 
-def _frac_strip(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in reversed(range(len(quo))):
-        c = rem[i + len(b) - 1] / lead
-        quo[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[i + j] -= c * bj
-    return quo, _frac_strip(rem)
-
-
-def _frac_modular_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    # s with s*a == g (mod `mod`), scaled so the constant gcd g becomes 1.
-    old_r, r = _frac_strip(list(a)), list(mod)
-    old_s, s = [Fraction(1)], []
-    while r:
-        q, rem = _frac_divmod(old_r, r)
-        old_r, r = r, rem
-        prod = [Fraction(0)] * (len(q) + len(s) - 1) if s else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s):
-                    prod[i + j] += qi * sj
-        new_s = [Fraction(0)] * max(len(old_s), len(prod))
-        for i, c in enumerate(old_s):
-            new_s[i] += c
-        for i, c in enumerate(prod):
-            new_s[i] -= c
-        old_s, s = s, _frac_strip(new_s)
-    if len(old_r) != 1:
-        raise ArithmeticError("element shares a factor with the modulus")
-    g = old_r[0]
-    return [c / g for c in old_s]
-
-
 @dataclass(frozen=True)
 class CycPoly:
     """Dense polynomial over Q(zeta_n); ascending coefficients, no trailing zeros."""
@@ -523,12 +491,6 @@ class CycPoly:
         if not c:
             return CycPoly.zero(self.n)
         return CycPoly(self.n, tuple(a * c for a in self.coeffs))
-
-    def __call__(self, x: Cyc) -> Cyc:
-        total = Cyc.zero(self.n)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
     def divmod_by(self, d: "CycPoly") -> tuple["CycPoly", "CycPoly"]:
         if d.is_zero():

@@ -121,7 +121,7 @@ def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
     roots = [zeta_pow(n, t) for t in range(n)]
     f = []
     for q in range(n):
-        val = b.coeffs[grid(n, 1, q)] if n > 1 else Cyc.one(n)
+        val = b.coeffs[grid(n, 1, q)]
         try:
             fq = roots.index(val)
         except ValueError:

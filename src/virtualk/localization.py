@@ -5,7 +5,7 @@ n-th root of unity; the block over (m, l) = (0, 0) is two-dimensional because
 the corresponding local ring is cut out by (x - 1)^2, so that block stores
 the 2-jet (value and derivative) at 1.  ``gamma_inverse`` realizes the four
 closed-form preimages of the block generators and extends linearly, with
-(u^n - 1)/(u - zeta^l) always expanded as the product over the other roots;
+(u^n - 1)/(u - zeta^l) always expanded by the inverse DFT;
 no rational-function arithmetic exists anywhere.
 
 ``loc_mul`` is the localized product table; ``loc_adams`` the localized
@@ -23,7 +23,7 @@ built at import:
 
 - ``_gamma_columns``: the image of each monomial x_m^j, zeta^(lj) in e[m,l]
   and the 2-jet (1 - j, j) in (e[0,0], xe[0,0]);
-- ``_gamma_inverse_columns``: the preimages ``_gamma_inverse_images``;
+- ``_gamma_inverse_columns``: the coefficients of the four preimages;
 - ``_loc_mul_table``: e_i * e_j for every pair of generators with a nonzero
   product, from the rules of ``loc_mul``;
 - ``_to_u_map`` and ``_from_u_map``: columns of zeta powers and integers, and
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 
 from .coords import Coords, Sparse, apply_columns, basis, grid, sector_start, sparse, unit, zero
-from .cyclotomic import Cyc, CycPoly, zeta_pow
+from .cyclotomic import Cyc, zeta_pow
 
 #: Weights (position, factor) that multiply single coordinates.
 Weights = tuple[tuple[int, Cyc], ...]
@@ -109,54 +109,39 @@ def gamma(a: Coords) -> Coords:
     return _apply(a, "loc", _gamma_columns(a.n))
 
 
-def _geom_div(n: int, l: int) -> CycPoly:
-    # (x^n - 1)/(x - zeta^l) expanded as prod_{i != l} (x - zeta^i).
-    prod = CycPoly.one_poly(n)
-    for i in range(n):
-        if i == l:
-            continue
-        prod = prod * CycPoly.from_cycs(n, (-zeta_pow(n, i), Cyc.one(n)))
-    return prod
-
-
-def _gamma_inverse_images(n: int) -> dict:
-    """Preimages of every localized generator, as polynomials on their sector.
-
-    Not cached: ``_gamma_inverse_columns`` keeps what it needs.
-
-    1_00  -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)                  (sector 0)
-    x_00  -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)                  (sector 0)
-    1_0l  -> zeta^l / (n(zeta^l - 1)) (x-1)(x^n-1)/(x-zeta^l)      (l != 0, sector 0)
-    1_ml  -> (zeta^l / n) (x^n-1)/(x-zeta^l)                       (m != 0, sector m)
-    """
-    images: dict[tuple[int, int] | str, CycPoly] = {}
-    geom = [_geom_div(n, l) for l in range(n)]
-    half = Fraction(1, 2 * n)
-    lin_100 = CycPoly.from_ints(n, [1 + n, 1 - n])
-    lin_x00 = CycPoly.from_ints(n, [n - 1, 3 - n])
-    images["1_00"] = (lin_100 * geom[0]).scale(half)
-    images["x_00"] = (lin_x00 * geom[0]).scale(half)
-    x_minus_one = CycPoly.from_ints(n, [-1, 1])
-    for l in range(1, n):
-        zl = zeta_pow(n, l)
-        scalar = zl / ((zl - Cyc.one(n)) * n)
-        images[(0, l)] = (x_minus_one * geom[l]).scale(scalar)
-    for l in range(n):
-        zl = zeta_pow(n, l)
-        scalar = zl * Fraction(1, n)
-        poly = geom[l].scale(scalar)
-        for m in range(1, n):
-            images[(m, l)] = poly
-    return images
-
-
 @cache
 def _gamma_inverse_columns(n: int) -> tuple[Sparse, ...]:
-    """Preimage of each localized generator, in loc coordinate order, as sector coordinates."""
-    images = _gamma_inverse_images(n)
-    keys = [("1_00", 0), ("x_00", 0)] + [((m, l), m) for _, m, l in basis(n, "loc").json[2:]]
-    return tuple(tuple((sector_start(n, m) + j, c) for j, c in sparse(images[key].coeffs))
-                 for key, m in keys)
+    """Preimage of each localized generator, in loc coordinate order, as sector coordinates.
+
+    The preimages are polynomials on one sector, built from the inverse DFT
+    (x^n - 1)/(x - zeta^l) * zeta^l/n = (1/n) sum_i zeta^(-li) x^i:
+
+    1_00 -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)
+          = [(1+n)/2n, 1/n, ..., 1/n, (1-n)/2n]                        (sector 0)
+    x_00 -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)
+          = [(n-1)/2n, 1/n, ..., 1/n, (3-n)/2n]                        (sector 0)
+    1_0l -> zeta^l / (n(zeta^l - 1)) (x-1)(x^n-1)/(x-zeta^l)
+          = (1/n)[-1/(zeta^l-1), zeta^(-l), ..., zeta^(-l(n-1)), zeta^l/(zeta^l-1)]
+                                                                       (l != 0, sector 0)
+    1_ml -> (zeta^l / n) (x^n-1)/(x-zeta^l)
+          = (1/n)[1, zeta^(-l), ..., zeta^(-l(n-1))]                   (m != 0, sector m)
+    """
+    inv_n = Fraction(1, n)
+
+    def jet(first: int, last: int) -> list[Cyc]:
+        # A sector-0 preimage of the block (0,0): numerators over 2n.
+        return [Cyc.rational(n, Fraction(v, 2 * n)) for v in [first] + [2] * (n - 1) + [last]]
+
+    columns = [(0, jet(1 + n, 1 - n)), (0, jet(n - 1, 3 - n))]
+    dft = [[zeta_pow(n, -l * i) * inv_n for i in range(n)] for l in range(n)]
+    for _, m, l in basis(n, "loc").json[2:]:
+        if m:
+            columns.append((m, dft[l]))
+        else:
+            d = (zeta_pow(n, l) - Cyc.one(n)).inv() * inv_n
+            columns.append((0, [-d] + dft[l][1:] + [zeta_pow(n, l) * d]))
+    return tuple(tuple((sector_start(n, m) + j, c) for j, c in sparse(column))
+                 for m, column in columns)
 
 
 def gamma_inverse(b: Coords) -> Coords:

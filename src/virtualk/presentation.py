@@ -9,13 +9,12 @@ resolution of the cotangent bundle, and the identification respects the
 Adams operations on both sides.
 
 A resolution class is a ``Coords`` of kind "res": a*1 + sum_q b_q*e[q], where
-the e[q] = nuhat_q - 1 span a square-zero ideal.  Every relation is reported
-with both sides in the labelled text form of ``Coords``.
+the e[q] = nuhat_q - 1 span a square-zero ideal.  Every relation is returned
+as (name, lhs, rhs) with both sides unrendered; ``verify`` compares and
+renders them like its own checks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .coords import Coords, basis, basis_vectors, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
@@ -43,69 +42,29 @@ def gamma0_project(b: Coords) -> Coords:
     return Coords(b.n, "res", b.coeffs[:grid(b.n, 1, 0)])
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    relation: str
-    lhs: str
-    rhs: str
-    equal: bool
+#: A relation and its two sides: (name, lhs, rhs), equal when it holds.
+Relation = tuple[str, object, object]
 
 
-def _report(relation: str, lhs, rhs) -> RelationReport:
-    return RelationReport(relation, str(lhs), str(rhs), lhs == rhs)
-
-
-def verify_presentation(n: int) -> list[RelationReport]:
-    """Check the four relation families on realized generators and that
-    generator monomials of total degree <= n+1 span the full space."""
+def verify_presentation(n: int) -> list[Relation]:
+    """The four relation families on realized generators, and the rank of
+    the span of generator monomials of total degree <= n+1 against n^2+1."""
     if n < 2:
         raise ValueError("the weight n must be at least 2")
     one = unit(n, "u")
     sigmas = [line_realize(sigma(n, i)) for i in range(n)]
     nus = [line_realize(nu(n, j)) for j in range(n)]
-    reports = []
-    for i in range(n):
-        reports.append(
-            _report("sigma[%d]^%d = 1" % (i, n), power(sigmas[i], n, u_mul), one)
-        )
-    for i in range(n):
-        for j in range(n):
-            reports.append(
-                _report(
-                    "(nu[%d]-1)*(nu[%d]-1) = 0" % (i, j),
-                    u_mul(nus[i] - one, nus[j] - one),
-                    zero(n, "u"),
-                )
-            )
-    for i in range(n):
-        for j in range(n):
-            reports.append(
-                _report(
-                    "sigma[%d]*(nu[%d]-1) = nu[%d]-1" % (i, j, j),
-                    u_mul(sigmas[i], nus[j] - one),
-                    nus[j] - one,
-                )
-            )
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                reports.append(
-                    _report(
-                        "(sigma[%d]-1)*(sigma[%d]-1) = 0" % (i, j),
-                        u_mul(sigmas[i] - one, sigmas[j] - one),
-                        zero(n, "u"),
-                    )
-                )
-    rank = _generation_rank(n)
-    reports.append(
-        RelationReport(
-            "generator monomials of degree <= %d span" % (n + 1),
-            str(rank),
-            str(n * n + 1),
-            rank == n * n + 1,
-        )
-    )
-    return reports
+    out: list[Relation] = [
+        ("sigma[%d]^%d = 1" % (i, n), power(sigmas[i], n, u_mul), one) for i in range(n)]
+    out += [("(nu[%d]-1)*(nu[%d]-1) = 0" % (i, j), u_mul(nus[i] - one, nus[j] - one),
+             zero(n, "u")) for i in range(n) for j in range(n)]
+    out += [("sigma[%d]*(nu[%d]-1) = nu[%d]-1" % (i, j, j), u_mul(sigmas[i], nus[j] - one),
+             nus[j] - one) for i in range(n) for j in range(n)]
+    out += [("(sigma[%d]-1)*(sigma[%d]-1) = 0" % (i, j), u_mul(sigmas[i] - one, sigmas[j] - one),
+             zero(n, "u")) for i in range(n) for j in range(n) if i != j]
+    out.append(("generator monomials of degree <= %d span" % (n + 1),
+                _generation_rank(n), n * n + 1))
+    return out
 
 
 def _generation_rank(n: int) -> int:
@@ -132,11 +91,11 @@ def _generation_rank(n: int) -> int:
     return acc.rank
 
 
-def verify_resolution_isomorphism(n: int, k_max: int | None = None) -> list[RelationReport]:
-    """Verify that the l = 0 block with the localized product is isomorphic,
-    as a ring with Adams operations, to the resolution K-theory.
+def verify_resolution_isomorphism(n: int, k_max: int) -> list[Relation]:
+    """The relations making the l = 0 block with the localized product
+    isomorphic, as a ring with Adams operations, to the resolution K-theory.
 
-    The map Theta sends 1_00 to 1 and u_0^q to nuhat_q - 1.  The checks:
+    The map Theta sends 1_00 to 1 and u_0^q to nuhat_q - 1.  The relations:
     dimensions agree; Theta is multiplicative on all block-0 basis pairs;
     the projection Gamma_0 is a ring map on all semisimple basis pairs;
     Gamma_0 intertwines the Adams operations for every basis element and
@@ -145,41 +104,20 @@ def verify_resolution_isomorphism(n: int, k_max: int | None = None) -> list[Rela
     """
     if n < 2:
         raise ValueError("the weight n must be at least 2")
-    if k_max is None:
-        k_max = 2 * n
     vectors = basis_vectors(n, "u")
     block0 = vectors[:grid(n, 1, 0)]
-    reports = [_report("dimension of l=0 block vs resolution",
-                       len(block0), len(basis(n, "res").labels))]
-    for la, ea in block0:
-        for lb, eb in block0:
-            lhs = gamma0_project(u_mul(ea, eb))
-            rhs = resolution_mul(gamma0_project(ea), gamma0_project(eb))
-            reports.append(_report("Theta multiplicative on %s,%s" % (la, lb), lhs, rhs))
-    for la, ea in vectors:
-        for lb, eb in vectors:
-            lhs = gamma0_project(u_mul(ea, eb))
-            rhs = resolution_mul(gamma0_project(ea), gamma0_project(eb))
-            reports.append(
-                _report("Gamma_0 ring map on %s,%s" % (la, lb), lhs, rhs)
-            )
-    for label, e in vectors:
-        for k in range(1, k_max + 1):
-            lhs = gamma0_project(u_adams(e, k))
-            rhs = resolution_adams(gamma0_project(e), k)
-            reports.append(
-                _report("Adams equivariance on %s, k=%d" % (label, k), lhs, rhs)
-            )
+    out: list[Relation] = [("dimension of l=0 block vs resolution",
+                            len(block0), len(basis(n, "res").labels))]
+    for name, pairs in (("Theta multiplicative", block0), ("Gamma_0 ring map", vectors)):
+        out += [("%s on %s,%s" % (name, la, lb), gamma0_project(u_mul(ea, eb)),
+                 resolution_mul(gamma0_project(ea), gamma0_project(eb)))
+                for la, ea in pairs for lb, eb in pairs]
+    out += [("Adams equivariance on %s, k=%d" % (label, k), gamma0_project(u_adams(e, k)),
+             resolution_adams(gamma0_project(e), k))
+            for label, e in vectors for k in range(1, k_max + 1)]
     # Surjectivity: explicit preimages of the resolution basis.
-    reports.append(
-        _report("preimage of 1", gamma0_project(unit(n, "u")), unit(n, "res"))
-    )
-    for q in range(n):
-        reports.append(
-            _report(
-                "preimage of nuhat[%d]-1" % q,
-                gamma0_project(gen(n, "u", "u[0,%d]" % q)),
-                (unit(n, "res") + gen(n, "res", "e[%d]" % q)) - unit(n, "res"),
-            )
-        )
-    return reports
+    one = unit(n, "res")
+    out.append(("preimage of 1", gamma0_project(unit(n, "u")), one))
+    out += [("preimage of nuhat[%d]-1" % q, gamma0_project(gen(n, "u", "u[0,%d]" % q)),
+             (one + gen(n, "res", "e[%d]" % q)) - one) for q in range(n)]
+    return out

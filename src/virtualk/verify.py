@@ -7,6 +7,11 @@ tables; the psi-ring suite checks the operation axioms on the monomial
 basis; the remaining suites certify line elements, their span, the ring
 presentation and the resolution comparison.  A report is deterministic for
 fixed inputs: wall-clock timing is kept out of the canonical serialization.
+
+``SUITES`` maps each suite name to a builder ``(n, k_max) -> list[Check]``;
+``run_verify`` resolves the default k_max = 2n before it calls one.  Every
+check of a suite at one n is recorded by ``_recorder``, which also takes the
+(relation, lhs, rhs) triples of the presentation module.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .coords import Coords, basis_vectors, gen, unit, zero
 from .cyclotomic import Cyc, phi_degree
@@ -44,7 +50,6 @@ from .localization import (
 )
 from .presentation import verify_presentation, verify_resolution_isomorphism
 from .virtual_ring import (
-    EulerFn,
     k_monomial,
     lambda_from_adams,
     virtual_adams,
@@ -84,7 +89,7 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "n_min": self.n_min,
             "n_max": self.n_max,
@@ -95,11 +100,11 @@ class Report:
                 {"id": c.id, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
                 for c in self.checks
             ],
-            "timing": self.elapsed if include_timing else None,
+            "timing": None,
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def text_summary(self, verbose: bool = False) -> str:
         lines = []
@@ -130,14 +135,28 @@ class Report:
         return "\n".join(lines)
 
 
-def _eq(checks: list[Check], cid: str, lhs, rhs, fmt=str) -> None:
-    # ``str`` renders a Coords in the labelled form of its own basis.  Equal
-    # Coords have identical canonical coordinates, so a passing check renders
-    # one side and reuses the text.
-    ok = lhs == rhs
-    left = fmt(lhs)
-    same = ok and fmt is str and isinstance(lhs, Coords) and isinstance(rhs, Coords)
-    checks.append(Check(cid, "pass" if ok else "fail", left, left if same else fmt(rhs)))
+def _recorder(suite: str, n: int, relations: Iterable[tuple] = ()):
+    """The check list of one suite at one n, and ``eq`` that appends to it.
+
+    ``eq(name, lhs, rhs, fmt=str)`` records check ``suite/n=N/name``: the two
+    sides compared exactly and rendered by ``fmt``.  ``str`` renders a Coords
+    in the labelled form of its own basis; equal Coords have identical
+    canonical coordinates, so a passing pair renders one side and reuses the
+    text.  Each (name, lhs, rhs) of ``relations`` is recorded first.
+    """
+    out: list[Check] = []
+    prefix = "%s/n=%d/" % (suite, n)
+
+    def eq(name: str, lhs, rhs, fmt=str) -> None:
+        ok = lhs == rhs
+        left = fmt(lhs)
+        same = ok and fmt is str and isinstance(lhs, Coords) and isinstance(rhs, Coords)
+        out.append(Check(prefix + name, "pass" if ok else "fail",
+                         left, left if same else fmt(rhs)))
+
+    for relation in relations:
+        eq(*relation)
+    return out, eq
 
 
 # ---------------------------------------------------------------------------
@@ -145,31 +164,26 @@ def _eq(checks: list[Check], cid: str, lhs, rhs, fmt=str) -> None:
 
 
 def checks_gamma_roundtrip(n: int) -> list[Check]:
-    out: list[Check] = []
+    out, eq = _recorder("product-oracle", n)
     for label, e in basis_vectors(n, "loc"):
-        _eq(out, "product-oracle/n=%d/roundtrip-loc/%s" % (n, label),
-            gamma(gamma_inverse(e)), e)
+        eq("roundtrip-loc/%s" % label, gamma(gamma_inverse(e)), e)
     for label, a in basis_vectors(n, "sector"):
-        _eq(out, "product-oracle/n=%d/roundtrip-sector/%s" % (n, label),
-            gamma_inverse(gamma(a)), a)
+        eq("roundtrip-sector/%s" % label, gamma_inverse(gamma(a)), a)
     return out
 
 
-def checks_product_oracle(n: int, euler: EulerFn | None = None) -> list[Check]:
+def checks_product_oracle(n: int) -> list[Check]:
     """Localized product table against the transported polynomial product."""
-    out: list[Check] = []
+    out, eq = _recorder("product-oracle", n)
     basis = basis_vectors(n, "loc")
     pre = [(label, e, gamma_inverse(e)) for label, e in basis]
     for i, (la, ea, ka) in enumerate(pre):
         for lb, eb, kb in pre[i:]:
-            oracle = gamma(virtual_mul(ka, kb, euler=euler))
-            _eq(out, "product-oracle/n=%d/pair/%s*%s" % (n, la, lb),
-                loc_mul(ea, eb), oracle)
+            eq("pair/%s*%s" % (la, lb), loc_mul(ea, eb), gamma(virtual_mul(ka, kb)))
     for la, ea in basis:
         for lb, eb in basis:
             if la < lb:
-                _eq(out, "product-oracle/n=%d/symmetry/%s*%s" % (n, la, lb),
-                    loc_mul(ea, eb), loc_mul(eb, ea))
+                eq("symmetry/%s*%s" % (la, lb), loc_mul(ea, eb), loc_mul(eb, ea))
     # Semisimple structure constants: Kronecker products and square-zero row 0.
     ubasis = basis_vectors(n, "u")
     for la, ua in ubasis:
@@ -183,51 +197,44 @@ def checks_product_oracle(n: int, euler: EulerFn | None = None) -> list[Check]:
                 expected = ua if la.startswith("u[0,") else zero(n, "u")
             else:
                 expected = ua if la == lb and not la.startswith("u[0,") else zero(n, "u")
-            _eq(out, "product-oracle/n=%d/u-product/%s*%s" % (n, la, lb),
-                prod, expected)
+            eq("u-product/%s*%s" % (la, lb), prod, expected)
     # The two coordinate systems agree on products of dense classes.
     rng = random.Random(_SEED + n)
     for trial in range(8):
         a = _random_u(rng, n)
         b = _random_u(rng, n)
-        via_u = u_mul(a, b)
-        via_loc = to_u_basis(loc_mul(from_u_basis(a), from_u_basis(b)))
-        _eq(out, "product-oracle/n=%d/u-loc-consistency/%d" % (n, trial),
-            via_u, via_loc)
+        eq("u-loc-consistency/%d" % trial,
+           u_mul(a, b), to_u_basis(loc_mul(from_u_basis(a), from_u_basis(b))))
     # Remaining presentation-ideal families: the unit decomposes into the row
     # idempotents, rows sum to their idempotent, idempotents are orthogonal,
     # and each row idempotent fixes exactly its own semisimple generators.
     unit_decomp = gen(n, "loc", "e[0,0]")
     for l in range(1, n):
         unit_decomp = unit_decomp + gen(n, "loc", "e[0,%d]" % l)
-    _eq(out, "product-oracle/n=%d/ideal/unit-decomposition" % n,
-        unit_decomp, unit(n, "loc"))
+    eq("ideal/unit-decomposition", unit_decomp, unit(n, "loc"))
     for l in range(1, n):
         total = zero(n, "u")
         for q in range(n):
             total = total + gen(n, "u", "u[%d,%d]" % (l, q))
-        _eq(out, "product-oracle/n=%d/ideal/row-sum/l=%d" % (n, l),
-            from_u_basis(total), gen(n, "loc", "e[0,%d]" % l))
+        eq("ideal/row-sum/l=%d" % l, from_u_basis(total), gen(n, "loc", "e[0,%d]" % l))
     for l1 in range(n):
         e1 = gen(n, "loc", "e[0,%d]" % l1)
         for l2 in range(n):
             expected = e1 if l1 == l2 else zero(n, "loc")
-            _eq(out, "product-oracle/n=%d/ideal/idempotents/l=%d,%d" % (n, l1, l2),
-                loc_mul(e1, gen(n, "loc", "e[0,%d]" % l2)), expected)
+            eq("ideal/idempotents/l=%d,%d" % (l1, l2),
+               loc_mul(e1, gen(n, "loc", "e[0,%d]" % l2)), expected)
         for l2 in range(n):
             for q in range(n):
                 ug = from_u_basis(gen(n, "u", "u[%d,%d]" % (l2, q)))
                 expected = ug if l1 == l2 else zero(n, "loc")
-                _eq(out, "product-oracle/n=%d/ideal/row-unit/u[%d,%d]*e[0,%d]" % (n, l2, q, l1),
-                    loc_mul(ug, e1), expected)
+                eq("ideal/row-unit/u[%d,%d]*e[0,%d]" % (l2, q, l1), loc_mul(ug, e1), expected)
     # Powers of x_00 collapse linearly.
     x = gen(n, "loc", "xe[0,0]")
     e00 = gen(n, "loc", "e[0,0]")
     power = x
     for k in range(2, 11):
         power = loc_mul(power, x)
-        _eq(out, "product-oracle/n=%d/x00-power/k=%d" % (n, k),
-            power, x.scale(k) - e00.scale(k - 1))
+        eq("x00-power/k=%d" % k, power, x.scale(k) - e00.scale(k - 1))
     return out
 
 
@@ -241,82 +248,61 @@ def _random_u(rng: random.Random, n: int) -> Coords:
     return Coords(n, "u", [_random_cyc(rng, n)] + grid)
 
 
-def suite_product_oracle(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
-    return checks_gamma_roundtrip(n) + checks_product_oracle(n, euler)
-
-
 # ---------------------------------------------------------------------------
 # adams-oracle
 
 
-def checks_adams_oracle(n: int, k_max: int | None = None,
-                        euler: EulerFn | None = None) -> list[Check]:
-    out: list[Check] = []
-    if k_max is None:
-        k_max = 2 * n
+def checks_adams_oracle(n: int, k_max: int) -> list[Check]:
+    out, eq = _recorder("adams-oracle", n)
     pre = [(label, e, gamma_inverse(e)) for label, e in basis_vectors(n, "loc")]
     for k in range(1, k_max + 1):
         for label, e, ke in pre:
-            _eq(out, "adams-oracle/n=%d/loc/%s/k=%d" % (n, label, k),
-                loc_adams(e, k), gamma(virtual_adams(ke, k)))
+            eq("loc/%s/k=%d" % (label, k), loc_adams(e, k), gamma(virtual_adams(ke, k)))
     for k in range(1, k_max + 1):
         for label, b in basis_vectors(n, "u"):
-            _eq(out, "adams-oracle/n=%d/u/%s/k=%d" % (n, label, k),
-                u_adams(b, k), to_u_basis(loc_adams(from_u_basis(b), k)))
+            eq("u/%s/k=%d" % (label, k), u_adams(b, k), to_u_basis(loc_adams(from_u_basis(b), k)))
     # The Adams operations are multiplicative for the virtual product; this
     # family touches every Euler case, so it is sensitive to the case table.
     for m1 in range(n):
         for m2 in range(n):
             a = k_monomial(n, m1, 1)
             b = k_monomial(n, m2, 1)
-            ab = virtual_mul(a, b, euler=euler)
+            ab = virtual_mul(a, b)
             for k in (2, 3):
-                _eq(out, "adams-oracle/n=%d/psi-mult/x[%d]*x[%d]/k=%d" % (n, m1, m2, k),
-                    virtual_adams(ab, k),
-                    virtual_mul(virtual_adams(a, k), virtual_adams(b, k), euler=euler))
+                eq("psi-mult/x[%d]*x[%d]/k=%d" % (m1, m2, k), virtual_adams(ab, k),
+                   virtual_mul(virtual_adams(a, k), virtual_adams(b, k)))
     return out
-
-
-def suite_adams_oracle(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
-    return checks_adams_oracle(n, k_max, euler)
 
 
 # ---------------------------------------------------------------------------
 # psi-ring
 
 
-def checks_psi_ring(n: int, k_max: int | None = None) -> list[Check]:
-    out: list[Check] = []
+def checks_psi_ring(n: int) -> list[Check]:
+    out, eq = _recorder("psi-ring", n)
     basis = basis_vectors(n, "sector")
     one = unit(n, "sector")
     for label, a in basis:
-        _eq(out, "psi-ring/n=%d/identity-op/%s" % (n, label),
-            virtual_adams(a, 1), a)
-        _eq(out, "psi-ring/n=%d/unit-law/%s" % (n, label),
-            virtual_mul(one, a), a)
+        eq("identity-op/%s" % label, virtual_adams(a, 1), a)
+        eq("unit-law/%s" % label, virtual_mul(one, a), a)
     for k in range(1, 5):
         for l in range(1, 5):
             for label, a in basis:
-                _eq(out, "psi-ring/n=%d/composition/%s/k=%d,l=%d" % (n, label, k, l),
-                    virtual_adams(virtual_adams(a, l), k),
-                    virtual_adams(a, k * l))
+                eq("composition/%s/k=%d,l=%d" % (label, k, l),
+                   virtual_adams(virtual_adams(a, l), k), virtual_adams(a, k * l))
     for i, (la, a) in enumerate(basis):
         for lb, b in basis[i:]:
             ab = virtual_mul(a, b)
-            _eq(out, "psi-ring/n=%d/commutativity/%s*%s" % (n, la, lb),
-                ab, virtual_mul(b, a))
+            eq("commutativity/%s*%s" % (la, lb), ab, virtual_mul(b, a))
             for k in range(2, 5):
-                _eq(out, "psi-ring/n=%d/homomorphism/%s*%s/k=%d" % (n, la, lb, k),
-                    virtual_adams(ab, k),
-                    virtual_mul(virtual_adams(a, k), virtual_adams(b, k)))
+                eq("homomorphism/%s*%s/k=%d" % (la, lb, k), virtual_adams(ab, k),
+                   virtual_mul(virtual_adams(a, k), virtual_adams(b, k)))
     for label, a in basis:
         ea = virtual_augmentation(a)
         for k in range(1, 7):
             pa = virtual_adams(a, k)
-            _eq(out, "psi-ring/n=%d/augmentation/eps-psi/%s/k=%d" % (n, label, k),
-                virtual_augmentation(pa), ea)
-            _eq(out, "psi-ring/n=%d/augmentation/psi-eps/%s/k=%d" % (n, label, k),
-                virtual_adams(ea, k), ea)
+            eq("augmentation/eps-psi/%s/k=%d" % (label, k), virtual_augmentation(pa), ea)
+            eq("augmentation/psi-eps/%s/k=%d" % (label, k), virtual_adams(ea, k), ea)
     if n <= 4:
         triples = [(a, b, c) for _, a in basis for _, b in basis for _, c in basis]
         labels = [(la, lb, lc) for la, _ in basis for lb, _ in basis for lc, _ in basis]
@@ -326,14 +312,9 @@ def checks_psi_ring(n: int, k_max: int | None = None) -> list[Check]:
         triples = [(basis[i][1], basis[j][1], basis[k][1]) for i, j, k in idx]
         labels = [(basis[i][0], basis[j][0], basis[k][0]) for i, j, k in idx]
     for (a, b, c), (la, lb, lc) in zip(triples, labels):
-        _eq(out, "psi-ring/n=%d/associativity/%s*%s*%s" % (n, la, lb, lc),
-            virtual_mul(virtual_mul(a, b), c),
-            virtual_mul(a, virtual_mul(b, c)))
+        eq("associativity/%s*%s*%s" % (la, lb, lc),
+           virtual_mul(virtual_mul(a, b), c), virtual_mul(a, virtual_mul(b, c)))
     return out
-
-
-def suite_psi_ring(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
-    return checks_psi_ring(n, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +327,8 @@ def _random_line(rng: random.Random, n: int) -> LineElt:
     return line_element(n, f, beta)
 
 
-def checks_line_elements(n: int, k_max: int | None = None) -> list[Check]:
-    out: list[Check] = []
-    if k_max is None:
-        k_max = 2 * n
+def checks_line_elements(n: int, k_max: int) -> list[Check]:
+    out, eq = _recorder("line-elements", n)
     rng = random.Random(_SEED + 7 * n)
     gens = [("sigma[%d]" % i, sigma(n, i)) for i in range(n)]
     gens += [("nu[%d]" % j, nu(n, j)) for j in range(n)]
@@ -359,43 +338,31 @@ def checks_line_elements(n: int, k_max: int | None = None) -> list[Check]:
         power = b
         for k in range(2, k_max + 1):
             power = u_mul(power, b)
-            _eq(out, "line-elements/n=%d/power-law/%s/k=%d" % (n, label, k),
-                u_adams(b, k), power)
+            eq("power-law/%s/k=%d" % (label, k), u_adams(b, k), power)
         cert = is_line_element(b, k_max)
-        _eq(out, "line-elements/n=%d/certificate/%s" % (n, label),
-            (cert.ok, cert.params), (True, L),
-            lambda t: "ok=%s params=%s" % (t[0], t[1]))
-        _eq(out, "line-elements/n=%d/inverse/%s" % (n, label),
-            u_mul(b, line_realize(line_inverse(L))), unit(n, "u"))
+        eq("certificate/%s" % label, (cert.ok, cert.params), (True, L),
+           lambda t: "ok=%s params=%s" % (t[0], t[1]))
+        eq("inverse/%s" % label, u_mul(b, line_realize(line_inverse(L))), unit(n, "u"))
     for la, La in gens[: n + 2]:
         for lb, Lb in gens[: n + 2]:
-            _eq(out, "line-elements/n=%d/group-law/%s*%s" % (n, la, lb),
-                line_realize(line_mul(La, Lb)),
-                u_mul(line_realize(La), line_realize(Lb)))
+            eq("group-law/%s*%s" % (la, lb), line_realize(line_mul(La, Lb)),
+               u_mul(line_realize(La), line_realize(Lb)))
     for i in range(n):
         torsion = sigma(n, i)
         power = torsion
         for _ in range(n - 1):
             power = line_mul(power, torsion)
-        _eq(out, "line-elements/n=%d/torsion/sigma[%d]^%d" % (n, i, n),
-            line_realize(power), unit(n, "u"))
+        eq("torsion/sigma[%d]^%d" % (i, n), line_realize(power), unit(n, "u"))
     # Failure modes: the zero-unit class and a scaled unit are not line elements.
-    _eq(out, "line-elements/n=%d/reject-noninvertible" % n,
-        is_line_element(gen(n, "u", "u[1,0]"), k_max).ok, False)
-    _eq(out, "line-elements/n=%d/reject-scaled-unit" % n,
-        is_line_element(unit(n, "u").scale(2), k_max).ok, False)
+    eq("reject-noninvertible", is_line_element(gen(n, "u", "u[1,0]"), k_max).ok, False)
+    eq("reject-scaled-unit", is_line_element(unit(n, "u").scale(2), k_max).ok, False)
     if n <= 5:
         for t in range(20):
             L = _random_line(rng, n)
             a = gamma_inverse(from_u_basis(line_realize(L)))
             for i in (2, 3):
-                _eq(out, "line-elements/n=%d/lambda-positivity/%d/i=%d" % (n, t, i),
-                    lambda_from_adams(a, i).is_zero(), True)
+                eq("lambda-positivity/%d/i=%d" % (t, i), lambda_from_adams(a, i).is_zero(), True)
     return out
-
-
-def suite_line_elements(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
-    return checks_line_elements(n, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +370,9 @@ def suite_line_elements(n: int, k_max: int | None, euler: EulerFn | None) -> lis
 
 
 def checks_span(n: int) -> list[Check]:
-    out: list[Check] = []
+    out, eq = _recorder("span", n)
     witnesses = span_rank(n)
-    _eq(out, "span/n=%d/rank" % n, witnesses.rank, n * (n - 1))
+    eq("rank", witnesses.rank, n * (n - 1))
     B = span_block(n)
     sq = [[sum((B[r][t] * B[t][c] for t in range(n - 1)), Cyc.zero(n))
            for c in range(n - 1)] for r in range(n - 1)]
@@ -414,55 +381,32 @@ def checks_span(n: int) -> list[Check]:
         for r in range(n - 1)
         for c in range(n - 1)
     )
-    _eq(out, "span/n=%d/block-square-pattern" % n, ok, True)
+    eq("block-square-pattern", ok, True)
     expected = {"1": unit(n, "u")}
     for q in range(n):
         expected["u[0,%d]" % q] = gen(n, "u", "u[0,%d]" % q)
         for l in range(1, n):
             expected["u[%d,%d]" % (l, q)] = gen(n, "u", "u[%d,%d]" % (l, q))
     for key, target in expected.items():
-        combo = witnesses.combos[key]
-        _eq(out, "span/n=%d/witness/%s" % (n, key),
-            realize_combo(n, combo), target)
+        eq("witness/%s" % key, realize_combo(n, witnesses.combos[key]), target)
     return out
-
-
-def suite_span(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
-    return checks_span(n)
 
 
 # ---------------------------------------------------------------------------
-# presentation / resolution
+# resolution
 
 
-def suite_presentation(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
-    out = []
-    for rep in verify_presentation(n):
-        out.append(Check("presentation/n=%d/%s" % (n, rep.relation),
-                         "pass" if rep.equal else "fail", rep.lhs, rep.rhs))
-    return out
-
-
-def checks_resolution(n: int, k_max: int | None = None) -> list[Check]:
-    out = []
-    if k_max is None:
-        k_max = 2 * n
-    for rep in verify_resolution_isomorphism(n, k_max):
-        out.append(Check("resolution/n=%d/%s" % (n, rep.relation),
-                         "pass" if rep.equal else "fail", rep.lhs, rep.rhs))
+def checks_resolution(n: int, k_max: int) -> list[Check]:
+    out, eq = _recorder("resolution", n, verify_resolution_isomorphism(n, k_max))
     # Augmentation compatibility across the decomposition map.
     for label, a in basis_vectors(n, "sector"):
-        _eq(out, "resolution/n=%d/augmentation-transport/%s" % (n, label),
-            gamma(virtual_augmentation(a)), loc_augmentation(gamma(a)))
+        eq("augmentation-transport/%s" % label,
+           gamma(virtual_augmentation(a)), loc_augmentation(gamma(a)))
         ea = virtual_augmentation(a)
         for k in range(1, k_max + 1):
-            _eq(out, "resolution/n=%d/augmentation-stability/%s/k=%d" % (n, label, k),
-                virtual_augmentation(virtual_adams(a, k)), ea)
+            eq("augmentation-stability/%s/k=%d" % (label, k),
+               virtual_augmentation(virtual_adams(a, k)), ea)
     return out
-
-
-def suite_resolution(n: int, k_max: int | None, euler: EulerFn | None) -> list[Check]:
-    return checks_resolution(n, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +414,21 @@ def suite_resolution(n: int, k_max: int | None, euler: EulerFn | None) -> list[C
 
 
 SUITES = {
-    "product-oracle": suite_product_oracle,
-    "adams-oracle": suite_adams_oracle,
-    "psi-ring": suite_psi_ring,
-    "line-elements": suite_line_elements,
-    "span": suite_span,
-    "presentation": suite_presentation,
-    "resolution": suite_resolution,
+    "product-oracle": lambda n, k: checks_gamma_roundtrip(n) + checks_product_oracle(n),
+    "adams-oracle": checks_adams_oracle,
+    "psi-ring": lambda n, k: checks_psi_ring(n),
+    "line-elements": checks_line_elements,
+    "span": lambda n, k: checks_span(n),
+    "presentation": lambda n, k: _recorder("presentation", n, verify_presentation(n))[0],
+    "resolution": checks_resolution,
 }
 
 
 def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",),
-               k_max: int | None = None, euler: EulerFn | None = None) -> Report:
+               k_max: int | None = None) -> Report:
     """Run the selected suites over n_min..n_max and collect a report.
 
     ``k_max`` of None means 2n per weight; any other value must be at least 2.
-    ``euler`` substitutes the Euler case table inside the transported
-    products (used by negative controls).
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -505,7 +447,8 @@ def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",
     report = Report(n_min, n_max, k_max, tuple(names))
     start = time.perf_counter()
     for n in range(n_min, n_max + 1):
+        k = 2 * n if k_max is None else k_max
         for name in names:
-            report.checks.extend(SUITES[name](n, k_max, euler))
+            report.checks.extend(SUITES[name](n, k))
     report.elapsed = time.perf_counter() - start
     return report

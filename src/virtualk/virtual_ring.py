@@ -15,8 +15,9 @@ sector carries the ordinary Adams operations untouched.
 Both operations run on structure constants derived lazily from the sector
 polynomial code, which stays their single source: ``_euler_rows`` holds the
 reduced class of x^s * e for every exponent sum s of two monomials, keyed on
-the Euler polynomial e itself, so an ``euler=`` override gets rows of its
-own; ``_adams_column`` holds the image of one monomial x_m^j under psi~^k.
+the Euler polynomial e itself, so a replaced ``euler_factor`` (a planted
+defect in the tests) gets rows of its own; ``_adams_column`` holds the image
+of one monomial x_m^j under psi~^k.
 Rows and columns are sparse (offset, coefficient) pairs with integral
 coefficients stored as ``int``.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .coords import Coords, Sparse, apply_columns, sector_start, sparse, unit, zero
 from .cyclotomic import Cyc, CycPoly
@@ -37,8 +38,6 @@ from .sector_ring import (
     sector_mul,
     sector_x_inverse,
 )
-
-EulerFn = Callable[[int, int, int], CycPoly]
 
 #: Columns kept by the Adams column cache.  Verify's working set at n = 8 is
 #: k = 1..16 on all 65 monomials; a stream of distinct Adams indices evicts
@@ -111,14 +110,13 @@ def _terms(a: Coords) -> dict[int, list[tuple[int, Cyc]]]:
     return out
 
 
-def virtual_mul(a: Coords, b: Coords, *, euler: EulerFn | None = None) -> Coords:
+def virtual_mul(a: Coords, b: Coords) -> Coords:
     """Bilinear extension of the monomial product with its Euler factor.
 
     For each pair of nonzero sectors the coordinates are convolved by exponent
     sum, and each sum s is scattered through row s of the Euler rows.
     """
     a.check(b)
-    e = euler if euler is not None else euler_factor
     n = a.n
     out = list(zero(n, "sector").coeffs)
     terms_b = _terms(b)
@@ -130,7 +128,7 @@ def virtual_mul(a: Coords, b: Coords, *, euler: EulerFn | None = None) -> Coords
                     s, c = j1 + j2, c1 * c2
                     conv[s] = conv[s] + c if s in conv else c
             t = (m1 + m2) % n
-            rows = _euler_rows(e(n, m1, m2), t == 0)
+            rows = _euler_rows(euler_factor(n, m1, m2), t == 0)
             start = sector_start(n, t)
             for s, c in conv.items():
                 for offset, r in rows[s]:
@@ -158,8 +156,11 @@ def virtual_adams(a: Coords, k: int) -> Coords:
 
 
 def virtual_augmentation(a: Coords) -> Coords:
-    """Rank projection: sector 0 maps to its value at 1 times 1_0, twisted sectors die."""
-    return unit(a.n, "sector").scale(sector_part(a, 0)(Cyc.one(a.n)))
+    """Rank projection: sector 0 maps to its value at 1 times 1_0, twisted sectors die.
+
+    The value at x = 1 is the sum of the sector-0 coefficients.
+    """
+    return unit(a.n, "sector").scale(sum(a.coeffs[:_width(a.n, 0)], Cyc.zero(a.n)))
 
 
 def lambda_from_adams(a: Coords, i: int) -> Coords:

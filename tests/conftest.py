@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import settings
 
-from virtualk.cyclotomic import CycPoly
+from virtualk.cyclotomic import Cyc, CycPoly
 from virtualk.sector_ring import sector_x_inverse
 from virtualk.virtual_ring import euler_factor
 
@@ -12,6 +12,14 @@ from virtualk.virtual_ring import euler_factor
 # same cases, and are not timed, so a slow host cannot fail them.
 settings.register_profile("virtualk", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("virtualk")
+
+
+def evaluate(p: CycPoly, x: Cyc) -> Cyc:
+    """p(x) by Horner's rule."""
+    total = Cyc.zero(p.n)
+    for c in reversed(p.coeffs):
+        total = total * x + c
+    return total
 
 
 def perturbed_euler(n: int, m1: int, m2: int) -> CycPoly:

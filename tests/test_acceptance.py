@@ -8,6 +8,7 @@ import hashlib
 import json
 import random
 
+import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
 from virtualk.cyclotomic import Cyc
 from virtualk.line_elements import (
@@ -164,8 +165,9 @@ def test_criterion_9_lambda_positivity():
     assert not failures
 
 
-def test_criterion_10_negative_control():
-    report = run_verify(2, 4, ("product-oracle", "adams-oracle"), euler=perturbed_euler)
+def test_criterion_10_negative_control(monkeypatch):
+    monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
+    report = run_verify(2, 4, ("product-oracle", "adams-oracle"))
     failed = report.failures
     suites_hit = {c.id.split("/", 1)[0] for c in failed}
     ok = (

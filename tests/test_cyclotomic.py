@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import evaluate
 from virtualk.cyclotomic import (
     Cyc,
     CycPoly,
@@ -169,7 +170,7 @@ def test_cycpoly_divmod_and_eval():
     qq, rr = p.divmod_by(d)
     assert qq == q and rr == r
     x = zeta_pow(n, 1)
-    assert p(x) == d(x) * q(x) + r(x)
+    assert evaluate(p, x) == evaluate(d, x) * evaluate(q, x) + evaluate(r, x)
 
 
 # ---------------------------------------------------------------------------

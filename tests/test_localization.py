@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virtualk.localization as loc
+from conftest import evaluate
 from virtualk.coords import Coords, basis_vectors, gen, grid, power, unit, zero
 from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
 from virtualk.localization import (
@@ -267,7 +268,7 @@ def reference_gamma(a):
         for l in range(n):
             if m == 0 and l == 0:
                 continue
-            out[grid(n, m, l)] = s(zeta_pow(n, l))
+            out[grid(n, m, l)] = evaluate(s, zeta_pow(n, l))
     f = sector_part(a, 0).coeffs
     f1 = sum(f, Cyc.zero(n))
     d1 = sum((c * j for j, c in enumerate(f)), Cyc.zero(n))
@@ -275,7 +276,41 @@ def reference_gamma(a):
     return Coords(n, "loc", out)
 
 
-_images = functools.cache(loc._gamma_inverse_images)
+def _geom_div(n, l):
+    # (x^n - 1)/(x - zeta^l) expanded as prod_{i != l} (x - zeta^i).
+    prod = CycPoly.one_poly(n)
+    for i in range(n):
+        if i != l:
+            prod = prod * CycPoly.from_cycs(n, (-zeta_pow(n, i), Cyc.one(n)))
+    return prod
+
+
+@functools.cache
+def _images(n):
+    """Preimages of every localized generator, as polynomials on their sector.
+
+    1_00  -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)                  (sector 0)
+    x_00  -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)                  (sector 0)
+    1_0l  -> zeta^l / (n(zeta^l - 1)) (x-1)(x^n-1)/(x-zeta^l)      (l != 0, sector 0)
+    1_ml  -> (zeta^l / n) (x^n-1)/(x-zeta^l)                       (m != 0, sector m)
+
+    (x^n - 1)/(x - zeta^l) is the product over the other roots, not the
+    inverse DFT that ``gamma_inverse`` reads.
+    """
+    images = {}
+    geom = [_geom_div(n, l) for l in range(n)]
+    half = Fraction(1, 2 * n)
+    images["1_00"] = (CycPoly.from_ints(n, [1 + n, 1 - n]) * geom[0]).scale(half)
+    images["x_00"] = (CycPoly.from_ints(n, [n - 1, 3 - n]) * geom[0]).scale(half)
+    x_minus_one = CycPoly.from_ints(n, [-1, 1])
+    for l in range(1, n):
+        zl = zeta_pow(n, l)
+        images[(0, l)] = (x_minus_one * geom[l]).scale(zl / ((zl - Cyc.one(n)) * n))
+    for l in range(n):
+        poly = geom[l].scale(zeta_pow(n, l) * Fraction(1, n))
+        for m in range(1, n):
+            images[(m, l)] = poly
+    return images
 
 
 def reference_gamma_inverse(b):

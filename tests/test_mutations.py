@@ -2,12 +2,17 @@
 and the suite that must catch it with a check id naming the damaged entry.
 
 Each defect is planted by monkeypatching one cached table function, so the
-correct cache behind it is never written with a wrong value.
+correct cache behind it is never written with a wrong value, or one function
+in every module that binds it.
 """
 
+import sys
+
+import virtualk.line_elements as le
 import virtualk.localization as loc
+import virtualk.presentation as pres
 import virtualk.virtual_ring as vr
-from virtualk.coords import grid
+from virtualk.coords import Coords, grid
 from virtualk.verify import run_verify
 
 
@@ -119,5 +124,51 @@ def test_planted_gamma_jet_convention_is_caught(monkeypatch):
                for cid in failed)
 
 
+def _plant_everywhere(monkeypatch, original, planted):
+    # The package binds names with ``from .x import y``: replace every binding.
+    for name, module in list(sys.modules.items()):
+        if name == "virtualk" or name.startswith("virtualk."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, planted)
+
+
+def test_planted_resolution_adams_scale_is_caught(monkeypatch):
+    # psi^2 scales the square-zero part of a resolution class by 3 instead of 2.
+    original = pres.resolution_adams
+
+    def planted(x, k):
+        return original(x, k + 1 if k == 2 else k)
+
+    _plant_everywhere(monkeypatch, original, planted)
+    failed = _failed_ids(("resolution",))
+    # Only the square-zero generators u[0,q] reach the scaled part, only at k = 2.
+    assert failed == {"resolution/n=3/Adams equivariance on u[0,%d], k=2" % q for q in range(3)}
+
+
+def test_planted_line_realize_entry_is_caught(monkeypatch):
+    # At n = 3, beta_0 leaks into u[1,0]: nu[0] realizes with u[1,0] = 2.
+    original = le.line_realize
+
+    def planted(L):
+        b = original(L)
+        if L.n != 3 or not L.beta[0]:
+            return b
+        coeffs = list(b.coeffs)
+        coeffs[grid(3, 1, 0)] = coeffs[grid(3, 1, 0)] + L.beta[0]
+        return Coords(3, "u", coeffs)
+
+    _plant_everywhere(monkeypatch, original, planted)
+    failed = _failed_ids(("line-elements", "presentation"))
+    assert "line-elements/n=3/power-law/nu[0]/k=2" in failed
+    assert "line-elements/n=3/certificate/nu[0]" in failed
+    assert "presentation/n=3/(nu[0]-1)*(nu[0]-1) = 0" in failed
+    assert "presentation/n=3/sigma[0]*(nu[0]-1) = nu[0]-1" in failed
+    # Generators with beta_0 = 0 are realized correctly.
+    assert all("nu[0]" in cid for cid in failed if cid.startswith("presentation/"))
+    assert not any(g in cid for cid in failed for g in ("sigma[1]", "sigma[2]", "nu[1]", "nu[2]"))
+
+
 def test_suites_pass_without_a_planted_defect():
     assert run_verify(3, 3, ("psi-ring", "adams-oracle", "product-oracle")).ok
+    assert run_verify(3, 3, ("line-elements", "presentation", "resolution")).ok

@@ -11,6 +11,7 @@ from virtualk.presentation import (
     verify_presentation,
     verify_resolution_isomorphism,
 )
+from virtualk.verify import SUITES
 
 
 def _nu_hat(n, i):
@@ -59,37 +60,34 @@ def test_gamma0_on_generators():
 
 def test_presentation_relations_hold():
     for n in (2, 3, 4):
-        reports = verify_presentation(n)
-        bad = [r for r in reports if not r.equal]
+        bad = [c for c in SUITES["presentation"](n, 2 * n) if not c.passed]
         assert not bad, bad
 
 
 def test_generation_rank_value():
-    reports = verify_presentation(2)
-    gen = [r for r in reports if "span" in r.relation]
+    gen = [c for c in SUITES["presentation"](2, 4) if "span" in c.id]
     assert len(gen) == 1
     assert gen[0].lhs == "5"
 
 
 def test_resolution_isomorphism_reports():
     for n in (2, 3, 4):
-        reports = verify_resolution_isomorphism(n)
-        bad = [r for r in reports if not r.equal]
+        bad = [c for c in SUITES["resolution"](n, 2 * n) if not c.passed]
         assert not bad, bad
 
 
 def test_dimension_report_present():
-    reports = verify_resolution_isomorphism(2, k_max=2)
-    assert any("dimension" in r.relation for r in reports)
+    relations = verify_resolution_isomorphism(2, k_max=2)
+    assert any("dimension" in name for name, _, _ in relations)
 
 
 def test_dimension_report_compares_the_real_sizes(monkeypatch):
     # Give the resolution one coordinate too many: the check must fail.
     real = pres.basis
     monkeypatch.setattr(pres, "basis", lambda n, kind: real(n + 1 if kind == "res" else n, kind))
-    report = verify_resolution_isomorphism(3, k_max=2)[0]
-    assert report.relation == "dimension of l=0 block vs resolution"
-    assert (report.lhs, report.rhs, report.equal) == ("4", "5", False)
+    check = SUITES["resolution"](3, 2)[0]
+    assert check.id == "resolution/n=3/dimension of l=0 block vs resolution"
+    assert (check.lhs, check.rhs, check.status) == ("4", "5", "fail")
 
 
 def test_generation_rank_is_full_for_every_n():
@@ -101,4 +99,4 @@ def test_invalid_n_rejected():
     with pytest.raises(ValueError):
         verify_presentation(1)
     with pytest.raises(ValueError):
-        verify_resolution_isomorphism(0)
+        verify_resolution_isomorphism(0, 2)

@@ -1,5 +1,6 @@
 import pytest
 
+import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
 from virtualk.verify import SUITES, run_verify
 
@@ -25,10 +26,11 @@ def test_unknown_suite_rejected():
         run_verify(3, 2)
 
 
-def test_negative_control_perturbed_euler_case():
+def test_negative_control_perturbed_euler_case(monkeypatch):
     # Breaking the coincident Euler case must fail the product and Adams
     # oracles, and the diagnosis must name the offending basis pairs.
-    report = run_verify(2, 3, ("product-oracle", "adams-oracle"), euler=perturbed_euler)
+    monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
+    report = run_verify(2, 3, ("product-oracle", "adams-oracle"))
     assert not report.ok
     failed = report.failures
     suites_hit = {c.id.split("/", 1)[0] for c in failed}

@@ -254,14 +254,18 @@ def test_tables_match_reference_on_dense_classes(ab, k):
     assert virtual_adams(a, k) == reference_adams(a, k)
 
 
-def test_euler_override_reaches_warm_tables():
-    for n in (2, 3, 4):
-        a, b = k_monomial(n, 1, 1), k_monomial(n, n - 1, 2)
-        default = virtual_mul(a, b)
-        perturbed = virtual_mul(a, b, euler=perturbed_euler)
+def test_euler_override_reaches_warm_tables(monkeypatch):
+    # The rows are keyed on the Euler polynomial, so a patched table reaches
+    # products whose rows are already cached, and the cache stays correct.
+    pairs = [(k_monomial(n, 1, 1), k_monomial(n, n - 1, 2)) for n in (2, 3, 4)]
+    defaults = [virtual_mul(a, b) for a, b in pairs]
+    monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
+    for (a, b), default in zip(pairs, defaults):
+        perturbed = virtual_mul(a, b)
         assert perturbed == reference_mul(a, b, perturbed_euler)
         assert perturbed != default
-        assert virtual_mul(a, b) == default
+    monkeypatch.undo()
+    assert [virtual_mul(a, b) for a, b in pairs] == defaults
 
 
 def test_adams_column_cache_is_bounded():
