@@ -9,12 +9,15 @@ resolution of the cotangent bundle, and the identification respects the
 Adams operations on both sides.
 
 A resolution class is a ``Coords`` of kind "res": a*1 + sum_q b_q*e[q], where
-the e[q] = nuhat_q - 1 span a square-zero ideal.  Every relation is returned
-as (name, lhs, rhs) with both sides unrendered; ``verify`` compares and
-renders them like its own checks.
+the e[q] = nuhat_q - 1 span a square-zero ideal.  The two verifiers yield
+each relation as (name, lhs, rhs) with both sides unrendered; ``verify``
+compares and renders them like its own checks, one relation at a time, so
+the sides of all n^4 ring-map relations are never held at once.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .coords import Coords, basis, basis_vectors, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
@@ -46,25 +49,30 @@ def gamma0_project(b: Coords) -> Coords:
 Relation = tuple[str, object, object]
 
 
-def verify_presentation(n: int) -> list[Relation]:
-    """The four relation families on realized generators, and the rank of
-    the span of generator monomials of total degree <= n+1 against n^2+1."""
+def verify_presentation(n: int) -> Iterator[Relation]:
+    """Yield the four relation families on realized generators, then the rank
+    of the span of generator monomials of total degree <= n+1 against n^2+1."""
     if n < 2:
         raise ValueError("the weight n must be at least 2")
     one = unit(n, "u")
     sigmas = [line_realize(sigma(n, i)) for i in range(n)]
     nus = [line_realize(nu(n, j)) for j in range(n)]
-    out: list[Relation] = [
-        ("sigma[%d]^%d = 1" % (i, n), power(sigmas[i], n, u_mul), one) for i in range(n)]
-    out += [("(nu[%d]-1)*(nu[%d]-1) = 0" % (i, j), u_mul(nus[i] - one, nus[j] - one),
-             zero(n, "u")) for i in range(n) for j in range(n)]
-    out += [("sigma[%d]*(nu[%d]-1) = nu[%d]-1" % (i, j, j), u_mul(sigmas[i], nus[j] - one),
-             nus[j] - one) for i in range(n) for j in range(n)]
-    out += [("(sigma[%d]-1)*(sigma[%d]-1) = 0" % (i, j), u_mul(sigmas[i] - one, sigmas[j] - one),
-             zero(n, "u")) for i in range(n) for j in range(n) if i != j]
-    out.append(("generator monomials of degree <= %d span" % (n + 1),
-                _generation_rank(n), n * n + 1))
-    return out
+    for i in range(n):
+        yield "sigma[%d]^%d = 1" % (i, n), power(sigmas[i], n, u_mul), one
+    for i in range(n):
+        for j in range(n):
+            yield ("(nu[%d]-1)*(nu[%d]-1) = 0" % (i, j),
+                   u_mul(nus[i] - one, nus[j] - one), zero(n, "u"))
+    for i in range(n):
+        for j in range(n):
+            yield ("sigma[%d]*(nu[%d]-1) = nu[%d]-1" % (i, j, j),
+                   u_mul(sigmas[i], nus[j] - one), nus[j] - one)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield ("(sigma[%d]-1)*(sigma[%d]-1) = 0" % (i, j),
+                       u_mul(sigmas[i] - one, sigmas[j] - one), zero(n, "u"))
+    yield "generator monomials of degree <= %d span" % (n + 1), _generation_rank(n), n * n + 1
 
 
 def _generation_rank(n: int) -> int:
@@ -91,8 +99,8 @@ def _generation_rank(n: int) -> int:
     return acc.rank
 
 
-def verify_resolution_isomorphism(n: int, k_max: int) -> list[Relation]:
-    """The relations making the l = 0 block with the localized product
+def verify_resolution_isomorphism(n: int, k_max: int) -> Iterator[Relation]:
+    """Yield the relations making the l = 0 block with the localized product
     isomorphic, as a ring with Adams operations, to the resolution K-theory.
 
     The map Theta sends 1_00 to 1 and u_0^q to nuhat_q - 1.  The relations:
@@ -106,18 +114,19 @@ def verify_resolution_isomorphism(n: int, k_max: int) -> list[Relation]:
         raise ValueError("the weight n must be at least 2")
     vectors = basis_vectors(n, "u")
     block0 = vectors[:grid(n, 1, 0)]
-    out: list[Relation] = [("dimension of l=0 block vs resolution",
-                            len(block0), len(basis(n, "res").labels))]
+    yield "dimension of l=0 block vs resolution", len(block0), len(basis(n, "res").labels)
     for name, pairs in (("Theta multiplicative", block0), ("Gamma_0 ring map", vectors)):
-        out += [("%s on %s,%s" % (name, la, lb), gamma0_project(u_mul(ea, eb)),
-                 resolution_mul(gamma0_project(ea), gamma0_project(eb)))
-                for la, ea in pairs for lb, eb in pairs]
-    out += [("Adams equivariance on %s, k=%d" % (label, k), gamma0_project(u_adams(e, k)),
-             resolution_adams(gamma0_project(e), k))
-            for label, e in vectors for k in range(1, k_max + 1)]
+        for la, ea in pairs:
+            for lb, eb in pairs:
+                yield ("%s on %s,%s" % (name, la, lb), gamma0_project(u_mul(ea, eb)),
+                       resolution_mul(gamma0_project(ea), gamma0_project(eb)))
+    for label, e in vectors:
+        for k in range(1, k_max + 1):
+            yield ("Adams equivariance on %s, k=%d" % (label, k), gamma0_project(u_adams(e, k)),
+                   resolution_adams(gamma0_project(e), k))
     # Surjectivity: explicit preimages of the resolution basis.
     one = unit(n, "res")
-    out.append(("preimage of 1", gamma0_project(unit(n, "u")), one))
-    out += [("preimage of nuhat[%d]-1" % q, gamma0_project(gen(n, "u", "u[0,%d]" % q)),
-             (one + gen(n, "res", "e[%d]" % q)) - one) for q in range(n)]
-    return out
+    yield "preimage of 1", gamma0_project(unit(n, "u")), one
+    for q in range(n):
+        yield ("preimage of nuhat[%d]-1" % q, gamma0_project(gen(n, "u", "u[0,%d]" % q)),
+               (one + gen(n, "res", "e[%d]" % q)) - one)

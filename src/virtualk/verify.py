@@ -11,7 +11,7 @@ fixed inputs: wall-clock timing is kept out of the canonical serialization.
 ``SUITES`` maps each suite name to a builder ``(n, k_max) -> list[Check]``;
 ``run_verify`` resolves the default k_max = 2n before it calls one.  Every
 check of a suite at one n is recorded by ``_recorder``, which also takes the
-(relation, lhs, rhs) triples of the presentation module.
+(relation, lhs, rhs) triples that the presentation module yields.
 """
 
 from __future__ import annotations
