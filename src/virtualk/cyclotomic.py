@@ -156,7 +156,7 @@ class Cyc:
         if n < 1:
             raise ValueError("n must be a positive integer")
         # operator.index rejects floats and Fractions instead of truncating
-        # them; Cyc.from_rats is the rational constructor.
+        # them; a rational value is an integer vector over a common den.
         num = _reduce_int_coeffs(n, [operator.index(c) for c in coeffs])
         num_t, den = _normalized(num, operator.index(den))
         _set_n(self, n)
@@ -183,16 +183,6 @@ class Cyc:
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         return _raw(n, (value.numerator,) + (0,) * (phi_degree(n) - 1), value.denominator)
-
-    @classmethod
-    def from_rats(cls, n: int, coeffs: Iterable[int | Fraction]) -> "Cyc":
-        """Build from a rational coefficient vector of any length."""
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
-        num = _reduce_int_coeffs(n, nums)
-        num_t, den = _normalized(num, den)
-        return _raw(n, num_t, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

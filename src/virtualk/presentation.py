@@ -50,10 +50,16 @@ Relation = tuple[str, object, object]
 
 
 def verify_presentation(n: int) -> Iterator[Relation]:
-    """Yield the four relation families on realized generators, then the rank
-    of the span of generator monomials of total degree <= n+1 against n^2+1."""
+    """The four relation families on realized generators, then the rank of
+    the span of generator monomials of total degree <= n+1 against n^2+1.
+
+    n is checked when called; the relations are yielded as iterated."""
     if n < 2:
         raise ValueError("the weight n must be at least 2")
+    return _presentation_relations(n)
+
+
+def _presentation_relations(n: int) -> Iterator[Relation]:
     one = unit(n, "u")
     sigmas = [line_realize(sigma(n, i)) for i in range(n)]
     nus = [line_realize(nu(n, j)) for j in range(n)]
@@ -100,7 +106,7 @@ def _generation_rank(n: int) -> int:
 
 
 def verify_resolution_isomorphism(n: int, k_max: int) -> Iterator[Relation]:
-    """Yield the relations making the l = 0 block with the localized product
+    """The relations making the l = 0 block with the localized product
     isomorphic, as a ring with Adams operations, to the resolution K-theory.
 
     The map Theta sends 1_00 to 1 and u_0^q to nuhat_q - 1.  The relations:
@@ -108,10 +114,14 @@ def verify_resolution_isomorphism(n: int, k_max: int) -> Iterator[Relation]:
     the projection Gamma_0 is a ring map on all semisimple basis pairs;
     Gamma_0 intertwines the Adams operations for every basis element and
     k <= k_max; and the composite onto the resolution is surjective, with
-    explicit preimages of the resolution basis.
+    explicit preimages of the resolution basis.  n is checked when called.
     """
     if n < 2:
         raise ValueError("the weight n must be at least 2")
+    return _resolution_relations(n, k_max)
+
+
+def _resolution_relations(n: int, k_max: int) -> Iterator[Relation]:
     vectors = basis_vectors(n, "u")
     block0 = vectors[:grid(n, 1, 0)]
     yield "dimension of l=0 block vs resolution", len(block0), len(basis(n, "res").labels)

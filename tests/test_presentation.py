@@ -97,6 +97,6 @@ def test_generation_rank_is_full_for_every_n():
 
 def test_invalid_n_rejected():
     with pytest.raises(ValueError):
-        list(verify_presentation(1))
+        verify_presentation(1)
     with pytest.raises(ValueError):
-        list(verify_resolution_isomorphism(0, 2))
+        verify_resolution_isomorphism(0, 2)
