@@ -19,7 +19,6 @@ from .line_elements import (
     span_rank,
 )
 from .localization import (
-    adams_solutions,
     from_u_basis,
     gamma,
     gamma_inverse,

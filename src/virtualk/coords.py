@@ -115,6 +115,11 @@ class Coords:
                 % (self.n, self.kind, other.n, other.kind)
             )
 
+    def check_kind(self, kind: str) -> None:
+        """Raise ValueError unless the coordinates are in basis ``kind``."""
+        if self.kind != kind:
+            raise ValueError("expected %s coordinates, got %s" % (kind, self.kind))
+
     def __add__(self, other: "Coords") -> "Coords":
         self.check(other)
         return Coords(self.n, self.kind, tuple(

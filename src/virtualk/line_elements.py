@@ -102,6 +102,7 @@ def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
     unity.  A positive answer re-realizes the recovered parameters and
     demands exact equality, so it is unconditional.
     """
+    b.check_kind("u")
     n = b.n
     if k_max is None:
         k_max = 2 * n

@@ -8,8 +8,11 @@ closed-form preimages of the block generators and extends linearly, with
 (u^n - 1)/(u - zeta^l) always expanded by the inverse DFT;
 no rational-function arithmetic exists anywhere.
 
-``loc_mul`` is the localized product table; ``loc_adams`` the localized
-Adams operations, with solution sets of k*y = l (mod n) listed ascending.
+``loc_mul`` is the localized product table.  ``loc_adams`` and ``u_adams``
+are the Adams operations, the pullback along s -> k*s (mod n): each output
+coordinate with character index s reads the input coordinate with index
+k*s mod n.  Beyond k mod n they depend on k only through the linear factors
+on the untwisted column and on u_0^q.
 Localized classes are ``Coords`` of kind "loc"; kind "u" is the semisimple
 coordinate system: idempotents u_l^q for l != 0 plus the square-zero elements
 u_0^q and the block unit 1_00, in which the product is diagonal and
@@ -34,7 +37,6 @@ built at import:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 
@@ -106,6 +108,7 @@ def gamma(a: Coords) -> Coords:
     Block (0,0) stores the 2-jet at 1: coefficients e[0,0] = f(1) - f'(1) and
     xe[0,0] = f'(1), so that f = e[0,0] * 1 + xe[0,0] * x modulo (x-1)^2.
     """
+    a.check_kind("sector")
     return _apply(a, "loc", _gamma_columns(a.n))
 
 
@@ -146,6 +149,7 @@ def _gamma_inverse_columns(n: int) -> tuple[Sparse, ...]:
 
 def gamma_inverse(b: Coords) -> Coords:
     """Linear extension of the four closed-form preimages."""
+    b.check_kind("loc")
     return _apply(b, "sector", _gamma_inverse_columns(b.n))
 
 
@@ -197,6 +201,7 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
     Cross-row products vanish.  Each nonzero coordinate of ``a`` meets only
     the nonzero coordinates of ``b`` that its table entry lists.
     """
+    a.check_kind("loc")
     a.check(b)
     B = b.coeffs
     return apply_columns(a.n, "loc", (
@@ -207,6 +212,7 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
 
 def loc_augmentation(a: Coords) -> Coords:
     """Transport of the virtual augmentation: (e[0,0] + xe[0,0]) times the unit."""
+    a.check_kind("loc")
     return unit(a.n, "loc").scale(a.coeffs[0] + a.coeffs[1])
 
 
@@ -214,60 +220,29 @@ def loc_augmentation(a: Coords) -> Coords:
 # Localized Adams operations.
 
 
-def adams_solutions(n: int, k: int, l: int) -> tuple[int, ...]:
-    """Ascending solutions of k*y = l (mod n); empty when gcd(k,n) does not divide l."""
-    d = math.gcd(k, n)
-    if l % d:
-        return ()
-    nd = n // d
-    y0 = (pow(k // d, -1, nd) * ((l // d) % nd)) % nd if nd > 1 else 0
-    return tuple(y0 + i * nd for i in range(d))
-
-
 def loc_adams(a: Coords, k: int) -> Coords:
-    """Localized virtual Adams operation, extended linearly over the basis.
+    """Localized virtual Adams operation: the pullback along s -> k*s (mod n).
 
-    With d = gcd(k, n) and s_1 < ... < s_d the solutions of k*y = l (mod n):
-    1_0l -> sum of 1_0s_i when d | l, else 0; 1_ml picks up the factor
-    (zeta^(-l) - 1)/(zeta^(-s_i) - 1); 1_m0 -> k 1_m0; 1_00 -> sum of 1_0s_i;
-    x_00 -> k x_00 - (k-1) 1_00 + the nonzero-solution idempotents.
+    With l = k*s mod n, e[0,s] reads e[0,l], or e[0,0] + xe[0,0] when l = 0,
+    and e[m,s] (m != 0) reads e[m,l] times (zeta^(-l) - 1)/(zeta^(-s) - 1),
+    or 0 when l = 0.  Column 0 scales: 1_m0 -> k 1_m0 and
+    x_00 -> k x_00 - (k-1) 1_00.
     """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
-    n = a.n
-    A = a.coeffs
+    a.check_kind("loc")
+    n, A = a.n, a.coeffs
     out = list(zero(n, "loc").coeffs)
-    sols0 = adams_solutions(n, k, 0)
-    if A[0]:
-        out[0] = out[0] + A[0]
-        for s in sols0[1:]:
-            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[0]
-    if A[1]:
-        out[1] = out[1] + A[1].scale_int(k)
-        out[0] = out[0] - A[1].scale_int(k - 1)
-        for s in sols0[1:]:
-            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[1]
+    out[0], out[1] = A[0] - A[1].scale_int(k - 1), A[1].scale_int(k)
     for m in range(1, n):
-        i = grid(n, m, 0)
-        if A[i]:
-            out[i] = out[i] + A[i].scale_int(k)
-    for l in range(1, n):
-        sols = adams_solutions(n, k, l)
-        if not sols:
-            continue
-        cu = A[grid(n, 0, l)]
-        if cu:
-            for s in sols:
-                assert s != 0, "k*0 = l (mod n) is impossible for l != 0"
-                out[grid(n, 0, s)] = out[grid(n, 0, s)] + cu
-        for m in range(1, n):
-            c = A[grid(n, m, l)]
-            if not c:
-                continue
-            for s in sols:
-                assert s != 0
-                i = grid(n, m, s)
-                out[i] = out[i] + c * _adams_weight(n, l, s)
+        out[grid(n, m, 0)] = A[grid(n, m, 0)].scale_int(k)
+    for s in range(1, n):
+        l = k * s % n
+        out[grid(n, 0, s)] = A[grid(n, 0, l)] if l else A[0] + A[1]
+        if l:
+            for m in range(1, n):
+                c = A[grid(n, m, l)]
+                out[grid(n, m, s)] = c * _adams_weight(n, l, s) if c else c
     return Coords(n, "loc", out)
 
 
@@ -305,6 +280,7 @@ def from_u_basis(b: Coords) -> Coords:
     u_l^q = (1/n) sum_i zeta^(-iq) uhat_il with uhat_0l = 1_0l and
     uhat_il = 1_il/(1 - zeta^(-l)).
     """
+    b.check_kind("u")
     columns, weights = _from_u_map(b.n)
     return Coords(b.n, "loc", _weighted(_apply(b, "loc", columns).coeffs, weights))
 
@@ -331,12 +307,14 @@ def _to_u_map(n: int) -> tuple[tuple[Sparse, ...], Weights]:
 def to_u_basis(a: Coords) -> Coords:
     """Inverse change of basis: 1_0l = sum_q u_l^q and
     1_il = (1 - zeta^(-l)) sum_q zeta^(iq) u_l^q for i != 0."""
+    a.check_kind("loc")
     columns, weights = _to_u_map(a.n)
     return _apply(Coords(a.n, "loc", _weighted(a.coeffs, weights)), "u", columns)
 
 
 def u_mul(a: Coords, b: Coords) -> Coords:
     """Product in semisimple coordinates: diagonal on l != 0, square-zero on l = 0."""
+    a.check_kind("u")
     a.check(b)
     n = a.n
     A, B = a.coeffs, b.coeffs
@@ -347,6 +325,7 @@ def u_mul(a: Coords, b: Coords) -> Coords:
 
 
 def u_is_invertible(a: Coords) -> bool:
+    a.check_kind("u")
     return bool(a.coeffs[0]) and all(a.coeffs[grid(a.n, 1, 0):])
 
 
@@ -365,34 +344,17 @@ def u_inverse(a: Coords) -> Coords:
 
 
 def u_adams(a: Coords, k: int) -> Coords:
-    """Adams operations on semisimple coordinates.
+    """Adams operations on semisimple coordinates: the pullback along s -> k*s (mod n).
 
-    u_0^q -> k u_0^q; u_l^q -> sum over solutions s of k*y = l (mod n) of
-    u_s^q when gcd(k,n) | l (else 0); the unit is fixed, which on the block
-    generator reads 1_00 -> 1_00 + the nonzero-solution rows of l = 0.
+    u[s,q] reads u[k*s mod n, q], or the unit coordinate e[0,0] when k*s = 0
+    (mod n), since the unit is fixed; e[0,0] is kept and u_0^q -> k u_0^q.
     """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
-    n = a.n
-    A = a.coeffs
-    out = list(zero(n, "u").coeffs)
-    out[0] = A[0]
-    if A[0]:
-        for s in adams_solutions(n, k, 0)[1:]:
-            for q in range(n):
-                out[grid(n, s, q)] = out[grid(n, s, q)] + A[0]
-    for q in range(n):
-        c = A[grid(n, 0, q)]
-        if c:
-            out[grid(n, 0, q)] = out[grid(n, 0, q)] + c.scale_int(k)
-    for l in range(1, n):
-        sols = adams_solutions(n, k, l)
-        if not sols:
-            continue
-        for q in range(n):
-            c = A[grid(n, l, q)]
-            if c:
-                for s in sols:
-                    assert s != 0
-                    out[grid(n, s, q)] = out[grid(n, s, q)] + c
+    a.check_kind("u")
+    n, A = a.n, a.coeffs
+    out = [A[0]] + [c.scale_int(k) for c in A[1:grid(n, 1, 0)]]
+    for s in range(1, n):
+        l = k * s % n
+        out += A[grid(n, l, 0):grid(n, l + 1, 0)] if l else [A[0]] * n
     return Coords(n, "u", out)

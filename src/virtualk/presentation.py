@@ -27,6 +27,7 @@ from .localization import u_adams, u_mul
 
 def resolution_mul(x: Coords, y: Coords) -> Coords:
     """(a, b).(a', b') = (a a', a b' + a' b): the square-zero product rule."""
+    x.check_kind("res")
     x.check(y)
     a, b = x.coeffs[0], x.coeffs[1:]
     a2, b2 = y.coeffs[0], y.coeffs[1:]
@@ -37,11 +38,13 @@ def resolution_adams(x: Coords, k: int) -> Coords:
     """psi^k fixes the unit and scales the square-zero part by k."""
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
+    x.check_kind("res")
     return Coords(x.n, "res", x.coeffs[:1] + tuple(v.scale_int(k) for v in x.coeffs[1:]))
 
 
 def gamma0_project(b: Coords) -> Coords:
     """Projection onto the l = 0 block: keep 1_00 and the u_0^q coordinates."""
+    b.check_kind("u")
     return Coords(b.n, "res", b.coeffs[:grid(b.n, 1, 0)])
 
 
@@ -114,10 +117,13 @@ def verify_resolution_isomorphism(n: int, k_max: int) -> Iterator[Relation]:
     the projection Gamma_0 is a ring map on all semisimple basis pairs;
     Gamma_0 intertwines the Adams operations for every basis element and
     k <= k_max; and the composite onto the resolution is surjective, with
-    explicit preimages of the resolution basis.  n is checked when called.
+    explicit preimages of the resolution basis.  n and k_max are checked
+    when called.
     """
     if n < 2:
         raise ValueError("the weight n must be at least 2")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     return _resolution_relations(n, k_max)
 
 

@@ -51,6 +51,7 @@ def _width(n: int, m: int) -> int:
 
 def sector_part(a: Coords, m: int) -> CycPoly:
     """The class of ``a`` in sector m, as a polynomial in x_m."""
+    a.check_kind("sector")
     start = sector_start(a.n, m)
     return CycPoly.from_cycs(a.n, a.coeffs[start:start + _width(a.n, m)])
 
@@ -116,6 +117,7 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
     For each pair of nonzero sectors the coordinates are convolved by exponent
     sum, and each sum s is scattered through row s of the Euler rows.
     """
+    a.check_kind("sector")
     a.check(b)
     n = a.n
     out = list(zero(n, "sector").coeffs)
@@ -149,6 +151,7 @@ def virtual_adams(a: Coords, k: int) -> Coords:
     """Virtual Adams operation: psi^k twisted by the Bott class on twisted sectors."""
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
+    a.check_kind("sector")
     n = a.n
     return apply_columns(n, "sector", (
         (c, sector_start(n, m), _adams_column(n, m, j, k))
@@ -160,6 +163,7 @@ def virtual_augmentation(a: Coords) -> Coords:
 
     The value at x = 1 is the sum of the sector-0 coefficients.
     """
+    a.check_kind("sector")
     return unit(a.n, "sector").scale(sum(a.coeffs[:_width(a.n, 0)], Cyc.zero(a.n)))
 
 

@@ -14,7 +14,22 @@ from virtualk.coords import (
     zero,
 )
 from virtualk.cyclotomic import Cyc, zeta_pow
-from virtualk.localization import loc_mul, u_mul
+from virtualk.line_elements import is_line_element
+from virtualk.localization import (
+    from_u_basis,
+    gamma,
+    gamma_inverse,
+    loc_adams,
+    loc_augmentation,
+    loc_mul,
+    to_u_basis,
+    u_adams,
+    u_inverse,
+    u_is_invertible,
+    u_mul,
+)
+from virtualk.presentation import gamma0_project, resolution_adams, resolution_mul
+from virtualk.virtual_ring import sector_part, virtual_adams, virtual_augmentation, virtual_mul
 
 
 def test_positions_follow_the_index_formulas():
@@ -85,3 +100,35 @@ def test_invalid_coordinates_rejected():
         basis(1, "u")
     with pytest.raises(KeyError):
         gen(3, "u", "u[3,0]")
+
+
+# Sector, loc and u coordinates all have n^2 + 1 entries, so only the kind
+# tells a function that reads coordinates by position that it got the wrong one.
+WRONG_KIND = {
+    "gamma": (gamma, "loc"),
+    "gamma_inverse": (gamma_inverse, "sector"),
+    "loc_mul": (lambda a: loc_mul(a, a), "u"),
+    "loc_augmentation": (loc_augmentation, "sector"),
+    "loc_adams": (lambda a: loc_adams(a, 2), "sector"),
+    "to_u_basis": (to_u_basis, "u"),
+    "from_u_basis": (from_u_basis, "loc"),
+    "u_mul": (lambda a: u_mul(a, a), "loc"),
+    "u_is_invertible": (u_is_invertible, "loc"),
+    "u_inverse": (u_inverse, "loc"),
+    "u_adams": (lambda a: u_adams(a, 2), "loc"),
+    "sector_part": (lambda a: sector_part(a, 1), "loc"),
+    "virtual_mul": (lambda a: virtual_mul(a, a), "loc"),
+    "virtual_adams": (lambda a: virtual_adams(a, 2), "u"),
+    "virtual_augmentation": (virtual_augmentation, "loc"),
+    "resolution_mul": (lambda a: resolution_mul(a, a), "u"),
+    "resolution_adams": (lambda a: resolution_adams(a, 2), "u"),
+    "gamma0_project": (gamma0_project, "loc"),
+    "is_line_element": (is_line_element, "loc"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_KIND)
+def test_wrong_kind_rejected(name):
+    call, kind = WRONG_KIND[name]
+    with pytest.raises(ValueError, match="expected .* coordinates, got %s" % kind):
+        call(unit(3, kind))

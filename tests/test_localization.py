@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,6 @@ from conftest import evaluate
 from virtualk.coords import Coords, basis_vectors, gen, grid, power, unit, zero
 from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
 from virtualk.localization import (
-    adams_solutions,
     from_u_basis,
     gamma,
     gamma_inverse,
@@ -117,22 +117,6 @@ def test_loc_mul_matches_transported_product_small():
         for (la, ea), (lb, eb) in itertools.combinations_with_replacement(basis, 2):
             oracle = gamma(virtual_mul(gamma_inverse(ea), gamma_inverse(eb)))
             assert loc_mul(ea, eb) == oracle, (n, la, lb)
-
-
-def test_adams_solutions():
-    assert adams_solutions(2, 2, 0) == (0, 1)
-    assert adams_solutions(2, 2, 1) == ()
-    assert adams_solutions(4, 2, 2) == (1, 3)
-    assert adams_solutions(6, 4, 2) == (2, 5)
-    assert adams_solutions(5, 3, 2) == (4,)
-    for n in (2, 3, 4, 5, 6, 7, 8):
-        for k in range(1, 2 * n + 1):
-            for l in range(n):
-                sols = adams_solutions(n, k, l)
-                assert all((k * s - l) % n == 0 for s in sols)
-                assert list(sols) == sorted(sols)
-                if l == 0:
-                    assert sols[0] == 0
 
 
 def test_loc_adams_examples():
@@ -421,6 +405,97 @@ def reference_to_u_basis(a):
     return Coords(n, "u", out)
 
 
+def _solutions(n, k, l):
+    """Ascending solutions of k*y = l (mod n); empty when gcd(k,n) does not divide l."""
+    d = math.gcd(k, n)
+    if l % d:
+        return ()
+    nd = n // d
+    y0 = (pow(k // d, -1, nd) * ((l // d) % nd)) % nd if nd > 1 else 0
+    return tuple(y0 + i * nd for i in range(d))
+
+
+def reference_loc_adams(a, k):
+    """psi^k pushed forward: each generator is sent to its images over the
+    solution set of k*y = l (mod n), with the row weight recomputed here."""
+    n = a.n
+    A = a.coeffs
+    out = list(zero(n, "loc").coeffs)
+    sols0 = _solutions(n, k, 0)
+    if A[0]:
+        out[0] = out[0] + A[0]
+        for s in sols0[1:]:
+            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[0]
+    if A[1]:
+        out[1] = out[1] + A[1].scale_int(k)
+        out[0] = out[0] - A[1].scale_int(k - 1)
+        for s in sols0[1:]:
+            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[1]
+    for m in range(1, n):
+        i = grid(n, m, 0)
+        if A[i]:
+            out[i] = out[i] + A[i].scale_int(k)
+    one = Cyc.one(n)
+    for l in range(1, n):
+        sols = _solutions(n, k, l)
+        cu = A[grid(n, 0, l)]
+        if cu:
+            for s in sols:
+                out[grid(n, 0, s)] = out[grid(n, 0, s)] + cu
+        for m in range(1, n):
+            c = A[grid(n, m, l)]
+            if c:
+                for s in sols:
+                    weight = (zeta_pow(n, -l) - one) * (zeta_pow(n, -s) - one).inv()
+                    out[grid(n, m, s)] = out[grid(n, m, s)] + c * weight
+    return Coords(n, "loc", out)
+
+
+def reference_u_adams(a, k):
+    """psi^k pushed forward on semisimple coordinates over the same solution sets."""
+    n = a.n
+    A = a.coeffs
+    out = list(zero(n, "u").coeffs)
+    out[0] = A[0]
+    if A[0]:
+        for s in _solutions(n, k, 0)[1:]:
+            for q in range(n):
+                out[grid(n, s, q)] = out[grid(n, s, q)] + A[0]
+    for q in range(n):
+        c = A[grid(n, 0, q)]
+        if c:
+            out[grid(n, 0, q)] = out[grid(n, 0, q)] + c.scale_int(k)
+    for l in range(1, n):
+        for q in range(n):
+            c = A[grid(n, l, q)]
+            if c:
+                for s in _solutions(n, k, l):
+                    out[grid(n, s, q)] = out[grid(n, s, q)] + c
+    return Coords(n, "u", out)
+
+
+def test_solution_sets():
+    assert _solutions(2, 2, 0) == (0, 1)
+    assert _solutions(2, 2, 1) == ()
+    assert _solutions(4, 2, 2) == (1, 3)
+    assert _solutions(6, 4, 2) == (2, 5)
+    assert _solutions(5, 3, 2) == (4,)
+    for n in range(2, 9):
+        for k in range(1, 2 * n + 1):
+            for l in range(n):
+                sols = _solutions(n, k, l)
+                assert [s for s in range(n) if (k * s - l) % n == 0] == list(sols)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_adams_gathers_match_reference_on_all_basis_vectors(n):
+    for k in list(range(1, 3 * n + 1)) + [97, 2999, 3000]:
+        for label, e in basis_vectors(n, "loc"):
+            assert loc_adams(e, k) == reference_loc_adams(e, k), (label, k)
+        for label, b in basis_vectors(n, "u"):
+            assert u_adams(b, k) == reference_u_adams(b, k), (label, k)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_loc_mul_table_matches_reference_on_all_basis_pairs(n):
     basis = basis_vectors(n, "loc")
@@ -462,6 +537,38 @@ def test_tables_match_reference_on_dense_classes(classes):
     assert gamma_inverse(a) == reference_gamma_inverse(a)
     assert to_u_basis(a) == reference_to_u_basis(a)
     assert from_u_basis(u) == reference_from_u_basis(u)
+
+
+ADAMS_INDEX = st.integers(1, 3000)
+
+
+@settings(max_examples=40)
+@given(_dense(("loc", "u")), ADAMS_INDEX)
+def test_adams_gathers_match_reference_on_dense_classes(classes, k):
+    a, u = classes
+    assert loc_adams(a, k) == reference_loc_adams(a, k)
+    assert u_adams(u, k) == reference_u_adams(u, k)
+
+
+# ---------------------------------------------------------------------------
+# Ring and psi axioms on random dense classes.
+
+
+@settings(max_examples=40)
+@given(_dense(("sector",)))
+def test_dense_sector_classes_survive_the_round_trip_through_u(classes):
+    (s,) = classes
+    assert gamma_inverse(from_u_basis(to_u_basis(gamma(s)))) == s
+
+
+@settings(max_examples=40)
+@given(_dense(("loc", "loc", "u", "u")), ADAMS_INDEX, ADAMS_INDEX)
+def test_adams_composes_and_is_multiplicative_on_dense_classes(classes, k, l):
+    a, b, u, v = classes
+    assert loc_adams(loc_adams(a, l), k) == loc_adams(a, k * l)
+    assert u_adams(u_adams(u, l), k) == u_adams(u, k * l)
+    assert loc_adams(loc_mul(a, b), k) == loc_mul(loc_adams(a, k), loc_adams(b, k))
+    assert u_adams(u_mul(u, v), k) == u_mul(u_adams(u, k), u_adams(v, k))
 
 
 TABLES = ("_gamma_columns", "_gamma_inverse_columns", "_loc_mul_table", "_to_u_map",

@@ -12,7 +12,8 @@ import virtualk.line_elements as le
 import virtualk.localization as loc
 import virtualk.presentation as pres
 import virtualk.virtual_ring as vr
-from virtualk.coords import Coords, grid
+from virtualk.coords import Coords, grid, zero
+from virtualk.cyclotomic import Cyc
 from virtualk.verify import run_verify
 
 
@@ -167,6 +168,51 @@ def test_planted_line_realize_entry_is_caught(monkeypatch):
     # Generators with beta_0 = 0 are realized correctly.
     assert all("nu[0]" in cid for cid in failed if cid.startswith("presentation/"))
     assert not any(g in cid for cid in failed for g in ("sigma[1]", "sigma[2]", "nu[1]", "nu[2]"))
+
+
+def test_planted_u_adams_unit_spread_is_caught(monkeypatch):
+    # At n = 3 and 3 | k, every row s != 0 has k*s = 0 (mod 3) and reads the
+    # unit coordinate e[0,0]; plant psi^k without that read.
+    original = loc.u_adams
+    rows = grid(3, 1, 0)
+
+    def planted(a, k):
+        b = original(a, k)
+        if a.n != 3 or k % 3:
+            return b
+        return Coords(3, "u", b.coeffs[:rows] + zero(3, "u").coeffs[rows:])
+
+    _plant_everywhere(monkeypatch, original, planted)
+    failed = _failed_ids(("adams-oracle", "line-elements"))
+    # Only e[0,0] has a unit coordinate among the basis vectors.
+    assert {cid for cid in failed if cid.startswith("adams-oracle/")} == {
+        "adams-oracle/n=3/u/e[0,0]/k=%d" % k for k in (3, 6)}
+    # Every line element has unit coordinate 1.
+    for g in ("sigma[0]", "sigma[1]", "sigma[2]", "nu[0]", "nu[1]", "nu[2]", "random[0]"):
+        for k in (3, 6):
+            assert "line-elements/n=3/power-law/%s/k=%d" % (g, k) in failed
+    assert all(cid.endswith(("/k=3", "/k=6")) for cid in failed if "/power-law/" in cid)
+
+
+def test_planted_loc_adams_block_unit_read_is_caught(monkeypatch):
+    # At n = 3 and 3 | k, e[0,1] and e[0,2] read 1_00 + x_00; plant psi^k
+    # without that read.
+    original = loc.loc_adams
+
+    def planted(a, k):
+        b = original(a, k)
+        if a.n != 3 or k % 3:
+            return b
+        coeffs = list(b.coeffs)
+        for s in (1, 2):
+            coeffs[grid(3, 0, s)] = Cyc.zero(3)
+        return Coords(3, "loc", coeffs)
+
+    _plant_everywhere(monkeypatch, original, planted)
+    failed = _failed_ids(("adams-oracle",))
+    # The generators with 1_00 + x_00 != 0: e[0,0], xe[0,0], and e[0,0] in u.
+    assert failed == {"adams-oracle/n=3/%s/k=%d" % (g, k)
+                      for g in ("loc/e[0,0]", "loc/xe[0,0]", "u/e[0,0]") for k in (3, 6)}
 
 
 def test_suites_pass_without_a_planted_defect():

@@ -100,3 +100,5 @@ def test_invalid_n_rejected():
         verify_presentation(1)
     with pytest.raises(ValueError):
         verify_resolution_isomorphism(0, 2)
+    with pytest.raises(ValueError):
+        verify_resolution_isomorphism(3, 0)
