@@ -2,9 +2,9 @@
 
 The sector, localized and semisimple coordinates are three bases of one
 (n^2+1)-dimensional space over Q(zeta_n); the resolution ring is
-(n+1)-dimensional.  A ``Coords`` holds the weight n, the basis kind and the
-dense tuple of coordinates.  ``basis`` gives each coordinate its text label and
-its JSON index, in the fixed output order:
+(n+1)-dimensional.  A ``Coords`` holds the weight n, the basis kind and its
+nonzero coordinates by position.  ``basis`` gives each coordinate its text
+label and its JSON index, in the fixed output order:
 
     sector  x[0]^j (j <= n) at j; x[m]^j (m >= 1) at m*n + 1 + j
     loc     e[0,0] at 0; xe[0,0] at 1; e[m,l] at m*n + l + 1
@@ -23,15 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .cyclotomic import Cyc, format_cyc
 
 KINDS = ("sector", "loc", "u", "res")
 
-#: Nonzero entries of a column or row, as (position, entry) pairs; integral
-#: entries are stored as ``int``.
-Sparse = tuple[tuple[int, "Cyc | int"], ...]
+#: The nonzero entries of a column or row, as two parallel tuples: ascending
+#: positions and their entries, integral entries stored as ``int``.
+Sparse = tuple[tuple[int, ...], tuple["Cyc | int", ...]]
 
 
 def sector_start(n: int, m: int) -> int:
@@ -82,30 +82,57 @@ def basis(n: int, kind: str) -> Basis:
     return Basis(labels, tuple(keys), {label: i for i, label in enumerate(labels)})
 
 
-@dataclass(frozen=True)
 class Coords:
-    """An element of one of the rings, as dense coordinates in a labelled basis."""
+    """An element of one of the rings: its nonzero coordinates in a labelled basis.
 
-    n: int
-    kind: str
-    coeffs: tuple[Cyc, ...]
+    ``Coords(n, kind, coeffs)`` takes the dense coordinates, one ``Cyc`` of
+    weight n per basis vector.  ``terms`` maps the position of every nonzero
+    coordinate to its value, in ascending position order, and never holds a
+    zero, so equal vectors store equal terms.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        size = len(self.basis.labels)
-        if len(self.coeffs) != size:
+    __slots__ = ("n", "kind", "terms")
+
+    def __new__(cls, n: int, kind: str, coeffs: Iterable[Cyc]):
+        coeffs = tuple(coeffs)
+        size = len(basis(n, kind).labels)
+        if len(coeffs) != size:
             raise ValueError("%s coordinates for n=%d need %d entries, got %d"
-                             % (self.kind, self.n, size, len(self.coeffs)))
+                             % (kind, n, size, len(coeffs)))
+        return _make(n, kind, {i: c for i, c in enumerate(coeffs) if _entry(n, c)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Coords values are immutable")
 
     @property
     def basis(self) -> Basis:
         return basis(self.n, self.kind)
 
+    @property
+    def coeffs(self) -> tuple[Cyc, ...]:
+        """The dense coordinates, zeros included."""
+        z, get = Cyc.zero(self.n), self.terms.get
+        return tuple(get(i, z) for i in range(len(self.basis.labels)))
+
     def __getitem__(self, label: str) -> Cyc:
-        return self.coeffs[self.basis.position[label]]
+        return self.terms.get(self.basis.position[label], Cyc.zero(self.n))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coords):
+            return NotImplemented
+        return (self.n, self.kind) == (other.n, other.kind) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.kind, tuple(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return "Coords(%d, %r, %s)" % (self.n, self.kind, self)
+
+    def __reduce__(self):
+        return _make, (self.n, self.kind, self.terms)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.terms
 
     def check(self, other: "Coords") -> None:
         """Raise ValueError unless ``other`` has the same weight and basis."""
@@ -122,12 +149,13 @@ class Coords:
 
     def __add__(self, other: "Coords") -> "Coords":
         self.check(other)
-        return Coords(self.n, self.kind, tuple(
-            (a + b if a else b) if b else a for a, b in zip(self.coeffs, other.coeffs)
-        ))
+        out = dict(self.terms)
+        for i, b in other.terms.items():
+            out[i] = out[i] + b if i in out else b
+        return from_terms(self.n, self.kind, out)
 
     def __neg__(self) -> "Coords":
-        return Coords(self.n, self.kind, tuple(-a for a in self.coeffs))
+        return _make(self.n, self.kind, {i: -a for i, a in self.terms.items()})
 
     def __sub__(self, other: "Coords") -> "Coords":
         return self + (-other)
@@ -136,38 +164,63 @@ class Coords:
         c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
         if not c:
             return zero(self.n, self.kind)
-        return Coords(self.n, self.kind, tuple(a * c if a else a for a in self.coeffs))
+        return _make(self.n, self.kind, {i: a * c for i, a in self.terms.items()})
 
     def __str__(self) -> str:
-        terms = [(c, label) for c, label in zip(self.coeffs, self.basis.labels) if c]
-        return _join_terms(terms)
+        """Text form in coordinate order, e.g. ``-e[0,0] + 2*xe[0,0]``."""
+        labels = self.basis.labels
+        text = "".join(_term(c, labels[i]) for i, c in self.terms.items())
+        return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
+
+
+# Slot setters that bypass the immutability guard in Coords.__setattr__.
+_set_n, _set_kind, _set_terms = Coords.n.__set__, Coords.kind.__set__, Coords.terms.__set__
+
+
+def _make(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
+    # ``terms`` must already be canonical: ascending positions, no zero value.
+    obj = object.__new__(Coords)
+    _set_n(obj, n)
+    _set_kind(obj, kind)
+    _set_terms(obj, terms)
+    return obj
+
+
+def _entry(n: int, c: Cyc) -> Cyc:
+    # c, once it is known to be a Cyc of order n.
+    if not isinstance(c, Cyc):
+        raise TypeError("a coordinate must be a Cyc, got %s" % type(c).__name__)
+    if c.n != n:
+        raise ValueError("a coordinate in Q(zeta_%d) for the weight n=%d" % (c.n, n))
+    return c
+
+
+def from_terms(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
+    """The vector with coordinate ``terms[i]`` at each position i; zero values are dropped."""
+    return _make(n, kind, {i: terms[i] for i in sorted(terms) if terms[i]})
 
 
 @cache
 def zero(n: int, kind: str) -> Coords:
-    z = Cyc.zero(n)
-    return Coords(n, kind, (z,) * len(basis(n, kind).labels))
+    basis(n, kind)
+    return _make(n, kind, {})
 
 
 def gen(n: int, kind: str, label: str, coeff: Cyc | int | Fraction = 1) -> Coords:
     """``coeff`` times the basis vector named ``label``."""
-    coeffs = list(zero(n, kind).coeffs)
-    coeffs[basis(n, kind).position[label]] = (
-        coeff if isinstance(coeff, Cyc) else Cyc.rational(n, coeff)
-    )
-    return Coords(n, kind, coeffs)
+    i = basis(n, kind).position[label]
+    c = _entry(n, coeff if isinstance(coeff, Cyc) else Cyc.rational(n, coeff))
+    return _make(n, kind, {i: c} if c else {})
 
 
 @cache
 def unit(n: int, kind: str) -> Coords:
     """The ring unit: one[0] on the sector side, the sum of the row idempotents
     e[0,l] in loc, e[0,0] plus every u[l,q] with l != 0 in u, and 1 in res."""
-    coeffs = list(zero(n, kind).coeffs)
+    basis(n, kind)
     ones = {"loc": [0] + [grid(n, 0, l) for l in range(1, n)],
             "u": [0] + list(range(grid(n, 1, 0), n * n + 1))}.get(kind, [0])
-    for i in ones:
-        coeffs[i] = Cyc.one(n)
-    return Coords(n, kind, coeffs)
+    return _make(n, kind, dict.fromkeys(ones, Cyc.one(n)))
 
 
 @cache
@@ -176,24 +229,26 @@ def basis_vectors(n: int, kind: str) -> tuple[tuple[str, Coords], ...]:
     return tuple((label, gen(n, kind, label)) for label in basis(n, kind).labels)
 
 
-def sparse(coeffs: Sequence[Cyc]) -> Sparse:
-    """The nonzero entries of a dense coefficient sequence, integral ones as int."""
-    return tuple((i, c.num[0] if c.den == 1 and c.is_rational() else c)
-                 for i, c in enumerate(coeffs) if c)
+def sparse(entries: Iterable[tuple[int, Cyc | int]]) -> Sparse:
+    """The nonzero ones of the (position, entry) pairs ``entries``, as a
+    column: integral entries are stored as ``int``."""
+    nonzero = [(i, c.num[0] if isinstance(c, Cyc) and c.den == 1 and c.is_rational() else c)
+               for i, c in entries if c]
+    return tuple(i for i, _ in nonzero), tuple(c for _, c in nonzero)
 
 
 def apply_columns(n: int, kind: str, terms: Iterable[tuple[Cyc, int, Sparse]]) -> Coords:
     """The sum of c * column over ``terms`` of (c, start, column), in basis ``kind``.
 
     A column's positions count from ``start``.  An entry 1 adds c without a
-    multiplication.
+    multiplication, and the first write to a position adds nothing.
     """
-    out = list(zero(n, kind).coeffs)
-    for c, start, column in terms:
-        for offset, r in column:
-            i = start + offset
-            out[i] = out[i] + (c if r == 1 else c * r)
-    return Coords(n, kind, out)
+    out: dict[int, Cyc] = {}
+    for c, start, (positions, entries) in terms:
+        for offset, r in zip(positions, entries):
+            i, v = start + offset, c if r == 1 else c * r
+            out[i] = out[i] + v if i in out else v
+    return from_terms(n, kind, out)
 
 
 def power(a: Coords, k: int, mul: Callable[[Coords, Coords], Coords]) -> Coords:
@@ -211,32 +266,14 @@ def power(a: Coords, k: int, mul: Callable[[Coords, Coords], Coords]) -> Coords:
     return result
 
 
-def _coeff_prefix(c: Cyc, first: bool) -> tuple[str, str]:
-    # Returns (sign-or-separator, coefficient text without sign); "" means 1.
+def _term(c: Cyc, label: str) -> str:
+    # " + c*label", or " - |c|*label" for a negative rational c; a coefficient
+    # 1 and the label "1" are left out.
     if c.is_rational():
         r = c.rational_value()
-        sign = "-" if r < 0 else "+"
-        mag = abs(r)
-        text = "" if mag == 1 else str(mag)
+        sign, coeff = " - " if r < 0 else " + ", "" if abs(r) == 1 else str(abs(r))
     else:
-        sign = "+"
-        text = "(%s)" % format_cyc(c)
-    if first:
-        lead = "-" if sign == "-" else ""
-        return lead, text
-    return " %s " % sign, text
-
-
-def _join_terms(terms: list[tuple[Cyc, str]]) -> str:
-    """Text form of a sum of labelled terms, e.g. ``-e[0,0] + 2*xe[0,0]``."""
-    if not terms:
-        return "0"
-    out = []
-    for i, (c, sym) in enumerate(terms):
-        sep, text = _coeff_prefix(c, i == 0)
-        if sym == "1":
-            body = text if text else "1"
-        else:
-            body = "%s*%s" % (text, sym) if text else sym
-        out.append(sep + body)
-    return "".join(out)
+        sign, coeff = " + ", "(%s)" % format_cyc(c)
+    if label == "1":
+        return sign + (coeff or "1")
+    return sign + ("%s*%s" % (coeff, label) if coeff else label)

@@ -181,7 +181,8 @@ class Cyc:
     @classmethod
     def rational(cls, n: int, value: int | Fraction) -> "Cyc":
         if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+            raise TypeError("a rational value must be an int or a Fraction, got %s"
+                            % type(value).__name__)
         return _raw(n, (value.numerator,) + (0,) * (phi_degree(n) - 1), value.denominator)
 
     @property

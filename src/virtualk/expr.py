@@ -460,7 +460,7 @@ def _printable(v: Coords) -> Coords:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     # An integer of more bits than this is at least 10**limit.
     max_bits = int(limit * math.log2(10)) + 1
-    if limit and any(i.bit_length() > max_bits for c in v.coeffs if c for i in (c.den, *c.num)):
+    if limit and any(i.bit_length() > max_bits for c in v.terms.values() for i in (c.den, *c.num)):
         raise EvalError("the power has coefficients of more than %d digits, "
                         "over the limit for integer string conversion" % limit)
     return v
@@ -569,7 +569,7 @@ def value_to_json(n: int, basis: str, v: Value, display: str | None = None) -> s
         return json.dumps(doc, sort_keys=True)
     if display == "u":
         v = loc.to_u_basis(v)
-    coeffs = [{"index": list(index), "value": _rat_vector(c)}
-              for index, c in zip(v.basis.json, v.coeffs) if c]
+    index = v.basis.json
+    coeffs = [{"index": list(index[i]), "value": _rat_vector(c)} for i, c in v.terms.items()]
     doc = {"n": n, "basis": v.kind, "coeffs": coeffs}
     return json.dumps(doc, sort_keys=True)

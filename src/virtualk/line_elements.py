@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import linalg
-from .coords import Coords, grid, zero
+from .coords import Coords, from_terms, grid, zero
 from .cyclotomic import Cyc, zeta_pow
 from .localization import u_adams, u_is_invertible, u_mul
 
@@ -63,13 +63,12 @@ def nu(n: int, j: int) -> LineElt:
 def line_realize(L: LineElt) -> Coords:
     """The class of L in semisimple coordinates: u[l,q] = zeta^(l f_q), u[0,q] = beta_q."""
     n = L.n
-    out = list(zero(n, "u").coeffs)
-    out[0] = Cyc.one(n)
+    out = {0: Cyc.one(n)}
     for q in range(n):
         out[grid(n, 0, q)] = L.beta[q]
         for l in range(1, n):
             out[grid(n, l, q)] = zeta_pow(n, l * L.f[q])
-    return Coords(n, "u", out)
+    return from_terms(n, "u", out)
 
 
 def line_mul(a: LineElt, b: LineElt) -> LineElt:
@@ -117,12 +116,12 @@ def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
             return LineCertificate(
                 False, "psi^%d does not equal the %d-th power" % (k, k), None
             )
-    if b.coeffs[0] != Cyc.one(n):
+    if b.terms[0] != Cyc.one(n):
         return LineCertificate(False, "unit coefficient is not 1", None)
     roots = [zeta_pow(n, t) for t in range(n)]
     f = []
     for q in range(n):
-        val = b.coeffs[grid(n, 1, q)]
+        val = b.terms[grid(n, 1, q)]
         try:
             fq = roots.index(val)
         except ValueError:
@@ -130,12 +129,12 @@ def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
                 False, "column %d is not generated by a root of unity" % q, None
             )
         for l in range(2, n):
-            if b.coeffs[grid(n, l, q)] != zeta_pow(n, l * fq):
+            if b.terms[grid(n, l, q)] != zeta_pow(n, l * fq):
                 return LineCertificate(
                     False, "column %d does not follow the power law" % q, None
                 )
         f.append(fq)
-    params = line_element(n, f, b.coeffs[grid(n, 0, 0):grid(n, 1, 0)])
+    params = line_element(n, f, [b.terms.get(grid(n, 0, q), Cyc.zero(n)) for q in range(n)])
     if line_realize(params) != b:
         return LineCertificate(False, "parameter recovery failed to re-realize", None)
     return LineCertificate(True, "", params)

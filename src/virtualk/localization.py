@@ -40,11 +40,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .coords import Coords, Sparse, apply_columns, basis, grid, sector_start, sparse, unit, zero
+from .coords import (Coords, Sparse, apply_columns, basis, from_terms, grid, sector_start, sparse,
+                     unit)
 from .cyclotomic import Cyc, zeta_pow
-
-#: Weights (position, factor) that multiply single coordinates.
-Weights = tuple[tuple[int, Cyc], ...]
 
 
 @cache
@@ -67,15 +65,12 @@ def _adams_weight(n: int, l: int, s: int) -> Cyc:
 
 def _apply(a: Coords, kind: str, columns: tuple[Sparse, ...]) -> Coords:
     # The linear map with one column per coordinate of ``a``.
-    return apply_columns(a.n, kind, ((c, 0, col) for c, col in zip(a.coeffs, columns) if c))
+    return apply_columns(a.n, kind, ((c, 0, columns[i]) for i, c in a.terms.items()))
 
 
-def _weighted(coeffs: tuple[Cyc, ...], weights: Weights) -> list[Cyc]:
-    out = list(coeffs)
-    for i, w in weights:
-        if out[i]:
-            out[i] = out[i] * w
-    return out
+def _weighted(a: Coords, weights: dict[int, Cyc]) -> Coords:
+    return from_terms(a.n, a.kind, {i: c * weights[i] if i in weights else c
+                                    for i, c in a.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +85,11 @@ def _gamma_columns(n: int) -> tuple[Sparse, ...]:
     the block (0,0) holds its 2-jet at 1 instead: value 1 and derivative j,
     stored as e[0,0] = 1 - j and xe[0,0] = j.
     """
-    size = len(basis(n, "loc").labels)
     columns = []
     for _, m, j in basis(n, "sector").json:
-        col = [Cyc.zero(n)] * size
-        for l in range(1 if m == 0 else 0, n):
-            col[grid(n, m, l)] = zeta_pow(n, l * j)
-        if m == 0:
-            col[0], col[1] = Cyc.rational(n, 1 - j), Cyc.rational(n, j)
-        columns.append(sparse(col))
+        jet = [(0, 1 - j), (1, j)] if m == 0 else []
+        columns.append(sparse(jet + [(grid(n, m, l), zeta_pow(n, l * j))
+                                     for l in range(1 if m == 0 else 0, n)]))
     return tuple(columns)
 
 
@@ -143,7 +134,7 @@ def _gamma_inverse_columns(n: int) -> tuple[Sparse, ...]:
         else:
             d = (zeta_pow(n, l) - Cyc.one(n)).inv() * inv_n
             columns.append((0, [-d] + dft[l][1:] + [zeta_pow(n, l) * d]))
-    return tuple(tuple((sector_start(n, m) + j, c) for j, c in sparse(column))
+    return tuple(sparse((sector_start(n, m) + j, c) for j, c in enumerate(column))
                  for m, column in columns)
 
 
@@ -158,8 +149,8 @@ def gamma_inverse(b: Coords) -> Coords:
 
 
 @cache
-def _loc_mul_table(n: int) -> tuple[tuple[tuple[int, Sparse], ...], ...]:
-    """Entry i lists (j, e_i * e_j) for every generator e_j with a nonzero product.
+def _loc_mul_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[Sparse, ...]], ...]:
+    """Entry i: every generator e_j with e_i * e_j != 0, with that product.
 
     Built from the rules in the ``loc_mul`` docstring: the row 0 block, the
     row units 1_0l, and the weight w_l (w_l^2 when m1 + m2 = n) on
@@ -168,27 +159,28 @@ def _loc_mul_table(n: int) -> tuple[tuple[tuple[int, Sparse], ...], ...]:
     table: list[dict[int, Sparse]] = [{} for _ in basis(n, "loc").labels]
     shared: dict[Sparse, Sparse] = {}  # equal products are stored once
 
-    def put(i: int, j: int, product: Sparse) -> None:
-        table[i][j] = table[j][i] = shared.setdefault(product, product)
+    def put(i: int, j: int, *product: tuple[int, Cyc | int]) -> None:
+        column = sparse(product)
+        table[i][j] = table[j][i] = shared.setdefault(column, column)
 
-    put(0, 0, ((0, 1),))
-    put(0, 1, ((1, 1),))
-    put(1, 1, ((0, -1), (1, 2)))
+    put(0, 0, (0, 1))
+    put(0, 1, (1, 1))
+    put(1, 1, (0, -1), (1, 2))
     for m in range(1, n):
         i = grid(n, m, 0)
-        put(0, i, ((i, 1),))
-        put(1, i, ((i, 1),))
+        put(0, i, (i, 1))
+        put(1, i, (i, 1))
     for l in range(1, n):
         w = _w(n, l)
         row = grid(n, 0, l)
-        put(row, row, ((row, 1),))
+        put(row, row, (row, 1))
         for m1 in range(1, n):
             i = grid(n, m1, l)
-            put(row, i, ((i, 1),))
+            put(row, i, (i, 1))
             for m2 in range(m1, n):
-                target = ((row, w * w),) if m1 + m2 == n else ((grid(n, (m1 + m2) % n, l), w),)
+                target = (row, w * w) if m1 + m2 == n else (grid(n, (m1 + m2) % n, l), w)
                 put(i, grid(n, m2, l), target)
-    return tuple(tuple(entries.items()) for entries in table)
+    return tuple(sparse(sorted(entries.items())) for entries in table)
 
 
 def loc_mul(a: Coords, b: Coords) -> Coords:
@@ -203,17 +195,17 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
     """
     a.check_kind("loc")
     a.check(b)
-    B = b.coeffs
+    B, table = b.terms, _loc_mul_table(a.n)
     return apply_columns(a.n, "loc", (
         (ca * B[j], 0, product)
-        for ca, entries in zip(a.coeffs, _loc_mul_table(a.n)) if ca
-        for j, product in entries if B[j]))
+        for i, ca in a.terms.items()
+        for j, product in zip(*table[i]) if j in B))
 
 
 def loc_augmentation(a: Coords) -> Coords:
     """Transport of the virtual augmentation: (e[0,0] + xe[0,0]) times the unit."""
     a.check_kind("loc")
-    return unit(a.n, "loc").scale(a.coeffs[0] + a.coeffs[1])
+    return unit(a.n, "loc").scale(a["e[0,0]"] + a["xe[0,0]"])
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +223,20 @@ def loc_adams(a: Coords, k: int) -> Coords:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("loc")
-    n, A = a.n, a.coeffs
-    out = list(zero(n, "loc").coeffs)
-    out[0], out[1] = A[0] - A[1].scale_int(k - 1), A[1].scale_int(k)
-    for m in range(1, n):
-        out[grid(n, m, 0)] = A[grid(n, m, 0)].scale_int(k)
+    n, A = a.n, a.terms
+    a0, a1 = A.get(0, Cyc.zero(n)), A.get(1, Cyc.zero(n))
+    out = {0: a0 - a1.scale_int(k - 1), 1: a1.scale_int(k)}
+    out.update((i, A[i].scale_int(k)) for i in (grid(n, m, 0) for m in range(1, n)) if i in A)
     for s in range(1, n):
         l = k * s % n
-        out[grid(n, 0, s)] = A[grid(n, 0, l)] if l else A[0] + A[1]
-        if l:
-            for m in range(1, n):
-                c = A[grid(n, m, l)]
-                out[grid(n, m, s)] = c * _adams_weight(n, l, s) if c else c
-    return Coords(n, "loc", out)
+        if not l:
+            out[grid(n, 0, s)] = a0 + a1
+            continue
+        for m in range(n):
+            c = A.get(grid(n, m, l))
+            if c:
+                out[grid(n, m, s)] = c * _adams_weight(n, l, s) if m else c
+    return from_terms(n, "loc", out)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +244,7 @@ def loc_adams(a: Coords, k: int) -> Coords:
 
 
 @cache
-def _from_u_map(n: int) -> tuple[tuple[Sparse, ...], Weights]:
+def _from_u_map(n: int) -> tuple[tuple[Sparse, ...], dict[int, Cyc]]:
     """Columns, in u coordinate order, and output weights of ``from_u_basis``.
 
     e[0,0] -> e[0,0]; u[0,0] -> xe[0,0] - e[0,0]; u[0,m] -> e[m,0]; and for
@@ -259,18 +252,17 @@ def _from_u_map(n: int) -> tuple[tuple[Sparse, ...], Weights]:
     weighted by 1/n and e[i,l] by 1/(n w_l).
     """
     inv_n = Cyc.rational(n, Fraction(1, n))
-    columns: list[Sparse] = [((0, 1),), ((0, -1), (1, 1))]
-    columns += [((grid(n, m, 0), 1),) for m in range(1, n)]
-    weights = []
+    columns = [sparse([(0, 1)]), sparse([(0, -1), (1, 1)])]
+    columns += [sparse([(grid(n, m, 0), 1)]) for m in range(1, n)]
+    weights = {}
     for l in range(1, n):
         for q in range(n):
-            columns.append(((grid(n, 0, l), 1),) + tuple(
-                (grid(n, i, l), c) for i, c in sparse([zeta_pow(n, -i * q) for i in range(n)])
-                if i))
-        weights.append((grid(n, 0, l), inv_n))
+            columns.append(sparse([(grid(n, 0, l), 1)] + [
+                (grid(n, i, l), zeta_pow(n, -i * q)) for i in range(1, n)]))
+        weights[grid(n, 0, l)] = inv_n
         winv = _w_inv(n, l) * inv_n
-        weights += [(grid(n, i, l), winv) for i in range(1, n)]
-    return tuple(columns), tuple(weights)
+        weights.update((grid(n, i, l), winv) for i in range(1, n))
+    return tuple(columns), weights
 
 
 def from_u_basis(b: Coords) -> Coords:
@@ -282,25 +274,24 @@ def from_u_basis(b: Coords) -> Coords:
     """
     b.check_kind("u")
     columns, weights = _from_u_map(b.n)
-    return Coords(b.n, "loc", _weighted(_apply(b, "loc", columns).coeffs, weights))
+    return _weighted(_apply(b, "loc", columns), weights)
 
 
 @cache
-def _to_u_map(n: int) -> tuple[tuple[Sparse, ...], Weights]:
+def _to_u_map(n: int) -> tuple[tuple[Sparse, ...], dict[int, Cyc]]:
     """Columns, in loc coordinate order, and input weights of ``to_u_basis``.
 
     e[0,0] -> e[0,0]; xe[0,0] -> e[0,0] + u[0,0]; e[m,0] -> u[0,m]; and for
     l != 0, e[i,l] -> sum_q zeta^(iq) u[l,q], where e[i,l] with i != 0 is
     first weighted by w_l.
     """
-    columns: list[Sparse] = [((0, 1),), ((0, 1), (1, 1))]
+    columns = [sparse([(0, 1)]), sparse([(0, 1), (1, 1)])]
     for _, i, l in basis(n, "loc").json[2:]:
         if l == 0:
-            columns.append(((grid(n, 0, i), 1),))
+            columns.append(sparse([(grid(n, 0, i), 1)]))
         else:
-            row = sparse([zeta_pow(n, i * q) for q in range(n)])
-            columns.append(tuple((grid(n, l, q), c) for q, c in row))
-    weights = tuple((grid(n, i, l), _w(n, l)) for i in range(1, n) for l in range(1, n))
+            columns.append(sparse((grid(n, l, q), zeta_pow(n, i * q)) for q in range(n)))
+    weights = {grid(n, i, l): _w(n, l) for i in range(1, n) for l in range(1, n)}
     return tuple(columns), weights
 
 
@@ -309,38 +300,50 @@ def to_u_basis(a: Coords) -> Coords:
     1_il = (1 - zeta^(-l)) sum_q zeta^(iq) u_l^q for i != 0."""
     a.check_kind("loc")
     columns, weights = _to_u_map(a.n)
-    return _apply(Coords(a.n, "loc", _weighted(a.coeffs, weights)), "u", columns)
+    return _apply(_weighted(a, weights), "u", columns)
+
+
+def square_zero_terms(A: dict[int, Cyc], B: dict[int, Cyc], stop: int) -> dict[int, Cyc]:
+    """The product on positions below ``stop``, from the stored terms of both factors,
+    of a block with the unit at position 0 and square-zero elements after it."""
+    a0, b0 = A.get(0), B.get(0)
+    out = {0: a0 * b0} if a0 and b0 else {}
+    for c0, other in ((a0, B), (b0, A)):
+        if c0:
+            for i, c in other.items():
+                if 0 < i < stop:
+                    out[i] = out[i] + c0 * c if i in out else c0 * c
+    return out
 
 
 def u_mul(a: Coords, b: Coords) -> Coords:
-    """Product in semisimple coordinates: diagonal on l != 0, square-zero on l = 0."""
+    """Product in semisimple coordinates: diagonal on l != 0, square-zero on l = 0.
+
+    Only positions stored in both factors meet on the semisimple rows."""
     a.check_kind("u")
     a.check(b)
-    n = a.n
-    A, B = a.coeffs, b.coeffs
-    out = [A[0] * B[0]]
-    out += [A[0] * B[i] + B[0] * A[i] for i in range(grid(n, 0, 0), grid(n, 1, 0))]
-    out += [A[i] * B[i] for i in range(grid(n, 1, 0), len(A))]
-    return Coords(n, "u", out)
+    n, A, B = a.n, a.terms, b.terms
+    start = grid(n, 1, 0)
+    out = square_zero_terms(A, B, start)
+    out.update((i, A[i] * B[i]) for i in A.keys() & B.keys() if i >= start)
+    return from_terms(n, "u", out)
 
 
 def u_is_invertible(a: Coords) -> bool:
     a.check_kind("u")
-    return bool(a.coeffs[0]) and all(a.coeffs[grid(a.n, 1, 0):])
+    return 0 in a.terms and all(i in a.terms for i in range(grid(a.n, 1, 0), a.n * a.n + 1))
 
 
 def u_inverse(a: Coords) -> Coords:
     """Inverse: entrywise on the semisimple rows, square-zero expansion on row 0."""
     if not u_is_invertible(a):
         raise ZeroDivisionError("class is not invertible in the localized ring")
-    n = a.n
-    A = a.coeffs
+    n, A = a.n, a.terms
     c1_inv = A[0].inv()
     neg_sq = -(c1_inv * c1_inv)
-    out = [c1_inv]
-    out += [A[i] * neg_sq for i in range(grid(n, 0, 0), grid(n, 1, 0))]
-    out += [A[i].inv() for i in range(grid(n, 1, 0), len(A))]
-    return Coords(n, "u", out)
+    start = grid(n, 1, 0)
+    return from_terms(n, "u", {i: c1_inv if i == 0 else c * neg_sq if i < start else c.inv()
+                               for i, c in A.items()})
 
 
 def u_adams(a: Coords, k: int) -> Coords:
@@ -352,9 +355,12 @@ def u_adams(a: Coords, k: int) -> Coords:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("u")
-    n, A = a.n, a.coeffs
-    out = [A[0]] + [c.scale_int(k) for c in A[1:grid(n, 1, 0)]]
+    n, A = a.n, a.terms
+    out = {i: c if i == 0 else c.scale_int(k) for i, c in A.items() if i < grid(n, 1, 0)}
     for s in range(1, n):
         l = k * s % n
-        out += A[grid(n, l, 0):grid(n, l + 1, 0)] if l else [A[0]] * n
-    return Coords(n, "u", out)
+        for q in range(n):
+            c = A.get(grid(n, l, q) if l else 0)
+            if c:
+                out[grid(n, s, q)] = c
+    return from_terms(n, "u", out)

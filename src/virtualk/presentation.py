@@ -19,19 +19,17 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .coords import Coords, basis, basis_vectors, gen, grid, power, unit, zero
+from .coords import Coords, basis, basis_vectors, from_terms, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
 from .line_elements import line_element, line_realize, nu, sigma
-from .localization import u_adams, u_mul
+from .localization import square_zero_terms, u_adams, u_mul
 
 
 def resolution_mul(x: Coords, y: Coords) -> Coords:
     """(a, b).(a', b') = (a a', a b' + a' b): the square-zero product rule."""
     x.check_kind("res")
     x.check(y)
-    a, b = x.coeffs[0], x.coeffs[1:]
-    a2, b2 = y.coeffs[0], y.coeffs[1:]
-    return Coords(x.n, "res", (a * a2,) + tuple(a * v + a2 * u for u, v in zip(b, b2)))
+    return from_terms(x.n, "res", square_zero_terms(x.terms, y.terms, x.n + 1))
 
 
 def resolution_adams(x: Coords, k: int) -> Coords:
@@ -39,13 +37,13 @@ def resolution_adams(x: Coords, k: int) -> Coords:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     x.check_kind("res")
-    return Coords(x.n, "res", x.coeffs[:1] + tuple(v.scale_int(k) for v in x.coeffs[1:]))
+    return from_terms(x.n, "res", {i: c.scale_int(k) if i else c for i, c in x.terms.items()})
 
 
 def gamma0_project(b: Coords) -> Coords:
     """Projection onto the l = 0 block: keep 1_00 and the u_0^q coordinates."""
     b.check_kind("u")
-    return Coords(b.n, "res", b.coeffs[:grid(b.n, 1, 0)])
+    return from_terms(b.n, "res", {i: c for i, c in b.terms.items() if i < grid(b.n, 1, 0)})
 
 
 #: A relation and its two sides: (name, lhs, rhs), equal when it holds.

@@ -18,8 +18,8 @@ reduced class of x^s * e for every exponent sum s of two monomials, keyed on
 the Euler polynomial e itself, so a replaced ``euler_factor`` (a planted
 defect in the tests) gets rows of its own; ``_adams_column`` holds the image
 of one monomial x_m^j under psi~^k.
-Rows and columns are sparse (offset, coefficient) pairs with integral
-coefficients stored as ``int``.
+Rows and columns are ``coords.Sparse``: parallel tuples of offsets and
+coefficients, integral coefficients stored as ``int``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Mapping
 
-from .coords import Coords, Sparse, apply_columns, sector_start, sparse, unit, zero
+from .coords import Coords, Sparse, apply_columns, from_terms, sector_start, sparse, unit, zero
 from .cyclotomic import Cyc, CycPoly
 from .sector_ring import (
     bott_class,
@@ -52,21 +52,20 @@ def _width(n: int, m: int) -> int:
 def sector_part(a: Coords, m: int) -> CycPoly:
     """The class of ``a`` in sector m, as a polynomial in x_m."""
     a.check_kind("sector")
-    start = sector_start(a.n, m)
-    return CycPoly.from_cycs(a.n, a.coeffs[start:start + _width(a.n, m)])
+    start, get = sector_start(a.n, m), a.terms.get
+    return CycPoly.from_cycs(a.n, [get(start + j, Cyc.zero(a.n)) for j in range(_width(a.n, m))])
 
 
 def from_sectors(n: int, parts: Mapping[int, CycPoly]) -> Coords:
     """The class with the reduced polynomial ``parts[m]`` on sector m, zero elsewhere."""
-    coeffs = list(zero(n, "sector").coeffs)
+    terms = {}
     for m, p in parts.items():
         if not 0 <= m < n:
             raise ValueError("sector index out of range")
         if len(p.coeffs) > _width(n, m):
             raise ValueError("representative is not reduced")
-        start = sector_start(n, m)
-        coeffs[start:start + len(p.coeffs)] = p.coeffs
-    return Coords(n, "sector", coeffs)
+        terms.update(enumerate(p.coeffs, sector_start(n, m)))
+    return from_terms(n, "sector", terms)
 
 
 def k_monomial(n: int, m: int, a: int) -> Coords:
@@ -98,16 +97,17 @@ def _euler_rows(e: CycPoly, untwisted: bool) -> tuple[Sparse, ...]:
     """Row s = 0..2n: the reduced class of x^s * e in an untwisted or a twisted sector."""
     n = e.n
     pad = (Cyc.zero(n),)
-    return tuple(sparse(reduce_coeffs(n, 0 if untwisted else 1, pad * s + e.coeffs))
+    return tuple(sparse(enumerate(reduce_coeffs(n, 0 if untwisted else 1, pad * s + e.coeffs)))
                  for s in range(2 * n + 1))
 
 
 def _terms(a: Coords) -> dict[int, list[tuple[int, Cyc]]]:
     # Sector m -> the nonzero coordinates (j, coefficient of x_m^j).
     out: dict[int, list[tuple[int, Cyc]]] = {}
-    for (_, m, j), c in zip(a.basis.json, a.coeffs):
-        if c:
-            out.setdefault(m, []).append((j, c))
+    json = a.basis.json
+    for i, c in a.terms.items():
+        _, m, j = json[i]
+        out.setdefault(m, []).append((j, c))
     return out
 
 
@@ -120,8 +120,8 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
     a.check_kind("sector")
     a.check(b)
     n = a.n
-    out = list(zero(n, "sector").coeffs)
     terms_b = _terms(b)
+    scattered = []
     for m1, ta in _terms(a).items():
         for m2, tb in terms_b.items():
             conv: dict[int, Cyc] = {}
@@ -131,11 +131,8 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
                     conv[s] = conv[s] + c if s in conv else c
             t = (m1 + m2) % n
             rows = _euler_rows(euler_factor(n, m1, m2), t == 0)
-            start = sector_start(n, t)
-            for s, c in conv.items():
-                for offset, r in rows[s]:
-                    out[start + offset] = out[start + offset] + (c if r == 1 else c * r)
-    return Coords(n, "sector", out)
+            scattered += [(c, sector_start(n, t), rows[s]) for s, c in conv.items()]
+    return apply_columns(n, "sector", scattered)
 
 
 @lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)
@@ -144,7 +141,7 @@ def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
     ps = sector_adams(m, CycPoly.monomial(n, j), k)
     if m and not ps.is_zero():
         ps = sector_mul(m, ps, bott_class(n, m, k))
-    return sparse(ps.coeffs)
+    return sparse(enumerate(ps.coeffs))
 
 
 def virtual_adams(a: Coords, k: int) -> Coords:
@@ -152,10 +149,10 @@ def virtual_adams(a: Coords, k: int) -> Coords:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("sector")
-    n = a.n
+    n, json = a.n, a.basis.json
     return apply_columns(n, "sector", (
-        (c, sector_start(n, m), _adams_column(n, m, j, k))
-        for (_, m, j), c in zip(a.basis.json, a.coeffs) if c))
+        (c, sector_start(n, json[i][1]), _adams_column(n, json[i][1], json[i][2], k))
+        for i, c in a.terms.items()))
 
 
 def virtual_augmentation(a: Coords) -> Coords:
@@ -164,7 +161,8 @@ def virtual_augmentation(a: Coords) -> Coords:
     The value at x = 1 is the sum of the sector-0 coefficients.
     """
     a.check_kind("sector")
-    return unit(a.n, "sector").scale(sum(a.coeffs[:_width(a.n, 0)], Cyc.zero(a.n)))
+    sector0 = sum((c for i, c in a.terms.items() if i < _width(a.n, 0)), Cyc.zero(a.n))
+    return unit(a.n, "sector").scale(sector0)
 
 
 def lambda_from_adams(a: Coords, i: int) -> Coords:

@@ -102,6 +102,23 @@ def test_invalid_coordinates_rejected():
         gen(3, "u", "u[3,0]")
 
 
+def test_entries_must_be_cycs_of_the_weight():
+    # A coordinate of another cyclotomic order printed like a valid one but
+    # compared unequal to it; a non-Cyc entry failed only when printed.
+    with pytest.raises(ValueError, match="Q\\(zeta_5\\)"):
+        Coords(3, "u", [Cyc.one(5)] * 10)
+    with pytest.raises(ValueError, match="Q\\(zeta_5\\)"):
+        gen(3, "u", "e[0,0]", Cyc.one(5))
+    with pytest.raises(TypeError, match="must be a Cyc"):
+        Coords(3, "u", [1] * 10)
+    with pytest.raises(TypeError, match="must be a Cyc"):
+        Coords(3, "u", [Cyc.one(3)] * 9 + [Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        gen(3, "u", "e[0,0]", "1")
+    assert Coords(3, "u", [Cyc.one(3)] * 10) == unit(3, "u") + gen(3, "u", "u[0,0]") + gen(
+        3, "u", "u[0,1]") + gen(3, "u", "u[0,2]")
+
+
 # Sector, loc and u coordinates all have n^2 + 1 entries, so only the kind
 # tells a function that reads coordinates by position that it got the wrong one.
 WRONG_KIND = {

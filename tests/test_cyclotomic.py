@@ -331,3 +331,23 @@ def test_constructor_rejects_non_integers():
     with pytest.raises(TypeError):
         Cyc(3, [1, 2], Fraction(1, 2))
     assert Cyc(3, [1, 2], 2).coeffs == (Fraction(1, 2), Fraction(1))
+
+
+def test_rational_rejects_floats_and_strings():
+    # No float or string becomes an exact scalar, here or in the helpers
+    # that coerce through Cyc.rational.
+    from virtualk.coords import gen, unit
+    from virtualk.line_elements import line_element
+
+    for value in (0.1, 2.0, "1/3", None):
+        with pytest.raises(TypeError):
+            Cyc.rational(3, value)
+        with pytest.raises(TypeError):
+            unit(3, "u").scale(value)
+        with pytest.raises(TypeError):
+            gen(3, "u", "e[0,0]", value)
+        with pytest.raises(TypeError):
+            CycPoly.from_ints(3, [1, value])
+        with pytest.raises(TypeError):
+            line_element(3, [0, 0, 0], [value, 0, 0])
+    assert Cyc.rational(3, Fraction(1, 3)) == Fraction(1, 3) and Cyc.rational(3, -2) == -2

@@ -12,7 +12,7 @@ import virtualk.line_elements as le
 import virtualk.localization as loc
 import virtualk.presentation as pres
 import virtualk.virtual_ring as vr
-from virtualk.coords import Coords, grid, zero
+from virtualk.coords import Coords, from_terms, grid, sparse, zero
 from virtualk.cyclotomic import Cyc
 from virtualk.verify import run_verify
 
@@ -43,14 +43,13 @@ def test_planted_loc_adams_weight_is_caught(monkeypatch):
 def test_planted_bott_twist_column_entry_is_caught(monkeypatch):
     # psi~^2(x_1) at n = 3 is x_1 + x_1^2; plant 2*x_1 + x_1^2 instead.
     original = vr._adams_column
-    assert original(3, 1, 1, 2) == ((1, 1), (2, 1))
+    assert original(3, 1, 1, 2) == ((1, 2), (1, 1))
 
     def planted(n, m, j, k):
-        column = original(n, m, j, k)
+        offsets, entries = original(n, m, j, k)
         if (n, m, j, k) == (3, 1, 1, 2):
-            (offset, r), rest = column[0], column[1:]
-            return ((offset, r + 1),) + rest
-        return column
+            return offsets, (entries[0] + 1,) + entries[1:]
+        return offsets, entries
 
     monkeypatch.setattr(vr, "_adams_column", planted)
     failed = _failed_ids(("psi-ring", "adams-oracle"))
@@ -70,9 +69,10 @@ def test_planted_loc_mul_weight_is_caught(monkeypatch):
         table = original(n)
         if n != 3:
             return table
-        entries = tuple((j, tuple((k, w + 1) for k, w in product) if j == e11 else product)
-                        for j, product in table[e11])
-        return table[:e11] + (entries,) + table[e11 + 1:]
+        js, products = table[e11]
+        products = tuple((product[0], tuple(w + 1 for w in product[1])) if j == e11 else product
+                         for j, product in zip(js, products))
+        return table[:e11] + ((js, products),) + table[e11 + 1:]
 
     monkeypatch.setattr(loc, "_loc_mul_table", planted)
     failed = _failed_ids(("product-oracle",))
@@ -92,8 +92,8 @@ def test_planted_gamma_inverse_column_is_caught(monkeypatch):
         columns = original(n)
         if n != 3:
             return columns
-        (position, c), rest = columns[e11][0], columns[e11][1:]
-        return columns[:e11] + (((position, c * 2),) + rest,) + columns[e11 + 1:]
+        positions, entries = columns[e11]
+        return columns[:e11] + ((positions, (entries[0] * 2,) + entries[1:]),) + columns[e11 + 1:]
 
     monkeypatch.setattr(loc, "_gamma_inverse_columns", planted)
     failed = _failed_ids(("product-oracle",))
@@ -112,7 +112,8 @@ def test_planted_gamma_jet_convention_is_caught(monkeypatch):
         columns = original(n)
         if n != 3:
             return columns
-        jets = tuple(((0, 1),) + tuple(e for e in col if e[0] != 0) for col in columns[:n + 1])
+        jets = tuple(sparse([(0, 1)] + [(i, r) for i, r in zip(*col) if i != 0])
+                     for col in columns[:n + 1])
         return jets + columns[n + 1:]
 
     monkeypatch.setattr(loc, "_gamma_columns", planted)
@@ -213,6 +214,29 @@ def test_planted_loc_adams_block_unit_read_is_caught(monkeypatch):
     # The generators with 1_00 + x_00 != 0: e[0,0], xe[0,0], and e[0,0] in u.
     assert failed == {"adams-oracle/n=3/%s/k=%d" % (g, k)
                       for g in ("loc/e[0,0]", "loc/xe[0,0]", "u/e[0,0]") for k in (3, 6)}
+
+
+def test_planted_u_mul_cross_term_is_caught(monkeypatch):
+    # The square-zero row of u_mul without the B[e[0,0]] * A[u[0,q]] cross
+    # term: u[0,q] * e[0,0] comes out 0, while e[0,0] * u[0,q] is still right.
+    original = loc.u_mul
+
+    def planted(a, b):
+        a.check_kind("u")
+        a.check(b)
+        n, A, B = a.n, a.terms, b.terms
+        start = grid(n, 1, 0)
+        a0, b0 = A.get(0), B.get(0)
+        out = {0: a0 * b0} if a0 and b0 else {}
+        if a0:
+            out.update((i, a0 * c) for i, c in B.items() if 0 < i < start)
+        out.update((i, A[i] * B[i]) for i in A.keys() & B.keys() if i >= start)
+        return from_terms(n, "u", out)
+
+    _plant_everywhere(monkeypatch, original, planted)
+    failed = _failed_ids(("product-oracle",))
+    assert {cid for cid in failed if "/u-product/" in cid} == {
+        "product-oracle/n=3/u-product/u[0,%d]*e[0,0]" % q for q in range(3)}
 
 
 def test_suites_pass_without_a_planted_defect():

@@ -1,0 +1,200 @@
+"""Sparse coordinates: the canonical form, and the products that run over the
+stored terms against the dense loops they replaced."""
+
+import copy
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import virtualk.virtual_ring as vr
+from test_localization import reference_loc_mul
+from virtualk.coords import Coords, basis, basis_vectors, gen, grid, sector_start, unit, zero
+from virtualk.cyclotomic import Cyc, phi_degree
+from virtualk.localization import loc_mul, u_mul
+from virtualk.presentation import resolution_mul
+from virtualk.virtual_ring import euler_factor, virtual_adams, virtual_mul
+
+
+def _canonical(v):
+    """``v``, after asserting that its positions ascend and no stored value is zero."""
+    assert list(v.terms) == sorted(v.terms), v
+    assert all(v.terms.values()), v
+    assert all(0 <= i < len(v.basis.labels) for i in v.terms), v
+    return v
+
+
+# ---------------------------------------------------------------------------
+# The dense loops the sparse products replaced.
+
+
+def dense_u_mul(a, b):
+    n = a.n
+    A, B = a.coeffs, b.coeffs
+    out = [A[0] * B[0]]
+    out += [A[0] * B[i] + B[0] * A[i] for i in range(grid(n, 0, 0), grid(n, 1, 0))]
+    out += [A[i] * B[i] for i in range(grid(n, 1, 0), len(A))]
+    return Coords(n, "u", out)
+
+
+def dense_resolution_mul(x, y):
+    a, b = x.coeffs[0], x.coeffs[1:]
+    a2, b2 = y.coeffs[0], y.coeffs[1:]
+    return Coords(x.n, "res", (a * a2,) + tuple(a * v + a2 * u for u, v in zip(b, b2)))
+
+
+def dense_virtual_mul(a, b):
+    n = a.n
+    out = list(zero(n, "sector").coeffs)
+
+    def terms(v):
+        by_sector = {}
+        for (_, m, j), c in zip(v.basis.json, v.coeffs):
+            if c:
+                by_sector.setdefault(m, []).append((j, c))
+        return by_sector
+
+    terms_b = terms(b)
+    for m1, ta in terms(a).items():
+        for m2, tb in terms_b.items():
+            conv = {}
+            for j1, c1 in ta:
+                for j2, c2 in tb:
+                    s, c = j1 + j2, c1 * c2
+                    conv[s] = conv[s] + c if s in conv else c
+            t = (m1 + m2) % n
+            rows = vr._euler_rows(euler_factor(n, m1, m2), t == 0)
+            start = sector_start(n, t)
+            for s, c in conv.items():
+                for offset, r in zip(*rows[s]):
+                    out[start + offset] = out[start + offset] + (c if r == 1 else c * r)
+    return Coords(n, "sector", out)
+
+
+# ---------------------------------------------------------------------------
+# Random classes: a random support (sparse) or every coordinate drawn (dense).
+
+
+@st.composite
+def _classes(draw, kind, count, n_max=8, sparse=True):
+    n = draw(st.integers(2, n_max))
+    size = len(basis(n, kind).labels)
+    small = st.integers(-4, 4)
+
+    def scalar():
+        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
+                   draw(st.integers(1, 3)))
+
+    def one_class():
+        if sparse and draw(st.booleans()):
+            support = draw(st.sets(st.integers(0, size - 1), max_size=4))
+        else:
+            support = {i for i in range(size) if draw(st.booleans())}
+        return Coords(n, kind, [scalar() if i in support else Cyc.zero(n) for i in range(size)])
+
+    return [one_class() for _ in range(count)]
+
+
+@settings(max_examples=60)
+@given(_classes("u", 2))
+def test_u_mul_matches_dense_loop(ab):
+    a, b = ab
+    assert _canonical(u_mul(a, b)) == dense_u_mul(a, b)
+
+
+@settings(max_examples=60)
+@given(_classes("res", 2))
+def test_resolution_mul_matches_dense_loop(ab):
+    a, b = ab
+    assert _canonical(resolution_mul(a, b)) == dense_resolution_mul(a, b)
+
+
+@settings(max_examples=60)
+@given(_classes("loc", 2))
+def test_loc_mul_matches_dense_loop(ab):
+    a, b = ab
+    assert _canonical(loc_mul(a, b)) == reference_loc_mul(a, b)
+
+
+@settings(max_examples=40)
+@given(_classes("sector", 2, n_max=6))
+def test_virtual_mul_matches_dense_loop(ab):
+    a, b = ab
+    assert _canonical(virtual_mul(a, b)) == dense_virtual_mul(a, b)
+
+
+@settings(max_examples=60)
+@given(_classes("u", 2))
+def test_linear_structure_is_canonical(ab):
+    a, b = ab
+    assert _canonical(a) is a and _canonical(a + b).coeffs == tuple(
+        x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert _canonical(-a) + a == zero(a.n, "u")
+    assert (a - a).terms == {} and (a - a).is_zero()
+    assert _canonical(a.scale(Cyc.rational(a.n, -3))).coeffs == tuple(x * -3 for x in a.coeffs)
+
+
+def test_orthogonal_idempotents_store_nothing():
+    for n in (2, 3, 5):
+        u1, u2 = gen(n, "u", "u[1,0]"), gen(n, "u", "u[1,1]")
+        assert u_mul(u1, u2).terms == {} and u_mul(u1, u2) == zero(n, "u")
+        assert u_mul(u1, u1) == u1
+        e1 = gen(n, "loc", "e[0,1]")
+        for other in ["e[0,0]"] + (["e[0,2]"] if n > 2 else []):
+            assert loc_mul(e1, gen(n, "loc", other)).terms == {}
+        sq0 = gen(n, "u", "u[0,1]")
+        assert u_mul(sq0, sq0).terms == {}
+
+
+def test_explicit_zeros_equal_and_hash_like_gen():
+    for n in (2, 3, 4):
+        for kind in ("sector", "loc", "u", "res"):
+            size = len(basis(n, kind).labels)
+            for i, (label, e) in enumerate(basis_vectors(n, kind)):
+                dense = Coords(n, kind, [Cyc.one(n) if j == i else Cyc.zero(n)
+                                         for j in range(size)])
+                assert dense == e == gen(n, kind, label)
+                assert hash(dense) == hash(e) and len({dense, e}) == 1
+                assert dense.terms == {i: Cyc.one(n)} and dense[label] == 1
+            assert Coords(n, kind, [Cyc.zero(n)] * size) == zero(n, kind)
+            assert hash(Coords(n, kind, unit(n, kind).coeffs)) == hash(unit(n, kind))
+            assert gen(n, kind, basis(n, kind).labels[0], 0).terms == {}
+
+
+def test_copies_are_equal():
+    for v in (gen(3, "u", "e[0,0]"), unit(4, "loc"), zero(2, "res")):
+        assert copy.copy(v) == v and hash(copy.copy(v)) == hash(v)
+
+
+def test_terms_are_read_only():
+    v = gen(3, "u", "e[0,0]")
+    for name in ("n", "kind", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+
+
+# ---------------------------------------------------------------------------
+# Ring and psi axioms of the virtual product on random dense sector classes.
+
+
+@settings(max_examples=25)
+@given(_classes("sector", 3, n_max=5, sparse=False), st.integers(1, 12), st.integers(1, 12))
+def test_virtual_ring_and_psi_axioms(abc, k, l):
+    a, b, c = abc
+    assert virtual_mul(virtual_mul(a, b), c) == virtual_mul(a, virtual_mul(b, c))
+    assert virtual_mul(a, b + c) == virtual_mul(a, b) + virtual_mul(a, c)
+    assert virtual_mul(a, b) == virtual_mul(b, a)
+    assert virtual_mul(unit(a.n, "sector"), a) == a
+    assert virtual_adams(virtual_mul(a, b), k) == virtual_mul(virtual_adams(a, k),
+                                                              virtual_adams(b, k))
+    assert virtual_adams(a + b, k) == virtual_adams(a, k) + virtual_adams(b, k)
+    assert virtual_adams(virtual_adams(a, l), k) == virtual_adams(a, k * l)
+
+
+def test_products_of_basis_vectors_are_canonical():
+    for n in (2, 3, 4):
+        for kind, mul in (("u", u_mul), ("loc", loc_mul), ("res", resolution_mul),
+                          ("sector", virtual_mul)):
+            for (_, a), (_, b) in itertools.product(basis_vectors(n, kind), repeat=2):
+                _canonical(mul(a, b))
