@@ -13,9 +13,14 @@ label and its JSON index, in the fixed output order:
 
 so loc and u share one n x n grid after the leading e[0,0], whose (0,0) cell
 holds xe[0,0] in loc.  The products live with their rings; this module knows
-the linear structure, the ring units and the shared text form.  A linear map
-is stored as sparse columns, one per source coordinate, and applied by
-``apply_columns``.
+the linear structure, the ring units and the shared text form.
+
+A linear map is stored as sparse columns, one per source coordinate, and
+applied by ``apply_columns``: every product of a coordinate with a column
+entry goes into one ``cyclotomic.Accumulator``, which normalises each output
+coordinate once and hands back canonical terms for ``from_canonical``.
+Gamma, its inverse, the localized product, the changes to and from the
+semisimple basis and the virtual Adams operations are all such maps.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable
 
-from .cyclotomic import Cyc, format_cyc
+from .cyclotomic import Accumulator, Cyc, format_cyc
 
 KINDS = ("sector", "loc", "u", "res")
 
@@ -99,7 +104,7 @@ class Coords:
         if len(coeffs) != size:
             raise ValueError("%s coordinates for n=%d need %d entries, got %d"
                              % (kind, n, size, len(coeffs)))
-        return _make(n, kind, {i: c for i, c in enumerate(coeffs) if _entry(n, c)})
+        return from_canonical(n, kind, {i: c for i, c in enumerate(coeffs) if _entry(n, c)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Coords values are immutable")
@@ -129,7 +134,7 @@ class Coords:
         return "Coords(%d, %r, %s)" % (self.n, self.kind, self)
 
     def __reduce__(self):
-        return _make, (self.n, self.kind, self.terms)
+        return from_canonical, (self.n, self.kind, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -155,7 +160,7 @@ class Coords:
         return from_terms(self.n, self.kind, out)
 
     def __neg__(self) -> "Coords":
-        return _make(self.n, self.kind, {i: -a for i, a in self.terms.items()})
+        return from_canonical(self.n, self.kind, {i: -a for i, a in self.terms.items()})
 
     def __sub__(self, other: "Coords") -> "Coords":
         return self + (-other)
@@ -164,7 +169,7 @@ class Coords:
         c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
         if not c:
             return zero(self.n, self.kind)
-        return _make(self.n, self.kind, {i: a * c for i, a in self.terms.items()})
+        return from_canonical(self.n, self.kind, {i: a * c for i, a in self.terms.items()})
 
     def __str__(self) -> str:
         """Text form in coordinate order, e.g. ``-e[0,0] + 2*xe[0,0]``."""
@@ -177,8 +182,9 @@ class Coords:
 _set_n, _set_kind, _set_terms = Coords.n.__set__, Coords.kind.__set__, Coords.terms.__set__
 
 
-def _make(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
-    # ``terms`` must already be canonical: ascending positions, no zero value.
+def from_canonical(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
+    """The vector with ``terms``, which must already be canonical: ascending
+    positions, each holding a nonzero ``Cyc`` of order n.  Nothing is checked."""
     obj = object.__new__(Coords)
     _set_n(obj, n)
     _set_kind(obj, kind)
@@ -197,20 +203,20 @@ def _entry(n: int, c: Cyc) -> Cyc:
 
 def from_terms(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
     """The vector with coordinate ``terms[i]`` at each position i; zero values are dropped."""
-    return _make(n, kind, {i: terms[i] for i in sorted(terms) if terms[i]})
+    return from_canonical(n, kind, {i: terms[i] for i in sorted(terms) if terms[i]})
 
 
 @cache
 def zero(n: int, kind: str) -> Coords:
     basis(n, kind)
-    return _make(n, kind, {})
+    return from_canonical(n, kind, {})
 
 
 def gen(n: int, kind: str, label: str, coeff: Cyc | int | Fraction = 1) -> Coords:
     """``coeff`` times the basis vector named ``label``."""
     i = basis(n, kind).position[label]
     c = _entry(n, coeff if isinstance(coeff, Cyc) else Cyc.rational(n, coeff))
-    return _make(n, kind, {i: c} if c else {})
+    return from_canonical(n, kind, {i: c} if c else {})
 
 
 @cache
@@ -220,7 +226,7 @@ def unit(n: int, kind: str) -> Coords:
     basis(n, kind)
     ones = {"loc": [0] + [grid(n, 0, l) for l in range(1, n)],
             "u": [0] + list(range(grid(n, 1, 0), n * n + 1))}.get(kind, [0])
-    return _make(n, kind, dict.fromkeys(ones, Cyc.one(n)))
+    return from_canonical(n, kind, dict.fromkeys(ones, Cyc.one(n)))
 
 
 @cache
@@ -240,15 +246,13 @@ def sparse(entries: Iterable[tuple[int, Cyc | int]]) -> Sparse:
 def apply_columns(n: int, kind: str, terms: Iterable[tuple[Cyc, int, Sparse]]) -> Coords:
     """The sum of c * column over ``terms`` of (c, start, column), in basis ``kind``.
 
-    A column's positions count from ``start``.  An entry 1 adds c without a
-    multiplication, and the first write to a position adds nothing.
+    A column's positions count from ``start``.  The products are summed by
+    ``cyclotomic.Accumulator`` and each output coordinate is normalised once.
     """
-    out: dict[int, Cyc] = {}
+    acc = Accumulator(n)
     for c, start, (positions, entries) in terms:
-        for offset, r in zip(positions, entries):
-            i, v = start + offset, c if r == 1 else c * r
-            out[i] = out[i] + v if i in out else v
-    return from_terms(n, kind, out)
+        acc.add(c.num, c.den, start, positions, entries)
+    return from_canonical(n, kind, acc.result())
 
 
 def power(a: Coords, k: int, mul: Callable[[Coords, Coords], Coords]) -> Coords:

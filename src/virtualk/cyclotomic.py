@@ -8,6 +8,15 @@ irreducible over Q, hence every nonzero residue is invertible; reducing
 modulo x^n - 1 instead would introduce zero divisors and leave constants
 like 1/(zeta - 1) undefined.
 
+``Accumulator`` is the multiply-accumulate kernel behind every linear map
+and the virtual product (``coords.apply_columns``, hence Gamma, its inverse,
+the localized product, the changes to and from the semisimple basis and the
+virtual Adams operations, and ``virtual_ring.virtual_mul`` directly).  It
+sums products c * r by output position as raw integer numerators over one
+denominator, builds no ``Cyc`` per term, and brings each nonzero sum to
+lowest terms once at the end, so its output is the canonical form the
+operators would produce term by term.
+
 ``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients,
 the workhorse for the quotient-ring reductions in the ring modules.
 """
@@ -19,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Rat = Fraction
 
@@ -221,10 +230,12 @@ class Cyc:
         return self.n == other.n and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # Rational values compare equal to their int/Fraction, so hash like it.
-        if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
-        return hash((self.n, self.num, self.den))
+        # Rational values compare equal to their int/Fraction, so hash like it;
+        # an integer hashes as the int, which equals hash(Fraction(k)).
+        num = self.num
+        if not any(num[1:]):
+            return hash(num[0]) if self.den == 1 else hash(Fraction(num[0], self.den))
+        return hash((self.n, num, self.den))
 
     def __neg__(self) -> "Cyc":
         return _raw(self.n, tuple(-c for c in self.num), self.den)
@@ -303,8 +314,8 @@ class Cyc:
                 conjugate = [0] * n
                 for e, c in enumerate(num):
                     conjugate[e * j % n] += c
-                p = _product(n, p, tuple(_reduce_int_coeffs(n, conjugate)), 1).num
-        norm = _product(n, num, p, 1).num[0]
+                p = _convolve(n, p, _reduce_int_coeffs(n, conjugate))
+        norm = _convolve(n, num, p)[0]
         return _raw(n, *_normalized([self.den * c for c in p], norm))
 
     def __truediv__(self, other) -> "Cyc":
@@ -359,9 +370,10 @@ def _scaled(n: int, num: tuple[int, ...], den: int, k: int) -> Cyc:
     return _raw(n, *_normalized([c * k for c in num], den))
 
 
-def _product(n: int, a: tuple[int, ...], b: tuple[int, ...], den: int) -> Cyc:
-    # a * b / den: schoolbook convolution over the nonzero entries of both
-    # vectors, then the powers past deg(Phi_n) folded back through x^e mod Phi_n.
+def _convolve(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # a * b modulo Phi_n, unnormalised: schoolbook convolution over the nonzero
+    # entries of both vectors, then the powers past deg(Phi_n) folded back
+    # through x^e mod Phi_n.
     deg = len(a)
     conv = [0] * (2 * deg - 1)
     b_nz = [(j, y) for j, y in enumerate(b) if y]
@@ -375,7 +387,76 @@ def _product(n: int, a: tuple[int, ...], b: tuple[int, ...], den: int) -> Cyc:
         if c:
             for i, r in row:
                 out[i] += c * r
-    return _raw(n, *_normalized(out, den))
+    return out
+
+
+def _product(n: int, a: tuple[int, ...], b: tuple[int, ...], den: int) -> Cyc:
+    # a * b / den, canonical.
+    return _raw(n, *_normalized(_convolve(n, a, b), den))
+
+
+class Accumulator:
+    """Sums of products c * r by integer position, normalised once per position.
+
+    A position holds a raw integer numerator list over a positive denominator,
+    neither reduced.  ``add`` builds no ``Cyc``: an ``int`` or a rational
+    operand scales the other numerators, and only two irrational operands pay
+    for the convolution modulo Phi_n.  Equal denominators add entrywise;
+    different ones meet over their lcm, at the cost of one gcd.
+    """
+
+    __slots__ = ("n", "sums")
+
+    def __init__(self, n: int):
+        self.n = n
+        #: position -> [raw numerators, positive denominator]
+        self.sums: dict[int, list] = {}
+
+    def add(self, num: Sequence[int], den: int, start: int,
+            positions: Iterable[int], entries: Iterable[Cyc | int]) -> None:
+        """Add (num/den) * entries[k] at position start + positions[k] for every k.
+
+        ``num`` is a numerator vector of length deg(Phi_n) over ``den`` > 0, in
+        any terms; the entries are ``int`` or ``Cyc`` of order n.
+        """
+        n, sums = self.n, self.sums
+        rational = not any(num[1:])
+        for offset, r in zip(positions, entries):
+            if r.__class__ is int:
+                p, d = (num if r == 1 else [x * r for x in num]), den
+            else:
+                b = r.num
+                if rational:
+                    a0 = num[0]
+                    p = [a0 * y for y in b]
+                elif not any(b[1:]):
+                    b0 = b[0]
+                    p = [x * b0 for x in num]
+                else:
+                    p = _convolve(n, num, b)
+                d = den * r.den
+            i = start + offset
+            slot = sums.get(i)
+            if slot is None:
+                sums[i] = [p, d]
+            elif slot[1] == d:
+                slot[0] = list(map(operator.add, slot[0], p))
+            else:
+                d0 = slot[1]
+                g = math.gcd(d0, d)
+                s, t = d // g, d0 // g
+                slot[0] = [x * s + y * t for x, y in zip(slot[0], p)]
+                slot[1] = d0 * s
+
+    def result(self) -> dict[int, Cyc]:
+        """The nonzero sums by ascending position, each normalised once."""
+        n, sums = self.n, self.sums
+        out = {}
+        for i in sorted(sums):
+            num, den = sums[i]
+            if any(num):
+                out[i] = _raw(n, *_normalized(num, den))
+        return out
 
 
 @cache

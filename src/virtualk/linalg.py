@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists of ``Cyc`` scalars.  Everything here is
 fraction-free in spirit: pivots are inverted exactly, so ranks and solution
-vectors are certificates, not approximations.
+vectors are certificates, not approximations.  Rows are dense, but a zero
+entry is never multiplied: scaling and elimination skip it.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ def inverse(matrix: list[list[Cyc]]) -> list[list[Cyc]]:
             raise ArithmeticError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = aug[col][col].inv()
-        aug[col] = [c * inv for c in aug[col]]
+        aug[col] = [c * inv if c else c for c in aug[col]]
         for r in range(size):
             if r != col and aug[r][col]:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+                aug[r] = [a - f * b if b else a for a, b in zip(aug[r], aug[col])]
     return [row[size:] for row in aug]
 
 
@@ -57,11 +58,11 @@ class SpanAccumulator:
         for basis_row, p in zip(self.rows, self.pivots):
             c = vec[p]
             if c:
-                vec = [a - c * b for a, b in zip(vec, basis_row)]
+                vec = [a - c * b if b else a for a, b in zip(vec, basis_row)]
         pivot = next((i for i, c in enumerate(vec) if c), None)
         if pivot is None:
             return False
         inv = vec[pivot].inv()
-        self.rows.append([c * inv for c in vec])
+        self.rows.append([c * inv if c else c for c in vec])
         self.pivots.append(pivot)
         return True

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import linalg
-from .coords import Coords, from_terms, grid, zero
+from .coords import Coords, from_canonical, grid, zero
 from .cyclotomic import Cyc, zeta_pow
 from .localization import u_adams, u_is_invertible, u_mul
 
@@ -64,11 +64,9 @@ def line_realize(L: LineElt) -> Coords:
     """The class of L in semisimple coordinates: u[l,q] = zeta^(l f_q), u[0,q] = beta_q."""
     n = L.n
     out = {0: Cyc.one(n)}
-    for q in range(n):
-        out[grid(n, 0, q)] = L.beta[q]
-        for l in range(1, n):
-            out[grid(n, l, q)] = zeta_pow(n, l * L.f[q])
-    return from_terms(n, "u", out)
+    out.update((grid(n, 0, q), b) for q, b in enumerate(L.beta) if b)
+    out.update((grid(n, l, q), zeta_pow(n, l * f)) for l in range(1, n) for q, f in enumerate(L.f))
+    return from_canonical(n, "u", out)
 
 
 def line_mul(a: LineElt, b: LineElt) -> LineElt:

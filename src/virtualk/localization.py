@@ -40,8 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .coords import (Coords, Sparse, apply_columns, basis, from_terms, grid, sector_start, sparse,
-                     unit)
+from .coords import (Coords, Sparse, apply_columns, basis, from_canonical, from_terms, grid,
+                     sector_start, sparse, unit)
 from .cyclotomic import Cyc, zeta_pow
 
 
@@ -351,6 +351,7 @@ def u_adams(a: Coords, k: int) -> Coords:
 
     u[s,q] reads u[k*s mod n, q], or the unit coordinate e[0,0] when k*s = 0
     (mod n), since the unit is fixed; e[0,0] is kept and u_0^q -> k u_0^q.
+    The output positions are written in ascending order and never hold a zero.
     """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
@@ -363,4 +364,4 @@ def u_adams(a: Coords, k: int) -> Coords:
             c = A.get(grid(n, l, q) if l else 0)
             if c:
                 out[grid(n, s, q)] = c
-    return from_terms(n, "u", out)
+    return from_canonical(n, "u", out)

@@ -28,8 +28,9 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Mapping
 
-from .coords import Coords, Sparse, apply_columns, from_terms, sector_start, sparse, unit, zero
-from .cyclotomic import Cyc, CycPoly
+from .coords import (Coords, Sparse, apply_columns, from_canonical, from_terms, sector_start, sparse,
+                     unit, zero)
+from .cyclotomic import Accumulator, Cyc, CycPoly
 from .sector_ring import (
     bott_class,
     reduce_coeffs,
@@ -101,13 +102,15 @@ def _euler_rows(e: CycPoly, untwisted: bool) -> tuple[Sparse, ...]:
                  for s in range(2 * n + 1))
 
 
-def _terms(a: Coords) -> dict[int, list[tuple[int, Cyc]]]:
-    # Sector m -> the nonzero coordinates (j, coefficient of x_m^j).
-    out: dict[int, list[tuple[int, Cyc]]] = {}
+def _terms(a: Coords) -> dict[int, tuple[list[int], list[Cyc]]]:
+    # Sector m -> the exponents j and the coefficients of x_m^j stored in ``a``.
+    out: dict[int, tuple[list[int], list[Cyc]]] = {}
     json = a.basis.json
     for i, c in a.terms.items():
         _, m, j = json[i]
-        out.setdefault(m, []).append((j, c))
+        exponents, coeffs = out.setdefault(m, ([], []))
+        exponents.append(j)
+        coeffs.append(c)
     return out
 
 
@@ -115,24 +118,27 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
     """Bilinear extension of the monomial product with its Euler factor.
 
     For each pair of nonzero sectors the coordinates are convolved by exponent
-    sum, and each sum s is scattered through row s of the Euler rows.
+    sum, and each sum s is scattered through row s of the Euler rows.  Both
+    steps run through ``cyclotomic.Accumulator`` on raw numerators, so each
+    output coordinate is normalised once.
     """
     a.check_kind("sector")
     a.check(b)
     n = a.n
     terms_b = _terms(b)
-    scattered = []
-    for m1, ta in _terms(a).items():
-        for m2, tb in terms_b.items():
-            conv: dict[int, Cyc] = {}
-            for j1, c1 in ta:
-                for j2, c2 in tb:
-                    s, c = j1 + j2, c1 * c2
-                    conv[s] = conv[s] + c if s in conv else c
+    out = Accumulator(n)
+    for m1, (exponents, coeffs) in _terms(a).items():
+        for m2, column in terms_b.items():
+            conv = Accumulator(n)
+            for j1, c1 in zip(exponents, coeffs):
+                conv.add(c1.num, c1.den, j1, *column)
             t = (m1 + m2) % n
             rows = _euler_rows(euler_factor(n, m1, m2), t == 0)
-            scattered += [(c, sector_start(n, t), rows[s]) for s, c in conv.items()]
-    return apply_columns(n, "sector", scattered)
+            start = sector_start(n, t)
+            for s, (num, den) in conv.sums.items():
+                if any(num):
+                    out.add(num, den, start, *rows[s])
+    return from_canonical(n, "sector", out.result())
 
 
 @lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)

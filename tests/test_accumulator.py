@@ -1,0 +1,154 @@
+"""The multiply-accumulate kernel behind every linear map and the virtual product.
+
+``cyclotomic.Accumulator`` sums raw numerators and normalises each output
+coordinate once.  The term-by-term sum it replaced is kept here as the
+reference: every term there builds a canonical ``Cyc`` for its product and
+another for its sum, so equal results show that the kernel's single
+normalisation lands on the same canonical scalars.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import virtualk.cyclotomic as cyclotomic
+from test_virtual_ring import reference_mul
+from virtualk.coords import Coords, apply_columns, basis, from_terms, sparse
+from virtualk.cyclotomic import Cyc, phi_degree
+from virtualk.localization import _gamma_columns, gamma, gamma_inverse
+from virtualk.virtual_ring import virtual_mul
+
+#: Denominators 1, 2, 3, 6 and a large prime, so sums meet over an lcm.
+DENOMINATORS = (1, 2, 3, 6, 1_000_003)
+
+
+def reference_apply_columns(n, kind, terms):
+    """The sum of c * column, one canonical product and one canonical sum per term."""
+    out = {}
+    for c, start, (positions, entries) in terms:
+        for offset, r in zip(positions, entries):
+            i, v = start + offset, c if r == 1 else c * r
+            out[i] = out[i] + v if i in out else v
+    return from_terms(n, kind, out)
+
+
+def _canonical(v):
+    """``v``, after asserting canonical terms and canonical scalars."""
+    assert list(v.terms) == sorted(v.terms), v
+    for c in v.terms.values():
+        assert c, v
+        assert type(c.num) is tuple and len(c.num) == phi_degree(v.n)
+        assert c.den > 0 and math.gcd(c.den, *c.num) == 1, c
+    return v
+
+
+@st.composite
+def _scalars(draw, n, rational=False):
+    """A nonzero-or-zero scalar of Q(zeta_n): short or long numerators, mixed denominators."""
+    numerator = st.one_of(st.integers(-6, 6), st.integers(-2**80, 2**80))
+    deg = phi_degree(n)
+    coeffs = [draw(numerator)] + ([0] * (deg - 1) if rational else
+                                  draw(st.lists(numerator, min_size=deg - 1, max_size=deg - 1)))
+    return Cyc(n, coeffs, draw(st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def _column_terms(draw):
+    """(n, terms) for ``apply_columns`` in sector coordinates.
+
+    Column entries mix ``int`` and irrational or rational ``Cyc``; some terms
+    repeat an earlier one negated, so their sums cancel to zero.
+    """
+    n = draw(st.integers(2, 8))
+    size = len(basis(n, "sector").labels)
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70),
+                      _scalars(n), _scalars(n, rational=True))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        if terms and draw(st.booleans()):
+            c, start, column = draw(st.sampled_from(terms))
+            terms.append((-c, start, column))
+            continue
+        start = draw(st.integers(0, size - 1))
+        positions = sorted(draw(st.sets(st.integers(0, size - 1 - start), max_size=6)))
+        c = draw(_scalars(n, rational=draw(st.booleans())))
+        if c:
+            terms.append((c, start, sparse((p, draw(entry)) for p in positions)))
+    return n, terms
+
+
+@settings(max_examples=300)
+@given(_column_terms())
+def test_apply_columns_matches_the_term_by_term_sum(case):
+    n, terms = case
+    assert _canonical(apply_columns(n, "sector", terms)) == reference_apply_columns(
+        n, "sector", terms)
+
+
+def _dense(n, draw):
+    size = len(basis(n, "sector").labels)
+    return Coords(n, "sector", [draw(_scalars(n, rational=draw(st.booleans())))
+                                for _ in range(size)])
+
+
+@settings(max_examples=25)
+@given(st.data(), st.integers(2, 5))
+def test_virtual_mul_matches_the_polynomial_product_on_mixed_denominators(data, n):
+    a, b = _dense(n, data.draw), _dense(n, data.draw)
+    assert _canonical(virtual_mul(a, b)) == reference_mul(a, b)
+
+
+def test_cancelling_terms_store_nothing():
+    n = 7
+    c = Cyc(n, [1, -2, 3, 0, 5, 7], 6)
+    column = sparse([(0, 2), (3, c), (5, Cyc.rational(n, 1) / 3)])
+    assert apply_columns(n, "sector", [(c, 1, column), (-c, 1, column)]).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# One normalisation per output coordinate.
+
+
+def _count_normalized(monkeypatch, fn, *args):
+    calls = [0]
+    original = cyclotomic._normalized
+
+    def counted(num, den):
+        calls[0] += 1
+        return original(num, den)
+
+    with monkeypatch.context() as m:
+        m.setattr(cyclotomic, "_normalized", counted)
+        result = fn(*args)
+    return result, calls[0]
+
+
+def _dense7():
+    n = 7
+    size = len(basis(n, "sector").labels)
+    return [Coords(n, "sector", [Cyc(n, [(i * t + s) % 11 - 5 for s in range(6)],
+                                     DENOMINATORS[(i + t) % len(DENOMINATORS)])
+                                 for i in range(size)]) for t in (1, 2)]
+
+
+def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
+    a, _ = _dense7()
+    loc = gamma(a)
+    gamma_inverse(loc)  # the tables are built once per n, outside the count
+    for fn, v in ((gamma, a), (gamma_inverse, loc)):
+        out, calls = _count_normalized(monkeypatch, fn, v)
+        assert 0 < calls <= len(out.terms)
+    # The guard can fail: the term-by-term sum normalises once per term.
+    columns = _gamma_columns(a.n)
+    terms = [(c, 0, columns[i]) for i, c in a.terms.items()]
+    out, calls = _count_normalized(monkeypatch, reference_apply_columns, a.n, "loc", terms)
+    assert calls > 2 * len(out.terms)
+
+
+def test_virtual_mul_normalises_once_per_output_coordinate(monkeypatch):
+    a, b = _dense7()
+    virtual_mul(a, b)  # the Euler rows are built once per sector pair, outside the count
+    out, calls = _count_normalized(monkeypatch, virtual_mul, a, b)
+    assert out == reference_mul(a, b)
+    assert 0 < calls <= len(out.terms)

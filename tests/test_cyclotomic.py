@@ -124,9 +124,10 @@ def test_canonical_representation():
 def test_rational_hash_matches_int_and_fraction():
     # Equal values hash equally, so sets and dicts see one element.
     for n in (1, 2, 3, 4, 7, 8):
-        for v in (0, 1, 3, -5, Fraction(1, 2), Fraction(-7, 3)):
+        for v in (0, 1, 3, -1, -5, 2**64, 2**64 + 1, -(2**70) - 3, 3**50,
+                  Fraction(1, 2), Fraction(-7, 3), Fraction(2**65, 3)):
             c = Cyc.rational(n, v)
-            assert c == v and hash(c) == hash(v)
+            assert c == v and hash(c) == hash(v) == hash(Fraction(v))
             assert len({c, v}) == 1
     assert len({Cyc.rational(3, 1), 1}) == 1
     assert hash(zeta_pow(5, 1)) == hash(zeta_pow(5, 6))

@@ -12,7 +12,8 @@ import virtualk.virtual_ring as vr
 from test_localization import reference_loc_mul
 from virtualk.coords import Coords, basis, basis_vectors, gen, grid, sector_start, unit, zero
 from virtualk.cyclotomic import Cyc, phi_degree
-from virtualk.localization import loc_mul, u_mul
+from virtualk.line_elements import line_identity, line_mul, line_realize, nu, sigma
+from virtualk.localization import loc_mul, u_adams, u_mul
 from virtualk.presentation import resolution_mul
 from virtualk.virtual_ring import euler_factor, virtual_adams, virtual_mul
 
@@ -198,3 +199,13 @@ def test_products_of_basis_vectors_are_canonical():
                           ("sector", virtual_mul)):
             for (_, a), (_, b) in itertools.product(basis_vectors(n, kind), repeat=2):
                 _canonical(mul(a, b))
+
+
+def test_u_adams_and_line_realize_build_canonical_terms():
+    for n in range(2, 9):
+        for (_, v), k in itertools.product(basis_vectors(n, "u"), range(1, n + 2)):
+            _canonical(u_adams(v, k))
+        for i in range(n):
+            for L in (sigma(n, i), nu(n, i), line_mul(sigma(n, i), nu(n, (i + 1) % n))):
+                _canonical(line_realize(L))
+        _canonical(line_realize(line_identity(n)))
