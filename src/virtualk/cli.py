@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage,
 parse or evaluation errors.
 
+``main(argv)`` may be called any number of times in one process.  The
+argument parser is built on the first call and reused by every later one;
+importing the module builds nothing.
+
 Inputs are bounded so that no query runs for long: the weight n (``--n``,
 ``--n-min``, ``--n-max``) is at most ``MAX_N``, ``--k-max`` of ``verify`` and
 ``line`` lies in 2..``MAX_K_MAX``, and the parser bounds exponents and Adams
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import localization as loc
 from .expr import (
@@ -48,7 +53,10 @@ _VERBS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state in the parser, and
+    # building it costs more than a small query.
     p = argparse.ArgumentParser(
         prog="virtualk",
         description="Exact virtual K-theory of the weighted projective line P(1,n).",

@@ -19,8 +19,9 @@ A linear map is stored as sparse columns, one per source coordinate, and
 applied by ``apply_columns``: every product of a coordinate with a column
 entry goes into one ``cyclotomic.Accumulator``, which normalises each output
 coordinate once and hands back canonical terms for ``from_canonical``.
-Gamma, its inverse, the localized product, the changes to and from the
-semisimple basis and the virtual Adams operations are all such maps.
+Gamma, its inverse and the virtual Adams operations are such maps; the
+localized product and the changes to and from the semisimple basis feed
+weighted terms to the same kernel themselves.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ modulo x^n - 1 instead would introduce zero divisors and leave constants
 like 1/(zeta - 1) undefined.
 
 ``Accumulator`` is the multiply-accumulate kernel behind every linear map
-and the virtual product (``coords.apply_columns``, hence Gamma, its inverse,
-the localized product, the changes to and from the semisimple basis and the
-virtual Adams operations, and ``virtual_ring.virtual_mul`` directly).  It
-sums products c * r by output position as raw integer numerators over one
+and the virtual product (``coords.apply_columns``, hence Gamma, its inverse
+and the virtual Adams operations; directly, the localized product, the
+changes to and from the semisimple basis and ``virtual_ring.virtual_mul``).
+It sums products c * r by output position as raw integer numerators over one
 denominator, builds no ``Cyc`` per term, and brings each nonzero sum to
 lowest terms once at the end, so its output is the canonical form the
 operators would produce term by term.
@@ -390,6 +390,17 @@ def _convolve(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _times(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # a * b modulo Phi_n, unnormalised; a rational factor only scales the other.
+    if not any(b[1:]):
+        b0 = b[0]
+        return [x * b0 for x in a]
+    if not any(a[1:]):
+        a0 = a[0]
+        return [a0 * y for y in b]
+    return _convolve(n, a, b)
+
+
 def _product(n: int, a: tuple[int, ...], b: tuple[int, ...], den: int) -> Cyc:
     # a * b / den, canonical.
     return _raw(n, *_normalized(_convolve(n, a, b), den))
@@ -447,6 +458,21 @@ class Accumulator:
                 s, t = d // g, d0 // g
                 slot[0] = [x * s + y * t for x, y in zip(slot[0], p)]
                 slot[1] = d0 * s
+
+    def add_product(self, a: Cyc, b: Cyc, start: int,
+                    positions: Iterable[int], entries: Iterable[Cyc | int]) -> None:
+        """``add`` with the scalar a * b, passed on as raw numerators."""
+        self.add(_times(self.n, a.num, b.num), a.den * b.den, start, positions, entries)
+
+    def scale(self, weights: dict[int, Cyc]) -> None:
+        """Multiply the sum at each position that ``weights`` lists by its weight,
+        leaving it unnormalised."""
+        n = self.n
+        for i, slot in self.sums.items():
+            w = weights.get(i)
+            if w is not None:
+                slot[0] = _times(n, slot[0], w.num)
+                slot[1] *= w.den
 
     def result(self) -> dict[int, Cyc]:
         """The nonzero sums by ascending position, each normalised once."""

@@ -21,8 +21,9 @@ line-element computations are immediate.  Both index their n x n grid through
 
 The maps and the product read per-n tables, each built lazily on first use
 (``functools.cache``) from the closed forms in its docstring and applied
-through ``coords.apply_columns`` to the nonzero coordinates only; nothing is
-built at import:
+through ``cyclotomic.Accumulator`` to the nonzero coordinates only, on raw
+numerators, so each output coordinate is normalised once; nothing is built
+at import:
 
 - ``_gamma_columns``: the image of each monomial x_m^j, zeta^(lj) in e[m,l]
   and the 2-jet (1 - j, j) in (e[0,0], xe[0,0]);
@@ -30,8 +31,9 @@ built at import:
 - ``_loc_mul_table``: e_i * e_j for every pair of generators with a nonzero
   product, from the rules of ``loc_mul``;
 - ``_to_u_map`` and ``_from_u_map``: columns of zeta powers and integers, and
-  the weights w_l = 1 - zeta^(-l) (to u) or 1/(n w_l) and 1/n (from u),
-  applied once per coordinate rather than folded into every entry;
+  the weights w_l = 1 - zeta^(-l) (to u, on each input coordinate) or
+  1/(n w_l) and 1/n (from u, on each raw output sum), applied once per
+  coordinate rather than folded into every entry;
 - ``_adams_weight``: w_l / w_s for ``loc_adams``.
 """
 
@@ -42,7 +44,7 @@ from functools import cache
 
 from .coords import (Coords, Sparse, apply_columns, basis, from_canonical, from_terms, grid,
                      sector_start, sparse, unit)
-from .cyclotomic import Cyc, zeta_pow
+from .cyclotomic import Accumulator, Cyc, zeta_pow
 
 
 @cache
@@ -66,11 +68,6 @@ def _adams_weight(n: int, l: int, s: int) -> Cyc:
 def _apply(a: Coords, kind: str, columns: tuple[Sparse, ...]) -> Coords:
     # The linear map with one column per coordinate of ``a``.
     return apply_columns(a.n, kind, ((c, 0, columns[i]) for i, c in a.terms.items()))
-
-
-def _weighted(a: Coords, weights: dict[int, Cyc]) -> Coords:
-    return from_terms(a.n, a.kind, {i: c * weights[i] if i in weights else c
-                                    for i, c in a.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +192,14 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
     """
     a.check_kind("loc")
     a.check(b)
-    B, table = b.terms, _loc_mul_table(a.n)
-    return apply_columns(a.n, "loc", (
-        (ca * B[j], 0, product)
-        for i, ca in a.terms.items()
-        for j, product in zip(*table[i]) if j in B))
+    n, B, table = a.n, b.terms, _loc_mul_table(a.n)
+    acc = Accumulator(n)
+    for i, ca in a.terms.items():
+        for j, product in zip(*table[i]):
+            cb = B.get(j)
+            if cb is not None:
+                acc.add_product(ca, cb, 0, *product)
+    return from_canonical(n, "loc", acc.result())
 
 
 def loc_augmentation(a: Coords) -> Coords:
@@ -273,8 +273,13 @@ def from_u_basis(b: Coords) -> Coords:
     uhat_il = 1_il/(1 - zeta^(-l)).
     """
     b.check_kind("u")
-    columns, weights = _from_u_map(b.n)
-    return _weighted(_apply(b, "loc", columns), weights)
+    n = b.n
+    columns, weights = _from_u_map(n)
+    acc = Accumulator(n)
+    for i, c in b.terms.items():
+        acc.add(c.num, c.den, 0, *columns[i])
+    acc.scale(weights)
+    return from_canonical(n, "loc", acc.result())
 
 
 @cache
@@ -299,8 +304,16 @@ def to_u_basis(a: Coords) -> Coords:
     """Inverse change of basis: 1_0l = sum_q u_l^q and
     1_il = (1 - zeta^(-l)) sum_q zeta^(iq) u_l^q for i != 0."""
     a.check_kind("loc")
-    columns, weights = _to_u_map(a.n)
-    return _apply(_weighted(a, weights), "u", columns)
+    n = a.n
+    columns, weights = _to_u_map(n)
+    acc = Accumulator(n)
+    for i, c in a.terms.items():
+        w = weights.get(i)
+        if w is None:
+            acc.add(c.num, c.den, 0, *columns[i])
+        else:
+            acc.add_product(c, w, 0, *columns[i])
+    return from_canonical(n, "u", acc.result())
 
 
 def square_zero_terms(A: dict[int, Cyc], B: dict[int, Cyc], stop: int) -> dict[int, Cyc]:

@@ -217,6 +217,8 @@ def checks_product_oracle(n: int) -> list[Check]:
         for q in range(n):
             total = total + gen(n, "u", "u[%d,%d]" % (l, q))
         eq("ideal/row-sum/l=%d" % l, from_u_basis(total), gen(n, "loc", "e[0,%d]" % l))
+    ugens = [[from_u_basis(gen(n, "u", "u[%d,%d]" % (l2, q))) for q in range(n)]
+             for l2 in range(n)]
     for l1 in range(n):
         e1 = gen(n, "loc", "e[0,%d]" % l1)
         for l2 in range(n):
@@ -224,8 +226,7 @@ def checks_product_oracle(n: int) -> list[Check]:
             eq("ideal/idempotents/l=%d,%d" % (l1, l2),
                loc_mul(e1, gen(n, "loc", "e[0,%d]" % l2)), expected)
         for l2 in range(n):
-            for q in range(n):
-                ug = from_u_basis(gen(n, "u", "u[%d,%d]" % (l2, q)))
+            for q, ug in enumerate(ugens[l2]):
                 expected = ug if l1 == l2 else zero(n, "loc")
                 eq("ideal/row-unit/u[%d,%d]*e[0,%d]" % (l2, q, l1), loc_mul(ug, e1), expected)
     # Powers of x_00 collapse linearly.
@@ -258,19 +259,20 @@ def checks_adams_oracle(n: int, k_max: int) -> list[Check]:
     for k in range(1, k_max + 1):
         for label, e, ke in pre:
             eq("loc/%s/k=%d" % (label, k), loc_adams(e, k), gamma(virtual_adams(ke, k)))
+    upre = [(label, b, from_u_basis(b)) for label, b in basis_vectors(n, "u")]
     for k in range(1, k_max + 1):
-        for label, b in basis_vectors(n, "u"):
-            eq("u/%s/k=%d" % (label, k), u_adams(b, k), to_u_basis(loc_adams(from_u_basis(b), k)))
+        for label, b, lb in upre:
+            eq("u/%s/k=%d" % (label, k), u_adams(b, k), to_u_basis(loc_adams(lb, k)))
     # The Adams operations are multiplicative for the virtual product; this
     # family touches every Euler case, so it is sensitive to the case table.
-    for m1 in range(n):
-        for m2 in range(n):
-            a = k_monomial(n, m1, 1)
-            b = k_monomial(n, m2, 1)
+    monomials = [k_monomial(n, m, 1) for m in range(n)]
+    psi = {k: [virtual_adams(a, k) for a in monomials] for k in (2, 3)}
+    for m1, a in enumerate(monomials):
+        for m2, b in enumerate(monomials):
             ab = virtual_mul(a, b)
             for k in (2, 3):
                 eq("psi-mult/x[%d]*x[%d]/k=%d" % (m1, m2, k), virtual_adams(ab, k),
-                   virtual_mul(virtual_adams(a, k), virtual_adams(b, k)))
+                   virtual_mul(psi[k][m1], psi[k][m2]))
     return out
 
 
@@ -282,26 +284,28 @@ def checks_psi_ring(n: int) -> list[Check]:
     out, eq = _recorder("psi-ring", n)
     basis = basis_vectors(n, "sector")
     one = unit(n, "sector")
-    for label, a in basis:
-        eq("identity-op/%s" % label, virtual_adams(a, 1), a)
+    # psi^k of every basis vector, once, for exactly the k the families below read.
+    ks = {k * l for k in range(1, 5) for l in range(1, 5)} | set(range(1, 7))
+    psi = {k: [virtual_adams(a, k) for _, a in basis] for k in sorted(ks)}
+    for i, (label, a) in enumerate(basis):
+        eq("identity-op/%s" % label, psi[1][i], a)
         eq("unit-law/%s" % label, virtual_mul(one, a), a)
     for k in range(1, 5):
         for l in range(1, 5):
-            for label, a in basis:
+            for i, (label, _) in enumerate(basis):
                 eq("composition/%s/k=%d,l=%d" % (label, k, l),
-                   virtual_adams(virtual_adams(a, l), k), virtual_adams(a, k * l))
+                   virtual_adams(psi[l][i], k), psi[k * l][i])
     for i, (la, a) in enumerate(basis):
-        for lb, b in basis[i:]:
+        for j, (lb, b) in enumerate(basis[i:], i):
             ab = virtual_mul(a, b)
             eq("commutativity/%s*%s" % (la, lb), ab, virtual_mul(b, a))
             for k in range(2, 5):
                 eq("homomorphism/%s*%s/k=%d" % (la, lb, k), virtual_adams(ab, k),
-                   virtual_mul(virtual_adams(a, k), virtual_adams(b, k)))
-    for label, a in basis:
+                   virtual_mul(psi[k][i], psi[k][j]))
+    for i, (label, a) in enumerate(basis):
         ea = virtual_augmentation(a)
         for k in range(1, 7):
-            pa = virtual_adams(a, k)
-            eq("augmentation/eps-psi/%s/k=%d" % (label, k), virtual_augmentation(pa), ea)
+            eq("augmentation/eps-psi/%s/k=%d" % (label, k), virtual_augmentation(psi[k][i]), ea)
             eq("augmentation/psi-eps/%s/k=%d" % (label, k), virtual_adams(ea, k), ea)
     if n <= 4:
         triples = [(a, b, c) for _, a in basis for _, b in basis for _, c in basis]

@@ -16,7 +16,8 @@ import virtualk.cyclotomic as cyclotomic
 from test_virtual_ring import reference_mul
 from virtualk.coords import Coords, apply_columns, basis, from_terms, sparse
 from virtualk.cyclotomic import Cyc, phi_degree
-from virtualk.localization import _gamma_columns, gamma, gamma_inverse
+from virtualk.localization import (_gamma_columns, from_u_basis, gamma, gamma_inverse, loc_mul,
+                                   to_u_basis)
 from virtualk.virtual_ring import virtual_mul
 
 #: Denominators 1, 2, 3, 6 and a large prime, so sums meet over an lcm.
@@ -133,12 +134,15 @@ def _dense7():
 
 
 def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
-    a, _ = _dense7()
-    loc = gamma(a)
-    gamma_inverse(loc)  # the tables are built once per n, outside the count
-    for fn, v in ((gamma, a), (gamma_inverse, loc)):
-        out, calls = _count_normalized(monkeypatch, fn, v)
-        assert 0 < calls <= len(out.terms)
+    a, b = _dense7()
+    loc, loc_b = gamma(a), gamma(b)
+    u = to_u_basis(loc)
+    # The tables are built once per n, outside the count.
+    gamma_inverse(loc), from_u_basis(u), loc_mul(loc, loc_b)
+    for fn, args in ((gamma, (a,)), (gamma_inverse, (loc,)), (to_u_basis, (loc,)),
+                     (from_u_basis, (u,)), (loc_mul, (loc, loc_b))):
+        out, calls = _count_normalized(monkeypatch, fn, *args)
+        assert 0 < calls <= len(out.terms), fn.__name__
     # The guard can fail: the term-by-term sum normalises once per term.
     columns = _gamma_columns(a.n)
     terms = [(c, 0, columns[i]) for i, c in a.terms.items()]

