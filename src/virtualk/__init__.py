@@ -5,7 +5,7 @@ representatives, so every stated identity is checked by exact equality.
 """
 
 from .coords import Coords, basis, basis_vectors, gen, power, unit, zero
-from .cyclotomic import Cyc, CycPoly, Rat, cyclotomic_polynomial, phi_degree, zeta_pow
+from .cyclotomic import Cyc, CycPoly, cyclotomic_polynomial, phi_degree, zeta_pow
 from .line_elements import (
     LineCertificate,
     LineElt,

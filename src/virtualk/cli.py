@@ -1,7 +1,7 @@
 """Command-line interface: evaluate expressions, move across bases, verify.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage,
-parse or evaluation errors.
+parse or evaluation errors, too deep an expression or an unwritable ``--out``.
 
 ``main(argv)`` may be called any number of times in one process.  The
 argument parser is built on the first call and reused by every later one;
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from functools import cache
 
 from . import localization as loc
@@ -113,8 +114,7 @@ def _emit(args, basis: str, value, display_hint: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if getattr(args, "k_max", None) is not None and not 2 <= args.k_max <= MAX_K_MAX:
         print("error: --k-max must be between 2 and %d" % MAX_K_MAX, file=sys.stderr)
         return 2
@@ -124,12 +124,19 @@ def main(argv: list[str] | None = None) -> int:
                 print("error: need 2 <= --n-min <= --n-max <= %d" % MAX_N, file=sys.stderr)
                 return 2
             suites = tuple(args.suite) if args.suite else ("all",)
-            report = run_verify(args.n_min, args.n_max, suites, args.k_max)
-            text = report.to_json() if args.json else report.text_summary(args.verbose)
-            print(text)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
+            # Opened before any suite runs; appending leaves it as it was if the run stops.
+            try:
+                out = open(args.out, "a", encoding="utf-8") if args.out else nullcontext()
+            except OSError as exc:
+                print("error: cannot write the report: %s" % exc, file=sys.stderr)
+                return 2
+            with out:
+                report = run_verify(args.n_min, args.n_max, suites, args.k_max)
+                text = report.to_json() if args.json else report.text_summary(args.verbose)
+                print(text)
+                if args.out:
+                    out.truncate(0)
+                    out.write(text + "\n")
             return 0 if report.ok else 1
 
         if not 2 <= args.n <= MAX_N:
@@ -166,8 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, EvalError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    parser.error("unknown command")
-    return 2
+    except RecursionError:
+        print("error: the expression is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,8 +30,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
@@ -498,7 +496,7 @@ def zeta_pow(n: int, k: int) -> Cyc:
     return _zeta_powers(n)[k % n]
 
 
-def format_cyc(value: Cyc, zeta: str = "zeta") -> str:
+def format_cyc(value: Cyc) -> str:
     """Deterministic human-readable form, descending powers of zeta."""
     terms = []
     for e in reversed(range(len(value.num))):
@@ -509,7 +507,7 @@ def format_cyc(value: Cyc, zeta: str = "zeta") -> str:
         if e == 0:
             body = str(mag)
         else:
-            sym = zeta if e == 1 else "%s^%d" % (zeta, e)
+            sym = "zeta" if e == 1 else "zeta^%d" % e
             body = sym if mag == 1 else "%s*%s" % (mag, sym)
         if not terms:
             terms.append(body if c > 0 else "-" + body)
@@ -545,11 +543,8 @@ class CycPoly:
         return cls(n, (Cyc.one(n),))
 
     @classmethod
-    def monomial(cls, n: int, k: int, coeff: Cyc | int = 1) -> "CycPoly":
-        c = coeff if isinstance(coeff, Cyc) else Cyc.rational(n, coeff)
-        if not c:
-            return cls.zero(n)
-        return cls(n, (Cyc.zero(n),) * k + (c,))
+    def monomial(cls, n: int, k: int) -> "CycPoly":
+        return cls(n, (Cyc.zero(n),) * k + (Cyc.one(n),))
 
     @property
     def degree(self) -> int:

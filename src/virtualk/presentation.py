@@ -11,13 +11,13 @@ Adams operations on both sides.
 A resolution class is a ``Coords`` of kind "res": a*1 + sum_q b_q*e[q], where
 the e[q] = nuhat_q - 1 span a square-zero ideal.  The two verifiers yield
 each relation as (name, lhs, rhs) with both sides unrendered; ``verify``
-compares and renders them like its own checks, one relation at a time, so
-the sides of all n^4 ring-map relations are never held at once.
+compares and renders them like the relations of its own suites, one at a
+time, so the sides of all n^4 ring-map relations are never held at once.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .coords import Coords, basis, basis_vectors, from_terms, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
@@ -46,8 +46,9 @@ def gamma0_project(b: Coords) -> Coords:
     return from_terms(b.n, "res", {i: c for i, c in b.terms.items() if i < grid(b.n, 1, 0)})
 
 
-#: A relation and its two sides: (name, lhs, rhs), equal when it holds.
-Relation = tuple[str, object, object]
+#: A relation and its two sides, equal when it holds: (name, lhs, rhs), or
+#: (name, lhs, rhs, fmt) when ``fmt`` rather than ``str`` renders the sides.
+Relation = tuple[str, object, object] | tuple[str, object, object, Callable[[object], str]]
 
 
 def verify_presentation(n: int) -> Iterator[Relation]:

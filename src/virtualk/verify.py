@@ -8,19 +8,22 @@ basis; the remaining suites certify line elements, their span, the ring
 presentation and the resolution comparison.  A report is deterministic for
 fixed inputs: wall-clock timing is kept out of the canonical serialization.
 
-``SUITES`` maps each suite name to a builder ``(n, k_max) -> list[Check]``;
-``run_verify`` resolves the default k_max = 2n before it calls one.  Every
-check of a suite at one n is recorded by ``_recorder``, which also takes the
-(relation, lhs, rhs) triples that the presentation module yields.
+Every suite is a generator ``(n, k_max) -> Iterator[Relation]`` that yields
+(name, lhs, rhs) or (name, lhs, rhs, fmt); ``_checks`` alone compares and
+renders relations into ``Check`` records.  ``SUITES`` maps each suite name to
+a builder ``(n, k_max) -> list[Check]`` over its generator; ``run_verify``
+resolves the default k_max = 2n before it calls one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 from .coords import Coords, basis_vectors, gen, unit, zero
 from .cyclotomic import Cyc, phi_degree
@@ -48,7 +51,7 @@ from .localization import (
     u_adams,
     u_mul,
 )
-from .presentation import verify_presentation, verify_resolution_isomorphism
+from .presentation import Relation, verify_presentation, verify_resolution_isomorphism
 from .virtual_ring import (
     k_monomial,
     lambda_from_adams,
@@ -60,7 +63,7 @@ from .virtual_ring import (
 _SEED = 0x5EC7
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     id: str
     status: str
@@ -135,55 +138,47 @@ class Report:
         return "\n".join(lines)
 
 
-def _recorder(suite: str, n: int, relations: Iterable[tuple] = ()):
-    """The check list of one suite at one n, and ``eq`` that appends to it.
+def _checks(suite: str, n: int, relations: Iterable[Relation]) -> list[Check]:
+    """One check ``suite/n=N/name`` per relation (name, lhs, rhs[, fmt]).
 
-    ``eq(name, lhs, rhs, fmt=str)`` records check ``suite/n=N/name``: the two
-    sides compared exactly and rendered by ``fmt``.  ``str`` renders a Coords
-    in the labelled form of its own basis; equal Coords have identical
-    canonical coordinates, so a passing pair renders one side and reuses the
-    text.  Each (name, lhs, rhs) of ``relations`` is recorded first.
+    The sides are compared exactly and rendered by ``fmt``, default ``str``,
+    which renders a Coords in the labelled form of its own basis; equal Coords
+    have identical canonical coordinates, so a passing pair renders once.
     """
     out: list[Check] = []
     prefix = "%s/n=%d/" % (suite, n)
-
-    def eq(name: str, lhs, rhs, fmt=str) -> None:
+    for name, lhs, rhs, *fmt in relations:
+        fmt = fmt[0] if fmt else str
         ok = lhs == rhs
         left = fmt(lhs)
         same = ok and fmt is str and isinstance(lhs, Coords) and isinstance(rhs, Coords)
         out.append(Check(prefix + name, "pass" if ok else "fail",
                          left, left if same else fmt(rhs)))
-
-    for relation in relations:
-        eq(*relation)
-    return out, eq
+    return out
 
 
 # ---------------------------------------------------------------------------
 # product-oracle
 
 
-def checks_gamma_roundtrip(n: int) -> list[Check]:
-    out, eq = _recorder("product-oracle", n)
+def relations_gamma_roundtrip(n: int, k_max: int) -> Iterator[Relation]:
     for label, e in basis_vectors(n, "loc"):
-        eq("roundtrip-loc/%s" % label, gamma(gamma_inverse(e)), e)
+        yield "roundtrip-loc/%s" % label, gamma(gamma_inverse(e)), e
     for label, a in basis_vectors(n, "sector"):
-        eq("roundtrip-sector/%s" % label, gamma_inverse(gamma(a)), a)
-    return out
+        yield "roundtrip-sector/%s" % label, gamma_inverse(gamma(a)), a
 
 
-def checks_product_oracle(n: int) -> list[Check]:
+def relations_product_table(n: int, k_max: int) -> Iterator[Relation]:
     """Localized product table against the transported polynomial product."""
-    out, eq = _recorder("product-oracle", n)
     basis = basis_vectors(n, "loc")
     pre = [(label, e, gamma_inverse(e)) for label, e in basis]
     for i, (la, ea, ka) in enumerate(pre):
         for lb, eb, kb in pre[i:]:
-            eq("pair/%s*%s" % (la, lb), loc_mul(ea, eb), gamma(virtual_mul(ka, kb)))
+            yield "pair/%s*%s" % (la, lb), loc_mul(ea, eb), gamma(virtual_mul(ka, kb))
     for la, ea in basis:
         for lb, eb in basis:
             if la < lb:
-                eq("symmetry/%s*%s" % (la, lb), loc_mul(ea, eb), loc_mul(eb, ea))
+                yield "symmetry/%s*%s" % (la, lb), loc_mul(ea, eb), loc_mul(eb, ea)
     # Semisimple structure constants: Kronecker products and square-zero row 0.
     ubasis = basis_vectors(n, "u")
     for la, ua in ubasis:
@@ -197,46 +192,50 @@ def checks_product_oracle(n: int) -> list[Check]:
                 expected = ua if la.startswith("u[0,") else zero(n, "u")
             else:
                 expected = ua if la == lb and not la.startswith("u[0,") else zero(n, "u")
-            eq("u-product/%s*%s" % (la, lb), prod, expected)
+            yield "u-product/%s*%s" % (la, lb), prod, expected
     # The two coordinate systems agree on products of dense classes.
     rng = random.Random(_SEED + n)
     for trial in range(8):
         a = _random_u(rng, n)
         b = _random_u(rng, n)
-        eq("u-loc-consistency/%d" % trial,
-           u_mul(a, b), to_u_basis(loc_mul(from_u_basis(a), from_u_basis(b))))
+        yield ("u-loc-consistency/%d" % trial,
+               u_mul(a, b), to_u_basis(loc_mul(from_u_basis(a), from_u_basis(b))))
     # Remaining presentation-ideal families: the unit decomposes into the row
     # idempotents, rows sum to their idempotent, idempotents are orthogonal,
     # and each row idempotent fixes exactly its own semisimple generators.
     unit_decomp = gen(n, "loc", "e[0,0]")
     for l in range(1, n):
         unit_decomp = unit_decomp + gen(n, "loc", "e[0,%d]" % l)
-    eq("ideal/unit-decomposition", unit_decomp, unit(n, "loc"))
+    yield "ideal/unit-decomposition", unit_decomp, unit(n, "loc")
     for l in range(1, n):
         total = zero(n, "u")
         for q in range(n):
             total = total + gen(n, "u", "u[%d,%d]" % (l, q))
-        eq("ideal/row-sum/l=%d" % l, from_u_basis(total), gen(n, "loc", "e[0,%d]" % l))
+        yield "ideal/row-sum/l=%d" % l, from_u_basis(total), gen(n, "loc", "e[0,%d]" % l)
     ugens = [[from_u_basis(gen(n, "u", "u[%d,%d]" % (l2, q))) for q in range(n)]
              for l2 in range(n)]
     for l1 in range(n):
         e1 = gen(n, "loc", "e[0,%d]" % l1)
         for l2 in range(n):
             expected = e1 if l1 == l2 else zero(n, "loc")
-            eq("ideal/idempotents/l=%d,%d" % (l1, l2),
-               loc_mul(e1, gen(n, "loc", "e[0,%d]" % l2)), expected)
+            yield ("ideal/idempotents/l=%d,%d" % (l1, l2),
+                   loc_mul(e1, gen(n, "loc", "e[0,%d]" % l2)), expected)
         for l2 in range(n):
             for q, ug in enumerate(ugens[l2]):
                 expected = ug if l1 == l2 else zero(n, "loc")
-                eq("ideal/row-unit/u[%d,%d]*e[0,%d]" % (l2, q, l1), loc_mul(ug, e1), expected)
+                yield "ideal/row-unit/u[%d,%d]*e[0,%d]" % (l2, q, l1), loc_mul(ug, e1), expected
     # Powers of x_00 collapse linearly.
     x = gen(n, "loc", "xe[0,0]")
     e00 = gen(n, "loc", "e[0,0]")
     power = x
     for k in range(2, 11):
         power = loc_mul(power, x)
-        eq("x00-power/k=%d" % k, power, x.scale(k) - e00.scale(k - 1))
-    return out
+        yield "x00-power/k=%d" % k, power, x.scale(k) - e00.scale(k - 1)
+
+
+def relations_product_oracle(n: int, k_max: int) -> Iterator[Relation]:
+    yield from relations_gamma_roundtrip(n, k_max)
+    yield from relations_product_table(n, k_max)
 
 
 def _random_cyc(rng: random.Random, n: int) -> Cyc:
@@ -253,16 +252,15 @@ def _random_u(rng: random.Random, n: int) -> Coords:
 # adams-oracle
 
 
-def checks_adams_oracle(n: int, k_max: int) -> list[Check]:
-    out, eq = _recorder("adams-oracle", n)
+def relations_adams_oracle(n: int, k_max: int) -> Iterator[Relation]:
     pre = [(label, e, gamma_inverse(e)) for label, e in basis_vectors(n, "loc")]
     for k in range(1, k_max + 1):
         for label, e, ke in pre:
-            eq("loc/%s/k=%d" % (label, k), loc_adams(e, k), gamma(virtual_adams(ke, k)))
+            yield "loc/%s/k=%d" % (label, k), loc_adams(e, k), gamma(virtual_adams(ke, k))
     upre = [(label, b, from_u_basis(b)) for label, b in basis_vectors(n, "u")]
     for k in range(1, k_max + 1):
         for label, b, lb in upre:
-            eq("u/%s/k=%d" % (label, k), u_adams(b, k), to_u_basis(loc_adams(lb, k)))
+            yield "u/%s/k=%d" % (label, k), u_adams(b, k), to_u_basis(loc_adams(lb, k))
     # The Adams operations are multiplicative for the virtual product; this
     # family touches every Euler case, so it is sensitive to the case table.
     monomials = [k_monomial(n, m, 1) for m in range(n)]
@@ -271,54 +269,48 @@ def checks_adams_oracle(n: int, k_max: int) -> list[Check]:
         for m2, b in enumerate(monomials):
             ab = virtual_mul(a, b)
             for k in (2, 3):
-                eq("psi-mult/x[%d]*x[%d]/k=%d" % (m1, m2, k), virtual_adams(ab, k),
-                   virtual_mul(psi[k][m1], psi[k][m2]))
-    return out
+                yield ("psi-mult/x[%d]*x[%d]/k=%d" % (m1, m2, k), virtual_adams(ab, k),
+                       virtual_mul(psi[k][m1], psi[k][m2]))
 
 
 # ---------------------------------------------------------------------------
 # psi-ring
 
 
-def checks_psi_ring(n: int) -> list[Check]:
-    out, eq = _recorder("psi-ring", n)
+def relations_psi_ring(n: int, k_max: int) -> Iterator[Relation]:
     basis = basis_vectors(n, "sector")
     one = unit(n, "sector")
     # psi^k of every basis vector, once, for exactly the k the families below read.
     ks = {k * l for k in range(1, 5) for l in range(1, 5)} | set(range(1, 7))
     psi = {k: [virtual_adams(a, k) for _, a in basis] for k in sorted(ks)}
     for i, (label, a) in enumerate(basis):
-        eq("identity-op/%s" % label, psi[1][i], a)
-        eq("unit-law/%s" % label, virtual_mul(one, a), a)
+        yield "identity-op/%s" % label, psi[1][i], a
+        yield "unit-law/%s" % label, virtual_mul(one, a), a
     for k in range(1, 5):
         for l in range(1, 5):
             for i, (label, _) in enumerate(basis):
-                eq("composition/%s/k=%d,l=%d" % (label, k, l),
-                   virtual_adams(psi[l][i], k), psi[k * l][i])
+                yield ("composition/%s/k=%d,l=%d" % (label, k, l),
+                       virtual_adams(psi[l][i], k), psi[k * l][i])
     for i, (la, a) in enumerate(basis):
         for j, (lb, b) in enumerate(basis[i:], i):
             ab = virtual_mul(a, b)
-            eq("commutativity/%s*%s" % (la, lb), ab, virtual_mul(b, a))
+            yield "commutativity/%s*%s" % (la, lb), ab, virtual_mul(b, a)
             for k in range(2, 5):
-                eq("homomorphism/%s*%s/k=%d" % (la, lb, k), virtual_adams(ab, k),
-                   virtual_mul(psi[k][i], psi[k][j]))
+                yield ("homomorphism/%s*%s/k=%d" % (la, lb, k), virtual_adams(ab, k),
+                       virtual_mul(psi[k][i], psi[k][j]))
     for i, (label, a) in enumerate(basis):
         ea = virtual_augmentation(a)
         for k in range(1, 7):
-            eq("augmentation/eps-psi/%s/k=%d" % (label, k), virtual_augmentation(psi[k][i]), ea)
-            eq("augmentation/psi-eps/%s/k=%d" % (label, k), virtual_adams(ea, k), ea)
+            yield "augmentation/eps-psi/%s/k=%d" % (label, k), virtual_augmentation(psi[k][i]), ea
+            yield "augmentation/psi-eps/%s/k=%d" % (label, k), virtual_adams(ea, k), ea
     if n <= 4:
-        triples = [(a, b, c) for _, a in basis for _, b in basis for _, c in basis]
-        labels = [(la, lb, lc) for la, _ in basis for lb, _ in basis for lc, _ in basis]
+        triples = itertools.product(basis, repeat=3)
     else:
         rng = random.Random(_SEED + 31 * n)
-        idx = [tuple(rng.randrange(len(basis)) for _ in range(3)) for _ in range(40)]
-        triples = [(basis[i][1], basis[j][1], basis[k][1]) for i, j, k in idx]
-        labels = [(basis[i][0], basis[j][0], basis[k][0]) for i, j, k in idx]
-    for (a, b, c), (la, lb, lc) in zip(triples, labels):
-        eq("associativity/%s*%s*%s" % (la, lb, lc),
-           virtual_mul(virtual_mul(a, b), c), virtual_mul(a, virtual_mul(b, c)))
-    return out
+        triples = [[basis[rng.randrange(len(basis))] for _ in range(3)] for _ in range(40)]
+    for (la, a), (lb, b), (lc, c) in triples:
+        yield ("associativity/%s*%s*%s" % (la, lb, lc),
+               virtual_mul(virtual_mul(a, b), c), virtual_mul(a, virtual_mul(b, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +323,7 @@ def _random_line(rng: random.Random, n: int) -> LineElt:
     return line_element(n, f, beta)
 
 
-def checks_line_elements(n: int, k_max: int) -> list[Check]:
-    out, eq = _recorder("line-elements", n)
+def relations_line_elements(n: int, k_max: int) -> Iterator[Relation]:
     rng = random.Random(_SEED + 7 * n)
     gens = [("sigma[%d]" % i, sigma(n, i)) for i in range(n)]
     gens += [("nu[%d]" % j, nu(n, j)) for j in range(n)]
@@ -342,41 +333,39 @@ def checks_line_elements(n: int, k_max: int) -> list[Check]:
         power = b
         for k in range(2, k_max + 1):
             power = u_mul(power, b)
-            eq("power-law/%s/k=%d" % (label, k), u_adams(b, k), power)
+            yield "power-law/%s/k=%d" % (label, k), u_adams(b, k), power
         cert = is_line_element(b, k_max)
-        eq("certificate/%s" % label, (cert.ok, cert.params), (True, L),
-           lambda t: "ok=%s params=%s" % (t[0], t[1]))
-        eq("inverse/%s" % label, u_mul(b, line_realize(line_inverse(L))), unit(n, "u"))
+        yield ("certificate/%s" % label, (cert.ok, cert.params), (True, L),
+               lambda t: "ok=%s params=%s" % (t[0], t[1]))
+        yield "inverse/%s" % label, u_mul(b, line_realize(line_inverse(L))), unit(n, "u")
     for la, La in gens[: n + 2]:
         for lb, Lb in gens[: n + 2]:
-            eq("group-law/%s*%s" % (la, lb), line_realize(line_mul(La, Lb)),
-               u_mul(line_realize(La), line_realize(Lb)))
+            yield ("group-law/%s*%s" % (la, lb), line_realize(line_mul(La, Lb)),
+                   u_mul(line_realize(La), line_realize(Lb)))
     for i in range(n):
         torsion = sigma(n, i)
         power = torsion
         for _ in range(n - 1):
             power = line_mul(power, torsion)
-        eq("torsion/sigma[%d]^%d" % (i, n), line_realize(power), unit(n, "u"))
+        yield "torsion/sigma[%d]^%d" % (i, n), line_realize(power), unit(n, "u")
     # Failure modes: the zero-unit class and a scaled unit are not line elements.
-    eq("reject-noninvertible", is_line_element(gen(n, "u", "u[1,0]"), k_max).ok, False)
-    eq("reject-scaled-unit", is_line_element(unit(n, "u").scale(2), k_max).ok, False)
+    yield "reject-noninvertible", is_line_element(gen(n, "u", "u[1,0]"), k_max).ok, False
+    yield "reject-scaled-unit", is_line_element(unit(n, "u").scale(2), k_max).ok, False
     if n <= 5:
         for t in range(20):
             L = _random_line(rng, n)
             a = gamma_inverse(from_u_basis(line_realize(L)))
             for i in (2, 3):
-                eq("lambda-positivity/%d/i=%d" % (t, i), lambda_from_adams(a, i).is_zero(), True)
-    return out
+                yield "lambda-positivity/%d/i=%d" % (t, i), lambda_from_adams(a, i).is_zero(), True
 
 
 # ---------------------------------------------------------------------------
 # span
 
 
-def checks_span(n: int) -> list[Check]:
-    out, eq = _recorder("span", n)
+def relations_span(n: int, k_max: int) -> Iterator[Relation]:
     witnesses = span_rank(n)
-    eq("rank", witnesses.rank, n * (n - 1))
+    yield "rank", witnesses.rank, n * (n - 1)
     B = span_block(n)
     sq = [[sum((B[r][t] * B[t][c] for t in range(n - 1)), Cyc.zero(n))
            for c in range(n - 1)] for r in range(n - 1)]
@@ -385,47 +374,53 @@ def checks_span(n: int) -> list[Check]:
         for r in range(n - 1)
         for c in range(n - 1)
     )
-    eq("block-square-pattern", ok, True)
+    yield "block-square-pattern", ok, True
     expected = {"1": unit(n, "u")}
     for q in range(n):
-        expected["u[0,%d]" % q] = gen(n, "u", "u[0,%d]" % q)
-        for l in range(1, n):
+        for l in range(n):
             expected["u[%d,%d]" % (l, q)] = gen(n, "u", "u[%d,%d]" % (l, q))
     for key, target in expected.items():
-        eq("witness/%s" % key, realize_combo(n, witnesses.combos[key]), target)
-    return out
+        yield "witness/%s" % key, realize_combo(n, witnesses.combos[key]), target
 
 
 # ---------------------------------------------------------------------------
-# resolution
+# presentation and resolution
 
 
-def checks_resolution(n: int, k_max: int) -> list[Check]:
-    out, eq = _recorder("resolution", n, verify_resolution_isomorphism(n, k_max))
+def relations_presentation(n: int, k_max: int) -> Iterator[Relation]:
+    yield from verify_presentation(n)
+
+
+
+def relations_resolution(n: int, k_max: int) -> Iterator[Relation]:
+    yield from verify_resolution_isomorphism(n, k_max)
     # Augmentation compatibility across the decomposition map.
     for label, a in basis_vectors(n, "sector"):
-        eq("augmentation-transport/%s" % label,
-           gamma(virtual_augmentation(a)), loc_augmentation(gamma(a)))
+        yield ("augmentation-transport/%s" % label,
+               gamma(virtual_augmentation(a)), loc_augmentation(gamma(a)))
         ea = virtual_augmentation(a)
         for k in range(1, k_max + 1):
-            eq("augmentation-stability/%s/k=%d" % (label, k),
-               virtual_augmentation(virtual_adams(a, k)), ea)
-    return out
+            yield ("augmentation-stability/%s/k=%d" % (label, k),
+                   virtual_augmentation(virtual_adams(a, k)), ea)
 
 
 # ---------------------------------------------------------------------------
 # Runner
 
 
-SUITES = {
-    "product-oracle": lambda n, k: checks_gamma_roundtrip(n) + checks_product_oracle(n),
-    "adams-oracle": checks_adams_oracle,
-    "psi-ring": lambda n, k: checks_psi_ring(n),
-    "line-elements": checks_line_elements,
-    "span": lambda n, k: checks_span(n),
-    "presentation": lambda n, k: _recorder("presentation", n, verify_presentation(n))[0],
-    "resolution": checks_resolution,
-}
+def _run(suite: str, relations, n: int, k_max: int) -> list[Check]:
+    return _checks(suite, n, relations(n, k_max))
+
+
+SUITES = {suite: partial(_run, suite, relations) for suite, relations in (
+    ("product-oracle", relations_product_oracle),
+    ("adams-oracle", relations_adams_oracle),
+    ("psi-ring", relations_psi_ring),
+    ("line-elements", relations_line_elements),
+    ("span", relations_span),
+    ("presentation", relations_presentation),
+    ("resolution", relations_resolution),
+)}
 
 
 def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",),

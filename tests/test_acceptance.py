@@ -29,13 +29,14 @@ from virtualk.localization import (
     u_mul,
 )
 from virtualk.verify import (
-    checks_adams_oracle,
-    checks_gamma_roundtrip,
-    checks_line_elements,
-    checks_product_oracle,
-    checks_psi_ring,
-    checks_resolution,
-    checks_span,
+    _checks,
+    relations_adams_oracle,
+    relations_gamma_roundtrip,
+    relations_line_elements,
+    relations_product_table,
+    relations_psi_ring,
+    relations_resolution,
+    relations_span,
     run_verify,
 )
 from virtualk.virtual_ring import lambda_from_adams
@@ -63,6 +64,11 @@ def _digest(checks) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def _suite_checks(suite: str, relations, ns: range) -> list:
+    """The checks of ``relations`` at each n in ``ns`` with k_max = 2n, as ``suite``."""
+    return [c for n in ns for c in _checks(suite, n, relations(n, 2 * n))]
+
+
 def _report(num: int, title: str, checks) -> None:
     bad = [c for c in checks if not c.passed]
     status = "FAIL" if bad else "PASS"
@@ -73,41 +79,31 @@ def _report(num: int, title: str, checks) -> None:
 
 
 def test_criterion_1_localization_inverse():
-    checks = []
-    for n in range(2, 9):
-        checks.extend(checks_gamma_roundtrip(n))
+    checks = _suite_checks("product-oracle", relations_gamma_roundtrip, range(2, 9))
     _report(1, "gamma and gamma^(-1) are mutually inverse, n=2..8", checks)
     assert _digest(checks) == ROUNDTRIP_SHA256
 
 
 def test_criterion_2_product_table_oracle():
-    checks = []
-    for n in range(2, 9):
-        checks.extend(checks_product_oracle(n))
+    checks = _suite_checks("product-oracle", relations_product_table, range(2, 9))
     _report(2, "localized product table = transported virtual product, n=2..8", checks)
     assert _digest(checks) == PRODUCT_ORACLE_SHA256
 
 
 def test_criterion_3_adams_oracle():
-    checks = []
-    for n in range(2, 9):
-        checks.extend(checks_adams_oracle(n, 2 * n))
+    checks = _suite_checks("adams-oracle", relations_adams_oracle, range(2, 9))
     _report(3, "localized/semisimple Adams = transported virtual Adams, k<=2n, n=2..8", checks)
     assert _digest(checks) == ADAMS_ORACLE_SHA256
 
 
 def test_criterion_4_psi_ring_axioms():
-    checks = []
-    for n in range(2, 6):
-        checks.extend(checks_psi_ring(n))
+    checks = _suite_checks("psi-ring", relations_psi_ring, range(2, 6))
     _report(4, "augmented psi-ring axioms on the monomial basis, n=2..5", checks)
     assert _digest(checks) == PSI_RING_SHA256
 
 
 def test_criterion_5_line_element_classification():
-    checks = []
-    for n in range(2, 9):
-        checks.extend(checks_line_elements(n, 2 * n))
+    checks = _suite_checks("line-elements", relations_line_elements, range(2, 9))
     rng = random.Random(1211)
     extra_ok = True
     for n in range(2, 9):
@@ -126,9 +122,7 @@ def test_criterion_5_line_element_classification():
 
 
 def test_criterion_6_span():
-    checks = []
-    for n in range(2, 9):
-        checks.extend(checks_span(n))
+    checks = _suite_checks("span", relations_span, range(2, 9))
     _report(6, "rank(A) = n(n-1) with reconstruction witnesses, n=2..8", checks)
     assert _digest(checks) == SPAN_SHA256
 
@@ -140,9 +134,7 @@ def test_criterion_7_presentation():
 
 
 def test_criterion_8_resolution_isomorphism():
-    checks = []
-    for n in range(2, 9):
-        checks.extend(checks_resolution(n, 2 * n))
+    checks = _suite_checks("resolution", relations_resolution, range(2, 9))
     _report(8, "psi-ring isomorphism with the resolution K-theory, n=2..8", checks)
     assert _digest(checks) == RESOLUTION_SHA256
 

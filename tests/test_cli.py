@@ -124,6 +124,39 @@ def test_verify_out_file(capsys, tmp_path):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_verify_unwritable_out_exits_2_before_any_suite(capsys, no_work, tmp_path, target):
+    code, out, err = run(capsys, "verify", "--n-max", "2", "--out", str(tmp_path / target))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    code, _, err = run(capsys, "verify", "--suite", "nope", "--out", str(path))
+    assert code == 2 and "unknown suite" in err
+    assert path.read_text() == "earlier report\n"
+    code, out, _ = run(capsys, "verify", "--n-max", "2", "--suite", "span", "--out", str(path))
+    assert code == 0 and path.read_text() == out
+
+
+@pytest.mark.parametrize("expression", [
+    "(" * 200 + "x[0]" + ")" * 200,
+    "x[0]" + "+x[0]" * 1000,
+], ids=["nested-200", "flat-sum-1000"])
+def test_expressions_too_deep_exit_2_with_one_error_line(capsys, expression):
+    code, out, err = run(capsys, "eval", "--n", "3", expression)
+    assert code == 2
+    assert out == "" and err == "error: the expression is nested too deeply\n"
+
+
+def test_nesting_150_deep_still_evaluates(capsys):
+    code, out, _ = run(capsys, "eval", "--n", "3", "(" * 150 + "x[0]" + ")" * 150)
+    assert code == 0 and out == "x[0]\n"
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2
