@@ -131,7 +131,9 @@ def main(argv: list[str] | None = None) -> int:
                 print("error: cannot write the report: %s" % exc, file=sys.stderr)
                 return 2
             with out:
-                report = run_verify(args.n_min, args.n_max, suites, args.k_max)
+                # Text output prints no passing side, so only JSON renders them.
+                report = run_verify(args.n_min, args.n_max, suites, args.k_max,
+                                    render_passing=args.json)
                 text = report.to_json() if args.json else report.text_summary(args.verbose)
                 print(text)
                 if args.out:

@@ -328,6 +328,20 @@ class _Parser:
         raise ParseError("unknown symbol %r" % text, pos)
 
 
+def _left_spine(e: Binary) -> list[Expr]:
+    """The Binary chain down the left operands of ``e``, then its leftmost operand.
+
+    The parser builds a flat sum or product as a left-deep tree, so walks over
+    the spine run in a loop rather than recursing once per term.
+    """
+    spine: list[Expr] = []
+    while isinstance(e, Binary):
+        spine.append(e)
+        e = e.a
+    spine.append(e)
+    return spine
+
+
 def infer_basis(e: Expr) -> str:
     """Ambient basis of an expression; raises BasisMixError on a sector/loc mix."""
     if isinstance(e, Num):
@@ -342,12 +356,17 @@ def infer_basis(e: Expr) -> str:
     if isinstance(e, Pow):
         return infer_basis(e.base)
     if isinstance(e, Binary):
-        a, b = infer_basis(e.a), infer_basis(e.b)
-        if a != b and SCALAR not in (a, b):
-            raise BasisMixError(
-                "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", 0
-            )
-        return b if a == SCALAR else a
+        spine = _left_spine(e)
+        basis = infer_basis(spine.pop())
+        for node in reversed(spine):
+            b = infer_basis(node.b)
+            if basis != b and SCALAR not in (basis, b):
+                raise BasisMixError(
+                    "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", 0
+                )
+            if basis == SCALAR:
+                basis = b
+        return basis
     inner = infer_basis(e.x)
     if e.op in ("psi", "eps") and inner == SCALAR:
         raise BasisMixError("psi/eps apply to ring elements, not scalars", 0)
@@ -433,6 +452,21 @@ def _power(v: Coords, k: int, mul) -> Coords:
     return power(v, k, lambda a, b: _printable(mul(a, b)))
 
 
+def _binary(op: str, a: Value, b: Value) -> Value:
+    if op != "*":
+        a, b = _coerce_pair(a, b)
+        return a + b if op == "+" else a - b
+    if isinstance(a, Cyc) and isinstance(b, Cyc):
+        return a * b
+    if isinstance(a, Cyc):
+        return b.scale(a)
+    if isinstance(b, Cyc):
+        return a.scale(b)
+    if a.kind == SECTOR:
+        return vr.virtual_mul(a, b)
+    return loc.loc_mul(a, b)
+
+
 def _eval(e: Expr, n: int) -> Value:
     if isinstance(e, Num):
         return Cyc.rational(n, e.value)
@@ -454,19 +488,11 @@ def _eval(e: Expr, n: int) -> Value:
             betas.append(v)
         return loc.from_u_basis(line_realize(line_element(n, e.f, betas)))
     if isinstance(e, Binary):
-        a, b = _eval(e.a, n), _eval(e.b, n)
-        if e.op != "*":
-            a, b = _coerce_pair(a, b)
-            return a + b if e.op == "+" else a - b
-        if isinstance(a, Cyc) and isinstance(b, Cyc):
-            return a * b
-        if isinstance(a, Cyc):
-            return b.scale(a)
-        if isinstance(b, Cyc):
-            return a.scale(b)
-        if a.kind == SECTOR:
-            return vr.virtual_mul(a, b)
-        return loc.loc_mul(a, b)
+        spine = _left_spine(e)
+        v = _eval(spine.pop(), n)
+        for node in reversed(spine):
+            v = _binary(node.op, v, _eval(node.b, n))
+        return v
     if isinstance(e, Pow):
         if isinstance(e.base, Atom) and e.base.name == "x":
             return vr.k_monomial(n, e.base.idx[0], e.exp)

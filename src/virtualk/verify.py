@@ -11,8 +11,11 @@ fixed inputs: wall-clock timing is kept out of the canonical serialization.
 Every suite is a generator ``(n, k_max) -> Iterator[Relation]`` that yields
 (name, lhs, rhs) or (name, lhs, rhs, fmt); ``_checks`` alone compares and
 renders relations into ``Check`` records.  ``SUITES`` maps each suite name to
-a builder ``(n, k_max) -> list[Check]`` over its generator; ``run_verify``
-resolves the default k_max = 2n before it calls one.
+a builder ``(n, k_max, render_passing=True) -> list[Check]`` over its
+generator; ``run_verify`` resolves the default k_max = 2n before it calls one.
+A report built with ``render_passing=False`` compares every relation but
+renders the sides of failing checks only, which is all the text summary
+prints; it cannot be serialized to JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator
@@ -77,22 +81,27 @@ class Check:
 
 @dataclass
 class Report:
+    """Checks in run order; ``failures`` is filled alongside ``checks``.
+
+    ``render_passing`` is False when passing checks carry empty sides.
+    """
+
     n_min: int
     n_max: int
     k_max: int | None
     suites: tuple[str, ...]
+    render_passing: bool = True
     checks: list[Check] = field(default_factory=list)
+    failures: list[Check] = field(default_factory=list)
     elapsed: float = 0.0
-
-    @property
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_dict(self) -> dict:
+        if not self.render_passing:
+            raise ValueError("the report was built without the sides of passing checks")
         return {
             "n_min": self.n_min,
             "n_max": self.n_max,
@@ -111,13 +120,10 @@ class Report:
 
     def text_summary(self, verbose: bool = False) -> str:
         lines = []
-        per_suite: dict[str, list[Check]] = {}
-        for c in self.checks:
-            per_suite.setdefault(c.id.split("/", 1)[0], []).append(c)
-        for name, checks in per_suite.items():
-            bad = [c for c in checks if not c.passed]
-            mark = "FAIL" if bad else "PASS"
-            lines.append("[%s] %-14s %d checks, %d failures" % (mark, name, len(checks), len(bad)))
+        bad = Counter(c.id.split("/", 1)[0] for c in self.failures)
+        for name, count in Counter(c.id.split("/", 1)[0] for c in self.checks).items():
+            mark = "FAIL" if bad[name] else "PASS"
+            lines.append("[%s] %-14s %d checks, %d failures" % (mark, name, count, bad[name]))
         if verbose:
             for c in self.checks:
                 lines.append("  [%s] %s" % ("PASS" if c.passed else "FAIL", c.id))
@@ -138,18 +144,23 @@ class Report:
         return "\n".join(lines)
 
 
-def _checks(suite: str, n: int, relations: Iterable[Relation]) -> list[Check]:
+def _checks(suite: str, n: int, relations: Iterable[Relation],
+            render_passing: bool = True) -> list[Check]:
     """One check ``suite/n=N/name`` per relation (name, lhs, rhs[, fmt]).
 
     The sides are compared exactly and rendered by ``fmt``, default ``str``,
     which renders a Coords in the labelled form of its own basis; equal Coords
     have identical canonical coordinates, so a passing pair renders once.
+    With ``render_passing`` False a passing check keeps empty sides.
     """
     out: list[Check] = []
     prefix = "%s/n=%d/" % (suite, n)
     for name, lhs, rhs, *fmt in relations:
-        fmt = fmt[0] if fmt else str
         ok = lhs == rhs
+        if ok and not render_passing:
+            out.append(Check(prefix + name, "pass", "", ""))
+            continue
+        fmt = fmt[0] if fmt else str
         left = fmt(lhs)
         same = ok and fmt is str and isinstance(lhs, Coords) and isinstance(rhs, Coords)
         out.append(Check(prefix + name, "pass" if ok else "fail",
@@ -408,8 +419,8 @@ def relations_resolution(n: int, k_max: int) -> Iterator[Relation]:
 # Runner
 
 
-def _run(suite: str, relations, n: int, k_max: int) -> list[Check]:
-    return _checks(suite, n, relations(n, k_max))
+def _run(suite: str, relations, n: int, k_max: int, render_passing: bool = True) -> list[Check]:
+    return _checks(suite, n, relations(n, k_max), render_passing)
 
 
 SUITES = {suite: partial(_run, suite, relations) for suite, relations in (
@@ -424,10 +435,12 @@ SUITES = {suite: partial(_run, suite, relations) for suite, relations in (
 
 
 def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",),
-               k_max: int | None = None) -> Report:
+               k_max: int | None = None, render_passing: bool = True) -> Report:
     """Run the selected suites over n_min..n_max and collect a report.
 
     ``k_max`` of None means 2n per weight; any other value must be at least 2.
+    With ``render_passing`` False the sides of passing checks stay empty, so
+    the report has the text summary but no JSON form.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -443,11 +456,13 @@ def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",
             raise ValueError("unknown suite %r (choose from %s)" % (s, ", ".join(SUITES)))
     seen = set()
     names = [s for s in names if not (s in seen or seen.add(s))]
-    report = Report(n_min, n_max, k_max, tuple(names))
+    report = Report(n_min, n_max, k_max, tuple(names), render_passing)
     start = time.perf_counter()
     for n in range(n_min, n_max + 1):
         k = 2 * n if k_max is None else k_max
         for name in names:
-            report.checks.extend(SUITES[name](n, k))
+            checks = SUITES[name](n, k, render_passing=render_passing)
+            report.checks.extend(checks)
+            report.failures.extend(c for c in checks if not c.passed)
     report.elapsed = time.perf_counter() - start
     return report

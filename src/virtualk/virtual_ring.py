@@ -29,7 +29,7 @@ from functools import cache, lru_cache
 from typing import Mapping
 
 from .coords import (Coords, Sparse, apply_columns, from_canonical, from_terms, sector_start, sparse,
-                     unit, zero)
+                     unit)
 from .cyclotomic import Accumulator, Cyc, CycPoly
 from .sector_ring import (
     bott_class,
@@ -175,7 +175,7 @@ def lambda_from_adams(a: Coords, i: int) -> Coords:
     """i-th lambda operation derived from the virtual Adams operations.
 
     Newton's identity i*lam^i(a) = sum_{j=1..i} (-1)^(j-1) lam^(i-j)(a) * psi^j(a),
-    with all products virtual.
+    with all products virtual; the j = i term is psi^i(a) itself, as lam^0 = 1.
     """
     if i < 0:
         raise ValueError("lambda operations are defined for i >= 0")
@@ -184,8 +184,8 @@ def lambda_from_adams(a: Coords, i: int) -> Coords:
     for t in range(1, i + 1):
         while len(psis) <= t:
             psis.append(virtual_adams(a, len(psis)))
-        total = zero(a.n, "sector")
-        for j in range(1, t + 1):
+        total = psis[t] if t % 2 else -psis[t]
+        for j in range(1, t):
             term = virtual_mul(lams[t - j], psis[j])
             total = total + (term if j % 2 else -term)
         lams.append(total.scale(Fraction(1, t)))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import virtualk.cli as cli
 import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
 from virtualk.cli import MAX_K_MAX, MAX_N, main
+from virtualk.coords import Coords
 from virtualk.expr import MAX_ADAMS_INDEX, MAX_EXPONENT, parse
 from virtualk.verify import run_verify
 
@@ -144,12 +146,28 @@ def test_verify_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
 
 @pytest.mark.parametrize("expression", [
     "(" * 200 + "x[0]" + ")" * 200,
-    "x[0]" + "+x[0]" * 1000,
-], ids=["nested-200", "flat-sum-1000"])
+], ids=["nested-200"])
 def test_expressions_too_deep_exit_2_with_one_error_line(capsys, expression):
     code, out, err = run(capsys, "eval", "--n", "3", expression)
     assert code == 2
     assert out == "" and err == "error: the expression is nested too deeply\n"
+
+
+@pytest.mark.parametrize("expression, same_as", [
+    ("x[0]" + "+x[0]" * 1000, "1001*x[0]"),
+    ("x[0]" + "*x[0]" * 1000, "x[0]^1001"),
+    ("e[0,1]" + "-u[1,0]+2" * 500, "e[0,1] - 500*u[1,0] + 1000"),
+], ids=["flat-sum-1000", "flat-product-1000", "flat-mixed-1000"])
+def test_flat_chains_of_1000_terms_evaluate(capsys, expression, same_as):
+    expected = run(capsys, "eval", "--n", "3", same_as)
+    assert expected[0] == 0
+    assert run(capsys, "eval", "--n", "3", expression) == expected
+
+
+def test_a_flat_sum_reports_a_basis_mix_at_its_end(capsys):
+    code, out, err = run(capsys, "eval", "--n", "3", "x[0]" + "+x[0]" * 1000 + "+e[0,0]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot mix sector-basis and localized-basis atoms")
 
 
 def test_nesting_150_deep_still_evaluates(capsys):
@@ -170,6 +188,48 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def _masked(text):
+    # The elapsed time is the only part of a text summary that varies.
+    return re.sub(r"\(\d+\.\d\ds\)$", "(T)", text.rstrip("\n"))
+
+
+@pytest.mark.parametrize("verbose", [False, True], ids=["summary", "verbose"])
+def test_verify_text_matches_the_fully_rendered_report_under_a_defect(capsys, monkeypatch,
+                                                                      verbose):
+    monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
+    full = run_verify(2, 3)
+    assert len(full.failures) > 50 and all(c.lhs and c.rhs for c in full.checks)
+    code, out, _ = run(capsys, "verify", "--n-min", "2", "--n-max", "3",
+                       *(["--verbose"] if verbose else []))
+    assert code == 1
+    assert _masked(out) == _masked(full.text_summary(verbose))
+
+
+@pytest.fixture
+def str_calls(monkeypatch):
+    calls = []
+    render = Coords.__str__
+
+    def counted(self):
+        calls.append(1)
+        return render(self)
+
+    monkeypatch.setattr(Coords, "__str__", counted)
+    return calls
+
+
+def test_a_passing_text_verify_renders_no_side(capsys, str_calls):
+    assert run(capsys, "verify", "--n-min", "2", "--n-max", "3")[0] == 0
+    assert run(capsys, "verify", "--n-min", "2", "--n-max", "3", "--verbose")[0] == 0
+    assert str_calls == []
+
+
+def test_a_json_verify_renders_every_side(capsys, str_calls):
+    code, out, _ = run(capsys, "verify", "--n-min", "2", "--n-max", "2", "--json")
+    assert code == 0 and str_calls
+    assert all(c["lhs"] and c["rhs"] for c in json.loads(out)["checks"])
 
 
 def test_usage_error_exit_code():

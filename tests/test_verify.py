@@ -54,3 +54,21 @@ def test_text_summary_mentions_suites():
     report = run_verify(2, 2, ("span",))
     text = report.text_summary()
     assert "span" in text and "PASS" in text
+
+
+def test_a_report_without_passing_sides_has_no_json():
+    report = run_verify(2, 2, ("span", "presentation"), render_passing=False)
+    full = run_verify(2, 2, ("span", "presentation"))
+    assert report.ok and [c.id for c in report.checks] == [c.id for c in full.checks]
+    assert {(c.status, c.lhs, c.rhs) for c in report.checks} == {("pass", "", "")}
+    assert report.text_summary(True).split("\n")[:-1] == full.text_summary(True).split("\n")[:-1]
+    with pytest.raises(ValueError):
+        report.to_json()
+
+
+def test_failing_checks_keep_their_sides_without_passing_sides(monkeypatch):
+    monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
+    lean = run_verify(2, 3, ("product-oracle", "adams-oracle"), render_passing=False)
+    full = run_verify(2, 3, ("product-oracle", "adams-oracle"))
+    assert lean.failures == full.failures
+    assert lean.failures == [c for c in full.checks if not c.passed]
