@@ -28,8 +28,10 @@ the only bridges.  "*" means the virtual product on the sector side and the
 localized product on the localized side; ``psi[0]`` is the augmentation.
 
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
-indices by ``MAX_ADAMS_INDEX``; larger values are parse errors, because
-sector powers and Adams operations take time linear in the index.  A power
+indices by ``MAX_ADAMS_INDEX``; larger values are parse errors.  A power of
+the untwisted sector variable takes time linear in the exponent.  An Adams
+operation builds its columns in closed form, at a cost that does not grow
+with the index; only the size of its integer coefficients does.  A power
 whose coefficients outgrow Python's integer-to-text limit is an evaluation
 error, raised as soon as a step of the power meets such a coefficient.
 """

@@ -6,6 +6,14 @@ a twisted sector (m != 0) is Q(zeta_n)[x]/(x^n-1) with representatives of
 degree <= n-1.  Both moduli have unit constant term, so x is invertible in
 every sector and negative powers are eliminated at construction time.
 
+On the untwisted sector every power has a closed-form representative: write
+e = qn + r with 0 <= r < n; then
+
+    x^e = x^r + q (x^n - 1)   modulo (x-1)(x^n-1),
+
+because t = x^n - 1 satisfies t x = t and t^2 = 0, so (x^n)^q = (1 + t)^q =
+1 + q t.  The Adams operations and Bott classes use it and never divide.
+
 A class in sector m is a ``CycPoly`` in x_m; the sector index is passed
 alongside it.  Canonical representatives make equality a plain tuple
 comparison.
@@ -90,42 +98,43 @@ def sector_mul(m: int, a: CycPoly, b: CycPoly) -> CycPoly:
 
 
 def sector_adams(m: int, a: CycPoly, k: int) -> CycPoly:
-    """Ordinary Adams operation psi^k: x_m^j -> x_m^(jk), extended linearly."""
+    """Ordinary Adams operation psi^k: x_m^j -> x_m^(jk), extended linearly.
+
+    x^(jk) with jk = qn + r is x^r on a twisted sector and x^r + q (x^n - 1)
+    on the untwisted one, so the cost is one fold per nonzero coefficient.
+    """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     n = a.n
-    if m:
-        folded = [Cyc.zero(n) for _ in range(n)]
-        for j, c in enumerate(a.coeffs):
-            if c:
-                e = (j * k) % n
-                folded[e] = folded[e] + c
-        return CycPoly(n, _strip(folded))
-    out = [Cyc.zero(n)] * (k * max(len(a.coeffs) - 1, 0) + 1)
+    untwisted = m % n == 0
+    out = [Cyc.zero(n)] * (n + untwisted)
     for j, c in enumerate(a.coeffs):
         if c:
-            out[j * k] = out[j * k] + c
-    return CycPoly(n, reduce_coeffs(n, 0, out))
+            q, r = divmod(j * k, n)
+            out[r] = out[r] + c
+            if untwisted and q:
+                qc = c.scale_int(q)
+                out[n] = out[n] + qc
+                out[0] = out[0] - qc
+    return CycPoly(n, _strip(out))
 
 
 def bott_class(n: int, m: int, j: int) -> CycPoly:
     """The j-th Bott class of the dual tautological character on sector m.
 
     This is the geometric sum 1 + x_m^(-1) + ... + x_m^(-(j-1)), reduced.
+    Residue s collects the exponents -i with i = c, c + n, ... below j, where
+    c = -s mod n: (j - 1 - c) // n + 1 of them, which is 0 when c >= j.  On
+    the untwisted sector each x^(-i), -i = qn + r, also adds q (x^n - 1); with
+    j - 1 = an + b the quotients sum to -(n a(a+1)/2 + b(a+1)).
     """
     _check_n(n)
     if j < 1:
         raise ValueError("Bott classes are defined for j >= 1")
-    if m % n:
-        folded = [Cyc.zero(n) for _ in range(n)]
-        for i in range(j):
-            e = (-i) % n
-            folded[e] = folded[e] + Cyc.one(n)
-        return CycPoly(n, _strip(folded))
-    total = CycPoly.one_poly(n)
-    power = CycPoly.one_poly(n)
-    xinv = sector_x_inverse(n, 0)
-    for _ in range(j - 1):
-        power = sector_mul(0, power, xinv)
-        total = total + power
-    return total
+    counts = [(j - 1 - (-s % n)) // n + 1 for s in range(n)]
+    if m % n == 0:
+        a, b = divmod(j - 1, n)
+        q = -(n * a * (a + 1) // 2 + b * (a + 1))
+        counts[0] -= q
+        counts.append(q)
+    return CycPoly.from_ints(n, counts)

@@ -143,11 +143,17 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
 
 @lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)
 def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
-    """psi~^k(x_m^j) on sector m: psi^k, times the k-th Bott class when m != 0."""
+    """psi~^k(x_m^j) on sector m: psi^k, times the k-th Bott class when m != 0.
+
+    On a twisted sector psi^k(x_m^j) is the monomial x_m^e, so the product
+    rotates the Bott class by e: position t gets its coefficient of x^(t-e).
+    """
     ps = sector_adams(m, CycPoly.monomial(n, j), k)
-    if m and not ps.is_zero():
-        ps = sector_mul(m, ps, bott_class(n, m, k))
-    return sparse(enumerate(ps.coeffs))
+    if not m:
+        return sparse(enumerate(ps.coeffs))
+    e, bott = ps.degree, bott_class(n, m, k).coeffs
+    bott += (Cyc.zero(n),) * (n - len(bott))
+    return sparse((t, bott[(t - e) % n]) for t in range(n))
 
 
 def virtual_adams(a: Coords, k: int) -> Coords:

@@ -2,9 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virtualk.coords import Coords, gen, zero
-from virtualk.cyclotomic import Cyc, CycPoly
+from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
 from virtualk.sector_ring import (
     bott_class,
     sector_adams,
@@ -28,6 +30,25 @@ def _naive_reduce(n: int, m: int, coeffs: list[int]) -> list[Fraction]:
         while rem and not rem[-1]:
             rem.pop()
     return rem
+
+
+def reference_sector_adams(a: CycPoly, k: int) -> CycPoly:
+    """psi^k on sector 0 by substitution x^j -> x^(jk), then long division."""
+    n = a.n
+    out = [Cyc.zero(n)] * (k * max(len(a.coeffs) - 1, 0) + 1)
+    for j, c in enumerate(a.coeffs):
+        if c:
+            out[j * k] = out[j * k] + c
+    return CycPoly.from_cycs(n, out).divmod_by(sector_modulus(n, 0))[1]
+
+
+def reference_bott_class(n: int, m: int, j: int) -> CycPoly:
+    """1 + y + ... + y^(j-1) for y = x_m^(-1), one product at a time."""
+    total = power = _one(n)
+    for _ in range(j - 1):
+        power = sector_mul(m, power, sector_x_inverse(n, m))
+        total = total + power
+    return total
 
 
 def _one(n: int) -> CycPoly:
@@ -111,6 +132,46 @@ def test_adams_composition_on_monomials():
                 a = sector_monomial(n, m, j)
                 for k, l in itertools.product(range(1, 7), repeat=2):
                     assert sector_adams(m, sector_adams(m, a, l), k) == sector_adams(m, a, k * l)
+
+
+@st.composite
+def _dense_sector0_classes(draw):
+    # Up to degree 2n, so unreduced representatives are covered too.
+    n = draw(st.integers(2, 6))
+    small = st.integers(-4, 4)
+
+    def scalar():
+        if draw(st.booleans()):
+            return Cyc.zero(n)
+        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
+                   draw(st.integers(1, 3)))
+
+    return CycPoly.from_cycs(n, [scalar() for _ in range(draw(st.integers(0, 2 * n + 1)))])
+
+
+@settings(max_examples=40)
+@given(_dense_sector0_classes(), st.integers(1, 300))
+def test_untwisted_adams_matches_long_division(a, k):
+    assert sector_adams(0, a, k) == reference_sector_adams(a, k)
+
+
+def test_adams_reads_the_sector_index_mod_n():
+    # Sector n is sector 0: psi^2(x^2) = x^4 = x^3 + x - 1 at n = 3.
+    a = sector_monomial(3, 0, 2)
+    assert _coeff_ints(sector_adams(3, a, 2)) == [-1, 1, 0, 1]
+    for n in (2, 3, 5):
+        for m in range(n):
+            for j in range(n + 1 if m == 0 else n):
+                a = sector_monomial(n, m, j)
+                for k in (1, 2, 3, n + 1, 2 * n + 3):
+                    assert sector_adams(m + n, a, k) == sector_adams(m, a, k)
+
+
+def test_bott_matches_the_sum_of_inverse_powers():
+    for n in range(2, 9):
+        for m in range(n):
+            for j in range(1, 3 * n + 2):
+                assert bott_class(n, m, j) == reference_bott_class(n, m, j), (n, m, j)
 
 
 def test_mul_commutative_associative_monomials():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
+from virtualk.cli import main
 from virtualk.coords import Coords, basis_vectors, power, unit, zero
 from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
+from virtualk.expr import format_value
 from virtualk.sector_ring import (
     bott_class,
     reduce_coeffs,
@@ -266,6 +269,51 @@ def test_euler_override_reaches_warm_tables(monkeypatch):
         assert perturbed != default
     monkeypatch.undo()
     assert [virtual_mul(a, b) for a, b in pairs] == defaults
+
+
+# ---------------------------------------------------------------------------
+# No long division on the Adams path.
+
+
+def _count_divisions(monkeypatch, fn, *args):
+    calls = [0]
+    original = CycPoly.divmod_by
+
+    def counted(self, d):
+        calls[0] += 1
+        return original(self, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(CycPoly, "divmod_by", counted)
+        result = fn(*args)
+    return result, calls[0]
+
+
+def _all_adams_columns():
+    build = vr._adams_column.__wrapped__  # the derivation, past the cache
+    return [build(n, m, j, k) for n in range(2, 9) for m in range(n)
+            for j in range(n + 1 if m == 0 else n)
+            for k in list(range(1, 2 * n + 3)) + [97, 3000]]
+
+
+def test_adams_columns_divide_nothing(monkeypatch):
+    _, calls = _count_divisions(monkeypatch, _all_adams_columns)
+    assert calls == 0
+    # The guard can fail: the reference takes sector-0 powers through sector_mul.
+    _, calls = _count_divisions(monkeypatch, reference_adams, k_monomial(8, 0, 8), 3000)
+    assert calls > 0
+
+
+def test_dense_untwisted_adams_query_divides_nothing(monkeypatch, capsys):
+    # psi^3000 of a dense sector-0 class at n = 8, from cold Adams columns.
+    text = " + ".join(["x[0]"] + ["x[0]^%d" % j for j in range(2, 9)])
+    cold = lru_cache(maxsize=vr.ADAMS_COLUMN_CACHE_SIZE)(vr._adams_column.__wrapped__)
+    monkeypatch.setattr(vr, "_adams_column", cold)
+    code, calls = _count_divisions(monkeypatch, main, ["eval", "--n", "8", "psi[3000](%s)" % text])
+    assert (code, calls) == (0, 0)
+    assert cold.cache_info().misses == 8
+    a = sum((k_monomial(8, 0, j) for j in range(2, 9)), k_monomial(8, 0, 1))
+    assert capsys.readouterr().out.strip() == format_value("sector", reference_adams(a, 3000))
 
 
 def test_adams_column_cache_is_bounded():
