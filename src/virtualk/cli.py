@@ -101,16 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, basis: str, value, display_hint: str) -> None:
     display = display_hint if args.basis == "auto" else args.basis
-    if basis == "scalar":
-        display = "scalar"
-    elif basis == "sector" and display in ("loc", "u"):
+    if basis == "sector" and display in ("loc", "u"):
         raise EvalError("sector-basis value; use localize/gamma for a localized view")
-    elif basis == "loc" and display == "sector":
+    if basis == "loc" and display == "sector":
         raise EvalError("localized value; use delocalize/gammainv for the sector view")
-    if args.json:
-        print(value_to_json(args.n, basis, value, display=display))
-    else:
-        print(format_value(basis, value, display=display))
+    if basis == "loc" and display == "u":
+        value = loc.to_u_basis(value)
+    print(value_to_json(args.n, basis, value) if args.json else format_value(basis, value))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,10 +132,11 @@ def main(argv: list[str] | None = None) -> int:
                 report = run_verify(args.n_min, args.n_max, suites, args.k_max,
                                     render_passing=args.json)
                 text = report.to_json() if args.json else report.text_summary(args.verbose)
-                print(text)
+                # Written before the echo, so a closed stdout cannot cost the file.
                 if args.out:
                     out.truncate(0)
                     out.write(text + "\n")
+            print(text)
             return 0 if report.ok else 1
 
         if not 2 <= args.n <= MAX_N:

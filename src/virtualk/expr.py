@@ -24,14 +24,20 @@ literals, negative allowed on invertible operands.
 Atoms fix the ambient basis: x/one live on the sector side, e/xe/u and the
 line-element constructors on the localized side (``ATOMS``).  Mixing the two
 sides in one expression is rejected at parse time; ``gamma``/``gammainv`` are
-the only bridges.  "*" means the virtual product on the sector side and the
-localized product on the localized side; ``psi[0]`` is the augmentation.
+the only bridges.  One walk over the tree, ``preferred_display``, finds the
+side to display and with it the ambient basis.  "*" means the virtual product
+on the sector side and the localized product on the localized side;
+``psi[0]`` is the augmentation.
 
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
 indices by ``MAX_ADAMS_INDEX``; larger values are parse errors.  A power of
-the untwisted sector variable takes time linear in the exponent.  An Adams
-operation builds its columns in closed form, at a cost that does not grow
-with the index; only the size of its integer coefficients does.  A power
+the untwisted sector variable takes time linear in the exponent.  Every
+other power of a class has one rule (``ring_power``): the class goes to
+semisimple coordinates, through ``gamma`` first on the sector side, where the
+product is diagonal except for one square-zero block; it is inverted there
+for a negative exponent, raised by square-and-multiply and mapped back once.
+An Adams operation builds its columns in closed form, at a cost that does not
+grow with the index; only the size of its integer coefficients does.  A power
 whose coefficients outgrow Python's integer-to-text limit is an evaluation
 error, raised as soon as a step of the power meets such a coefficient.
 """
@@ -74,19 +80,20 @@ class EvalError(ValueError):
 
 SCALAR, SECTOR, LOC = "scalar", "sector", "loc"
 
-#: Atom name -> (number of indices, ring side, display side).  Except for
-#: zeta, sigma and nu, an atom's text is its label in the basis of its
+#: Atom name -> (number of indices, display side).  The ring side is the
+#: display side, except that the "u" atoms live in the localized ring.  Except
+#: for zeta, sigma and nu, an atom's text is its label in the basis of its
 #: display side: ``x[1]`` and ``one[1]`` in sector, ``e[1,0]`` and
 #: ``xe[0,0]`` in loc, ``u[1,0]`` in u.
 ATOMS = {
-    "zeta": (0, SCALAR, SCALAR),
-    "x": (1, SECTOR, SECTOR),
-    "one": (1, SECTOR, SECTOR),
-    "e": (2, LOC, LOC),
-    "xe": (2, LOC, LOC),
-    "u": (2, LOC, "u"),
-    "sigma": (1, LOC, "u"),
-    "nu": (1, LOC, "u"),
+    "zeta": (0, SCALAR),
+    "x": (1, SECTOR),
+    "one": (1, SECTOR),
+    "e": (2, LOC),
+    "xe": (2, LOC),
+    "u": (2, "u"),
+    "sigma": (1, "u"),
+    "nu": (1, "u"),
 }
 
 
@@ -142,18 +149,6 @@ class Pow:
 
 
 Expr = Num | Atom | LineAtom | Unary | Binary | Pow
-
-
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, LineAtom):
-        return e.beta
-    if isinstance(e, Unary):
-        return (e.x,)
-    if isinstance(e, Binary):
-        return (e.a, e.b)
-    if isinstance(e, Pow):
-        return (e.base,)
-    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +339,40 @@ def _left_spine(e: Binary) -> list[Expr]:
     return spine
 
 
-def infer_basis(e: Expr) -> str:
-    """Ambient basis of an expression; raises BasisMixError on a sector/loc mix."""
+def _ring(side: str) -> str:
+    """The ring of a display side: u coordinates display the localized ring."""
+    return LOC if side == "u" else side
+
+
+def preferred_display(e: Expr) -> str:
+    """Display basis of an expression, from which ``_ring`` reads its ambient basis.
+
+    A localized expression displays in "u" when only semisimple-side atoms
+    occur in it, and in "loc" once a loc atom or a ``gamma`` does.  Raises
+    BasisMixError on a sector/loc mix.
+    """
     if isinstance(e, Num):
         return SCALAR
     if isinstance(e, Atom):
         return ATOMS[e.name][1]
     if isinstance(e, LineAtom):
-        for b in e.beta:
-            if infer_basis(b) != SCALAR:
-                raise BasisMixError("L(...) scalar slots must be scalar expressions", 0)
-        return LOC
+        if any(preferred_display(b) != SCALAR for b in e.beta):
+            raise BasisMixError("L(...) scalar slots must be scalar expressions", 0)
+        return "u"
     if isinstance(e, Pow):
-        return infer_basis(e.base)
+        return preferred_display(e.base)
     if isinstance(e, Binary):
         spine = _left_spine(e)
-        basis = infer_basis(spine.pop())
+        side = preferred_display(spine.pop())
         for node in reversed(spine):
-            b = infer_basis(node.b)
-            if basis != b and SCALAR not in (basis, b):
+            b = preferred_display(node.b)
+            if _ring(side) != _ring(b) and SCALAR not in (side, b):
                 raise BasisMixError(
                     "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", 0
                 )
-            if basis == SCALAR:
-                basis = b
-        return basis
-    inner = infer_basis(e.x)
+            side = side if b in (SCALAR, side) else b if side == SCALAR else LOC
+        return side
+    inner = preferred_display(e.x)
     if e.op in ("psi", "eps") and inner == SCALAR:
         raise BasisMixError("psi/eps apply to ring elements, not scalars", 0)
     if e.op == "gamma":
@@ -377,29 +380,10 @@ def infer_basis(e: Expr) -> str:
             raise BasisMixError("gamma expects a sector-basis expression", 0)
         return LOC
     if e.op == "gammainv":
-        if inner != LOC:
+        if _ring(inner) != LOC:
             raise BasisMixError("gammainv expects a localized-basis expression", 0)
         return SECTOR
     return inner
-
-
-def preferred_display(e: Expr) -> str:
-    """Display basis: "u" when only semisimple-side atoms occur, else as inferred."""
-    basis = infer_basis(e)
-    if basis != LOC:
-        return basis
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            seen.add(ATOMS[node.name][2])
-        elif isinstance(node, LineAtom):
-            seen.add("u")
-        elif isinstance(node, Unary) and node.op == "gamma":
-            seen.add(LOC)
-        stack.extend(_children(node))
-    return "u" if "u" in seen and LOC not in seen else LOC
 
 
 def parse(text: str, n: int) -> Expr:
@@ -407,7 +391,7 @@ def parse(text: str, n: int) -> Expr:
     if n < 2:
         raise ValueError("the weight n must be at least 2")
     e = _Parser(text, n).parse()
-    infer_basis(e)
+    preferred_display(e)  # raises BasisMixError on a sector/loc mix
     return e
 
 
@@ -419,9 +403,9 @@ Value = Cyc | Coords
 
 
 def evaluate(e: Expr, n: int) -> tuple[str, Value]:
-    """Evaluate a parsed expression; returns (basis, value)."""
-    basis = infer_basis(e)
-    return basis, _eval(e, n)
+    """Evaluate a parsed expression; returns (basis, value), the basis read off the value."""
+    v = _eval(e, n)
+    return SCALAR if isinstance(v, Cyc) else v.kind, v
 
 
 def _coerce_pair(a: Value, b: Value):
@@ -449,9 +433,24 @@ def _printable(v: Coords) -> Coords:
     return v
 
 
-def _power(v: Coords, k: int, mul) -> Coords:
-    """v^k, failing fast: every product of the loop goes through ``_printable``."""
-    return power(v, k, lambda a, b: _printable(mul(a, b)))
+def ring_power(v: Coords, k: int) -> Coords:
+    """v^k for a sector or loc class v and any integer k, in the diagonal u-ring.
+
+    Powering there and mapping back once keeps the rational coefficients from
+    growing through every ring product.  The power fails fast: every product
+    of the loop goes through ``_printable``, and so does the loc value that a
+    sector power hands to ``gamma_inverse``, which takes seconds on over-long
+    coefficients and, on the classes tried, never shortens them.
+    """
+    sector = v.kind == SECTOR
+    u = loc.to_u_basis(loc.gamma(v) if sector else v)
+    if k < 0:
+        if not loc.u_is_invertible(u):
+            raise EvalError("class is not invertible in the %s ring"
+                            % ("virtual" if sector else "localized"))
+        u, k = loc.u_inverse(u), -k
+    w = loc.from_u_basis(power(u, k, lambda a, b: _printable(loc.u_mul(a, b))))
+    return loc.gamma_inverse(_printable(w)) if sector else w
 
 
 def _binary(op: str, a: Value, b: Value) -> Value:
@@ -478,7 +477,7 @@ def _eval(e: Expr, n: int) -> Value:
         if e.name in ("sigma", "nu"):
             generator = sigma if e.name == "sigma" else nu
             return loc.from_u_basis(line_realize(generator(n, e.idx[0])))
-        display = ATOMS[e.name][2]
+        display = ATOMS[e.name][1]
         v = gen(n, display, e.label)
         return loc.from_u_basis(v) if display == "u" else v
     if isinstance(e, LineAtom):
@@ -504,25 +503,7 @@ def _eval(e: Expr, n: int) -> Value:
                 return v**e.exp
             except ZeroDivisionError as exc:
                 raise EvalError(str(exc)) from exc
-        if v.kind == LOC:
-            if e.exp >= 0:
-                return _power(v, e.exp, loc.loc_mul)
-            try:
-                u = loc.u_inverse(loc.to_u_basis(v))
-            except ZeroDivisionError as exc:
-                raise EvalError(str(exc)) from exc
-            return loc.from_u_basis(_power(u, -e.exp, loc.u_mul))
-        if e.exp < 0:
-            u = loc.to_u_basis(loc.gamma(v))
-            if not loc.u_is_invertible(u):
-                raise EvalError("class is not invertible in the virtual ring")
-            # Powering in the diagonal u-ring and mapping back once keeps the
-            # rational coefficients from growing through every virtual product.
-            # gamma_inverse takes seconds on over-long coefficients and, on
-            # the classes tried, never shortens them, so its input is checked.
-            inv_pow = _power(loc.u_inverse(u), -e.exp, loc.u_mul)
-            return loc.gamma_inverse(_printable(loc.from_u_basis(inv_pow)))
-        return _power(v, e.exp, vr.virtual_mul)
+        return ring_power(v, e.exp)
     v = _eval(e.x, n)
     if e.op == "-":
         return -v
@@ -539,26 +520,20 @@ def _eval(e: Expr, n: int) -> Value:
 # Output formatting
 
 
-def format_value(basis: str, v: Value, display: str | None = None) -> str:
+def format_value(basis: str, v: Value) -> str:
     """Deterministic text form; coefficients in fixed basis order."""
-    if basis == SCALAR:
-        return format_cyc(v)
-    if display == "u":
-        v = loc.to_u_basis(v)
-    return str(v)
+    return format_cyc(v) if basis == SCALAR else str(v)
 
 
 def _rat_vector(c: Cyc) -> list[str]:
     return [str(f) for f in c.coeffs]
 
 
-def value_to_json(n: int, basis: str, v: Value, display: str | None = None) -> str:
+def value_to_json(n: int, basis: str, v: Value) -> str:
     """Structured serialization; exact rational coefficient vectors throughout."""
     if basis == SCALAR:
         doc = {"n": n, "basis": "scalar", "value": _rat_vector(v)}
         return json.dumps(doc, sort_keys=True)
-    if display == "u":
-        v = loc.to_u_basis(v)
     index = v.basis.json
     coeffs = [{"index": list(index[i]), "value": _rat_vector(c)} for i, c in v.terms.items()]
     doc = {"n": n, "basis": v.kind, "coeffs": coeffs}

@@ -144,6 +144,20 @@ def test_verify_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
     assert code == 0 and path.read_text() == out
 
 
+def test_verify_out_is_written_in_full_when_stdout_closes_early(tmp_path):
+    # As in `verify --json --out FILE | head -c 200`: the reader closes the pipe
+    # after 200 bytes of a report far larger than a pipe buffer.
+    path = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["verify", "--n-min", "2", "--n-max", "3", "--json", "--out", str(path)]
+    proc = subprocess.Popen([sys.executable, "-m", "virtualk.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    assert len(proc.stdout.read(200)) == 200
+    proc.stdout.close()
+    proc.wait(timeout=120)
+    assert path.read_text() == run_verify(2, 3).to_json() + "\n"
+
+
 @pytest.mark.parametrize("expression", [
     "(" * 200 + "x[0]" + ")" * 200,
 ], ids=["nested-200"])
@@ -298,19 +312,24 @@ def test_powers_too_long_to_print_exit_2(capsys, expression):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no conversion limit")
 def test_the_power_check_follows_the_interpreter_limit(capsys):
-    # At a 640-digit limit (the least Python allows) the power -250 prints and
-    # the power -300, whose answer holds integers of about 690 digits, does not.
+    # At a 640-digit limit (the least Python allows) the powers -250 and 700
+    # print, and the powers -300 and 800, whose answers hold longer integers,
+    # do not.
     base = "(x[0]^2 + 3*x[1] + x[2])"
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
         code, out, _ = run(capsys, "eval", "--n", "3", base + "^-250")
         assert code == 0 and "/" in out
-        code, out, err = run(capsys, "eval", "--n", "3", base + "^-300")
-        assert code == 2 and "more than 640 digits" in err
+        code, out, _ = run(capsys, "eval", "--n", "3", base + "^700")
+        assert code == 0 and out
+        for exp in ("-300", "800"):
+            code, out, err = run(capsys, "eval", "--n", "3", base + "^" + exp)
+            assert code == 2 and "more than 640 digits" in err
         sys.set_int_max_str_digits(0)
-        code, out, _ = run(capsys, "eval", "--n", "3", base + "^-300")
-        assert code == 0
+        for exp in ("-300", "800"):
+            code, out, _ = run(capsys, "eval", "--n", "3", base + "^" + exp)
+            assert code == 0
     finally:
         sys.set_int_max_str_digits(old)
 

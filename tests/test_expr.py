@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from virtualk.cyclotomic import Cyc, zeta_pow
+from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
 from virtualk.expr import (
     ATOMS,
     MAX_ADAMS_INDEX,
@@ -18,15 +18,28 @@ from virtualk.expr import (
     ParseError,
     Pow,
     Unary,
+    _left_spine,
+    _Parser,
+    _printable,
     evaluate,
     format_value,
     parse,
     preferred_display,
+    ring_power,
     value_to_json,
 )
-from virtualk.coords import gen, unit, zero
+from virtualk.coords import Coords, gen, power, unit, zero
 from virtualk.line_elements import line_realize, sigma
-from virtualk.localization import from_u_basis
+from virtualk.localization import (
+    from_u_basis,
+    gamma,
+    gamma_inverse,
+    loc_mul,
+    to_u_basis,
+    u_inverse,
+    u_is_invertible,
+    u_mul,
+)
 from virtualk.virtual_ring import k_monomial, virtual_mul
 
 
@@ -113,7 +126,6 @@ def test_gammainv_round_trip():
 
 def test_loc_negative_power():
     _, v = _eval("(2*e[0,0] + e[0,1] + e[1,1])^-1", 2)
-    from virtualk.localization import loc_mul
     _, a = _eval("2*e[0,0] + e[0,1] + e[1,1]", 2)
     assert loc_mul(v, a) == unit(2, "loc")
 
@@ -219,8 +231,10 @@ def _atoms(n, side):
             return st.just((0, 0))
         return st.tuples(*[st.integers(0, n - 1)] * ATOMS[name][0])
 
+    # The "u" atoms display in u and live in the localized ring.
     return st.one_of([indices(name).map(lambda idx, name=name: Atom(name, idx))
-                      for name, (_, atom_side, _) in ATOMS.items() if atom_side == side])
+                      for name, (_, display) in ATOMS.items()
+                      if {"u": "loc"}.get(display, display) == side])
 
 
 @st.composite
@@ -296,3 +310,247 @@ def test_json_serialization():
 
 def test_format_value_zero():
     assert format_value("loc", zero(2, "loc")) == "0"
+
+
+# ---------------------------------------------------------------------------
+# One power rule: every ring power goes through the u-ring.  The four routes
+# the evaluator took before are the reference.
+
+
+def _reference_steps(v, k, mul):
+    return power(v, k, lambda a, b: _printable(mul(a, b)))
+
+
+def reference_power(v, k):
+    """v^k by the old routes: ``loc_mul`` for k >= 0 on loc, the u-ring for
+    k < 0 on loc, ``gamma`` then the u-ring for k < 0 on sector, and
+    ``virtual_mul`` for k >= 0 on sector."""
+    if v.kind == "loc":
+        if k >= 0:
+            return _reference_steps(v, k, loc_mul)
+        try:
+            u = u_inverse(to_u_basis(v))
+        except ZeroDivisionError as exc:
+            raise EvalError(str(exc)) from exc
+        return from_u_basis(_reference_steps(u, -k, u_mul))
+    if k < 0:
+        u = to_u_basis(gamma(v))
+        if not u_is_invertible(u):
+            raise EvalError("class is not invertible in the virtual ring")
+        inv_pow = _reference_steps(u_inverse(u), -k, u_mul)
+        return gamma_inverse(_printable(from_u_basis(inv_pow)))
+    return _reference_steps(v, k, virtual_mul)
+
+
+@st.composite
+def _power_cases(draw):
+    """A dense sector or loc class for n = 2..6 and an exponent in -4..6.
+
+    Half the classes are drawn in their own basis; the others in u
+    coordinates, where a zero on the unit or a semisimple row (often drawn)
+    makes the class not invertible."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["sector", "loc"]))
+    from_u = draw(st.booleans())
+
+    def scalar():
+        if draw(st.integers(0, 4 if from_u else 19)) == 0:
+            return Cyc.zero(n)
+        return Cyc(n, draw(st.lists(st.integers(-3, 3), min_size=phi_degree(n),
+                                    max_size=phi_degree(n))), draw(st.integers(1, 3)))
+
+    coeffs = [scalar() for _ in range(n * n + 1)]
+    if not from_u:
+        v = Coords(n, kind, coeffs)
+    else:
+        v = from_u_basis(Coords(n, "u", coeffs))
+        v = gamma_inverse(v) if kind == "sector" else v
+    return v, draw(st.sampled_from(range(-4, 7)))
+
+
+def _power_outcome(power_of, v, k):
+    try:
+        return power_of(v, k)
+    except EvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_power_cases())
+@example((gen(3, "sector", "one[1]"), -2))
+@example((gen(3, "loc", "e[0,1]"), -1))
+@example((gen(4, "sector", "x[0]"), 0))
+def test_the_power_rule_matches_the_old_routes_on_dense_classes(case):
+    v, k = case
+    got = _power_outcome(ring_power, v, k)
+    assert got == _power_outcome(reference_power, v, k)
+    if isinstance(got, str):
+        assert k < 0 and got == "class is not invertible in the %s ring" % (
+            "virtual" if v.kind == "sector" else "localized")
+
+
+# ---------------------------------------------------------------------------
+# One basis walk: ``preferred_display`` finds the display side and with it the
+# ambient basis.  The two walks it replaced are the reference.
+
+
+def _children(e):
+    if isinstance(e, LineAtom):
+        return e.beta
+    if isinstance(e, Unary):
+        return (e.x,)
+    if isinstance(e, Binary):
+        return (e.a, e.b)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
+
+
+_RING_SIDE = {"zeta": "scalar", "x": "sector", "one": "sector", "e": "loc", "xe": "loc",
+              "u": "loc", "sigma": "loc", "nu": "loc"}
+
+
+def reference_infer_basis(e):
+    """Ambient basis of an expression; raises BasisMixError on a sector/loc mix."""
+    if isinstance(e, Num):
+        return "scalar"
+    if isinstance(e, Atom):
+        return _RING_SIDE[e.name]
+    if isinstance(e, LineAtom):
+        for b in e.beta:
+            if reference_infer_basis(b) != "scalar":
+                raise BasisMixError("L(...) scalar slots must be scalar expressions", 0)
+        return "loc"
+    if isinstance(e, Pow):
+        return reference_infer_basis(e.base)
+    if isinstance(e, Binary):
+        spine = _left_spine(e)
+        basis = reference_infer_basis(spine.pop())
+        for node in reversed(spine):
+            b = reference_infer_basis(node.b)
+            if basis != b and "scalar" not in (basis, b):
+                raise BasisMixError(
+                    "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", 0
+                )
+            if basis == "scalar":
+                basis = b
+        return basis
+    inner = reference_infer_basis(e.x)
+    if e.op in ("psi", "eps") and inner == "scalar":
+        raise BasisMixError("psi/eps apply to ring elements, not scalars", 0)
+    if e.op == "gamma":
+        if inner != "sector":
+            raise BasisMixError("gamma expects a sector-basis expression", 0)
+        return "loc"
+    if e.op == "gammainv":
+        if inner != "loc":
+            raise BasisMixError("gammainv expects a localized-basis expression", 0)
+        return "sector"
+    return inner
+
+
+def reference_preferred_display(e):
+    """Display basis: "u" when only semisimple-side atoms occur, else as inferred."""
+    basis = reference_infer_basis(e)
+    if basis != "loc":
+        return basis
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            seen.add(ATOMS[node.name][1])
+        elif isinstance(node, LineAtom):
+            seen.add("u")
+        elif isinstance(node, Unary) and node.op == "gamma":
+            seen.add("loc")
+        stack.extend(_children(node))
+    return "u" if "u" in seen and "loc" not in seen else "loc"
+
+
+def _walks(walk, e):
+    """(basis, display) by ``walk``, or the text of its BasisMixError."""
+    try:
+        basis, display = walk(e)
+    except BasisMixError as exc:
+        return str(exc)
+    return basis, display
+
+
+def _old_walks(e):
+    return reference_infer_basis(e), reference_preferred_display(e)
+
+
+def _new_walk(e):
+    display = preferred_display(e)
+    return ("loc" if display == "u" else display), display
+
+
+WALK_TABLE = [
+    # every node kind and atom
+    (3, "3"), (3, "-1/2"), (4, "zeta"), (4, "zeta^2 - 1/2"), (3, "(zeta + 1)^-1"),
+    (3, "x[1]"), (3, "one[2]"), (3, "x[0]^3"), (3, "one[1]*x[0]^-2 + 2"),
+    (3, "psi[0](x[1])"), (3, "-x[2]"), (3, "e[1,2]"), (3, "xe[0,0]"), (3, "u[1,0]"),
+    (3, "sigma[1]"), (3, "nu[2]"), (2, "L(1,0; zeta, 1/2)"), (3, "psi[3](u[1,0])"),
+    (3, "eps(sigma[1])"), (3, "-(u[1,1])"), (3, "2*nu[1]^3"),
+    # display sides joined over a sum or product
+    (3, "u[1,0] + e[0,1]"), (3, "e[0,1] + u[1,0]"), (3, "u[1,0]*sigma[1] - 2"),
+    (2, "L(1,0; zeta, 1/2) + u[0,0]"), (3, "psi[3](u[1,0] + xe[0,0])"),
+    (3, "2 - sigma[1]*e[0,0]*u[2,2]"), (3, "x[0] + 2*one[1] - x[2]^2"),
+    # gamma and gammainv, nested both ways
+    (3, "gamma(x[0])"), (3, "gammainv(u[1,0])"), (3, "gamma(gammainv(u[1,0]))"),
+    (3, "gammainv(gamma(x[0]))"), (3, "gamma(gammainv(e[0,1] + u[1,1]))*u[1,0]"),
+    (3, "gammainv(gamma(x[0])*sigma[1])"), (3, "gammainv(u[1,0]) + x[0]"),
+    (3, "gamma(gammainv(gamma(x[1])))"), (3, "gammainv(gamma(gammainv(sigma[0])))"),
+    (3, "u[2,0]*gamma(one[1])^2"),
+    # the five basis-mix errors, and which comes first
+    (2, "L(1,0; x[0], 0)"), (2, "L(1,0; eps(2), e[0,0])"), (2, "L(1,0; 0, gamma(x[0]))"),
+    (3, "x[1] + e[0,1]"), (3, "u[1,0]*x[0]"), (3, "2*sigma[0] - one[1]"),
+    (3, "x[0] + e[0,0] + eps(2)"), (3, "eps(2) + x[0] + e[0,0]"),
+    (3, "eps(2)"), (3, "psi[2](zeta)"), (3, "psi[0](1/2)"),
+    (3, "gamma(u[1,0])"), (3, "gamma(e[0,0] + 1)"), (3, "gamma(2)"),
+    (3, "gamma(gamma(x[0]))"), (3, "gamma(u[1,0]) + x[0] + e[0,0]"),
+    (3, "gammainv(x[0])"), (3, "gammainv(3)"), (3, "gammainv(gammainv(u[1,0]))"),
+    (3, "gammainv(gamma(x[0]) + x[0])"),
+]
+
+
+@pytest.mark.parametrize("n, text", WALK_TABLE)
+def test_the_one_walk_matches_the_two_old_walks(n, text):
+    e = _Parser(text, n).parse()
+    expected = _walks(_old_walks, e)
+    assert _walks(_new_walk, e) == expected
+    if isinstance(expected, str):
+        with pytest.raises(BasisMixError) as exc:
+            parse(text, n)
+        assert str(exc.value) == expected
+    else:
+        assert parse(text, n) == e
+        assert evaluate(e, n)[0] == expected[0]
+
+
+def test_the_walk_table_covers_every_node_kind_and_basis_mix_error():
+    trees = [_Parser(text, n).parse() for n, text in WALK_TABLE]
+    kinds, atoms, ops, errors = set(), set(), set(), set()
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        kinds.add(type(node).__name__)
+        atoms.add(getattr(node, "name", None))
+        ops.add(getattr(node, "op", None))
+        stack.extend(_children(node))
+    for e in trees:
+        outcome = _walks(_old_walks, e)
+        if isinstance(outcome, str):
+            errors.add(outcome)
+    assert kinds == {"Num", "Atom", "LineAtom", "Unary", "Binary", "Pow"}
+    assert set(ATOMS) <= atoms
+    assert {"+", "-", "*", "psi", "eps", "gamma", "gammainv"} <= ops
+    assert len(errors) == 5
+
+
+@settings(max_examples=150)
+@given(_cases)
+def test_the_one_walk_matches_the_two_old_walks_on_random_asts(case):
+    _, e = case
+    assert _walks(_new_walk, e) == _walks(_old_walks, e)
