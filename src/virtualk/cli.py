@@ -1,22 +1,29 @@
 """Command-line interface: evaluate expressions, move across bases, verify.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage,
-parse or evaluation errors, too deep an expression or an unwritable ``--out``.
+parse or evaluation errors, an unknown suite, too deep an expression or an
+unwritable ``--out``, and 141 (128 + SIGPIPE) when the reader closes stdout
+before the output is written, as in ``verify ... | head``; ``main`` then
+ends quietly, and an ``--out`` file is already complete.
 
 ``main(argv)`` may be called any number of times in one process.  The
 argument parser is built on the first call and reused by every later one;
 importing the module builds nothing.
 
-Inputs are bounded so that no query runs for long: the weight n (``--n``,
-``--n-min``, ``--n-max``) is at most ``MAX_N``, ``--k-max`` of ``verify`` and
-``line`` lies in 2..``MAX_K_MAX``, and the parser bounds exponents and Adams
-indices (``expr.MAX_EXPONENT``, ``expr.MAX_ADAMS_INDEX``).  An input beyond a
-bound exits with code 2 before any work starts.
+The inputs that set a weight, an exponent or an index are bounded: the
+weight n (``--n``, ``--n-min``, ``--n-max``) is at most ``MAX_N``,
+``--k-max`` of ``verify`` and ``line`` lies in 2..``MAX_K_MAX``, and the
+parser bounds exponents and Adams indices (``expr.MAX_EXPONENT``,
+``expr.MAX_ADAMS_INDEX``).  An input beyond a bound exits with code 2 before
+any work starts.  The length of an expression is not bounded, so a long one
+can still run for long: each atom ``x[0]^2000`` at n = 8 costs about 0.1 s,
+and a product of 1,000 of them would take about 100 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -32,7 +39,7 @@ from .expr import (
     value_to_json,
 )
 from .line_elements import is_line_element
-from .verify import run_verify
+from .verify import run_verify, select_suites
 
 #: Largest accepted weight n.
 MAX_N = 8
@@ -111,7 +118,20 @@ def _emit(args, basis: str, value, display_hint: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        code = _command(_build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Unflushed output goes to devnull, so that
+        # the interpreter's own flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _command(args) -> int:
     if getattr(args, "k_max", None) is not None and not 2 <= args.k_max <= MAX_K_MAX:
         print("error: --k-max must be between 2 and %d" % MAX_K_MAX, file=sys.stderr)
         return 2
@@ -120,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             if not 2 <= args.n_min <= args.n_max <= MAX_N:
                 print("error: need 2 <= --n-min <= --n-max <= %d" % MAX_N, file=sys.stderr)
                 return 2
-            suites = tuple(args.suite) if args.suite else ("all",)
+            suites = select_suites(tuple(args.suite) if args.suite else ("all",))
             # Opened before any suite runs; appending leaves it as it was if the run stops.
             try:
                 out = open(args.out, "a", encoding="utf-8") if args.out else nullcontext()

@@ -17,6 +17,11 @@ denominator, builds no ``Cyc`` per term, and brings each nonzero sum to
 lowest terms once at the end, so its output is the canonical form the
 operators would produce term by term.
 
+Every product of two numerator vectors follows one rule, ``_times``: a
+rational factor scales the other vector, and only two irrational factors are
+convolved modulo Phi_n.  ``Cyc`` multiplication, ``Cyc.inv`` and the
+``Accumulator`` all call it.
+
 ``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients,
 the workhorse for the quotient-ring reductions in the ring modules.
 """
@@ -31,16 +36,7 @@ from functools import cache
 from typing import Iterable, Sequence
 
 
-def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _int_poly_divexact(a: list[int], b: list[int]) -> list[int]:
+def _int_poly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact division of integer polynomials; ``b`` must be monic."""
     a = list(a)
     q = [0] * (len(a) - len(b) + 1)
@@ -64,14 +60,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n == 1:
-        return (-1, 1)
     num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _int_poly_mul(den, list(cyclotomic_polynomial(d)))
-    return tuple(_int_poly_divexact(num, den))
+            num = _int_poly_divexact(num, cyclotomic_polynomial(d))
+    return tuple(num)
 
 
 def phi_degree(n: int) -> int:
@@ -151,10 +144,10 @@ class Cyc:
     """An element of Q(zeta_n): integer numerator vector over one denominator.
 
     The arithmetic operators take a fast path by operand kind: a zero operand
-    returns at once, and a rational operand (an ``int``, a ``Fraction`` or a
-    ``Cyc`` whose numerator is zero past the constant term) scales the other
-    numerator vector by one integer.  Only two irrational operands pay for
-    the convolution modulo Phi_n.  Results are canonical either way.
+    returns at once, an ``int`` or a ``Fraction`` scales the numerator vector
+    by one integer, and two ``Cyc`` operands meet through ``_times``, which
+    convolves modulo Phi_n only when neither is rational.  Results are
+    canonical either way.
     """
 
     __slots__ = ("n", "num", "den")
@@ -280,11 +273,9 @@ class Cyc:
             if other.n != n:
                 raise ValueError(_MIXED % (n, other.n))
             b = other.num
-            if not any(b[1:]):
-                return _scaled(n, a, self.den * other.den, b[0])
-            if not any(a[1:]):
-                return _scaled(n, b, self.den * other.den, a[0])
-            return _product(n, a, b, self.den * other.den)
+            if not (any(a) and any(b)):
+                return Cyc.zero(n)
+            return _raw(n, *_normalized(_times(n, a, b), self.den * other.den))
         if isinstance(other, (int, Fraction)):
             return _scaled(n, a, self.den * other.denominator, other.numerator)
         return NotImplemented
@@ -312,8 +303,8 @@ class Cyc:
                 conjugate = [0] * n
                 for e, c in enumerate(num):
                     conjugate[e * j % n] += c
-                p = _convolve(n, p, _reduce_int_coeffs(n, conjugate))
-        norm = _convolve(n, num, p)[0]
+                p = _times(n, p, _reduce_int_coeffs(n, conjugate))
+        norm = _times(n, num, p)[0]
         return _raw(n, *_normalized([self.den * c for c in p], norm))
 
     def __truediv__(self, other) -> "Cyc":
@@ -388,30 +379,31 @@ def _convolve(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _times(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # a * b modulo Phi_n, unnormalised; a rational factor only scales the other.
+def _times(n: int, a: Sequence[int], b: Sequence[int],
+           a_rational: bool | None = None) -> list[int]:
+    # a * b modulo Phi_n, unnormalised: the one product rule for numerator
+    # vectors.  A rational factor (zero past the constant term) only scales
+    # the other; two irrational factors are convolved.  A caller that
+    # multiplies one a by many b passes a_rational, tested once for all.
+    if a_rational is None:
+        a_rational = not any(a[1:])
+    if a_rational:
+        a0 = a[0]
+        return [a0 * y for y in b]
     if not any(b[1:]):
         b0 = b[0]
         return [x * b0 for x in a]
-    if not any(a[1:]):
-        a0 = a[0]
-        return [a0 * y for y in b]
     return _convolve(n, a, b)
-
-
-def _product(n: int, a: tuple[int, ...], b: tuple[int, ...], den: int) -> Cyc:
-    # a * b / den, canonical.
-    return _raw(n, *_normalized(_convolve(n, a, b), den))
 
 
 class Accumulator:
     """Sums of products c * r by integer position, normalised once per position.
 
     A position holds a raw integer numerator list over a positive denominator,
-    neither reduced.  ``add`` builds no ``Cyc``: an ``int`` or a rational
-    operand scales the other numerators, and only two irrational operands pay
-    for the convolution modulo Phi_n.  Equal denominators add entrywise;
-    different ones meet over their lcm, at the cost of one gcd.
+    neither reduced.  ``add`` builds no ``Cyc``: an ``int`` entry scales the
+    numerators, and a ``Cyc`` entry meets them through ``_times``.  Equal
+    denominators add entrywise; different ones meet over their lcm, at the
+    cost of one gcd.
     """
 
     __slots__ = ("n", "sums")
@@ -434,16 +426,7 @@ class Accumulator:
             if r.__class__ is int:
                 p, d = (num if r == 1 else [x * r for x in num]), den
             else:
-                b = r.num
-                if rational:
-                    a0 = num[0]
-                    p = [a0 * y for y in b]
-                elif not any(b[1:]):
-                    b0 = b[0]
-                    p = [x * b0 for x in num]
-                else:
-                    p = _convolve(n, num, b)
-                d = den * r.den
+                p, d = _times(n, num, r.num, rational), den * r.den
             i = start + offset
             slot = sums.get(i)
             if slot is None:

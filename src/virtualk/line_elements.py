@@ -150,20 +150,6 @@ def span_block(n: int) -> list[list[Cyc]]:
     ]
 
 
-def span_matrix(n: int) -> list[list[Cyc]]:
-    """Block-diagonal matrix: rows (q, l), columns (q', alpha), entry
-    zeta^(l alpha) - 1 when q = q'."""
-    B = span_block(n)
-    size = n * (n - 1)
-    zero = Cyc.zero(n)
-    out = [[zero] * size for _ in range(size)]
-    for q in range(n):
-        for r in range(n - 1):
-            for c in range(n - 1):
-                out[q * (n - 1) + r][q * (n - 1) + c] = B[r][c]
-    return out
-
-
 Combo = tuple[tuple[LineElt, Cyc], ...]
 
 
@@ -185,13 +171,15 @@ def _axis_line(n: int, q: int, alpha: int) -> LineElt:
 def span_rank(n: int) -> SpanWitnesses:
     """Exact rank of the span matrix and reconstruction witnesses.
 
-    Witnesses express 1, every u_0^q (as nu_q minus the identity element)
-    and every u_l^q (through the inverse of the block B) as combinations of
-    realized line elements.
+    The span matrix has rows (q, l) and columns (q', alpha), with entry
+    zeta^(l alpha) - 1 when q = q' and 0 otherwise: n copies of the block B
+    on its diagonal, so its rank is n * rank(B).  Witnesses express 1, every
+    u_0^q (as nu_q minus the identity element) and every u_l^q (through the
+    inverse of the block B) as combinations of realized line elements.
     """
-    A = span_matrix(n)
-    r = linalg.rank(A)
-    Binv = linalg.inverse(span_block(n))
+    B = span_block(n)
+    r = n * linalg.rank(B)
+    Binv = linalg.inverse(B)
     identity = line_identity(n)
     combos: dict[str, Combo] = {"1": ((identity, Cyc.one(n)),)}
     for q in range(n):

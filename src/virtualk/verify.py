@@ -434,6 +434,20 @@ SUITES = {suite: partial(_run, suite, relations) for suite, relations in (
 )}
 
 
+def select_suites(suites: tuple[str, ...]) -> tuple[str, ...]:
+    """The suite names that ``suites`` selects, in order and each once; "all"
+    stands for every suite.  Raises ValueError for an unknown name."""
+    names = []
+    for s in suites:
+        if s == "all":
+            names.extend(SUITES)
+        elif s in SUITES:
+            names.append(s)
+        else:
+            raise ValueError("unknown suite %r (choose from %s)" % (s, ", ".join(SUITES)))
+    return tuple(dict.fromkeys(names))
+
+
 def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",),
                k_max: int | None = None, render_passing: bool = True) -> Report:
     """Run the selected suites over n_min..n_max and collect a report.
@@ -446,17 +460,8 @@ def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",
         raise ValueError("need 2 <= n_min <= n_max")
     if k_max is not None and k_max < 2:
         raise ValueError("k_max must be at least 2")
-    names = []
-    for s in suites:
-        if s == "all":
-            names.extend(SUITES)
-        elif s in SUITES:
-            names.append(s)
-        else:
-            raise ValueError("unknown suite %r (choose from %s)" % (s, ", ".join(SUITES)))
-    seen = set()
-    names = [s for s in names if not (s in seen or seen.add(s))]
-    report = Report(n_min, n_max, k_max, tuple(names), render_passing)
+    names = select_suites(suites)
+    report = Report(n_min, n_max, k_max, names, render_passing)
     start = time.perf_counter()
     for n in range(n_min, n_max + 1):
         k = 2 * n if k_max is None else k_max

@@ -142,20 +142,40 @@ def test_verify_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
     assert path.read_text() == "earlier report\n"
     code, out, _ = run(capsys, "verify", "--n-max", "2", "--suite", "span", "--out", str(path))
     assert code == 0 and path.read_text() == out
+    fresh = tmp_path / "new.json"
+    code, _, err = run(capsys, "verify", "--n-min", "2", "--n-max", "2", "--suite", "nosuch",
+                       "--out", str(fresh))
+    assert code == 2 and "unknown suite" in err
+    assert not fresh.exists()
 
 
 def test_verify_out_is_written_in_full_when_stdout_closes_early(tmp_path):
     # As in `verify --json --out FILE | head -c 200`: the reader closes the pipe
-    # after 200 bytes of a report far larger than a pipe buffer.
+    # after 200 bytes of a report far larger than a pipe buffer.  The run ends
+    # quietly with 141 (128 + SIGPIPE), without a traceback on stderr.
     path = tmp_path / "report.json"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     argv = ["verify", "--n-min", "2", "--n-max", "3", "--json", "--out", str(path)]
     proc = subprocess.Popen([sys.executable, "-m", "virtualk.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(200)) == 200
     proc.stdout.close()
-    proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
     assert path.read_text() == run_verify(2, 3).to_json() + "\n"
+    # A short answer sits in the stdout buffer until main flushes it; a reader
+    # gone before that flush must not cost a traceback at exit either.
+    buffered = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "virtualk.cli", "eval", "--n", "3", "x[0]"],
+                              env=buffered, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141 and done.stderr == b""
 
 
 @pytest.mark.parametrize("expression", [

@@ -352,3 +352,30 @@ def test_rational_rejects_floats_and_strings():
         with pytest.raises(TypeError):
             line_element(3, [0, 0, 0], [value, 0, 0])
     assert Cyc.rational(3, Fraction(1, 3)) == Fraction(1, 3) and Cyc.rational(3, -2) == -2
+
+
+def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
+    # One product rule: Cyc multiplication of two irrational scalars, the norm
+    # products of Cyc.inv and Accumulator.add with a Cyc entry all call _times.
+    import virtualk.cyclotomic as cyclotomic
+
+    calls = []
+    times = cyclotomic._times
+
+    def counted(n, a, b, *rest):
+        calls.append((tuple(a), tuple(b)))
+        return times(n, a, b, *rest)
+
+    monkeypatch.setattr(cyclotomic, "_times", counted)
+    n = 7
+    a, b = zeta_pow(n, 1) + 2, zeta_pow(n, 3) - Fraction(1, 3)
+    product = a * b
+    assert calls == [(a.num, b.num)]
+    calls.clear()
+    assert a.inv() * a == Cyc.one(n)
+    assert len(calls) >= phi_degree(n)
+    calls.clear()
+    acc = cyclotomic.Accumulator(n)
+    acc.add(a.num, a.den, 0, (0, 1), (b, 3))
+    assert calls == [(a.num, b.num)]
+    assert acc.result() == {0: product, 1: 3 * a}

@@ -14,7 +14,6 @@ from virtualk.line_elements import (
     realize_combo,
     sigma,
     span_block,
-    span_matrix,
     span_rank,
 )
 from virtualk.coords import gen, power, unit, zero
@@ -124,13 +123,26 @@ def test_span_rank_values():
         assert span_rank(n).rank == n * (n - 1)
 
 
-def test_span_matrix_block_structure():
-    n = 3
-    A = span_matrix(n)
-    assert len(A) == n * (n - 1)
-    assert rank(A) == n * (n - 1)
+def reference_span_matrix(n):
+    """The dense span matrix: rows (q, l), columns (q', alpha), entry
+    zeta^(l alpha) - 1 when q = q' and 0 otherwise."""
     B = span_block(n)
-    assert B[0][1] == zeta_pow(n, 2) - Cyc.one(n)
+    size = n * (n - 1)
+    out = [[Cyc.zero(n)] * size for _ in range(size)]
+    for q in range(n):
+        for r in range(n - 1):
+            for c in range(n - 1):
+                out[q * (n - 1) + r][q * (n - 1) + c] = B[r][c]
+    return out
+
+
+def test_span_matrix_block_structure():
+    # span_rank ranks one block; the dense block-diagonal matrix is the reference.
+    for n in range(2, 9):
+        A = reference_span_matrix(n)
+        assert len(A) == n * (n - 1)
+        assert span_rank(n).rank == rank(A)
+    assert span_block(3)[0][1] == zeta_pow(3, 2) - Cyc.one(3)
 
 
 def test_block_square_pattern():
