@@ -46,10 +46,8 @@ from .sector_ring import (
 from .verify import run_verify
 from .virtual_ring import (
     euler_factor,
-    from_sectors,
     k_monomial,
     lambda_from_adams,
-    sector_part,
     virtual_adams,
     virtual_augmentation,
     virtual_mul,

@@ -14,10 +14,11 @@ The inputs that set a weight, an exponent or an index are bounded: the
 weight n (``--n``, ``--n-min``, ``--n-max``) is at most ``MAX_N``,
 ``--k-max`` of ``verify`` and ``line`` lies in 2..``MAX_K_MAX``, and the
 parser bounds exponents and Adams indices (``expr.MAX_EXPONENT``,
-``expr.MAX_ADAMS_INDEX``).  An input beyond a bound exits with code 2 before
-any work starts.  The length of an expression is not bounded, so a long one
-can still run for long: each atom ``x[0]^2000`` at n = 8 costs about 0.1 s,
-and a product of 1,000 of them would take about 100 s.
+``expr.MAX_ADAMS_INDEX``).  A power ``x[0]^e`` takes time linear in |e|, so
+the parser also bounds the sum of |e| over the ``x[0]^e`` atoms of one
+expression by ``expr.MAX_EXPONENT``: all of them together cost at most one
+``x[0]^2000``, about 0.1 s at n = 8.  An input beyond a bound exits with
+code 2 before any work starts.
 """
 
 from __future__ import annotations

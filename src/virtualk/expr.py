@@ -31,7 +31,9 @@ on the sector side and the localized product on the localized side;
 
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
 indices by ``MAX_ADAMS_INDEX``; larger values are parse errors.  A power of
-the untwisted sector variable takes time linear in the exponent.  Every
+the untwisted sector variable takes time linear in the exponent, so the
+|e| of all ``x[0]^e`` atoms in one expression must also sum to at most
+``MAX_EXPONENT``; the atom that crosses the bound is a parse error.  Every
 other power of a class has one rule (``ring_power``): the class goes to
 semisimple coordinates, through ``gamma`` first on the sector side, where the
 product is diagonal except for one square-zero block; it is inverted there
@@ -58,7 +60,8 @@ from .cyclotomic import Cyc, format_cyc, zeta_pow
 from .line_elements import line_element, line_realize, nu, sigma
 
 
-#: Largest accepted |exponent| in ``^``.
+#: Largest accepted |exponent| in ``^``, and largest accepted sum of |e| over
+#: the ``x[0]^e`` atoms of one expression.
 MAX_EXPONENT = 2000
 #: Largest accepted Adams index k in ``psi[k]``.
 MAX_ADAMS_INDEX = 3000
@@ -177,6 +180,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
+        self.x0_exponents = 0  # sum of |e| over the x[0]^e atoms parsed so far
 
     def peek(self):
         return self.tokens[self.i]
@@ -230,12 +234,18 @@ class _Parser:
         return self.parse_power()
 
     def parse_power(self) -> Expr:
+        at = self.peek()[2]
         base = self.parse_primary()
         if self.accept("^"):
             pos = self.peek()[2]
             exp = self.parse_int()
             if abs(exp) > MAX_EXPONENT:
                 raise ParseError("exponent %d exceeds the bound %d" % (exp, MAX_EXPONENT), pos)
+            if base == Atom("x", (0,)):
+                self.x0_exponents += abs(exp)
+                if self.x0_exponents > MAX_EXPONENT:
+                    raise ParseError("the exponents of x[0] sum to %d, over the bound %d"
+                                     % (self.x0_exponents, MAX_EXPONENT), at)
             return Pow(base, exp)
         return base
 

@@ -17,7 +17,7 @@ time, so the sides of all n^4 ring-map relations are never held at once.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .coords import Coords, basis, basis_vectors, from_terms, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
@@ -46,9 +46,8 @@ def gamma0_project(b: Coords) -> Coords:
     return from_terms(b.n, "res", {i: c for i, c in b.terms.items() if i < grid(b.n, 1, 0)})
 
 
-#: A relation and its two sides, equal when it holds: (name, lhs, rhs), or
-#: (name, lhs, rhs, fmt) when ``fmt`` rather than ``str`` renders the sides.
-Relation = tuple[str, object, object] | tuple[str, object, object, Callable[[object], str]]
+#: A relation and its two sides, equal when it holds: (name, lhs, rhs).
+Relation = tuple[str, object, object]
 
 
 def verify_presentation(n: int) -> Iterator[Relation]:

@@ -9,10 +9,10 @@ presentation and the resolution comparison.  A report is deterministic for
 fixed inputs: wall-clock timing is kept out of the canonical serialization.
 
 Every suite is a generator ``(n, k_max) -> Iterator[Relation]`` that yields
-(name, lhs, rhs) or (name, lhs, rhs, fmt); ``_checks`` alone compares and
-renders relations into ``Check`` records.  ``SUITES`` maps each suite name to
-a builder ``(n, k_max, render_passing=True) -> list[Check]`` over its
-generator; ``run_verify`` resolves the default k_max = 2n before it calls one.
+(name, lhs, rhs); ``_checks`` alone compares and renders relations into
+``Check`` records.  ``SUITES`` maps each suite name to a builder
+``(n, k_max, render_passing=True) -> list[Check]`` over its generator;
+``run_verify`` resolves the default k_max = 2n before it calls one.
 A report built with ``render_passing=False`` compares every relation but
 renders the sides of failing checks only, which is all the text summary
 prints; it cannot be serialized to JSON.
@@ -146,25 +146,21 @@ class Report:
 
 def _checks(suite: str, n: int, relations: Iterable[Relation],
             render_passing: bool = True) -> list[Check]:
-    """One check ``suite/n=N/name`` per relation (name, lhs, rhs[, fmt]).
+    """One check ``suite/n=N/name`` per relation (name, lhs, rhs).
 
-    The sides are compared exactly and rendered by ``fmt``, default ``str``,
-    which renders a Coords in the labelled form of its own basis; equal Coords
-    have identical canonical coordinates, so a passing pair renders once.
-    With ``render_passing`` False a passing check keeps empty sides.
+    The sides are compared exactly and rendered by ``str``, which renders a
+    Coords in the labelled form of its own basis.  Every side type renders
+    equal values identically, so a passing pair renders once.  With
+    ``render_passing`` False a passing check keeps empty sides.
     """
     out: list[Check] = []
     prefix = "%s/n=%d/" % (suite, n)
-    for name, lhs, rhs, *fmt in relations:
-        ok = lhs == rhs
-        if ok and not render_passing:
-            out.append(Check(prefix + name, "pass", "", ""))
-            continue
-        fmt = fmt[0] if fmt else str
-        left = fmt(lhs)
-        same = ok and fmt is str and isinstance(lhs, Coords) and isinstance(rhs, Coords)
-        out.append(Check(prefix + name, "pass" if ok else "fail",
-                         left, left if same else fmt(rhs)))
+    for name, lhs, rhs in relations:
+        if lhs == rhs:
+            text = str(lhs) if render_passing else ""
+            out.append(Check(prefix + name, "pass", text, text))
+        else:
+            out.append(Check(prefix + name, "fail", str(lhs), str(rhs)))
     return out
 
 
@@ -346,8 +342,8 @@ def relations_line_elements(n: int, k_max: int) -> Iterator[Relation]:
             power = u_mul(power, b)
             yield "power-law/%s/k=%d" % (label, k), u_adams(b, k), power
         cert = is_line_element(b, k_max)
-        yield ("certificate/%s" % label, (cert.ok, cert.params), (True, L),
-               lambda t: "ok=%s params=%s" % (t[0], t[1]))
+        yield ("certificate/%s" % label, "ok=%s params=%s" % (cert.ok, cert.params),
+               "ok=True params=%s" % (L,))
         yield "inverse/%s" % label, u_mul(b, line_realize(line_inverse(L))), unit(n, "u")
     for la, La in gens[: n + 2]:
         for lb, Lb in gens[: n + 2]:

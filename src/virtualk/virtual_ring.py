@@ -1,8 +1,7 @@
 """The full inertial K-theory ring of P(1,n) with the virtual product.
 
 A class is a sector ``Coords``: the coefficients of x_m^j for every inertia
-sector m, read out per sector as a ``CycPoly`` by ``sector_part``.  The
-virtual product of monomials is
+sector m.  The virtual product of monomials is
 
     x_{m1}^{a1} * x_{m2}^{a2} = x_{m1+m2}^{a1+a2} . e(m1, m2)
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Mapping
 
 from .coords import (Coords, Sparse, apply_columns, from_canonical, from_terms, sector_start, sparse,
                      unit)
@@ -46,32 +44,12 @@ from .sector_ring import (
 ADAMS_COLUMN_CACHE_SIZE = 2048
 
 
-def _width(n: int, m: int) -> int:
-    return n + 1 if m == 0 else n
-
-
-def sector_part(a: Coords, m: int) -> CycPoly:
-    """The class of ``a`` in sector m, as a polynomial in x_m."""
-    a.check_kind("sector")
-    start, get = sector_start(a.n, m), a.terms.get
-    return CycPoly.from_cycs(a.n, [get(start + j, Cyc.zero(a.n)) for j in range(_width(a.n, m))])
-
-
-def from_sectors(n: int, parts: Mapping[int, CycPoly]) -> Coords:
-    """The class with the reduced polynomial ``parts[m]`` on sector m, zero elsewhere."""
-    terms = {}
-    for m, p in parts.items():
-        if not 0 <= m < n:
-            raise ValueError("sector index out of range")
-        if len(p.coeffs) > _width(n, m):
-            raise ValueError("representative is not reduced")
-        terms.update(enumerate(p.coeffs, sector_start(n, m)))
-    return from_terms(n, "sector", terms)
-
-
 def k_monomial(n: int, m: int, a: int) -> Coords:
     """The class of x_m^a, supported on sector m."""
-    return from_sectors(n, {m: sector_monomial(n, m, a)})
+    if not 0 <= m < n:
+        raise ValueError("sector index out of range")
+    return from_terms(n, "sector", dict(enumerate(sector_monomial(n, m, a).coeffs,
+                                                  sector_start(n, m))))
 
 
 @cache
@@ -173,7 +151,7 @@ def virtual_augmentation(a: Coords) -> Coords:
     The value at x = 1 is the sum of the sector-0 coefficients.
     """
     a.check_kind("sector")
-    sector0 = sum((c for i, c in a.terms.items() if i < _width(a.n, 0)), Cyc.zero(a.n))
+    sector0 = sum((c for i, c in a.terms.items() if i <= a.n), Cyc.zero(a.n))
     return unit(a.n, "sector").scale(sector0)
 
 

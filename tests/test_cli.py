@@ -204,6 +204,17 @@ def test_a_flat_sum_reports_a_basis_mix_at_its_end(capsys):
     assert err.startswith("error: cannot mix sector-basis and localized-basis atoms")
 
 
+def test_an_expression_after_double_dash_may_start_with_a_minus(capsys):
+    # argparse reads "-2*x[1]" as an option unless "--" comes before it.
+    with pytest.raises(SystemExit) as exc:
+        main(["mul", "--n", "2", "x[0]", "-2*x[1]"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    expected = run(capsys, "eval", "--n", "2", "x[0]*(-2*x[1])")
+    assert expected[0] == 0
+    assert run(capsys, "mul", "--n", "2", "--", "x[0]", "-2*x[1]") == expected
+
+
 def test_nesting_150_deep_still_evaluates(capsys):
     code, out, _ = run(capsys, "eval", "--n", "3", "(" * 150 + "x[0]" + ")" * 150)
     assert code == 0 and out == "x[0]\n"
@@ -296,6 +307,8 @@ def no_work(monkeypatch):
     ["eval", "--n", "3", "psi[3000000](x[0])"],
     ["adams", str(MAX_ADAMS_INDEX + 1), "--n", "3", "x[0]"],
     ["localize", "--n", "3", "x[0]^200000"],
+    ["eval", "--n", "8", "x[0]^1500 * x[0]^600"],
+    ["eval", "--n", "8", "psi[2](x[0]^-1500) + x[0]^501"],
     ["line", "--n", str(MAX_N + 1), "sigma[1]"],
     ["verify", "--n-max", str(MAX_N + 1)],
     ["verify", "--n-min", str(MAX_N + 1), "--n-max", str(MAX_N + 1)],
@@ -316,7 +329,7 @@ def test_bounds_admit_the_documented_limits():
     assert MAX_N >= 8 and MAX_EXPONENT >= 2000 and MAX_ADAMS_INDEX >= 3000
     assert MAX_K_MAX >= 2 * MAX_N
     for text in ("x[0]^%d" % MAX_EXPONENT, "x[0]^-%d" % MAX_EXPONENT,
-                 "psi[%d](x[0])" % MAX_ADAMS_INDEX):
+                 "x[0]^1500 * x[0]^-500", "psi[%d](x[0])" % MAX_ADAMS_INDEX):
         parse(text, MAX_N)
 
 

@@ -29,7 +29,7 @@ from virtualk.localization import (
     u_mul,
 )
 from virtualk.presentation import gamma0_project, resolution_adams, resolution_mul
-from virtualk.virtual_ring import sector_part, virtual_adams, virtual_augmentation, virtual_mul
+from virtualk.virtual_ring import virtual_adams, virtual_augmentation, virtual_mul
 
 
 def test_positions_follow_the_index_formulas():
@@ -133,7 +133,6 @@ WRONG_KIND = {
     "u_is_invertible": (u_is_invertible, "loc"),
     "u_inverse": (u_inverse, "loc"),
     "u_adams": (lambda a: u_adams(a, 2), "loc"),
-    "sector_part": (lambda a: sector_part(a, 1), "loc"),
     "virtual_mul": (lambda a: virtual_mul(a, a), "loc"),
     "virtual_adams": (lambda a: virtual_adams(a, 2), "u"),
     "virtual_augmentation": (virtual_augmentation, "loc"),

@@ -158,6 +158,15 @@ def test_syntax_errors_carry_position():
         parse("frob[1]", 3)
 
 
+def test_the_x0_exponent_budget_stops_at_the_atom_that_crosses_it():
+    parse("x[0]^1500 * x[0]^-500 * x[1]^2000", 8)
+    with pytest.raises(ParseError) as exc:
+        parse("x[0]^1500 * x[0]^600", 8)
+    assert exc.value.position == 12 and "sum to 2100" in str(exc.value)
+    # Flat chains and powers of sums are not x[0]^e atoms.
+    parse("x[0]^2000 * " + " * ".join(["x[0]"] * 50) + " * (x[0] + 1)^3", 8)
+
+
 def test_index_range_checked():
     with pytest.raises(ParseError):
         parse("x[3]", 3)

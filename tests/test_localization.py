@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virtualk.localization as loc
-from conftest import evaluate
+from conftest import evaluate, from_sectors, sector_part
 from virtualk.coords import Coords, basis_vectors, gen, grid, power, unit, zero
 from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
 from virtualk.localization import (
@@ -26,13 +26,7 @@ from virtualk.localization import (
     u_is_invertible,
     u_mul,
 )
-from virtualk.virtual_ring import (
-    from_sectors,
-    k_monomial,
-    sector_part,
-    virtual_adams,
-    virtual_mul,
-)
+from virtualk.virtual_ring import k_monomial, virtual_adams, virtual_mul
 
 
 def _ints(s):

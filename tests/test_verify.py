@@ -45,6 +45,18 @@ def test_negative_control_perturbed_euler_case(monkeypatch):
         assert c.lhs != c.rhs
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_relation_is_a_triple_whose_passing_sides_render_alike(n):
+    # A passing check stores one rendered text for both sides.
+    for name, builder in SUITES.items():
+        relations = builder.args[1]
+        for relation in relations(n, 2 * n):
+            assert type(relation) is tuple and len(relation) == 3, (name, relation[0])
+            _, lhs, rhs = relation
+            if lhs == rhs:
+                assert str(lhs) == str(rhs), (name, relation[0])
+
+
 def test_unperturbed_oracles_pass():
     report = run_verify(2, 3, ("product-oracle", "adams-oracle"))
     assert report.ok

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virtualk.virtual_ring as vr
-from conftest import perturbed_euler
+from conftest import from_sectors, perturbed_euler, sector_part
 from virtualk.cli import main
 from virtualk.coords import Coords, basis_vectors, power, unit, zero
 from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
@@ -22,10 +22,8 @@ from virtualk.sector_ring import (
 )
 from virtualk.virtual_ring import (
     euler_factor,
-    from_sectors,
     k_monomial,
     lambda_from_adams,
-    sector_part,
     virtual_adams,
     virtual_augmentation,
     virtual_mul,
@@ -147,6 +145,12 @@ def test_pow():
     assert power(a, 3, virtual_mul) == virtual_mul(a, virtual_mul(a, a))
     with pytest.raises(ValueError):
         power(a, -1, virtual_mul)
+
+
+@pytest.mark.parametrize("m", [3, -1])
+def test_k_monomial_rejects_a_sector_index_out_of_range(m):
+    with pytest.raises(ValueError, match="sector index out of range"):
+        k_monomial(3, m, 1)
 
 
 def test_weight_mismatch_rejected():
