@@ -19,6 +19,10 @@ the parser also bounds the sum of |e| over the ``x[0]^e`` atoms of one
 expression by ``expr.MAX_EXPONENT``: all of them together cost at most one
 ``x[0]^2000``, about 0.1 s at n = 8.  An input beyond a bound exits with
 code 2 before any work starts.
+
+``mul``, ``adams``, ``localize`` and ``delocalize`` build one expression
+around their arguments (``_VERBS``).  A parse error in it names the argument
+that holds it and counts its position from the start of that argument.
 """
 
 from __future__ import annotations
@@ -107,6 +111,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _in_argument(exc: ParseError, args) -> ParseError:
+    """``exc``, raised by the expression a verb built around its arguments,
+    with its position counted in the argument that holds it.
+
+    The first argument that does not parse on its own gives its own error.
+    Otherwise ``exc`` comes from a check across the arguments: the x[0]
+    exponent budget, at the atom that crosses it, or a basis check, at
+    position 0, which counts as the start of the last argument, the operand
+    of psi, gamma or gammainv.
+    """
+    _, names, template = _VERBS[args.command]
+    values = vars(args)
+    spans = []
+    for name in names:
+        try:
+            parse(str(values[name]), args.n)
+        except ParseError as own:
+            return type(own)(own.message, own.position, name)
+        spans.append((name, len(template[:template.index("{%s}" % name)].format(**values))))
+    name, start = next((span for span in reversed(spans) if span[1] <= exc.position), spans[-1])
+    return type(exc)(exc.message, max(exc.position - start, 0), name)
+
+
 def _emit(args, basis: str, value, display_hint: str) -> None:
     display = display_hint if args.basis == "auto" else args.basis
     if basis == "sector" and display in ("loc", "u"):
@@ -165,7 +192,12 @@ def _command(args) -> int:
             return 2
 
         if args.command in _VERBS:
-            e = parse(_VERBS[args.command][2].format(**vars(args)), args.n)
+            try:
+                e = parse(_VERBS[args.command][2].format(**vars(args)), args.n)
+            except ParseError as exc:
+                if args.command == "eval":
+                    raise
+                raise _in_argument(exc, args) from None
             basis, value = evaluate(e, args.n)
             _emit(args, basis, value, preferred_display(e))
             return 0

@@ -17,10 +17,14 @@ denominator, builds no ``Cyc`` per term, and brings each nonzero sum to
 lowest terms once at the end, so its output is the canonical form the
 operators would produce term by term.
 
-Every product of two numerator vectors follows one rule, ``_times``: a
-rational factor scales the other vector, and only two irrational factors are
-convolved modulo Phi_n.  ``Cyc`` multiplication, ``Cyc.inv`` and the
-``Accumulator`` all call it.
+Integer products have two entry points, which fold the powers of zeta past
+deg(Phi_n) back through one table, ``_fold``.  ``_times`` multiplies two
+numerator vectors: a rational factor scales the other vector, and only two
+irrational factors are convolved modulo Phi_n.  ``Cyc`` multiplication,
+``Cyc.inv`` and the ``Accumulator`` all call it.  ``_poly_times`` multiplies
+two polynomials in x and zeta given as integer terms, one flat loop over the
+pairs of terms and one fold per power of x; ``virtual_ring.virtual_mul``
+calls it once per pair of sectors.
 
 ``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients,
 the workhorse for the quotient-ring reductions in the ring modules.
@@ -394,6 +398,39 @@ def _times(n: int, a: Sequence[int], b: Sequence[int],
         b0 = b[0]
         return [x * b0 for x in a]
     return _convolve(n, a, b)
+
+
+def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
+                b: Sequence[tuple[int, int, int]]) -> list[tuple[int, list[int]]]:
+    # The product of two polynomials in x over Z[zeta_n], unnormalised.  Each
+    # factor is a nonempty list of integer terms (j, i, v), v the coefficient
+    # of x^j zeta^i with i < deg(Phi_n).  Returns (s, numerators of x^s) for
+    # each s whose row of products is nonzero, ascending in s.  Term (j, i)
+    # sits at j * w + i of one flat list, with rows w = 2*deg - 1 wide so that
+    # sums never carry into the next row.  A row is folded through x^e mod
+    # Phi_n only when it reaches deg(Phi_n), never for two rational factors.
+    deg = phi_degree(n)
+    w = 2 * deg - 1
+    ja, jb = min(a)[0], min(b)[0]
+    flat_b = [((j - jb) * w + i, v) for j, i, v in b]
+    flat = [0] * ((max(a)[0] - ja + max(b)[0] - jb + 1) * w)
+    for j, i, v in a:
+        k = (j - ja) * w + i
+        for kb, vb in flat_b:
+            flat[k + kb] += v * vb
+    out = []
+    for s in range(0, len(flat), w):
+        num = flat[s:s + deg]
+        if any(flat[s + deg:s + w]):
+            for e, row in _fold(n):
+                c = flat[s + e]
+                if c:
+                    for i, r in row:
+                        num[i] += c * r
+        elif not any(num):
+            continue
+        out.append((ja + jb + s // w, num))
+    return out
 
 
 class Accumulator:

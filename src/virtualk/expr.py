@@ -30,9 +30,9 @@ on the sector side and the localized product on the localized side;
 ``psi[0]`` is the augmentation.
 
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
-indices by ``MAX_ADAMS_INDEX``; larger values are parse errors.  A power of
-the untwisted sector variable takes time linear in the exponent, so the
-|e| of all ``x[0]^e`` atoms in one expression must also sum to at most
+indices lie in 0..``MAX_ADAMS_INDEX``; other values are parse errors.  A
+power of the untwisted sector variable takes time linear in the exponent, so
+the |e| of all ``x[0]^e`` atoms in one expression must also sum to at most
 ``MAX_EXPONENT``; the atom that crosses the bound is a parse error.  Every
 other power of a class has one rule (``ring_power``): the class goes to
 semisimple coordinates, through ``gamma`` first on the sector side, where the
@@ -68,9 +68,13 @@ MAX_ADAMS_INDEX = 3000
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__("%s (at position %d)" % (message, position))
-        self.position = position
+    """A parse error at ``position`` of the text, or of the CLI argument named
+    ``argument`` when the text was built around that argument."""
+
+    def __init__(self, message: str, position: int, argument: str | None = None):
+        where = "at" if argument is None else "in %s at" % argument
+        super().__init__("%s (%s position %d)" % (message, where, position))
+        self.message, self.position, self.argument = message, position, argument
 
 
 class BasisMixError(ParseError):
@@ -322,12 +326,11 @@ class _Parser:
             return LineAtom(tuple(v % self.n for v in f), tuple(beta))
         if text == "psi":
             self.expect_sym("[")
-            k_tok = self.expect("num")
-            k = int(k_tok[1])
-            if k > MAX_ADAMS_INDEX:
-                raise ParseError(
-                    "Adams index %d exceeds the bound %d" % (k, MAX_ADAMS_INDEX), k_tok[2]
-                )
+            at = self.peek()[2]
+            k = self.parse_int()
+            if not 0 <= k <= MAX_ADAMS_INDEX:
+                raise ParseError("Adams index %d is not in 0..%d; psi[0] is the augmentation"
+                                 % (k, MAX_ADAMS_INDEX), at)
             self.expect_sym("]")
             return Unary("psi", self.parse_argument(), k)
         if text in ("eps", "gamma", "gammainv"):

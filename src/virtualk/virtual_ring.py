@@ -15,20 +15,28 @@ Both operations run on structure constants derived lazily from the sector
 polynomial code, which stays their single source: ``_euler_rows`` holds the
 reduced class of x^s * e for every exponent sum s of two monomials, keyed on
 the Euler polynomial e itself, so a replaced ``euler_factor`` (a planted
-defect in the tests) gets rows of its own; ``_adams_column`` holds the image
+defect in the tests) gets rows of its own, and ``_pair_rows`` finds the rows
+of each sector pair once per Euler table; ``_adams_column`` holds the image
 of one monomial x_m^j under psi~^k.
 Rows and columns are ``coords.Sparse``: parallel tuples of offsets and
 coefficients, integral coefficients stored as ``int``.
+
+The product writes each sector of a factor over one common denominator as
+integer terms in x and zeta, multiplies each pair of nonzero sectors in one
+integer product (``cyclotomic._poly_times``), and scatters the coefficient
+of each power of x through its Euler row, so it builds no ``Cyc`` and
+convolves no numerator vectors per pair of coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, lru_cache
 
 from .coords import (Coords, Sparse, apply_columns, from_canonical, from_terms, sector_start, sparse,
                      unit)
-from .cyclotomic import Accumulator, Cyc, CycPoly
+from .cyclotomic import Accumulator, Cyc, CycPoly, _poly_times
 from .sector_ring import (
     bott_class,
     reduce_coeffs,
@@ -80,42 +88,49 @@ def _euler_rows(e: CycPoly, untwisted: bool) -> tuple[Sparse, ...]:
                  for s in range(2 * n + 1))
 
 
-def _terms(a: Coords) -> dict[int, tuple[list[int], list[Cyc]]]:
-    # Sector m -> the exponents j and the coefficients of x_m^j stored in ``a``.
-    out: dict[int, tuple[list[int], list[Cyc]]] = {}
+@cache
+def _pair_rows(euler, n: int, m1: int, m2: int) -> tuple[int, tuple[Sparse, ...]]:
+    """Where the product of sectors m1 and m2 lands and its Euler rows under
+    the table ``euler``; a replaced table gets entries of its own."""
+    t = (m1 + m2) % n
+    return sector_start(n, t), _euler_rows(euler(n, m1, m2), t == 0)
+
+
+def _terms(a: Coords) -> dict[int, tuple[int, list[tuple[int, int, int]]]]:
+    # Sector m -> (d, terms): the coefficients of x_m^j stored in ``a`` over
+    # their least common denominator d, as integer terms (j, i, v) with v/d
+    # the coefficient of x_m^j zeta^i.
+    coeffs: dict[int, list[tuple[int, Cyc]]] = {}
     json = a.basis.json
     for i, c in a.terms.items():
         _, m, j = json[i]
-        exponents, coeffs = out.setdefault(m, ([], []))
-        exponents.append(j)
-        coeffs.append(c)
+        coeffs.setdefault(m, []).append((j, c))
+    out = {}
+    for m, cs in coeffs.items():
+        d = math.lcm(*(c.den for _, c in cs))
+        out[m] = d, [(j, i, v * (d // c.den)) for j, c in cs for i, v in enumerate(c.num) if v]
     return out
 
 
 def virtual_mul(a: Coords, b: Coords) -> Coords:
     """Bilinear extension of the monomial product with its Euler factor.
 
-    For each pair of nonzero sectors the coordinates are convolved by exponent
-    sum, and each sum s is scattered through row s of the Euler rows.  Both
-    steps run through ``cyclotomic.Accumulator`` on raw numerators, so each
-    output coordinate is normalised once.
+    Each pair of nonzero sectors is multiplied as two polynomials in x and
+    zeta with integer coefficients (``cyclotomic._poly_times``), over the
+    product of the sectors' common denominators.  The coefficient of each
+    exponent sum s is scattered through row s of the Euler rows into one
+    ``cyclotomic.Accumulator``, so each output coordinate is normalised once.
     """
     a.check_kind("sector")
     a.check(b)
     n = a.n
     terms_b = _terms(b)
     out = Accumulator(n)
-    for m1, (exponents, coeffs) in _terms(a).items():
-        for m2, column in terms_b.items():
-            conv = Accumulator(n)
-            for j1, c1 in zip(exponents, coeffs):
-                conv.add(c1.num, c1.den, j1, *column)
-            t = (m1 + m2) % n
-            rows = _euler_rows(euler_factor(n, m1, m2), t == 0)
-            start = sector_start(n, t)
-            for s, (num, den) in conv.sums.items():
-                if any(num):
-                    out.add(num, den, start, *rows[s])
+    for m1, (d1, t1) in _terms(a).items():
+        for m2, (d2, t2) in terms_b.items():
+            start, rows = _pair_rows(euler_factor, n, m1, m2)
+            for s, num in _poly_times(n, t1, t2):
+                out.add(num, d1 * d2, start, *rows[s])
     return from_canonical(n, "sector", out.result())
 
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import virtualk.cyclotomic as cyclotomic
 from test_virtual_ring import reference_mul
-from virtualk.coords import Coords, apply_columns, basis, from_terms, sparse
-from virtualk.cyclotomic import Cyc, phi_degree
+from virtualk.coords import Coords, apply_columns, basis, basis_vectors, from_terms, sparse
+from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
 from virtualk.localization import (_gamma_columns, from_u_basis, gamma, gamma_inverse, loc_mul,
                                    to_u_basis)
-from virtualk.virtual_ring import virtual_mul
+from virtualk.virtual_ring import k_monomial, virtual_mul
 
 #: Denominators 1, 2, 3, 6 and a large prime, so sums meet over an lcm.
 DENOMINATORS = (1, 2, 3, 6, 1_000_003)
@@ -94,10 +94,20 @@ def _dense(n, draw):
 
 
 @settings(max_examples=25)
-@given(st.data(), st.integers(2, 5))
+@given(st.data(), st.integers(2, 8))
 def test_virtual_mul_matches_the_polynomial_product_on_mixed_denominators(data, n):
+    # n = 7 folds zeta^6 into six coordinates; n = 8 folds through Phi_8 = x^4 + 1.
     a, b = _dense(n, data.draw), _dense(n, data.draw)
     assert _canonical(virtual_mul(a, b)) == reference_mul(a, b)
+
+
+def test_virtual_mul_matches_the_polynomial_product_on_preimage_pairs():
+    # The dense preimages Gamma^-1(e) that the product-oracle multiplies.
+    n = 4
+    pre = [gamma_inverse(e) for _, e in basis_vectors(n, "loc")]
+    for i, a in enumerate(pre):
+        for b in pre[i:]:
+            assert _canonical(virtual_mul(a, b)) == reference_mul(a, b)
 
 
 def test_cancelling_terms_store_nothing():
@@ -156,3 +166,29 @@ def test_virtual_mul_normalises_once_per_output_coordinate(monkeypatch):
     out, calls = _count_normalized(monkeypatch, virtual_mul, a, b)
     assert out == reference_mul(a, b)
     assert 0 < calls <= len(out.terms)
+
+
+def test_virtual_mul_multiplies_no_numerator_vectors_pairwise(monkeypatch):
+    # Each sector pair is one integer product in x and zeta, so once the Euler
+    # rows are built the preimage pairs at n = 8 call neither _times nor
+    # _convolve; multiplying coefficient by coefficient made 142,077 and 36,692.
+    n = 8
+    pre = [gamma_inverse(e) for _, e in basis_vectors(n, "loc")]
+    for m1 in range(n):
+        for m2 in range(n):
+            virtual_mul(k_monomial(n, m1, 1), k_monomial(n, m2, 1))
+    calls = {"_times": 0, "_convolve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cyclotomic, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cyclotomic, name, counted)
+    for i, a in enumerate(pre):
+        for b in pre[i:]:
+            virtual_mul(a, b)
+    assert calls == {"_times": 0, "_convolve": 0}
+    # The counters are live: one irrational product makes one call of each.
+    z = zeta_pow(n, 1)
+    assert z * (z + 1) == zeta_pow(n, 2) + z
+    assert calls == {"_times": 1, "_convolve": 1}

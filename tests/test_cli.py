@@ -318,11 +318,41 @@ def no_work(monkeypatch):
     ["verify", "--k-max", str(MAX_K_MAX + 1)],
     ["line", "--n", "3", "--k-max", "1", "sigma[1]"],
     ["line", "--n", "3", "--k-max", str(MAX_K_MAX + 1), "sigma[1]"],
+    ["eval", "--n", "3", "psi[-1](x[0])"],
+    ["adams", "--n", "3", "--", "-1", "x[0]"],
 ])
 def test_inputs_beyond_the_bounds_exit_2_before_any_work(capsys, no_work, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and "error" in err
+
+
+_NEGATIVE_INDEX = "Adams index -1 is not in 0..%d; psi[0] is the augmentation" % MAX_ADAMS_INDEX
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "--n", "3", "psi[-1](x[0])"], _NEGATIVE_INDEX + " (at position 4)"),
+    (["adams", "--n", "3", "--", "-1", "x[0]"], _NEGATIVE_INDEX + " (in k at position 0)"),
+    (["adams", "2", "--n", "3", "x[1] + e[0,9]"],
+     "e index 9 out of range for n=3 (in expression at position 11)"),
+    (["mul", "--n", "3", "x[1]", "x[5]"], "x index 5 out of range for n=3 (in rhs at position 2)"),
+    (["mul", "--n", "3", "(x[1]", "x[2]"], "expected ) (in lhs at position 5)"),
+    (["localize", "--n", "3", "x[1]+"], "unexpected token '' (in expression at position 5)"),
+    (["delocalize", "--n", "3", "e[0,7]"],
+     "e index 7 out of range for n=3 (in expression at position 4)"),
+    # Checks across the arguments: the x[0] budget at the atom that crosses
+    # it, a basis check at the start of the last argument.
+    (["mul", "--n", "8", "x[0]^1500", "x[1]*x[0]^600"],
+     "the exponents of x[0] sum to 2100, over the bound 2000 (in rhs at position 5)"),
+    (["mul", "--n", "2", "x[1]", "e[0,0]"], "cannot mix sector-basis and localized-basis "
+     "atoms; use gamma/gammainv (in rhs at position 0)"),
+    (["localize", "--n", "2", "e[0,0]"],
+     "gamma expects a sector-basis expression (in expression at position 0)"),
+], ids=["eval-negative-index", "adams-negative-index", "adams", "mul-rhs", "mul-unclosed-lhs",
+        "localize", "delocalize", "mul-x0-budget", "mul-basis-mix", "localize-basis"])
+def test_a_parse_error_is_placed_in_the_argument_that_holds_it(capsys, no_work, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_bounds_admit_the_documented_limits():

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import virtualk.cyclotomic as cyclotomic
 from conftest import evaluate
 from virtualk.cyclotomic import (
     Cyc,
@@ -379,3 +382,29 @@ def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
     acc.add(a.num, a.den, 0, (0, 1), (b, 3))
     assert calls == [(a.num, b.num)]
     assert acc.result() == {0: product, 1: 3 * a}
+
+
+@settings(max_examples=100)
+@given(st.data(), st.integers(1, 12))
+def test_poly_times_matches_the_sum_of_cyc_products(data, n):
+    # Integer terms (j, i, v) stand for v * x^j * zeta^i; a factor with
+    # only i = 0 is rational, and two rational factors are not folded.
+    deg = phi_degree(n)
+
+    def factor():
+        top = 0 if data.draw(st.booleans()) else deg - 1
+        term = st.tuples(st.integers(0, 4), st.integers(0, top),
+                         st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)))
+        return data.draw(st.lists(term, min_size=1, max_size=8))
+
+    a, b = factor(), factor()
+    expected = {}
+    for j1, i1, v1 in a:
+        for j2, i2, v2 in b:
+            s = j1 + j2
+            expected[s] = expected.get(s, Cyc.zero(n)) + zeta_pow(n, i1 + i2) * (v1 * v2)
+    got = cyclotomic._poly_times(n, a, b)
+    assert [s for s, _ in got] == sorted({s for s, _ in got})
+    assert all(len(num) == deg for _, num in got)
+    assert ({s: Cyc(n, num) for s, num in got if any(num)}
+            == {s: c for s, c in expected.items() if c})

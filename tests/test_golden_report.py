@@ -19,6 +19,10 @@ REPORT_SHA256 = "c4823430bd7a77e29e682d20e11731c0b2924e2f5f5586479436925067ed49c
 REPORT_N5_SHA256 = "8c9c131cd89b1149914957e0b9d533e3b279a7f7e49291538a44390729e6bde9"
 
 
+#: The CLI verbs whose README examples are run; verify's are not.
+VERBS = ("eval", "mul", "adams", "localize", "delocalize", "line")
+
+
 def _readme_examples() -> list[tuple[list[str], str]]:
     """README "Command line" lines whose trailing comment is the printed output."""
     with open(README, encoding="utf-8") as fh:
@@ -27,7 +31,7 @@ def _readme_examples() -> list[tuple[list[str], str]]:
     out = []
     for line in block.splitlines():
         m = re.match(r"virtualk (.*?)\s+#\s*(.*)$", line)
-        if m and m.group(1).split()[0] in ("eval", "mul", "localize", "delocalize", "line"):
+        if m and m.group(1).split()[0] in VERBS:
             out.append((shlex.split(m.group(1)), m.group(2)))
     return out
 
@@ -55,4 +59,4 @@ def test_readme_cli_output(capsys, argv, expected):
 
 def test_readme_examples_found():
     verbs = sorted({argv[0] for argv, _ in EXAMPLES})
-    assert verbs == ["delocalize", "eval", "line", "localize", "mul"]
+    assert verbs == sorted(VERBS)

@@ -4,14 +4,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import virtualk.virtual_ring as vr
 from conftest import from_sectors, perturbed_euler, sector_part
 from virtualk.cli import main
 from virtualk.coords import Coords, basis_vectors, power, unit, zero
-from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
+from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
 from virtualk.expr import format_value
 from virtualk.sector_ring import (
     bott_class,
@@ -240,7 +240,7 @@ def test_adams_columns_match_reference_on_all_basis_vectors(n):
 
 @st.composite
 def _dense_classes(draw, count):
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))
     small = st.integers(-4, 4)
 
     def scalar():
@@ -253,8 +253,19 @@ def _dense_classes(draw, count):
     return [Coords(n, "sector", [scalar() for _ in range(size)]) for _ in range(count)]
 
 
+def _zeta_classes(n):
+    """Two classes whose coordinates are all powers of zeta over 1, 2 or 3: at
+    n = 7 these include zeta^6, which has six nonzero coordinates, and at n = 8
+    products of them fold through Phi_8 = x^4 + 1."""
+    size = len(zero(n, "sector").coeffs)
+    return [Coords(n, "sector", [zeta_pow(n, t * i + 1) / (1 + i % 3) for i in range(size)])
+            for t in (3, 5)]
+
+
 @settings(max_examples=40)
 @given(_dense_classes(2), st.integers(1, 14))
+@example(_zeta_classes(7), 5)
+@example(_zeta_classes(8), 13)
 def test_tables_match_reference_on_dense_classes(ab, k):
     a, b = ab
     assert virtual_mul(a, b) == reference_mul(a, b)
