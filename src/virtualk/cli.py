@@ -117,9 +117,8 @@ def _in_argument(exc: ParseError, args) -> ParseError:
 
     The first argument that does not parse on its own gives its own error.
     Otherwise ``exc`` comes from a check across the arguments: the x[0]
-    exponent budget, at the atom that crosses it, or a basis check, at
-    position 0, which counts as the start of the last argument, the operand
-    of psi, gamma or gammainv.
+    exponent budget, at the atom that crosses it, or a basis check, at the
+    node that does not fit.
     """
     _, names, template = _VERBS[args.command]
     values = vars(args)

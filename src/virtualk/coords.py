@@ -15,13 +15,13 @@ so loc and u share one n x n grid after the leading e[0,0], whose (0,0) cell
 holds xe[0,0] in loc.  The products live with their rings; this module knows
 the linear structure, the ring units and the shared text form.
 
-A linear map is stored as sparse columns, one per source coordinate, and
+A linear map given by sparse columns, one per source coordinate, is
 applied by ``apply_columns``: every product of a coordinate with a column
 entry goes into one ``cyclotomic.Accumulator``, which normalises each output
-coordinate once and hands back canonical terms for ``from_canonical``.
-Gamma, its inverse and the virtual Adams operations are such maps; the
-localized product and the changes to and from the semisimple basis feed
-weighted terms to the same kernel themselves.
+coordinate once and hands back canonical terms for ``from_canonical``.  The
+virtual Adams operations are such a map; Gamma, its inverse and the changes
+to and from the semisimple basis are transforms of their own
+(``localization``).
 """
 
 from __future__ import annotations

@@ -8,23 +8,30 @@ irreducible over Q, hence every nonzero residue is invertible; reducing
 modulo x^n - 1 instead would introduce zero divisors and leave constants
 like 1/(zeta - 1) undefined.
 
-``Accumulator`` is the multiply-accumulate kernel behind every linear map
-and the virtual product (``coords.apply_columns``, hence Gamma, its inverse
-and the virtual Adams operations; directly, the localized product, the
-changes to and from the semisimple basis and ``virtual_ring.virtual_mul``).
-It sums products c * r by output position as raw integer numerators over one
-denominator, builds no ``Cyc`` per term, and brings each nonzero sum to
-lowest terms once at the end, so its output is the canonical form the
-operators would produce term by term.
+``Accumulator`` is the multiply-accumulate kernel behind the products and
+the virtual Adams operations (``coords.apply_columns``; directly, the
+localized product and ``virtual_ring.virtual_mul``).  It sums products
+c * r by output position as raw integer numerators over one denominator,
+builds no ``Cyc`` per term, and brings each nonzero sum to lowest terms once
+at the end, so its output is the canonical form the operators would produce
+term by term.
 
-Integer products have two entry points, which fold the powers of zeta past
-deg(Phi_n) back through one table, ``_fold``.  ``_times`` multiplies two
+Integer products have three entry points.  ``_times`` multiplies two
 numerator vectors: a rational factor scales the other vector, and only two
 irrational factors are convolved modulo Phi_n.  ``Cyc`` multiplication,
 ``Cyc.inv`` and the ``Accumulator`` all call it.  ``_poly_times`` multiplies
 two polynomials in x and zeta given as integer terms, one flat loop over the
 pairs of terms and one fold per power of x; ``virtual_ring.virtual_mul``
-calls it once per pair of sectors.
+calls it once per pair of sectors.  Both fold the powers of zeta past
+deg(Phi_n) back through one table, ``_fold``.  ``_rotation_sums`` is the
+discrete Fourier transform behind Gamma, its inverse and the changes to and
+from the semisimple basis: sums of c_j * zeta^(+-lj) for integer vectors
+c_j.  It sums in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and
+reduces and normalises each sum once.  That is exact because Phi_n divides
+x^n - 1, so the reduction is a ring map and nothing is divided before it; a
+``Cyc`` itself must stay modulo Phi_n, where every nonzero value is
+invertible.  ``_canonical`` normalises raw numerators for the closed-form
+terms around the transforms.
 
 ``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients,
 the workhorse for the quotient-ring reductions in the ring modules.
@@ -400,6 +407,49 @@ def _times(n: int, a: Sequence[int], b: Sequence[int],
     return _convolve(n, a, b)
 
 
+@cache
+def _tail(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    # For each position p = deg .. n-1 of a vector modulo x^n - 1, the nonzero
+    # entries (i, r) of the row of x^p mod Phi_n.
+    table = _xpow(n)
+    return tuple((p, tuple((i, r) for i, r in enumerate(table[p]) if r))
+                 for p in range(phi_degree(n), n))
+
+
+def _rotation_sums(n: int, pairs: Iterable[tuple[int, list[int]]], sign: int, den: int,
+                   positions: Iterable[int], ls: Iterable[int]) -> dict[int, Cyc]:
+    # For each l in ls, (sum of v * zeta^(sign*l*j) over the pairs (j, v)) / den
+    # at the matching position, reduced and normalised once; zero sums are
+    # left out.  Each v is a length-n integer list, the coefficients of
+    # x^0 .. x^(n-1) of an element of Z[x]/(x^n - 1), where multiplying by
+    # x^t rotates the list by t: each pair costs one slice of v + v per l,
+    # and the first pair's slice is the sum when no other pair follows.  The
+    # sum is reduced through the rows of x^p mod Phi_n for p = deg .. n-1.
+    n2, deg, tail = 2 * n, phi_degree(n), _tail(n)
+    (j0, d0), *rest = [(j, v + v) for j, v in pairs]
+    out = {}
+    for i, l in zip(positions, ls):
+        t = sign * l
+        s = n - t * j0 % n
+        total = d0[s:s + n]
+        if rest:
+            total = list(map(sum, zip(total, *[d[n - t * j % n:n2 - t * j % n] for j, d in rest])))
+        num = total[:deg]
+        for p, row in tail:
+            c = total[p]
+            if c:
+                for k, r in row:
+                    num[k] += c * r
+        if any(num):
+            out[i] = _raw(n, *_normalized(num, den))
+    return out
+
+
+def _canonical(n: int, num: list[int], den: int) -> Cyc:
+    """num/den from raw numerators of length deg(Phi_n), normalised once."""
+    return _raw(n, *_normalized(num, den))
+
+
 def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
                 b: Sequence[tuple[int, int, int]]) -> list[tuple[int, list[int]]]:
     # The product of two polynomials in x over Z[zeta_n], unnormalised.  Each
@@ -481,16 +531,6 @@ class Accumulator:
                     positions: Iterable[int], entries: Iterable[Cyc | int]) -> None:
         """``add`` with the scalar a * b, passed on as raw numerators."""
         self.add(_times(self.n, a.num, b.num), a.den * b.den, start, positions, entries)
-
-    def scale(self, weights: dict[int, Cyc]) -> None:
-        """Multiply the sum at each position that ``weights`` lists by its weight,
-        leaving it unnormalised."""
-        n = self.n
-        for i, slot in self.sums.items():
-            w = weights.get(i)
-            if w is not None:
-                slot[0] = _times(n, slot[0], w.num)
-                slot[1] *= w.den
 
     def result(self) -> dict[int, Cyc]:
         """The nonzero sums by ascending position, each normalised once."""

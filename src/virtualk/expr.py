@@ -25,9 +25,10 @@ Atoms fix the ambient basis: x/one live on the sector side, e/xe/u and the
 line-element constructors on the localized side (``ATOMS``).  Mixing the two
 sides in one expression is rejected at parse time; ``gamma``/``gammainv`` are
 the only bridges.  One walk over the tree, ``preferred_display``, finds the
-side to display and with it the ambient basis.  "*" means the virtual product
-on the sector side and the localized product on the localized side;
-``psi[0]`` is the augmentation.
+side to display and with it the ambient basis, and places a basis error at
+the node that does not fit.  "*" means the virtual product on the sector
+side and the localized product on the localized side; ``psi[0]`` is the
+augmentation.
 
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
 indices lie in 0..``MAX_ADAMS_INDEX``; other values are parse errors.  A
@@ -50,7 +51,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import localization as loc
@@ -106,11 +107,19 @@ ATOMS = {
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# Every node records ``pos``, the position in the text where it starts, for
+# error messages; equal trees compare equal wherever their nodes stand.
+
+
+def _pos() -> int:
+    return field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Num:
     value: Fraction
+    pos: int = _pos()
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,7 @@ class Atom:
 
     name: str
     idx: tuple[int, ...] = ()
+    pos: int = _pos()
 
     @property
     def label(self) -> str:
@@ -129,6 +139,7 @@ class Atom:
 class LineAtom:
     f: tuple[int, ...]
     beta: tuple["Expr", ...]
+    pos: int = _pos()
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,7 @@ class Unary:
     op: str
     x: "Expr"
     k: int = 0
+    pos: int = _pos()
 
 
 @dataclass(frozen=True)
@@ -147,12 +159,14 @@ class Binary:
     op: str
     a: "Expr"
     b: "Expr"
+    pos: int = _pos()
 
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exp: int
+    pos: int = _pos()
 
 
 Expr = Num | Atom | LineAtom | Unary | Binary | Pow
@@ -220,21 +234,22 @@ class _Parser:
     def parse_expr(self) -> Expr:
         e = self.parse_term()
         while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
-            e = Binary(self.next()[1], e, self.parse_term())
+            e = Binary(self.next()[1], e, self.parse_term(), e.pos)
         return e
 
     def parse_term(self) -> Expr:
         e = self.parse_unary()
         while self.accept("*"):
-            e = Binary("*", e, self.parse_unary())
+            e = Binary("*", e, self.parse_unary(), e.pos)
         return e
 
     def parse_unary(self) -> Expr:
+        at = self.peek()[2]
         if self.accept("-"):
             inner = self.parse_unary()
             if isinstance(inner, Num):
-                return Num(-inner.value)
-            return Unary("-", inner)
+                return Num(-inner.value, at)
+            return Unary("-", inner, pos=at)
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -250,7 +265,7 @@ class _Parser:
                 if self.x0_exponents > MAX_EXPONENT:
                     raise ParseError("the exponents of x[0] sum to %d, over the bound %d"
                                      % (self.x0_exponents, MAX_EXPONENT), at)
-            return Pow(base, exp)
+            return Pow(base, exp, at)
         return base
 
     def parse_int(self) -> int:
@@ -269,7 +284,7 @@ class _Parser:
         self.expect_sym(")")
         return e
 
-    def parse_atom(self, name: str) -> Atom:
+    def parse_atom(self, name: str, start: int) -> Atom:
         arity = ATOMS[name][0]
         idx, at = [], []
         if arity:
@@ -291,7 +306,7 @@ class _Parser:
                 )
         if arity == 1:
             self.expect_sym("]")
-        return Atom(name, tuple(idx))
+        return Atom(name, tuple(idx), start)
 
     def parse_primary(self) -> Expr:
         tok = self.next()
@@ -304,15 +319,17 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", slash)
                 value = Fraction(int(text), den)
-            return Num(value)
+            return Num(value, pos)
         if kind == "sym" and text == "(":
             e = self.parse_expr()
             self.expect_sym(")")
             return e
+        if kind == "eof":
+            raise ParseError("unexpected end of input", pos)
         if kind != "name":
             raise ParseError("unexpected token %r" % text, pos)
         if text in ATOMS:
-            return self.parse_atom(text)
+            return self.parse_atom(text, pos)
         if text == "L":
             self.expect_sym("(")
             f = self.parse_list(self.parse_int)
@@ -323,7 +340,7 @@ class _Parser:
                 raise ParseError(
                     "L needs %d torsion and %d scalar entries" % (self.n, self.n), pos
                 )
-            return LineAtom(tuple(v % self.n for v in f), tuple(beta))
+            return LineAtom(tuple(v % self.n for v in f), tuple(beta), pos)
         if text == "psi":
             self.expect_sym("[")
             at = self.peek()[2]
@@ -332,9 +349,9 @@ class _Parser:
                 raise ParseError("Adams index %d is not in 0..%d; psi[0] is the augmentation"
                                  % (k, MAX_ADAMS_INDEX), at)
             self.expect_sym("]")
-            return Unary("psi", self.parse_argument(), k)
+            return Unary("psi", self.parse_argument(), k, pos)
         if text in ("eps", "gamma", "gammainv"):
-            return Unary(text, self.parse_argument())
+            return Unary(text, self.parse_argument(), pos=pos)
         raise ParseError("unknown symbol %r" % text, pos)
 
 
@@ -364,39 +381,49 @@ def preferred_display(e: Expr) -> str:
     occur in it, and in "loc" once a loc atom or a ``gamma`` does.  Raises
     BasisMixError on a sector/loc mix.
     """
+    return _display(e)[0]
+
+
+def _display(e: Expr) -> tuple[str, int]:
+    """``preferred_display`` of ``e`` and the position of the node that fixes
+    it: the atom or ``gamma``/``gammainv`` that brings the side in, or the
+    start of a scalar.  A BasisMixError is raised at the node that does not fit."""
     if isinstance(e, Num):
-        return SCALAR
+        return SCALAR, e.pos
     if isinstance(e, Atom):
-        return ATOMS[e.name][1]
+        return ATOMS[e.name][1], e.pos
     if isinstance(e, LineAtom):
-        if any(preferred_display(b) != SCALAR for b in e.beta):
-            raise BasisMixError("L(...) scalar slots must be scalar expressions", 0)
-        return "u"
+        for b in e.beta:
+            side, at = _display(b)
+            if side != SCALAR:
+                raise BasisMixError("L(...) scalar slots must be scalar expressions", at)
+        return "u", e.pos
     if isinstance(e, Pow):
-        return preferred_display(e.base)
+        return _display(e.base)
     if isinstance(e, Binary):
         spine = _left_spine(e)
-        side = preferred_display(spine.pop())
+        side, at = _display(spine.pop())
         for node in reversed(spine):
-            b = preferred_display(node.b)
+            b, b_at = _display(node.b)
             if _ring(side) != _ring(b) and SCALAR not in (side, b):
                 raise BasisMixError(
-                    "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", 0
+                    "cannot mix sector-basis and localized-basis atoms; use gamma/gammainv", b_at
                 )
-            side = side if b in (SCALAR, side) else b if side == SCALAR else LOC
-        return side
-    inner = preferred_display(e.x)
+            if b not in (SCALAR, side) and (side == SCALAR or b == LOC):
+                side, at = b if side == SCALAR else LOC, b_at
+        return side, at
+    inner, at = _display(e.x)
     if e.op in ("psi", "eps") and inner == SCALAR:
-        raise BasisMixError("psi/eps apply to ring elements, not scalars", 0)
+        raise BasisMixError("psi/eps apply to ring elements, not scalars", at)
     if e.op == "gamma":
         if inner != SECTOR:
-            raise BasisMixError("gamma expects a sector-basis expression", 0)
-        return LOC
+            raise BasisMixError("gamma expects a sector-basis expression", at)
+        return LOC, e.pos
     if e.op == "gammainv":
         if _ring(inner) != LOC:
-            raise BasisMixError("gammainv expects a localized-basis expression", 0)
-        return SECTOR
-    return inner
+            raise BasisMixError("gammainv expects a localized-basis expression", at)
+        return SECTOR, e.pos
+    return inner, at
 
 
 def parse(text: str, n: int) -> Expr:

@@ -8,6 +8,13 @@ closed-form preimages of the block generators and extends linearly, with
 (u^n - 1)/(u - zeta^l) always expanded by the inverse DFT;
 no rational-function arithmetic exists anywhere.
 
+Gamma, its inverse and the changes to and from the semisimple basis are
+discrete Fourier transforms over Z[zeta_n], one per sector or per row, plus
+a few closed-form terms on the block (0,0).  Each transform is one call of
+``cyclotomic._rotation_sums`` on the block's integer numerators over their
+common denominator, so every output coordinate is reduced and normalised
+once and no scalar product is formed per entry.
+
 ``loc_mul`` is the localized product table.  ``loc_adams`` and ``u_adams``
 are the Adams operations, the pullback along s -> k*s (mod n): each output
 coordinate with character index s reads the input coordinate with index
@@ -17,34 +24,22 @@ Localized classes are ``Coords`` of kind "loc"; kind "u" is the semisimple
 coordinate system: idempotents u_l^q for l != 0 plus the square-zero elements
 u_0^q and the block unit 1_00, in which the product is diagonal and
 line-element computations are immediate.  Both index their n x n grid through
-``coords.grid``.
-
-The maps and the product read per-n tables, each built lazily on first use
-(``functools.cache``) from the closed forms in its docstring and applied
-through ``cyclotomic.Accumulator`` to the nonzero coordinates only, on raw
-numerators, so each output coordinate is normalised once; nothing is built
-at import:
-
-- ``_gamma_columns``: the image of each monomial x_m^j, zeta^(lj) in e[m,l]
-  and the 2-jet (1 - j, j) in (e[0,0], xe[0,0]);
-- ``_gamma_inverse_columns``: the coefficients of the four preimages;
-- ``_loc_mul_table``: e_i * e_j for every pair of generators with a nonzero
-  product, from the rules of ``loc_mul``;
-- ``_to_u_map`` and ``_from_u_map``: columns of zeta powers and integers, and
-  the weights w_l = 1 - zeta^(-l) (to u, on each input coordinate) or
-  1/(n w_l) and 1/n (from u, on each raw output sum), applied once per
-  coordinate rather than folded into every entry;
-- ``_adams_weight``: w_l / w_s for ``loc_adams``.
+``coords.grid``.  The per-n tables are built lazily on first use
+(``functools.cache``) from the closed forms in their docstrings; nothing is
+built at import.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import cache
+from operator import add, mul, sub
+from typing import Iterable
 
-from .coords import (Coords, Sparse, apply_columns, basis, from_canonical, from_terms, grid,
-                     sector_start, sparse, unit)
-from .cyclotomic import Accumulator, Cyc, zeta_pow
+from .coords import (Coords, Sparse, basis, from_canonical, from_terms, grid, sector_start, sparse,
+                     unit)
+from .cyclotomic import (Accumulator, Cyc, _canonical, _reduce_int_coeffs, _rotation_sums,
+                         phi_degree, zeta_pow)
 
 
 @cache
@@ -65,80 +60,125 @@ def _adams_weight(n: int, l: int, s: int) -> Cyc:
     return _w(n, l) * _w_inv(n, s)
 
 
-def _apply(a: Coords, kind: str, columns: tuple[Sparse, ...]) -> Coords:
-    # The linear map with one column per coordinate of ``a``.
-    return apply_columns(a.n, kind, ((c, 0, columns[i]) for i, c in a.terms.items()))
+def _blocks(n: int, terms: Iterable[tuple[int, int, Cyc]]
+            ) -> dict[int, tuple[list[int], list[list[int]], int]]:
+    # (block, index, value) triples grouped by block, in order of first
+    # appearance: the indices, the values over their least common
+    # denominator as length-n integer lists (numerators padded with zeros),
+    # the input form of ``cyclotomic._rotation_sums``, and that denominator.
+    groups: dict[int, list[tuple[int, Cyc]]] = {}
+    for block, index, c in terms:
+        groups.setdefault(block, []).append((index, c))
+    pad, out = [0] * (n - phi_degree(n)), {}
+    for block, pairs in groups.items():
+        den = math.lcm(*(c.den for _, c in pairs))
+        out[block] = [index for index, _ in pairs], [
+            [x * (den // c.den) for x in c.num] + pad if c.den != den else [*c.num, *pad]
+            for _, c in pairs], den
+    return out
 
 
-# ---------------------------------------------------------------------------
-# The decomposition map and its closed-form inverse.
+def _put(out: dict[int, Cyc], n: int, i: int, num: list[int], den: int) -> None:
+    # Store num/den at position i, normalised, unless it is zero.
+    if any(num):
+        out[i] = _canonical(n, num, den)
 
 
 @cache
-def _gamma_columns(n: int) -> tuple[Sparse, ...]:
-    """Image of each monomial x_m^j, in sector coordinate order.
+def _inverse_weights(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each l = 1 .. n-1, multiplication by n/w_l as an integer matrix.
 
-    x^j takes the value zeta^(lj) at zeta^l, stored in e[m,l]; on sector 0
-    the block (0,0) holds its 2-jet at 1 instead: value 1 and derivative j,
-    stored as e[0,0] = 1 - j and xe[0,0] = j.
+    n/w_l = n/(1 - zeta^(-l)) = -sum_k k zeta^(-lk) (k = 0 .. n-1) lies in
+    Z[zeta_n]; column i holds coefficient i of zeta^p * n/w_l for
+    p = 0 .. deg(Phi_n) - 1.
     """
-    columns = []
-    for _, m, j in basis(n, "sector").json:
-        jet = [(0, 1 - j), (1, j)] if m == 0 else []
-        columns.append(sparse(jet + [(grid(n, m, l), zeta_pow(n, l * j))
-                                     for l in range(1 if m == 0 else 0, n)]))
-    return tuple(columns)
+    deg, out = phi_degree(n), []
+    for l in range(1, n):
+        rows = []
+        for p in range(deg):
+            coeffs = [0] * n
+            for k in range(n):
+                coeffs[(p - l * k) % n] -= k
+            rows.append(_reduce_int_coeffs(n, coeffs))
+        out.append(tuple(zip(*rows)))
+    return tuple(out)
+
+
+def _weighted(num: list[int], columns: tuple[tuple[int, ...], ...]) -> list[int]:
+    # The numerators of num times the weight whose matrix has these columns.
+    return [sum(map(mul, num, col)) for col in columns]
+
+
+# ---------------------------------------------------------------------------
+# The decomposition map and its closed-form inverse.  Both are discrete
+# Fourier transforms over Z[zeta_n], one per sector, summed by
+# ``cyclotomic._rotation_sums``; the block (0,0) adds closed-form terms.
 
 
 def gamma(a: Coords) -> Coords:
     """Evaluate each sector representative at every root of unity.
 
-    Block (0,0) stores the 2-jet at 1: coefficients e[0,0] = f(1) - f'(1) and
+    Sector m sends f = sum_j c_j x^j to e[m,l] = f(zeta^l) = sum_j c_j zeta^(lj).
+    Block (0,0) stores the 2-jet at 1 instead: e[0,0] = f(1) - f'(1) and
     xe[0,0] = f'(1), so that f = e[0,0] * 1 + xe[0,0] * x modulo (x-1)^2.
     """
     a.check_kind("sector")
-    return _apply(a, "loc", _gamma_columns(a.n))
-
-
-@cache
-def _gamma_inverse_columns(n: int) -> tuple[Sparse, ...]:
-    """Preimage of each localized generator, in loc coordinate order, as sector coordinates.
-
-    The preimages are polynomials on one sector, built from the inverse DFT
-    (x^n - 1)/(x - zeta^l) * zeta^l/n = (1/n) sum_i zeta^(-li) x^i:
-
-    1_00 -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)
-          = [(1+n)/2n, 1/n, ..., 1/n, (1-n)/2n]                        (sector 0)
-    x_00 -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)
-          = [(n-1)/2n, 1/n, ..., 1/n, (3-n)/2n]                        (sector 0)
-    1_0l -> zeta^l / (n(zeta^l - 1)) (x-1)(x^n-1)/(x-zeta^l)
-          = (1/n)[-1/(zeta^l-1), zeta^(-l), ..., zeta^(-l(n-1)), zeta^l/(zeta^l-1)]
-                                                                       (l != 0, sector 0)
-    1_ml -> (zeta^l / n) (x^n-1)/(x-zeta^l)
-          = (1/n)[1, zeta^(-l), ..., zeta^(-l(n-1))]                   (m != 0, sector m)
-    """
-    inv_n = Fraction(1, n)
-
-    def jet(first: int, last: int) -> list[Cyc]:
-        # A sector-0 preimage of the block (0,0): numerators over 2n.
-        return [Cyc.rational(n, Fraction(v, 2 * n)) for v in [first] + [2] * (n - 1) + [last]]
-
-    columns = [(0, jet(1 + n, 1 - n)), (0, jet(n - 1, 3 - n))]
-    dft = [[zeta_pow(n, -l * i) * inv_n for i in range(n)] for l in range(n)]
-    for _, m, l in basis(n, "loc").json[2:]:
-        if m:
-            columns.append((m, dft[l]))
-        else:
-            d = (zeta_pow(n, l) - Cyc.one(n)).inv() * inv_n
-            columns.append((0, [-d] + dft[l][1:] + [zeta_pow(n, l) * d]))
-    return tuple(sparse((sector_start(n, m) + j, c) for j, c in enumerate(column))
-                 for m, column in columns)
+    n, json, out = a.n, a.basis.json, {}
+    for m, (js, vectors, den) in _blocks(n, ((json[i][1], json[i][2], c)
+                                             for i, c in a.terms.items())).items():
+        if m == 0:
+            columns = list(zip(*vectors))[:phi_degree(n)]
+            slope = [sum(map(mul, js, col)) for col in columns]
+            _put(out, n, 0, [sum(col) - d for col, d in zip(columns, slope)], den)
+            _put(out, n, 1, slope, den)
+        ls = range(1 if m == 0 else 0, n)
+        out.update(_rotation_sums(n, zip(js, vectors), 1, den,
+                                  range(grid(n, m, ls.start), grid(n, m, n)), ls))
+    return from_canonical(n, "loc", out)
 
 
 def gamma_inverse(b: Coords) -> Coords:
-    """Linear extension of the four closed-form preimages."""
+    """The sector class with image ``b``: an inverse DFT on each sector.
+
+    Sector m gets f_m = (1/n) sum_j H_j x^j with H_j = sum_l b[m,l] zeta^(-lj),
+    the linear extension of the preimages
+
+    1_ml -> (zeta^l / n) (x^n-1)/(x-zeta^l) = (1/n) sum_j zeta^(-lj) x^j    (m != 0)
+
+    On sector 0 the value at 1 is b[0,0] = e[0,0] + xe[0,0], x^0 and x^n
+    share the slot j = 0, and the closed-form preimages
+
+    1_00 -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)
+          = [(1+n)/2n, 1/n, ..., 1/n, (1-n)/2n]
+    x_00 -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)
+          = [(n-1)/2n, 1/n, ..., 1/n, (3-n)/2n]
+    1_0l -> zeta^l / (n(zeta^l - 1)) (x-1)(x^n-1)/(x-zeta^l)
+          = (1/n)[-1/(zeta^l-1), zeta^(-l), ..., zeta^(-l(n-1)), zeta^l/(zeta^l-1)]   (l != 0)
+
+    split it: f_0[0] is the linear extension of their first entries, with
+    n/(zeta^l - 1) = -n/w_(n-l) read from ``_inverse_weights``, and
+    f_0[n] = H_0/n - f_0[0].
+    """
     b.check_kind("loc")
-    return _apply(b, "sector", _gamma_inverse_columns(b.n))
+    n, json, out = b.n, b.basis.json, {}
+    for m, (ls, vectors, den) in _blocks(n, ((json[i][1], json[i][2], c)
+                                             for i, c in b.terms.items())).items():
+        start = sector_start(n, m)
+        if m:
+            out.update(_rotation_sums(n, zip(ls, vectors), -1, den * n,
+                                      range(start, start + n), range(n)))
+            continue
+        b0, b1 = ([x * (den // c.den) for x in c.num] if c else [0] * phi_degree(n)
+                  for c in (b.terms.get(0), b.terms.get(1)))
+        first = [n * (n + 1) // 2 * x + n * (n - 1) // 2 * y for x, y in zip(b0, b1)]
+        weights = _inverse_weights(n)
+        for l, v in zip(ls, vectors):
+            if l:
+                first = list(map(add, first, _weighted(v, weights[n - l - 1])))
+        _put(out, n, 0, first, den * n * n)
+        out.update(_rotation_sums(n, zip(ls, vectors), -1, den * n, range(1, n), range(1, n)))
+        _put(out, n, n, [n * sum(col) - f for col, f in zip(zip(*vectors), first)], den * n * n)
+    return from_canonical(n, "sector", out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,77 +283,50 @@ def loc_adams(a: Coords, k: int) -> Coords:
 # Change of basis to the semisimple generators and operations there.
 
 
-@cache
-def _from_u_map(n: int) -> tuple[tuple[Sparse, ...], dict[int, Cyc]]:
-    """Columns, in u coordinate order, and output weights of ``from_u_basis``.
-
-    e[0,0] -> e[0,0]; u[0,0] -> xe[0,0] - e[0,0]; u[0,m] -> e[m,0]; and for
-    l != 0, u[l,q] -> e[0,l] + sum_i zeta^(-iq) e[i,l], after which e[0,l] is
-    weighted by 1/n and e[i,l] by 1/(n w_l).
-    """
-    inv_n = Cyc.rational(n, Fraction(1, n))
-    columns = [sparse([(0, 1)]), sparse([(0, -1), (1, 1)])]
-    columns += [sparse([(grid(n, m, 0), 1)]) for m in range(1, n)]
-    weights = {}
-    for l in range(1, n):
-        for q in range(n):
-            columns.append(sparse([(grid(n, 0, l), 1)] + [
-                (grid(n, i, l), zeta_pow(n, -i * q)) for i in range(1, n)]))
-        weights[grid(n, 0, l)] = inv_n
-        winv = _w_inv(n, l) * inv_n
-        weights.update((grid(n, i, l), winv) for i in range(1, n))
-    return tuple(columns), weights
-
-
 def from_u_basis(b: Coords) -> Coords:
     """Expand 1_00 and the u_l^q into the localized generators.
 
     u_0^0 = x_00 - 1_00, u_0^m = 1_m0, and for l != 0
     u_l^q = (1/n) sum_i zeta^(-iq) uhat_il with uhat_0l = 1_0l and
-    uhat_il = 1_il/(1 - zeta^(-l)).
+    uhat_il = 1_il/(1 - zeta^(-l)).  So row l is an inverse DFT: e[0,l] is
+    (1/n) sum_q u[l,q], and e[i,l] = (1/n^2) sum_q (n/w_l) u[l,q] zeta^(-iq)
+    for i != 0, the weight n/w_l applied once per stored u[l,q].
     """
     b.check_kind("u")
-    n = b.n
-    columns, weights = _from_u_map(n)
-    acc = Accumulator(n)
-    for i, c in b.terms.items():
-        acc.add(c.num, c.den, 0, *columns[i])
-    acc.scale(weights)
-    return from_canonical(n, "loc", acc.result())
-
-
-@cache
-def _to_u_map(n: int) -> tuple[tuple[Sparse, ...], dict[int, Cyc]]:
-    """Columns, in loc coordinate order, and input weights of ``to_u_basis``.
-
-    e[0,0] -> e[0,0]; xe[0,0] -> e[0,0] + u[0,0]; e[m,0] -> u[0,m]; and for
-    l != 0, e[i,l] -> sum_q zeta^(iq) u[l,q], where e[i,l] with i != 0 is
-    first weighted by w_l.
-    """
-    columns = [sparse([(0, 1)]), sparse([(0, 1), (1, 1)])]
-    for _, i, l in basis(n, "loc").json[2:]:
-        if l == 0:
-            columns.append(sparse([(grid(n, 0, i), 1)]))
-        else:
-            columns.append(sparse((grid(n, l, q), zeta_pow(n, i * q)) for q in range(n)))
-    weights = {grid(n, i, l): _w(n, l) for i in range(1, n) for l in range(1, n)}
-    return tuple(columns), weights
+    n, B, json = b.n, b.terms, b.basis.json
+    z = Cyc.zero(n)
+    out = {0: B.get(0, z) - B.get(1, z), 1: B.get(1, z)}
+    out.update((grid(n, json[i][2], 0), c) for i, c in B.items() if 1 < i <= n)
+    deg, weights = phi_degree(n), _inverse_weights(n)
+    pad = [0] * (n - deg)
+    for l, (qs, vectors, den) in _blocks(n, ((json[i][1], json[i][2], c)
+                                             for i, c in B.items() if i > n)).items():
+        _put(out, n, grid(n, 0, l), [sum(col) for col in zip(*vectors)][:deg], den * n)
+        weighted = [(q, _weighted(v, weights[l - 1]) + pad) for q, v in zip(qs, vectors)]
+        out.update(_rotation_sums(n, weighted, -1, den * n * n,
+                                  range(grid(n, 1, l), grid(n, n, l), n), range(1, n)))
+    return from_terms(n, "loc", out)
 
 
 def to_u_basis(a: Coords) -> Coords:
     """Inverse change of basis: 1_0l = sum_q u_l^q and
-    1_il = (1 - zeta^(-l)) sum_q zeta^(iq) u_l^q for i != 0."""
+    1_il = (1 - zeta^(-l)) sum_q zeta^(iq) u_l^q for i != 0.
+
+    So row l is a DFT, u[l,q] = sum_i v_i zeta^(iq), of v_0 = e[0,l] and
+    v_i = w_l e[i,l], where w_l v = v - zeta^(-l) v costs one rotation.
+    """
     a.check_kind("loc")
-    n = a.n
-    columns, weights = _to_u_map(n)
-    acc = Accumulator(n)
-    for i, c in a.terms.items():
-        w = weights.get(i)
-        if w is None:
-            acc.add(c.num, c.den, 0, *columns[i])
-        else:
-            acc.add_product(c, w, 0, *columns[i])
-    return from_canonical(n, "u", acc.result())
+    n, A, json = a.n, a.terms, a.basis.json
+    z = Cyc.zero(n)
+    out = {0: A.get(0, z) + A.get(1, z), 1: A.get(1, z)}
+    out.update((grid(n, 0, json[i][1]), c) for i, c in A.items() if i > 1 and not json[i][2])
+    for l, (ms, vectors, den) in _blocks(n, ((json[i][2], json[i][1], c)
+                                             for i, c in A.items() if json[i][2])).items():
+        weighted = [(m, list(map(sub, v, (v + v)[l:l + n])) if m else v)
+                    for m, v in zip(ms, vectors)]
+        out.update(_rotation_sums(n, weighted, 1, den, range(grid(n, l, 0), grid(n, l, n)),
+                                  range(n)))
+    return from_terms(n, "u", out)
 
 
 def square_zero_terms(A: dict[int, Cyc], B: dict[int, Cyc], stop: int) -> dict[int, Cyc]:

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 import virtualk.cyclotomic as cyclotomic
 from test_virtual_ring import reference_mul
-from virtualk.coords import Coords, apply_columns, basis, basis_vectors, from_terms, sparse
+from virtualk.coords import Coords, apply_columns, basis, basis_vectors, from_terms, grid, sparse
 from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
-from virtualk.localization import (_gamma_columns, from_u_basis, gamma, gamma_inverse, loc_mul,
-                                   to_u_basis)
+from virtualk.localization import from_u_basis, gamma, gamma_inverse, loc_mul, to_u_basis
 from virtualk.virtual_ring import k_monomial, virtual_mul
 
 #: Denominators 1, 2, 3, 6 and a large prime, so sums meet over an lcm.
@@ -32,6 +31,21 @@ def reference_apply_columns(n, kind, terms):
             i, v = start + offset, c if r == 1 else c * r
             out[i] = out[i] + v if i in out else v
     return from_terms(n, kind, out)
+
+
+def gamma_columns(n):
+    """Image under Gamma of each monomial x_m^j, in sector coordinate order.
+
+    x^j takes the value zeta^(lj) at zeta^l, stored in e[m,l]; on sector 0
+    the block (0,0) holds its 2-jet at 1 instead: value 1 and derivative j,
+    stored as e[0,0] = 1 - j and xe[0,0] = j.
+    """
+    columns = []
+    for _, m, j in basis(n, "sector").json:
+        jet = [(0, 1 - j), (1, j)] if m == 0 else []
+        columns.append(sparse(jet + [(grid(n, m, l), zeta_pow(n, l * j))
+                                     for l in range(1 if m == 0 else 0, n)]))
+    return columns
 
 
 def _canonical(v):
@@ -148,13 +162,13 @@ def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
     loc, loc_b = gamma(a), gamma(b)
     u = to_u_basis(loc)
     # The tables are built once per n, outside the count.
-    gamma_inverse(loc), from_u_basis(u), loc_mul(loc, loc_b)
+    from_u_basis(u), loc_mul(loc, loc_b)
     for fn, args in ((gamma, (a,)), (gamma_inverse, (loc,)), (to_u_basis, (loc,)),
                      (from_u_basis, (u,)), (loc_mul, (loc, loc_b))):
         out, calls = _count_normalized(monkeypatch, fn, *args)
         assert 0 < calls <= len(out.terms), fn.__name__
     # The guard can fail: the term-by-term sum normalises once per term.
-    columns = _gamma_columns(a.n)
+    columns = gamma_columns(a.n)
     terms = [(c, 0, columns[i]) for i, c in a.terms.items()]
     out, calls = _count_normalized(monkeypatch, reference_apply_columns, a.n, "loc", terms)
     assert calls > 2 * len(out.terms)
@@ -177,13 +191,7 @@ def test_virtual_mul_multiplies_no_numerator_vectors_pairwise(monkeypatch):
     for m1 in range(n):
         for m2 in range(n):
             virtual_mul(k_monomial(n, m1, 1), k_monomial(n, m2, 1))
-    calls = {"_times": 0, "_convolve": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(cyclotomic, name)):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(cyclotomic, name, counted)
+    calls = _count_products(monkeypatch)
     for i, a in enumerate(pre):
         for b in pre[i:]:
             virtual_mul(a, b)
@@ -192,3 +200,36 @@ def test_virtual_mul_multiplies_no_numerator_vectors_pairwise(monkeypatch):
     z = zeta_pow(n, 1)
     assert z * (z + 1) == zeta_pow(n, 2) + z
     assert calls == {"_times": 1, "_convolve": 1}
+
+
+def _count_products(monkeypatch):
+    """Counters of the calls of ``_times`` and ``_convolve`` from now on."""
+    calls = {"_times": 0, "_convolve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cyclotomic, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cyclotomic, name, counted)
+    return calls
+
+
+def test_basis_changes_multiply_no_numerator_vectors(monkeypatch):
+    # Gamma, its inverse and the maps to and from the semisimple basis are
+    # rotation sums over Z[zeta_n]: on dense classes at n = 8, once the tables
+    # are built, they form no scalar product; applying columns of zeta powers
+    # made one _times per stored entry and column entry.
+    n = 8
+    size = len(basis(n, "sector").labels)
+    s = Coords(n, "sector", [Cyc(n, [(i * 5 + t) % 9 - 4 for t in range(4)], 1 + i % 3)
+                             for i in range(size)])
+    a, u = gamma(s), to_u_basis(gamma(s))
+    assert len(a.terms) == len(u.terms) == n * n + 1
+    from_u_basis(u)
+    calls = _count_products(monkeypatch)
+    assert gamma_inverse(from_u_basis(to_u_basis(gamma(s)))) == s
+    assert calls == {"_times": 0, "_convolve": 0}
+    # The counters are live: the term-by-term sum of Gamma's columns makes both.
+    columns = gamma_columns(n)
+    reference_apply_columns(n, "loc", [(c, 0, columns[i]) for i, c in s.terms.items()])
+    assert calls["_times"] > 0 and calls["_convolve"] > 0

@@ -337,21 +337,44 @@ _NEGATIVE_INDEX = "Adams index -1 is not in 0..%d; psi[0] is the augmentation" %
      "e index 9 out of range for n=3 (in expression at position 11)"),
     (["mul", "--n", "3", "x[1]", "x[5]"], "x index 5 out of range for n=3 (in rhs at position 2)"),
     (["mul", "--n", "3", "(x[1]", "x[2]"], "expected ) (in lhs at position 5)"),
-    (["localize", "--n", "3", "x[1]+"], "unexpected token '' (in expression at position 5)"),
+    (["localize", "--n", "3", "x[1]+"], "unexpected end of input (in expression at position 5)"),
     (["delocalize", "--n", "3", "e[0,7]"],
      "e index 7 out of range for n=3 (in expression at position 4)"),
     # Checks across the arguments: the x[0] budget at the atom that crosses
-    # it, a basis check at the start of the last argument.
+    # it, a basis check at the node that does not fit.
     (["mul", "--n", "8", "x[0]^1500", "x[1]*x[0]^600"],
      "the exponents of x[0] sum to 2100, over the bound 2000 (in rhs at position 5)"),
     (["mul", "--n", "2", "x[1]", "e[0,0]"], "cannot mix sector-basis and localized-basis "
      "atoms; use gamma/gammainv (in rhs at position 0)"),
     (["localize", "--n", "2", "e[0,0]"],
      "gamma expects a sector-basis expression (in expression at position 0)"),
+    (["mul", "--n", "2", "e[0,1] + x[1]", "2"], "cannot mix sector-basis and localized-basis "
+     "atoms; use gamma/gammainv (in lhs at position 9)"),
+    (["mul", "--n", "2", "x[1]", "3*e[0,0]"], "cannot mix sector-basis and localized-basis "
+     "atoms; use gamma/gammainv (in rhs at position 2)"),
+    (["adams", "--n", "3", "2", "1 + zeta"],
+     "psi/eps apply to ring elements, not scalars (in expression at position 0)"),
+    (["delocalize", "--n", "3", "e[0,1] - (2*x[1])^2"], "cannot mix sector-basis and "
+     "localized-basis atoms; use gamma/gammainv (in expression at position 12)"),
 ], ids=["eval-negative-index", "adams-negative-index", "adams", "mul-rhs", "mul-unclosed-lhs",
-        "localize", "delocalize", "mul-x0-budget", "mul-basis-mix", "localize-basis"])
+        "localize", "delocalize", "mul-x0-budget", "mul-basis-mix", "localize-basis",
+        "mul-basis-mix-in-lhs", "mul-basis-mix-inside-rhs", "adams-scalar",
+        "delocalize-basis-mix-inside"])
 def test_a_parse_error_is_placed_in_the_argument_that_holds_it(capsys, no_work, argv, message):
     code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("expression,message", [
+    ("x[1]+", "unexpected end of input (at position 5)"),
+    ("x[1] + e[0,0]", "cannot mix sector-basis and localized-basis atoms; "
+     "use gamma/gammainv (at position 7)"),
+    ("gamma(e[0,0])", "gamma expects a sector-basis expression (at position 6)"),
+    ("gammainv(2*x[1])", "gammainv expects a localized-basis expression (at position 11)"),
+    ("L(0,0,0; 1, 2, x[2])", "L(...) scalar slots must be scalar expressions (at position 15)"),
+])
+def test_eval_errors_point_at_the_offending_node(capsys, no_work, expression, message):
+    code, out, err = run(capsys, "eval", "--n", "3", expression)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 

@@ -408,3 +408,23 @@ def test_poly_times_matches_the_sum_of_cyc_products(data, n):
     assert all(len(num) == deg for _, num in got)
     assert ({s: Cyc(n, num) for s, num in got if any(num)}
             == {s: c for s, c in expected.items() if c})
+
+
+@settings(max_examples=100)
+@given(st.data(), st.integers(2, 12), st.sampled_from((1, -1)))
+def test_rotation_sums_match_the_sum_of_cyc_products(data, n, sign):
+    # A vector v of length n stands for sum_p v[p] zeta^p, so its entries past
+    # deg(Phi_n) must be reduced; j may reach n and beyond, as x^n does on sector 0.
+    value = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+    js = data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=n))
+    vectors = [(j, data.draw(st.lists(value, min_size=n, max_size=n))) for j in js]
+    ls = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    den = data.draw(st.sampled_from((1, 6, 2**61 - 1)))
+    got = cyclotomic._rotation_sums(n, vectors, sign, den, range(10, 10 + len(ls)), ls)
+    expected = {}
+    for i, l in enumerate(ls, 10):
+        c = sum((Cyc(n, v) * zeta_pow(n, sign * l * j) for j, v in vectors), Cyc.zero(n)) / den
+        if c:
+            expected[i] = c
+    assert got == expected
+    assert all(len(c.num) == phi_degree(n) for c in got.values())

@@ -478,11 +478,11 @@ def reference_preferred_display(e):
 
 
 def _walks(walk, e):
-    """(basis, display) by ``walk``, or the text of its BasisMixError."""
+    """(basis, display) by ``walk``, or the message of its BasisMixError."""
     try:
         basis, display = walk(e)
     except BasisMixError as exc:
-        return str(exc)
+        return exc.message
     return basis, display
 
 
@@ -524,6 +524,20 @@ WALK_TABLE = [
 ]
 
 
+#: Where each basis-mix error of the table is raised: at the node that does
+#: not fit, the first one met in evaluation order.  The reference walks, like
+#: the walk before nodes carried positions, raise every error at 0.
+WALK_ERROR_POSITIONS = {
+    "L(1,0; x[0], 0)": 7, "L(1,0; eps(2), e[0,0])": 11, "L(1,0; 0, gamma(x[0]))": 10,
+    "x[1] + e[0,1]": 7, "u[1,0]*x[0]": 7, "2*sigma[0] - one[1]": 13,
+    "x[0] + e[0,0] + eps(2)": 7, "eps(2) + x[0] + e[0,0]": 4, "eps(2)": 4,
+    "psi[2](zeta)": 7, "psi[0](1/2)": 7, "gamma(u[1,0])": 6, "gamma(e[0,0] + 1)": 6,
+    "gamma(2)": 6, "gamma(gamma(x[0]))": 6, "gamma(u[1,0]) + x[0] + e[0,0]": 6,
+    "gammainv(x[0])": 9, "gammainv(3)": 9, "gammainv(gammainv(u[1,0]))": 9,
+    "gammainv(gamma(x[0]) + x[0])": 23,
+}
+
+
 @pytest.mark.parametrize("n, text", WALK_TABLE)
 def test_the_one_walk_matches_the_two_old_walks(n, text):
     e = _Parser(text, n).parse()
@@ -532,7 +546,8 @@ def test_the_one_walk_matches_the_two_old_walks(n, text):
     if isinstance(expected, str):
         with pytest.raises(BasisMixError) as exc:
             parse(text, n)
-        assert str(exc.value) == expected
+        position = WALK_ERROR_POSITIONS[text]
+        assert str(exc.value) == "%s (at position %d)" % (expected, position)
     else:
         assert parse(text, n) == e
         assert evaluate(e, n)[0] == expected[0]

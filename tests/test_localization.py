@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import math
 import os
@@ -509,8 +510,8 @@ def test_basis_changes_match_reference_on_all_basis_vectors(n):
 
 
 @st.composite
-def _dense(draw, kind):
-    n = draw(st.integers(2, 8))
+def _dense(draw, kind, n_max=8):
+    n = draw(st.integers(2, n_max))
     small = st.integers(-4, 4)
 
     def scalar():
@@ -523,8 +524,9 @@ def _dense(draw, kind):
 
 
 @settings(max_examples=40)
-@given(_dense(("loc", "loc", "sector", "u")))
+@given(_dense(("loc", "loc", "sector", "u"), 12))
 def test_tables_match_reference_on_dense_classes(classes):
+    # n = 9 reduces through Phi_9, 11 is prime and 12 composite.
     a, b, s, u = classes
     assert loc_mul(a, b) == reference_loc_mul(a, b)
     assert gamma(s) == reference_gamma(s)
@@ -565,13 +567,15 @@ def test_adams_composes_and_is_multiplicative_on_dense_classes(classes, k, l):
     assert u_adams(u_mul(u, v), k) == u_mul(u_adams(u, k), u_adams(v, k))
 
 
-TABLES = ("_gamma_columns", "_gamma_inverse_columns", "_loc_mul_table", "_to_u_map",
-          "_from_u_map")
+#: The per-n caches, each with the module that defines it.
+TABLES = {"_loc_mul_table": "localization", "_inverse_weights": "localization",
+          "_tail": "cyclotomic"}
 
 
 def test_tables_are_not_built_at_import():
-    script = ("import virtualk.cli, virtualk.localization as loc; "
-              "print([getattr(loc, t).cache_info().currsize for t in %r])" % (TABLES,))
+    script = ("import importlib, virtualk.cli; "
+              "print([getattr(importlib.import_module('virtualk.' + m), t).cache_info().currsize "
+              "for t, m in %r.items()])" % (TABLES,))
     src = os.path.dirname(os.path.dirname(loc.__file__))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
@@ -580,7 +584,7 @@ def test_tables_are_not_built_at_import():
 
 @pytest.mark.parametrize("table", TABLES)
 def test_cleared_table_rebuilds_the_same(table):
-    build = getattr(loc, table)
+    build = getattr(importlib.import_module("virtualk." + TABLES[table]), table)
     before = build(4)
     build.cache_clear()
     after = build(4)

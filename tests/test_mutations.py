@@ -12,7 +12,7 @@ import virtualk.line_elements as le
 import virtualk.localization as loc
 import virtualk.presentation as pres
 import virtualk.virtual_ring as vr
-from virtualk.coords import Coords, from_terms, grid, sparse, zero
+from virtualk.coords import Coords, from_terms, gen, grid, zero
 from virtualk.cyclotomic import Cyc
 from virtualk.verify import run_verify
 
@@ -84,18 +84,16 @@ def test_planted_loc_mul_weight_is_caught(monkeypatch):
 
 
 def test_planted_gamma_inverse_column_is_caught(monkeypatch):
-    # Double the leading coefficient of the preimage of e[1,1] at n = 3.
-    original = loc._gamma_inverse_columns
-    e11 = grid(3, 1, 1)
+    # Double the leading coefficient of the preimage of e[1,1] at n = 3:
+    # (1/3)[1, zeta^-1, zeta^-2] becomes (1/3)[2, zeta^-1, zeta^-2] on sector 1.
+    original = loc.gamma_inverse
 
-    def planted(n):
-        columns = original(n)
-        if n != 3:
-            return columns
-        positions, entries = columns[e11]
-        return columns[:e11] + ((positions, (entries[0] * 2,) + entries[1:]),) + columns[e11 + 1:]
+    def planted(b):
+        out = original(b)
+        c = b["e[1,1]"] if b.n == 3 else 0
+        return out + gen(3, "sector", "one[1]", c / 3) if c else out
 
-    monkeypatch.setattr(loc, "_gamma_inverse_columns", planted)
+    _plant_everywhere(monkeypatch, original, planted)
     failed = _failed_ids(("product-oracle",))
     assert "product-oracle/n=3/roundtrip-loc/e[1,1]" in failed
     assert "product-oracle/n=3/roundtrip-sector/x[1]" in failed
@@ -106,17 +104,13 @@ def test_planted_gamma_inverse_column_is_caught(monkeypatch):
 
 def test_planted_gamma_jet_convention_is_caught(monkeypatch):
     # Store the value f(1) in e[0,0] instead of f(1) - f'(1) on sector 0.
-    original = loc._gamma_columns
+    original = loc.gamma
 
-    def planted(n):
-        columns = original(n)
-        if n != 3:
-            return columns
-        jets = tuple(sparse([(0, 1)] + [(i, r) for i, r in zip(*col) if i != 0])
-                     for col in columns[:n + 1])
-        return jets + columns[n + 1:]
+    def planted(a):
+        out = original(a)
+        return out + gen(3, "loc", "e[0,0]", out["xe[0,0]"]) if a.n == 3 else out
 
-    monkeypatch.setattr(loc, "_gamma_columns", planted)
+    _plant_everywhere(monkeypatch, original, planted)
     failed = _failed_ids(("product-oracle",))
     assert "product-oracle/n=3/roundtrip-loc/xe[0,0]" in failed
     assert "product-oracle/n=3/roundtrip-sector/x[0]" in failed
