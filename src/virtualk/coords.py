@@ -15,23 +15,23 @@ so loc and u share one n x n grid after the leading e[0,0], whose (0,0) cell
 holds xe[0,0] in loc.  The products live with their rings; this module knows
 the linear structure, the ring units and the shared text form.
 
-A linear map given by sparse columns, one per source coordinate, is
-applied by ``apply_columns``: every product of a coordinate with a column
-entry goes into one ``cyclotomic.Accumulator``, which normalises each output
-coordinate once and hands back canonical terms for ``from_canonical``.  The
-virtual Adams operations are such a map; Gamma, its inverse and the changes
-to and from the semisimple basis are transforms of their own
-(``localization``).
+Every kernel computes in one integer form.  ``numerators`` writes the
+stored coordinates of a class as integer numerator vectors over one common
+denominator; the kernels add integer products to raw sums keyed by output
+position (``cyclotomic._scatter``), and ``from_numerators`` normalises each
+output coordinate once.  Tables read by the kernels are ``Sparse`` columns
+and rows, whose entries ``sparse`` keeps in Z[zeta_n].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import Accumulator, Cyc, format_cyc
+from .cyclotomic import Cyc, _canonical, format_cyc
 
 KINDS = ("sector", "loc", "u", "res")
 
@@ -238,22 +238,32 @@ def basis_vectors(n: int, kind: str) -> tuple[tuple[str, Coords], ...]:
 
 def sparse(entries: Iterable[tuple[int, Cyc | int]]) -> Sparse:
     """The nonzero ones of the (position, entry) pairs ``entries``, as a
-    column: integral entries are stored as ``int``."""
-    nonzero = [(i, c.num[0] if isinstance(c, Cyc) and c.den == 1 and c.is_rational() else c)
-               for i, c in entries if c]
-    return tuple(i for i, _ in nonzero), tuple(c for _, c in nonzero)
+    column: integral entries are stored as ``int``.  An entry must lie in
+    Z[zeta_n], as the kernels multiply numerators only."""
+    nonzero = [(i, c) for i, c in entries if c]
+    for i, c in nonzero:
+        if isinstance(c, Cyc) and c.den != 1:
+            raise ValueError("the entry at position %d is not in Z[zeta_%d]: %s" % (i, c.n, c))
+    return tuple(i for i, _ in nonzero), tuple(
+        c.num[0] if isinstance(c, Cyc) and c.is_rational() else c for _, c in nonzero)
 
 
-def apply_columns(n: int, kind: str, terms: Iterable[tuple[Cyc, int, Sparse]]) -> Coords:
-    """The sum of c * column over ``terms`` of (c, start, column), in basis ``kind``.
+def numerators(a: Coords) -> tuple[int, dict[int, Sequence[int]]]:
+    """(den, nums): the stored coordinates of ``a`` over their least common
+    denominator, the coordinate at position i being nums[i] / den."""
+    terms, den = a.terms, 1
+    for c in terms.values():
+        if den % c.den:
+            den = math.lcm(den, c.den)
+    return den, {i: c.num if c.den == den else [x * (den // c.den) for x in c.num]
+                 for i, c in terms.items()}
 
-    A column's positions count from ``start``.  The products are summed by
-    ``cyclotomic.Accumulator`` and each output coordinate is normalised once.
-    """
-    acc = Accumulator(n)
-    for c, start, (positions, entries) in terms:
-        acc.add(c.num, c.den, start, positions, entries)
-    return from_canonical(n, kind, acc.result())
+
+def from_numerators(n: int, kind: str, sums: dict[int, Sequence[int]], den: int) -> Coords:
+    """The vector with coordinate sums[i] / den at each position i, from raw
+    numerators of length deg(Phi_n): each is normalised once, zeros are dropped."""
+    return from_canonical(n, kind, {i: _canonical(n, s, den) for i, s in sorted(sums.items())
+                                    if any(s)})
 
 
 def power(a: Coords, k: int, mul: Callable[[Coords, Coords], Coords]) -> Coords:

@@ -8,30 +8,26 @@ irreducible over Q, hence every nonzero residue is invertible; reducing
 modulo x^n - 1 instead would introduce zero divisors and leave constants
 like 1/(zeta - 1) undefined.
 
-``Accumulator`` is the multiply-accumulate kernel behind the products and
-the virtual Adams operations (``coords.apply_columns``; directly, the
-localized product and ``virtual_ring.virtual_mul``).  It sums products
-c * r by output position as raw integer numerators over one denominator,
-builds no ``Cyc`` per term, and brings each nonzero sum to lowest terms once
-at the end, so its output is the canonical form the operators would produce
-term by term.
+``_reduce`` is the one reduction modulo Phi_n: it brings raw numerators of
+any length to deg(Phi_n) entries through one table, the rows of x^e mod
+Phi_n for e = deg .. 2n-2, after folding a longer vector by zeta^n = 1.
 
-Integer products have three entry points.  ``_times`` multiplies two
-numerator vectors: a rational factor scales the other vector, and only two
-irrational factors are convolved modulo Phi_n.  ``Cyc`` multiplication,
-``Cyc.inv`` and the ``Accumulator`` all call it.  ``_poly_times`` multiplies
-two polynomials in x and zeta given as integer terms, one flat loop over the
-pairs of terms and one fold per power of x; ``virtual_ring.virtual_mul``
-calls it once per pair of sectors.  Both fold the powers of zeta past
-deg(Phi_n) back through one table, ``_fold``.  ``_rotation_sums`` is the
-discrete Fourier transform behind Gamma, its inverse and the changes to and
-from the semisimple basis: sums of c_j * zeta^(+-lj) for integer vectors
-c_j.  It sums in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and
-reduces and normalises each sum once.  That is exact because Phi_n divides
-x^n - 1, so the reduction is a ring map and nothing is divided before it; a
-``Cyc`` itself must stay modulo Phi_n, where every nonzero value is
-invertible.  ``_canonical`` normalises raw numerators for the closed-form
-terms around the transforms.
+``_times`` multiplies two numerator vectors: a rational factor scales the
+other vector, and only two irrational factors are convolved.  ``_scatter``
+is the multiply-accumulate step of the products and the virtual Adams
+operations: it adds num * r by output position for table entries r in
+Z[zeta_n] to raw sums that share one denominator (the integer form of
+``coords.numerators`` and ``coords.from_numerators``), so it builds no
+``Cyc`` and merges no denominators.  ``_poly_times`` multiplies two
+polynomials in x and zeta given as integer terms, one flat loop over the
+pairs of terms and one reduction per power of x; ``virtual_ring.virtual_mul``
+calls it once per pair of sectors.  ``_rotation_sums`` is the discrete
+Fourier transform behind Gamma, its inverse and the changes to and from the
+semisimple basis: sums of c_j * zeta^(+-lj) for integer vectors c_j.  It
+sums in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and reduces and
+normalises each sum once.  That is exact because Phi_n divides x^n - 1, so
+the reduction is a ring map and nothing is divided before it; a ``Cyc``
+itself must stay modulo Phi_n, where every nonzero value is invertible.
 
 ``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients,
 the workhorse for the quotient-ring reductions in the ring modules.
@@ -103,22 +99,34 @@ def _xpow(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_int_coeffs(n: int, coeffs: list[int]) -> list[int]:
-    # Any power vector -> length deg(Phi_n).  zeta^e = zeta^(e mod n) since
-    # Phi_n divides x^n - 1, so exponents are folded before the table rows.
-    deg = phi_degree(n)
-    folded = [0] * n
-    for e, c in enumerate(coeffs):
+@cache
+def _reduction(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
+    # deg(Phi_n), and for each e = deg .. 2n-2 the nonzero entries (i, r) of
+    # the row of x^e mod Phi_n.
+    deg, table = phi_degree(n), _xpow(n)
+    return deg, tuple((e, tuple((i, r) for i, r in enumerate(table[e % n]) if r))
+                      for e in range(deg, 2 * n - 1))
+
+
+def _reduce(n: int, raw: list[int]) -> list[int]:
+    # The integers raw[e], coefficients of x^e, modulo Phi_n: deg(Phi_n)
+    # numerators, unnormalised.  A vector longer than 2n-1 is first folded to
+    # length n, as x^n = 1 modulo Phi_n, a divisor of x^n - 1.
+    deg, rows = _reduction(n)
+    size = len(raw)
+    if size <= deg:
+        return raw + [0] * (deg - size)
+    if size >= 2 * n:
+        folded = raw[:n]
+        for e in range(n, size):
+            folded[e % n] += raw[e]
+        raw, size = folded, n
+    out = raw[:deg]
+    for e, row in rows[:size - deg]:
+        c = raw[e]
         if c:
-            folded[e % n] += c
-    out = [0] * deg
-    table = _xpow(n)
-    for e in range(n):
-        c = folded[e]
-        if c:
-            row = table[e]
-            for i in range(deg):
-                out[i] += c * row[i]
+            for i, r in row:
+                out[i] += c * r
     return out
 
 
@@ -134,18 +142,6 @@ def _normalized(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
             num = [c // g for c in num]
             den //= g
     return tuple(num), den
-
-
-@cache
-def _fold(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    # For each power e = deg .. 2*deg - 2 that a product of two reduced
-    # vectors reaches, the nonzero entries (i, r) of the row of x^e mod Phi_n.
-    deg = phi_degree(n)
-    table = _xpow(n)
-    return tuple(
-        (e, tuple((i, r) for i, r in enumerate(table[e % n]) if r))
-        for e in range(deg, 2 * deg - 1)
-    )
 
 
 _MIXED = "mixed cyclotomic orders: %d vs %d"
@@ -168,7 +164,7 @@ class Cyc:
             raise ValueError("n must be a positive integer")
         # operator.index rejects floats and Fractions instead of truncating
         # them; a rational value is an integer vector over a common den.
-        num = _reduce_int_coeffs(n, [operator.index(c) for c in coeffs])
+        num = _reduce(n, [operator.index(c) for c in coeffs])
         num_t, den = _normalized(num, operator.index(den))
         _set_n(self, n)
         _set_num(self, num_t)
@@ -314,7 +310,7 @@ class Cyc:
                 conjugate = [0] * n
                 for e, c in enumerate(num):
                     conjugate[e * j % n] += c
-                p = _times(n, p, _reduce_int_coeffs(n, conjugate))
+                p = _times(n, p, _reduce(n, conjugate))
         norm = _times(n, num, p)[0]
         return _raw(n, *_normalized([self.den * c for c in p], norm))
 
@@ -372,22 +368,14 @@ def _scaled(n: int, num: tuple[int, ...], den: int, k: int) -> Cyc:
 
 def _convolve(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     # a * b modulo Phi_n, unnormalised: schoolbook convolution over the nonzero
-    # entries of both vectors, then the powers past deg(Phi_n) folded back
-    # through x^e mod Phi_n.
-    deg = len(a)
-    conv = [0] * (2 * deg - 1)
+    # entries of both vectors, then one reduction.
+    conv = [0] * (2 * len(a) - 1)
     b_nz = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
             for j, y in b_nz:
                 conv[i + j] += x * y
-    out = conv[:deg]
-    for e, row in _fold(n):
-        c = conv[e]
-        if c:
-            for i, r in row:
-                out[i] += c * r
-    return out
+    return _reduce(n, conv)
 
 
 def _times(n: int, a: Sequence[int], b: Sequence[int],
@@ -407,15 +395,6 @@ def _times(n: int, a: Sequence[int], b: Sequence[int],
     return _convolve(n, a, b)
 
 
-@cache
-def _tail(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    # For each position p = deg .. n-1 of a vector modulo x^n - 1, the nonzero
-    # entries (i, r) of the row of x^p mod Phi_n.
-    table = _xpow(n)
-    return tuple((p, tuple((i, r) for i, r in enumerate(table[p]) if r))
-                 for p in range(phi_degree(n), n))
-
-
 def _rotation_sums(n: int, pairs: Iterable[tuple[int, list[int]]], sign: int, den: int,
                    positions: Iterable[int], ls: Iterable[int]) -> dict[int, Cyc]:
     # For each l in ls, (sum of v * zeta^(sign*l*j) over the pairs (j, v)) / den
@@ -423,9 +402,8 @@ def _rotation_sums(n: int, pairs: Iterable[tuple[int, list[int]]], sign: int, de
     # left out.  Each v is a length-n integer list, the coefficients of
     # x^0 .. x^(n-1) of an element of Z[x]/(x^n - 1), where multiplying by
     # x^t rotates the list by t: each pair costs one slice of v + v per l,
-    # and the first pair's slice is the sum when no other pair follows.  The
-    # sum is reduced through the rows of x^p mod Phi_n for p = deg .. n-1.
-    n2, deg, tail = 2 * n, phi_degree(n), _tail(n)
+    # and the first pair's slice is the sum when no other pair follows.
+    n2 = 2 * n
     (j0, d0), *rest = [(j, v + v) for j, v in pairs]
     out = {}
     for i, l in zip(positions, ls):
@@ -434,12 +412,7 @@ def _rotation_sums(n: int, pairs: Iterable[tuple[int, list[int]]], sign: int, de
         total = d0[s:s + n]
         if rest:
             total = list(map(sum, zip(total, *[d[n - t * j % n:n2 - t * j % n] for j, d in rest])))
-        num = total[:deg]
-        for p, row in tail:
-            c = total[p]
-            if c:
-                for k, r in row:
-                    num[k] += c * r
+        num = _reduce(n, total)
         if any(num):
             out[i] = _raw(n, *_normalized(num, den))
     return out
@@ -457,8 +430,8 @@ def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
     # of x^j zeta^i with i < deg(Phi_n).  Returns (s, numerators of x^s) for
     # each s whose row of products is nonzero, ascending in s.  Term (j, i)
     # sits at j * w + i of one flat list, with rows w = 2*deg - 1 wide so that
-    # sums never carry into the next row.  A row is folded through x^e mod
-    # Phi_n only when it reaches deg(Phi_n), never for two rational factors.
+    # sums never carry into the next row.  A row is reduced modulo Phi_n only
+    # when it reaches deg(Phi_n), never for two rational factors.
     deg = phi_degree(n)
     w = 2 * deg - 1
     ja, jb = min(a)[0], min(b)[0]
@@ -470,77 +443,30 @@ def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
             flat[k + kb] += v * vb
     out = []
     for s in range(0, len(flat), w):
-        num = flat[s:s + deg]
         if any(flat[s + deg:s + w]):
-            for e, row in _fold(n):
-                c = flat[s + e]
-                if c:
-                    for i, r in row:
-                        num[i] += c * r
-        elif not any(num):
-            continue
+            num = _reduce(n, flat[s:s + w])
+        else:
+            num = flat[s:s + deg]
+            if not any(num):
+                continue
         out.append((ja + jb + s // w, num))
     return out
 
 
-class Accumulator:
-    """Sums of products c * r by integer position, normalised once per position.
-
-    A position holds a raw integer numerator list over a positive denominator,
-    neither reduced.  ``add`` builds no ``Cyc``: an ``int`` entry scales the
-    numerators, and a ``Cyc`` entry meets them through ``_times``.  Equal
-    denominators add entrywise; different ones meet over their lcm, at the
-    cost of one gcd.
-    """
-
-    __slots__ = ("n", "sums")
-
-    def __init__(self, n: int):
-        self.n = n
-        #: position -> [raw numerators, positive denominator]
-        self.sums: dict[int, list] = {}
-
-    def add(self, num: Sequence[int], den: int, start: int,
-            positions: Iterable[int], entries: Iterable[Cyc | int]) -> None:
-        """Add (num/den) * entries[k] at position start + positions[k] for every k.
-
-        ``num`` is a numerator vector of length deg(Phi_n) over ``den`` > 0, in
-        any terms; the entries are ``int`` or ``Cyc`` of order n.
-        """
-        n, sums = self.n, self.sums
-        rational = not any(num[1:])
-        for offset, r in zip(positions, entries):
-            if r.__class__ is int:
-                p, d = (num if r == 1 else [x * r for x in num]), den
-            else:
-                p, d = _times(n, num, r.num, rational), den * r.den
-            i = start + offset
-            slot = sums.get(i)
-            if slot is None:
-                sums[i] = [p, d]
-            elif slot[1] == d:
-                slot[0] = list(map(operator.add, slot[0], p))
-            else:
-                d0 = slot[1]
-                g = math.gcd(d0, d)
-                s, t = d // g, d0 // g
-                slot[0] = [x * s + y * t for x, y in zip(slot[0], p)]
-                slot[1] = d0 * s
-
-    def add_product(self, a: Cyc, b: Cyc, start: int,
-                    positions: Iterable[int], entries: Iterable[Cyc | int]) -> None:
-        """``add`` with the scalar a * b, passed on as raw numerators."""
-        self.add(_times(self.n, a.num, b.num), a.den * b.den, start, positions, entries)
-
-    def result(self) -> dict[int, Cyc]:
-        """The nonzero sums by ascending position, each normalised once."""
-        n, sums = self.n, self.sums
-        out = {}
-        for i in sorted(sums):
-            num, den = sums[i]
-            if any(num):
-                out[i] = _raw(n, *_normalized(num, den))
-        return out
+def _scatter(n: int, sums: dict[int, list[int]], num: Sequence[int], rational: bool, start: int,
+             positions: Iterable[int], entries: Iterable[Cyc | int]) -> None:
+    # Add num * entries[k] to the raw numerators sums[start + positions[k]]
+    # for every k.  The entries are ints or Cyc in Z[zeta_n] (``coords.sparse``
+    # refuses others), so every sum keeps the one denominator of num;
+    # ``rational`` says that num is zero past its constant term.
+    for offset, r in zip(positions, entries):
+        if r.__class__ is int:
+            p = num if r == 1 else [x * r for x in num]
+        else:
+            p = _times(n, num, r.num, rational)
+        i = start + offset
+        s = sums.get(i)
+        sums[i] = p if s is None else list(map(operator.add, s, p))
 
 
 @cache

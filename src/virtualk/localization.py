@@ -11,11 +11,15 @@ no rational-function arithmetic exists anywhere.
 Gamma, its inverse and the changes to and from the semisimple basis are
 discrete Fourier transforms over Z[zeta_n], one per sector or per row, plus
 a few closed-form terms on the block (0,0).  Each transform is one call of
-``cyclotomic._rotation_sums`` on the block's integer numerators over their
-common denominator, so every output coordinate is reduced and normalised
-once and no scalar product is formed per entry.
+``cyclotomic._rotation_sums`` on the block's integer numerators, grouped by
+``_blocks`` from the class's numerators over one common denominator
+(``coords.numerators``), so every output coordinate is reduced and
+normalised once and no scalar product is formed per entry.
 
-``loc_mul`` is the localized product table.  ``loc_adams`` and ``u_adams``
+``loc_mul`` is the localized product table: the products of the meeting
+coordinates' numerators are scattered through its entries, integers and the
+weights w_l and w_l^2 in Z[zeta_n] (``cyclotomic._scatter``), and each output
+coordinate is normalised once.  ``loc_adams`` and ``u_adams``
 are the Adams operations, the pullback along s -> k*s (mod n): each output
 coordinate with character index s reads the input coordinate with index
 k*s mod n.  Beyond k mod n they depend on k only through the linear factors
@@ -31,15 +35,14 @@ built at import.
 
 from __future__ import annotations
 
-import math
 from functools import cache
 from operator import add, mul, sub
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .coords import (Coords, Sparse, basis, from_canonical, from_terms, grid, sector_start, sparse,
-                     unit)
-from .cyclotomic import (Accumulator, Cyc, _canonical, _reduce_int_coeffs, _rotation_sums,
-                         phi_degree, zeta_pow)
+from .coords import (Coords, Sparse, basis, from_canonical, from_numerators, from_terms, grid,
+                     numerators, sector_start, sparse, unit, zero)
+from .cyclotomic import (Cyc, _canonical, _reduce, _rotation_sums, _scatter, _times, phi_degree,
+                         zeta_pow)
 
 
 @cache
@@ -60,21 +63,17 @@ def _adams_weight(n: int, l: int, s: int) -> Cyc:
     return _w(n, l) * _w_inv(n, s)
 
 
-def _blocks(n: int, terms: Iterable[tuple[int, int, Cyc]]
-            ) -> dict[int, tuple[list[int], list[list[int]], int]]:
-    # (block, index, value) triples grouped by block, in order of first
-    # appearance: the indices, the values over their least common
-    # denominator as length-n integer lists (numerators padded with zeros),
-    # the input form of ``cyclotomic._rotation_sums``, and that denominator.
-    groups: dict[int, list[tuple[int, Cyc]]] = {}
-    for block, index, c in terms:
-        groups.setdefault(block, []).append((index, c))
+def _blocks(n: int, items: Iterable[tuple[int, int, Sequence[int]]]
+            ) -> dict[int, tuple[list[int], list[list[int]]]]:
+    # (block, index, numerators) triples, all over one denominator
+    # (``coords.numerators``), grouped by block in order of first appearance:
+    # the indices and the numerators padded with zeros to length n, the input
+    # form of ``cyclotomic._rotation_sums``.
     pad, out = [0] * (n - phi_degree(n)), {}
-    for block, pairs in groups.items():
-        den = math.lcm(*(c.den for _, c in pairs))
-        out[block] = [index for index, _ in pairs], [
-            [x * (den // c.den) for x in c.num] + pad if c.den != den else [*c.num, *pad]
-            for _, c in pairs], den
+    for block, index, num in items:
+        indices, vectors = out.setdefault(block, ([], []))
+        indices.append(index)
+        vectors.append([*num, *pad])
     return out
 
 
@@ -99,7 +98,7 @@ def _inverse_weights(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             coeffs = [0] * n
             for k in range(n):
                 coeffs[(p - l * k) % n] -= k
-            rows.append(_reduce_int_coeffs(n, coeffs))
+            rows.append(_reduce(n, coeffs))
         out.append(tuple(zip(*rows)))
     return tuple(out)
 
@@ -124,8 +123,9 @@ def gamma(a: Coords) -> Coords:
     """
     a.check_kind("sector")
     n, json, out = a.n, a.basis.json, {}
-    for m, (js, vectors, den) in _blocks(n, ((json[i][1], json[i][2], c)
-                                             for i, c in a.terms.items())).items():
+    den, nums = numerators(a)
+    for m, (js, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
+                                        for i, v in nums.items())).items():
         if m == 0:
             columns = list(zip(*vectors))[:phi_degree(n)]
             slope = [sum(map(mul, js, col)) for col in columns]
@@ -161,15 +161,15 @@ def gamma_inverse(b: Coords) -> Coords:
     """
     b.check_kind("loc")
     n, json, out = b.n, b.basis.json, {}
-    for m, (ls, vectors, den) in _blocks(n, ((json[i][1], json[i][2], c)
-                                             for i, c in b.terms.items())).items():
+    den, nums = numerators(b)
+    for m, (ls, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
+                                        for i, v in nums.items())).items():
         start = sector_start(n, m)
         if m:
             out.update(_rotation_sums(n, zip(ls, vectors), -1, den * n,
                                       range(start, start + n), range(n)))
             continue
-        b0, b1 = ([x * (den // c.den) for x in c.num] if c else [0] * phi_degree(n)
-                  for c in (b.terms.get(0), b.terms.get(1)))
+        b0, b1 = (nums.get(i, (0,) * phi_degree(n)) for i in (0, 1))
         first = [n * (n + 1) // 2 * x + n * (n - 1) // 2 * y for x, y in zip(b0, b1)]
         weights = _inverse_weights(n)
         for l, v in zip(ls, vectors):
@@ -228,18 +228,20 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
     twisted group ring: 1_0l is the row unit and twisted generators multiply
     with weight 1 - zeta^(-l), squared when the sector indices sum to n.
     Cross-row products vanish.  Each nonzero coordinate of ``a`` meets only
-    the nonzero coordinates of ``b`` that its table entry lists.
+    the nonzero coordinates of ``b`` that its table entry lists, and the
+    factors are written as numerators only when some pair meets.
     """
     a.check_kind("loc")
     a.check(b)
-    n, B, table = a.n, b.terms, _loc_mul_table(a.n)
-    acc = Accumulator(n)
-    for i, ca in a.terms.items():
-        for j, product in zip(*table[i]):
-            cb = B.get(j)
-            if cb is not None:
-                acc.add_product(ca, cb, 0, *product)
-    return from_canonical(n, "loc", acc.result())
+    n, table = a.n, _loc_mul_table(a.n)
+    meets = [(i, j, product) for i in a.terms for j, product in zip(*table[i]) if j in b.terms]
+    if not meets:
+        return zero(n, "loc")
+    (da, A), (db, B), sums = numerators(a), numerators(b), {}
+    for i, j, product in meets:
+        p = _times(n, A[i], B[j])
+        _scatter(n, sums, p, not any(p[1:]), 0, *product)
+    return from_numerators(n, "loc", sums, da * db)
 
 
 def loc_augmentation(a: Coords) -> Coords:
@@ -298,9 +300,10 @@ def from_u_basis(b: Coords) -> Coords:
     out = {0: B.get(0, z) - B.get(1, z), 1: B.get(1, z)}
     out.update((grid(n, json[i][2], 0), c) for i, c in B.items() if 1 < i <= n)
     deg, weights = phi_degree(n), _inverse_weights(n)
+    den, nums = numerators(b)
     pad = [0] * (n - deg)
-    for l, (qs, vectors, den) in _blocks(n, ((json[i][1], json[i][2], c)
-                                             for i, c in B.items() if i > n)).items():
+    for l, (qs, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
+                                        for i, v in nums.items() if i > n)).items():
         _put(out, n, grid(n, 0, l), [sum(col) for col in zip(*vectors)][:deg], den * n)
         weighted = [(q, _weighted(v, weights[l - 1]) + pad) for q, v in zip(qs, vectors)]
         out.update(_rotation_sums(n, weighted, -1, den * n * n,
@@ -320,8 +323,9 @@ def to_u_basis(a: Coords) -> Coords:
     z = Cyc.zero(n)
     out = {0: A.get(0, z) + A.get(1, z), 1: A.get(1, z)}
     out.update((grid(n, 0, json[i][1]), c) for i, c in A.items() if i > 1 and not json[i][2])
-    for l, (ms, vectors, den) in _blocks(n, ((json[i][2], json[i][1], c)
-                                             for i, c in A.items() if json[i][2])).items():
+    den, nums = numerators(a)
+    for l, (ms, vectors) in _blocks(n, ((json[i][2], json[i][1], v)
+                                        for i, v in nums.items() if json[i][2])).items():
         weighted = [(m, list(map(sub, v, (v + v)[l:l + n])) if m else v)
                     for m, v in zip(ms, vectors)]
         out.update(_rotation_sums(n, weighted, 1, den, range(grid(n, l, 0), grid(n, l, n)),

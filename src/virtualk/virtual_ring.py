@@ -21,22 +21,24 @@ of one monomial x_m^j under psi~^k.
 Rows and columns are ``coords.Sparse``: parallel tuples of offsets and
 coefficients, integral coefficients stored as ``int``.
 
-The product writes each sector of a factor over one common denominator as
+Both compute in the integer form of ``coords.numerators``: each factor over
+one common denominator.  The product writes each sector of a factor as
 integer terms in x and zeta, multiplies each pair of nonzero sectors in one
 integer product (``cyclotomic._poly_times``), and scatters the coefficient
-of each power of x through its Euler row, so it builds no ``Cyc`` and
-convolves no numerator vectors per pair of coefficients.
+of each power of x through its Euler row (``cyclotomic._scatter``), so it
+builds no ``Cyc`` and convolves no numerator vectors per pair of
+coefficients.  The Adams operation scatters each coordinate through its
+column.  ``coords.from_numerators`` normalises each output coordinate once.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .coords import (Coords, Sparse, apply_columns, from_canonical, from_terms, sector_start, sparse,
+from .coords import (Coords, Sparse, from_numerators, from_terms, numerators, sector_start, sparse,
                      unit)
-from .cyclotomic import Accumulator, Cyc, CycPoly, _poly_times
+from .cyclotomic import Cyc, CycPoly, _poly_times, _scatter
 from .sector_ring import (
     bott_class,
     reduce_coeffs,
@@ -96,42 +98,35 @@ def _pair_rows(euler, n: int, m1: int, m2: int) -> tuple[int, tuple[Sparse, ...]
     return sector_start(n, t), _euler_rows(euler(n, m1, m2), t == 0)
 
 
-def _terms(a: Coords) -> dict[int, tuple[int, list[tuple[int, int, int]]]]:
-    # Sector m -> (d, terms): the coefficients of x_m^j stored in ``a`` over
-    # their least common denominator d, as integer terms (j, i, v) with v/d
-    # the coefficient of x_m^j zeta^i.
-    coeffs: dict[int, list[tuple[int, Cyc]]] = {}
-    json = a.basis.json
-    for i, c in a.terms.items():
-        _, m, j = json[i]
-        coeffs.setdefault(m, []).append((j, c))
-    out = {}
-    for m, cs in coeffs.items():
-        d = math.lcm(*(c.den for _, c in cs))
-        out[m] = d, [(j, i, v * (d // c.den)) for j, c in cs for i, v in enumerate(c.num) if v]
-    return out
-
-
 def virtual_mul(a: Coords, b: Coords) -> Coords:
     """Bilinear extension of the monomial product with its Euler factor.
 
     Each pair of nonzero sectors is multiplied as two polynomials in x and
     zeta with integer coefficients (``cyclotomic._poly_times``), over the
-    product of the sectors' common denominators.  The coefficient of each
-    exponent sum s is scattered through row s of the Euler rows into one
-    ``cyclotomic.Accumulator``, so each output coordinate is normalised once.
+    product of the factors' common denominators.  The coefficient of each
+    exponent sum s is scattered through row s of the Euler rows.
     """
     a.check_kind("sector")
     a.check(b)
-    n = a.n
-    terms_b = _terms(b)
-    out = Accumulator(n)
-    for m1, (d1, t1) in _terms(a).items():
-        for m2, (d2, t2) in terms_b.items():
+    n, json, factors = a.n, a.basis.json, []
+    for c in (a, b):
+        den, nums = numerators(c)
+        sectors: dict[int, list[tuple[int, int, int]]] = {}
+        for i, num in nums.items():
+            _, m, j = json[i]
+            terms = sectors.setdefault(m, [])
+            for k, v in enumerate(num):
+                if v:
+                    terms.append((j, k, v))
+        factors.append((den, sectors))
+    (da, sectors_a), (db, sectors_b) = factors
+    sums: dict[int, list[int]] = {}
+    for m1, t1 in sectors_a.items():
+        for m2, t2 in sectors_b.items():
             start, rows = _pair_rows(euler_factor, n, m1, m2)
             for s, num in _poly_times(n, t1, t2):
-                out.add(num, d1 * d2, start, *rows[s])
-    return from_canonical(n, "sector", out.result())
+                _scatter(n, sums, num, not any(num[1:]), start, *rows[s])
+    return from_numerators(n, "sector", sums, da * db)
 
 
 @lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)
@@ -155,9 +150,12 @@ def virtual_adams(a: Coords, k: int) -> Coords:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("sector")
     n, json = a.n, a.basis.json
-    return apply_columns(n, "sector", (
-        (c, sector_start(n, json[i][1]), _adams_column(n, json[i][1], json[i][2], k))
-        for i, c in a.terms.items()))
+    den, nums = numerators(a)
+    sums: dict[int, list[int]] = {}
+    for i, num in nums.items():
+        _, m, j = json[i]
+        _scatter(n, sums, num, not any(num[1:]), sector_start(n, m), *_adams_column(n, m, j, k))
+    return from_numerators(n, "sector", sums, den)
 
 
 def virtual_augmentation(a: Coords) -> Coords:

@@ -1,25 +1,28 @@
-"""The multiply-accumulate kernel behind every linear map and the virtual product.
+"""The integer form behind the products and the virtual Adams operations.
 
-``cyclotomic.Accumulator`` sums raw numerators and normalises each output
-coordinate once.  The term-by-term sum it replaced is kept here as the
+``cyclotomic._scatter`` adds integer products to raw numerators over one
+denominator, and ``coords.from_numerators`` normalises each output
+coordinate once.  The term-by-term sum they replaced is kept here as the
 reference: every term there builds a canonical ``Cyc`` for its product and
-another for its sum, so equal results show that the kernel's single
-normalisation lands on the same canonical scalars.
+another for its sum, so equal results show that the single normalisation
+lands on the same canonical scalars.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virtualk.cyclotomic as cyclotomic
 from test_virtual_ring import reference_mul
-from virtualk.coords import Coords, apply_columns, basis, basis_vectors, from_terms, grid, sparse
+from virtualk.coords import (Coords, basis, basis_vectors, from_numerators, from_terms, grid,
+                             sparse)
 from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
 from virtualk.localization import from_u_basis, gamma, gamma_inverse, loc_mul, to_u_basis
-from virtualk.virtual_ring import k_monomial, virtual_mul
+from virtualk.virtual_ring import k_monomial, virtual_adams, virtual_mul
 
-#: Denominators 1, 2, 3, 6 and a large prime, so sums meet over an lcm.
+#: Class denominators 1, 2, 3, 6 and a large prime, so terms meet over an lcm.
 DENOMINATORS = (1, 2, 3, 6, 1_000_003)
 
 
@@ -31,6 +34,16 @@ def reference_apply_columns(n, kind, terms):
             i, v = start + offset, c if r == 1 else c * r
             out[i] = out[i] + v if i in out else v
     return from_terms(n, kind, out)
+
+
+def scatter_columns(n, kind, terms):
+    """The same sum through the kernels: every c over the terms' common
+    denominator, each product scattered by ``_scatter``, normalised once."""
+    den, sums = math.lcm(*[c.den for c, _, _ in terms]), {}
+    for c, start, column in terms:
+        num = [x * (den // c.den) for x in c.num]
+        cyclotomic._scatter(n, sums, num, c.is_rational(), start, *column)
+    return from_numerators(n, kind, sums, den)
 
 
 def gamma_columns(n):
@@ -69,16 +82,23 @@ def _scalars(draw, n, rational=False):
 
 
 @st.composite
-def _column_terms(draw):
-    """(n, terms) for ``apply_columns`` in sector coordinates.
+def _integral(draw, n):
+    """A scalar of Z[zeta_n], irrational or rational: a table entry."""
+    deg, numerator = phi_degree(n), st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+    top = deg if draw(st.booleans()) else 1
+    return Cyc(n, draw(st.lists(numerator, min_size=top, max_size=top)))
 
-    Column entries mix ``int`` and irrational or rational ``Cyc``; some terms
-    repeat an earlier one negated, so their sums cancel to zero.
+
+@st.composite
+def _column_terms(draw):
+    """(n, terms) of (c, start, column) in sector coordinates.
+
+    Column entries mix ``int`` and ``Cyc`` in Z[zeta_n]; some terms repeat an
+    earlier one negated, so their sums cancel to zero.
     """
     n = draw(st.integers(2, 8))
     size = len(basis(n, "sector").labels)
-    entry = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70),
-                      _scalars(n), _scalars(n, rational=True))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70), _integral(n))
     terms = []
     for _ in range(draw(st.integers(0, 8))):
         if terms and draw(st.booleans()):
@@ -95,9 +115,9 @@ def _column_terms(draw):
 
 @settings(max_examples=300)
 @given(_column_terms())
-def test_apply_columns_matches_the_term_by_term_sum(case):
+def test_scatter_matches_the_term_by_term_sum(case):
     n, terms = case
-    assert _canonical(apply_columns(n, "sector", terms)) == reference_apply_columns(
+    assert _canonical(scatter_columns(n, "sector", terms)) == reference_apply_columns(
         n, "sector", terms)
 
 
@@ -127,8 +147,18 @@ def test_virtual_mul_matches_the_polynomial_product_on_preimage_pairs():
 def test_cancelling_terms_store_nothing():
     n = 7
     c = Cyc(n, [1, -2, 3, 0, 5, 7], 6)
-    column = sparse([(0, 2), (3, c), (5, Cyc.rational(n, 1) / 3)])
-    assert apply_columns(n, "sector", [(c, 1, column), (-c, 1, column)]).terms == {}
+    column = sparse([(0, 2), (3, Cyc(n, [1, -2, 3, 0, 5, 7])), (5, Cyc.rational(n, -4))])
+    assert column[1][2] == -4
+    assert scatter_columns(n, "sector", [(c, 1, column), (-c, 1, column)]).terms == {}
+
+
+def test_a_fractional_table_entry_is_refused():
+    # _scatter multiplies numerators only, so a table entry must lie in Z[zeta_n].
+    n = 7
+    with pytest.raises(ValueError, match="position 3 is not in Z"):
+        sparse([(0, 2), (3, Cyc(n, [1, -2, 3], 2)), (5, Cyc.rational(n, 1))])
+    with pytest.raises(ValueError, match="position 5 is not in Z"):
+        sparse([(5, Cyc.rational(n, 1) / 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +191,11 @@ def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
     a, b = _dense7()
     loc, loc_b = gamma(a), gamma(b)
     u = to_u_basis(loc)
-    # The tables are built once per n, outside the count.
-    from_u_basis(u), loc_mul(loc, loc_b)
+    # The tables and the Adams columns are built once per n, outside the count.
+    from_u_basis(u), loc_mul(loc, loc_b), virtual_adams(a, 2), virtual_adams(a, 3)
     for fn, args in ((gamma, (a,)), (gamma_inverse, (loc,)), (to_u_basis, (loc,)),
-                     (from_u_basis, (u,)), (loc_mul, (loc, loc_b))):
+                     (from_u_basis, (u,)), (loc_mul, (loc, loc_b)), (virtual_adams, (a, 2)),
+                     (virtual_adams, (a, 3))):
         out, calls = _count_normalized(monkeypatch, fn, *args)
         assert 0 < calls <= len(out.terms), fn.__name__
     # The guard can fail: the term-by-term sum normalises once per term.

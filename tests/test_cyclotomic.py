@@ -359,7 +359,7 @@ def test_rational_rejects_floats_and_strings():
 
 def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
     # One product rule: Cyc multiplication of two irrational scalars, the norm
-    # products of Cyc.inv and Accumulator.add with a Cyc entry all call _times.
+    # products of Cyc.inv and _scatter with a Cyc entry all call _times.
     import virtualk.cyclotomic as cyclotomic
 
     calls = []
@@ -371,17 +371,31 @@ def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "_times", counted)
     n = 7
-    a, b = zeta_pow(n, 1) + 2, zeta_pow(n, 3) - Fraction(1, 3)
+    a, b = zeta_pow(n, 1) + 2, zeta_pow(n, 3) - 5
     product = a * b
     assert calls == [(a.num, b.num)]
     calls.clear()
     assert a.inv() * a == Cyc.one(n)
     assert len(calls) >= phi_degree(n)
     calls.clear()
-    acc = cyclotomic.Accumulator(n)
-    acc.add(a.num, a.den, 0, (0, 1), (b, 3))
+    sums = {}
+    cyclotomic._scatter(n, sums, a.num, False, 1, (0, 1), (b, 3))
     assert calls == [(a.num, b.num)]
-    assert acc.result() == {0: product, 1: 3 * a}
+    assert {i: Cyc(n, s) for i, s in sums.items()} == {1: product, 2: 3 * a}
+
+
+@settings(max_examples=200)
+@given(st.data(), st.integers(1, 12))
+def test_reduce_matches_the_rows_of_x_to_the_e(data, n):
+    # Any length: short vectors are padded, vectors past 2n - 1 are folded
+    # by x^n = 1 first, as Cyc(n, coeffs) accepts coefficient lists of any length.
+    value = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+    raw = data.draw(st.lists(value, max_size=3 * n))
+    expected = [0] * phi_degree(n)
+    for e, c in enumerate(raw):
+        for i, r in enumerate(_xpow(n)[e % n]):
+            expected[i] += c * r
+    assert cyclotomic._reduce(n, list(raw)) == expected
 
 
 @settings(max_examples=100)

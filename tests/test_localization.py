@@ -569,7 +569,7 @@ def test_adams_composes_and_is_multiplicative_on_dense_classes(classes, k, l):
 
 #: The per-n caches, each with the module that defines it.
 TABLES = {"_loc_mul_table": "localization", "_inverse_weights": "localization",
-          "_tail": "cyclotomic"}
+          "_reduction": "cyclotomic"}
 
 
 def test_tables_are_not_built_at_import():
