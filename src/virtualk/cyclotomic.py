@@ -8,6 +8,15 @@ irreducible over Q, hence every nonzero residue is invertible; reducing
 modulo x^n - 1 instead would introduce zero divisors and leave constants
 like 1/(zeta - 1) undefined.
 
+One scalar contract: a ``Cyc`` computes with and equals only a ``Cyc`` of
+its own order.  Arithmetic across two orders raises ``ValueError`` and
+equality across them is ``False``; an ``int`` or ``Fraction`` operand is a
+``TypeError`` and never equals a ``Cyc``, so equal values hash equally and
+equality is transitive.  Integers and fractions enter only where they are
+converted: ``Cyc.rational``, the ``Cyc`` constructor, ``Cyc.scale_int``,
+``coords.gen``, ``Coords.scale``, ``line_elements.line_element``,
+``CycPoly.from_ints`` and ``CycPoly.scale``.
+
 ``_reduce`` is the one reduction modulo Phi_n: it brings raw numerators of
 any length to deg(Phi_n) entries through one table, the rows of x^e mod
 Phi_n for e = deg .. 2n-2, after folding a longer vector by zeta^n = 1.
@@ -29,8 +38,10 @@ normalises each sum once.  That is exact because Phi_n divides x^n - 1, so
 the reduction is a ring map and nothing is divided before it; a ``Cyc``
 itself must stay modulo Phi_n, where every nonzero value is invertible.
 
-``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients,
-the workhorse for the quotient-ring reductions in the ring modules.
+``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients.
+It only derives the sector tables (the Euler factors, the Adams images with
+their Bott classes) and the ``x[m]^a`` atoms; the products themselves run
+on integer numerators.
 """
 
 from __future__ import annotations
@@ -150,11 +161,11 @@ _MIXED = "mixed cyclotomic orders: %d vs %d"
 class Cyc:
     """An element of Q(zeta_n): integer numerator vector over one denominator.
 
-    The arithmetic operators take a fast path by operand kind: a zero operand
-    returns at once, an ``int`` or a ``Fraction`` scales the numerator vector
-    by one integer, and two ``Cyc`` operands meet through ``_times``, which
-    convolves modulo Phi_n only when neither is rational.  Results are
-    canonical either way.
+    A closed type: ``+``, ``-``, ``*`` and ``==`` take only a ``Cyc`` of the
+    same order.  Another order raises ``ValueError`` or compares unequal; an
+    ``int`` or ``Fraction`` operand raises ``TypeError`` or compares unequal.
+    A zero operand returns at once; two others meet through ``_times``, which
+    convolves modulo Phi_n only when neither is rational.
     """
 
     __slots__ = ("n", "num", "den")
@@ -205,92 +216,58 @@ class Cyc:
             raise ValueError("not a rational scalar: %s" % self)
         return Fraction(self.num[0], self.den)
 
-    def _coerce(self, other) -> "Cyc | None":
-        if isinstance(other, Cyc):
-            if other.n != self.n:
-                raise ValueError(_MIXED % (self.n, other.n))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyc.rational(self.n, other)
-        return None
-
     def __bool__(self) -> bool:
         return any(self.num)
 
     def __eq__(self, other) -> bool:
-        # Comparing with an int builds no Cyc: tables test entries against 1.
-        if other.__class__ is int:
-            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(self.n, other)
         if not isinstance(other, Cyc):
             return NotImplemented
         return self.n == other.n and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # Rational values compare equal to their int/Fraction, so hash like it;
-        # an integer hashes as the int, which equals hash(Fraction(k)).
-        num = self.num
-        if not any(num[1:]):
-            return hash(num[0]) if self.den == 1 else hash(Fraction(num[0], self.den))
-        return hash((self.n, num, self.den))
+        return hash((self.n, self.num, self.den))
 
     def __neg__(self) -> "Cyc":
         return _raw(self.n, tuple(-c for c in self.num), self.den)
 
-    def __add__(self, other) -> "Cyc":
+    def __add__(self, other: "Cyc") -> "Cyc":
         return self._combine(other, operator.add)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Cyc":
+    def __sub__(self, other: "Cyc") -> "Cyc":
         return self._combine(other, operator.sub)
 
-    def __rsub__(self, other) -> "Cyc":
-        diff = self._combine(other, operator.sub)
-        return diff if diff is NotImplemented else -diff
-
-    def _combine(self, other, op) -> "Cyc":
+    def _combine(self, other: "Cyc", op) -> "Cyc":
         # self + other or self - other, as op is operator.add or operator.sub.
+        if not isinstance(other, Cyc):
+            return NotImplemented
         n, a, da = self.n, self.num, self.den
-        if isinstance(other, Cyc):
-            if other.n != n:
-                raise ValueError(_MIXED % (n, other.n))
-            b, db = other.num, other.den
-            if not any(b):
-                return self
-            if op is operator.add and not any(a):
-                return other
-            if da == db:
-                return _raw(n, *_normalized(list(map(op, a, b)), da))
-            return _raw(n, *_normalized(
-                [op(x * db, y * da) for x, y in zip(a, b)], da * db))
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self
-            q = other.denominator
-            num = [x * q for x in a]
-            num[0] = op(num[0], other.numerator * da)
-            return _raw(n, *_normalized(num, da * q))
-        return NotImplemented
+        if other.n != n:
+            raise ValueError(_MIXED % (n, other.n))
+        b, db = other.num, other.den
+        if not any(b):
+            return self
+        if op is operator.add and not any(a):
+            return other
+        if da == db:
+            return _raw(n, *_normalized(list(map(op, a, b)), da))
+        return _raw(n, *_normalized([op(x * db, y * da) for x, y in zip(a, b)], da * db))
 
-    def __mul__(self, other) -> "Cyc":
-        n, a = self.n, self.num
-        if isinstance(other, Cyc):
-            if other.n != n:
-                raise ValueError(_MIXED % (n, other.n))
-            b = other.num
-            if not (any(a) and any(b)):
-                return Cyc.zero(n)
-            return _raw(n, *_normalized(_times(n, a, b), self.den * other.den))
-        if isinstance(other, (int, Fraction)):
-            return _scaled(n, a, self.den * other.denominator, other.numerator)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Cyc") -> "Cyc":
+        if not isinstance(other, Cyc):
+            return NotImplemented
+        n, a, b = self.n, self.num, other.num
+        if other.n != n:
+            raise ValueError(_MIXED % (n, other.n))
+        if not (any(a) and any(b)):
+            return Cyc.zero(n)
+        return _raw(n, *_normalized(_times(n, a, b), self.den * other.den))
 
     def scale_int(self, k: int) -> "Cyc":
-        return _scaled(self.n, self.num, self.den, k)
+        """k * self for an integer k."""
+        k = operator.index(k)
+        if not k or not any(self.num):
+            return Cyc.zero(self.n)
+        return _raw(self.n, *_normalized([c * k for c in self.num], self.den))
 
     def inv(self) -> "Cyc":
         """Multiplicative inverse by the Galois norm.
@@ -313,18 +290,6 @@ class Cyc:
                 p = _times(n, p, _reduce(n, conjugate))
         norm = _times(n, num, p)[0]
         return _raw(n, *_normalized([self.den * c for c in p], norm))
-
-    def __truediv__(self, other) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other) -> "Cyc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
 
     def __pow__(self, k: int) -> "Cyc":
         if not isinstance(k, int):
@@ -357,13 +322,6 @@ def _raw(n: int, num: tuple[int, ...], den: int) -> Cyc:
     _set_num(obj, num)
     _set_den(obj, den)
     return obj
-
-
-def _scaled(n: int, num: tuple[int, ...], den: int, k: int) -> Cyc:
-    # k * num / den for an integer k and den > 0.
-    if not k or not any(num):
-        return Cyc.zero(n)
-    return _raw(n, *_normalized([c * k for c in num], den))
 
 
 def _convolve(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import linalg
-from .coords import Coords, from_canonical, grid, zero
+from .coords import Coords, _entry, from_canonical, grid, zero
 from .cyclotomic import Cyc, zeta_pow
 from .localization import u_adams, u_is_invertible, u_mul
 
@@ -34,6 +34,8 @@ class LineElt:
             raise ValueError("expected n entries in f and in beta")
         if any(not 0 <= v < self.n for v in self.f):
             raise ValueError("f entries must be reduced mod n")
+        for b in self.beta:
+            _entry(self.n, b)  # beta_q is the u[0,q] coordinate: a Cyc of order n
 
 
 def line_element(n: int, f: Iterable[int], beta: Iterable[Cyc | int | Fraction]) -> LineElt:

@@ -377,7 +377,7 @@ def relations_span(n: int, k_max: int) -> Iterator[Relation]:
     sq = [[sum((B[r][t] * B[t][c] for t in range(n - 1)), Cyc.zero(n))
            for c in range(n - 1)] for r in range(n - 1)]
     ok = all(
-        sq[r][c] == (2 * n if (r + 1) + (c + 1) == n else n)
+        sq[r][c] == Cyc.rational(n, 2 * n if (r + 1) + (c + 1) == n else n)
         for r in range(n - 1)
         for c in range(n - 1)
     )

@@ -9,6 +9,7 @@ lands on the same canonical scalars.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ def reference_apply_columns(n, kind, terms):
     out = {}
     for c, start, (positions, entries) in terms:
         for offset, r in zip(positions, entries):
-            i, v = start + offset, c if r == 1 else c * r
+            i, v = start + offset, c * (r if isinstance(r, Cyc) else Cyc.rational(n, r))
             out[i] = out[i] + v if i in out else v
     return from_terms(n, kind, out)
 
@@ -158,7 +159,7 @@ def test_a_fractional_table_entry_is_refused():
     with pytest.raises(ValueError, match="position 3 is not in Z"):
         sparse([(0, 2), (3, Cyc(n, [1, -2, 3], 2)), (5, Cyc.rational(n, 1))])
     with pytest.raises(ValueError, match="position 5 is not in Z"):
-        sparse([(5, Cyc.rational(n, 1) / 3)])
+        sparse([(5, Cyc.rational(n, Fraction(1, 3)))])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def test_virtual_mul_multiplies_no_numerator_vectors_pairwise(monkeypatch):
     assert calls == {"_times": 0, "_convolve": 0}
     # The counters are live: one irrational product makes one call of each.
     z = zeta_pow(n, 1)
-    assert z * (z + 1) == zeta_pow(n, 2) + z
+    assert z * (z + Cyc.one(n)) == zeta_pow(n, 2) + z
     assert calls == {"_times": 1, "_convolve": 1}
 
 

@@ -64,7 +64,7 @@ def test_text_form_and_accessor():
     v = gen(n, "loc", "e[0,0]", -1) + gen(n, "loc", "xe[0,0]", 2) + gen(
         n, "loc", "e[2,1]", zeta_pow(n, 1))
     assert str(v) == "-e[0,0] + 2*xe[0,0] + (zeta)*e[2,1]"
-    assert v["xe[0,0]"] == 2 and v["e[1,1]"] == 0
+    assert v["xe[0,0]"] == Cyc.rational(n, 2) and v["e[1,1]"] == Cyc.zero(n)
     assert str(zero(n, "u")) == "0"
     assert str(unit(n, "res").scale(Fraction(1, 2)) - gen(n, "res", "e[1]")) == "1/2 - e[1]"
     assert str(unit(n, "res")) == "1"

@@ -124,16 +124,55 @@ def test_canonical_representation():
     assert hash(Cyc(4, [1, 2], 2)) == hash(Cyc(4, [1, 2], 2))
 
 
-def test_rational_hash_matches_int_and_fraction():
-    # Equal values hash equally, so sets and dicts see one element.
-    for n in (1, 2, 3, 4, 7, 8):
-        for v in (0, 1, 3, -1, -5, 2**64, 2**64 + 1, -(2**70) - 3, 3**50,
-                  Fraction(1, 2), Fraction(-7, 3), Fraction(2**65, 3)):
-            c = Cyc.rational(n, v)
-            assert c == v and hash(c) == hash(v) == hash(Fraction(v))
-            assert len({c, v}) == 1
-    assert len({Cyc.rational(3, 1), 1}) == 1
+def test_set_of_scalars_and_an_int_does_not_depend_on_order():
+    # Equality is transitive: a Cyc equals no int, so the set holds three
+    # elements whichever is inserted first.
+    a, b = Cyc.rational(5, 3), Cyc.rational(7, 3)
+    assert len({a, 3, b}) == len({3, a, b}) == len({a, b, 3}) == 3
     assert hash(zeta_pow(5, 1)) == hash(zeta_pow(5, 6))
+
+
+_SMALL = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _scalars(draw):
+    n = draw(st.integers(1, 9))
+    coeffs = draw(st.lists(_SMALL, max_size=2 * n))
+    return Cyc(n, coeffs, draw(st.sampled_from((1, 2, 3, 6, 2**61 - 1))))
+
+
+@given(_scalars(), _scalars(), st.one_of(_SMALL, st.fractions()))
+def test_equal_scalars_hash_equally_and_no_scalar_equals_another_kind(a, b, r):
+    # Equality and hashing read (n, numerators, denominator) only.
+    if (a.n, a.num, a.den) == (b.n, b.num, b.den):
+        assert a == b and hash(a) == hash(b)
+    else:
+        assert a != b
+    rebuilt = Cyc(a.n, a.num, a.den)
+    assert rebuilt == a and hash(rebuilt) == hash(a) and len({a, rebuilt}) == 1
+    # Not an int or a Fraction, even for the rational value that matches.
+    assert a != r and r != a
+    c = Cyc.rational(a.n, r)
+    for other in (r, Fraction(r)):
+        assert c != other and other != c and not c == other
+        assert len({c, other}) == 2
+    # Not a Cyc of another order, even for equal numerators.
+    for m in (a.n + 1, 2 * a.n):
+        twin = Cyc.rational(m, r)
+        assert c != twin and twin != c and len({c, twin}) == 2
+
+
+def test_operands_other_than_a_cyc_are_refused():
+    c = zeta_pow(5, 1)
+    for op in (lambda: c * 2, lambda: 2 * c, lambda: 2 + c, lambda: c + 2,
+               lambda: c - Fraction(1, 2), lambda: 1 - c, lambda: c / c,
+               lambda: 1 / c, lambda: c / 2, lambda: c * 0.5):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError):
+        c.scale_int(Fraction(1, 2))
+    assert c.scale_int(3) == c + c + c
 
 
 def test_coeffs_property_and_rational_detection():
@@ -148,8 +187,8 @@ def test_pow_and_division():
     z = zeta_pow(8, 1)
     assert z**8 == Cyc.one(8)
     assert z**-3 == zeta_pow(8, 5)
-    assert (z / z) == Cyc.one(8)
-    assert 1 / z == zeta_pow(8, 7)
+    assert z * z.inv() == Cyc.one(8)
+    assert z.inv() == zeta_pow(8, 7)
 
 
 def test_mixed_order_arithmetic_rejected():
@@ -180,20 +219,19 @@ def test_cycpoly_divmod_and_eval():
 # ---------------------------------------------------------------------------
 # The operand-kind fast paths against a reference: plain schoolbook
 # convolution with the x^e mod Phi_n fold, on rational coordinate vectors.
+# Zero, integral and fractional rational operands take the early return and
+# the rational scaling of ``_times``; two irrational ones are convolved.
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from virtualk.cyclotomic import _xpow
 
-KINDS = ("zero", "int", "fraction", "rational", "irrational")
+KINDS = ("zero", "integral", "fractional", "irrational")
 
 
-def _vector(n, v):
-    deg = phi_degree(n)
-    if isinstance(v, Cyc):
-        return list(v.coeffs)
-    return [Fraction(v)] + [Fraction(0)] * (deg - 1)
+def _vector(v):
+    return list(v.coeffs)
 
 
 def _ref_mul(n, a, b):
@@ -221,33 +259,31 @@ def _data(c):
 def _operand(rng, n, kind):
     deg = phi_degree(n)
     if kind == "zero":
-        return rng.choice([Cyc.zero(n), Cyc(n, [0] * deg, 5), 0, Fraction(0)])
-    if kind == "int":
-        return rng.choice([-1, 1]) * rng.randint(1, 40)
-    if kind == "fraction":
-        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(2, 12))
-    if kind == "rational":
-        return Cyc.rational(n, Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 12)))
+        return rng.choice([Cyc.zero(n), Cyc(n, [0] * deg, 5)])
+    if kind == "integral":
+        return Cyc.rational(n, rng.choice([-1, 1]) * rng.randint(1, 40))
+    if kind == "fractional":
+        return Cyc.rational(n, Fraction(rng.choice([-1, 1]) * rng.randint(1, 40),
+                                        rng.randint(2, 12)))
     coeffs = [rng.randint(-9, 9) for _ in range(deg)]
     coeffs[rng.randrange(1, deg)] = rng.choice([-1, 1]) * rng.randint(1, 9)
     return Cyc(n, coeffs, rng.randint(1, 12))
 
 
 def _check_ops(n, a, b):
-    """Compare a op b, for whichever of a, b is a Cyc, with the reference."""
-    va, vb = _vector(n, a), _vector(n, b)
+    """Compare a op b with the reference."""
+    va, vb = _vector(a), _vector(b)
     assert _data(a + b) == _canonical(n, [x + y for x, y in zip(va, vb)])
     assert _data(a - b) == _canonical(n, [x - y for x, y in zip(va, vb)])
     assert _data(a * b) == _canonical(n, _ref_mul(n, va, vb))
-    if isinstance(a, Cyc) and isinstance(b, int):
-        assert (a == b) == (b == a) == (va == vb)
+    assert (a == b) == (b == a) == (va == vb)
     if any(vb):
-        q = a / b
-        assert _canonical(n, _ref_mul(n, _vector(n, q), vb)) == _canonical(n, va)
-        assert _data(q) == _canonical(n, _vector(n, q))
+        q = a * b.inv()
+        assert _canonical(n, _ref_mul(n, _vector(q), vb)) == _canonical(n, va)
+        assert _data(q) == _canonical(n, _vector(q))
     else:
         with pytest.raises(ZeroDivisionError):
-            a / b
+            b.inv()
 
 
 def test_fast_paths_match_reference_on_every_operand_pairing():
@@ -258,10 +294,7 @@ def test_fast_paths_match_reference_on_every_operand_pairing():
                 if "irrational" in (ka, kb) and phi_degree(n) == 1:
                     continue
                 for _ in range(4):
-                    a, b = _operand(rng, n, ka), _operand(rng, n, kb)
-                    if not isinstance(a, Cyc) and not isinstance(b, Cyc):
-                        a = Cyc.rational(n, a)
-                    _check_ops(n, a, b)
+                    _check_ops(n, _operand(rng, n, ka), _operand(rng, n, kb))
 
 
 @st.composite
@@ -271,24 +304,18 @@ def _operands(draw):
     kinds = [k for k in KINDS if k != "irrational" or deg > 1]
     small = st.integers(-50, 50)
 
-    def one(cyc_only):
-        kind = draw(st.sampled_from(kinds[:1] + kinds[3:] if cyc_only else kinds))
+    def one():
+        kind = draw(st.sampled_from(kinds))
         if kind == "zero":
-            return Cyc.zero(n) if cyc_only else draw(st.sampled_from([Cyc.zero(n), 0, Fraction(0)]))
-        if kind == "int":
-            return draw(small)
-        if kind == "fraction":
-            return Fraction(draw(small), draw(st.integers(1, 30)))
-        if kind == "rational":
-            return Cyc.rational(n, Fraction(draw(small), draw(st.integers(1, 30))))
+            return Cyc.zero(n)
+        if kind == "integral":
+            return Cyc.rational(n, draw(small))
+        if kind == "fractional":
+            return Cyc.rational(n, Fraction(draw(small), draw(st.integers(2, 30))))
         coeffs = draw(st.lists(small, min_size=deg, max_size=deg))
         return Cyc(n, coeffs, draw(st.integers(1, 30)))
 
-    a = one(True)
-    b = one(False)
-    if draw(st.booleans()):
-        a, b = b, a
-    return n, a, b
+    return n, one(), one()
 
 
 @given(_operands())
@@ -301,9 +328,9 @@ def test_fast_paths_share_canonical_constants():
     for n in range(2, 13):
         z = zeta_pow(n, 1)
         assert Cyc.zero(n) is Cyc.zero(n) and Cyc.one(n) is Cyc.one(n)
-        assert (z * 0) is Cyc.zero(n) and (Cyc.zero(n) * z) is Cyc.zero(n)
+        assert (z * Cyc.zero(n)) is Cyc.zero(n) and (Cyc.zero(n) * z) is Cyc.zero(n)
         assert (z + Cyc.zero(n)) is z and (Cyc.zero(n) + z) is z
-        assert (z - 0) is z
+        assert (z - Cyc.zero(n)) is z and z.scale_int(0) is Cyc.zero(n)
         assert _data(Cyc.rational(n, 3)) == _data(Cyc.rational(n, Fraction(3)))
 
 
@@ -354,7 +381,8 @@ def test_rational_rejects_floats_and_strings():
             CycPoly.from_ints(3, [1, value])
         with pytest.raises(TypeError):
             line_element(3, [0, 0, 0], [value, 0, 0])
-    assert Cyc.rational(3, Fraction(1, 3)) == Fraction(1, 3) and Cyc.rational(3, -2) == -2
+    assert Cyc.rational(3, Fraction(1, 3)).rational_value() == Fraction(1, 3)
+    assert Cyc.rational(3, -2) == Cyc(3, [-2])
 
 
 def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
@@ -371,7 +399,7 @@ def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "_times", counted)
     n = 7
-    a, b = zeta_pow(n, 1) + 2, zeta_pow(n, 3) - 5
+    a, b = zeta_pow(n, 1) + Cyc.rational(n, 2), zeta_pow(n, 3) - Cyc.rational(n, 5)
     product = a * b
     assert calls == [(a.num, b.num)]
     calls.clear()
@@ -381,7 +409,7 @@ def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
     sums = {}
     cyclotomic._scatter(n, sums, a.num, False, 1, (0, 1), (b, 3))
     assert calls == [(a.num, b.num)]
-    assert {i: Cyc(n, s) for i, s in sums.items()} == {1: product, 2: 3 * a}
+    assert {i: Cyc(n, s) for i, s in sums.items()} == {1: product, 2: a + a + a}
 
 
 @settings(max_examples=200)
@@ -416,7 +444,8 @@ def test_poly_times_matches_the_sum_of_cyc_products(data, n):
     for j1, i1, v1 in a:
         for j2, i2, v2 in b:
             s = j1 + j2
-            expected[s] = expected.get(s, Cyc.zero(n)) + zeta_pow(n, i1 + i2) * (v1 * v2)
+            term = zeta_pow(n, i1 + i2) * Cyc.rational(n, v1 * v2)
+            expected[s] = expected.get(s, Cyc.zero(n)) + term
     got = cyclotomic._poly_times(n, a, b)
     assert [s for s, _ in got] == sorted({s for s, _ in got})
     assert all(len(num) == deg for _, num in got)
@@ -437,7 +466,8 @@ def test_rotation_sums_match_the_sum_of_cyc_products(data, n, sign):
     got = cyclotomic._rotation_sums(n, vectors, sign, den, range(10, 10 + len(ls)), ls)
     expected = {}
     for i, l in enumerate(ls, 10):
-        c = sum((Cyc(n, v) * zeta_pow(n, sign * l * j) for j, v in vectors), Cyc.zero(n)) / den
+        c = sum((Cyc(n, v) * zeta_pow(n, sign * l * j) for j, v in vectors), Cyc.zero(n))
+        c = c * Cyc.rational(n, Fraction(1, den))
         if c:
             expected[i] = c
     assert got == expected

@@ -4,6 +4,7 @@ import pytest
 
 from virtualk.cyclotomic import Cyc, zeta_pow
 from virtualk.line_elements import (
+    LineElt,
     is_line_element,
     line_element,
     line_identity,
@@ -40,6 +41,17 @@ def test_sigma_realization():
     for l in range(1, n):
         expected = expected + gen(n, "u", "u[%d,%d]" % (l, i), zeta_pow(n, l) - Cyc.one(n))
     assert got == expected
+
+
+def test_a_beta_entry_of_another_order_is_refused_at_construction():
+    # beta_q is the u[0,q] coordinate, so it must lie in Q(zeta_n) itself.
+    with pytest.raises(ValueError, match=r"Q\(zeta_4\) for the weight n=3"):
+        line_element(3, [0, 1, 2], [Cyc.one(4), 0, 0])
+    with pytest.raises(ValueError, match=r"Q\(zeta_2\) for the weight n=3"):
+        LineElt(3, (0, 0, 0), (Cyc.zero(3), Cyc.zero(3), Cyc.one(2)))
+    with pytest.raises(TypeError, match="a coordinate must be a Cyc, got int"):
+        LineElt(3, (0, 0, 0), (1, Cyc.zero(3), Cyc.zero(3)))
+    assert line_element(3, [0, 1, 2], [Cyc.one(3), 0, 0]).beta[0] == Cyc.one(3)
 
 
 def test_group_law_matches_ring_product():

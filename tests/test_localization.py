@@ -250,7 +250,7 @@ def reference_gamma(a):
             out[grid(n, m, l)] = evaluate(s, zeta_pow(n, l))
     f = sector_part(a, 0).coeffs
     f1 = sum(f, Cyc.zero(n))
-    d1 = sum((c * j for j, c in enumerate(f)), Cyc.zero(n))
+    d1 = sum((c * Cyc.rational(n, j) for j, c in enumerate(f)), Cyc.zero(n))
     out[0], out[1] = f1 - d1, d1
     return Coords(n, "loc", out)
 
@@ -278,15 +278,15 @@ def _images(n):
     """
     images = {}
     geom = [_geom_div(n, l) for l in range(n)]
-    half = Fraction(1, 2 * n)
+    half, inv_n = Fraction(1, 2 * n), Cyc.rational(n, Fraction(1, n))
     images["1_00"] = (CycPoly.from_ints(n, [1 + n, 1 - n]) * geom[0]).scale(half)
     images["x_00"] = (CycPoly.from_ints(n, [n - 1, 3 - n]) * geom[0]).scale(half)
     x_minus_one = CycPoly.from_ints(n, [-1, 1])
     for l in range(1, n):
         zl = zeta_pow(n, l)
-        images[(0, l)] = (x_minus_one * geom[l]).scale(zl / ((zl - Cyc.one(n)) * n))
+        images[(0, l)] = (x_minus_one * geom[l]).scale(zl * (zl - Cyc.one(n)).inv() * inv_n)
     for l in range(n):
-        poly = geom[l].scale(zeta_pow(n, l) * Fraction(1, n))
+        poly = geom[l].scale(zeta_pow(n, l) * inv_n)
         for m in range(1, n):
             images[(m, l)] = poly
     return images
@@ -358,7 +358,7 @@ def reference_from_u_basis(b):
     out[1] = U[1]
     for m in range(1, n):
         out[grid(n, m, 0)] = U[grid(n, 0, m)]
-    inv_n = Fraction(1, n)
+    inv_n = Cyc.rational(n, Fraction(1, n))
     for l in range(1, n):
         winv = (Cyc.one(n) - zeta_pow(n, -l)).inv()
         row = U[grid(n, l, 0):grid(n, l + 1, 0)]

@@ -7,6 +7,7 @@ in every module that binds it.
 """
 
 import sys
+from fractions import Fraction
 
 import virtualk.line_elements as le
 import virtualk.localization as loc
@@ -29,7 +30,7 @@ def test_planted_loc_adams_weight_is_caught(monkeypatch):
 
     def planted(n, l, s):
         w = original(n, l, s)
-        return w + 1 if (n, l, s) == (3, 1, 2) else w
+        return w + Cyc.one(n) if (n, l, s) == (3, 1, 2) else w
 
     monkeypatch.setattr(loc, "_adams_weight", planted)
     failed = _failed_ids(("adams-oracle",))
@@ -70,7 +71,8 @@ def test_planted_loc_mul_weight_is_caught(monkeypatch):
         if n != 3:
             return table
         js, products = table[e11]
-        products = tuple((product[0], tuple(w + 1 for w in product[1])) if j == e11 else product
+        one = Cyc.one(n)
+        products = tuple((product[0], tuple(w + one for w in product[1])) if j == e11 else product
                          for j, product in zip(js, products))
         return table[:e11] + ((js, products),) + table[e11 + 1:]
 
@@ -91,7 +93,7 @@ def test_planted_gamma_inverse_column_is_caught(monkeypatch):
     def planted(b):
         out = original(b)
         c = b["e[1,1]"] if b.n == 3 else 0
-        return out + gen(3, "sector", "one[1]", c / 3) if c else out
+        return out + gen(3, "sector", "one[1]", c * Cyc.rational(3, Fraction(1, 3))) if c else out
 
     _plant_everywhere(monkeypatch, original, planted)
     failed = _failed_ids(("product-oracle",))
@@ -231,6 +233,22 @@ def test_planted_u_mul_cross_term_is_caught(monkeypatch):
     failed = _failed_ids(("product-oracle",))
     assert {cid for cid in failed if "/u-product/" in cid} == {
         "product-oracle/n=3/u-product/u[0,%d]*e[0,0]" % q for q in range(3)}
+
+
+def test_planted_span_block_entry_is_caught(monkeypatch):
+    # At n = 3, B[1][2] = zeta^2 - 1; plant zeta^2.  The block keeps rank 2,
+    # so only its square and the witnesses built from its inverse fail.
+    original = le.span_block
+
+    def planted(n):
+        B = original(n)
+        if n == 3:
+            B[0][1] = B[0][1] + Cyc.one(3)
+        return B
+
+    _plant_everywhere(monkeypatch, original, planted)
+    assert _failed_ids(("span",)) == {"span/n=3/block-square-pattern"} | {
+        "span/n=3/witness/u[%d,%d]" % (l, q) for l in (1, 2) for q in range(3)}
 
 
 def test_suites_pass_without_a_planted_defect():

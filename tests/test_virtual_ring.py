@@ -258,7 +258,8 @@ def _zeta_classes(n):
     n = 7 these include zeta^6, which has six nonzero coordinates, and at n = 8
     products of them fold through Phi_8 = x^4 + 1."""
     size = len(zero(n, "sector").coeffs)
-    return [Coords(n, "sector", [zeta_pow(n, t * i + 1) / (1 + i % 3) for i in range(size)])
+    return [Coords(n, "sector", [zeta_pow(n, t * i + 1) * Cyc.rational(n, Fraction(1, 1 + i % 3))
+                                    for i in range(size)])
             for t in (3, 5)]
 
 
