@@ -11,23 +11,21 @@ argument parser is built on the first call and reused by every later one;
 importing the module builds nothing.
 
 The inputs that set a weight, an exponent or an index are bounded: the
-weight n (``--n``, ``--n-min``, ``--n-max``) is at most ``MAX_N``,
-``--k-max`` of ``verify`` and ``line`` lies in 2..``MAX_K_MAX``, and the
-parser bounds exponents and Adams indices (``expr.MAX_EXPONENT``,
-``expr.MAX_ADAMS_INDEX``).  A power ``x[0]^e`` takes time linear in |e|, so
-the parser also bounds the sum of |e| over the ``x[0]^e`` atoms of one
-expression by ``expr.MAX_EXPONENT``: all of them together cost at most one
-``x[0]^2000``, about 0.1 s at n = 8.  An input beyond a bound exits with
-code 2 before any work starts.
+weight n by ``MAX_N``, ``--k-max`` of ``verify`` and ``line`` by
+2..``MAX_K_MAX``, and exponents, Adams indices and the sum of |e| over the
+``x[0]^e`` atoms of an expression by ``expr.MAX_EXPONENT`` and
+``expr.MAX_ADAMS_INDEX``.  An input beyond a bound exits with code 2 before
+any work starts.
 
-``mul``, ``adams``, ``localize`` and ``delocalize`` build one expression
-around their arguments (``_VERBS``).  A parse error in it names the argument
-that holds it and counts its position from the start of that argument.
+``mul``, ``adams``, ``localize`` and ``delocalize`` parse each argument as
+an expression on its own and build their node from the trees (``_VERBS``).
+An error names the argument that holds it and counts its position there.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from contextlib import nullcontext
@@ -35,8 +33,12 @@ from functools import cache
 
 from . import localization as loc
 from .expr import (
+    Binary,
     EvalError,
     ParseError,
+    Unary,
+    adams_index,
+    check,
     evaluate,
     format_value,
     parse,
@@ -54,15 +56,13 @@ MAX_N = 8
 MAX_K_MAX = 64
 
 #: The verbs that evaluate one expression: help, positional arguments and the
-#: expression built from them.
+#: operator of the node built around their parsed values (none for ``eval``).
 _VERBS = {
-    "eval": ("evaluate an expression", ("expression",), "{expression}"),
-    "mul": ("product of two expressions in their shared basis", ("lhs", "rhs"),
-            "({lhs})*({rhs})"),
-    "adams": ("apply the k-th Adams operation", ("k", "expression"), "psi[{k}]({expression})"),
-    "localize": ("gamma of a sector-basis expression", ("expression",), "gamma({expression})"),
-    "delocalize": ("gamma^(-1) of a localized expression", ("expression",),
-                   "gammainv({expression})"),
+    "eval": ("evaluate an expression", ("expression",), None),
+    "mul": ("product of two expressions in their shared basis", ("lhs", "rhs"), "*"),
+    "adams": ("apply the k-th Adams operation", ("k", "expression"), "psi"),
+    "localize": ("gamma of a sector-basis expression", ("expression",), "gamma"),
+    "delocalize": ("gamma^(-1) of a localized expression", ("expression",), "gammainv"),
 }
 
 
@@ -79,18 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--n", type=int, required=True, help="weight, 2 <= n <= %d" % MAX_N)
         sp.add_argument("--json", action="store_true", help="structured output")
-        sp.add_argument(
-            "--basis",
-            choices=("auto", "sector", "loc", "u"),
-            default="auto",
-            help="display basis (no implicit gamma conversions)",
-        )
 
     for verb, (help_text, positionals, _) in _VERBS.items():
         sp = sub.add_parser(verb, help=help_text)
         for name in positionals:
             sp.add_argument(name, type=int if name == "k" else str)
         common(sp)
+        sp.add_argument("--basis", choices=("auto", "sector", "loc", "u"), default="auto",
+                        help="display basis (no implicit gamma conversions)")
 
     sp = sub.add_parser("line", help="test a localized class for line-element membership")
     sp.add_argument("expression")
@@ -111,26 +107,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _in_argument(exc: ParseError, args) -> ParseError:
-    """``exc``, raised by the expression a verb built around its arguments,
-    with its position counted in the argument that holds it.
-
-    The first argument that does not parse on its own gives its own error.
-    Otherwise ``exc`` comes from a check across the arguments: the x[0]
-    exponent budget, at the atom that crosses it, or a basis check, at the
-    node that does not fit.
-    """
-    _, names, template = _VERBS[args.command]
-    values = vars(args)
-    spans = []
+def _expression(args):
+    """The expression of a verb: each argument parsed on its own, then the
+    node built around them checked as a whole.  An error names the argument
+    that holds it; one across the arguments (the x[0] budget, the basis walk)
+    can only lie in the last, since every earlier one passed the check alone."""
+    _, names, op = _VERBS[args.command]
+    if op is None:
+        return parse(args.expression, args.n)
+    parts = []  # for adams: k, then the expression
     for name in names:
+        value = getattr(args, name)
         try:
-            parse(str(values[name]), args.n)
-        except ParseError as own:
-            return type(own)(own.message, own.position, name)
-        spans.append((name, len(template[:template.index("{%s}" % name)].format(**values))))
-    name, start = next((span for span in reversed(spans) if span[1] <= exc.position), spans[-1])
-    return type(exc)(exc.message, max(exc.position - start, 0), name)
+            parts.append(adams_index(value) if name == "k" else parse(value, args.n))
+            if len(parts) == len(names):
+                node = Binary(op, *parts) if op == "*" else Unary(op, parts[-1], *parts[:-1])
+                return check(node)
+        except ParseError as exc:
+            raise type(exc)(exc.message, exc.position, name) from None
 
 
 def _emit(args, basis: str, value, display_hint: str) -> None:
@@ -191,14 +185,8 @@ def _command(args) -> int:
             return 2
 
         if args.command in _VERBS:
-            try:
-                e = parse(_VERBS[args.command][2].format(**vars(args)), args.n)
-            except ParseError as exc:
-                if args.command == "eval":
-                    raise
-                raise _in_argument(exc, args) from None
-            basis, value = evaluate(e, args.n)
-            _emit(args, basis, value, preferred_display(e))
+            e = _expression(args)
+            _emit(args, *evaluate(e, args.n), preferred_display(e))
             return 0
         if args.command == "line":
             e = parse(args.expression, args.n)
@@ -207,8 +195,6 @@ def _command(args) -> int:
                 raise EvalError("line membership applies to localized classes")
             cert = is_line_element(loc.to_u_basis(value), args.k_max)
             if args.json:
-                import json
-
                 doc = {"is_line_element": cert.ok, "reason": cert.reason}
                 if cert.params:
                     doc["f"] = list(cert.params.f)

@@ -33,16 +33,19 @@ augmentation.
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
 indices lie in 0..``MAX_ADAMS_INDEX``; other values are parse errors.  A
 power of the untwisted sector variable takes time linear in the exponent, so
-the |e| of all ``x[0]^e`` atoms in one expression must also sum to at most
-``MAX_EXPONENT``; the atom that crosses the bound is a parse error.  Every
-other power of a class has one rule (``ring_power``): the class goes to
-semisimple coordinates, through ``gamma`` first on the sector side, where the
-product is diagonal except for one square-zero block; it is inverted there
-for a negative exponent, raised by square-and-multiply and mapped back once.
-An Adams operation builds its columns in closed form, at a cost that does not
-grow with the index; only the size of its integer coefficients does.  A power
-whose coefficients outgrow Python's integer-to-text limit is an evaluation
-error, raised as soon as a step of the power meets such a coefficient.
+the |e| of all ``x[0]^e`` atoms in one tree must also sum to at most
+``MAX_EXPONENT``; the atom that crosses the bound is a parse error.  ``check``
+walks a tree for this budget, then for the basis, both in a parsed text and
+in the node a CLI verb builds around its arguments.  Every other power of a
+class has one rule (``ring_power``): the class goes to semisimple
+coordinates, through ``gamma`` first on the sector side, where the product
+is diagonal except for one square-zero block; it is inverted there for a
+negative exponent, raised by square-and-multiply and mapped back once.  An
+Adams operation builds its columns in closed form, at a cost that does not
+grow with the index; only the size of its integer coefficients does.  A
+power of a class or a scalar whose coefficients outgrow Python's
+integer-to-text limit is an evaluation error, raised as soon as a step of
+the power meets such a coefficient.
 """
 
 from __future__ import annotations
@@ -69,8 +72,7 @@ MAX_ADAMS_INDEX = 3000
 
 
 class ParseError(ValueError):
-    """A parse error at ``position`` of the text, or of the CLI argument named
-    ``argument`` when the text was built around that argument."""
+    """A parse error at ``position`` of the text, or of the CLI argument ``argument``."""
 
     def __init__(self, message: str, position: int, argument: str | None = None):
         where = "at" if argument is None else "in %s at" % argument
@@ -193,12 +195,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def adams_index(k: int, pos: int = 0) -> int:
+    """``k``, or a ParseError at ``pos`` if it is no Adams index of ``psi[k]``."""
+    if not 0 <= k <= MAX_ADAMS_INDEX:
+        raise ParseError("Adams index %d is not in 0..%d; psi[0] is the augmentation"
+                         % (k, MAX_ADAMS_INDEX), pos)
+    return k
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
-        self.x0_exponents = 0  # sum of |e| over the x[0]^e atoms parsed so far
 
     def peek(self):
         return self.tokens[self.i]
@@ -220,9 +229,6 @@ class _Parser:
         if tok[0] != kind or (value is not None and tok[1] != value):
             raise ParseError("expected %s" % (value or kind), tok[2])
         return tok
-
-    def expect_sym(self, sym: str):
-        return self.expect("sym", sym)
 
     def parse(self) -> Expr:
         e = self.parse_expr()
@@ -260,11 +266,6 @@ class _Parser:
             exp = self.parse_int()
             if abs(exp) > MAX_EXPONENT:
                 raise ParseError("exponent %d exceeds the bound %d" % (exp, MAX_EXPONENT), pos)
-            if base == Atom("x", (0,)):
-                self.x0_exponents += abs(exp)
-                if self.x0_exponents > MAX_EXPONENT:
-                    raise ParseError("the exponents of x[0] sum to %d, over the bound %d"
-                                     % (self.x0_exponents, MAX_EXPONENT), at)
             return Pow(base, exp, at)
         return base
 
@@ -279,38 +280,37 @@ class _Parser:
         return out
 
     def parse_argument(self) -> Expr:
-        self.expect_sym("(")
+        self.expect("sym", "(")
         e = self.parse_expr()
-        self.expect_sym(")")
+        self.expect("sym", ")")
         return e
 
     def parse_atom(self, name: str, start: int) -> Atom:
         arity = ATOMS[name][0]
         idx, at = [], []
         if arity:
-            self.expect_sym("[")
+            self.expect("sym", "[")
         for i in range(arity):
             if i:
-                self.expect_sym(",")
+                self.expect("sym", ",")
             at.append(self.peek()[2])
             idx.append(self.parse_int())
         # A one-index atom is range-checked before its "]", a two-index atom after it.
         if arity == 2:
-            self.expect_sym("]")
+            self.expect("sym", "]")
         if name == "xe" and idx != [0, 0]:
             raise ParseError("xe exists only at block [0,0]", at[0])
         for value, pos in zip(idx, at):
             if not 0 <= value < self.n:
-                raise ParseError(
-                    "%s index %d out of range for n=%d" % (name, value, self.n), pos
-                )
+                raise ParseError("%s index %d out of range for n=%d" % (name, value, self.n), pos)
         if arity == 1:
-            self.expect_sym("]")
+            self.expect("sym", "]")
         return Atom(name, tuple(idx), start)
 
     def parse_primary(self) -> Expr:
-        tok = self.next()
-        kind, text, pos = tok
+        if self.peek()[:2] == ("sym", "("):
+            return self.parse_argument()
+        kind, text, pos = self.next()
         if kind == "num":
             value = Fraction(int(text))
             slash = self.peek()[2]
@@ -320,10 +320,6 @@ class _Parser:
                     raise ParseError("zero denominator", slash)
                 value = Fraction(int(text), den)
             return Num(value, pos)
-        if kind == "sym" and text == "(":
-            e = self.parse_expr()
-            self.expect_sym(")")
-            return e
         if kind == "eof":
             raise ParseError("unexpected end of input", pos)
         if kind != "name":
@@ -331,24 +327,20 @@ class _Parser:
         if text in ATOMS:
             return self.parse_atom(text, pos)
         if text == "L":
-            self.expect_sym("(")
+            self.expect("sym", "(")
             f = self.parse_list(self.parse_int)
-            self.expect_sym(";")
+            self.expect("sym", ";")
             beta = self.parse_list(self.parse_expr)
-            self.expect_sym(")")
+            self.expect("sym", ")")
             if len(f) != self.n or len(beta) != self.n:
-                raise ParseError(
-                    "L needs %d torsion and %d scalar entries" % (self.n, self.n), pos
-                )
+                raise ParseError("L needs %d torsion and %d scalar entries"
+                                 % (self.n, self.n), pos)
             return LineAtom(tuple(v % self.n for v in f), tuple(beta), pos)
         if text == "psi":
-            self.expect_sym("[")
+            self.expect("sym", "[")
             at = self.peek()[2]
-            k = self.parse_int()
-            if not 0 <= k <= MAX_ADAMS_INDEX:
-                raise ParseError("Adams index %d is not in 0..%d; psi[0] is the augmentation"
-                                 % (k, MAX_ADAMS_INDEX), at)
-            self.expect_sym("]")
+            k = adams_index(self.parse_int(), at)
+            self.expect("sym", "]")
             return Unary("psi", self.parse_argument(), k, pos)
         if text in ("eps", "gamma", "gammainv"):
             return Unary(text, self.parse_argument(), pos=pos)
@@ -426,13 +418,31 @@ def _display(e: Expr) -> tuple[str, int]:
     return inner, at
 
 
-def parse(text: str, n: int) -> Expr:
-    """Parse and basis-check an expression for weight n."""
-    if n < 2:
-        raise ValueError("the weight n must be at least 2")
-    e = _Parser(text, n).parse()
+def check(e: Expr) -> Expr:
+    """``e``, once it passes the checks over a whole tree: the x[0] budget, then the basis."""
+    total, stack = 0, [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Pow) and node.base == Atom("x", (0,)):
+            total += abs(node.exp)
+            if total > MAX_EXPONENT:
+                raise ParseError("the exponents of x[0] sum to %d, over the bound %d"
+                                 % (total, MAX_EXPONENT), node.pos)
+        elif isinstance(node, Binary):
+            stack += node.b, node.a
+        elif isinstance(node, LineAtom):
+            stack += reversed(node.beta)
+        elif isinstance(node, (Unary, Pow)):
+            stack.append(node.x if isinstance(node, Unary) else node.base)
     preferred_display(e)  # raises BasisMixError on a sector/loc mix
     return e
+
+
+def parse(text: str, n: int) -> Expr:
+    """Parse and check an expression for weight n."""
+    if n < 2:
+        raise ValueError("the weight n must be at least 2")
+    return check(_Parser(text, n).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +467,7 @@ def _coerce_pair(a: Value, b: Value):
     return a, b
 
 
-def _printable(v: Coords) -> Coords:
+def _printable(v: Value) -> Value:
     """``v``, or EvalError if it holds an integer too long to print.
 
     Python converts no integer of more than ``sys.get_int_max_str_digits()``
@@ -467,7 +477,8 @@ def _printable(v: Coords) -> Coords:
     limit = getattr(sys, "get_int_max_str_digits", int)()
     # An integer of more bits than this is at least 10**limit.
     max_bits = int(limit * math.log2(10)) + 1
-    if limit and any(i.bit_length() > max_bits for c in v.terms.values() for i in (c.den, *c.num)):
+    coeffs = (v,) if isinstance(v, Cyc) else v.terms.values()
+    if limit and any(i.bit_length() > max_bits for c in coeffs for i in (c.den, *c.num)):
         raise EvalError("the power has coefficients of more than %d digits, "
                         "over the limit for integer string conversion" % limit)
     return v
@@ -538,12 +549,15 @@ def _eval(e: Expr, n: int) -> Value:
         if isinstance(e.base, Atom) and e.base.name == "x":
             return vr.k_monomial(n, e.base.idx[0], e.exp)
         v = _eval(e.base, n)
-        if isinstance(v, Cyc):
-            try:
-                return v**e.exp
-            except ZeroDivisionError as exc:
-                raise EvalError(str(exc)) from exc
-        return ring_power(v, e.exp)
+        if not isinstance(v, Cyc):
+            return ring_power(v, e.exp)
+        try:
+            v, w = (v.inv() if e.exp < 0 else v), Cyc.one(n)
+        except ZeroDivisionError as exc:
+            raise EvalError(str(exc)) from exc
+        for bit in bin(abs(e.exp))[2:]:  # square-and-multiply, each step checked
+            w = _printable(w * w * v if bit == "1" else w * w)
+        return w
     v = _eval(e.x, n)
     if e.op == "-":
         return -v

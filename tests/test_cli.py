@@ -365,6 +365,47 @@ def test_a_parse_error_is_placed_in_the_argument_that_holds_it(capsys, no_work, 
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+_TRAILING = "unexpected trailing input ')' (in %s at position %d)"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["adams", "2", "--n", "2", "x[0]) + (x[1]"], _TRAILING % ("expression", 4)),
+    (["mul", "--n", "2", "x[0])*(x[1]", "x[0]"], _TRAILING % ("lhs", 4)),
+    (["localize", "--n", "2", "x[0]) + e[0,1] + gamma(x[1]"], _TRAILING % ("expression", 4)),
+    (["delocalize", "--n", "2", "e[0,0]) + gammainv(e[0,1]"], _TRAILING % ("expression", 6)),
+    (["mul", "--n", "2", "", "x[0]"], "unexpected end of input (in lhs at position 0)"),
+], ids=["adams", "mul", "localize", "delocalize", "mul-empty-lhs"])
+def test_each_argument_must_be_an_expression_on_its_own(capsys, no_work, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv,texts", [
+    (["eval", "--n", "3", "x[1]*x[2]"], ["x[1]*x[2]"]),
+    (["mul", "--n", "3", "x[1] + 1", "x[2]"], ["x[1] + 1", "x[2]"]),
+    (["adams", "2", "--n", "3", "x[1]"], ["x[1]"]),
+    (["localize", "--n", "3", "x[1]"], ["x[1]"]),
+    (["delocalize", "--n", "3", "e[1,2]"], ["e[1,2]"]),
+])
+def test_each_verb_argument_is_parsed_once(capsys, monkeypatch, argv, texts):
+    seen = []
+
+    def counted(text, n):
+        seen.append(text)
+        return parse(text, n)
+
+    monkeypatch.setattr(cli, "parse", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert seen == texts
+
+
+def test_line_takes_no_basis_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["line", "--n", "2", "--basis", "sector", "sigma[1]"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --basis" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("expression,message", [
     ("x[1]+", "unexpected end of input (at position 5)"),
     ("x[1] + e[0,0]", "cannot mix sector-basis and localized-basis atoms; "
@@ -389,6 +430,8 @@ def test_bounds_admit_the_documented_limits():
 @pytest.mark.parametrize("expression", [
     "(x[0] + 2*x[3] - x[7] + 5*one[4])^-2000",
     "(x[0] + x[1] + x[7])^-2000",
+    # Never printed, but in full an integer of 4 million bits.
+    "0*(2^2000)^2000",
 ])
 def test_powers_too_long_to_print_exit_2(capsys, expression):
     code, out, err = run(capsys, "eval", "--n", "8", expression)
@@ -412,9 +455,14 @@ def test_the_power_check_follows_the_interpreter_limit(capsys):
         for exp in ("-300", "800"):
             code, out, err = run(capsys, "eval", "--n", "3", base + "^" + exp)
             assert code == 2 and "more than 640 digits" in err
+        # 2^2000 has 603 digits, its square 1,205.
+        code, out, _ = run(capsys, "eval", "--n", "3", "(1/2)^-2000")
+        assert code == 0 and len(out) == 604
+        code, out, err = run(capsys, "eval", "--n", "3", "(2^2000)^2")
+        assert code == 2 and "the power has coefficients of more than 640 digits" in err
         sys.set_int_max_str_digits(0)
-        for exp in ("-300", "800"):
-            code, out, _ = run(capsys, "eval", "--n", "3", base + "^" + exp)
+        for text in (base + "^-300", base + "^800", "(2^2000)^2"):
+            code, out, _ = run(capsys, "eval", "--n", "3", text)
             assert code == 0
     finally:
         sys.set_int_max_str_digits(old)
@@ -498,5 +546,18 @@ def test_small_catalogue_queries_match_their_goldens_forward_and_reversed(capsys
     for index in small + small[::-1]:
         expected = golden["queries"][index]
         assert list(queries[index].argv) == expected["argv"]
+        code, out, _ = run(capsys, *expected["argv"])
+        assert (code, out) == (expected["rc"], expected["stdout"]), expected["argv"]
+
+
+def test_the_verb_queries_of_the_catalogue_match_their_goldens(capsys):
+    # Every small mul, adams, localize and delocalize query of the query mix;
+    # the verbs build their expression from their arguments, so a change in
+    # how they do shows here before it shows in the benchmark.
+    golden = json.loads((ROOT / "perfbench" / "golden" / "query-mix.json").read_text())
+    verbs = ("mul", "adams", "localize", "delocalize")
+    queries = [q for i, q in enumerate(golden["queries"]) if i % 10 and q["argv"][0] in verbs]
+    assert len(queries) == 1267
+    for expected in queries:
         code, out, _ = run(capsys, *expected["argv"])
         assert (code, out) == (expected["rc"], expected["stdout"]), expected["argv"]

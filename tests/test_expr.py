@@ -21,6 +21,7 @@ from virtualk.expr import (
     _left_spine,
     _Parser,
     _printable,
+    check,
     evaluate,
     format_value,
     parse,
@@ -165,6 +166,17 @@ def test_the_x0_exponent_budget_stops_at_the_atom_that_crosses_it():
     assert exc.value.position == 12 and "sum to 2100" in str(exc.value)
     # Flat chains and powers of sums are not x[0]^e atoms.
     parse("x[0]^2000 * " + " * ".join(["x[0]"] * 50) + " * (x[0] + 1)^3", 8)
+
+
+def test_the_x0_exponent_budget_checks_a_built_tree_as_it_checks_a_text():
+    lhs, rhs = parse("x[0]^1500", 8), parse("x[1]*x[0]^600", 8)
+    with pytest.raises(ParseError) as exc:
+        check(Binary("*", lhs, rhs))
+    assert exc.value.position == 5 and "sum to 2100" in str(exc.value)
+    assert check(Binary("*", lhs, parse("x[0]^-500", 8))) == parse("x[0]^1500 * x[0]^-500", 8)
+    # The budget is checked on a parsed tree, so a syntax error comes first.
+    with pytest.raises(ParseError, match="unexpected token"):
+        parse("x[0]^1500 * x[0]^600 + )", 8)
 
 
 def test_index_range_checked():
