@@ -17,8 +17,9 @@ weight n by ``MAX_N``, ``--k-max`` of ``verify`` and ``line`` by
 ``expr.MAX_ADAMS_INDEX``.  An input beyond a bound exits with code 2 before
 any work starts.
 
-``mul``, ``adams``, ``localize`` and ``delocalize`` parse each argument as
-an expression on its own and build their node from the trees (``_VERBS``).
+``mul``, ``adams``, ``localize`` and ``delocalize`` parse each argument on
+its own, an expression or the k of ``psi[k]``, and build their node from
+the results (``_VERBS``).
 An error names the argument that holds it and counts its position there.
 """
 
@@ -37,12 +38,13 @@ from .expr import (
     EvalError,
     ParseError,
     Unary,
-    adams_index,
     check,
     evaluate,
     format_value,
     parse,
+    parse_adams_index,
     preferred_display,
+    value_basis,
     value_to_json,
 )
 from .line_elements import is_line_element
@@ -83,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, (help_text, positionals, _) in _VERBS.items():
         sp = sub.add_parser(verb, help=help_text)
         for name in positionals:
-            sp.add_argument(name, type=int if name == "k" else str)
+            sp.add_argument(name)
         common(sp)
         sp.add_argument("--basis", choices=("auto", "sector", "loc", "u"), default="auto",
                         help="display basis (no implicit gamma conversions)")
@@ -119,7 +121,7 @@ def _expression(args):
     for name in names:
         value = getattr(args, name)
         try:
-            parts.append(adams_index(value) if name == "k" else parse(value, args.n))
+            parts.append(parse_adams_index(value) if name == "k" else parse(value, args.n))
             if len(parts) == len(names):
                 node = Binary(op, *parts) if op == "*" else Unary(op, parts[-1], *parts[:-1])
                 return check(node)
@@ -127,15 +129,15 @@ def _expression(args):
             raise type(exc)(exc.message, exc.position, name) from None
 
 
-def _emit(args, basis: str, value, display_hint: str) -> None:
-    display = display_hint if args.basis == "auto" else args.basis
+def _emit(args, value, display_hint: str) -> None:
+    basis, display = value_basis(value), display_hint if args.basis == "auto" else args.basis
     if basis == "sector" and display in ("loc", "u"):
         raise EvalError("sector-basis value; use localize/gamma for a localized view")
     if basis == "loc" and display == "sector":
         raise EvalError("localized value; use delocalize/gammainv for the sector view")
     if basis == "loc" and display == "u":
         value = loc.to_u_basis(value)
-    print(value_to_json(args.n, basis, value) if args.json else format_value(basis, value))
+    print(value_to_json(value) if args.json else format_value(value))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,12 +188,12 @@ def _command(args) -> int:
 
         if args.command in _VERBS:
             e = _expression(args)
-            _emit(args, *evaluate(e, args.n), preferred_display(e))
+            _emit(args, evaluate(e, args.n), preferred_display(e))
             return 0
         if args.command == "line":
             e = parse(args.expression, args.n)
-            basis, value = evaluate(e, args.n)
-            if basis != "loc":
+            value = evaluate(e, args.n)
+            if value_basis(value) != "loc":
                 raise EvalError("line membership applies to localized classes")
             cert = is_line_element(loc.to_u_basis(value), args.k_max)
             if args.json:

@@ -21,22 +21,22 @@ converted: ``Cyc.rational``, the ``Cyc`` constructor, ``Cyc.scale_int``,
 any length to deg(Phi_n) entries through one table, the rows of x^e mod
 Phi_n for e = deg .. 2n-2, after folding a longer vector by zeta^n = 1.
 
-``_times`` multiplies two numerator vectors: a rational factor scales the
-other vector, and only two irrational factors are convolved.  ``_scatter``
-is the multiply-accumulate step of the products and the virtual Adams
-operations: it adds num * r by output position for table entries r in
-Z[zeta_n] to raw sums that share one denominator (the integer form of
-``coords.numerators`` and ``coords.from_numerators``), so it builds no
-``Cyc`` and merges no denominators.  ``_poly_times`` multiplies two
-polynomials in x and zeta given as integer terms, one flat loop over the
-pairs of terms and one reduction per power of x; ``virtual_ring.virtual_mul``
-calls it once per pair of sectors.  ``_rotation_sums`` is the discrete
-Fourier transform behind Gamma, its inverse and the changes to and from the
-semisimple basis: sums of c_j * zeta^(+-lj) for integer vectors c_j.  It
-sums in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and reduces and
-normalises each sum once.  That is exact because Phi_n divides x^n - 1, so
-the reduction is a ring map and nothing is divided before it; a ``Cyc``
-itself must stay modulo Phi_n, where every nonzero value is invertible.
+The integer kernels build no ``Cyc``: they add integer products to raw
+sums keyed by output position over one denominator that the caller keeps
+(``coords.numerators`` and ``coords.from_numerators``), so they merge no
+denominators and normalise nothing.  ``_times`` multiplies two numerator
+vectors: a rational factor scales the other vector, and only two irrational
+factors are convolved.  ``_scatter`` is the multiply-accumulate step of the
+products and the virtual Adams operations: it adds num * r to the sums for
+table entries r in Z[zeta_n].  ``_poly_times`` multiplies two polynomials
+in x and zeta given as integer terms, one flat loop over the pairs of terms
+and one reduction per power of x; ``virtual_ring.virtual_mul`` calls it
+once per pair of sectors.  ``_rotation_sums`` is the discrete Fourier
+transform behind Gamma, its inverse and the changes to and from the
+semisimple basis: sums of c_j * zeta^(+-lj) for integer vectors c_j, summed
+in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and reduced once.  That
+is exact because Phi_n divides x^n - 1, so the reduction is a ring map; a
+``Cyc`` itself must stay modulo Phi_n, where every nonzero value is invertible.
 
 ``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients.
 It only derives the sector tables (the Euler factors, the Adams images with
@@ -353,27 +353,24 @@ def _times(n: int, a: Sequence[int], b: Sequence[int],
     return _convolve(n, a, b)
 
 
-def _rotation_sums(n: int, pairs: Iterable[tuple[int, list[int]]], sign: int, den: int,
-                   positions: Iterable[int], ls: Iterable[int]) -> dict[int, Cyc]:
-    # For each l in ls, (sum of v * zeta^(sign*l*j) over the pairs (j, v)) / den
-    # at the matching position, reduced and normalised once; zero sums are
-    # left out.  Each v is a length-n integer list, the coefficients of
-    # x^0 .. x^(n-1) of an element of Z[x]/(x^n - 1), where multiplying by
-    # x^t rotates the list by t: each pair costs one slice of v + v per l,
-    # and the first pair's slice is the sum when no other pair follows.
+def _rotation_sums(n: int, sums: dict[int, list[int]], pairs: Iterable[tuple[int, list[int]]],
+                   sign: int, positions: Iterable[int], ls: Iterable[int]) -> None:
+    # For each l in ls, write to sums at the matching position the raw
+    # numerators of the sum of v * zeta^(sign*l*j) over the pairs (j, v),
+    # reduced once and not normalised.  Each v is a length-n integer list, the
+    # coefficients of x^0 .. x^(n-1) of an element of Z[x]/(x^n - 1), where
+    # multiplying by x^t rotates the list by t: each pair costs one slice of
+    # v + v per l, and the first pair's slice is the sum when no other pair
+    # follows.
     n2 = 2 * n
     (j0, d0), *rest = [(j, v + v) for j, v in pairs]
-    out = {}
     for i, l in zip(positions, ls):
         t = sign * l
         s = n - t * j0 % n
         total = d0[s:s + n]
         if rest:
             total = list(map(sum, zip(total, *[d[n - t * j % n:n2 - t * j % n] for j, d in rest])))
-        num = _reduce(n, total)
-        if any(num):
-            out[i] = _raw(n, *_normalized(num, den))
-    return out
+        sums[i] = _reduce(n, total)
 
 
 def _canonical(n: int, num: list[int], den: int) -> Cyc:
@@ -411,12 +408,12 @@ def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
     return out
 
 
-def _scatter(n: int, sums: dict[int, list[int]], num: Sequence[int], rational: bool, start: int,
+def _scatter(n: int, sums: dict[int, list[int]], num: Sequence[int], start: int,
              positions: Iterable[int], entries: Iterable[Cyc | int]) -> None:
     # Add num * entries[k] to the raw numerators sums[start + positions[k]]
     # for every k.  The entries are ints or Cyc in Z[zeta_n] (``coords.sparse``
-    # refuses others), so every sum keeps the one denominator of num;
-    # ``rational`` says that num is zero past its constant term.
+    # refuses others), so every sum keeps the one denominator of num.
+    rational = not any(num[1:])
     for offset, r in zip(positions, entries):
         if r.__class__ is int:
             p = num if r == 1 else [x * r for x in num]

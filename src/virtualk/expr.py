@@ -31,7 +31,10 @@ side and the localized product on the localized side; ``psi[0]`` is the
 augmentation.
 
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value and Adams
-indices lie in 0..``MAX_ADAMS_INDEX``; other values are parse errors.  A
+indices lie in 0..``MAX_ADAMS_INDEX``; other values are parse errors, and
+so is an integer literal of more digits than Python converts from text.
+``parse_adams_index`` reads an index written on its own, as the CLI's
+``adams k`` gives it, by the same rule as the k of ``psi[k]``.  A
 power of the untwisted sector variable takes time linear in the exponent, so
 the |e| of all ``x[0]^e`` atoms in one tree must also sum to at most
 ``MAX_EXPONENT``; the atom that crosses the bound is a parse error.  ``check``
@@ -203,6 +206,22 @@ def adams_index(k: int, pos: int = 0) -> int:
     return k
 
 
+def _digit_limit() -> int:
+    # Python's limit on the digits of an integer converted from or to text;
+    # 0, or an interpreter without the call, means no limit.
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _literal(text: str, pos: int) -> int:
+    """The integer literal ``text`` at ``pos``, or a ParseError if it has more
+    digits than Python converts from text."""
+    limit = _digit_limit()
+    if limit and len(text) > limit:
+        raise ParseError("integer literal of %d digits, over the limit %d for integer string "
+                         "conversion" % (len(text), limit), pos)
+    return int(text)
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         self.tokens = _tokenize(text)
@@ -230,8 +249,10 @@ class _Parser:
             raise ParseError("expected %s" % (value or kind), tok[2])
         return tok
 
-    def parse(self) -> Expr:
-        e = self.parse_expr()
+    def parse(self, rule=None):
+        """What ``rule``, by default an expression, reads from the whole text;
+        trailing input is an error."""
+        e = rule() if rule else self.parse_expr()
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError("unexpected trailing input %r" % tok[1], tok[2])
@@ -271,7 +292,13 @@ class _Parser:
 
     def parse_int(self) -> int:
         sign = -1 if self.accept("-") else 1
-        return sign * int(self.expect("num")[1])
+        _, text, pos = self.expect("num")
+        return sign * _literal(text, pos)
+
+    def parse_index(self) -> int:
+        """The k of ``psi[k]``: an integer checked by ``adams_index``."""
+        at = self.peek()[2]
+        return adams_index(self.parse_int(), at)
 
     def parse_list(self, item) -> list:
         out = [item()]
@@ -312,13 +339,14 @@ class _Parser:
             return self.parse_argument()
         kind, text, pos = self.next()
         if kind == "num":
-            value = Fraction(int(text))
+            value = Fraction(_literal(text, pos))
             slash = self.peek()[2]
             if self.accept("/"):
-                den = int(self.expect("num")[1])
+                _, den_text, den_pos = self.expect("num")
+                den = _literal(den_text, den_pos)
                 if den == 0:
                     raise ParseError("zero denominator", slash)
-                value = Fraction(int(text), den)
+                value /= den
             return Num(value, pos)
         if kind == "eof":
             raise ParseError("unexpected end of input", pos)
@@ -338,8 +366,7 @@ class _Parser:
             return LineAtom(tuple(v % self.n for v in f), tuple(beta), pos)
         if text == "psi":
             self.expect("sym", "[")
-            at = self.peek()[2]
-            k = adams_index(self.parse_int(), at)
+            k = self.parse_index()
             self.expect("sym", "]")
             return Unary("psi", self.parse_argument(), k, pos)
         if text in ("eps", "gamma", "gammainv"):
@@ -445,6 +472,12 @@ def parse(text: str, n: int) -> Expr:
     return check(_Parser(text, n).parse())
 
 
+def parse_adams_index(text: str) -> int:
+    """An Adams index written on its own, read by the rule of the k in ``psi[k]``."""
+    parser = _Parser(text, 0)
+    return parser.parse(parser.parse_index)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -452,10 +485,14 @@ def parse(text: str, n: int) -> Expr:
 Value = Cyc | Coords
 
 
-def evaluate(e: Expr, n: int) -> tuple[str, Value]:
-    """Evaluate a parsed expression; returns (basis, value), the basis read off the value."""
-    v = _eval(e, n)
-    return SCALAR if isinstance(v, Cyc) else v.kind, v
+def evaluate(e: Expr, n: int) -> Value:
+    """Evaluate a parsed expression; the value carries its basis (``value_basis``)."""
+    return _eval(e, n)
+
+
+def value_basis(v: Value) -> str:
+    """The basis a value is written in: "scalar" for a ``Cyc``, else its kind."""
+    return SCALAR if isinstance(v, Cyc) else v.kind
 
 
 def _coerce_pair(a: Value, b: Value):
@@ -471,10 +508,9 @@ def _printable(v: Value) -> Value:
     """``v``, or EvalError if it holds an integer too long to print.
 
     Python converts no integer of more than ``sys.get_int_max_str_digits()``
-    digits to text (0, or an interpreter without the call, means no limit).
-    Bit lengths are compared, so the check converts nothing.
+    digits to text (``_digit_limit``).  Bit lengths are compared, so the check converts nothing.
     """
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = _digit_limit()
     # An integer of more bits than this is at least 10**limit.
     max_bits = int(limit * math.log2(10)) + 1
     coeffs = (v,) if isinstance(v, Cyc) else v.terms.values()
@@ -574,21 +610,21 @@ def _eval(e: Expr, n: int) -> Value:
 # Output formatting
 
 
-def format_value(basis: str, v: Value) -> str:
+def format_value(v: Value) -> str:
     """Deterministic text form; coefficients in fixed basis order."""
-    return format_cyc(v) if basis == SCALAR else str(v)
+    return format_cyc(v) if isinstance(v, Cyc) else str(v)
 
 
 def _rat_vector(c: Cyc) -> list[str]:
     return [str(f) for f in c.coeffs]
 
 
-def value_to_json(n: int, basis: str, v: Value) -> str:
+def value_to_json(v: Value) -> str:
     """Structured serialization; exact rational coefficient vectors throughout."""
-    if basis == SCALAR:
-        doc = {"n": n, "basis": "scalar", "value": _rat_vector(v)}
+    if isinstance(v, Cyc):
+        doc = {"n": v.n, "basis": SCALAR, "value": _rat_vector(v)}
         return json.dumps(doc, sort_keys=True)
     index = v.basis.json
     coeffs = [{"index": list(index[i]), "value": _rat_vector(c)} for i, c in v.terms.items()]
-    doc = {"n": n, "basis": v.kind, "coeffs": coeffs}
+    doc = {"n": v.n, "basis": v.kind, "coeffs": coeffs}
     return json.dumps(doc, sort_keys=True)

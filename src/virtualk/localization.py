@@ -9,12 +9,12 @@ closed-form preimages of the block generators and extends linearly, with
 no rational-function arithmetic exists anywhere.
 
 Gamma, its inverse and the changes to and from the semisimple basis are
-discrete Fourier transforms over Z[zeta_n], one per sector or per row, plus
-a few closed-form terms on the block (0,0).  Each transform is one call of
-``cyclotomic._rotation_sums`` on the block's integer numerators, grouped by
-``_blocks`` from the class's numerators over one common denominator
-(``coords.numerators``), so every output coordinate is reduced and
-normalised once and no scalar product is formed per entry.
+discrete Fourier transforms over Z[zeta_n] (``cyclotomic._rotation_sums``),
+one per sector or row of ``_blocks``, plus closed-form terms on the block
+(0,0).  Each map writes every output coordinate, passed-through ones too, as
+raw numerators over one denominator and leaves through one
+``coords.from_numerators``.  1/w_l = 1/(1 - zeta^(-l)) exists once, as the
+integer matrix of n/w_l (``_inverse_weights``), so no table inverts a scalar.
 
 ``loc_mul`` is the localized product table: the products of the meeting
 coordinates' numerators are scattered through its entries, integers and the
@@ -51,18 +51,6 @@ def _w(n: int, l: int) -> Cyc:
     return Cyc.one(n) - zeta_pow(n, -l)
 
 
-@cache
-def _w_inv(n: int, l: int) -> Cyc:
-    return _w(n, l).inv()
-
-
-@cache
-def _adams_weight(n: int, l: int, s: int) -> Cyc:
-    # (zeta^(-l) - 1)/(zeta^(-s) - 1) = w_l / w_s, the factor 1_ml picks up
-    # on its way to 1_ms under psi^k when k*s = l (mod n).
-    return _w(n, l) * _w_inv(n, s)
-
-
 def _blocks(n: int, items: Iterable[tuple[int, int, Sequence[int]]]
             ) -> dict[int, tuple[list[int], list[list[int]]]]:
     # (block, index, numerators) triples, all over one denominator
@@ -75,12 +63,6 @@ def _blocks(n: int, items: Iterable[tuple[int, int, Sequence[int]]]
         indices.append(index)
         vectors.append([*num, *pad])
     return out
-
-
-def _put(out: dict[int, Cyc], n: int, i: int, num: list[int], den: int) -> None:
-    # Store num/den at position i, normalised, unless it is zero.
-    if any(num):
-        out[i] = _canonical(n, num, den)
 
 
 @cache
@@ -108,6 +90,13 @@ def _weighted(num: list[int], columns: tuple[tuple[int, ...], ...]) -> list[int]
     return [sum(map(mul, num, col)) for col in columns]
 
 
+@cache
+def _adams_weight(n: int, l: int, s: int) -> Cyc:
+    # (zeta^(-l) - 1)/(zeta^(-s) - 1) = w_l / w_s = w_l * (n/w_s) / n, the
+    # factor 1_ml picks up on its way to 1_ms under psi^k when k*s = l (mod n).
+    return _canonical(n, _weighted(_w(n, l).num, _inverse_weights(n)[s - 1]), n)
+
+
 # ---------------------------------------------------------------------------
 # The decomposition map and its closed-form inverse.  Both are discrete
 # Fourier transforms over Z[zeta_n], one per sector, summed by
@@ -122,19 +111,19 @@ def gamma(a: Coords) -> Coords:
     xe[0,0] = f'(1), so that f = e[0,0] * 1 + xe[0,0] * x modulo (x-1)^2.
     """
     a.check_kind("sector")
-    n, json, out = a.n, a.basis.json, {}
+    n, json, sums = a.n, a.basis.json, {}
     den, nums = numerators(a)
     for m, (js, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
                                         for i, v in nums.items())).items():
         if m == 0:
             columns = list(zip(*vectors))[:phi_degree(n)]
             slope = [sum(map(mul, js, col)) for col in columns]
-            _put(out, n, 0, [sum(col) - d for col, d in zip(columns, slope)], den)
-            _put(out, n, 1, slope, den)
+            sums[0] = [sum(col) - d for col, d in zip(columns, slope)]
+            sums[1] = slope
         ls = range(1 if m == 0 else 0, n)
-        out.update(_rotation_sums(n, zip(js, vectors), 1, den,
-                                  range(grid(n, m, ls.start), grid(n, m, n)), ls))
-    return from_canonical(n, "loc", out)
+        positions = range(grid(n, m, ls.start), grid(n, m, n))
+        _rotation_sums(n, sums, zip(js, vectors), 1, positions, ls)
+    return from_numerators(n, "loc", sums, den)
 
 
 def gamma_inverse(b: Coords) -> Coords:
@@ -160,14 +149,14 @@ def gamma_inverse(b: Coords) -> Coords:
     f_0[n] = H_0/n - f_0[0].
     """
     b.check_kind("loc")
-    n, json, out = b.n, b.basis.json, {}
+    n, json, sums = b.n, b.basis.json, {}
     den, nums = numerators(b)
     for m, (ls, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
                                         for i, v in nums.items())).items():
         start = sector_start(n, m)
+        scaled = [(l, [n * c for c in v]) for l, v in zip(ls, vectors)]  # from den*n to den*n*n
         if m:
-            out.update(_rotation_sums(n, zip(ls, vectors), -1, den * n,
-                                      range(start, start + n), range(n)))
+            _rotation_sums(n, sums, scaled, -1, range(start, start + n), range(n))
             continue
         b0, b1 = (nums.get(i, (0,) * phi_degree(n)) for i in (0, 1))
         first = [n * (n + 1) // 2 * x + n * (n - 1) // 2 * y for x, y in zip(b0, b1)]
@@ -175,10 +164,10 @@ def gamma_inverse(b: Coords) -> Coords:
         for l, v in zip(ls, vectors):
             if l:
                 first = list(map(add, first, _weighted(v, weights[n - l - 1])))
-        _put(out, n, 0, first, den * n * n)
-        out.update(_rotation_sums(n, zip(ls, vectors), -1, den * n, range(1, n), range(1, n)))
-        _put(out, n, n, [n * sum(col) - f for col, f in zip(zip(*vectors), first)], den * n * n)
-    return from_canonical(n, "sector", out)
+        sums[0] = first
+        _rotation_sums(n, sums, scaled, -1, range(1, n), range(1, n))
+        sums[n] = [n * sum(col) - f for col, f in zip(zip(*vectors), first)]
+    return from_numerators(n, "sector", sums, den * n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +228,7 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
         return zero(n, "loc")
     (da, A), (db, B), sums = numerators(a), numerators(b), {}
     for i, j, product in meets:
-        p = _times(n, A[i], B[j])
-        _scatter(n, sums, p, not any(p[1:]), 0, *product)
+        _scatter(n, sums, _times(n, A[i], B[j]), 0, *product)
     return from_numerators(n, "loc", sums, da * db)
 
 
@@ -295,20 +283,21 @@ def from_u_basis(b: Coords) -> Coords:
     for i != 0, the weight n/w_l applied once per stored u[l,q].
     """
     b.check_kind("u")
-    n, B, json = b.n, b.terms, b.basis.json
-    z = Cyc.zero(n)
-    out = {0: B.get(0, z) - B.get(1, z), 1: B.get(1, z)}
-    out.update((grid(n, json[i][2], 0), c) for i, c in B.items() if 1 < i <= n)
+    n, json, nn = b.n, b.basis.json, b.n * b.n
     deg, weights = phi_degree(n), _inverse_weights(n)
     den, nums = numerators(b)
+    b0, b1 = (nums.get(i, (0,) * deg) for i in (0, 1))
+    sums = {0: [nn * (x - y) for x, y in zip(b0, b1)], 1: [nn * y for y in b1]}
+    sums.update((grid(n, json[i][2], 0), [nn * c for c in v]) for i, v in nums.items()
+                if 1 < i <= n)
     pad = [0] * (n - deg)
     for l, (qs, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
                                         for i, v in nums.items() if i > n)).items():
-        _put(out, n, grid(n, 0, l), [sum(col) for col in zip(*vectors)][:deg], den * n)
+        sums[grid(n, 0, l)] = [n * sum(col) for col in zip(*vectors)][:deg]
         weighted = [(q, _weighted(v, weights[l - 1]) + pad) for q, v in zip(qs, vectors)]
-        out.update(_rotation_sums(n, weighted, -1, den * n * n,
-                                  range(grid(n, 1, l), grid(n, n, l), n), range(1, n)))
-    return from_terms(n, "loc", out)
+        _rotation_sums(n, sums, weighted, -1, range(grid(n, 1, l), grid(n, n, l), n),
+                       range(1, n))
+    return from_numerators(n, "loc", sums, den * nn)
 
 
 def to_u_basis(a: Coords) -> Coords:
@@ -319,18 +308,17 @@ def to_u_basis(a: Coords) -> Coords:
     v_i = w_l e[i,l], where w_l v = v - zeta^(-l) v costs one rotation.
     """
     a.check_kind("loc")
-    n, A, json = a.n, a.terms, a.basis.json
-    z = Cyc.zero(n)
-    out = {0: A.get(0, z) + A.get(1, z), 1: A.get(1, z)}
-    out.update((grid(n, 0, json[i][1]), c) for i, c in A.items() if i > 1 and not json[i][2])
+    n, json = a.n, a.basis.json
     den, nums = numerators(a)
+    a0, a1 = (nums.get(i, (0,) * phi_degree(n)) for i in (0, 1))
+    sums = {0: list(map(add, a0, a1)), 1: a1}
+    sums.update((grid(n, 0, json[i][1]), v) for i, v in nums.items() if i > 1 and not json[i][2])
     for l, (ms, vectors) in _blocks(n, ((json[i][2], json[i][1], v)
                                         for i, v in nums.items() if json[i][2])).items():
         weighted = [(m, list(map(sub, v, (v + v)[l:l + n])) if m else v)
                     for m, v in zip(ms, vectors)]
-        out.update(_rotation_sums(n, weighted, 1, den, range(grid(n, l, 0), grid(n, l, n)),
-                                  range(n)))
-    return from_terms(n, "u", out)
+        _rotation_sums(n, sums, weighted, 1, range(grid(n, l, 0), grid(n, l, n)), range(n))
+    return from_numerators(n, "u", sums, den)
 
 
 def square_zero_terms(A: dict[int, Cyc], B: dict[int, Cyc], stop: int) -> dict[int, Cyc]:

@@ -125,7 +125,7 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
         for m2, t2 in sectors_b.items():
             start, rows = _pair_rows(euler_factor, n, m1, m2)
             for s, num in _poly_times(n, t1, t2):
-                _scatter(n, sums, num, not any(num[1:]), start, *rows[s])
+                _scatter(n, sums, num, start, *rows[s])
     return from_numerators(n, "sector", sums, da * db)
 
 
@@ -154,7 +154,7 @@ def virtual_adams(a: Coords, k: int) -> Coords:
     sums: dict[int, list[int]] = {}
     for i, num in nums.items():
         _, m, j = json[i]
-        _scatter(n, sums, num, not any(num[1:]), sector_start(n, m), *_adams_column(n, m, j, k))
+        _scatter(n, sums, num, sector_start(n, m), *_adams_column(n, m, j, k))
     return from_numerators(n, "sector", sums, den)
 
 

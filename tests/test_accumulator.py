@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virtualk.cyclotomic as cyclotomic
+import virtualk.localization as localization
 from test_virtual_ring import reference_mul
 from virtualk.coords import (Coords, basis, basis_vectors, from_numerators, from_terms, grid,
                              sparse)
@@ -43,7 +44,7 @@ def scatter_columns(n, kind, terms):
     den, sums = math.lcm(*[c.den for c, _, _ in terms]), {}
     for c, start, column in terms:
         num = [x * (den // c.den) for x in c.num]
-        cyclotomic._scatter(n, sums, num, c.is_rational(), start, *column)
+        cyclotomic._scatter(n, sums, num, start, *column)
     return from_numerators(n, kind, sums, den)
 
 
@@ -265,3 +266,27 @@ def test_basis_changes_multiply_no_numerator_vectors(monkeypatch):
     columns = gamma_columns(n)
     reference_apply_columns(n, "loc", [(c, 0, columns[i]) for i, c in s.terms.items()])
     assert calls["_times"] > 0 and calls["_convolve"] > 0
+
+
+def test_each_basis_change_leaves_through_one_from_numerators(monkeypatch):
+    # Every output coordinate of Gamma, its inverse and the maps to and from
+    # the semisimple basis is a raw sum over one denominator per call, the
+    # closed-form and passed-through coordinates included.
+    n = 8
+    size = len(basis(n, "sector").labels)
+    s = Coords(n, "sector", [Cyc(n, [(i * 5 + t) % 9 - 4 for t in range(4)], 1 + i % 3)
+                             for i in range(size)])
+    a = gamma(s)
+    u = to_u_basis(a)
+    calls = []
+
+    def counted(*args, _original=localization.from_numerators):
+        calls.append(args[1])
+        return _original(*args)
+
+    monkeypatch.setattr(localization, "from_numerators", counted)
+    for fn, arg, kind in ((gamma, s, "loc"), (gamma_inverse, a, "sector"),
+                          (to_u_basis, a, "u"), (from_u_basis, u, "loc")):
+        calls.clear()
+        assert len(fn(arg).terms) == n * n + 1
+        assert calls == [kind], fn.__name__

@@ -468,6 +468,81 @@ def test_the_power_check_follows_the_interpreter_limit(capsys):
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no conversion limit")
+@pytest.mark.parametrize("argv,position", [
+    (["eval", "--n", "2", "{long}*x[1]"], "at position 0"),
+    (["eval", "--n", "2", "x[1]^{long}"], "at position 5"),
+    (["eval", "--n", "2", "x[1]^-{long}"], "at position 6"),
+    (["eval", "--n", "2", "psi[{long}](x[1])"], "at position 4"),
+    (["eval", "--n", "2", "x[{long}]"], "at position 2"),
+    (["eval", "--n", "2", "3/{long} + x[1]"], "at position 2"),
+    (["adams", "{long}", "--n", "2", "x[1]"], "in k at position 0"),
+    (["mul", "--n", "2", "x[1]", "2 + {long}"], "in rhs at position 4"),
+], ids=["factor", "exponent", "negative-exponent", "adams-index", "atom-index", "denominator",
+        "adams-verb", "mul-rhs"])
+def test_a_literal_over_the_interpreter_limit_is_a_parse_error_at_its_position(
+        capsys, no_work, argv, position):
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, *[a.replace("{long}", "1" * 5000) for a in argv])
+        assert (code, out) == (2, "")
+        assert err == ("error: integer literal of 5000 digits, over the limit 4300 for integer "
+                       "string conversion (%s)\n" % position)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no conversion limit")
+def test_a_literal_at_the_interpreter_limit_converts(capsys):
+    # The check counts digits as Python does, leading zeros included.
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert run(capsys, "eval", "--n", "2", "0*%s + 1" % ("1" * 4300)) == (0, "1\n", "")
+        assert run(capsys, "eval", "--n", "2", "0" * 4301)[0] == 2
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("k,message", [
+    ("1_0", "unexpected trailing input '_0' (in k at position 1)"),
+    ("+10", "expected num (in k at position 0)"),
+    ("x", "expected num (in k at position 0)"),
+    ("", "expected num (in k at position 0)"),
+    ("10 2", "unexpected trailing input '2' (in k at position 3)"),
+])
+def test_the_adams_index_is_read_by_the_integer_rule_of_psi(capsys, no_work, k, message):
+    code, out, err = run(capsys, "adams", k, "--n", "2", "x[1]")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    # psi[k] refuses the same text.
+    assert run(capsys, "eval", "--n", "2", "psi[%s](x[1])" % k)[0] == 2
+
+
+def test_the_adams_verb_and_psi_read_the_same_indices(capsys):
+    ten = run(capsys, "adams", "10", "--n", "2", "x[1]")
+    assert ten[0] == 0
+    # Python reads every Unicode decimal digit, in the grammar and in int() alike.
+    for k in (" 10", "010", "\uff11\uff10"):
+        assert run(capsys, "adams", k, "--n", "2", "x[1]") == ten
+        assert run(capsys, "eval", "--n", "2", "psi[%s](x[1])" % k) == ten
+    assert run(capsys, "adams", "--n", "3", "--", "-1", "x[1") == (
+        2, "", "error: %s (in k at position 0)\n" % _NEGATIVE_INDEX)
+
+
+def test_each_value_carries_its_own_basis(capsys):
+    # A loc value displayed in u is a u value: its text and JSON read the
+    # basis and n off the value itself.
+    value = cli.evaluate(parse("e[0,1]", 3), 3)
+    assert value.kind == "loc"
+    code, out, _ = run(capsys, "eval", "--n", "3", "--basis", "u", "--json", "e[0,1]")
+    u = cli.loc.to_u_basis(value)
+    assert (code, out) == (0, cli.value_to_json(u) + "\n")
+    assert json.loads(out)["basis"] == "u" and json.loads(out)["n"] == 3
+    code, out, _ = run(capsys, "eval", "--n", "3", "--basis", "u", "e[0,1]")
+    assert (code, out) == (0, cli.format_value(u) + "\n")
+
+
 @pytest.mark.parametrize("k_max", [-5, 0, 1])
 def test_run_verify_rejects_k_max_below_two(k_max):
     with pytest.raises(ValueError, match="k_max"):

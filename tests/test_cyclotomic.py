@@ -407,9 +407,23 @@ def test_every_product_of_two_numerator_vectors_goes_through_times(monkeypatch):
     assert len(calls) >= phi_degree(n)
     calls.clear()
     sums = {}
-    cyclotomic._scatter(n, sums, a.num, False, 1, (0, 1), (b, 3))
+    cyclotomic._scatter(n, sums, a.num, 1, (0, 1), (b, 3))
     assert calls == [(a.num, b.num)]
     assert {i: Cyc(n, s) for i, s in sums.items()} == {1: product, 2: a + a + a}
+
+
+def test_scatter_scales_by_a_rational_numerator_without_convolving(monkeypatch):
+    # _scatter reads off num itself that it is zero past its constant term.
+    import virtualk.cyclotomic as cyclotomic
+
+    convolved = []
+    monkeypatch.setattr(cyclotomic, "_convolve", lambda *args: convolved.append(args))
+    n = 7
+    two, b = Cyc.rational(n, 2), zeta_pow(n, 3) - Cyc.rational(n, 5)
+    sums = {}
+    cyclotomic._scatter(n, sums, two.num, 0, (0, 2), (b, 3))
+    assert convolved == []
+    assert {i: Cyc(n, s) for i, s in sums.items()} == {0: b + b, 2: Cyc.rational(n, 6)}
 
 
 @settings(max_examples=200)
@@ -462,13 +476,10 @@ def test_rotation_sums_match_the_sum_of_cyc_products(data, n, sign):
     js = data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=n))
     vectors = [(j, data.draw(st.lists(value, min_size=n, max_size=n))) for j in js]
     ls = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
-    den = data.draw(st.sampled_from((1, 6, 2**61 - 1)))
-    got = cyclotomic._rotation_sums(n, vectors, sign, den, range(10, 10 + len(ls)), ls)
-    expected = {}
-    for i, l in enumerate(ls, 10):
-        c = sum((Cyc(n, v) * zeta_pow(n, sign * l * j) for j, v in vectors), Cyc.zero(n))
-        c = c * Cyc.rational(n, Fraction(1, den))
-        if c:
-            expected[i] = c
-    assert got == expected
-    assert all(len(c.num) == phi_degree(n) for c in got.values())
+    sums = {}
+    cyclotomic._rotation_sums(n, sums, vectors, sign, range(10, 10 + len(ls)), ls)
+    expected = {i: sum((Cyc(n, v) * zeta_pow(n, sign * l * j) for j, v in vectors), Cyc.zero(n))
+                for i, l in enumerate(ls, 10)}
+    # Raw numerators, one per position, zero sums included: Cyc(n, num) only normalises them.
+    assert {i: Cyc(n, num) for i, num in sums.items()} == expected
+    assert all(len(num) == phi_degree(n) for num in sums.values())

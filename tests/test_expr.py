@@ -27,6 +27,7 @@ from virtualk.expr import (
     parse,
     preferred_display,
     ring_power,
+    value_basis,
     value_to_json,
 )
 from virtualk.coords import Coords, gen, power, unit, zero
@@ -45,7 +46,8 @@ from virtualk.virtual_ring import k_monomial, virtual_mul
 
 
 def _eval(text, n):
-    return evaluate(parse(text, n), n)
+    v = evaluate(parse(text, n), n)
+    return value_basis(v), v
 
 
 def test_sector_expression_with_negative_power():
@@ -82,7 +84,7 @@ def test_adams_on_jet_block():
     basis, v = _eval("psi[2](xe[0,0])", 2)
     expected = gen(2, "loc", "xe[0,0]", 2) - gen(2, "loc", "e[0,0]") + gen(2, "loc", "e[0,1]")
     assert v == expected
-    assert format_value(basis, v) == "-e[0,0] + 2*xe[0,0] + e[0,1]"
+    assert format_value(v) == "-e[0,0] + 2*xe[0,0] + e[0,1]"
 
 
 def test_gamma_of_unit():
@@ -318,19 +320,19 @@ def test_preferred_display():
 
 def test_json_serialization():
     basis, v = _eval("psi[2](xe[0,0])", 2)
-    doc = value_to_json(2, basis, v)
-    assert '"basis": "loc"' in doc
+    doc = value_to_json(v)
+    assert '"basis": "loc"' in doc and '"n": 2' in doc
     assert '["e", 0, 0]' in doc and '["xe", 0, 0]' in doc
     basis, v = _eval("x[1] + one[0]", 2)
-    doc = value_to_json(2, basis, v)
+    doc = value_to_json(v)
     assert '"basis": "sector"' in doc
     basis, v = _eval("zeta", 4)
-    doc = value_to_json(4, basis, v)
-    assert '"basis": "scalar"' in doc
+    doc = value_to_json(v)
+    assert '"basis": "scalar"' in doc and '"n": 4' in doc
 
 
 def test_format_value_zero():
-    assert format_value("loc", zero(2, "loc")) == "0"
+    assert format_value(zero(2, "loc")) == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +564,7 @@ def test_the_one_walk_matches_the_two_old_walks(n, text):
         assert str(exc.value) == "%s (at position %d)" % (expected, position)
     else:
         assert parse(text, n) == e
-        assert evaluate(e, n)[0] == expected[0]
+        assert value_basis(evaluate(e, n)) == expected[0]
 
 
 def test_the_walk_table_covers_every_node_kind_and_basis_mix_error():

@@ -138,6 +138,27 @@ def test_loc_adams_matches_transport_small():
                 assert loc_adams(e, k) == oracle, (n, label, k)
 
 
+def test_adams_weights_are_built_without_inverting_a_scalar(monkeypatch):
+    # w_l / w_s is read through the integer matrix of n / w_s; the Galois
+    # inverse of w_s is only the reference here.
+    inversions = []
+    original = Cyc.inv
+
+    def counted(self):
+        inversions.append(self)
+        return original(self)
+
+    loc._adams_weight.cache_clear()
+    loc._inverse_weights.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(Cyc, "inv", counted)
+        weights = {(n, l, s): loc._adams_weight(n, l, s)
+                   for n in range(2, 13) for l in range(1, n) for s in range(1, n)}
+    assert inversions == []
+    for (n, l, s), w in weights.items():
+        assert w == loc._w(n, l) * loc._w(n, s).inv(), (n, l, s)
+
+
 def test_u_basis_example():
     # n=2: u_1^0 = (1/2) 1_01 + (1/4) 1_11.
     got = from_u_basis(gen(2, "u", "u[1,0]"))
