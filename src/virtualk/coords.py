@@ -266,11 +266,14 @@ def from_numerators(n: int, kind: str, sums: dict[int, Sequence[int]], den: int)
                                     if any(s)})
 
 
-def power(a: Coords, k: int, mul: Callable[[Coords, Coords], Coords]) -> Coords:
-    """a^k for k >= 0 by square-and-multiply, ``mul`` being the ring product."""
+def power(a: Coords | Cyc, k: int, mul: Callable) -> Coords | Cyc:
+    """a^k for k >= 0 by square-and-multiply, ``mul`` being the ring product.
+
+    The one power loop, for classes and scalars: a ``Cyc`` starts from 1.
+    """
     if k < 0:
         raise ValueError("negative powers need an explicit inverse")
-    result = unit(a.n, a.kind)
+    result = Cyc.one(a.n) if isinstance(a, Cyc) else unit(a.n, a.kind)
     base = a
     while k:
         if k & 1:

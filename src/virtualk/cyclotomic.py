@@ -15,7 +15,8 @@ equality across them is ``False``; an ``int`` or ``Fraction`` operand is a
 equality is transitive.  Integers and fractions enter only where they are
 converted: ``Cyc.rational``, the ``Cyc`` constructor, ``Cyc.scale_int``,
 ``coords.gen``, ``Coords.scale``, ``line_elements.line_element``,
-``CycPoly.from_ints`` and ``CycPoly.scale``.
+``CycPoly.from_ints`` and ``CycPoly.scale``.  ``Cyc`` has no ``**``: a power
+of a scalar runs through ``coords.power``, the one square-and-multiply.
 
 ``_reduce`` is the one reduction modulo Phi_n: it brings raw numerators of
 any length to deg(Phi_n) entries through one table, the rows of x^e mod
@@ -249,8 +250,8 @@ class Cyc:
         if op is operator.add and not any(a):
             return other
         if da == db:
-            return _raw(n, *_normalized(list(map(op, a, b)), da))
-        return _raw(n, *_normalized([op(x * db, y * da) for x, y in zip(a, b)], da * db))
+            return _canonical(n, list(map(op, a, b)), da)
+        return _canonical(n, [op(x * db, y * da) for x, y in zip(a, b)], da * db)
 
     def __mul__(self, other: "Cyc") -> "Cyc":
         if not isinstance(other, Cyc):
@@ -260,14 +261,14 @@ class Cyc:
             raise ValueError(_MIXED % (n, other.n))
         if not (any(a) and any(b)):
             return Cyc.zero(n)
-        return _raw(n, *_normalized(_times(n, a, b), self.den * other.den))
+        return _canonical(n, _times(n, a, b), self.den * other.den)
 
     def scale_int(self, k: int) -> "Cyc":
         """k * self for an integer k."""
         k = operator.index(k)
         if not k or not any(self.num):
             return Cyc.zero(self.n)
-        return _raw(self.n, *_normalized([c * k for c in self.num], self.den))
+        return _canonical(self.n, [c * k for c in self.num], self.den)
 
     def inv(self) -> "Cyc":
         """Multiplicative inverse by the Galois norm.
@@ -289,21 +290,7 @@ class Cyc:
                     conjugate[e * j % n] += c
                 p = _times(n, p, _reduce(n, conjugate))
         norm = _times(n, num, p)[0]
-        return _raw(n, *_normalized([self.den * c for c in p], norm))
-
-    def __pow__(self, k: int) -> "Cyc":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        result = Cyc.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _canonical(n, [self.den * c for c in p], norm)
 
     def __repr__(self) -> str:
         return format_cyc(self)

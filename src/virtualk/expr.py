@@ -43,12 +43,15 @@ in the node a CLI verb builds around its arguments.  Every other power of a
 class has one rule (``ring_power``): the class goes to semisimple
 coordinates, through ``gamma`` first on the sector side, where the product
 is diagonal except for one square-zero block; it is inverted there for a
-negative exponent, raised by square-and-multiply and mapped back once.  An
-Adams operation builds its columns in closed form, at a cost that does not
-grow with the index; only the size of its integer coefficients does.  A
-power of a class or a scalar whose coefficients outgrow Python's
-integer-to-text limit is an evaluation error, raised as soon as a step of
-the power meets such a coefficient.
+negative exponent, raised by ``coords.power`` and mapped back once.  A
+power of a scalar is inverted first for a negative exponent and runs
+through the same ``power``.  An Adams operation builds its columns in
+closed form, at a cost that does not grow with the index; only the size of
+its integer coefficients does.  A power of a class or a scalar whose
+coefficients outgrow Python's integer-to-text limit is an evaluation error:
+every product of either power passes the same digit guard (``_printable``),
+so the error is raised as soon as a step of the power meets such a
+coefficient.
 """
 
 from __future__ import annotations
@@ -588,12 +591,10 @@ def _eval(e: Expr, n: int) -> Value:
         if not isinstance(v, Cyc):
             return ring_power(v, e.exp)
         try:
-            v, w = (v.inv() if e.exp < 0 else v), Cyc.one(n)
+            v = v.inv() if e.exp < 0 else v
         except ZeroDivisionError as exc:
             raise EvalError(str(exc)) from exc
-        for bit in bin(abs(e.exp))[2:]:  # square-and-multiply, each step checked
-            w = _printable(w * w * v if bit == "1" else w * w)
-        return w
+        return power(v, abs(e.exp), lambda a, b: _printable(a * b))
     v = _eval(e.x, n)
     if e.op == "-":
         return -v

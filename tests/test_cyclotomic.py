@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import virtualk.cyclotomic as cyclotomic
 from conftest import evaluate
+from virtualk.coords import power
 from virtualk.cyclotomic import (
     Cyc,
     CycPoly,
@@ -117,7 +118,7 @@ def test_root_of_unity_sum_vanishes():
 
 def test_canonical_representation():
     for n in (4, 6, 9):
-        assert zeta_pow(n, 1) ** n == Cyc.one(n)
+        assert power(zeta_pow(n, 1), n, Cyc.__mul__) == Cyc.one(n)
         a = Cyc(n, [2, 4], 6)
         assert a.den > 0
         assert math.gcd(a.den, *a.num) == 1
@@ -185,10 +186,25 @@ def test_coeffs_property_and_rational_detection():
 
 def test_pow_and_division():
     z = zeta_pow(8, 1)
-    assert z**8 == Cyc.one(8)
-    assert z**-3 == zeta_pow(8, 5)
+    assert power(z, 8, Cyc.__mul__) == Cyc.one(8)
+    assert power(z.inv(), 3, Cyc.__mul__) == zeta_pow(8, 5)
     assert z * z.inv() == Cyc.one(8)
     assert z.inv() == zeta_pow(8, 7)
+
+
+@given(_scalars(), st.integers(0, 12))
+def test_power_of_a_scalar_is_the_repeated_product(c, k):
+    # coords.power is the one square-and-multiply, for scalars too: it starts
+    # from Cyc.one of the scalar's order.
+    product = Cyc.one(c.n)
+    for _ in range(k):
+        product = product * c
+    assert power(c, k, Cyc.__mul__) == product
+
+
+def test_a_scalar_has_no_power_operator():
+    with pytest.raises(TypeError):
+        zeta_pow(8, 1) ** 2
 
 
 def test_mixed_order_arithmetic_rejected():

@@ -1,11 +1,16 @@
-"""The integer form behind the products and the virtual Adams operations.
+"""The integer kernels: ``_scatter``, ``from_numerators`` and the basis changes.
 
 ``cyclotomic._scatter`` adds integer products to raw numerators over one
 denominator, and ``coords.from_numerators`` normalises each output
-coordinate once.  The term-by-term sum they replaced is kept here as the
-reference: every term there builds a canonical ``Cyc`` for its product and
-another for its sum, so equal results show that the single normalisation
-lands on the same canonical scalars.
+coordinate once; the products, the virtual Adams operations and the four
+basis changes (``gamma``, ``gamma_inverse``, ``to_u_basis`` and
+``from_u_basis``) leave through it.  The term-by-term sum the kernels
+replaced is kept here as the reference: every term there builds a canonical
+``Cyc`` for its product and another for its sum, so equal results show that
+the single normalisation lands on the same canonical scalars.  Counters
+check that each output coordinate is normalised once, that the basis
+changes form no scalar product and that each leaves through one
+``from_numerators``.
 """
 
 import math
