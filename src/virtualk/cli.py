@@ -28,8 +28,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import ExitStack
 from functools import cache
 
 from . import localization as loc
@@ -48,7 +50,7 @@ from .expr import (
     value_to_json,
 )
 from .line_elements import is_line_element
-from .verify import run_verify, select_suites
+from .verify import Report, select_suites
 
 #: Largest accepted weight n.
 MAX_N = 8
@@ -154,6 +156,47 @@ def main(argv: list[str] | None = None) -> int:
         return 141
 
 
+def _verify(args, suites: tuple[str, ...]) -> int:
+    """Write the report as the suites produce it, keeping only the failures
+    (and, for the verbose summary, every check with its id).
+
+    Without ``--out`` the report streams to stdout.  With ``--out`` it streams
+    to an unnamed file beside the target, is copied over the target once
+    complete, and is echoed after that.
+    """
+    # Text output prints no passing side, so only JSON renders them.
+    report = Report(args.n_min, args.n_max, args.k_max, suites, render_passing=args.json,
+                    checks=[] if args.verbose and not args.json else None)
+    with ExitStack() as files:
+        out = sys.stdout
+        if args.out:
+            # Both opened before any suite runs; the target is appended to,
+            # so it stays as it was until the report is complete.
+            try:
+                target = files.enter_context(open(args.out, "a", encoding="utf-8"))
+                out = files.enter_context(tempfile.TemporaryFile(
+                    "w+", encoding="utf-8", dir=os.path.dirname(os.path.abspath(args.out))))
+            except OSError as exc:
+                print("error: cannot write the report: %s" % exc, file=sys.stderr)
+                return 2
+        if args.json:
+            out.writelines(report.json_pieces(report.run()))
+        else:
+            for _ in report.run():
+                pass
+            out.write(report.text_summary(args.verbose))
+        out.write("\n")
+        if args.out:
+            out.seek(0)
+            target.truncate(0)
+            shutil.copyfileobj(out, target)
+            # Closed before the echo, so a closed stdout cannot cost the file.
+            target.close()
+            out.seek(0)
+            shutil.copyfileobj(out, sys.stdout)
+    return 0 if report.ok else 1
+
+
 def _command(args) -> int:
     if getattr(args, "k_max", None) is not None and not 2 <= args.k_max <= MAX_K_MAX:
         print("error: --k-max must be between 2 and %d" % MAX_K_MAX, file=sys.stderr)
@@ -163,24 +206,7 @@ def _command(args) -> int:
             if not 2 <= args.n_min <= args.n_max <= MAX_N:
                 print("error: need 2 <= --n-min <= --n-max <= %d" % MAX_N, file=sys.stderr)
                 return 2
-            suites = select_suites(tuple(args.suite) if args.suite else ("all",))
-            # Opened before any suite runs; appending leaves it as it was if the run stops.
-            try:
-                out = open(args.out, "a", encoding="utf-8") if args.out else nullcontext()
-            except OSError as exc:
-                print("error: cannot write the report: %s" % exc, file=sys.stderr)
-                return 2
-            with out:
-                # Text output prints no passing side, so only JSON renders them.
-                report = run_verify(args.n_min, args.n_max, suites, args.k_max,
-                                    render_passing=args.json)
-                text = report.to_json() if args.json else report.text_summary(args.verbose)
-                # Written before the echo, so a closed stdout cannot cost the file.
-                if args.out:
-                    out.truncate(0)
-                    out.write(text + "\n")
-            print(text)
-            return 0 if report.ok else 1
+            return _verify(args, select_suites(tuple(args.suite) if args.suite else ("all",)))
 
         if not 2 <= args.n <= MAX_N:
             print("error: --n must be between 2 and %d" % MAX_N, file=sys.stderr)

@@ -12,7 +12,13 @@ Every suite is a generator ``(n, k_max) -> Iterator[Relation]`` that yields
 (name, lhs, rhs); ``_checks`` alone compares and renders relations into
 ``Check`` records.  ``SUITES`` maps each suite name to a builder
 ``(n, k_max, render_passing=True) -> list[Check]`` over its generator;
-``run_verify`` resolves the default k_max = 2n before it calls one.
+``Report.run`` is the one loop over them: it calls each suite at each n in
+turn, resolving the default k_max = 2n, counts the checks of each
+(n, suite), keeps their failures and yields their list.  A report keeps
+every check only when it collects, as ``run_verify`` does; otherwise no
+passing check outlives its (n, suite).  ``Report.json_pieces`` encodes each
+yielded list as it comes, so the CLI streams the report and holds only its
+failures.
 A report built with ``render_passing=False`` compares every relation but
 renders the sides of failing checks only, which is all the text summary
 prints; it cannot be serialized to JSON.
@@ -81,9 +87,12 @@ class Check:
 
 @dataclass
 class Report:
-    """Checks in run order; ``failures`` is filled alongside ``checks``.
+    """A verify run: what ``run`` has counted so far, and its failures.
 
-    ``render_passing`` is False when passing checks carry empty sides.
+    ``counts`` gives the checks per suite in run order.  ``checks`` holds
+    every check only while it is a list (the default); a report built with
+    ``checks=None`` keeps no passing check.  ``render_passing`` is False
+    when passing checks carry empty sides.
     """
 
     n_min: int
@@ -91,37 +100,68 @@ class Report:
     k_max: int | None
     suites: tuple[str, ...]
     render_passing: bool = True
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check] | None = field(default_factory=list)
     failures: list[Check] = field(default_factory=list)
+    counts: Counter = field(default_factory=Counter)
     elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
+    def run(self) -> Iterator[list[Check]]:
+        """Run each selected suite at each n and yield its checks, one list per
+        (n, suite), once the report has counted them and kept their failures.
+
+        A suite is looked up in ``SUITES`` when it runs, so a suite wrapped
+        after import runs wrapped.  ``elapsed`` counts the suites' time only.
+        """
+        for n in range(self.n_min, self.n_max + 1):
+            k = 2 * n if self.k_max is None else self.k_max
+            for name in self.suites:
+                start = time.perf_counter()
+                checks = SUITES[name](n, k, render_passing=self.render_passing)
+                self.elapsed += time.perf_counter() - start
+                self.counts[name] += len(checks)
+                self.failures.extend(c for c in checks if not c.passed)
+                if self.checks is not None:
+                    self.checks.extend(checks)
+                yield checks
+
+    def json_pieces(self, chunks: Iterable[list[Check]]) -> Iterator[str]:
+        """The canonical JSON report, in pieces that join to the whole.
+
+        The keys are sorted and ``"checks"`` sorts first, so each chunk of
+        checks is encoded as it comes, by one ``json.dumps`` without its
+        brackets, and the rest of the report follows the last chunk; its
+        summary is read then.
+        """
         if not self.render_passing:
             raise ValueError("the report was built without the sides of passing checks")
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "k_max": self.k_max,
-            "suites": list(self.suites),
-            "summary": {"checks": len(self.checks), "failures": len(self.failures)},
-            "checks": [
-                {"id": c.id, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
-                for c in self.checks
-            ],
-            "timing": None,
-        }
+        yield '{"checks": ['
+        sep = ""
+        for checks in chunks:
+            if checks:
+                yield sep + json.dumps(
+                    [{"id": c.id, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
+                     for c in checks], sort_keys=True)[1:-1]
+                sep = ", "
+        summary = {"checks": sum(self.counts.values()), "failures": len(self.failures)}
+        rest = {"n_min": self.n_min, "n_max": self.n_max, "k_max": self.k_max,
+                "suites": list(self.suites), "summary": summary, "timing": None}
+        yield "], " + json.dumps(rest, sort_keys=True)[1:]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        if self.checks is None:
+            raise ValueError("the report kept no passing check")
+        return "".join(self.json_pieces([self.checks]))
 
     def text_summary(self, verbose: bool = False) -> str:
+        """Counts per suite and the first 50 failures; ``verbose`` lists every
+        check instead, which needs a report that kept them."""
         lines = []
         bad = Counter(c.id.split("/", 1)[0] for c in self.failures)
-        for name, count in Counter(c.id.split("/", 1)[0] for c in self.checks).items():
+        for name, count in self.counts.items():
             mark = "FAIL" if bad[name] else "PASS"
             lines.append("[%s] %-14s %d checks, %d failures" % (mark, name, count, bad[name]))
         if verbose:
@@ -139,7 +179,7 @@ class Report:
                 lines.append("  ... %d further failures" % (len(self.failures) - 50))
         lines.append(
             "total: %d checks, %d failures (%.2fs)"
-            % (len(self.checks), len(self.failures), self.elapsed)
+            % (sum(self.counts.values()), len(self.failures), self.elapsed)
         )
         return "\n".join(lines)
 
@@ -446,7 +486,7 @@ def select_suites(suites: tuple[str, ...]) -> tuple[str, ...]:
 
 def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",),
                k_max: int | None = None, render_passing: bool = True) -> Report:
-    """Run the selected suites over n_min..n_max and collect a report.
+    """Run the selected suites over n_min..n_max and collect every check.
 
     ``k_max`` of None means 2n per weight; any other value must be at least 2.
     With ``render_passing`` False the sides of passing checks stay empty, so
@@ -456,14 +496,7 @@ def run_verify(n_min: int = 2, n_max: int = 5, suites: tuple[str, ...] = ("all",
         raise ValueError("need 2 <= n_min <= n_max")
     if k_max is not None and k_max < 2:
         raise ValueError("k_max must be at least 2")
-    names = select_suites(suites)
-    report = Report(n_min, n_max, k_max, names, render_passing)
-    start = time.perf_counter()
-    for n in range(n_min, n_max + 1):
-        k = 2 * n if k_max is None else k_max
-        for name in names:
-            checks = SUITES[name](n, k, render_passing=render_passing)
-            report.checks.extend(checks)
-            report.failures.extend(c for c in checks if not c.passed)
-    report.elapsed = time.perf_counter() - start
+    report = Report(n_min, n_max, k_max, select_suites(suites), render_passing)
+    for _ in report.run():
+        pass
     return report

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import perturbed_euler
 from virtualk.cli import MAX_K_MAX, MAX_N, main
 from virtualk.coords import Coords
 from virtualk.expr import MAX_ADAMS_INDEX, MAX_EXPONENT, parse
-from virtualk.verify import run_verify
+from virtualk.verify import SUITES, run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -252,6 +253,56 @@ def test_verify_text_matches_the_fully_rendered_report_under_a_defect(capsys, mo
     assert _masked(out) == _masked(full.text_summary(verbose))
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_a_failing_json_verify_prints_the_collected_report(capsys, monkeypatch, tmp_path, out):
+    monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
+    expected = run_verify(2, 3).to_json() + "\n"
+    path = tmp_path / "report.json"
+    code, printed, _ = run(capsys, "verify", "--n-min", "2", "--n-max", "3", "--json",
+                           *(["--out", str(path)] if out else []))
+    assert code == 1 and printed == expected
+    assert path.read_text() == expected if out else not path.exists()
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_a_run_that_stops_leaves_the_out_file_as_it_was(capsys, monkeypatch, tmp_path, form):
+    # The suite stops at n = 3, after the checks of n = 2 were written.
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    span, calls = SUITES["span"], []
+
+    def stops_at_3(n, k_max, render_passing=True):
+        calls.append(n)
+        if n == 3:
+            raise RuntimeError("stopped")
+        return span(n, k_max, render_passing=render_passing)
+
+    monkeypatch.setitem(SUITES, "span", stops_at_3)
+    with pytest.raises(RuntimeError):
+        main(["verify", "--n-min", "2", "--n-max", "3", "--suite", "span", *form,
+              "--out", str(path)])
+    assert calls == [2, 3] and capsys.readouterr().out == ""
+    assert path.read_bytes() == b"earlier report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_a_text_verify_holds_no_passing_check_beyond_its_suite_and_n(capsys):
+    # Warm the tables first, so that both measured runs allocate only for
+    # their checks.  Five weights then peak within 1.6 times the last alone,
+    # where holding every check until the end peaks at 2.2 times.
+    assert run(capsys, "verify", "--n-min", "2", "--n-max", "6")[0] == 0
+    tracemalloc.start()
+    try:
+        assert run(capsys, "verify", "--n-min", "2", "--n-max", "6")[0] == 0
+        wide = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert run(capsys, "verify", "--n-min", "6", "--n-max", "6")[0] == 0
+        narrow = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wide <= 1.6 * narrow, (wide, narrow)
+
+
 @pytest.fixture
 def str_calls(monkeypatch):
     calls = []
@@ -292,7 +343,8 @@ def no_work(monkeypatch):
         raise AssertionError("work started for an out-of-bounds input")
 
     monkeypatch.setattr(cli, "evaluate", refuse)
-    monkeypatch.setattr(cli, "run_verify", refuse)
+    for suite in SUITES:
+        monkeypatch.setitem(SUITES, suite, refuse)
     monkeypatch.setattr(cli, "is_line_element", refuse)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
-from virtualk.verify import SUITES, run_verify
+from virtualk.verify import SUITES, Report, run_verify
 
 
 def test_all_suites_pass_small_range():
@@ -74,6 +74,14 @@ def test_a_report_without_passing_sides_has_no_json():
     assert report.ok and [c.id for c in report.checks] == [c.id for c in full.checks]
     assert {(c.status, c.lhs, c.rhs) for c in report.checks} == {("pass", "", "")}
     assert report.text_summary(True).split("\n")[:-1] == full.text_summary(True).split("\n")[:-1]
+    with pytest.raises(ValueError):
+        report.to_json()
+
+
+def test_a_report_that_keeps_no_passing_check_has_no_json():
+    report = Report(2, 2, None, ("span",), checks=None)
+    assert [len(checks) for checks in report.run()] == [report.counts["span"]]
+    assert report.ok and report.checks is None
     with pytest.raises(ValueError):
         report.to_json()
 
