@@ -2,6 +2,8 @@
 
 Everything is computed over the cyclotomic field Q(zeta_n) with canonical
 representatives, so every stated identity is checked by exact equality.
+``run_verify`` and the ``presentation`` exports load their modules on first
+use.
 """
 
 from .coords import Coords, basis, basis_vectors, gen, power, unit, zero
@@ -29,13 +31,6 @@ from .localization import (
     u_inverse,
     u_mul,
 )
-from .presentation import (
-    gamma0_project,
-    resolution_adams,
-    resolution_mul,
-    verify_presentation,
-    verify_resolution_isomorphism,
-)
 from .sector_ring import (
     bott_class,
     sector_adams,
@@ -43,7 +38,6 @@ from .sector_ring import (
     sector_mul,
     sector_x_inverse,
 )
-from .verify import run_verify
 from .virtual_ring import (
     euler_factor,
     k_monomial,
@@ -54,3 +48,22 @@ from .virtual_ring import (
 )
 
 __version__ = "0.1.0"
+
+#: Exports of the verification modules, which load on first use, so that a
+#: process that only queries never compiles them.
+_LAZY = {
+    "run_verify": "verify",
+    "gamma0_project": "presentation",
+    "resolution_adams": "presentation",
+    "resolution_mul": "presentation",
+    "verify_presentation": "presentation",
+    "verify_resolution_isomorphism": "presentation",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = __import__(_LAZY[name], globals(), level=1)  # virtualk.<module>
+    globals()[name] = value = getattr(module, name)
+    return value

@@ -8,7 +8,10 @@ ends quietly, and an ``--out`` file is already complete.
 
 ``main(argv)`` may be called any number of times in one process.  The
 argument parser is built on the first call and reused by every later one;
-importing the module builds nothing.
+importing the module builds nothing.  It loads the modules a query needs
+(``expr`` with the ring, localization and line-element modules beneath it);
+``verify``, ``presentation``, ``linalg`` and the file helpers load only when
+a ``verify`` command first runs, so a query process never compiles them.
 
 The inputs that set a weight, an exponent or an index are bounded: the
 weight n by ``MAX_N``, ``--k-max`` of ``verify`` and ``line`` by
@@ -28,9 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
-import tempfile
 from contextlib import ExitStack
 from functools import cache
 
@@ -50,7 +51,6 @@ from .expr import (
     value_to_json,
 )
 from .line_elements import is_line_element
-from .verify import Report, select_suites
 
 #: Largest accepted weight n.
 MAX_N = 8
@@ -156,14 +156,22 @@ def main(argv: list[str] | None = None) -> int:
         return 141
 
 
-def _verify(args, suites: tuple[str, ...]) -> int:
+def _verify(args) -> int:
     """Write the report as the suites produce it, keeping only the failures
     (and, for the verbose summary, every check with its id).
 
-    Without ``--out`` the report streams to stdout.  With ``--out`` it streams
-    to an unnamed file beside the target, is copied over the target once
-    complete, and is echoed after that.
+    The verification modules and the file helpers are imported here, on the
+    first run.  Without ``--out`` the report streams to stdout.  With
+    ``--out`` it streams to an unnamed file beside the target, is copied over
+    the target once complete, and is echoed after that.  An unknown suite
+    raises ValueError before any file is opened.
     """
+    import shutil
+    import tempfile
+
+    from .verify import Report, select_suites
+
+    suites = select_suites(tuple(args.suite) if args.suite else ("all",))
     # Text output prints no passing side, so only JSON renders them.
     report = Report(args.n_min, args.n_max, args.k_max, suites, render_passing=args.json,
                     checks=[] if args.verbose and not args.json else None)
@@ -206,7 +214,7 @@ def _command(args) -> int:
             if not 2 <= args.n_min <= args.n_max <= MAX_N:
                 print("error: need 2 <= --n-min <= --n-max <= %d" % MAX_N, file=sys.stderr)
                 return 2
-            return _verify(args, select_suites(tuple(args.suite) if args.suite else ("all",)))
+            return _verify(args)
 
         if not 2 <= args.n <= MAX_N:
             print("error: --n must be between 2 and %d" % MAX_N, file=sys.stderr)

@@ -26,12 +26,12 @@ and rows, whose entries ``sparse`` keeps in Z[zeta_n].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import Cyc, _canonical, format_cyc
+from .records import Record
 
 KINDS = ("sector", "loc", "u", "res")
 
@@ -59,13 +59,12 @@ def _label(key: tuple) -> str:
     return "%s[%s]" % (key[0], ",".join(str(i) for i in key[1:]))
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Text label, JSON index and position of every coordinate of one basis."""
+class Basis(Record):
+    """Text label, JSON index and position of every coordinate of one basis:
+    ``labels`` (tuple of str), ``json`` (tuple of index tuples) and
+    ``position`` (dict from label to position)."""
 
-    labels: tuple[str, ...]
-    json: tuple[tuple, ...]
-    position: dict[str, int]
+    __slots__ = ("labels", "json", "position")
 
 
 @cache

@@ -49,10 +49,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+
+from .records import Record, set_field
 
 
 def _int_poly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -444,12 +445,14 @@ def format_cyc(value: Cyc) -> str:
     return "".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class CycPoly:
+class CycPoly(Record):
     """Dense polynomial over Q(zeta_n); ascending coefficients, no trailing zeros."""
 
-    n: int
-    coeffs: tuple[Cyc, ...]
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple[Cyc, ...]):
+        set_field(self, "n", n)
+        set_field(self, "coeffs", coeffs)
 
     @classmethod
     def from_cycs(cls, n: int, coeffs: Iterable[Cyc]) -> "CycPoly":

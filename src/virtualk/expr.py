@@ -60,7 +60,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import localization as loc
@@ -68,6 +67,7 @@ from . import virtual_ring as vr
 from .coords import Coords, gen, power, unit
 from .cyclotomic import Cyc, format_cyc, zeta_pow
 from .line_elements import line_element, line_realize, nu, sigma
+from .records import Record, set_field
 
 
 #: Largest accepted |exponent| in ``^``, and largest accepted sum of |e| over
@@ -117,64 +117,72 @@ ATOMS = {
 # AST
 #
 # Every node records ``pos``, the position in the text where it starts, for
-# error messages; equal trees compare equal wherever their nodes stand.
+# error messages.  ``pos`` is a field of the shared base, so it takes no part
+# in equality, hashing or repr: equal trees compare equal wherever their
+# nodes stand.
 
 
-def _pos() -> int:
-    return field(default=0, compare=False, repr=False)
+class _Node(Record):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: int, *values):
+        set_field(self, "pos", pos)
+        Record.__init__(self, *values)
+
+    def __reduce__(self):
+        return type(self), self._values() + (self.pos,)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int = _pos()
+class Num(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction, pos: int = 0):
+        _Node.__init__(self, pos, value)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     """A generator named in ``ATOMS`` with its indices."""
 
-    name: str
-    idx: tuple[int, ...] = ()
-    pos: int = _pos()
+    __slots__ = ("name", "idx")
+
+    def __init__(self, name: str, idx: tuple[int, ...] = (), pos: int = 0):
+        _Node.__init__(self, pos, name, idx)
 
     @property
     def label(self) -> str:
         return "%s[%s]" % (self.name, ",".join(map(str, self.idx))) if self.idx else self.name
 
 
-@dataclass(frozen=True)
-class LineAtom:
-    f: tuple[int, ...]
-    beta: tuple["Expr", ...]
-    pos: int = _pos()
+class LineAtom(_Node):
+    __slots__ = ("f", "beta")
+
+    def __init__(self, f: tuple[int, ...], beta: tuple[Expr, ...], pos: int = 0):
+        _Node.__init__(self, pos, f, beta)
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     """``op`` is "-", "psi" (with Adams index ``k``), "eps", "gamma" or "gammainv"."""
 
-    op: str
-    x: "Expr"
-    k: int = 0
-    pos: int = _pos()
+    __slots__ = ("op", "x", "k")
+
+    def __init__(self, op: str, x: Expr, k: int = 0, pos: int = 0):
+        _Node.__init__(self, pos, op, x, k)
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     """``op`` is "+", "-" or "*"."""
 
-    op: str
-    a: "Expr"
-    b: "Expr"
-    pos: int = _pos()
+    __slots__ = ("op", "a", "b")
+
+    def __init__(self, op: str, a: Expr, b: Expr, pos: int = 0):
+        _Node.__init__(self, pos, op, a, b)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exp: int
-    pos: int = _pos()
+class Pow(_Node):
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base: Expr, exp: int, pos: int = 0):
+        _Node.__init__(self, pos, base, exp)
 
 
 Expr = Num | Atom | LineAtom | Unary | Binary | Pow

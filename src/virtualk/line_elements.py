@@ -11,31 +11,31 @@ matrix together with explicit reconstruction witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
-from . import linalg
 from .coords import Coords, _entry, from_canonical, grid, zero
 from .cyclotomic import Cyc, zeta_pow
 from .localization import u_adams, u_is_invertible, u_mul
+from .records import Record, set_field
 
 
-@dataclass(frozen=True)
-class LineElt:
-    """Parameters (f; beta) of a virtual line element; f entries live in Z/n."""
+class LineElt(Record):
+    """Parameters (f; beta) of a virtual line element: n, then n entries of f,
+    which live in Z/n, and n scalars beta."""
 
-    n: int
-    f: tuple[int, ...]
-    beta: tuple[Cyc, ...]
+    __slots__ = ("n", "f", "beta")
 
-    def __post_init__(self):
-        if len(self.f) != self.n or len(self.beta) != self.n:
+    def __init__(self, n: int, f: tuple[int, ...], beta: tuple[Cyc, ...]):
+        if len(f) != n or len(beta) != n:
             raise ValueError("expected n entries in f and in beta")
-        if any(not 0 <= v < self.n for v in self.f):
+        if any(not 0 <= v < n for v in f):
             raise ValueError("f entries must be reduced mod n")
-        for b in self.beta:
-            _entry(self.n, b)  # beta_q is the u[0,q] coordinate: a Cyc of order n
+        for b in beta:
+            _entry(n, b)  # beta_q is the u[0,q] coordinate: a Cyc of order n
+        set_field(self, "n", n)
+        set_field(self, "f", f)
+        set_field(self, "beta", beta)
 
 
 def line_element(n: int, f: Iterable[int], beta: Iterable[Cyc | int | Fraction]) -> LineElt:
@@ -85,11 +85,11 @@ def line_inverse(a: LineElt) -> LineElt:
     return line_element(a.n, (-x for x in a.f), (-x for x in a.beta))
 
 
-@dataclass(frozen=True)
-class LineCertificate:
-    ok: bool
-    reason: str
-    params: LineElt | None
+class LineCertificate(Record):
+    """``ok``, the ``reason`` when not, and the recovered ``params`` (a
+    ``LineElt``) when so."""
+
+    __slots__ = ("ok", "reason", "params")
 
 
 def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
@@ -155,13 +155,11 @@ def span_block(n: int) -> list[list[Cyc]]:
 Combo = tuple[tuple[LineElt, Cyc], ...]
 
 
-@dataclass(frozen=True)
-class SpanWitnesses:
-    """Exact rank plus linear combinations of line elements hitting each basis vector."""
+class SpanWitnesses(Record):
+    """Exact rank plus linear combinations of line elements hitting each basis
+    vector: n, the rank, and a dict from basis label to ``Combo``."""
 
-    n: int
-    rank: int
-    combos: dict[str, Combo]
+    __slots__ = ("n", "rank", "combos")
 
 
 def _axis_line(n: int, q: int, alpha: int) -> LineElt:
@@ -179,6 +177,8 @@ def span_rank(n: int) -> SpanWitnesses:
     u_0^q (as nu_q minus the identity element) and every u_l^q (through the
     inverse of the block B) as combinations of realized line elements.
     """
+    from . import linalg  # only the span suite needs elimination
+
     B = span_block(n)
     r = n * linalg.rank(B)
     Binv = linalg.inverse(B)

@@ -35,9 +35,9 @@ built at import.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cache
 from operator import add, mul, sub
-from typing import Iterable, Sequence
 
 from .coords import (Coords, Sparse, basis, from_canonical, from_numerators, from_terms, grid,
                      numerators, sector_start, sparse, unit, zero)

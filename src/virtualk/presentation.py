@@ -17,7 +17,7 @@ time, so the sides of all n^4 ring-map relations are never held at once.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .coords import Coords, basis, basis_vectors, from_terms, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
@@ -64,21 +64,24 @@ def _presentation_relations(n: int) -> Iterator[Relation]:
     one = unit(n, "u")
     sigmas = [line_realize(sigma(n, i)) for i in range(n)]
     nus = [line_realize(nu(n, j)) for j in range(n)]
+    # The differences g - 1, each built once for the n x n families below.
+    sigmas1 = [s - one for s in sigmas]
+    nus1 = [v - one for v in nus]
     for i in range(n):
         yield "sigma[%d]^%d = 1" % (i, n), power(sigmas[i], n, u_mul), one
     for i in range(n):
         for j in range(n):
             yield ("(nu[%d]-1)*(nu[%d]-1) = 0" % (i, j),
-                   u_mul(nus[i] - one, nus[j] - one), zero(n, "u"))
+                   u_mul(nus1[i], nus1[j]), zero(n, "u"))
     for i in range(n):
         for j in range(n):
             yield ("sigma[%d]*(nu[%d]-1) = nu[%d]-1" % (i, j, j),
-                   u_mul(sigmas[i], nus[j] - one), nus[j] - one)
+                   u_mul(sigmas[i], nus1[j]), nus1[j])
     for i in range(n):
         for j in range(n):
             if i != j:
                 yield ("(sigma[%d]-1)*(sigma[%d]-1) = 0" % (i, j),
-                       u_mul(sigmas[i] - one, sigmas[j] - one), zero(n, "u"))
+                       u_mul(sigmas1[i], sigmas1[j]), zero(n, "u"))
     yield "generator monomials of degree <= %d span" % (n + 1), _generation_rank(n), n * n + 1
 
 
@@ -126,18 +129,19 @@ def verify_resolution_isomorphism(n: int, k_max: int) -> Iterator[Relation]:
 
 
 def _resolution_relations(n: int, k_max: int) -> Iterator[Relation]:
-    vectors = basis_vectors(n, "u")
-    block0 = vectors[:grid(n, 1, 0)]
+    # Each basis vector with its projection, projected once.
+    projected = [(label, e, gamma0_project(e)) for label, e in basis_vectors(n, "u")]
+    block0 = projected[:grid(n, 1, 0)]
     yield "dimension of l=0 block vs resolution", len(block0), len(basis(n, "res").labels)
-    for name, pairs in (("Theta multiplicative", block0), ("Gamma_0 ring map", vectors)):
-        for la, ea in pairs:
-            for lb, eb in pairs:
+    for name, pairs in (("Theta multiplicative", block0), ("Gamma_0 ring map", projected)):
+        for la, ea, pa in pairs:
+            for lb, eb, pb in pairs:
                 yield ("%s on %s,%s" % (name, la, lb), gamma0_project(u_mul(ea, eb)),
-                       resolution_mul(gamma0_project(ea), gamma0_project(eb)))
-    for label, e in vectors:
+                       resolution_mul(pa, pb))
+    for label, e, p in projected:
         for k in range(1, k_max + 1):
             yield ("Adams equivariance on %s, k=%d" % (label, k), gamma0_project(u_adams(e, k)),
-                   resolution_adams(gamma0_project(e), k))
+                   resolution_adams(p, k))
     # Surjectivity: explicit preimages of the resolution basis.
     one = unit(n, "res")
     yield "preimage of 1", gamma0_project(unit(n, "u")), one

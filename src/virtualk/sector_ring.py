@@ -21,8 +21,8 @@ comparison.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
 from .cyclotomic import Cyc, CycPoly
 

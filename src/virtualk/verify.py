@@ -31,9 +31,8 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import partial
-from typing import Iterable, Iterator
 
 from .coords import Coords, basis_vectors, gen, unit, zero
 from .cyclotomic import Cyc, phi_degree
@@ -73,37 +72,55 @@ from .virtual_ring import (
 _SEED = 0x5EC7
 
 
-@dataclass(slots=True)
 class Check:
-    id: str
-    status: str
-    lhs: str
-    rhs: str
+    """One compared relation: ``id``, ``status`` ("pass" or "fail") and the
+    rendered sides.  Checks compare by value and are not hashable."""
+
+    __slots__ = ("id", "status", "lhs", "rhs")
+
+    def __init__(self, id: str, status: str, lhs: str, rhs: str):
+        self.id = id
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def _values(self) -> tuple[str, str, str, str]:
+        return self.id, self.status, self.lhs, self.rhs
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "Check(id=%r, status=%r, lhs=%r, rhs=%r)" % self._values()
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass
 class Report:
     """A verify run: what ``run`` has counted so far, and its failures.
 
     ``counts`` gives the checks per suite in run order.  ``checks`` holds
-    every check only while it is a list (the default); a report built with
-    ``checks=None`` keeps no passing check.  ``render_passing`` is False
-    when passing checks carry empty sides.
+    every check only while it is a list (by default a new one); a report
+    built with ``checks=None`` keeps no passing check.  ``render_passing``
+    is False when passing checks carry empty sides.
     """
 
-    n_min: int
-    n_max: int
-    k_max: int | None
-    suites: tuple[str, ...]
-    render_passing: bool = True
-    checks: list[Check] | None = field(default_factory=list)
-    failures: list[Check] = field(default_factory=list)
-    counts: Counter = field(default_factory=Counter)
-    elapsed: float = 0.0
+    __slots__ = ("n_min", "n_max", "k_max", "suites", "render_passing", "checks", "failures",
+                 "counts", "elapsed")
+
+    def __init__(self, n_min: int, n_max: int, k_max: int | None, suites: tuple[str, ...],
+                 render_passing: bool = True, checks: list[Check] | None = ()):
+        # The default () stands for a new list of its own.
+        self.n_min, self.n_max, self.k_max, self.suites = n_min, n_max, k_max, suites
+        self.render_passing = render_passing
+        self.checks = [] if checks == () else checks
+        self.failures: list[Check] = []
+        self.counts: Counter = Counter()
+        self.elapsed = 0.0
 
     @property
     def ok(self) -> bool:

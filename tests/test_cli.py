@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,7 @@ from conftest import perturbed_euler
 from virtualk.cli import MAX_K_MAX, MAX_N, main
 from virtualk.coords import Coords
 from virtualk.expr import MAX_ADAMS_INDEX, MAX_EXPONENT, parse
-from virtualk.verify import SUITES, run_verify
+from virtualk.verify import SUITES, Check, run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -286,21 +286,37 @@ def test_a_run_that_stops_leaves_the_out_file_as_it_was(capsys, monkeypatch, tmp
     assert os.listdir(tmp_path) == ["report.json"]
 
 
-def test_a_text_verify_holds_no_passing_check_beyond_its_suite_and_n(capsys):
-    # Warm the tables first, so that both measured runs allocate only for
-    # their checks.  Five weights then peak within 1.6 times the last alone,
-    # where holding every check until the end peaks at 2.2 times.
-    assert run(capsys, "verify", "--n-min", "2", "--n-max", "6")[0] == 0
-    tracemalloc.start()
-    try:
-        assert run(capsys, "verify", "--n-min", "2", "--n-max", "6")[0] == 0
-        wide = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        assert run(capsys, "verify", "--n-min", "6", "--n-max", "6")[0] == 0
-        narrow = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert wide <= 1.6 * narrow, (wide, narrow)
+def test_a_text_verify_holds_no_passing_check_beyond_its_suite_and_n(capsys, monkeypatch):
+    # Every suite hands out watched copies of its checks, and a finalizer
+    # counts each (n, suite) down as its checks die.  When a suite starts,
+    # only the checks of the suite just before it may be alive (the loop that
+    # received them holds them until the next ones come); a report that kept
+    # its passing checks would keep every earlier (n, suite) alive too.
+    class Watched(Check):
+        __slots__ = ("__weakref__",)
+
+    live, order = {}, []
+
+    def died(key):
+        live[key] -= 1
+
+    def watched(suite, produce):
+        def run_suite(n, k_max, **kwargs):
+            held = {key for key, count in live.items() if count}
+            assert held <= set(order[-1:]), ("checks outlived their suite", held)
+            key = (n, suite)
+            order.append(key)
+            checks = [Watched(c.id, c.status, c.lhs, c.rhs) for c in produce(n, k_max, **kwargs)]
+            live[key] = len(checks)
+            for c in checks:
+                weakref.finalize(c, died, key)
+            return checks
+        return run_suite
+
+    for suite, produce in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, suite, watched(suite, produce))
+    assert run(capsys, "verify", "--n-min", "2", "--n-max", "5")[0] == 0
+    assert len(order) == 4 * len(SUITES) and not any(live.values())
 
 
 @pytest.fixture
@@ -656,6 +672,35 @@ def test_importing_the_cli_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.split() == ["0", "0"]
+
+
+def test_a_query_process_loads_no_verification_module_and_no_dataclasses():
+    # The verification modules load on the first verify and the records are
+    # plain classes.  perfbench's tracer imports verify right after the CLI,
+    # and that import still loads every module.
+    src = Path(cli.__file__).parents[1]
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import virtualk.cli\n"
+        "query = sorted(set(sys.modules) - before)\n"
+        "from virtualk import verify\n"
+        "import virtualk\n"
+        "exports = [virtualk.run_verify is verify.run_verify,\n"
+        "           virtualk.verify_presentation.__module__]\n"
+        "print(json.dumps([query, sorted(sys.modules), exports]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    query, loaded, exports = json.loads(done.stdout)
+    assert "virtualk.expr" in query
+    for name in ("dataclasses", "inspect", "virtualk.verify", "virtualk.presentation",
+                 "virtualk.linalg"):
+        assert name not in query
+    modules = {"virtualk." + p.stem for p in (src / "virtualk").glob("*.py")}
+    assert modules - {"virtualk.__init__"} <= set(loaded)
+    assert exports == [True, "virtualk.presentation"]
 
 
 def test_fifty_calls_build_the_parser_once(capsys):

@@ -324,8 +324,13 @@ _cases = st.integers(2, 8).flatmap(lambda n: st.tuples(
 @settings(max_examples=150)
 @given(_cases)
 def test_format_parse_round_trip_on_random_asts(case):
+    # The drawn tree has every position 0; the parsed ones stand elsewhere,
+    # and equal trees compare and hash equal wherever their nodes stand.
     n, e = case
-    assert parse(format_expr(e), n) == e
+    text = format_expr(e)
+    parsed, shifted = parse(text, n), parse("  " + text, n)
+    assert parsed == e == shifted and hash(parsed) == hash(e) == hash(shifted)
+    assert shifted.pos >= 2 and e.pos == 0
 
 
 def test_preferred_display():

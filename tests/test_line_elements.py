@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,15 @@ def test_a_beta_entry_of_another_order_is_refused_at_construction():
     with pytest.raises(TypeError, match="a coordinate must be a Cyc, got int"):
         LineElt(3, (0, 0, 0), (1, Cyc.zero(3), Cyc.zero(3)))
     assert line_element(3, [0, 1, 2], [Cyc.one(3), 0, 0]).beta[0] == Cyc.one(3)
+
+
+def test_the_repr_of_a_line_element_is_the_one_the_certificate_family_renders():
+    # The line-elements suite writes this repr into both sides of its
+    # certificate checks, so it is part of the report's bytes.
+    L = line_element(3, [0, 1, 5], [0, Fraction(-1, 2), zeta_pow(3, 1) + Cyc.rational(3, 2)])
+    assert repr(L) == str(L) == "LineElt(n=3, f=(0, 1, 2), beta=(0, -1/2, zeta + 2))"
+    assert repr(is_line_element(line_realize(L))) == (
+        "LineCertificate(ok=True, reason='', params=%r)" % L)
 
 
 def test_group_law_matches_ring_product():

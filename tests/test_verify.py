@@ -78,6 +78,14 @@ def test_a_report_without_passing_sides_has_no_json():
         report.to_json()
 
 
+def test_a_report_collects_into_a_list_of_its_own_by_default():
+    report, other = Report(2, 2, None, ("span",)), Report(2, 2, None, ("span",))
+    assert report.checks == other.checks == [] and report.checks is not other.checks
+    chunks = list(report.run())
+    assert report.checks == chunks[0] and len(chunks[0]) == report.counts["span"] > 0
+    assert other.checks == []
+
+
 def test_a_report_that_keeps_no_passing_check_has_no_json():
     report = Report(2, 2, None, ("span",), checks=None)
     assert [len(checks) for checks in report.run()] == [report.counts["span"]]
