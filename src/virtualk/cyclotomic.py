@@ -298,6 +298,9 @@ class Cyc:
 
     __str__ = __repr__
 
+    def __reduce__(self):
+        return _raw, (self.n, self.num, self.den)
+
 
 # Slot setters that bypass the immutability guard in Cyc.__setattr__.
 _set_n, _set_num, _set_den = Cyc.n.__set__, Cyc.num.__set__, Cyc.den.__set__

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings
+from record_report_manifest import record
 
 from virtualk.coords import Coords, from_terms, sector_start
 from virtualk.cyclotomic import Cyc, CycPoly
@@ -13,6 +15,12 @@ from virtualk.virtual_ring import euler_factor
 # same cases, and are not timed, so a slow host cannot fail them.
 settings.register_profile("virtualk", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("virtualk")
+
+
+@pytest.fixture(scope="session")
+def report_recording():
+    """The canonical n = 2..8 report as manifest entries, built once per session."""
+    return record()
 
 
 def evaluate(p: CycPoly, x: Cyc) -> Cyc:

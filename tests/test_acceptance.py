@@ -4,106 +4,58 @@ Every check is an exact equality over Q(zeta_n); there are no tolerances.
 Each test prints a single PASS/FAIL line (run pytest with -s to see them).
 """
 
-import hashlib
-import json
 import random
 
 import virtualk.virtual_ring as vr
 from conftest import perturbed_euler
-from virtualk.cyclotomic import Cyc
+from record_report_manifest import N_MAX, N_MIN, assert_unmoved, key, load
 from virtualk.line_elements import (
     is_line_element,
     line_element,
     line_mul,
     line_realize,
-    nu,
-    realize_combo,
-    sigma,
-    span_rank,
 )
-from virtualk.localization import (
-    from_u_basis,
-    gamma,
-    gamma_inverse,
-    u_adams,
-    u_mul,
-)
-from virtualk.verify import (
-    _checks,
-    relations_adams_oracle,
-    relations_gamma_roundtrip,
-    relations_line_elements,
-    relations_product_table,
-    relations_psi_ring,
-    relations_resolution,
-    relations_span,
-    run_verify,
-)
+from virtualk.localization import from_u_basis, gamma_inverse, u_mul
+from virtualk.verify import run_verify
 from virtualk.virtual_ring import lambda_from_adams
 
 
-#: SHA-256 of the (id, status, lhs, rhs) lists of criteria 2 and 3 over n=2..8,
-#: recorded before the localization tables replaced the dense loops; they pin
-#: the rendered sides at n = 6..8, which the report hashes do not reach.
-PRODUCT_ORACLE_SHA256 = "7dfb81905bf22d17cc39f8bd88582065644b31fdaf3772a20795b422f31fac93"
-ADAMS_ORACLE_SHA256 = "24c6884c0b4c69eed9954c00aa8f96e1f32e087f690e79ed348fca79c3b3095e"
-
-#: The same digest for criteria 1 and 4-8, recorded before the suites shared
-#: one check recorder; they pin the psi-ring, line-element, span, presentation
-#: and resolution sides at n = 6..8.
-ROUNDTRIP_SHA256 = "16a8499c7e54a4f704d6b0bc911b601a499d857823c0e684426e48f230beb8d6"
-PSI_RING_SHA256 = "d7c911bb701878d031c5e5c759b8d1dcfc2ee6cf5144b7a833c204eb044b564a"
-LINE_ELEMENTS_SHA256 = "85bebf3467dbdc4a9978eef50fc380692c1db50e58abe1da7aaade5a2f4de560"
-SPAN_SHA256 = "b9e307f527042eb4f2456c3d193fb37173cce9fd1e5218cbd6f8a063c494225c"
-PRESENTATION_SHA256 = "917da41f1ac69e4db08410343f04f7321f56dc8e82a54728847b9c6ba0aee426"
-RESOLUTION_SHA256 = "930cb65493fa468db1f7e6889b31f064feb7b62eaa5c7093e3df0ba8ed702d6b"
-
-
-def _digest(checks) -> str:
-    rows = [[c.id, c.status, c.lhs, c.rhs] for c in checks]
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-
-
-def _suite_checks(suite: str, relations, ns: range) -> list:
-    """The checks of ``relations`` at each n in ``ns`` with k_max = 2n, as ``suite``."""
-    return [c for n in ns for c in _checks(suite, n, relations(n, 2 * n))]
-
-
-def _report(num: int, title: str, checks) -> None:
-    bad = [c for c in checks if not c.passed]
+def _report(num: int, title: str, recording, suite: str) -> None:
+    """Print the criterion's line from the entries of ``suite`` at n = 2..8,
+    and hold them to the manifest."""
+    entries = {key(suite, n): recording.entries[key(suite, n)] for n in range(N_MIN, N_MAX + 1)}
+    bad = [c for c in recording.failures if c.id.startswith(suite + "/")]
     status = "FAIL" if bad else "PASS"
-    print("criterion %2d [%s] %s (%d checks)" % (num, status, title, len(checks)))
+    checks = sum(e["checks"] for e in entries.values())
+    print("criterion %2d [%s] %s (%d checks)" % (num, status, title, checks))
     for c in bad[:5]:
         print("   FAIL %s\n     lhs=%s\n     rhs=%s" % (c.id, c.lhs, c.rhs))
     assert not bad
+    pinned = load()["entries"]
+    assert_unmoved(entries, {k: pinned[k] for k in entries})
 
 
-def test_criterion_1_localization_inverse():
-    checks = _suite_checks("product-oracle", relations_gamma_roundtrip, range(2, 9))
-    _report(1, "gamma and gamma^(-1) are mutually inverse, n=2..8", checks)
-    assert _digest(checks) == ROUNDTRIP_SHA256
+def test_criterion_1_localization_inverse(report_recording):
+    _report(1, "gamma and gamma^(-1) are mutually inverse, n=2..8", report_recording,
+            "product-oracle")
 
 
-def test_criterion_2_product_table_oracle():
-    checks = _suite_checks("product-oracle", relations_product_table, range(2, 9))
-    _report(2, "localized product table = transported virtual product, n=2..8", checks)
-    assert _digest(checks) == PRODUCT_ORACLE_SHA256
+def test_criterion_2_product_table_oracle(report_recording):
+    _report(2, "localized product table = transported virtual product, n=2..8",
+            report_recording, "product-oracle")
 
 
-def test_criterion_3_adams_oracle():
-    checks = _suite_checks("adams-oracle", relations_adams_oracle, range(2, 9))
-    _report(3, "localized/semisimple Adams = transported virtual Adams, k<=2n, n=2..8", checks)
-    assert _digest(checks) == ADAMS_ORACLE_SHA256
+def test_criterion_3_adams_oracle(report_recording):
+    _report(3, "localized/semisimple Adams = transported virtual Adams, k<=2n, n=2..8",
+            report_recording, "adams-oracle")
 
 
-def test_criterion_4_psi_ring_axioms():
-    checks = _suite_checks("psi-ring", relations_psi_ring, range(2, 6))
-    _report(4, "augmented psi-ring axioms on the monomial basis, n=2..5", checks)
-    assert _digest(checks) == PSI_RING_SHA256
+def test_criterion_4_psi_ring_axioms(report_recording):
+    _report(4, "augmented psi-ring axioms on the monomial basis, n=2..8", report_recording,
+            "psi-ring")
 
 
-def test_criterion_5_line_element_classification():
-    checks = _suite_checks("line-elements", relations_line_elements, range(2, 9))
+def test_criterion_5_line_element_classification(report_recording):
     rng = random.Random(1211)
     extra_ok = True
     for n in range(2, 9):
@@ -117,26 +69,23 @@ def test_criterion_5_line_element_classification():
             cert = is_line_element(line_realize(a), 2 * n)
             extra_ok &= cert.ok and cert.params == a
     assert extra_ok
-    _report(5, "power law, recovery and group law for line elements, n=2..8", checks)
-    assert _digest(checks) == LINE_ELEMENTS_SHA256
+    _report(5, "power law, recovery and group law for line elements, n=2..8", report_recording,
+            "line-elements")
 
 
-def test_criterion_6_span():
-    checks = _suite_checks("span", relations_span, range(2, 9))
-    _report(6, "rank(A) = n(n-1) with reconstruction witnesses, n=2..8", checks)
-    assert _digest(checks) == SPAN_SHA256
+def test_criterion_6_span(report_recording):
+    _report(6, "rank(A) = n(n-1) with reconstruction witnesses, n=2..8", report_recording,
+            "span")
 
 
-def test_criterion_7_presentation():
-    checks = run_verify(2, 6, ("presentation",)).checks
-    _report(7, "sigma/nu presentation and generation, n=2..6", checks)
-    assert _digest(checks) == PRESENTATION_SHA256
+def test_criterion_7_presentation(report_recording):
+    _report(7, "sigma/nu presentation and generation, n=2..8", report_recording,
+            "presentation")
 
 
-def test_criterion_8_resolution_isomorphism():
-    checks = _suite_checks("resolution", relations_resolution, range(2, 9))
-    _report(8, "psi-ring isomorphism with the resolution K-theory, n=2..8", checks)
-    assert _digest(checks) == RESOLUTION_SHA256
+def test_criterion_8_resolution_isomorphism(report_recording):
+    _report(8, "psi-ring isomorphism with the resolution K-theory, n=2..8", report_recording,
+            "resolution")
 
 
 def test_criterion_9_lambda_positivity():

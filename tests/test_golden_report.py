@@ -1,22 +1,18 @@
 """Byte-identity guards: the canonical verify report and the README's CLI outputs."""
 
-import hashlib
 import os
 import re
 import shlex
 
 import pytest
 
+import virtualk.virtual_ring as vr
+from conftest import perturbed_euler
+import record_report_manifest as recorder
 from virtualk.cli import main
-from virtualk.verify import run_verify
+from virtualk.verify import Check
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-
-#: SHA-256 of the canonical JSON reports below; any change to a check id, a
-#: status or a rendered side moves them.
-REPORT_SHA256 = "c4823430bd7a77e29e682d20e11731c0b2924e2f5f5586479436925067ed49cc"
-#: run_verify(5, 5) over all suites: 5,989 checks, dense irrational sides.
-REPORT_N5_SHA256 = "8c9c131cd89b1149914957e0b9d533e3b279a7f7e49291538a44390729e6bde9"
 
 
 #: The CLI verbs whose README examples are run; verify's are not.
@@ -36,16 +32,57 @@ def _readme_examples() -> list[tuple[list[str], str]]:
     return out
 
 
-def test_canonical_report_bytes():
-    report = run_verify(2, 4, ("product-oracle", "adams-oracle", "psi-ring",
-                               "line-elements", "span"))
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256
+def _pinned_chunks(recording, keys: list[str]) -> list[dict]:
+    """The recorded entries of ``keys``, held to the manifest's."""
+    pinned = recorder.load()["entries"]
+    recorder.assert_unmoved({k: recording.entries[k] for k in keys}, {k: pinned[k] for k in keys})
+    return [recording.entries[k] for k in keys]
 
 
-def test_canonical_report_bytes_all_suites_n5():
-    report = run_verify(5, 5)
-    assert len(report.checks) == 5989
-    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_N5_SHA256
+def test_canonical_report_bytes(report_recording):
+    # The chunks of run_verify(2, 4) over these five suites; a sub-report's
+    # chunks are the full report's, since each (suite, n) seeds its own RNG.
+    suites = ("product-oracle", "adams-oracle", "psi-ring", "line-elements", "span")
+    _pinned_chunks(report_recording, [recorder.key(s, n) for s in suites for n in (2, 3, 4)])
+
+
+def test_canonical_report_bytes_all_suites_n5(report_recording):
+    # run_verify(5, 5) over all suites: 5,989 checks, dense irrational sides.
+    keys = sorted(k for k in report_recording.entries if k.endswith("/n=5"))
+    assert len(keys) == 7
+    entries = _pinned_chunks(report_recording, keys)
+    assert sum(e["checks"] for e in entries) == 5989
+
+
+def test_report_manifest(report_recording):
+    # Any change to a check id, a status or a rendered side moves its entry.
+    pinned = recorder.load()
+    recorder.assert_unmoved(report_recording.entries, pinned["entries"])
+    assert report_recording.report_sha256 == pinned["report_sha256"]
+
+
+def test_a_perturbed_euler_case_names_the_chunks_it_moves(monkeypatch):
+    monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
+    entries = recorder.record(3, 3).entries
+    pinned = {k: v for k, v in recorder.load()["entries"].items() if k.endswith("/n=3")}
+    keys = recorder.moved(entries, pinned)
+    assert {"product-oracle/n=3", "adams-oracle/n=3"} <= set(keys) < set(pinned)
+    with pytest.raises(AssertionError, match=re.escape("report chunks moved: " + ", ".join(keys))):
+        recorder.assert_unmoved(entries, pinned)
+
+
+def test_the_recorder_rewrites_the_manifest_and_refuses_while_a_check_fails(
+        monkeypatch, tmp_path, report_recording):
+    with open(recorder.MANIFEST, encoding="utf-8") as fh:
+        committed = fh.read()
+    out = tmp_path / "golden" / "report_manifest.json"
+    monkeypatch.setattr(recorder, "MANIFEST", str(out))
+    monkeypatch.setattr(recorder, "record", lambda: report_recording)
+    assert recorder.main() == 0 and out.read_text(encoding="utf-8") == committed
+    out.unlink()
+    failing = report_recording._replace(failures=[Check("span/n=2/rank", "fail", "1", "2")])
+    monkeypatch.setattr(recorder, "record", lambda: failing)
+    assert recorder.main() == 1 and not out.exists()
 
 
 EXAMPLES = _readme_examples()
