@@ -109,6 +109,9 @@ class Coords:
     def __setattr__(self, name, value):
         raise AttributeError("Coords values are immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Coords values are immutable")
+
     @property
     def basis(self) -> Basis:
         return basis(self.n, self.kind)

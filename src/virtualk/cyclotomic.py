@@ -186,6 +186,9 @@ class Cyc:
     def __setattr__(self, name, value):
         raise AttributeError("Cyc values are immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Cyc values are immutable")
+
     @staticmethod
     @cache
     def zero(n: int) -> "Cyc":

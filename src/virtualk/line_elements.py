@@ -7,15 +7,28 @@ f_q in Z/n and scalar beta_q, so the group is parameterized by the pair
 (f; beta) and multiplies componentwise.  The parameterized family spans the
 whole localized ring, certified by the exact rank of a block-diagonal root
 matrix together with explicit reconstruction witnesses.
+
+Membership is decided by the parameters.  Every class of the family obeys
+psi^k(b) = b^k for every k by arithmetic on exponents mod n: psi^k reads
+u[s,q] from u[ks mod n, q], or from the unit coordinate when ks = 0 mod n,
+so it sends zeta^(s f_q) to zeta^(ks f_q) = (zeta^(s f_q))^k; the unit
+coordinate is 1 = 1^k; and row 0 is k beta_q on both sides, since the
+beta_q u_0^q square to zero.  Conversely, psi^k(b) = b^k for k = 1..n forces
+the unit coordinate to be 1, b[k,q] = b[1,q]^k and b[1,q]^n = 1, so a class
+outside the family fails the power law at some k <= n.  Hence
+``is_line_element`` accepts a class once its (f; beta) are recovered and
+re-realize it, and computes powers only to name why a class is rejected.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .coords import Coords, _entry, from_canonical, grid, zero
-from .cyclotomic import Cyc, zeta_pow
+from .coords import Coords, _entry, from_canonical, from_numerators, grid
+from .cyclotomic import Cyc, _rotation_sums, _times, phi_degree, zeta_pow
 from .localization import u_adams, u_is_invertible, u_mul
 from .records import Record, set_field
 
@@ -95,11 +108,18 @@ class LineCertificate(Record):
 def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
     """Decide membership in the line-element group, with parameter recovery.
 
-    Checks invertibility and psi^k(b) = b^k for 2 <= k <= k_max (default 2n),
-    then recovers (f; beta): the unit coefficient must be 1 and each column
-    of the semisimple block must consist of the powers of one n-th root of
-    unity.  A positive answer re-realizes the recovered parameters and
-    demands exact equality, so it is unconditional.
+    An invertible class is accepted when its (f; beta) can be recovered and
+    re-realize it exactly: the unit coefficient must be 1 and each column of
+    the semisimple block must consist of the powers of one n-th root of
+    unity.  No power is computed for it: the recovered class obeys
+    psi^k(b) = b^k for every k by arithmetic on exponents mod n, as
+    u[s,q] = zeta^(s f_q) and psi^k reads zeta^(ks f_q) = (zeta^(s f_q))^k,
+    the unit coordinate is 1 = 1^k, and row 0 is k beta_q on both sides.
+
+    So ``k_max`` (default 2n) bounds only a rejection.  When recovery fails,
+    psi^k(b) = b^k is checked for 2 <= k <= k_max, and the answer names the
+    first failing k, or the recovery's reason when every k <= k_max passes.
+    A class outside the family fails at some k <= n (module docstring).
     """
     b.check_kind("u")
     n = b.n
@@ -109,6 +129,11 @@ def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
         raise ValueError("k_max must be at least 2")
     if not u_is_invertible(b):
         return LineCertificate(False, "not invertible in the localized ring", None)
+    params, reason = _recover(b)
+    if params is not None:
+        if line_realize(params) == b:
+            return LineCertificate(True, "", params)
+        reason = "parameter recovery failed to re-realize"
     power = b
     for k in range(2, k_max + 1):
         power = u_mul(power, b)
@@ -116,28 +141,25 @@ def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
             return LineCertificate(
                 False, "psi^%d does not equal the %d-th power" % (k, k), None
             )
+    return LineCertificate(False, reason, None)
+
+
+def _recover(b: Coords) -> tuple[LineElt | None, str]:
+    # (f; beta) read off an invertible b, or None and the reason they cannot be.
+    n = b.n
     if b.terms[0] != Cyc.one(n):
-        return LineCertificate(False, "unit coefficient is not 1", None)
+        return None, "unit coefficient is not 1"
     roots = [zeta_pow(n, t) for t in range(n)]
     f = []
     for q in range(n):
-        val = b.terms[grid(n, 1, q)]
         try:
-            fq = roots.index(val)
+            fq = roots.index(b.terms[grid(n, 1, q)])
         except ValueError:
-            return LineCertificate(
-                False, "column %d is not generated by a root of unity" % q, None
-            )
-        for l in range(2, n):
-            if b.terms[grid(n, l, q)] != zeta_pow(n, l * fq):
-                return LineCertificate(
-                    False, "column %d does not follow the power law" % q, None
-                )
+            return None, "column %d is not generated by a root of unity" % q
+        if any(b.terms[grid(n, l, q)] != roots[l * fq % n] for l in range(2, n)):
+            return None, "column %d does not follow the power law" % q
         f.append(fq)
-    params = line_element(n, f, [b.terms.get(grid(n, 0, q), Cyc.zero(n)) for q in range(n)])
-    if line_realize(params) != b:
-        return LineCertificate(False, "parameter recovery failed to re-realize", None)
-    return LineCertificate(True, "", params)
+    return line_element(n, f, [b.terms.get(grid(n, 0, q), Cyc.zero(n)) for q in range(n)]), ""
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +223,31 @@ def span_rank(n: int) -> SpanWitnesses:
 
 
 def realize_combo(n: int, combo: Combo) -> Coords:
-    total = zero(n, "u")
+    """The sum of c * line_realize(L) over the (L, c) of ``combo``.
+
+    Summed once in integer form over one common denominator: the unit
+    coordinate adds the c, row 0 the c * beta_q, and u[l,q] the c *
+    zeta^(l f_q), which ``_rotation_sums`` gathers per column q with the c
+    of equal f_q added first.
+    """
+    den = 1
     for L, c in combo:
-        total = total + line_realize(L).scale(c)
-    return total
+        den = math.lcm(den, c.den, *(c.den * b.den for b in L.beta if b))
+    pad = [0] * (n - phi_degree(n))
+    sums, columns = {0: [0] * phi_degree(n)}, [{} for _ in range(n)]
+    for L, c in combo:
+        num = [x * (den // c.den) for x in c.num]
+        sums[0] = list(map(operator.add, sums[0], num))
+        for q, b in enumerate(L.beta):
+            if b:
+                p = [x * (den // (c.den * b.den)) for x in _times(n, c.num, b.num)]
+                i = grid(n, 0, q)
+                sums[i] = list(map(operator.add, sums[i], p)) if i in sums else p
+        v = num + pad  # c in Z[x]/(x^n - 1), where zeta^t is a rotation
+        for column, fq in zip(columns, L.f):
+            s = column.get(fq)
+            column[fq] = v if s is None else list(map(operator.add, s, v))
+    for q, column in enumerate(columns):
+        _rotation_sums(n, sums, column.items(), 1, range(grid(n, 1, q), grid(n, n, q), n),
+                       range(1, n))
+    return from_numerators(n, "u", sums, den)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import virtualk.line_elements as le
 from virtualk.cyclotomic import Cyc, zeta_pow
 from virtualk.line_elements import (
+    LineCertificate,
     LineElt,
     is_line_element,
     line_element,
@@ -18,9 +20,9 @@ from virtualk.line_elements import (
     span_block,
     span_rank,
 )
-from virtualk.coords import gen, power, unit, zero
+from virtualk.coords import from_terms, gen, grid, power, unit, zero
 from virtualk.linalg import rank
-from virtualk.localization import u_adams, u_mul
+from virtualk.localization import u_adams, u_is_invertible, u_mul
 
 
 def test_identity_realizes_to_unit():
@@ -133,6 +135,118 @@ def test_rejections():
     assert not cert.ok
 
 
+def reference_is_line_element(b, k_max=None):
+    """Membership decided loop first: psi^k(b) = b^k for 2 <= k <= k_max
+    (default 2n), then recovery of (f; beta) and its re-realization."""
+    n = b.n
+    if k_max is None:
+        k_max = 2 * n
+    if not u_is_invertible(b):
+        return LineCertificate(False, "not invertible in the localized ring", None)
+    power = b
+    for k in range(2, k_max + 1):
+        power = u_mul(power, b)
+        if u_adams(b, k) != power:
+            return LineCertificate(False, "psi^%d does not equal the %d-th power" % (k, k), None)
+    if b.terms[0] != Cyc.one(n):
+        return LineCertificate(False, "unit coefficient is not 1", None)
+    roots = [zeta_pow(n, t) for t in range(n)]
+    f = []
+    for q in range(n):
+        val = b.terms[grid(n, 1, q)]
+        if val not in roots:
+            return LineCertificate(False, "column %d is not generated by a root of unity" % q,
+                                   None)
+        fq = roots.index(val)
+        for l in range(2, n):
+            if b.terms[grid(n, l, q)] != zeta_pow(n, l * fq):
+                return LineCertificate(False, "column %d does not follow the power law" % q,
+                                       None)
+        f.append(fq)
+    params = line_element(n, f, [b.terms.get(grid(n, 0, q), Cyc.zero(n)) for q in range(n)])
+    if line_realize(params) != b:
+        return LineCertificate(False, "parameter recovery failed to re-realize", None)
+    return LineCertificate(True, "", params)
+
+
+def _random_scalar(rng, n):
+    # An irrational scalar of Q(zeta_n) with a denominator (for n > 2).
+    return Cyc(n, [rng.randint(-3, 3) for _ in range(n)] + [1], rng.randint(2, 6))
+
+
+def _random_line(rng, n):
+    return line_element(n, [rng.randrange(n) for _ in range(n)],
+                        [_random_scalar(rng, n) if rng.random() < 0.7 else 0 for _ in range(n)])
+
+
+def _replaced(b, l, q, value):
+    terms = dict(b.terms)
+    terms[grid(b.n, l, q)] = value
+    return from_terms(b.n, "u", terms)
+
+
+#: Exponents e_1 .. e_(n-1) of one column zeta^(e_l) that obeys the power
+#: law for k = 2 but not for k = 3, so that a class holding it is rejected
+#: by recovery when k_max = 2.  Doubling fixes the exponent of zeta^(n/2) =
+#: -1 at even n; at n = 7 it has two orbits, {1, 2, 4} and {3, 6, 5}.
+TWO_ONLY_COLUMNS = {4: (2, 0, 0), 6: (3, 0, 0, 0, 0), 7: (0, 0, 1, 0, 4, 2),
+                    8: (4, 0, 0, 0, 0, 0, 0)}
+
+
+def _membership_inputs(n):
+    rng = random.Random(28 + n)
+    lines = [line_realize(_random_line(rng, n)) for _ in range(4)]
+    yield from lines
+    yield unit(n, "u").scale(2)
+    yield gen(n, "u", "u[1,0]")
+    yield lines[0] - gen(n, "u", "u[%d,%d]" % (n - 1, n - 1), lines[0]["u[%d,%d]" % (n - 1, n - 1)])
+    for l in range(1, n):
+        # one entry moved off a root of unity
+        yield _replaced(lines[1], l, l % n, lines[1].terms[grid(n, l, l % n)].scale_int(2))
+    for l in range(2, n):
+        # a root of unity that breaks the power law of its column
+        yield _replaced(lines[2], l, 0, lines[2].terms[grid(n, l, 0)] * zeta_pow(n, 1))
+    if n in TWO_ONLY_COLUMNS:
+        b = lines[3]
+        for l, e in enumerate(TWO_ONLY_COLUMNS[n], 1):
+            b = _replaced(b, l, 1, zeta_pow(n, e))
+        yield b
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_membership_agrees_with_the_loop_first_reference(n):
+    reasons = set()
+    for b in _membership_inputs(n):
+        for k_max in sorted({2, n - 1, 2 * n, 64} - {1}):
+            want = reference_is_line_element(b, k_max)
+            assert is_line_element(b, k_max) == want
+            reasons.add(want.reason.split(" ")[0] if want.reason else "ok")
+    if n in TWO_ONLY_COLUMNS:
+        assert "column" in reasons
+    assert {"ok", "not", "psi^2"} <= reasons
+
+
+def test_a_recovered_class_is_accepted_without_a_power_law(monkeypatch):
+    calls = {"u_mul": 0, "u_adams": 0}
+
+    def counted(name):
+        original = getattr(le, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(le, name, counted(name))
+    L = _random_line(random.Random(5), 6)
+    assert is_line_element(line_realize(L), 64) == LineCertificate(True, "", L)
+    assert calls == {"u_mul": 0, "u_adams": 0}
+    cert = is_line_element(unit(6, "u").scale(2), 64)
+    assert cert.reason == "psi^2 does not equal the 2-th power"
+    assert calls == {"u_mul": 1, "u_adams": 1}
+
+
 def test_k_max_validation():
     with pytest.raises(ValueError):
         is_line_element(unit(3, "u"), k_max=1)
@@ -178,8 +292,23 @@ def test_block_square_pattern():
                 assert entry == Cyc.rational(n, expected)
 
 
+def test_a_combination_is_realized_as_its_sum_of_realized_line_elements():
+    rng = random.Random(17)
+    for n in range(2, 10):
+        for _ in range(8):
+            combo = tuple((_random_line(rng, n), _random_scalar(rng, n))
+                          for _ in range(rng.randint(1, 5)))
+            expected = zero(n, "u")
+            for L, c in combo:
+                expected = expected + line_realize(L).scale(c)
+            assert realize_combo(n, combo) == expected
+    # Terms that cancel leave no stored zero.
+    L = sigma(4, 1)
+    assert realize_combo(4, ((L, Cyc.one(4)), (L, -Cyc.one(4)))) == zero(4, "u")
+
+
 def test_witnesses_reconstruct_basis():
-    for n in (2, 3):
+    for n in (2, 3, 9, 10, 11, 12):
         w = span_rank(n)
         assert realize_combo(n, w.combos["1"]) == unit(n, "u")
         for q in range(n):

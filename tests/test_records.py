@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from virtualk.coords import basis
+from virtualk.coords import basis, gen
 from virtualk.cyclotomic import Cyc, CycPoly
 from virtualk.expr import Atom, Binary, LineAtom, Num, Pow, Unary
 from virtualk.line_elements import is_line_element, line_realize, sigma, span_rank
@@ -21,15 +21,21 @@ RECORDS = [basis(3, "u"), CycPoly.monomial(3, 2), sigma(3, 1),
            is_line_element(line_realize(sigma(3, 1))), span_rank(3)] + NODES
 #: Scalars are immutable without being records; they copy as records do.
 CYCS = [Cyc.one(3), Cyc(5, [1, -2, 0, 3], 6)]
+#: Coordinate vectors, immutable the same way.
+COORDS = [gen(3, "u", "u[1,0]")]
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", RECORDS + CYCS + COORDS, ids=lambda r: type(r).__name__)
 def test_a_record_refuses_every_assignment(record):
+    # Cyc.zero(n) and Cyc.one(n) are shared, so a deleted field would corrupt
+    # every later use of them.
+    text = repr(record)
     for name in type(record).__slots__ + ("pos", "other"):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
             delattr(record, name)
+    assert repr(record) == text
 
 
 def _hash(value):
