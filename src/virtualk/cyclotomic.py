@@ -30,8 +30,9 @@ vectors: a rational factor scales the other vector, and only two irrational
 factors are convolved.  ``_scatter`` is the multiply-accumulate step of the
 products and the virtual Adams operations: it adds num * r to the sums for
 table entries r in Z[zeta_n].  ``_poly_times`` multiplies two polynomials
-in x and zeta given as integer terms, one flat loop over the pairs of terms
-and one reduction per power of x; ``virtual_ring.virtual_mul`` calls it
+in x and zeta given as integer terms modulo a sector's modulus: one flat
+loop over the pairs of terms, one fold of the powers past the modulus, and
+one reduction per power of x left; ``virtual_ring.virtual_mul`` calls it
 once per pair of sectors.  ``_rotation_sums`` is the discrete Fourier
 transform behind Gamma, its inverse and the changes to and from the
 semisimple basis: sums of c_j * zeta^(+-lj) for integer vectors c_j, summed
@@ -373,14 +374,19 @@ def _canonical(n: int, num: list[int], den: int) -> Cyc:
 
 
 def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
-                b: Sequence[tuple[int, int, int]]) -> list[tuple[int, list[int]]]:
-    # The product of two polynomials in x over Z[zeta_n], unnormalised.  Each
-    # factor is a nonempty list of integer terms (j, i, v), v the coefficient
-    # of x^j zeta^i with i < deg(Phi_n).  Returns (s, numerators of x^s) for
-    # each s whose row of products is nonzero, ascending in s.  Term (j, i)
-    # sits at j * w + i of one flat list, with rows w = 2*deg - 1 wide so that
-    # sums never carry into the next row.  A row is reduced modulo Phi_n only
-    # when it reaches deg(Phi_n), never for two rational factors.
+                b: Sequence[tuple[int, int, int]], untwisted: bool) -> list[tuple[int, list[int]]]:
+    # The product of two polynomials in x over Z[zeta_n], modulo x^n - 1, or
+    # modulo (x - 1)(x^n - 1) when ``untwisted``, unnormalised.  Each factor
+    # is a nonempty list of integer terms (j, i, v), v the coefficient of
+    # x^j zeta^i with j >= 0 and i < deg(Phi_n).  Returns (s, numerators of
+    # x^s) for each s whose reduced row is nonzero, ascending in s, with
+    # s < n, or s <= n when ``untwisted``.  Term (j, i) sits at j * w + i of
+    # one flat list, with rows w = 2*deg - 1 wide so that sums never carry
+    # into the next row.  The rows past the modulus fold before any reduction
+    # by the closed form of ``sector_ring``: x^(cn+r) is x^r modulo x^n - 1,
+    # and x^(cn+d) = x^d + c(x^n - 1) for 1 <= d <= n modulo (x - 1)(x^n - 1).
+    # A row is then reduced modulo Phi_n only when it reaches deg(Phi_n),
+    # never for two rational factors.
     deg = phi_degree(n)
     w = 2 * deg - 1
     ja, jb = min(a)[0], min(b)[0]
@@ -390,15 +396,23 @@ def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
         k = (j - ja) * w + i
         for kb, vb in flat_b:
             flat[k + kb] += v * vb
+    low, e0 = (n + untwisted) * w, ja + jb
+    if e0 * w + len(flat) > low:
+        flat, e0, shift = [0] * (e0 * w) + flat, 0, untwisted * w
+        for c, start in enumerate(range(low, len(flat), n * w), 1):
+            chunk = flat[start:start + n * w]
+            flat[shift:shift + len(chunk)] = map(operator.add, flat[shift:], chunk)
+            if untwisted:
+                t = [c * sum(chunk[i::w]) for i in range(w)]
+                flat[:w] = map(operator.sub, flat, t)
+                flat[low - w:low] = map(operator.add, flat[low - w:], t)
+        del flat[low:]
     out = []
     for s in range(0, len(flat), w):
-        if any(flat[s + deg:s + w]):
-            num = _reduce(n, flat[s:s + w])
-        else:
-            num = flat[s:s + deg]
-            if not any(num):
-                continue
-        out.append((ja + jb + s // w, num))
+        row = flat[s:s + w]
+        num = _reduce(n, row) if any(row[deg:]) else row[:deg]
+        if any(num):
+            out.append((e0 + s // w, num))
     return out
 
 

@@ -22,8 +22,11 @@ weights w_l and w_l^2 in Z[zeta_n] (``cyclotomic._scatter``), and each output
 coordinate is normalised once.  ``loc_adams`` and ``u_adams``
 are the Adams operations, the pullback along s -> k*s (mod n): each output
 coordinate with character index s reads the input coordinate with index
-k*s mod n.  Beyond k mod n they depend on k only through the linear factors
-on the untwisted column and on u_0^q.
+k*s mod n.  They compute it from the input side: each stored coordinate
+with index l is written to every s of its preimage set {s : k*s = l (mod n)}
+(``_preimages``, one table per n and k mod n), so their cost follows the
+stored terms, not the n^2 slots.  Beyond k mod n they depend on k only
+through the linear factors on the untwisted column and on u_0^q.
 Localized classes are ``Coords`` of kind "loc"; kind "u" is the semisimple
 coordinate system: idempotents u_l^q for l != 0 plus the square-zero elements
 u_0^q and the block unit 1_00, in which the product is diagonal and
@@ -242,13 +245,24 @@ def loc_augmentation(a: Coords) -> Coords:
 # Localized Adams operations.
 
 
+@cache
+def _preimages(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Entry l: the s = 1 .. n-1 with k*s = l (mod n), ascending.  Callers
+    pass k mod n, all the sets depend on, so at most n tables are kept per n."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for s in range(1, n):
+        out[k * s % n].append(s)
+    return tuple(map(tuple, out))
+
+
 def loc_adams(a: Coords, k: int) -> Coords:
     """Localized virtual Adams operation: the pullback along s -> k*s (mod n).
 
     With l = k*s mod n, e[0,s] reads e[0,l], or e[0,0] + xe[0,0] when l = 0,
     and e[m,s] (m != 0) reads e[m,l] times (zeta^(-l) - 1)/(zeta^(-s) - 1),
     or 0 when l = 0.  Column 0 scales: 1_m0 -> k 1_m0 and
-    x_00 -> k x_00 - (k-1) 1_00.
+    x_00 -> k x_00 - (k-1) 1_00.  Each stored e[m,l] is written to e[m,s]
+    for every s in the preimage set of l.
     """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
@@ -256,16 +270,18 @@ def loc_adams(a: Coords, k: int) -> Coords:
     n, A = a.n, a.terms
     a0, a1 = A.get(0, Cyc.zero(n)), A.get(1, Cyc.zero(n))
     out = {0: a0 - a1.scale_int(k - 1), 1: a1.scale_int(k)}
-    out.update((i, A[i].scale_int(k)) for i in (grid(n, m, 0) for m in range(1, n)) if i in A)
-    for s in range(1, n):
-        l = k * s % n
-        if not l:
-            out[grid(n, 0, s)] = a0 + a1
-            continue
-        for m in range(n):
-            c = A.get(grid(n, m, l))
-            if c:
-                out[grid(n, m, s)] = c * _adams_weight(n, l, s) if m else c
+    pre, row = _preimages(n, k % n), grid(n, 0, 0)  # e[m,l] sits at row + m*n + l
+    if a0 or a1:
+        out.update(dict.fromkeys((row + s for s in pre[0]), a0 + a1))
+    for i, c in A.items():
+        if i > 1:
+            m, l = divmod(i - row, n)
+            if not l:
+                out[i] = c.scale_int(k)
+            elif m:
+                out.update((i + s - l, c * _adams_weight(n, l, s)) for s in pre[l])
+            else:
+                out.update(dict.fromkeys((i + s - l for s in pre[l]), c))
     return from_terms(n, "loc", out)
 
 
@@ -369,17 +385,23 @@ def u_adams(a: Coords, k: int) -> Coords:
 
     u[s,q] reads u[k*s mod n, q], or the unit coordinate e[0,0] when k*s = 0
     (mod n), since the unit is fixed; e[0,0] is kept and u_0^q -> k u_0^q.
-    The output positions are written in ascending order and never hold a zero.
+    Each stored u[l,q] (l != 0) is written to u[s,q] for every s in the
+    preimage set of l, and e[0,0] for every s in that of 0.  The output
+    positions are sorted once and never hold a zero.
     """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("u")
     n, A = a.n, a.terms
-    out = {i: c if i == 0 else c.scale_int(k) for i, c in A.items() if i < grid(n, 1, 0)}
-    for s in range(1, n):
-        l = k * s % n
-        for q in range(n):
-            c = A.get(grid(n, l, q) if l else 0)
-            if c:
-                out[grid(n, s, q)] = c
-    return from_canonical(n, "u", out)
+    pre, start = _preimages(n, k % n), grid(n, 1, 0)
+    out = {}
+    for i, c in A.items():
+        if i >= start:
+            l = (i - 1) // n
+            out.update(dict.fromkeys((i + (s - l) * n for s in pre[l]), c))
+        elif i:
+            out[i] = c.scale_int(k)
+        else:
+            out.update(dict.fromkeys((grid(n, s, q) for s in pre[0] for q in range(n)), c))
+            out[0] = c
+    return from_canonical(n, "u", dict(sorted(out.items())))

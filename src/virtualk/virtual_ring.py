@@ -13,28 +13,34 @@ sector carries the ordinary Adams operations untouched.
 
 Both operations run on structure constants derived lazily from the sector
 polynomial code, which stays their single source: ``_euler_rows`` holds the
-reduced class of x^s * e for every exponent sum s of two monomials, keyed on
-the Euler polynomial e itself, so a replaced ``euler_factor`` (a planted
-defect in the tests) gets rows of its own, and ``_pair_rows`` finds the rows
-of each sector pair once per Euler table; ``_adams_column`` holds the image
-of one monomial x_m^j under psi~^k.
+reduced class of x^s * e for s = 0..n, keyed on the Euler polynomial e
+itself, so a replaced ``euler_factor`` (a planted defect in the tests) gets
+rows of its own, and ``_pair_rows`` finds the rows of each sector pair once
+per Euler table; ``_adams_column`` holds the image of one monomial x_m^j
+under psi~^k.
 Rows and columns are ``coords.Sparse``: parallel tuples of offsets and
 coefficients, integral coefficients stored as ``int``.
 
 Both compute in the integer form of ``coords.numerators``: each factor over
-one common denominator.  The product writes each sector of a factor as
-integer terms in x and zeta, multiplies each pair of nonzero sectors in one
-integer product (``cyclotomic._poly_times``), and scatters the coefficient
-of each power of x through its Euler row (``cyclotomic._scatter``), so it
-builds no ``Cyc`` and convolves no numerator vectors per pair of
-coefficients.  The Adams operation scatters each coordinate through its
-column.  ``coords.from_numerators`` normalises each output coordinate once.
+one common denominator, and both reduce in the sector ring before they read
+a table.  The product writes each sector of a factor as integer terms in x
+and zeta, multiplies each pair of nonzero sectors in one integer product
+(``cyclotomic._poly_times``) and folds it modulo the target sector's modulus
+by the closed form of ``sector_ring``, so powers that cancel there never
+reach a table; it scatters the coefficient of each power s <= n left once,
+through Euler row s (``cyclotomic._scatter``).  So it builds no ``Cyc`` and
+convolves no numerator vectors per pair of coefficients.  The Adams
+operation first sums the coordinates of a twisted sector whose images
+x^(jk mod n) coincide, and scatters each sum, and each coordinate of
+sector 0, through its column.  ``coords.from_numerators`` normalises each
+output coordinate once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
+from operator import add
 
 from .coords import (Coords, Sparse, from_numerators, from_terms, numerators, sector_start, sparse,
                      unit)
@@ -83,11 +89,13 @@ def euler_factor(n: int, m1: int, m2: int) -> CycPoly:
 
 @cache
 def _euler_rows(e: CycPoly, untwisted: bool) -> tuple[Sparse, ...]:
-    """Row s = 0..2n: the reduced class of x^s * e in an untwisted or a twisted sector."""
+    """Row s = 0..n: the reduced class of x^s * e in an untwisted or a twisted
+    sector.  A product reaches only these rows, as it is folded to a
+    representative before it meets its Euler factor."""
     n = e.n
     pad = (Cyc.zero(n),)
     return tuple(sparse(enumerate(reduce_coeffs(n, 0 if untwisted else 1, pad * s + e.coeffs)))
-                 for s in range(2 * n + 1))
+                 for s in range(n + 1))
 
 
 @cache
@@ -103,8 +111,11 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
 
     Each pair of nonzero sectors is multiplied as two polynomials in x and
     zeta with integer coefficients (``cyclotomic._poly_times``), over the
-    product of the factors' common denominators.  The coefficient of each
-    exponent sum s is scattered through row s of the Euler rows.
+    product of the factors' common denominators, and reduced modulo the
+    target sector's modulus before it meets the Euler factor: x^n = 1 on a
+    twisted target, x^(qn+r) = x^r + q(x^n - 1) on sector 0.  Powers that
+    cancel there are dropped; the coefficient of each power s <= n left is
+    scattered once, through row s of the Euler rows.
     """
     a.check_kind("sector")
     a.check(b)
@@ -124,7 +135,7 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
     for m1, t1 in sectors_a.items():
         for m2, t2 in sectors_b.items():
             start, rows = _pair_rows(euler_factor, n, m1, m2)
-            for s, num in _poly_times(n, t1, t2):
+            for s, num in _poly_times(n, t1, t2, start == 0):  # start 0: the target is sector 0
                 _scatter(n, sums, num, start, *rows[s])
     return from_numerators(n, "sector", sums, da * db)
 
@@ -133,8 +144,10 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
 def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
     """psi~^k(x_m^j) on sector m: psi^k, times the k-th Bott class when m != 0.
 
-    On a twisted sector psi^k(x_m^j) is the monomial x_m^e, so the product
-    rotates the Bott class by e: position t gets its coefficient of x^(t-e).
+    On a twisted sector psi^k(x_m^j) is the monomial x_m^e, e = jk mod n, so
+    the product rotates the Bott class by e: position t gets its coefficient
+    of x^(t-e).  The column depends on j only through e, which lets
+    ``virtual_adams`` scatter the exponents that share e through one column.
     """
     ps = sector_adams(m, CycPoly.monomial(n, j), k)
     if not m:
@@ -145,16 +158,30 @@ def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
 
 
 def virtual_adams(a: Coords, k: int) -> Coords:
-    """Virtual Adams operation: psi^k twisted by the Bott class on twisted sectors."""
+    """Virtual Adams operation: psi^k twisted by the Bott class on twisted sectors.
+
+    On a twisted sector m, x_m^j has the image of x_m^(jk mod n), so the
+    coordinates whose exponents j share jk mod n are summed first and each
+    sum is scattered once, through the column of the first j of its group.
+    Each coordinate of sector 0 is scattered through its own column.
+    """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("sector")
     n, json = a.n, a.basis.json
     den, nums = numerators(a)
-    sums: dict[int, list[int]] = {}
+    groups: dict[tuple[int, int], list] = {}
     for i, num in nums.items():
         _, m, j = json[i]
-        _scatter(n, sums, num, sector_start(n, m), *_adams_column(n, m, j, k))
+        key = (m, j * k % n if m else j)
+        if key in groups:
+            groups[key][1] = list(map(add, groups[key][1], num))
+        else:
+            groups[key] = [j, num]
+    sums: dict[int, list[int]] = {}
+    for (m, _), (j, num) in groups.items():
+        if any(num):
+            _scatter(n, sums, num, sector_start(n, m), *_adams_column(n, m, j, k))
     return from_numerators(n, "sector", sums, den)
 
 

@@ -457,30 +457,36 @@ def test_reduce_matches_the_rows_of_x_to_the_e(data, n):
 
 
 @settings(max_examples=100)
-@given(st.data(), st.integers(1, 12))
-def test_poly_times_matches_the_sum_of_cyc_products(data, n):
+@given(st.data(), st.integers(1, 12), st.booleans())
+def test_poly_times_matches_the_sum_of_cyc_products(data, n, untwisted):
     # Integer terms (j, i, v) stand for v * x^j * zeta^i; a factor with
-    # only i = 0 is rational, and two rational factors are not folded.
+    # only i = 0 is rational, and two rational factors are not folded.  The
+    # product is reduced modulo x^n - 1, or (x - 1)(x^n - 1) when untwisted,
+    # here by long division; exponents up to 2n in each factor fold more
+    # than once.
     deg = phi_degree(n)
 
     def factor():
         top = 0 if data.draw(st.booleans()) else deg - 1
-        term = st.tuples(st.integers(0, 4), st.integers(0, top),
+        term = st.tuples(st.integers(0, 2 * n), st.integers(0, top),
                          st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)))
         return data.draw(st.lists(term, min_size=1, max_size=8))
 
     a, b = factor(), factor()
-    expected = {}
+    product = [Cyc.zero(n)] * (4 * n + 1)
     for j1, i1, v1 in a:
         for j2, i2, v2 in b:
-            s = j1 + j2
-            term = zeta_pow(n, i1 + i2) * Cyc.rational(n, v1 * v2)
-            expected[s] = expected.get(s, Cyc.zero(n)) + term
-    got = cyclotomic._poly_times(n, a, b)
+            product[j1 + j2] += zeta_pow(n, i1 + i2) * Cyc.rational(n, v1 * v2)
+    modulus = CycPoly.from_ints(n, [-1] + [0] * (n - 1) + [1])
+    if untwisted:
+        modulus = modulus * CycPoly.from_ints(n, [-1, 1])
+    _, expected = CycPoly.from_cycs(n, product).divmod_by(modulus)
+    got = cyclotomic._poly_times(n, a, b, untwisted)
     assert [s for s, _ in got] == sorted({s for s, _ in got})
-    assert all(len(num) == deg for _, num in got)
-    assert ({s: Cyc(n, num) for s, num in got if any(num)}
-            == {s: c for s, c in expected.items() if c})
+    assert all(len(num) == deg and any(num) for _, num in got)
+    assert all(s < n + untwisted for s, _ in got)
+    assert {s: Cyc(n, num) for s, num in got} == {s: c for s, c in enumerate(expected.coeffs)
+                                                  if c}
 
 
 @settings(max_examples=100)

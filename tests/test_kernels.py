@@ -11,8 +11,17 @@ the single normalisation lands on the same canonical scalars.  Counters
 check that each output coordinate is normalised once, that the basis
 changes form no scalar product and that each leaves through one
 ``from_numerators``.
+
+The products and Adams operations reduce in the sector ring before they
+read a table: ``virtual_mul`` folds each sector-pair product modulo its
+target sector's modulus, ``virtual_adams`` sums the coordinates of a twisted
+sector whose images coincide, and ``loc_adams`` and ``u_adams`` write each
+stored coordinate to its preimage set.  These paths are checked against the
+references on operands that reach every fold, and a count pins the
+``_scatter`` calls they save.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,11 +31,15 @@ from hypothesis import strategies as st
 
 import virtualk.cyclotomic as cyclotomic
 import virtualk.localization as localization
-from test_virtual_ring import reference_mul
+import virtualk.virtual_ring as vr
+from conftest import perturbed_euler
+from test_localization import reference_loc_adams, reference_u_adams
+from test_virtual_ring import reference_adams, reference_mul
 from virtualk.coords import (Coords, basis, basis_vectors, from_numerators, from_terms, grid,
-                             sparse)
+                             sparse, zero)
 from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
-from virtualk.localization import from_u_basis, gamma, gamma_inverse, loc_mul, to_u_basis
+from virtualk.localization import (from_u_basis, gamma, gamma_inverse, loc_adams, loc_mul,
+                                   to_u_basis, u_adams)
 from virtualk.virtual_ring import k_monomial, virtual_adams, virtual_mul
 
 #: Class denominators 1, 2, 3, 6 and a large prime, so terms meet over an lcm.
@@ -295,3 +308,95 @@ def test_each_basis_change_leaves_through_one_from_numerators(monkeypatch):
         calls.clear()
         assert len(fn(arg).terms) == n * n + 1
         assert calls == [kind], fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# Reduced in the sector ring before the table.
+
+
+def _top_class(n, m, width):
+    """The top ``width`` powers of sector m, each with its own irrational
+    coefficient over 1, 2 or 3: x[0]^n is the top power of sector 0."""
+    top = n if m == 0 else n - 1
+    return sum((k_monomial(n, m, j).scale(
+        zeta_pow(n, 3 * j + m) + Cyc.rational(n, Fraction(j - m, 1 + (j + m) % 3)))
+        for j in range(max(top - width + 1, 0), top + 1)), zero(n, "sector"))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_virtual_mul_folds_exponent_sums_up_to_2n(n, monkeypatch):
+    # Every sector pair of factors carrying their top powers: exponent sums
+    # n..2n on sector 0 pairs (x[0]^n * x[0]^n), on m1 + m2 = n pairs, whose
+    # target is sector 0, and on twisted targets; then the same under a
+    # replaced Euler table, which gets its own rows.
+    classes = [_top_class(n, m, 3) for m in range(n)]
+    for euler in (vr.euler_factor, perturbed_euler):
+        monkeypatch.setattr(vr, "euler_factor", euler)
+        for a, b in itertools.product(classes, repeat=2):
+            assert _canonical(virtual_mul(a, b)) == reference_mul(a, b, euler)
+        a = sum(classes[1:], classes[0])
+        assert _canonical(virtual_mul(a, a)) == reference_mul(a, a, euler)
+
+
+def _adams_indices(n):
+    """k = 1..2n, and for each divisor d > 1 of n the indices d, n + d and 3n + d."""
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    return sorted(set(range(1, 2 * n + 1)) | {t * n + d for d in divisors for t in (0, 1, 3)})
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_virtual_adams_sums_equal_images_on_dense_twisted_classes(n):
+    # A dense twisted class has n coordinates per sector; at gcd(k, n) > 1
+    # several share the image x^(jk mod n), and at k = 0 (mod n) all do.
+    dense = [_top_class(n, m, n + 1) for m in range(n)]
+    cancelling = [k_monomial(n, m, 0) - k_monomial(n, m, n // 2) for m in range(1, n)]
+    for k in _adams_indices(n):
+        for a in dense + [sum(dense[1:], dense[0])]:
+            assert _canonical(virtual_adams(a, k)) == reference_adams(a, k), k
+        # x^0 and x^h, h = n // 2, share their image when k*h = 0 (mod n),
+        # and then their difference vanishes.
+        for a in cancelling:
+            out = _canonical(virtual_adams(a, k))
+            assert out == reference_adams(a, k)
+            assert out.is_zero() == (k * (n // 2) % n == 0), k
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_loc_and_u_adams_write_preimage_sets_of_stored_terms(n):
+    # Every u basis vector in loc coordinates (a dense row l, or column 0),
+    # and every loc basis vector in u coordinates (a dense row of the grid).
+    # The preimage sets depend on k mod n only, and k enters otherwise as a
+    # scale, so every residue and two larger k cover them.
+    classes = [from_u_basis(b) for _, b in basis_vectors(n, "u")]
+    u_classes = [to_u_basis(e) for _, e in basis_vectors(n, "loc")]
+    for k in list(range(1, n + 1)) + [2 * n + 1, 3000]:
+        for a in classes:
+            assert _canonical(loc_adams(a, k)) == reference_loc_adams(a, k), (a, k)
+        for b in u_classes:
+            assert _canonical(u_adams(b, k)) == reference_u_adams(b, k), (b, k)
+        for _, b in basis_vectors(n, "u"):
+            assert _canonical(u_adams(b, k)) == reference_u_adams(b, k), (b, k)
+
+
+def test_scatter_counts_on_the_oracle_preimages(monkeypatch):
+    # The product-oracle pairs and adams-oracle preimages at n = 8.  Scattering
+    # every power of x of every sector-pair product through its Euler row
+    # made 30,023 calls, and every coordinate through its own Adams column
+    # 8,464: 1,876 of the 2,145 products vanish once folded, and a twisted
+    # sector has n / gcd(k, n) distinct images.
+    n = 8
+    pre = [gamma_inverse(e) for _, e in basis_vectors(n, "loc")]
+    calls = [0]
+
+    def counted(*args, _original=cyclotomic._scatter):
+        calls[0] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(vr, "_scatter", counted)
+    zero_products = sum(virtual_mul(a, b).is_zero() for i, a in enumerate(pre) for b in pre[i:])
+    assert (calls[0], zero_products) == (2516, 1876)
+    calls[0] = 0
+    for a in pre:
+        for k in range(1, 2 * n + 1):
+            virtual_adams(a, k)
+    assert calls[0] == 5398

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import virtualk.virtual_ring as vr
 from test_localization import reference_loc_mul
 from virtualk.coords import Coords, basis, basis_vectors, gen, grid, sector_start, unit, zero
-from virtualk.cyclotomic import Cyc, phi_degree
+from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
 from virtualk.line_elements import line_identity, line_mul, line_realize, nu, sigma
 from virtualk.localization import loc_mul, u_adams, u_mul
 from virtualk.presentation import resolution_mul
+from virtualk.sector_ring import sector_mul
 from virtualk.virtual_ring import euler_factor, virtual_adams, virtual_mul
 
 
@@ -65,11 +65,11 @@ def dense_virtual_mul(a, b):
                     s, c = j1 + j2, c1 * c2
                     conv[s] = conv[s] + c if s in conv else c
             t = (m1 + m2) % n
-            rows = vr._euler_rows(euler_factor(n, m1, m2), t == 0)
-            start = sector_start(n, t)
+            e, start = euler_factor(n, m1, m2), sector_start(n, t)
             for s, c in conv.items():
-                for offset, r in zip(*rows[s]):
-                    r = r if isinstance(r, Cyc) else Cyc.rational(n, r)
+                # x^s * e by polynomial arithmetic, reduced by long division on sector 0.
+                row = sector_mul(t, CycPoly.monomial(n, s), e)
+                for offset, r in enumerate(row.coeffs):
                     out[start + offset] = out[start + offset] + c * r
     return Coords(n, "sector", out)
 
