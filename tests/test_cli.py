@@ -10,7 +10,7 @@ import pytest
 
 import virtualk.cli as cli
 import virtualk.virtual_ring as vr
-from conftest import perturbed_euler
+from conftest import perturbed_euler, record_calls
 from virtualk.cli import MAX_K_MAX, MAX_N, main
 from virtualk.coords import Coords
 from virtualk.expr import MAX_ADAMS_INDEX, MAX_EXPONENT, parse
@@ -321,15 +321,7 @@ def test_a_text_verify_holds_no_passing_check_beyond_its_suite_and_n(capsys, mon
 
 @pytest.fixture
 def str_calls(monkeypatch):
-    calls = []
-    render = Coords.__str__
-
-    def counted(self):
-        calls.append(1)
-        return render(self)
-
-    monkeypatch.setattr(Coords, "__str__", counted)
-    return calls
+    return record_calls(monkeypatch, Coords, "__str__")
 
 
 def test_a_passing_text_verify_renders_no_side(capsys, str_calls):
@@ -456,15 +448,9 @@ def test_each_argument_must_be_an_expression_on_its_own(capsys, no_work, argv, m
     (["delocalize", "--n", "3", "e[1,2]"], ["e[1,2]"]),
 ])
 def test_each_verb_argument_is_parsed_once(capsys, monkeypatch, argv, texts):
-    seen = []
-
-    def counted(text, n):
-        seen.append(text)
-        return parse(text, n)
-
-    monkeypatch.setattr(cli, "parse", counted)
+    calls = record_calls(monkeypatch, cli, "parse")
     assert run(capsys, *argv)[0] == 0
-    assert seen == texts
+    assert [text for text, _ in calls] == texts
 
 
 def test_line_takes_no_basis_option(capsys):

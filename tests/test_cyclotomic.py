@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virtualk.cyclotomic as cyclotomic
-from conftest import evaluate
+from conftest import evaluate, poly_reduce
 from virtualk.coords import power
 from virtualk.cyclotomic import (
     Cyc,
@@ -228,8 +228,8 @@ def test_cycpoly_divmod_and_eval():
     p = d * q + r
     qq, rr = p.divmod_by(d)
     assert qq == q and rr == r
-    x = zeta_pow(n, 1)
-    assert evaluate(p, x) == evaluate(d, x) * evaluate(q, x) + evaluate(r, x)
+    p_x, d_x, q_x, r_x = (evaluate(v.coeffs, zeta_pow(n, 1)) for v in (p, d, q, r))
+    assert p_x == d_x * q_x + r_x
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +462,8 @@ def test_poly_times_matches_the_sum_of_cyc_products(data, n, untwisted):
     # Integer terms (j, i, v) stand for v * x^j * zeta^i; a factor with
     # only i = 0 is rational, and two rational factors are not folded.  The
     # product is reduced modulo x^n - 1, or (x - 1)(x^n - 1) when untwisted,
-    # here by long division; exponents up to 2n in each factor fold more
-    # than once.
+    # here by the long division of conftest.py; exponents up to 2n in each
+    # factor fold more than once.
     deg = phi_degree(n)
 
     def factor():
@@ -477,16 +477,12 @@ def test_poly_times_matches_the_sum_of_cyc_products(data, n, untwisted):
     for j1, i1, v1 in a:
         for j2, i2, v2 in b:
             product[j1 + j2] += zeta_pow(n, i1 + i2) * Cyc.rational(n, v1 * v2)
-    modulus = CycPoly.from_ints(n, [-1] + [0] * (n - 1) + [1])
-    if untwisted:
-        modulus = modulus * CycPoly.from_ints(n, [-1, 1])
-    _, expected = CycPoly.from_cycs(n, product).divmod_by(modulus)
+    expected = poly_reduce(n, 0 if untwisted else 1, product)
     got = cyclotomic._poly_times(n, a, b, untwisted)
     assert [s for s, _ in got] == sorted({s for s, _ in got})
     assert all(len(num) == deg and any(num) for _, num in got)
     assert all(s < n + untwisted for s, _ in got)
-    assert {s: Cyc(n, num) for s, num in got} == {s: c for s, c in enumerate(expected.coeffs)
-                                                  if c}
+    assert {s: Cyc(n, num) for s, num in got} == {s: c for s, c in enumerate(expected) if c}
 
 
 @settings(max_examples=100)

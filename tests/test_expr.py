@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import virtualk.expr as expr
+from conftest import record_calls
 from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
 from virtualk.expr import (
     ATOMS,
@@ -112,18 +113,12 @@ def test_scalar_arithmetic():
 def test_a_scalar_power_runs_through_coords_power(monkeypatch):
     # One square-and-multiply for classes and scalars: a negative exponent
     # inverts first, then the power is one call of coords.power.
-    calls = []
-
-    def counted(a, k, mul, _original=expr.power):
-        calls.append(k)
-        return _original(a, k, mul)
-
-    monkeypatch.setattr(expr, "power", counted)
+    calls = record_calls(monkeypatch, expr, "power")
     assert _eval("zeta^5", 8) == ("scalar", zeta_pow(8, 5))
-    assert calls == [5]
+    assert [args[1] for args in calls] == [5]
     calls.clear()
     assert _eval("(1/2)^-7", 3) == ("scalar", Cyc.rational(3, 128))
-    assert calls == [7]
+    assert [args[1] for args in calls] == [7]
 
 
 def test_scalar_lifts_to_unit_multiple():

@@ -21,6 +21,7 @@ references on operands that reach every fold, and a count pins the
 ``_scatter`` calls they save.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -32,9 +33,9 @@ from hypothesis import strategies as st
 import virtualk.cyclotomic as cyclotomic
 import virtualk.localization as localization
 import virtualk.virtual_ring as vr
-from conftest import perturbed_euler
-from test_localization import reference_loc_adams, reference_u_adams
-from test_virtual_ring import reference_adams, reference_mul
+from conftest import (canonical, classes, euler_table, perturbed_euler, record_calls,
+                      reference_adams, reference_loc_adams, reference_mul, reference_u_adams,
+                      scalars)
 from virtualk.coords import (Coords, basis, basis_vectors, from_numerators, from_terms, grid,
                              sparse, zero)
 from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
@@ -81,24 +82,11 @@ def gamma_columns(n):
     return columns
 
 
-def _canonical(v):
-    """``v``, after asserting canonical terms and canonical scalars."""
-    assert list(v.terms) == sorted(v.terms), v
-    for c in v.terms.values():
-        assert c, v
-        assert type(c.num) is tuple and len(c.num) == phi_degree(v.n)
-        assert c.den > 0 and math.gcd(c.den, *c.num) == 1, c
-    return v
-
-
-@st.composite
-def _scalars(draw, n, rational=False):
-    """A nonzero-or-zero scalar of Q(zeta_n): short or long numerators, mixed denominators."""
-    numerator = st.one_of(st.integers(-6, 6), st.integers(-2**80, 2**80))
-    deg = phi_degree(n)
-    coeffs = [draw(numerator)] + ([0] * (deg - 1) if rational else
-                                  draw(st.lists(numerator, min_size=deg - 1, max_size=deg - 1)))
-    return Cyc(n, coeffs, draw(st.sampled_from(DENOMINATORS)))
+#: A scalar of Q(zeta_n): short or long numerators, mixed denominators, rational half the time.
+_scalars = functools.partial(scalars, numerators=st.one_of(st.integers(-6, 6),
+                                                           st.integers(-2**80, 2**80)),
+                             denominators=st.sampled_from(DENOMINATORS), zeros=False,
+                             rationals=True)
 
 
 @st.composite
@@ -127,7 +115,7 @@ def _column_terms(draw):
             continue
         start = draw(st.integers(0, size - 1))
         positions = sorted(draw(st.sets(st.integers(0, size - 1 - start), max_size=6)))
-        c = draw(_scalars(n, rational=draw(st.booleans())))
+        c = draw(_scalars(n))
         if c:
             terms.append((c, start, sparse((p, draw(entry)) for p in positions)))
     return n, terms
@@ -137,22 +125,16 @@ def _column_terms(draw):
 @given(_column_terms())
 def test_scatter_matches_the_term_by_term_sum(case):
     n, terms = case
-    assert _canonical(scatter_columns(n, "sector", terms)) == reference_apply_columns(
+    assert canonical(scatter_columns(n, "sector", terms)) == reference_apply_columns(
         n, "sector", terms)
 
 
-def _dense(n, draw):
-    size = len(basis(n, "sector").labels)
-    return Coords(n, "sector", [draw(_scalars(n, rational=draw(st.booleans())))
-                                for _ in range(size)])
-
-
 @settings(max_examples=25)
-@given(st.data(), st.integers(2, 8))
-def test_virtual_mul_matches_the_polynomial_product_on_mixed_denominators(data, n):
+@given(classes(("sector", "sector"), scalar=_scalars))
+def test_virtual_mul_matches_the_polynomial_product_on_mixed_denominators(ab):
     # n = 7 folds zeta^6 into six coordinates; n = 8 folds through Phi_8 = x^4 + 1.
-    a, b = _dense(n, data.draw), _dense(n, data.draw)
-    assert _canonical(virtual_mul(a, b)) == reference_mul(a, b)
+    a, b = ab
+    assert canonical(virtual_mul(a, b)) == reference_mul(a, b)
 
 
 def test_virtual_mul_matches_the_polynomial_product_on_preimage_pairs():
@@ -161,7 +143,7 @@ def test_virtual_mul_matches_the_polynomial_product_on_preimage_pairs():
     pre = [gamma_inverse(e) for _, e in basis_vectors(n, "loc")]
     for i, a in enumerate(pre):
         for b in pre[i:]:
-            assert _canonical(virtual_mul(a, b)) == reference_mul(a, b)
+            assert canonical(virtual_mul(a, b)) == reference_mul(a, b)
 
 
 def test_cancelling_terms_store_nothing():
@@ -185,20 +167,6 @@ def test_a_fractional_table_entry_is_refused():
 # One normalisation per output coordinate.
 
 
-def _count_normalized(monkeypatch, fn, *args):
-    calls = [0]
-    original = cyclotomic._normalized
-
-    def counted(num, den):
-        calls[0] += 1
-        return original(num, den)
-
-    with monkeypatch.context() as m:
-        m.setattr(cyclotomic, "_normalized", counted)
-        result = fn(*args)
-    return result, calls[0]
-
-
 def _dense7():
     n = 7
     size = len(basis(n, "sector").labels)
@@ -213,24 +181,27 @@ def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
     u = to_u_basis(loc)
     # The tables and the Adams columns are built once per n, outside the count.
     from_u_basis(u), loc_mul(loc, loc_b), virtual_adams(a, 2), virtual_adams(a, 3)
+    calls = record_calls(monkeypatch, cyclotomic, "_normalized")
     for fn, args in ((gamma, (a,)), (gamma_inverse, (loc,)), (to_u_basis, (loc,)),
                      (from_u_basis, (u,)), (loc_mul, (loc, loc_b)), (virtual_adams, (a, 2)),
                      (virtual_adams, (a, 3))):
-        out, calls = _count_normalized(monkeypatch, fn, *args)
-        assert 0 < calls <= len(out.terms), fn.__name__
+        calls.clear()
+        out = fn(*args)
+        assert 0 < len(calls) <= len(out.terms), fn.__name__
     # The guard can fail: the term-by-term sum normalises once per term.
     columns = gamma_columns(a.n)
-    terms = [(c, 0, columns[i]) for i, c in a.terms.items()]
-    out, calls = _count_normalized(monkeypatch, reference_apply_columns, a.n, "loc", terms)
-    assert calls > 2 * len(out.terms)
+    calls.clear()
+    out = reference_apply_columns(a.n, "loc", [(c, 0, columns[i]) for i, c in a.terms.items()])
+    assert len(calls) > 2 * len(out.terms)
 
 
 def test_virtual_mul_normalises_once_per_output_coordinate(monkeypatch):
     a, b = _dense7()
     virtual_mul(a, b)  # the Euler rows are built once per sector pair, outside the count
-    out, calls = _count_normalized(monkeypatch, virtual_mul, a, b)
+    calls = record_calls(monkeypatch, cyclotomic, "_normalized")
+    out = virtual_mul(a, b)
+    assert 0 < len(calls) <= len(out.terms)
     assert out == reference_mul(a, b)
-    assert 0 < calls <= len(out.terms)
 
 
 def test_virtual_mul_multiplies_no_numerator_vectors_pairwise(monkeypatch):
@@ -242,27 +213,27 @@ def test_virtual_mul_multiplies_no_numerator_vectors_pairwise(monkeypatch):
     for m1 in range(n):
         for m2 in range(n):
             virtual_mul(k_monomial(n, m1, 1), k_monomial(n, m2, 1))
-    calls = _count_products(monkeypatch)
+    calls = _record_products(monkeypatch)
     for i, a in enumerate(pre):
         for b in pre[i:]:
             virtual_mul(a, b)
-    assert calls == {"_times": 0, "_convolve": 0}
+    assert list(map(len, calls)) == [0, 0]
     # The counters are live: one irrational product makes one call of each.
     z = zeta_pow(n, 1)
     assert z * (z + Cyc.one(n)) == zeta_pow(n, 2) + z
-    assert calls == {"_times": 1, "_convolve": 1}
+    assert list(map(len, calls)) == [1, 1]
 
 
-def _count_products(monkeypatch):
-    """Counters of the calls of ``_times`` and ``_convolve`` from now on."""
-    calls = {"_times": 0, "_convolve": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(cyclotomic, name)):
-            calls[_name] += 1
-            return _original(*args)
+def _record_products(monkeypatch):
+    """The calls of ``_times`` and of ``_convolve`` from now on."""
+    return [record_calls(monkeypatch, cyclotomic, name) for name in ("_times", "_convolve")]
 
-        monkeypatch.setattr(cyclotomic, name, counted)
-    return calls
+
+def _dense8():
+    n = 8
+    size = len(basis(n, "sector").labels)
+    return Coords(n, "sector", [Cyc(n, [(i * 5 + t) % 9 - 4 for t in range(4)], 1 + i % 3)
+                                for i in range(size)])
 
 
 def test_basis_changes_multiply_no_numerator_vectors(monkeypatch):
@@ -270,44 +241,32 @@ def test_basis_changes_multiply_no_numerator_vectors(monkeypatch):
     # rotation sums over Z[zeta_n]: on dense classes at n = 8, once the tables
     # are built, they form no scalar product; applying columns of zeta powers
     # made one _times per stored entry and column entry.
-    n = 8
-    size = len(basis(n, "sector").labels)
-    s = Coords(n, "sector", [Cyc(n, [(i * 5 + t) % 9 - 4 for t in range(4)], 1 + i % 3)
-                             for i in range(size)])
-    a, u = gamma(s), to_u_basis(gamma(s))
+    s = _dense8()
+    n, a, u = s.n, gamma(s), to_u_basis(gamma(s))
     assert len(a.terms) == len(u.terms) == n * n + 1
     from_u_basis(u)
-    calls = _count_products(monkeypatch)
+    calls = _record_products(monkeypatch)
     assert gamma_inverse(from_u_basis(to_u_basis(gamma(s)))) == s
-    assert calls == {"_times": 0, "_convolve": 0}
+    assert list(map(len, calls)) == [0, 0]
     # The counters are live: the term-by-term sum of Gamma's columns makes both.
     columns = gamma_columns(n)
     reference_apply_columns(n, "loc", [(c, 0, columns[i]) for i, c in s.terms.items()])
-    assert calls["_times"] > 0 and calls["_convolve"] > 0
+    assert all(calls)
 
 
 def test_each_basis_change_leaves_through_one_from_numerators(monkeypatch):
     # Every output coordinate of Gamma, its inverse and the maps to and from
     # the semisimple basis is a raw sum over one denominator per call, the
     # closed-form and passed-through coordinates included.
-    n = 8
-    size = len(basis(n, "sector").labels)
-    s = Coords(n, "sector", [Cyc(n, [(i * 5 + t) % 9 - 4 for t in range(4)], 1 + i % 3)
-                             for i in range(size)])
+    s = _dense8()
     a = gamma(s)
     u = to_u_basis(a)
-    calls = []
-
-    def counted(*args, _original=localization.from_numerators):
-        calls.append(args[1])
-        return _original(*args)
-
-    monkeypatch.setattr(localization, "from_numerators", counted)
+    calls = record_calls(monkeypatch, localization, "from_numerators")
     for fn, arg, kind in ((gamma, s, "loc"), (gamma_inverse, a, "sector"),
                           (to_u_basis, a, "u"), (from_u_basis, u, "loc")):
         calls.clear()
-        assert len(fn(arg).terms) == n * n + 1
-        assert calls == [kind], fn.__name__
+        assert len(fn(arg).terms) == s.n * s.n + 1
+        assert [args[1] for args in calls] == [kind], fn.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +288,13 @@ def test_virtual_mul_folds_exponent_sums_up_to_2n(n, monkeypatch):
     # n..2n on sector 0 pairs (x[0]^n * x[0]^n), on m1 + m2 = n pairs, whose
     # target is sector 0, and on twisted targets; then the same under a
     # replaced Euler table, which gets its own rows.
-    classes = [_top_class(n, m, 3) for m in range(n)]
-    for euler in (vr.euler_factor, perturbed_euler):
+    tops = [_top_class(n, m, 3) for m in range(n)]
+    for euler, table in ((vr.euler_factor, euler_table), (perturbed_euler, perturbed_euler)):
         monkeypatch.setattr(vr, "euler_factor", euler)
-        for a, b in itertools.product(classes, repeat=2):
-            assert _canonical(virtual_mul(a, b)) == reference_mul(a, b, euler)
-        a = sum(classes[1:], classes[0])
-        assert _canonical(virtual_mul(a, a)) == reference_mul(a, a, euler)
+        for a, b in itertools.product(tops, repeat=2):
+            assert canonical(virtual_mul(a, b)) == reference_mul(a, b, table)
+        a = sum(tops[1:], tops[0])
+        assert canonical(virtual_mul(a, a)) == reference_mul(a, a, table)
 
 
 def _adams_indices(n):
@@ -352,11 +311,11 @@ def test_virtual_adams_sums_equal_images_on_dense_twisted_classes(n):
     cancelling = [k_monomial(n, m, 0) - k_monomial(n, m, n // 2) for m in range(1, n)]
     for k in _adams_indices(n):
         for a in dense + [sum(dense[1:], dense[0])]:
-            assert _canonical(virtual_adams(a, k)) == reference_adams(a, k), k
+            assert canonical(virtual_adams(a, k)) == reference_adams(a, k), k
         # x^0 and x^h, h = n // 2, share their image when k*h = 0 (mod n),
         # and then their difference vanishes.
         for a in cancelling:
-            out = _canonical(virtual_adams(a, k))
+            out = canonical(virtual_adams(a, k))
             assert out == reference_adams(a, k)
             assert out.is_zero() == (k * (n // 2) % n == 0), k
 
@@ -367,15 +326,15 @@ def test_loc_and_u_adams_write_preimage_sets_of_stored_terms(n):
     # and every loc basis vector in u coordinates (a dense row of the grid).
     # The preimage sets depend on k mod n only, and k enters otherwise as a
     # scale, so every residue and two larger k cover them.
-    classes = [from_u_basis(b) for _, b in basis_vectors(n, "u")]
+    loc_classes = [from_u_basis(b) for _, b in basis_vectors(n, "u")]
     u_classes = [to_u_basis(e) for _, e in basis_vectors(n, "loc")]
     for k in list(range(1, n + 1)) + [2 * n + 1, 3000]:
-        for a in classes:
-            assert _canonical(loc_adams(a, k)) == reference_loc_adams(a, k), (a, k)
+        for a in loc_classes:
+            assert canonical(loc_adams(a, k)) == reference_loc_adams(a, k), (a, k)
         for b in u_classes:
-            assert _canonical(u_adams(b, k)) == reference_u_adams(b, k), (b, k)
+            assert canonical(u_adams(b, k)) == reference_u_adams(b, k), (b, k)
         for _, b in basis_vectors(n, "u"):
-            assert _canonical(u_adams(b, k)) == reference_u_adams(b, k), (b, k)
+            assert canonical(u_adams(b, k)) == reference_u_adams(b, k), (b, k)
 
 
 def test_scatter_counts_on_the_oracle_preimages(monkeypatch):
@@ -386,17 +345,11 @@ def test_scatter_counts_on_the_oracle_preimages(monkeypatch):
     # sector has n / gcd(k, n) distinct images.
     n = 8
     pre = [gamma_inverse(e) for _, e in basis_vectors(n, "loc")]
-    calls = [0]
-
-    def counted(*args, _original=cyclotomic._scatter):
-        calls[0] += 1
-        return _original(*args)
-
-    monkeypatch.setattr(vr, "_scatter", counted)
+    calls = record_calls(monkeypatch, vr, "_scatter")
     zero_products = sum(virtual_mul(a, b).is_zero() for i, a in enumerate(pre) for b in pre[i:])
-    assert (calls[0], zero_products) == (2516, 1876)
-    calls[0] = 0
+    assert (len(calls), zero_products) == (2516, 1876)
+    calls.clear()
     for a in pre:
         for k in range(1, 2 * n + 1):
             virtual_adams(a, k)
-    assert calls[0] == 5398
+    assert len(calls) == 5398

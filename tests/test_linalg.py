@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import record_calls
 from virtualk.cyclotomic import Cyc, zeta_pow
 from virtualk.linalg import SpanAccumulator, inverse, rank
 
@@ -45,17 +46,10 @@ def test_span_accumulator_reports_novelty():
 
 def test_elimination_multiplies_no_zero_entry(monkeypatch):
     # Rows are reduced only where the basis row is nonzero.
-    products = []
-    original = Cyc.__mul__
-
-    def mul(a, b):
-        products.append(bool(a) and bool(b))
-        return original(a, b)
-
     z = zeta_pow(3, 1)
     rows = [[_c(1), _c(0), z, _c(0)], [_c(0), z, _c(0), _c(0)], [_c(2), z, z + z, _c(0)],
             [_c(0), _c(0), _c(0), z * z]]
-    monkeypatch.setattr(Cyc, "__mul__", mul)
+    products = record_calls(monkeypatch, Cyc, "__mul__")
     assert rank(rows) == 3
     inverse([[_c(1), _c(0)], [z, _c(1)]])
-    assert products and all(products)
+    assert products and all(a and b for a, b in products)

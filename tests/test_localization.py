@@ -1,7 +1,6 @@
 import functools
 import importlib
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -12,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import virtualk.localization as loc
-from conftest import evaluate, from_sectors, sector_part
+from conftest import (classes, cycs, evaluate, from_sectors, ints, poly_add, poly_mul, poly_scale,
+                      record_calls, reference_loc_adams, reference_loc_mul, reference_u_adams,
+                      sector_part, solutions)
 from virtualk.coords import Coords, basis_vectors, gen, grid, power, unit, zero
-from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
+from virtualk.cyclotomic import Cyc, zeta_pow
 from virtualk.localization import (
     from_u_basis,
     gamma,
@@ -28,10 +29,6 @@ from virtualk.localization import (
     u_mul,
 )
 from virtualk.virtual_ring import k_monomial, virtual_adams, virtual_mul
-
-
-def _ints(s):
-    return [c.rational_value() for c in s.coeffs]
 
 
 def test_gamma_of_unit_is_row_idempotent_sum():
@@ -56,7 +53,7 @@ def test_gamma_of_zero():
 def test_gamma_inverse_block_unit_example():
     # n=2: (1/4)(3 + 2x - x^2).
     img = gamma_inverse(gen(2, "loc", "e[0,0]"))
-    assert _ints(sector_part(img, 0)) == [Fraction(3, 4), Fraction(1, 2), Fraction(-1, 4)]
+    assert ints(sector_part(img, 0)) == [Fraction(3, 4), Fraction(1, 2), Fraction(-1, 4)]
 
 
 def test_gamma_inverse_twisted_row0_formula():
@@ -64,7 +61,7 @@ def test_gamma_inverse_twisted_row0_formula():
     for n in (2, 3, 5, 6):
         for m in range(1, n):
             img = gamma_inverse(gen(n, "loc", "e[%d,0]" % m))
-            assert _ints(sector_part(img, m)) == [Fraction(1, n)] * n
+            assert ints(sector_part(img, m)) == [Fraction(1, n)] * n
 
 
 def test_gamma_roundtrip_exhaustive():
@@ -141,19 +138,11 @@ def test_loc_adams_matches_transport_small():
 def test_adams_weights_are_built_without_inverting_a_scalar(monkeypatch):
     # w_l / w_s is read through the integer matrix of n / w_s; the Galois
     # inverse of w_s is only the reference here.
-    inversions = []
-    original = Cyc.inv
-
-    def counted(self):
-        inversions.append(self)
-        return original(self)
-
     loc._adams_weight.cache_clear()
     loc._inverse_weights.cache_clear()
-    with monkeypatch.context() as m:
-        m.setattr(Cyc, "inv", counted)
-        weights = {(n, l, s): loc._adams_weight(n, l, s)
-                   for n in range(2, 13) for l in range(1, n) for s in range(1, n)}
+    inversions = record_calls(monkeypatch, Cyc, "inv")
+    weights = {(n, l, s): loc._adams_weight(n, l, s)
+               for n in range(2, 13) for l in range(1, n) for s in range(1, n)}
     assert inversions == []
     for (n, l, s), w in weights.items():
         assert w == loc._w(n, l) * loc._w(n, s).inv(), (n, l, s)
@@ -263,13 +252,13 @@ def reference_gamma(a):
     out = list(zero(n, "loc").coeffs)
     for m in range(n):
         s = sector_part(a, m)
-        if s.is_zero():
+        if not s:
             continue
         for l in range(n):
             if m == 0 and l == 0:
                 continue
             out[grid(n, m, l)] = evaluate(s, zeta_pow(n, l))
-    f = sector_part(a, 0).coeffs
+    f = sector_part(a, 0)
     f1 = sum(f, Cyc.zero(n))
     d1 = sum((c * Cyc.rational(n, j) for j, c in enumerate(f)), Cyc.zero(n))
     out[0], out[1] = f1 - d1, d1
@@ -277,17 +266,17 @@ def reference_gamma(a):
 
 
 def _geom_div(n, l):
-    # (x^n - 1)/(x - zeta^l) expanded as prod_{i != l} (x - zeta^i).
-    prod = CycPoly.one_poly(n)
+    # (x^n - 1)/(x - zeta^l) expanded as prod_{i != l} (x - zeta^i), of degree n - 1.
+    prod = (Cyc.one(n),)
     for i in range(n):
         if i != l:
-            prod = prod * CycPoly.from_cycs(n, (-zeta_pow(n, i), Cyc.one(n)))
+            prod = poly_mul(n, 1, prod, (-zeta_pow(n, i), Cyc.one(n)))
     return prod
 
 
 @functools.cache
 def _images(n):
-    """Preimages of every localized generator, as polynomials on their sector.
+    """Preimages of every localized generator, by position: (sector, polynomial).
 
     1_00  -> (1/2n)((1-n)x + (1+n)) (x^n-1)/(x-1)                  (sector 0)
     x_00  -> (1/2n)((3-n)x + (n-1)) (x^n-1)/(x-1)                  (sector 0)
@@ -295,79 +284,31 @@ def _images(n):
     1_ml  -> (zeta^l / n) (x^n-1)/(x-zeta^l)                       (m != 0, sector m)
 
     (x^n - 1)/(x - zeta^l) is the product over the other roots, not the
-    inverse DFT that ``gamma_inverse`` reads.
+    inverse DFT that ``gamma_inverse`` reads.  Every product has degree at
+    most n, so none is reduced.
     """
-    images = {}
     geom = [_geom_div(n, l) for l in range(n)]
     half, inv_n = Fraction(1, 2 * n), Cyc.rational(n, Fraction(1, n))
-    images["1_00"] = (CycPoly.from_ints(n, [1 + n, 1 - n]) * geom[0]).scale(half)
-    images["x_00"] = (CycPoly.from_ints(n, [n - 1, 3 - n]) * geom[0]).scale(half)
-    x_minus_one = CycPoly.from_ints(n, [-1, 1])
+    images = {0: (0, poly_scale(n, poly_mul(n, 0, cycs(n, [1 + n, 1 - n]), geom[0]), half)),
+              1: (0, poly_scale(n, poly_mul(n, 0, cycs(n, [n - 1, 3 - n]), geom[0]), half))}
     for l in range(1, n):
         zl = zeta_pow(n, l)
-        images[(0, l)] = (x_minus_one * geom[l]).scale(zl * (zl - Cyc.one(n)).inv() * inv_n)
+        images[grid(n, 0, l)] = (0, poly_scale(n, poly_mul(n, 0, cycs(n, [-1, 1]), geom[l]),
+                                               zl * (zl - Cyc.one(n)).inv() * inv_n))
     for l in range(n):
-        poly = geom[l].scale(zeta_pow(n, l) * inv_n)
+        poly = poly_scale(n, geom[l], zeta_pow(n, l) * inv_n)
         for m in range(1, n):
-            images[(m, l)] = poly
+            images[grid(n, m, l)] = (m, poly)
     return images
 
 
 def reference_gamma_inverse(b):
     """Sum of the scaled preimage polynomials, sector by sector."""
-    n = b.n
-    images = _images(n)
-    acc = [CycPoly.zero(n)] * n
-    if b.coeffs[0]:
-        acc[0] = acc[0] + images["1_00"].scale(b.coeffs[0])
-    if b.coeffs[1]:
-        acc[0] = acc[0] + images["x_00"].scale(b.coeffs[1])
-    for m in range(n):
-        for l in range(n):
-            c = b.coeffs[grid(n, m, l)]
-            if c and (m, l) != (0, 0):
-                acc[m] = acc[m] + images[(m, l)].scale(c)
+    n, acc = b.n, [()] * b.n
+    for i, c in b.terms.items():
+        m, poly = _images(n)[i]
+        acc[m] = poly_add(n, acc[m], poly_scale(n, poly, c))
     return from_sectors(n, dict(enumerate(acc)))
-
-
-def reference_loc_mul(a, b):
-    """The localized product rules as one dense loop."""
-    n = a.n
-    A, B = a.coeffs, b.coeffs
-    out = list(zero(n, "loc").coeffs)
-    out[0] = A[0] * B[0] - A[1] * B[1]
-    out[1] = A[0] * B[1] + A[1] * B[0] + (A[1] * B[1]).scale_int(2)
-    ra = A[0] + A[1]
-    rb = B[0] + B[1]
-    for m in range(1, n):
-        i = grid(n, m, 0)
-        out[i] = ra * B[i] + rb * A[i]
-    for l in range(1, n):
-        w = Cyc.one(n) - zeta_pow(n, -l)
-        row = grid(n, 0, l)
-        au, bu = A[row], B[row]
-        if au and bu:
-            out[row] = out[row] + au * bu
-        for m in range(1, n):
-            i = grid(n, m, l)
-            t = au * B[i] + bu * A[i]
-            if t:
-                out[i] = out[i] + t
-        for m1 in range(1, n):
-            c1 = A[grid(n, m1, l)]
-            if not c1:
-                continue
-            for m2 in range(1, n):
-                c2 = B[grid(n, m2, l)]
-                if not c2:
-                    continue
-                c = c1 * c2
-                if m1 + m2 == n:
-                    out[row] = out[row] + c * w * w
-                else:
-                    i = grid(n, (m1 + m2) % n, l)
-                    out[i] = out[i] + c * w
-    return Coords(n, "loc", out)
 
 
 def reference_from_u_basis(b):
@@ -421,85 +362,16 @@ def reference_to_u_basis(a):
     return Coords(n, "u", out)
 
 
-def _solutions(n, k, l):
-    """Ascending solutions of k*y = l (mod n); empty when gcd(k,n) does not divide l."""
-    d = math.gcd(k, n)
-    if l % d:
-        return ()
-    nd = n // d
-    y0 = (pow(k // d, -1, nd) * ((l // d) % nd)) % nd if nd > 1 else 0
-    return tuple(y0 + i * nd for i in range(d))
-
-
-def reference_loc_adams(a, k):
-    """psi^k pushed forward: each generator is sent to its images over the
-    solution set of k*y = l (mod n), with the row weight recomputed here."""
-    n = a.n
-    A = a.coeffs
-    out = list(zero(n, "loc").coeffs)
-    sols0 = _solutions(n, k, 0)
-    if A[0]:
-        out[0] = out[0] + A[0]
-        for s in sols0[1:]:
-            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[0]
-    if A[1]:
-        out[1] = out[1] + A[1].scale_int(k)
-        out[0] = out[0] - A[1].scale_int(k - 1)
-        for s in sols0[1:]:
-            out[grid(n, 0, s)] = out[grid(n, 0, s)] + A[1]
-    for m in range(1, n):
-        i = grid(n, m, 0)
-        if A[i]:
-            out[i] = out[i] + A[i].scale_int(k)
-    one = Cyc.one(n)
-    for l in range(1, n):
-        sols = _solutions(n, k, l)
-        cu = A[grid(n, 0, l)]
-        if cu:
-            for s in sols:
-                out[grid(n, 0, s)] = out[grid(n, 0, s)] + cu
-        for m in range(1, n):
-            c = A[grid(n, m, l)]
-            if c:
-                for s in sols:
-                    weight = (zeta_pow(n, -l) - one) * (zeta_pow(n, -s) - one).inv()
-                    out[grid(n, m, s)] = out[grid(n, m, s)] + c * weight
-    return Coords(n, "loc", out)
-
-
-def reference_u_adams(a, k):
-    """psi^k pushed forward on semisimple coordinates over the same solution sets."""
-    n = a.n
-    A = a.coeffs
-    out = list(zero(n, "u").coeffs)
-    out[0] = A[0]
-    if A[0]:
-        for s in _solutions(n, k, 0)[1:]:
-            for q in range(n):
-                out[grid(n, s, q)] = out[grid(n, s, q)] + A[0]
-    for q in range(n):
-        c = A[grid(n, 0, q)]
-        if c:
-            out[grid(n, 0, q)] = out[grid(n, 0, q)] + c.scale_int(k)
-    for l in range(1, n):
-        for q in range(n):
-            c = A[grid(n, l, q)]
-            if c:
-                for s in _solutions(n, k, l):
-                    out[grid(n, s, q)] = out[grid(n, s, q)] + c
-    return Coords(n, "u", out)
-
-
 def test_solution_sets():
-    assert _solutions(2, 2, 0) == (0, 1)
-    assert _solutions(2, 2, 1) == ()
-    assert _solutions(4, 2, 2) == (1, 3)
-    assert _solutions(6, 4, 2) == (2, 5)
-    assert _solutions(5, 3, 2) == (4,)
+    assert solutions(2, 2, 0) == (0, 1)
+    assert solutions(2, 2, 1) == ()
+    assert solutions(4, 2, 2) == (1, 3)
+    assert solutions(6, 4, 2) == (2, 5)
+    assert solutions(5, 3, 2) == (4,)
     for n in range(2, 9):
         for k in range(1, 2 * n + 1):
             for l in range(n):
-                sols = _solutions(n, k, l)
+                sols = solutions(n, k, l)
                 assert [s for s in range(n) if (k * s - l) % n == 0] == list(sols)
 
 
@@ -530,25 +402,11 @@ def test_basis_changes_match_reference_on_all_basis_vectors(n):
         assert from_u_basis(u) == reference_from_u_basis(u), label
 
 
-@st.composite
-def _dense(draw, kind, n_max=8):
-    n = draw(st.integers(2, n_max))
-    small = st.integers(-4, 4)
-
-    def scalar():
-        if draw(st.booleans()):
-            return Cyc.zero(n)
-        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
-                   draw(st.integers(1, 3)))
-
-    return [Coords(n, k, [scalar() for _ in range(n * n + 1)]) for k in kind]
-
-
 @settings(max_examples=40)
-@given(_dense(("loc", "loc", "sector", "u"), 12))
-def test_tables_match_reference_on_dense_classes(classes):
+@given(classes(("loc", "loc", "sector", "u"), 12))
+def test_tables_match_reference_on_dense_classes(drawn):
     # n = 9 reduces through Phi_9, 11 is prime and 12 composite.
-    a, b, s, u = classes
+    a, b, s, u = drawn
     assert loc_mul(a, b) == reference_loc_mul(a, b)
     assert gamma(s) == reference_gamma(s)
     assert gamma_inverse(a) == reference_gamma_inverse(a)
@@ -560,9 +418,9 @@ ADAMS_INDEX = st.integers(1, 3000)
 
 
 @settings(max_examples=40)
-@given(_dense(("loc", "u")), ADAMS_INDEX)
-def test_adams_gathers_match_reference_on_dense_classes(classes, k):
-    a, u = classes
+@given(classes(("loc", "u")), ADAMS_INDEX)
+def test_adams_gathers_match_reference_on_dense_classes(drawn, k):
+    a, u = drawn
     assert loc_adams(a, k) == reference_loc_adams(a, k)
     assert u_adams(u, k) == reference_u_adams(u, k)
 
@@ -572,16 +430,16 @@ def test_adams_gathers_match_reference_on_dense_classes(classes, k):
 
 
 @settings(max_examples=40)
-@given(_dense(("sector",)))
-def test_dense_sector_classes_survive_the_round_trip_through_u(classes):
-    (s,) = classes
+@given(classes(("sector",)))
+def test_dense_sector_classes_survive_the_round_trip_through_u(drawn):
+    (s,) = drawn
     assert gamma_inverse(from_u_basis(to_u_basis(gamma(s)))) == s
 
 
 @settings(max_examples=40)
-@given(_dense(("loc", "loc", "u", "u")), ADAMS_INDEX, ADAMS_INDEX)
-def test_adams_composes_and_is_multiplicative_on_dense_classes(classes, k, l):
-    a, b, u, v = classes
+@given(classes(("loc", "loc", "u", "u")), ADAMS_INDEX, ADAMS_INDEX)
+def test_adams_composes_and_is_multiplicative_on_dense_classes(drawn, k, l):
+    a, b, u, v = drawn
     assert loc_adams(loc_adams(a, l), k) == loc_adams(a, k * l)
     assert u_adams(u_adams(u, l), k) == u_adams(u, k * l)
     assert loc_adams(loc_mul(a, b), k) == loc_mul(loc_adams(a, k), loc_adams(b, k))

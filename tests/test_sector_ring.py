@@ -1,12 +1,12 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cycs, ints, poly_reduce, reference_bott_class, scalars
 from virtualk.coords import Coords, gen, zero
-from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
+from virtualk.cyclotomic import Cyc, CycPoly
 from virtualk.sector_ring import (
     bott_class,
     sector_adams,
@@ -17,45 +17,15 @@ from virtualk.sector_ring import (
 )
 
 
-def _naive_reduce(n: int, m: int, coeffs: list[int]) -> list[Fraction]:
-    # Independent long-division oracle over plain rationals.
-    mod = [1, -1] + [0] * (n - 2) + [-1, 1] if m == 0 else [-1] + [0] * (n - 1) + [1]
-    rem = [Fraction(c) for c in coeffs]
-    while len(rem) >= len(mod):
-        lead = rem[-1]
-        shift = len(rem) - len(mod)
-        for i, c in enumerate(mod):
-            rem[shift + i] -= lead * c
-        while rem and not rem[-1]:
-            rem.pop()
-    return rem
-
-
-def reference_sector_adams(a: CycPoly, k: int) -> CycPoly:
+def reference_sector_adams(n: int, a, k: int) -> tuple[Cyc, ...]:
     """psi^k on sector 0 by substitution x^j -> x^(jk), then long division."""
-    n = a.n
-    out = [Cyc.zero(n)] * (k * max(len(a.coeffs) - 1, 0) + 1)
-    for j, c in enumerate(a.coeffs):
-        if c:
-            out[j * k] = out[j * k] + c
-    return CycPoly.from_cycs(n, out).divmod_by(sector_modulus(n, 0))[1]
+    out = [Cyc.zero(n)] * (k * max(len(a) - 1, 0) + 1)
+    for j, c in enumerate(a):
+        out[j * k] = out[j * k] + c
+    return poly_reduce(n, 0, out)
 
 
-def reference_bott_class(n: int, m: int, j: int) -> CycPoly:
-    """1 + y + ... + y^(j-1) for y = x_m^(-1), one product at a time."""
-    total = power = _one(n)
-    for _ in range(j - 1):
-        power = sector_mul(m, power, sector_x_inverse(n, m))
-        total = total + power
-    return total
-
-
-def _one(n: int) -> CycPoly:
-    return CycPoly.one_poly(n)
-
-
-def _coeff_ints(s: CycPoly) -> list[Fraction]:
-    return [c.rational_value() for c in s.coeffs]
+_one = CycPoly.one_poly
 
 
 def test_modulus_shapes():
@@ -74,8 +44,8 @@ def test_twisted_monomial_wraps():
 def test_untwisted_cubic_reduction():
     # x^3 mod (x-1)(x^2-1) = x^2 + x - 1, cross-checked by the long-division oracle.
     got = sector_mul(0, sector_monomial(2, 0, 2), sector_monomial(2, 0, 1))
-    assert _coeff_ints(got) == [-1, 1, 1]
-    assert _coeff_ints(got) == _naive_reduce(2, 0, [0, 0, 0, 1])
+    assert ints(got.coeffs) == [-1, 1, 1]
+    assert got.coeffs == poly_reduce(2, 0, cycs(2, [0, 0, 0, 1]))
 
 
 def test_identity_element():
@@ -92,7 +62,7 @@ def test_x_inverse_twisted():
 
 def test_x_inverse_untwisted():
     y = sector_x_inverse(2, 0)
-    assert _coeff_ints(y) == [1, 1, -1]
+    assert ints(y.coeffs) == [1, 1, -1]
     for n in range(2, 9):
         prod = sector_mul(0, sector_x_inverse(n, 0), sector_monomial(n, 0, 1))
         assert prod == _one(n)
@@ -119,8 +89,8 @@ def test_adams_untwisted_examples():
     assert sector_adams(0, sector_monomial(2, 0, 1), 2) == sector_monomial(2, 0, 2)
     # psi^2(x^2) = x^4 = 2x^2 - 1 modulo (x-1)(x^2-1).
     got = sector_adams(0, sector_monomial(2, 0, 2), 2)
-    assert _coeff_ints(got) == [-1, 0, 2]
-    assert _coeff_ints(got) == _naive_reduce(2, 0, [0, 0, 0, 0, 1])
+    assert ints(got.coeffs) == [-1, 0, 2]
+    assert got.coeffs == poly_reduce(2, 0, cycs(2, [0, 0, 0, 0, 1]))
 
 
 def test_adams_composition_on_monomials():
@@ -133,31 +103,22 @@ def test_adams_composition_on_monomials():
                     assert sector_adams(m, sector_adams(m, a, l), k) == sector_adams(m, a, k * l)
 
 
-@st.composite
-def _dense_sector0_classes(draw):
-    # Up to degree 2n, so unreduced representatives are covered too.
-    n = draw(st.integers(2, 6))
-    small = st.integers(-4, 4)
-
-    def scalar():
-        if draw(st.booleans()):
-            return Cyc.zero(n)
-        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
-                   draw(st.integers(1, 3)))
-
-    return CycPoly.from_cycs(n, [scalar() for _ in range(draw(st.integers(0, 2 * n + 1)))])
+# Up to degree 2n, so unreduced representatives are covered too.
+_SECTOR0_POLYS = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(scalars(n), max_size=2 * n + 1)))
 
 
 @settings(max_examples=40)
-@given(_dense_sector0_classes(), st.integers(1, 300))
-def test_untwisted_adams_matches_long_division(a, k):
-    assert sector_adams(0, a, k) == reference_sector_adams(a, k)
+@given(_SECTOR0_POLYS, st.integers(1, 300))
+def test_untwisted_adams_matches_long_division(case, k):
+    n, a = case
+    assert sector_adams(0, CycPoly.from_cycs(n, a), k).coeffs == reference_sector_adams(n, a, k)
 
 
 def test_adams_reads_the_sector_index_mod_n():
     # Sector n is sector 0: psi^2(x^2) = x^4 = x^3 + x - 1 at n = 3.
     a = sector_monomial(3, 0, 2)
-    assert _coeff_ints(sector_adams(3, a, 2)) == [-1, 1, 0, 1]
+    assert ints(sector_adams(3, a, 2).coeffs) == [-1, 1, 0, 1]
     for n in (2, 3, 5):
         for m in range(n):
             for j in range(n + 1 if m == 0 else n):
@@ -170,7 +131,7 @@ def test_bott_matches_the_sum_of_inverse_powers():
     for n in range(2, 9):
         for m in range(n):
             for j in range(1, 3 * n + 2):
-                assert bott_class(n, m, j) == reference_bott_class(n, m, j), (n, m, j)
+                assert bott_class(n, m, j).coeffs == reference_bott_class(n, m, j), (n, m, j)
 
 
 def test_mul_commutative_associative_monomials():
@@ -193,7 +154,7 @@ def test_bott_first_is_unit():
 def test_bott_expansion_example():
     # n=3, m=1, j=3: 1 + x^(-1) + x^(-2) = 1 + x^2 + x.
     got = bott_class(3, 1, 3)
-    assert _coeff_ints(got) == [1, 1, 1]
+    assert ints(got.coeffs) == [1, 1, 1]
 
 
 def test_bott_two_terms_any_sector():

@@ -8,22 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_localization import reference_loc_mul
-from virtualk.coords import Coords, basis, basis_vectors, gen, grid, sector_start, unit, zero
-from virtualk.cyclotomic import Cyc, CycPoly, phi_degree
+from conftest import canonical, classes, reference_loc_mul, reference_mul
+from virtualk.coords import Coords, basis, basis_vectors, gen, grid, unit, zero
+from virtualk.cyclotomic import Cyc
 from virtualk.line_elements import line_identity, line_mul, line_realize, nu, sigma
 from virtualk.localization import loc_mul, u_adams, u_mul
 from virtualk.presentation import resolution_mul
-from virtualk.sector_ring import sector_mul
-from virtualk.virtual_ring import euler_factor, virtual_adams, virtual_mul
-
-
-def _canonical(v):
-    """``v``, after asserting that its positions ascend and no stored value is zero."""
-    assert list(v.terms) == sorted(v.terms), v
-    assert all(v.terms.values()), v
-    assert all(0 <= i < len(v.basis.labels) for i in v.terms), v
-    return v
+from virtualk.virtual_ring import virtual_adams, virtual_mul
 
 
 # ---------------------------------------------------------------------------
@@ -45,96 +36,43 @@ def dense_resolution_mul(x, y):
     return Coords(x.n, "res", (a * a2,) + tuple(a * v + a2 * u for u, v in zip(b, b2)))
 
 
-def dense_virtual_mul(a, b):
-    n = a.n
-    out = list(zero(n, "sector").coeffs)
-
-    def terms(v):
-        by_sector = {}
-        for (_, m, j), c in zip(v.basis.json, v.coeffs):
-            if c:
-                by_sector.setdefault(m, []).append((j, c))
-        return by_sector
-
-    terms_b = terms(b)
-    for m1, ta in terms(a).items():
-        for m2, tb in terms_b.items():
-            conv = {}
-            for j1, c1 in ta:
-                for j2, c2 in tb:
-                    s, c = j1 + j2, c1 * c2
-                    conv[s] = conv[s] + c if s in conv else c
-            t = (m1 + m2) % n
-            e, start = euler_factor(n, m1, m2), sector_start(n, t)
-            for s, c in conv.items():
-                # x^s * e by polynomial arithmetic, reduced by long division on sector 0.
-                row = sector_mul(t, CycPoly.monomial(n, s), e)
-                for offset, r in enumerate(row.coeffs):
-                    out[start + offset] = out[start + offset] + c * r
-    return Coords(n, "sector", out)
-
-
-# ---------------------------------------------------------------------------
-# Random classes: a random support (sparse) or every coordinate drawn (dense).
-
-
-@st.composite
-def _classes(draw, kind, count, n_max=8, sparse=True):
-    n = draw(st.integers(2, n_max))
-    size = len(basis(n, kind).labels)
-    small = st.integers(-4, 4)
-
-    def scalar():
-        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
-                   draw(st.integers(1, 3)))
-
-    def one_class():
-        if sparse and draw(st.booleans()):
-            support = draw(st.sets(st.integers(0, size - 1), max_size=4))
-        else:
-            support = {i for i in range(size) if draw(st.booleans())}
-        return Coords(n, kind, [scalar() if i in support else Cyc.zero(n) for i in range(size)])
-
-    return [one_class() for _ in range(count)]
-
-
 @settings(max_examples=60)
-@given(_classes("u", 2))
+@given(classes(("u", "u"), sparse=True))
 def test_u_mul_matches_dense_loop(ab):
     a, b = ab
-    assert _canonical(u_mul(a, b)) == dense_u_mul(a, b)
+    assert canonical(u_mul(a, b)) == dense_u_mul(a, b)
 
 
 @settings(max_examples=60)
-@given(_classes("res", 2))
+@given(classes(("res", "res"), sparse=True))
 def test_resolution_mul_matches_dense_loop(ab):
     a, b = ab
-    assert _canonical(resolution_mul(a, b)) == dense_resolution_mul(a, b)
+    assert canonical(resolution_mul(a, b)) == dense_resolution_mul(a, b)
 
 
 @settings(max_examples=60)
-@given(_classes("loc", 2))
+@given(classes(("loc", "loc"), sparse=True))
 def test_loc_mul_matches_dense_loop(ab):
     a, b = ab
-    assert _canonical(loc_mul(a, b)) == reference_loc_mul(a, b)
+    assert canonical(loc_mul(a, b)) == reference_loc_mul(a, b)
 
 
 @settings(max_examples=40)
-@given(_classes("sector", 2, n_max=6))
+@given(classes(("sector", "sector"), 6, sparse=True))
 def test_virtual_mul_matches_dense_loop(ab):
     a, b = ab
-    assert _canonical(virtual_mul(a, b)) == dense_virtual_mul(a, b)
+    assert canonical(virtual_mul(a, b)) == reference_mul(a, b)
 
 
 @settings(max_examples=60)
-@given(_classes("u", 2))
+@given(classes(("u", "u"), sparse=True))
 def test_linear_structure_is_canonical(ab):
     a, b = ab
-    assert _canonical(a) is a and _canonical(a + b).coeffs == tuple(
+    assert canonical(a) is a and canonical(a + b).coeffs == tuple(
         x + y for x, y in zip(a.coeffs, b.coeffs))
-    assert _canonical(-a) + a == zero(a.n, "u")
+    assert canonical(-a) + a == zero(a.n, "u")
     assert (a - a).terms == {} and (a - a).is_zero()
-    assert _canonical(a.scale(Cyc.rational(a.n, -3))).coeffs == tuple(
+    assert canonical(a.scale(Cyc.rational(a.n, -3))).coeffs == tuple(
         -(x + x + x) for x in a.coeffs)
 
 
@@ -182,7 +120,7 @@ def test_terms_are_read_only():
 
 
 @settings(max_examples=25)
-@given(_classes("sector", 3, n_max=5, sparse=False), st.integers(1, 12), st.integers(1, 12))
+@given(classes(("sector",) * 3, 5), st.integers(1, 12), st.integers(1, 12))
 def test_virtual_ring_and_psi_axioms(abc, k, l):
     a, b, c = abc
     assert virtual_mul(virtual_mul(a, b), c) == virtual_mul(a, virtual_mul(b, c))
@@ -200,14 +138,14 @@ def test_products_of_basis_vectors_are_canonical():
         for kind, mul in (("u", u_mul), ("loc", loc_mul), ("res", resolution_mul),
                           ("sector", virtual_mul)):
             for (_, a), (_, b) in itertools.product(basis_vectors(n, kind), repeat=2):
-                _canonical(mul(a, b))
+                canonical(mul(a, b))
 
 
 def test_u_adams_and_line_realize_build_canonical_terms():
     for n in range(2, 9):
         for (_, v), k in itertools.product(basis_vectors(n, "u"), range(1, n + 2)):
-            _canonical(u_adams(v, k))
+            canonical(u_adams(v, k))
         for i in range(n):
             for L in (sigma(n, i), nu(n, i), line_mul(sigma(n, i), nu(n, (i + 1) % n))):
-                _canonical(line_realize(L))
-        _canonical(line_realize(line_identity(n)))
+                canonical(line_realize(L))
+        canonical(line_realize(line_identity(n)))

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,18 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import virtualk.virtual_ring as vr
-from conftest import from_sectors, perturbed_euler, sector_part
+from conftest import (classes, euler_table, ints, perturbed_euler, record_calls, reference_adams,
+                      reference_mul, sector_part)
 from virtualk.cli import main
 from virtualk.coords import Coords, basis_vectors, power, unit, zero
-from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
+from virtualk.cyclotomic import Cyc, CycPoly, zeta_pow
 from virtualk.expr import format_value
-from virtualk.sector_ring import (
-    bott_class,
-    reduce_coeffs,
-    sector_adams,
-    sector_mul,
-    sector_x_inverse,
-)
+from virtualk.sector_ring import sector_monomial, sector_mul
 from virtualk.virtual_ring import (
     euler_factor,
     k_monomial,
@@ -28,10 +22,6 @@ from virtualk.virtual_ring import (
     virtual_augmentation,
     virtual_mul,
 )
-
-
-def _ints(s):
-    return [c.rational_value() for c in s.coeffs]
 
 
 def test_euler_unit_case():
@@ -43,20 +33,15 @@ def test_euler_unit_case():
 def test_euler_coincident_case():
     # n=2, (1,1): 1 - 2/x + 1/x^2 lands in sector 0 as x^2 - 2x + 1.
     e = euler_factor(2, 1, 1)
-    assert _ints(e) == [1, -2, 1]
-    t = CycPoly.one_poly(5) - sector_x_inverse(5, 0).scale(2) + sector_mul(
-        0, sector_x_inverse(5, 0), sector_x_inverse(5, 0)
-    )
-    assert euler_factor(5, 2, 3) == t
+    assert ints(e.coeffs) == [1, -2, 1]
+    assert euler_factor(5, 2, 3).coeffs == euler_table(5, 2, 3)
 
 
 def test_euler_generic_case():
-    e = euler_factor(5, 1, 2)
-    assert e == CycPoly.one_poly(5) - sector_x_inverse(5, 3)
+    assert euler_factor(5, 1, 2).coeffs == euler_table(5, 1, 2, squared=False)
 
 
 def test_unit_is_identity():
-    rng = random.Random(5)
     for n in (2, 3, 5):
         for label, a in basis_vectors(n, "sector"):
             assert virtual_mul(unit(n, "sector"), a) == a, label
@@ -65,8 +50,8 @@ def test_unit_is_identity():
 
 def test_twisted_square_example():
     r = virtual_mul(k_monomial(2, 1, 1), k_monomial(2, 1, 1))
-    assert sector_part(r, 1).is_zero()
-    assert _ints(sector_part(r, 0)) == [1, -2, 1]
+    assert sector_part(r, 1) == ()
+    assert ints(sector_part(r, 0)) == [1, -2, 1]
 
 
 def test_untwisted_sector_is_ordinary():
@@ -164,64 +149,7 @@ def test_n_must_be_at_least_two():
 
 
 # ---------------------------------------------------------------------------
-# The cached tables against the polynomial products they are derived from.
-
-
-def reference_mul(a, b, euler=euler_factor):
-    """The virtual product computed on whole sector polynomials."""
-    n = a.n
-    acc = {}
-    for m1 in range(n):
-        s1 = sector_part(a, m1)
-        if s1.is_zero():
-            continue
-        for m2 in range(n):
-            s2 = sector_part(b, m2)
-            if s2.is_zero():
-                continue
-            t = (m1 + m2) % n
-            full = s1 * s2 * euler(n, m1, m2)
-            acc[t] = acc[t] + full if t in acc else full
-    return from_sectors(n, {t: CycPoly(n, reduce_coeffs(n, t, p.coeffs))
-                            for t, p in acc.items()})
-
-
-def reference_x0_power(n, e):
-    """x_0^e for e >= 0 by square-and-multiply through sector_mul."""
-    result, base = CycPoly.one_poly(n), CycPoly.monomial(n, 1)
-    while e:
-        if e & 1:
-            result = sector_mul(0, result, base)
-        e >>= 1
-        if e:
-            base = sector_mul(0, base, base)
-    return result
-
-
-def reference_adams(a, k):
-    """The virtual Adams operation computed on whole sector polynomials.
-
-    On sector 0, x_0^j maps to x_0^(jk), taken by repeated squaring rather
-    than by the long division of ``sector_adams``, so the reference does not
-    share the table's sector-0 route.
-    """
-    n = a.n
-    parts = {}
-    for m in range(n):
-        s = sector_part(a, m)
-        if s.is_zero():
-            continue
-        if m:
-            ps = sector_adams(m, s, k)
-            if not ps.is_zero():
-                ps = sector_mul(m, ps, bott_class(n, m, k))
-        else:
-            ps = CycPoly.zero(n)
-            for j, c in enumerate(s.coeffs):
-                if c:
-                    ps = ps + reference_x0_power(n, j * k).scale(c)
-        parts[m] = ps
-    return from_sectors(n, parts)
+# The cached tables against the sector-layer reference of conftest.py.
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -238,21 +166,6 @@ def test_adams_columns_match_reference_on_all_basis_vectors(n):
             assert virtual_adams(a, k) == reference_adams(a, k), (label, k)
 
 
-@st.composite
-def _dense_classes(draw, count):
-    n = draw(st.integers(2, 8))
-    small = st.integers(-4, 4)
-
-    def scalar():
-        if draw(st.booleans()):
-            return Cyc.zero(n)
-        return Cyc(n, draw(st.lists(small, min_size=phi_degree(n), max_size=phi_degree(n))),
-                   draw(st.integers(1, 3)))
-
-    size = len(zero(n, "sector").coeffs)
-    return [Coords(n, "sector", [scalar() for _ in range(size)]) for _ in range(count)]
-
-
 def _zeta_classes(n):
     """Two classes whose coordinates are all powers of zeta over 1, 2 or 3: at
     n = 7 these include zeta^6, which has six nonzero coordinates, and at n = 8
@@ -264,7 +177,7 @@ def _zeta_classes(n):
 
 
 @settings(max_examples=40)
-@given(_dense_classes(2), st.integers(1, 14))
+@given(classes(("sector", "sector")), st.integers(1, 14))
 @example(_zeta_classes(7), 5)
 @example(_zeta_classes(8), 13)
 def test_tables_match_reference_on_dense_classes(ab, k):
@@ -291,20 +204,6 @@ def test_euler_override_reaches_warm_tables(monkeypatch):
 # No long division on the Adams path.
 
 
-def _count_divisions(monkeypatch, fn, *args):
-    calls = [0]
-    original = CycPoly.divmod_by
-
-    def counted(self, d):
-        calls[0] += 1
-        return original(self, d)
-
-    with monkeypatch.context() as m:
-        m.setattr(CycPoly, "divmod_by", counted)
-        result = fn(*args)
-    return result, calls[0]
-
-
 def _all_adams_columns():
     build = vr._adams_column.__wrapped__  # the derivation, past the cache
     return [build(n, m, j, k) for n in range(2, 9) for m in range(n)
@@ -313,11 +212,13 @@ def _all_adams_columns():
 
 
 def test_adams_columns_divide_nothing(monkeypatch):
-    _, calls = _count_divisions(monkeypatch, _all_adams_columns)
-    assert calls == 0
-    # The guard can fail: the reference takes sector-0 powers through sector_mul.
-    _, calls = _count_divisions(monkeypatch, reference_adams, k_monomial(8, 0, 8), 3000)
-    assert calls > 0
+    calls = record_calls(monkeypatch, CycPoly, "divmod_by")
+    _all_adams_columns()
+    assert calls == []
+    # The guard can fail: a product on sector 0 past x^n divides.
+    x8 = sector_monomial(8, 0, 8)
+    sector_mul(0, x8, x8)
+    assert calls
 
 
 def test_dense_untwisted_adams_query_divides_nothing(monkeypatch, capsys):
@@ -325,8 +226,8 @@ def test_dense_untwisted_adams_query_divides_nothing(monkeypatch, capsys):
     text = " + ".join(["x[0]"] + ["x[0]^%d" % j for j in range(2, 9)])
     cold = lru_cache(maxsize=vr.ADAMS_COLUMN_CACHE_SIZE)(vr._adams_column.__wrapped__)
     monkeypatch.setattr(vr, "_adams_column", cold)
-    code, calls = _count_divisions(monkeypatch, main, ["eval", "--n", "8", "psi[3000](%s)" % text])
-    assert (code, calls) == (0, 0)
+    calls = record_calls(monkeypatch, CycPoly, "divmod_by")
+    assert (main(["eval", "--n", "8", "psi[3000](%s)" % text]), calls) == (0, [])
     assert cold.cache_info().misses == 8
     a = sum((k_monomial(8, 0, j) for j in range(2, 9)), k_monomial(8, 0, 1))
     assert capsys.readouterr().out.strip() == format_value(reference_adams(a, 3000))
