@@ -110,12 +110,15 @@ def _generation_rank(n: int) -> int:
 
 
 def verify_resolution_isomorphism(n: int, k_max: int) -> Iterator[Relation]:
-    """The relations making the l = 0 block with the localized product
-    isomorphic, as a ring with Adams operations, to the resolution K-theory.
+    """The relations comparing the semisimple ring with the resolution
+    K-theory through the projection Gamma_0 onto the l = 0 block
+    span{e[0,0], u[0,q]}.
 
-    The map Theta sends 1_00 to 1 and u_0^q to nuhat_q - 1.  The relations:
-    dimensions agree; Theta is multiplicative on all block-0 basis pairs;
-    the projection Gamma_0 is a ring map on all semisimple basis pairs;
+    The block is not a subring: its unit e[0,0] is not the ring's unit, and
+    psi^k leaves the block when gcd(k, n) > 1, so every relation compares
+    projections.  The map Theta sends 1_00 to 1 and u_0^q to nuhat_q - 1.
+    The relations: dimensions agree; Theta is multiplicative on all block-0
+    basis pairs; Gamma_0 is a ring map on all semisimple basis pairs;
     Gamma_0 intertwines the Adams operations for every basis element and
     k <= k_max; and the composite onto the resolution is surjective, with
     explicit preimages of the resolution basis.  n and k_max are checked

@@ -1,7 +1,13 @@
+import weakref
+from collections import Counter
+
 import pytest
 
+import virtualk.verify as verify
 import virtualk.virtual_ring as vr
-from conftest import perturbed_euler
+from conftest import perturbed_euler, record_calls
+from virtualk.coords import Coords, basis_vectors
+from virtualk.localization import from_u_basis, gamma_inverse, loc_adams
 from virtualk.verify import SUITES, Report, run_verify
 
 
@@ -100,3 +106,92 @@ def test_failing_checks_keep_their_sides_without_passing_sides(monkeypatch):
     full = run_verify(2, 3, ("product-oracle", "adams-oracle"))
     assert lean.failures == full.failures
     assert lean.failures == [c for c in full.checks if not c.passed]
+
+
+def test_a_memo_keeps_each_value_while_it_lives_or_until_its_last_counted_call():
+    class Value:
+        pass
+
+    made = []
+
+    def make(key):
+        made.append(key)
+        return Value()
+
+    once = verify._once(make)
+    kept = weakref.ref(once(1))
+    assert once(1) is kept() is not None and made == [1]
+    del once
+    assert kept() is None
+    once = verify._once(make, Counter({("a",): 2, ("b",): 1}))
+    a, b = weakref.ref(once("a")), weakref.ref(once("b"))
+    assert a() is not None and b() is None
+    assert once("a") is a() and made == [1, "a", "b"]
+    assert a() is None
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_adams_oracle_transports_each_distinct_image_once(monkeypatch, n):
+    gammas = record_calls(monkeypatch, verify, "gamma")
+    to_us = record_calls(monkeypatch, verify, "to_u_basis")
+    assert all(c.passed for c in SUITES["adams-oracle"](n, 2 * n, render_passing=False))
+    ks = range(1, 2 * n + 1)
+    loc = {(vr.virtual_adams(gamma_inverse(e), k),) for _, e in basis_vectors(n, "loc") for k in ks}
+    u = {(loc_adams(from_u_basis(b), k),) for _, b in basis_vectors(n, "u") for k in ks}
+    assert len(gammas) == len(loc) and set(gammas) == loc
+    assert len(to_us) == len(u) and set(to_us) == u
+    assert len(u) < len(loc) < len(ks) * len(basis_vectors(n, "loc"))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_psi_ring_homomorphism_evaluates_each_distinct_side_once(monkeypatch, n):
+    # The calls made since the last relation are the ones made for the next.
+    adams = record_calls(monkeypatch, verify, "virtual_adams")
+    muls = record_calls(monkeypatch, verify, "virtual_mul")
+    lhs_calls, rhs_calls, done = [], [], (0, 0)
+    for name, lhs, rhs in verify.relations_psi_ring(n, 2 * n):
+        assert lhs == rhs, name
+        if name.startswith("homomorphism/"):
+            lhs_calls += adams[done[0]:]
+            rhs_calls += muls[done[1]:]
+        done = len(adams), len(muls)
+    basis = [a for _, a in basis_vectors(n, "sector")]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    ks = range(2, 5)
+    products = {vr.virtual_mul(basis[i], basis[j]) for i, j in pairs}
+    assert len(lhs_calls) == len(products) * len(ks)
+    assert set(lhs_calls) == {(ab, k) for ab in products for k in ks}
+    psi = {k: [vr.virtual_adams(a, k) for a in basis] for k in ks}
+    keys = {(k, psi[k].index(psi[k][i]), psi[k].index(psi[k][j])) for i, j in pairs for k in ks}
+    assert len(rhs_calls) == len(keys)
+    assert set(rhs_calls) == {(psi[k][i], psi[k][j]) for k, i, j in keys}
+    # psi^2..psi^4 are injective on the basis at n = 7, not at n = 6.
+    assert (len(keys) == len(pairs) * len(ks)) == (n == 7)
+
+
+class _Watched(Coords):
+    __slots__ = ("__weakref__",)
+
+
+def test_no_memoized_value_outlives_its_suite_and_n(monkeypatch):
+    # Every value the memoized functions return is a watched copy; once a
+    # suite has returned its checks, none of them may be alive.
+    live = Counter()
+
+    def watched(name, original):
+        def call(*args):
+            value, copy = original(*args), object.__new__(_Watched)
+            for slot in Coords.__slots__:
+                getattr(Coords, slot).__set__(copy, getattr(value, slot))
+            live[name] += 1
+            weakref.finalize(copy, live.subtract, [name])
+            return copy
+        return call
+
+    for name in ("gamma", "to_u_basis", "virtual_adams", "virtual_mul"):
+        monkeypatch.setattr(verify, name, watched(name, getattr(verify, name)))
+    for suite, n in (("adams-oracle", 6), ("psi-ring", 6), ("psi-ring", 7)):
+        checks = SUITES[suite](n, 2 * n, render_passing=False)
+        assert checks and all(c.passed for c in checks)
+        assert +live == Counter(), (suite, n, +live)
+    assert set(live) == {"gamma", "to_u_basis", "virtual_adams", "virtual_mul"}
