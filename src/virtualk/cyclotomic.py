@@ -14,9 +14,9 @@ equality across them is ``False``; an ``int`` or ``Fraction`` operand is a
 ``TypeError`` and never equals a ``Cyc``, so equal values hash equally and
 equality is transitive.  Integers and fractions enter only where they are
 converted: ``Cyc.rational``, the ``Cyc`` constructor, ``Cyc.scale_int``,
-``coords.gen``, ``Coords.scale``, ``line_elements.line_element``,
-``CycPoly.from_ints`` and ``CycPoly.scale``.  ``Cyc`` has no ``**``: a power
-of a scalar runs through ``coords.power``, the one square-and-multiply.
+``coords.gen``, ``Coords.scale``, ``line_elements.line_element`` and
+``CycPoly.from_ints``.  ``Cyc`` has no ``**``: a power of a scalar runs
+through ``coords.power``, the one square-and-multiply.
 
 ``_reduce`` is the one reduction modulo Phi_n: it brings raw numerators of
 any length to deg(Phi_n) entries through one table, the rows of x^e mod
@@ -40,10 +40,12 @@ in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and reduced once.  That
 is exact because Phi_n divides x^n - 1, so the reduction is a ring map; a
 ``Cyc`` itself must stay modulo Phi_n, where every nonzero value is invertible.
 
-``CycPoly`` provides dense univariate polynomials with ``Cyc`` coefficients.
-It only derives the sector tables (the Euler factors, the Adams images with
-their Bott classes) and the ``x[m]^a`` atoms; the products themselves run
-on integer numerators.
+``CycPoly`` is a dense univariate polynomial with ``Cyc`` coefficients: a
+class of one sector ring of ``sector_ring``.  It carries the ``x[m]^a``
+atoms and the sector-0 Adams columns, and its product and long division
+serve the powers of x_0 past x^n in ``sector_monomial``.  The Euler rows
+and the twisted Adams columns are integer closed forms that use none of
+it, and the products themselves run on integer numerators.
 """
 
 from __future__ import annotations
@@ -504,21 +506,6 @@ class CycPoly(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "CycPoly") -> "CycPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return CycPoly.from_cycs(self.n, out)
-
-    def __neg__(self) -> "CycPoly":
-        return CycPoly(self.n, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "CycPoly") -> "CycPoly":
-        return self + (-other)
-
     def __mul__(self, other: "CycPoly") -> "CycPoly":
         if self.is_zero() or other.is_zero():
             return CycPoly.zero(self.n)
@@ -529,12 +516,6 @@ class CycPoly(Record):
                     if b:
                         out[i + j] = out[i + j] + a * b
         return CycPoly.from_cycs(self.n, out)
-
-    def scale(self, c: Cyc | int | Fraction) -> "CycPoly":
-        c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
-        if not c:
-            return CycPoly.zero(self.n)
-        return CycPoly(self.n, tuple(a * c for a in self.coeffs))
 
     def divmod_by(self, d: "CycPoly") -> tuple["CycPoly", "CycPoly"]:
         if d.is_zero():

@@ -12,11 +12,15 @@ e = qn + r with 0 <= r < n; then
     x^e = x^r + q (x^n - 1)   modulo (x-1)(x^n-1),
 
 because t = x^n - 1 satisfies t x = t and t^2 = 0, so (x^n)^q = (1 + t)^q =
-1 + q t.  The Adams operations and Bott classes use it and never divide.
+1 + q t.  The Adams operations and Bott classes use it and never divide,
+and so do the integer tables of ``virtual_ring``: its Euler rows fold each
+power by it, and its twisted Adams columns rotate ``bott_counts``.
 
 A class in sector m is a ``CycPoly`` in x_m; the sector index is passed
 alongside it.  Canonical representatives make equality a plain tuple
-comparison.
+comparison.  In the package only ``sector_monomial`` calls ``sector_mul``:
+a power of x_0 past x^n runs through it and the long division of
+``reduce_coeffs``.
 """
 
 from __future__ import annotations
@@ -66,18 +70,6 @@ def reduce_coeffs(n: int, m: int, coeffs: Sequence[Cyc]) -> tuple[Cyc, ...]:
     return rem.coeffs
 
 
-def sector_x_inverse(n: int, m: int) -> CycPoly:
-    """The class y with y * x_m = 1_m.
-
-    For m != 0 this is x_m^(n-1); for m = 0 it is 1 + x^(n-1) - x^n, since
-    x (1 + x^(n-1) - x^n) = 1 modulo (x-1)(x^n-1) = x^(n+1) - x^n - x + 1.
-    """
-    _check_n(n)
-    if m % n:
-        return sector_monomial(n, m, n - 1)
-    return CycPoly.from_ints(n, [1] + [0] * (n - 2) + [1, -1])
-
-
 def sector_monomial(n: int, m: int, a: int) -> CycPoly:
     """x_m^a for any integer a, negative powers included."""
     _check_n(n)
@@ -86,7 +78,10 @@ def sector_monomial(n: int, m: int, a: int) -> CycPoly:
     if 0 <= a <= n:
         return CycPoly.monomial(n, a)
     acc = CycPoly.one_poly(n)
-    x = sector_monomial(n, 0, 1) if a > 0 else sector_x_inverse(n, 0)
+    # x^(-1) = 1 + x^(n-1) - x^n: x times it is x + x^n - x^(n+1) = 1 modulo
+    # (x-1)(x^n-1) = x^(n+1) - x^n - x + 1.
+    x = (sector_monomial(n, 0, 1) if a > 0
+         else CycPoly.from_ints(n, [1] + [0] * (n - 2) + [1, -1]))
     for _ in range(abs(a)):
         acc = sector_mul(0, acc, x)
     return acc
@@ -119,19 +114,28 @@ def sector_adams(m: int, a: CycPoly, k: int) -> CycPoly:
     return CycPoly(n, _strip(out))
 
 
+def bott_counts(n: int, j: int) -> list[int]:
+    """The j-th Bott class on a twisted sector, 1 + x^(-1) + ... + x^(-(j-1))
+    with x^n = 1, as the integer coefficients of 1, x, ..., x^(n-1).
+
+    Residue s collects the exponents -i with i = c, c + n, ... below j, where
+    c = -s mod n: (j - 1 - c) // n + 1 of them, which is 0 when c >= j.
+    """
+    return [(j - 1 - (-s % n)) // n + 1 for s in range(n)]
+
+
 def bott_class(n: int, m: int, j: int) -> CycPoly:
     """The j-th Bott class of the dual tautological character on sector m.
 
-    This is the geometric sum 1 + x_m^(-1) + ... + x_m^(-(j-1)), reduced.
-    Residue s collects the exponents -i with i = c, c + n, ... below j, where
-    c = -s mod n: (j - 1 - c) // n + 1 of them, which is 0 when c >= j.  On
-    the untwisted sector each x^(-i), -i = qn + r, also adds q (x^n - 1); with
-    j - 1 = an + b the quotients sum to -(n a(a+1)/2 + b(a+1)).
+    This is the geometric sum 1 + x_m^(-1) + ... + x_m^(-(j-1)), reduced: the
+    counts of ``bott_counts``.  On the untwisted sector each x^(-i),
+    -i = qn + r, also adds q (x^n - 1); with j - 1 = an + b the quotients sum
+    to -(n a(a+1)/2 + b(a+1)).
     """
     _check_n(n)
     if j < 1:
         raise ValueError("Bott classes are defined for j >= 1")
-    counts = [(j - 1 - (-s % n)) // n + 1 for s in range(n)]
+    counts = bott_counts(n, j)
     if m % n == 0:
         a, b = divmod(j - 1, n)
         q = -(n * a * (a + 1) // 2 + b * (a + 1))

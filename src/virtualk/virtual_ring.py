@@ -11,15 +11,16 @@ m1 + m2 = n is detected before reduction).  Virtual Adams operations twist
 the ordinary ones by a Bott class on each twisted sector; the untwisted
 sector carries the ordinary Adams operations untouched.
 
-Both operations run on structure constants derived lazily from the sector
-polynomial code, which stays their single source: ``_euler_rows`` holds the
-reduced class of x^s * e for s = 0..n, keyed on the Euler polynomial e
-itself, so a replaced ``euler_factor`` (a planted defect in the tests) gets
-rows of its own, and ``_pair_rows`` finds the rows of each sector pair once
-per Euler table; ``_adams_column`` holds the image of one monomial x_m^j
-under psi~^k.
-Rows and columns are ``coords.Sparse``: parallel tuples of offsets and
-coefficients, integral coefficients stored as ``int``.
+Both operations run on integer structure constants derived lazily from the
+closed forms of ``sector_ring``: x^(qn+r) = x^r on a twisted sector and
+x^r + q(x^n - 1) on sector 0.  ``_euler_rows`` holds the reduced class of
+x^s * e for s = 0..n, each power of x folded by that form, keyed on the
+integer Euler factor e itself, so a replaced ``euler_factor`` (a planted
+defect in the tests) gets rows of its own, and ``_pair_rows`` finds the rows
+of each sector pair once per Euler table; ``_adams_column`` holds the image
+of one monomial x_m^j under psi~^k, on a twisted sector the Bott counts
+rotated by jk mod n.  Rows and columns are ``coords.Sparse``: parallel
+tuples of offsets and coefficients, integral coefficients stored as ``int``.
 
 Both compute in the integer form of ``coords.numerators``: each factor over
 one common denominator, and both reduce in the sector ring before they read
@@ -45,14 +46,7 @@ from operator import add
 from .coords import (Coords, Sparse, from_numerators, from_terms, numerators, sector_start, sparse,
                      unit)
 from .cyclotomic import Cyc, CycPoly, _poly_times, _scatter
-from .sector_ring import (
-    bott_class,
-    reduce_coeffs,
-    sector_adams,
-    sector_monomial,
-    sector_mul,
-    sector_x_inverse,
-)
+from .sector_ring import bott_counts, sector_adams, sector_monomial
 
 #: Columns kept by the Adams column cache.  Verify's working set at n = 8 is
 #: k = 1..16 on all 65 monomials; a stream of distinct Adams indices evicts
@@ -68,34 +62,37 @@ def k_monomial(n: int, m: int, a: int) -> Coords:
                                                   sector_start(n, m))))
 
 
-@cache
-def euler_factor(n: int, m1: int, m2: int) -> CycPoly:
-    """K-theory Euler class attached to a sector pair, in sector m1+m2 mod n.
+def euler_factor(n: int, m1: int, m2: int) -> tuple[int, ...]:
+    """K-theory Euler class attached to a sector pair, in sector m1+m2 mod n,
+    as its integer coefficients of 1, x^(-1), x^(-2).
 
-    Three cases: 1 when either index is 0; 1 - 2/x + 1/x^2 when the indices
-    are nonzero and sum to exactly n; 1 - 1/x otherwise.
+    Three cases: 1 when either index is 0; (1 - 1/x)^2 = 1 - 2/x + 1/x^2
+    when the indices are nonzero and sum to exactly n; 1 - 1/x otherwise.
     """
     if not (0 <= m1 < n and 0 <= m2 < n):
         raise ValueError("sector indices out of range")
-    one = CycPoly.one_poly(n)
     if m1 == 0 or m2 == 0:
-        return one
-    t = (m1 + m2) % n
-    xinv = sector_x_inverse(n, t)
-    if m1 + m2 == n:
-        return one - xinv.scale(2) + sector_mul(t, xinv, xinv)
-    return one - xinv
+        return (1,)
+    return (1, -2, 1) if m1 + m2 == n else (1, -1)
 
 
 @cache
-def _euler_rows(e: CycPoly, untwisted: bool) -> tuple[Sparse, ...]:
+def _euler_rows(n: int, e: tuple[int, ...], untwisted: bool) -> tuple[Sparse, ...]:
     """Row s = 0..n: the reduced class of x^s * e in an untwisted or a twisted
-    sector.  A product reaches only these rows, as it is folded to a
+    sector, e[i] the coefficient of x^(-i).  x^(qn+r) is x^r, plus q(x^n - 1)
+    when untwisted.  A product reaches only these rows, as it is folded to a
     representative before it meets its Euler factor."""
-    n = e.n
-    pad = (Cyc.zero(n),)
-    return tuple(sparse(enumerate(reduce_coeffs(n, 0 if untwisted else 1, pad * s + e.coeffs)))
-                 for s in range(n + 1))
+    rows = []
+    for s in range(n + 1):
+        row = [0] * (n + 1)
+        for i, c in enumerate(e):
+            q, r = divmod(s - i, n)
+            row[r] += c
+            if untwisted and q:
+                row[n] += q * c
+                row[0] -= q * c
+        rows.append(sparse(enumerate(row)))
+    return tuple(rows)
 
 
 @cache
@@ -103,7 +100,7 @@ def _pair_rows(euler, n: int, m1: int, m2: int) -> tuple[int, tuple[Sparse, ...]
     """Where the product of sectors m1 and m2 lands and its Euler rows under
     the table ``euler``; a replaced table gets entries of its own."""
     t = (m1 + m2) % n
-    return sector_start(n, t), _euler_rows(euler(n, m1, m2), t == 0)
+    return sector_start(n, t), _euler_rows(n, euler(n, m1, m2), t == 0)
 
 
 def virtual_mul(a: Coords, b: Coords) -> Coords:
@@ -145,16 +142,14 @@ def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
     """psi~^k(x_m^j) on sector m: psi^k, times the k-th Bott class when m != 0.
 
     On a twisted sector psi^k(x_m^j) is the monomial x_m^e, e = jk mod n, so
-    the product rotates the Bott class by e: position t gets its coefficient
-    of x^(t-e).  The column depends on j only through e, which lets
+    the product rotates the Bott counts by e: position t gets the count of
+    x^(t-e).  The column depends on j only through e, which lets
     ``virtual_adams`` scatter the exponents that share e through one column.
     """
-    ps = sector_adams(m, CycPoly.monomial(n, j), k)
     if not m:
-        return sparse(enumerate(ps.coeffs))
-    e, bott = ps.degree, bott_class(n, m, k).coeffs
-    bott += (Cyc.zero(n),) * (n - len(bott))
-    return sparse((t, bott[(t - e) % n]) for t in range(n))
+        return sparse(enumerate(sector_adams(0, CycPoly.monomial(n, j), k).coeffs))
+    e, counts = j * k % n, bott_counts(n, k)
+    return sparse((t, counts[(t - e) % n]) for t in range(n))
 
 
 def virtual_adams(a: Coords, k: int) -> Coords:

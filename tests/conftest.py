@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from record_report_manifest import record
 
 from virtualk.coords import Coords, basis, from_terms, grid, sector_start, zero
-from virtualk.cyclotomic import Cyc, CycPoly, phi_degree, zeta_pow
+from virtualk.cyclotomic import Cyc, phi_degree, zeta_pow
 
 # Property tests draw a fixed sequence of examples, so every run checks the
 # same cases, and are not timed, so a slow host cannot fail them.
@@ -219,10 +219,11 @@ def euler_table(n: int, m1: int, m2: int, squared: bool = True) -> tuple[Cyc, ..
     return poly_mul(n, t, e, e) if squared and m1 + m2 == n else e
 
 
-def perturbed_euler(n: int, m1: int, m2: int) -> CycPoly:
-    """An Euler table for ``virtual_ring.euler_factor`` with the coincident
-    case (m1 + m2 = n) deliberately wrong: 1 - 1/x, not its square."""
-    return CycPoly.from_cycs(n, euler_table(n, m1, m2, squared=False))
+def perturbed_euler(n: int, m1: int, m2: int) -> tuple[int, ...]:
+    """An Euler table for ``virtual_ring.euler_factor``, as its coefficients
+    of 1, x^(-1), ..., with the coincident case (m1 + m2 = n) deliberately
+    wrong: 1 - 1/x, not its square, as ``euler_table(..., squared=False)``."""
+    return (1,) if m1 == 0 or m2 == 0 else (1, -1)
 
 
 def sector_part(a: Coords, m: int) -> tuple[Cyc, ...]:
@@ -242,16 +243,16 @@ def from_sectors(n: int, parts: dict) -> Coords:
     return from_terms(n, "sector", terms)
 
 
-def reference_mul(a: Coords, b: Coords, euler=euler_table) -> Coords:
+def reference_mul(a: Coords, b: Coords, squared: bool = True) -> Coords:
     """The virtual product on whole sector polynomials: each pair of sector
-    parts times its Euler factor, reduced in the target sector.  ``euler``
-    may return a ``CycPoly``, as ``perturbed_euler`` does."""
+    parts times its Euler factor ``euler_table(..., squared)``, reduced in the
+    target sector; ``squared=False`` is the product ``perturbed_euler`` plants."""
     n = a.n
     parts_a, parts_b = ({m: p for m in range(n) if (p := sector_part(c, m))} for c in (a, b))
     out = {}
     for (m1, p1), (m2, p2) in itertools.product(parts_a.items(), parts_b.items()):
-        t, e = (m1 + m2) % n, euler(n, m1, m2)
-        term = poly_mul(n, t, poly_mul(n, t, p1, p2), getattr(e, "coeffs", e))
+        t = (m1 + m2) % n
+        term = poly_mul(n, t, poly_mul(n, t, p1, p2), euler_table(n, m1, m2, squared))
         out[t] = poly_add(n, out.get(t, ()), term)
     return from_sectors(n, out)
 

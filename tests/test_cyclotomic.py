@@ -225,7 +225,8 @@ def test_cycpoly_divmod_and_eval():
     d = CycPoly.from_ints(n, [1, 0, 1])
     q = CycPoly.from_ints(n, [-2, 1])
     r = CycPoly.from_ints(n, [3])
-    p = d * q + r
+    p = CycPoly.from_ints(n, [1, 1, -2, 1])
+    assert d * q == CycPoly.from_ints(n, [-2, 1, -2, 1])
     qq, rr = p.divmod_by(d)
     assert qq == q and rr == r
     p_x, d_x, q_x, r_x = (evaluate(v.coeffs, zeta_pow(n, 1)) for v in (p, d, q, r))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycs, ints, poly_reduce, reference_bott_class, scalars
+from conftest import cycs, ints, poly_add, poly_reduce, reference_bott_class, scalars, x_inverse
 from virtualk.coords import Coords, gen, zero
 from virtualk.cyclotomic import Cyc, CycPoly
 from virtualk.sector_ring import (
@@ -13,7 +13,6 @@ from virtualk.sector_ring import (
     sector_modulus,
     sector_monomial,
     sector_mul,
-    sector_x_inverse,
 )
 
 
@@ -50,28 +49,28 @@ def test_untwisted_cubic_reduction():
 
 def test_identity_element():
     for n, m in ((2, 0), (3, 1), (5, 4)):
-        a = sector_monomial(n, m, 1) + _one(n).scale(3)
+        a = CycPoly.from_ints(n, [3, 1])
         assert sector_mul(m, _one(n), a) == a
 
 
 def test_x_inverse_twisted():
     for n in (2, 3, 4, 7):
         for m in range(1, n):
-            assert sector_x_inverse(n, m) == sector_monomial(n, m, n - 1)
+            assert sector_monomial(n, m, -1) == sector_monomial(n, m, n - 1)
 
 
 def test_x_inverse_untwisted():
-    y = sector_x_inverse(2, 0)
+    y = sector_monomial(2, 0, -1)
     assert ints(y.coeffs) == [1, 1, -1]
     for n in range(2, 9):
-        prod = sector_mul(0, sector_x_inverse(n, 0), sector_monomial(n, 0, 1))
+        prod = sector_mul(0, sector_monomial(n, 0, -1), sector_monomial(n, 0, 1))
         assert prod == _one(n)
 
 
 def test_negative_monomials():
     for n in (2, 3, 5):
         for m in range(n):
-            assert sector_monomial(n, m, -1) == sector_x_inverse(n, m)
+            assert sector_monomial(n, m, -1).coeffs == x_inverse(n, m)
             assert sector_mul(m, sector_monomial(n, m, -2), sector_monomial(n, m, 2)) == _one(n)
 
 
@@ -160,8 +159,8 @@ def test_bott_expansion_example():
 def test_bott_two_terms_any_sector():
     for n in (2, 3, 5):
         for m in range(n):
-            expected = _one(n) + sector_x_inverse(n, m)
-            assert bott_class(n, m, 2) == expected
+            expected = poly_add(n, (Cyc.one(n),), x_inverse(n, m))
+            assert bott_class(n, m, 2).coeffs == expected
 
 
 def test_sector_mismatch_rejected():

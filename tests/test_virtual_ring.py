@@ -6,14 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import virtualk.sector_ring as sr
 import virtualk.virtual_ring as vr
-from conftest import (classes, euler_table, ints, perturbed_euler, record_calls, reference_adams,
+from conftest import (classes, ints, perturbed_euler, record_calls, reference_adams,
                       reference_mul, sector_part)
 from virtualk.cli import main
 from virtualk.coords import Coords, basis_vectors, power, unit, zero
 from virtualk.cyclotomic import Cyc, CycPoly, zeta_pow
 from virtualk.expr import format_value
-from virtualk.sector_ring import sector_monomial, sector_mul
+from virtualk.sector_ring import sector_monomial
 from virtualk.virtual_ring import (
     euler_factor,
     k_monomial,
@@ -25,20 +26,17 @@ from virtualk.virtual_ring import (
 
 
 def test_euler_unit_case():
-    e = euler_factor(5, 0, 3)
-    assert e == CycPoly.one_poly(5)
-    assert euler_factor(5, 3, 0) == CycPoly.one_poly(5)
+    assert euler_factor(5, 0, 3) == euler_factor(5, 3, 0) == (1,)
 
 
 def test_euler_coincident_case():
     # n=2, (1,1): 1 - 2/x + 1/x^2 lands in sector 0 as x^2 - 2x + 1.
-    e = euler_factor(2, 1, 1)
-    assert ints(e.coeffs) == [1, -2, 1]
-    assert euler_factor(5, 2, 3).coeffs == euler_table(5, 2, 3)
+    assert euler_factor(2, 1, 1) == euler_factor(5, 2, 3) == (1, -2, 1)
+    assert vr._pair_rows(euler_factor, 2, 1, 1)[1][0] == ((0, 1, 2), (1, -2, 1))
 
 
 def test_euler_generic_case():
-    assert euler_factor(5, 1, 2).coeffs == euler_table(5, 1, 2, squared=False)
+    assert euler_factor(5, 1, 2) == (1, -1)
 
 
 def test_unit_is_identity():
@@ -187,38 +185,43 @@ def test_tables_match_reference_on_dense_classes(ab, k):
 
 
 def test_euler_override_reaches_warm_tables(monkeypatch):
-    # The rows are keyed on the Euler polynomial, so a patched table reaches
+    # The rows are keyed on the Euler factor, so a patched table reaches
     # products whose rows are already cached, and the cache stays correct.
     pairs = [(k_monomial(n, 1, 1), k_monomial(n, n - 1, 2)) for n in (2, 3, 4)]
     defaults = [virtual_mul(a, b) for a, b in pairs]
     monkeypatch.setattr(vr, "euler_factor", perturbed_euler)
     for (a, b), default in zip(pairs, defaults):
         perturbed = virtual_mul(a, b)
-        assert perturbed == reference_mul(a, b, perturbed_euler)
+        assert perturbed == reference_mul(a, b, squared=False)
         assert perturbed != default
     monkeypatch.undo()
     assert [virtual_mul(a, b) for a, b in pairs] == defaults
 
 
 # ---------------------------------------------------------------------------
-# No long division on the Adams path.
+# No polynomial arithmetic in the tables.
 
 
-def _all_adams_columns():
-    build = vr._adams_column.__wrapped__  # the derivation, past the cache
-    return [build(n, m, j, k) for n in range(2, 9) for m in range(n)
-            for j in range(n + 1 if m == 0 else n)
-            for k in list(range(1, 2 * n + 3)) + [97, 3000]]
-
-
-def test_adams_columns_divide_nothing(monkeypatch):
-    calls = record_calls(monkeypatch, CycPoly, "divmod_by")
-    _all_adams_columns()
-    assert calls == []
-    # The guard can fail: a product on sector 0 past x^n divides.
+def test_sector_tables_do_no_polynomial_arithmetic(monkeypatch):
+    # Every Euler row and Adams column for n = 2..8, built past the caches.
+    calls = [record_calls(monkeypatch, CycPoly, "divmod_by"),
+             record_calls(monkeypatch, CycPoly, "__mul__"),
+             record_calls(monkeypatch, sr, "reduce_coeffs"),
+             record_calls(monkeypatch, sr, "sector_mul")]
+    monkeypatch.setattr(vr, "_euler_rows", vr._euler_rows.__wrapped__)
+    pair_rows, column = vr._pair_rows.__wrapped__, vr._adams_column.__wrapped__
+    for n in range(2, 9):
+        for m1, m2 in itertools.product(range(n), repeat=2):
+            pair_rows(euler_factor, n, m1, m2)
+        for m in range(n):
+            for j, k in itertools.product(range(n + 1 if m == 0 else n),
+                                          [*range(1, 2 * n + 3), 97, 3000]):
+                column(n, m, j, k)
+    assert calls == [[]] * 4
+    # The guards can fail: a product on sector 0 past x^n multiplies and divides.
     x8 = sector_monomial(8, 0, 8)
-    sector_mul(0, x8, x8)
-    assert calls
+    sr.sector_mul(0, x8, x8)
+    assert all(calls)
 
 
 def test_dense_untwisted_adams_query_divides_nothing(monkeypatch, capsys):
