@@ -31,7 +31,7 @@ from .localization import (
     u_inverse,
     u_mul,
 )
-from .sector_ring import bott_class, sector_adams, sector_monomial, sector_mul
+from .sector_ring import sector_adams, sector_monomial, sector_mul
 from .virtual_ring import (
     euler_factor,
     k_monomial,

@@ -14,11 +14,12 @@ importing the module builds nothing.  It loads the modules a query needs
 a ``verify`` command first runs, so a query process never compiles them.
 
 The inputs that set a weight, an exponent or an index are bounded: the
-weight n by ``MAX_N``, ``--k-max`` of ``verify`` and ``line`` by
-2..``MAX_K_MAX``, and exponents, Adams indices and the sum of |e| over the
-``x[0]^e`` atoms of an expression by ``expr.MAX_EXPONENT`` and
-``expr.MAX_ADAMS_INDEX``.  An input beyond a bound exits with code 2 before
-any work starts.
+weight n by ``MAX_N``, ``--k-max`` of ``verify`` by 2..``MAX_K_MAX``, and
+exponents, Adams indices and the sum of |e| over the ``x[0]^e`` atoms of an
+expression by ``expr.MAX_EXPONENT`` and ``expr.MAX_ADAMS_INDEX``.  An input
+beyond a bound exits with code 2 before any work starts.  ``line`` takes no
+k bound: a class outside the line-element group fails psi^k(b) = b^k at some
+k <= n, and its answer names the first such k.
 
 ``mul``, ``adams``, ``localize`` and ``delocalize`` parse each argument on
 its own, an expression or the k of ``psi[k]``, and build their node from
@@ -55,8 +56,9 @@ from .line_elements import is_line_element
 #: Largest accepted weight n.
 MAX_N = 8
 
-#: Largest accepted ``--k-max``: four times the default 2n at n = MAX_N.  The
-#: Adams and line-element checks run k = 1..k_max, so time grows with it.
+#: Largest accepted ``--k-max`` of ``verify``: four times the default 2n at
+#: n = MAX_N.  The Adams and power-law checks run k = 1..k_max, so time grows
+#: with it.
 MAX_K_MAX = 64
 
 #: The verbs that evaluate one expression: help, positional arguments and the
@@ -94,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("line", help="test a localized class for line-element membership")
     sp.add_argument("expression")
-    sp.add_argument("--k-max", type=int, default=None,
-                    help="default 2n, 2 <= k-max <= %d" % MAX_K_MAX)
     common(sp)
 
     sp = sub.add_parser("verify", help="run verification suites")
@@ -206,11 +206,11 @@ def _verify(args) -> int:
 
 
 def _command(args) -> int:
-    if getattr(args, "k_max", None) is not None and not 2 <= args.k_max <= MAX_K_MAX:
-        print("error: --k-max must be between 2 and %d" % MAX_K_MAX, file=sys.stderr)
-        return 2
     try:
         if args.command == "verify":
+            if args.k_max is not None and not 2 <= args.k_max <= MAX_K_MAX:
+                print("error: --k-max must be between 2 and %d" % MAX_K_MAX, file=sys.stderr)
+                return 2
             if not 2 <= args.n_min <= args.n_max <= MAX_N:
                 print("error: need 2 <= --n-min <= --n-max <= %d" % MAX_N, file=sys.stderr)
                 return 2
@@ -229,7 +229,7 @@ def _command(args) -> int:
             value = evaluate(e, args.n)
             if value_basis(value) != "loc":
                 raise EvalError("line membership applies to localized classes")
-            cert = is_line_element(loc.to_u_basis(value), args.k_max)
+            cert = is_line_element(loc.to_u_basis(value))
             if args.json:
                 doc = {"is_line_element": cert.ok, "reason": cert.reason}
                 if cert.params:

@@ -17,7 +17,8 @@ beta_q u_0^q square to zero.  Conversely, psi^k(b) = b^k for k = 1..n forces
 the unit coordinate to be 1, b[k,q] = b[1,q]^k and b[1,q]^n = 1, so a class
 outside the family fails the power law at some k <= n.  Hence
 ``is_line_element`` accepts a class once its (f; beta) are recovered and
-re-realize it, and computes powers only to name why a class is rejected.
+re-realize it, and computes powers, for k = 2..n only, to name why a class
+is rejected.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class LineCertificate(Record):
     __slots__ = ("ok", "reason", "params")
 
 
-def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
+def is_line_element(b: Coords) -> LineCertificate:
     """Decide membership in the line-element group, with parameter recovery.
 
     An invertible class is accepted when its (f; beta) can be recovered and
@@ -116,50 +117,47 @@ def is_line_element(b: Coords, k_max: int | None = None) -> LineCertificate:
     u[s,q] = zeta^(s f_q) and psi^k reads zeta^(ks f_q) = (zeta^(s f_q))^k,
     the unit coordinate is 1 = 1^k, and row 0 is k beta_q on both sides.
 
-    So ``k_max`` (default 2n) bounds only a rejection.  When recovery fails,
-    psi^k(b) = b^k is checked for 2 <= k <= k_max, and the answer names the
-    first failing k, or the recovery's reason when every k <= k_max passes.
-    A class outside the family fails at some k <= n (module docstring).
+    Any other invertible class is rejected with the first k in 2..n for
+    which psi^k(b) != b^k.  The scan stops at n by the converse (module
+    docstring): psi^k(b) = b^k for k = 1..n forces the unit coordinate to be
+    1, b[k,q] = b[1,q]^k and b[1,q]^n = 1, which are exactly the conditions
+    recovery reads.  A class that passes the scan unrecovered contradicts
+    that argument, so it raises ArithmeticError.
     """
     b.check_kind("u")
     n = b.n
-    if k_max is None:
-        k_max = 2 * n
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
     if not u_is_invertible(b):
         return LineCertificate(False, "not invertible in the localized ring", None)
-    params, reason = _recover(b)
-    if params is not None:
-        if line_realize(params) == b:
-            return LineCertificate(True, "", params)
-        reason = "parameter recovery failed to re-realize"
+    params = _recover(b)
+    if params is not None and line_realize(params) == b:
+        return LineCertificate(True, "", params)
     power = b
-    for k in range(2, k_max + 1):
+    for k in range(2, n + 1):
         power = u_mul(power, b)
         if u_adams(b, k) != power:
             return LineCertificate(
                 False, "psi^%d does not equal the %d-th power" % (k, k), None
             )
-    return LineCertificate(False, reason, None)
+    raise ArithmeticError(
+        "psi^k(b) = b^k for k = 2..%d, yet (f; beta) were not recovered" % n)
 
 
-def _recover(b: Coords) -> tuple[LineElt | None, str]:
-    # (f; beta) read off an invertible b, or None and the reason they cannot be.
+def _recover(b: Coords) -> LineElt | None:
+    # (f; beta) read off an invertible b, or None when b is not of that form.
     n = b.n
     if b.terms[0] != Cyc.one(n):
-        return None, "unit coefficient is not 1"
+        return None
     roots = [zeta_pow(n, t) for t in range(n)]
     f = []
     for q in range(n):
         try:
             fq = roots.index(b.terms[grid(n, 1, q)])
         except ValueError:
-            return None, "column %d is not generated by a root of unity" % q
+            return None
         if any(b.terms[grid(n, l, q)] != roots[l * fq % n] for l in range(2, n)):
-            return None, "column %d does not follow the power law" % q
+            return None
         f.append(fq)
-    return line_element(n, f, [b.terms.get(grid(n, 0, q), Cyc.zero(n)) for q in range(n)]), ""
+    return line_element(n, f, [b.terms.get(grid(n, 0, q), Cyc.zero(n)) for q in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ e = qn + r with 0 <= r < n; then
     x^e = x^r + q (x^n - 1)   modulo (x-1)(x^n-1),
 
 because t = x^n - 1 satisfies t x = t and t^2 = 0, so (x^n)^q = (1 + t)^q =
-1 + q t.  The Adams operations and Bott classes use it and never divide,
-and so do the integer tables of ``virtual_ring``: its Euler rows fold each
-power by it, and its twisted Adams columns rotate ``bott_counts``.
+1 + q t.  The Adams operations use it and never divide, and so do the
+integer tables of ``virtual_ring``: its Euler rows fold each power by it, and
+its twisted Adams columns rotate ``bott_counts``.
 
 A class in sector m is a ``CycPoly`` in x_m; the sector index is passed
 alongside it.  Canonical representatives make equality a plain tuple
@@ -122,23 +122,3 @@ def bott_counts(n: int, j: int) -> list[int]:
     c = -s mod n: (j - 1 - c) // n + 1 of them, which is 0 when c >= j.
     """
     return [(j - 1 - (-s % n)) // n + 1 for s in range(n)]
-
-
-def bott_class(n: int, m: int, j: int) -> CycPoly:
-    """The j-th Bott class of the dual tautological character on sector m.
-
-    This is the geometric sum 1 + x_m^(-1) + ... + x_m^(-(j-1)), reduced: the
-    counts of ``bott_counts``.  On the untwisted sector each x^(-i),
-    -i = qn + r, also adds q (x^n - 1); with j - 1 = an + b the quotients sum
-    to -(n a(a+1)/2 + b(a+1)).
-    """
-    _check_n(n)
-    if j < 1:
-        raise ValueError("Bott classes are defined for j >= 1")
-    counts = bott_counts(n, j)
-    if m % n == 0:
-        a, b = divmod(j - 1, n)
-        q = -(n * a * (a + 1) // 2 + b * (a + 1))
-        counts[0] -= q
-        counts.append(q)
-    return CycPoly.from_ints(n, counts)

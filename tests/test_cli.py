@@ -376,8 +376,6 @@ def no_work(monkeypatch):
     ["verify", "--n-min", "3", "--n-max", "3", "--suite", "adams-oracle", "--k-max", "-5"],
     ["verify", "--k-max", "1"],
     ["verify", "--k-max", str(MAX_K_MAX + 1)],
-    ["line", "--n", "3", "--k-max", "1", "sigma[1]"],
-    ["line", "--n", "3", "--k-max", str(MAX_K_MAX + 1), "sigma[1]"],
     ["eval", "--n", "3", "psi[-1](x[0])"],
     ["adams", "--n", "3", "--", "-1", "x[0]"],
 ])
@@ -458,6 +456,32 @@ def test_line_takes_no_basis_option(capsys):
         main(["line", "--n", "2", "--basis", "sector", "sigma[1]"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --basis" in capsys.readouterr().err
+
+
+def test_line_takes_no_k_max_option(capsys, no_work):
+    # Membership needs no k bound: a class outside the group fails the power
+    # law at some k <= n.  So the option is a usage error, before any work.
+    with pytest.raises(SystemExit) as exc:
+        main(["line", "--n", "3", "--k-max", "5", "sigma[1]"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k-max" in capsys.readouterr().err
+
+
+#: Every option of every subcommand, besides -h/--help.  A new option is a
+#: deliberate edit of this table.
+OPTIONS = {
+    **{verb: {"--n", "--json", "--basis"}
+       for verb in ("eval", "mul", "adams", "localize", "delocalize")},
+    "line": {"--n", "--json"},
+    "verify": {"--n-min", "--n-max", "--suite", "--k-max", "--json", "--verbose", "--out"},
+}
+
+
+def test_the_options_of_each_subcommand_are_the_documented_ones():
+    (subcommands,) = [a for a in cli._build_parser()._actions if a.choices]
+    found = {verb: {o for a in sp._actions if a.dest != "help" for o in a.option_strings}
+             for verb, sp in subcommands.choices.items()}
+    assert found == OPTIONS
 
 
 @pytest.mark.parametrize("expression,message", [

@@ -8,7 +8,7 @@ from conftest import cycs, ints, poly_add, poly_reduce, reference_bott_class, sc
 from virtualk.coords import Coords, gen, zero
 from virtualk.cyclotomic import Cyc, CycPoly
 from virtualk.sector_ring import (
-    bott_class,
+    bott_counts,
     sector_adams,
     sector_modulus,
     sector_monomial,
@@ -126,11 +126,16 @@ def test_adams_reads_the_sector_index_mod_n():
                     assert sector_adams(m + n, a, k) == sector_adams(m, a, k)
 
 
+def _bott(n: int, coeffs) -> list:
+    """A twisted-sector class as its n integer coefficients of 1, x, ..., x^(n-1)."""
+    return ints(coeffs) + [0] * (n - len(coeffs))
+
+
 def test_bott_matches_the_sum_of_inverse_powers():
     for n in range(2, 9):
-        for m in range(n):
+        for m in range(1, n):
             for j in range(1, 3 * n + 2):
-                assert bott_class(n, m, j).coeffs == reference_bott_class(n, m, j), (n, m, j)
+                assert bott_counts(n, j) == _bott(n, reference_bott_class(n, m, j)), (n, m, j)
 
 
 def test_mul_commutative_associative_monomials():
@@ -146,21 +151,20 @@ def test_mul_commutative_associative_monomials():
 
 
 def test_bott_first_is_unit():
-    for n, m in ((2, 0), (3, 1), (5, 3)):
-        assert bott_class(n, m, 1) == _one(n)
+    for n in (2, 3, 5):
+        assert bott_counts(n, 1) == [1] + [0] * (n - 1)
 
 
 def test_bott_expansion_example():
-    # n=3, m=1, j=3: 1 + x^(-1) + x^(-2) = 1 + x^2 + x.
-    got = bott_class(3, 1, 3)
-    assert ints(got.coeffs) == [1, 1, 1]
+    # n=3, j=3: 1 + x^(-1) + x^(-2) = 1 + x^2 + x.
+    assert bott_counts(3, 3) == [1, 1, 1]
 
 
-def test_bott_two_terms_any_sector():
+def test_bott_two_terms_any_twisted_sector():
     for n in (2, 3, 5):
-        for m in range(n):
+        for m in range(1, n):
             expected = poly_add(n, (Cyc.one(n),), x_inverse(n, m))
-            assert bott_class(n, m, 2).coeffs == expected
+            assert bott_counts(n, 2) == _bott(n, expected)
 
 
 def test_sector_mismatch_rejected():
