@@ -376,6 +376,8 @@ def no_work(monkeypatch):
     ["verify", "--n-min", "3", "--n-max", "3", "--suite", "adams-oracle", "--k-max", "-5"],
     ["verify", "--k-max", "1"],
     ["verify", "--k-max", str(MAX_K_MAX + 1)],
+    ["line", "--n", "1", "sigma[1]"],
+    ["mul", "--n", str(MAX_N + 1), "x[0]", "x[0]"],
     ["eval", "--n", "3", "psi[-1](x[0])"],
     ["adams", "--n", "3", "--", "-1", "x[0]"],
 ])
