@@ -42,6 +42,7 @@ from .expr import (
     EvalError,
     ParseError,
     Unary,
+    _printable,
     check,
     evaluate,
     format_value,
@@ -138,7 +139,7 @@ def _emit(args, value, display_hint: str) -> None:
     if basis == "loc" and display == "sector":
         raise EvalError("localized value; use delocalize/gammainv for the sector view")
     if basis == "loc" and display == "u":
-        value = loc.to_u_basis(value)
+        value = _printable(loc.to_u_basis(value), "the result")
     print(value_to_json(value) if args.json else format_value(value))
 
 

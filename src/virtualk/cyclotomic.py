@@ -18,9 +18,12 @@ converted: ``Cyc.rational``, the ``Cyc`` constructor, ``Cyc.scale_int``,
 ``CycPoly.from_ints``.  ``Cyc`` has no ``**``: a power of a scalar runs
 through ``coords.power``, the one square-and-multiply.
 
-``_reduce`` is the one reduction modulo Phi_n: it brings raw numerators of
-any length to deg(Phi_n) entries through one table, the rows of x^e mod
-Phi_n for e = deg .. 2n-2, after folding a longer vector by zeta^n = 1.
+One integer division, ``_int_divmod``, gives Phi_n (x^n - 1 divided exactly
+by Phi_d for each proper divisor d of n) and the rows of x^e mod Phi_n for
+e = 0 .. 2n-2 (``_xpow``), the first n of them the powers of zeta.
+``_reduce``, the one reduction modulo Phi_n, brings raw numerators of any
+length to deg(Phi_n) entries through rows deg .. 2n-2, after folding a
+longer vector by zeta^n = 1.
 
 The integer kernels build no ``Cyc``: they add integer products to raw
 sums keyed by output position over one denominator that the caller keeps
@@ -59,19 +62,18 @@ from functools import cache
 from .records import Record, set_field
 
 
-def _int_poly_divexact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact division of integer polynomials; ``b`` must be monic."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
+def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, ascending coefficients;
+    ``b`` must be monic.  The remainder has deg(b) entries."""
+    d = len(b) - 1
+    r = [*a, *[0] * (d - len(a))]
+    q = [0] * (len(r) - d)
     for i in reversed(range(len(q))):
-        c = a[i + len(b) - 1]
-        q[i] = c
+        c = q[i] = r[i + d]
         if c:
             for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    if any(a):
-        raise ArithmeticError("division was not exact")
-    return q
+                r[i + j] -= c * bj
+    return q, r[:d]
 
 
 @cache
@@ -86,7 +88,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = _int_poly_divexact(num, cyclotomic_polynomial(d))
+            num, rem = _int_divmod(num, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("division was not exact")
     return tuple(num)
 
 
@@ -95,24 +99,10 @@ def phi_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-@cache
 def _xpow(n: int) -> tuple[tuple[int, ...], ...]:
-    # x^k mod Phi_n for k = 0 .. n-1, as integer coefficient rows.
+    # x^e mod Phi_n for e = 0 .. 2n-2, as integer coefficient rows.
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    rows = []
-    row = [1] + [0] * (deg - 1) if deg > 0 else []
-    for _ in range(max(n, 1)):
-        rows.append(tuple(row))
-        shifted = [0] + row
-        c = shifted[deg] if len(shifted) > deg else 0
-        shifted = shifted[:deg]
-        while len(shifted) < deg:
-            shifted.append(0)
-        if c:
-            shifted = [s - c * phi[i] for i, s in enumerate(shifted)]
-        row = shifted
-    return tuple(rows)
+    return tuple(tuple(_int_divmod([0] * e + [1], phi)[1]) for e in range(2 * n - 1))
 
 
 @cache
@@ -120,7 +110,7 @@ def _reduction(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...
     # deg(Phi_n), and for each e = deg .. 2n-2 the nonzero entries (i, r) of
     # the row of x^e mod Phi_n.
     deg, table = phi_degree(n), _xpow(n)
-    return deg, tuple((e, tuple((i, r) for i, r in enumerate(table[e % n]) if r))
+    return deg, tuple((e, tuple((i, r) for i, r in enumerate(table[e]) if r))
                       for e in range(deg, 2 * n - 1))
 
 
@@ -436,7 +426,7 @@ def _scatter(n: int, sums: dict[int, list[int]], num: Sequence[int], start: int,
 
 @cache
 def _zeta_powers(n: int) -> tuple[Cyc, ...]:
-    return tuple(_raw(n, row, 1) for row in _xpow(n))
+    return tuple(_raw(n, row, 1) for row in _xpow(n)[:n])
 
 
 def zeta_pow(n: int, k: int) -> Cyc:

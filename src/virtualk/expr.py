@@ -51,13 +51,13 @@ its integer coefficients does.  A power of a class or a scalar whose
 coefficients outgrow Python's integer-to-text limit is an evaluation error:
 every product of either power passes the same digit guard (``_printable``),
 so the error is raised as soon as a step of the power meets such a
-coefficient.
+coefficient.  ``evaluate`` passes its answer through the guard once more, so
+a sum or product too long to print is the same error, about "the result".
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -497,8 +497,9 @@ Value = Cyc | Coords
 
 
 def evaluate(e: Expr, n: int) -> Value:
-    """Evaluate a parsed expression; the value carries its basis (``value_basis``)."""
-    return _eval(e, n)
+    """Evaluate a parsed expression; the value carries its basis (``value_basis``)
+    and has passed the digit guard (``_printable``)."""
+    return _printable(_eval(e, n), "the power" if isinstance(e, Pow) else "the result")
 
 
 def value_basis(v: Value) -> str:
@@ -515,19 +516,25 @@ def _coerce_pair(a: Value, b: Value):
     return a, b
 
 
-def _printable(v: Value) -> Value:
-    """``v``, or EvalError if it holds an integer too long to print.
+#: 10**limit for each digit limit met: the least magnitude too long to print.
+_TOO_LONG: dict[int, int] = {}
+
+
+def _printable(v: Value, what: str = "the power") -> Value:
+    """``v``, or EvalError naming ``what`` if it holds an integer too long to print.
 
     Python converts no integer of more than ``sys.get_int_max_str_digits()``
-    digits to text (``_digit_limit``).  Bit lengths are compared, so the check converts nothing.
+    digits to text (``_digit_limit``), that is none of magnitude 10**limit or
+    more.  The check compares with that bound exactly and converts nothing.
     """
     limit = _digit_limit()
-    # An integer of more bits than this is at least 10**limit.
-    max_bits = int(limit * math.log2(10)) + 1
+    if not limit:
+        return v
+    bound = _TOO_LONG.get(limit) or _TOO_LONG.setdefault(limit, 10 ** limit)
     coeffs = (v,) if isinstance(v, Cyc) else v.terms.values()
-    if limit and any(i.bit_length() > max_bits for c in coeffs for i in (c.den, *c.num)):
-        raise EvalError("the power has coefficients of more than %d digits, "
-                        "over the limit for integer string conversion" % limit)
+    if not all(-bound < i < bound for c in coeffs for i in (c.den, *c.num)):
+        raise EvalError("%s has coefficients of more than %d digits, "
+                        "over the limit for integer string conversion" % (what, limit))
     return v
 
 

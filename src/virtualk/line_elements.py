@@ -16,9 +16,8 @@ coordinate is 1 = 1^k; and row 0 is k beta_q on both sides, since the
 beta_q u_0^q square to zero.  Conversely, psi^k(b) = b^k for k = 1..n forces
 the unit coordinate to be 1, b[k,q] = b[1,q]^k and b[1,q]^n = 1, so a class
 outside the family fails the power law at some k <= n.  Hence
-``is_line_element`` accepts a class once its (f; beta) are recovered and
-re-realize it, and computes powers, for k = 2..n only, to name why a class
-is rejected.
+``is_line_element`` accepts a class once its (f; beta) are recovered, and
+computes powers, for k = 2..n only, to name why a class is rejected.
 """
 
 from __future__ import annotations
@@ -109,10 +108,13 @@ class LineCertificate(Record):
 def is_line_element(b: Coords) -> LineCertificate:
     """Decide membership in the line-element group, with parameter recovery.
 
-    An invertible class is accepted when its (f; beta) can be recovered and
-    re-realize it exactly: the unit coefficient must be 1 and each column of
-    the semisimple block must consist of the powers of one n-th root of
-    unity.  No power is computed for it: the recovered class obeys
+    An invertible class is accepted when its (f; beta) can be recovered: the
+    unit coefficient must be 1 and each column of the semisimple block must
+    consist of the powers of one n-th root of unity.  Recovery has then
+    matched all n^2 + 1 coordinates with the realization of (f; beta): the
+    unit with 1, each u[l,q] with l >= 1 with zeta^(l f_q), and row 0 is
+    read verbatim as beta, so line_realize(params) == b needs no check.
+    No power is computed for it either: the recovered class obeys
     psi^k(b) = b^k for every k by arithmetic on exponents mod n, as
     u[s,q] = zeta^(s f_q) and psi^k reads zeta^(ks f_q) = (zeta^(s f_q))^k,
     the unit coordinate is 1 = 1^k, and row 0 is k beta_q on both sides.
@@ -129,7 +131,7 @@ def is_line_element(b: Coords) -> LineCertificate:
     if not u_is_invertible(b):
         return LineCertificate(False, "not invertible in the localized ring", None)
     params = _recover(b)
-    if params is not None and line_realize(params) == b:
+    if params is not None:
         return LineCertificate(True, "", params)
     power = b
     for k in range(2, n + 1):

@@ -48,7 +48,6 @@ from .cyclotomic import (Cyc, _canonical, _reduce, _rotation_sums, _scatter, _ti
                          zeta_pow)
 
 
-@cache
 def _w(n: int, l: int) -> Cyc:
     # w_l = 1 - zeta^(-l), the twisted-row structure constant.
     return Cyc.one(n) - zeta_pow(n, -l)

@@ -48,12 +48,6 @@ def sector_modulus(n: int, m: int) -> CycPoly:
     return CycPoly.from_ints(n, coeffs)
 
 
-def _strip(coeffs: list[Cyc]) -> tuple[Cyc, ...]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def reduce_coeffs(n: int, m: int, coeffs: Sequence[Cyc]) -> tuple[Cyc, ...]:
     """Reduce an arbitrary coefficient list to the canonical representative."""
     if m % n:
@@ -62,7 +56,7 @@ def reduce_coeffs(n: int, m: int, coeffs: Sequence[Cyc]) -> tuple[Cyc, ...]:
         for e, c in enumerate(coeffs):
             if c:
                 folded[e % n] = folded[e % n] + c
-        return _strip(folded)
+        return CycPoly.from_cycs(n, folded).coeffs
     poly = CycPoly.from_cycs(n, coeffs)
     if poly.degree <= n:
         return poly.coeffs
@@ -111,7 +105,7 @@ def sector_adams(m: int, a: CycPoly, k: int) -> CycPoly:
                 qc = c.scale_int(q)
                 out[n] = out[n] + qc
                 out[0] = out[0] - qc
-    return CycPoly(n, _strip(out))
+    return CycPoly.from_cycs(n, out)
 
 
 def bott_counts(n: int, j: int) -> list[int]:

@@ -16,8 +16,7 @@ closed forms of ``sector_ring``: x^(qn+r) = x^r on a twisted sector and
 x^r + q(x^n - 1) on sector 0.  ``_euler_rows`` holds the reduced class of
 x^s * e for s = 0..n, each power of x folded by that form, keyed on the
 integer Euler factor e itself, so a replaced ``euler_factor`` (a planted
-defect in the tests) gets rows of its own, and ``_pair_rows`` finds the rows
-of each sector pair once per Euler table; ``_adams_column`` holds the image
+defect in the tests) gets rows of its own; ``_adams_column`` holds the image
 of one monomial x_m^j under psi~^k, on a twisted sector the Bott counts
 rotated by jk mod n.  Rows and columns are ``coords.Sparse``: parallel
 tuples of offsets and coefficients, integral coefficients stored as ``int``.
@@ -95,14 +94,6 @@ def _euler_rows(n: int, e: tuple[int, ...], untwisted: bool) -> tuple[Sparse, ..
     return tuple(rows)
 
 
-@cache
-def _pair_rows(euler, n: int, m1: int, m2: int) -> tuple[int, tuple[Sparse, ...]]:
-    """Where the product of sectors m1 and m2 lands and its Euler rows under
-    the table ``euler``; a replaced table gets entries of its own."""
-    t = (m1 + m2) % n
-    return sector_start(n, t), _euler_rows(n, euler(n, m1, m2), t == 0)
-
-
 def virtual_mul(a: Coords, b: Coords) -> Coords:
     """Bilinear extension of the monomial product with its Euler factor.
 
@@ -131,8 +122,9 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
     sums: dict[int, list[int]] = {}
     for m1, t1 in sectors_a.items():
         for m2, t2 in sectors_b.items():
-            start, rows = _pair_rows(euler_factor, n, m1, m2)
-            for s, num in _poly_times(n, t1, t2, start == 0):  # start 0: the target is sector 0
+            t = (m1 + m2) % n
+            start, rows = sector_start(n, t), _euler_rows(n, euler_factor(n, m1, m2), t == 0)
+            for s, num in _poly_times(n, t1, t2, t == 0):
                 _scatter(n, sums, num, start, *rows[s])
     return from_numerators(n, "sector", sums, da * db)
 

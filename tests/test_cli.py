@@ -548,6 +548,30 @@ def test_the_power_check_follows_the_interpreter_limit(capsys):
         sys.set_int_max_str_digits(old)
 
 
+#: N^33 has 4,301 digits but only 14,285 bits, as many as 10^4300.
+N = 20092330025650624429041246983718289902852296550075011136104805914902943543087600732265513669553766436585966694146690632202915414013
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no conversion limit")
+@pytest.mark.parametrize("argv,what", [
+    (["--n", "2", "%d^33" % N], "the power"),
+    # Each factor prints; their product, 2^16000, has 4,817 digits.
+    (["--n", "2", "*".join(["2^2000"] * 8)], "the result"),
+    # The loc value has 4,300 digits; its view in u has more.
+    (["--n", "3", "--basis", "u", "(9*(10^2000)^2*10^299)*e[1,1]"], "the result"),
+], ids=["power", "product", "u-view"])
+def test_an_answer_one_digit_past_the_limit_is_the_guards_error(capsys, argv, what):
+    assert 10**4300 < N**33 < 10**4301 and (N**33).bit_length() == 14285
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert run(capsys, "eval", *argv) == (
+            2, "", "error: %s has coefficients of more than 4300 digits, over the limit for "
+                   "integer string conversion\n" % what)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no conversion limit")
 @pytest.mark.parametrize("argv,position", [
     (["eval", "--n", "2", "{long}*x[1]"], "at position 0"),

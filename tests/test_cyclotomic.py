@@ -247,6 +247,22 @@ from virtualk.cyclotomic import _xpow
 KINDS = ("zero", "integral", "fractional", "irrational")
 
 
+def test_every_row_of_xpow_is_x_to_the_e_mod_phi():
+    # x^e minus row e is a multiple of Phi_n, by schoolbook long division.
+    for n in range(1, 17):
+        phi, rows = cyclotomic_polynomial(n), _xpow(n)
+        assert len(rows) == 2 * n - 1
+        for e, row in enumerate(rows):
+            assert len(row) == len(phi) - 1
+            rem = [-r for r in row] + [0] * (e + 1 - len(row))
+            rem[e] += 1
+            for top in reversed(range(len(phi) - 1, len(rem))):
+                c = rem[top]
+                for j, p in enumerate(phi):
+                    rem[top - len(phi) + 1 + j] -= c * p
+            assert not any(rem), (n, e)
+
+
 def _vector(v):
     return list(v.coeffs)
 
@@ -257,9 +273,9 @@ def _ref_mul(n, a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             conv[i + j] += x * y
-    out = conv[:deg]
+    out, rows = conv[:deg], _xpow(n)
     for e in range(deg, len(conv)):
-        for i, r in enumerate(_xpow(n)[e % n]):
+        for i, r in enumerate(rows[e % n]):
             out[i] += conv[e] * r
     return out
 
@@ -450,9 +466,9 @@ def test_reduce_matches_the_rows_of_x_to_the_e(data, n):
     # by x^n = 1 first, as Cyc(n, coeffs) accepts coefficient lists of any length.
     value = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
     raw = data.draw(st.lists(value, max_size=3 * n))
-    expected = [0] * phi_degree(n)
+    expected, rows = [0] * phi_degree(n), _xpow(n)
     for e, c in enumerate(raw):
-        for i, r in enumerate(_xpow(n)[e % n]):
+        for i, r in enumerate(rows[e % n]):
             expected[i] += c * r
     assert cyclotomic._reduce(n, list(raw)) == expected
 

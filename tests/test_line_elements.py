@@ -117,8 +117,9 @@ def test_certificate_recovers_parameters():
         for _ in range(5):
             L = line_element(n, [rng.randrange(n) for _ in range(n)],
                              [rng.randint(-3, 3) for _ in range(n)])
-            cert = is_line_element(line_realize(L))
-            assert cert.ok and cert.params == L
+            b = line_realize(L)
+            cert = is_line_element(b)
+            assert cert.ok and cert.params == L and line_realize(cert.params) == b
 
 
 def test_rejections():
@@ -222,6 +223,8 @@ def test_membership_agrees_with_the_loop_first_reference(n):
         got = is_line_element(b)
         for k_max in (2 * n, 64):
             assert got == reference_is_line_element(b, k_max), k_max
+        # Accepted on recovery alone, which has matched every coordinate.
+        assert not got.ok or line_realize(got.params) == b
         reasons.add(got.reason)
     scan = {"psi^%d does not equal the %d-th power" % (k, k) for k in range(2, n + 1)}
     assert reasons <= {"", "not invertible in the localized ring"} | scan
@@ -232,13 +235,15 @@ def test_membership_agrees_with_the_loop_first_reference(n):
 
 
 def test_a_recovered_class_is_accepted_without_a_power_law(monkeypatch):
-    calls = [record_calls(monkeypatch, le, name) for name in ("u_mul", "u_adams")]
     L = _random_line(random.Random(5), 6)
-    assert is_line_element(line_realize(L)) == LineCertificate(True, "", L)
-    assert list(map(len, calls)) == [0, 0]
+    b = line_realize(L)
+    calls = [record_calls(monkeypatch, le, name) for name in ("u_mul", "u_adams", "line_realize")]
+    cert = is_line_element(b)
+    assert cert == LineCertificate(True, "", L) and line_realize(cert.params) == b
+    assert list(map(len, calls)) == [0, 0, 0]
     cert = is_line_element(unit(6, "u").scale(2))
     assert cert.reason == "psi^2 does not equal the 2-th power"
-    assert list(map(len, calls)) == [1, 1]
+    assert list(map(len, calls)) == [1, 1, 0]
 
 
 def test_a_line_element_that_recovery_misses_raises_instead_of_being_rejected(monkeypatch):

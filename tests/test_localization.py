@@ -2,6 +2,7 @@ import functools
 import importlib
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import virtualk
 import virtualk.localization as loc
 from conftest import (classes, cycs, evaluate, from_sectors, ints, poly_add, poly_mul, poly_scale,
                       record_calls, reference_loc_adams, reference_loc_mul, reference_u_adams,
@@ -446,19 +448,60 @@ def test_adams_composes_and_is_multiplicative_on_dense_classes(drawn, k, l):
     assert u_adams(u_mul(u, v), k) == u_mul(u_adams(u, k), u_adams(v, k))
 
 
-#: The per-n caches, each with the module that defines it.
+#: Every ``functools`` cache of the package: (module, qualified name, maxsize).
+#: A new cache layer is a deliberate edit of this table.
+CACHES = {
+    ("cli", "_build_parser", None),
+    ("coords", "basis", None),
+    ("coords", "basis_vectors", None),
+    ("coords", "unit", None),
+    ("coords", "zero", None),
+    ("cyclotomic", "Cyc.one", None),
+    ("cyclotomic", "Cyc.zero", None),
+    ("cyclotomic", "_reduction", None),
+    ("cyclotomic", "_zeta_powers", None),
+    ("cyclotomic", "cyclotomic_polynomial", None),
+    ("localization", "_adams_weight", None),
+    ("localization", "_inverse_weights", None),
+    ("localization", "_loc_mul_table", None),
+    ("localization", "_preimages", None),
+    ("sector_ring", "sector_modulus", None),
+    ("virtual_ring", "_adams_column", 2048),
+    ("virtual_ring", "_euler_rows", None),
+}
+
+#: The per-n tables, each with the module that defines it.
 TABLES = {"_loc_mul_table": "localization", "_inverse_weights": "localization",
           "_reduction": "cyclotomic"}
 
 
+def _package_caches():
+    # Every cache defined in a module of the package, at module level or on
+    # a class (a cached staticmethod), found by walking the namespaces.
+    found = set()
+    for info in pkgutil.iter_modules(virtualk.__path__):
+        module = importlib.import_module("virtualk." + info.name)
+        objects = list(vars(module).values())
+        objects += [attr for cls in objects
+                    if isinstance(cls, type) and cls.__module__ == module.__name__
+                    for attr in vars(cls).values()]
+        for obj in objects:
+            obj = getattr(obj, "__func__", obj)
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found.add((info.name, obj.__qualname__, obj.cache_info().maxsize))
+    return found
+
+
 def test_tables_are_not_built_at_import():
-    script = ("import importlib, virtualk.cli; "
-              "print([getattr(importlib.import_module('virtualk.' + m), t).cache_info().currsize "
-              "for t, m in %r.items()])" % (TABLES,))
+    assert _package_caches() == CACHES
+    script = ("import functools, importlib, virtualk.cli; "
+              "print([(m, q) for m, q, _ in %r if functools.reduce("
+              "getattr, q.split('.'), importlib.import_module('virtualk.' + m))"
+              ".cache_info().currsize])" % (sorted(CACHES),))
     src = os.path.dirname(os.path.dirname(loc.__file__))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == str([0] * len(TABLES))
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("table", TABLES)

@@ -64,16 +64,16 @@ def test_planted_bott_twist_column_entry_is_caught(monkeypatch):
 def test_planted_coincident_euler_row_entry_is_caught(monkeypatch):
     # At n = 3, row 1 of the pairs (1, 2) and (2, 1) is x (1 - 1/x)^2 =
     # -1 + x + x^2 - x^3 on sector 0; plant -1 + 2x + x^2 - x^3 instead.
-    original = vr._pair_rows
-    assert original(vr.euler_factor, 3, 1, 2)[1][1] == ((0, 1, 2, 3), (-1, 1, 1, -1))
+    original = vr._euler_rows
+    assert original(3, vr.euler_factor(3, 1, 2), True)[1] == ((0, 1, 2, 3), (-1, 1, 1, -1))
 
-    def planted(euler, n, m1, m2):
-        start, rows = original(euler, n, m1, m2)
-        if n == 3 and m1 and m1 + m2 == 3:
+    def planted(n, e, untwisted):
+        rows = original(n, e, untwisted)
+        if n == 3 and e == (1, -2, 1) and untwisted:
             rows = (rows[0], (rows[1][0], (-1, 2, 1, -1))) + rows[2:]
-        return start, rows
+        return rows
 
-    monkeypatch.setattr(vr, "_pair_rows", planted)
+    monkeypatch.setattr(vr, "_euler_rows", planted)
     # The preimages of e[1,l] and e[2,l'] are sum_j zeta^(lj) x_m^j / 3, so
     # their product reaches x^1 with (zeta^l + zeta^l' + zeta^(2l+2l')) / 9:
     # 3 zeta^l / 9 when l = l', and 0 otherwise.

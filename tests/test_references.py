@@ -20,12 +20,12 @@ import virtualk.sector_ring as sr
 import virtualk.virtual_ring as vr
 from conftest import (euler_table, ints, poly_add, poly_pow, poly_reduce, poly_scale,
                       reference_adams, reference_bott_class, reference_mul, x_inverse)
-from virtualk.coords import basis_vectors, sector_start
+from virtualk.coords import basis_vectors
 from virtualk.cyclotomic import Cyc, CycPoly
 
 #: The routes of the code under test that the reference must not call.
 ROUTES = ("reduce_coeffs", "sector_mul", "sector_adams", "bott_counts", "sector_modulus",
-          "euler_factor", "_euler_rows", "_pair_rows", "_adams_column")
+          "euler_factor", "_euler_rows", "_adams_column")
 
 
 def test_references_call_nothing_of_the_sector_layer(monkeypatch):
@@ -80,8 +80,7 @@ def test_euler_rows_are_the_reference_factor_times_powers_of_x():
         pad = (Cyc.zero(n),)
         for m1, m2 in itertools.product(range(n), repeat=2):
             t, e = (m1 + m2) % n, euler_table(n, m1, m2)
-            start, rows = vr._pair_rows(vr.euler_factor, n, m1, m2)
-            assert start == sector_start(n, t)
+            rows = vr._euler_rows(n, vr.euler_factor(n, m1, m2), t == 0)
             assert [dict(zip(*row)) for row in rows] == [
                 _nonzero(poly_reduce(n, t, pad * s + e)) for s in range(n + 1)], (n, m1, m2)
 

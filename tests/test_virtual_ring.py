@@ -32,7 +32,7 @@ def test_euler_unit_case():
 def test_euler_coincident_case():
     # n=2, (1,1): 1 - 2/x + 1/x^2 lands in sector 0 as x^2 - 2x + 1.
     assert euler_factor(2, 1, 1) == euler_factor(5, 2, 3) == (1, -2, 1)
-    assert vr._pair_rows(euler_factor, 2, 1, 1)[1][0] == ((0, 1, 2), (1, -2, 1))
+    assert vr._euler_rows(2, euler_factor(2, 1, 1), True)[0] == ((0, 1, 2), (1, -2, 1))
 
 
 def test_euler_generic_case():
@@ -208,11 +208,10 @@ def test_sector_tables_do_no_polynomial_arithmetic(monkeypatch):
              record_calls(monkeypatch, CycPoly, "__mul__"),
              record_calls(monkeypatch, sr, "reduce_coeffs"),
              record_calls(monkeypatch, sr, "sector_mul")]
-    monkeypatch.setattr(vr, "_euler_rows", vr._euler_rows.__wrapped__)
-    pair_rows, column = vr._pair_rows.__wrapped__, vr._adams_column.__wrapped__
+    rows, column = vr._euler_rows.__wrapped__, vr._adams_column.__wrapped__
     for n in range(2, 9):
         for m1, m2 in itertools.product(range(n), repeat=2):
-            pair_rows(euler_factor, n, m1, m2)
+            rows(n, euler_factor(n, m1, m2), (m1 + m2) % n == 0)
         for m in range(n):
             for j, k in itertools.product(range(n + 1 if m == 0 else n),
                                           [*range(1, 2 * n + 3), 97, 3000]):
