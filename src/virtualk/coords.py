@@ -19,8 +19,11 @@ Every kernel computes in one integer form.  ``numerators`` writes the
 stored coordinates of a class as integer numerator vectors over one common
 denominator; the kernels add integer products to raw sums keyed by output
 position (``cyclotomic._scatter``), and ``from_numerators`` normalises each
-output coordinate once.  Tables read by the kernels are ``Sparse`` columns
-and rows, whose entries ``sparse`` keeps in Z[zeta_n].
+output coordinate once.  ``sector_split`` writes a sector class as the
+flat integer terms of each sector that the virtual product reads; it is
+built on first use and kept on the value, the one memo a ``Coords`` holds.
+Tables read by the kernels are ``Sparse`` columns and rows, whose entries
+``sparse`` keeps in Z[zeta_n].
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 
-from .cyclotomic import Cyc, _canonical, format_cyc
+from .cyclotomic import Cyc, PolyTerms, _canonical, _poly_terms, format_cyc
 from .records import Record
 
 KINDS = ("sector", "loc", "u", "res")
@@ -93,10 +96,12 @@ class Coords:
     ``Coords(n, kind, coeffs)`` takes the dense coordinates, one ``Cyc`` of
     weight n per basis vector.  ``terms`` maps the position of every nonzero
     coordinate to its value, in ascending position order, and never holds a
-    zero, so equal vectors store equal terms.
+    zero, so equal vectors store equal terms.  A sector vector also keeps
+    its ``sector_split`` once it is built; equality, hashing, copies and
+    pickles see only n, kind and terms.
     """
 
-    __slots__ = ("n", "kind", "terms")
+    __slots__ = ("n", "kind", "terms", "_split")
 
     def __new__(cls, n: int, kind: str, coeffs: Iterable[Cyc]):
         coeffs = tuple(coeffs)
@@ -183,6 +188,7 @@ class Coords:
 
 # Slot setters that bypass the immutability guard in Coords.__setattr__.
 _set_n, _set_kind, _set_terms = Coords.n.__set__, Coords.kind.__set__, Coords.terms.__set__
+_set_split = Coords._split.__set__
 
 
 def from_canonical(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
@@ -259,6 +265,36 @@ def numerators(a: Coords) -> tuple[int, dict[int, Sequence[int]]]:
             den = math.lcm(den, c.den)
     return den, {i: c.num if c.den == den else [x * (den // c.den) for x in c.num]
                  for i, c in terms.items()}
+
+
+#: A sector class as ``sector_split`` writes it: (den, {m: (lo, hi, terms)}).
+Split = tuple[int, dict[int, PolyTerms]]
+
+
+def sector_split(a: Coords) -> Split:
+    """(den, sectors): the sector class ``a`` over its common denominator as
+    integer terms in x and zeta, the form ``cyclotomic._poly_times`` takes.
+    sectors[m] is (lo, hi, terms) for each sector m with a stored coordinate:
+    lo and hi the lowest and highest power of x stored, and terms the pairs
+    ((j - lo) * w + i, v), v != 0 the coefficient of x^j zeta^i, in flat rows
+    w = 2 deg(Phi_n) - 1 wide (``cyclotomic._poly_terms``).  A pure function
+    of the terms, built on first use and kept on ``a``."""
+    try:
+        return a._split
+    except AttributeError:
+        split = _split_sectors(a)
+        _set_split(a, split)
+        return split
+
+
+def _split_sectors(a: Coords) -> Split:
+    json = a.basis.json
+    den, nums = numerators(a)
+    rows: dict[int, list[tuple[int, Sequence[int]]]] = {}
+    for i, num in nums.items():
+        _, m, j = json[i]
+        rows.setdefault(m, []).append((j, num))
+    return den, {m: _poly_terms(a.n, js) for m, js in rows.items()}
 
 
 def from_numerators(n: int, kind: str, sums: dict[int, Sequence[int]], den: int) -> Coords:

@@ -33,10 +33,12 @@ vectors: a rational factor scales the other vector, and only two irrational
 factors are convolved.  ``_scatter`` is the multiply-accumulate step of the
 products and the virtual Adams operations: it adds num * r to the sums for
 table entries r in Z[zeta_n].  ``_poly_times`` multiplies two polynomials
-in x and zeta given as integer terms modulo a sector's modulus: one flat
-loop over the pairs of terms, one fold of the powers past the modulus, and
-one reduction per power of x left; ``virtual_ring.virtual_mul`` calls it
-once per pair of sectors.  ``_rotation_sums`` is the discrete Fourier
+in x and zeta modulo a sector's modulus, each given as the flat integer
+terms that ``_poly_terms`` writes and ``coords.sector_split`` keeps per
+sector of a class: one loop over the pairs of terms, adding each product at
+the sum of their offsets, one fold of the powers past the modulus, and one
+reduction per power of x left; ``virtual_ring.virtual_mul`` calls it once
+per pair of sectors.  ``_rotation_sums`` is the discrete Fourier
 transform behind Gamma, its inverse and the changes to and from the
 semisimple basis: sums of c_j * zeta^(+-lj) for integer vectors c_j, summed
 in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and reduced once.  That
@@ -365,28 +367,41 @@ def _canonical(n: int, num: list[int], den: int) -> Cyc:
     return _raw(n, *_normalized(num, den))
 
 
-def _poly_times(n: int, a: Sequence[tuple[int, int, int]],
-                b: Sequence[tuple[int, int, int]], untwisted: bool) -> list[tuple[int, list[int]]]:
+#: A polynomial in x over Z[zeta_n] as ``_poly_terms`` writes it: (lo, hi, terms).
+PolyTerms = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
+def _poly_terms(n: int, rows: Sequence[tuple[int, Sequence[int]]]) -> PolyTerms:
+    # The input form of ``_poly_times`` for the polynomial with numerators
+    # num, the coefficients of zeta^i, at each x^j of ``rows``, ascending in j:
+    # (lo, hi, terms), lo and hi the lowest and highest j, and terms the
+    # nonzero pairs (k, v) at the flat offset k = (j - lo) * w + i, in rows
+    # w = 2*deg - 1 wide so that sums never carry into the next row; so the
+    # product of two terms sits at the sum of their offsets.
+    w, lo = 2 * phi_degree(n) - 1, rows[0][0]
+    return lo, rows[-1][0], tuple(((j - lo) * w + i, v) for j, num in rows
+                                  for i, v in enumerate(num) if v)
+
+
+def _poly_times(n: int, a: PolyTerms, b: PolyTerms,
+                untwisted: bool) -> list[tuple[int, list[int]]]:
     # The product of two polynomials in x over Z[zeta_n], modulo x^n - 1, or
     # modulo (x - 1)(x^n - 1) when ``untwisted``, unnormalised.  Each factor
-    # is a nonempty list of integer terms (j, i, v), v the coefficient of
-    # x^j zeta^i with j >= 0 and i < deg(Phi_n).  Returns (s, numerators of
-    # x^s) for each s whose reduced row is nonzero, ascending in s, with
-    # s < n, or s <= n when ``untwisted``.  Term (j, i) sits at j * w + i of
-    # one flat list, with rows w = 2*deg - 1 wide so that sums never carry
-    # into the next row.  The rows past the modulus fold before any reduction
-    # by the closed form of ``sector_ring``: x^(cn+r) is x^r modulo x^n - 1,
-    # and x^(cn+d) = x^d + c(x^n - 1) for 1 <= d <= n modulo (x - 1)(x^n - 1).
+    # is in the flat form of ``_poly_terms``, as ``coords.sector_split`` keeps
+    # one per sector of a class, so a factor met again is not rebuilt.
+    # Returns (s, numerators of x^s) for each s whose reduced row is nonzero,
+    # ascending in s, with s < n, or s <= n when ``untwisted``.  The rows past
+    # the modulus fold before any reduction by the closed form of
+    # ``sector_ring``: x^(cn+r) is x^r modulo x^n - 1, and
+    # x^(cn+d) = x^d + c(x^n - 1) for 1 <= d <= n modulo (x - 1)(x^n - 1).
     # A row is then reduced modulo Phi_n only when it reaches deg(Phi_n),
     # never for two rational factors.
     deg = phi_degree(n)
     w = 2 * deg - 1
-    ja, jb = min(a)[0], min(b)[0]
-    flat_b = [((j - jb) * w + i, v) for j, i, v in b]
-    flat = [0] * ((max(a)[0] - ja + max(b)[0] - jb + 1) * w)
-    for j, i, v in a:
-        k = (j - ja) * w + i
-        for kb, vb in flat_b:
+    (ja, ha, ta), (jb, hb, tb) = a, b
+    flat = [0] * ((ha - ja + hb - jb + 1) * w)
+    for k, v in ta:
+        for kb, vb in tb:
             flat[k + kb] += v * vb
     low, e0 = (n + untwisted) * w, ja + jb
     if e0 * w + len(flat) > low:

@@ -359,13 +359,16 @@ def relations_adams_oracle(n: int, k_max: int) -> Iterator[Relation]:
             yield "u/%s/k=%d" % (label, k), u_adams(b, k), transport(loc_adams(lb, k))
     # The Adams operations are multiplicative for the virtual product; this
     # family touches every Euler case, so it is sensitive to the case table.
+    # The n^2 products x[m1]*x[m2] take 2n distinct values, so each of their
+    # psi^k is evaluated once.
     monomials = [k_monomial(n, m, 1) for m in range(n)]
     psi = {k: [virtual_adams(a, k) for a in monomials] for k in (2, 3)}
+    adams = _once(virtual_adams)
     for m1, a in enumerate(monomials):
         for m2, b in enumerate(monomials):
             ab = virtual_mul(a, b)
             for k in (2, 3):
-                yield ("psi-mult/x[%d]*x[%d]/k=%d" % (m1, m2, k), virtual_adams(ab, k),
+                yield ("psi-mult/x[%d]*x[%d]/k=%d" % (m1, m2, k), adams(ab, k),
                        virtual_mul(psi[k][m1], psi[k][m2]))
 
 
@@ -382,6 +385,8 @@ def relations_psi_ring(n: int, k_max: int) -> Iterator[Relation]:
     for i, (label, a) in enumerate(basis):
         yield "identity-op/%s" % label, psi[1][i], a
         yield "unit-law/%s" % label, virtual_mul(one, a), a
+    # Nearly every composition argument is distinct (752 of 800 at n = 7),
+    # so this family calls virtual_adams directly.
     for k in range(1, 5):
         for l in range(1, 5):
             for i, (label, _) in enumerate(basis):
@@ -391,7 +396,8 @@ def relations_psi_ring(n: int, k_max: int) -> Iterator[Relation]:
     # psi^k(ab) once per distinct product ab (106 of 1,275 pairs at n = 7),
     # and psi^k(a) psi^k(b) once per pair of first basis indices with the
     # same images, which differ from (i, j) when gcd(k, n) > 1.  A product
-    # is dropped after its last use.
+    # is dropped after its last use.  ``adams`` also serves psi-eps, whose
+    # arguments are the two augmentations 0 and 1 at each k.
     adams = _once(virtual_adams)
     first = {}
     for k in range(2, 5):
@@ -411,7 +417,7 @@ def relations_psi_ring(n: int, k_max: int) -> Iterator[Relation]:
         ea = virtual_augmentation(a)
         for k in range(1, 7):
             yield "augmentation/eps-psi/%s/k=%d" % (label, k), virtual_augmentation(psi[k][i]), ea
-            yield "augmentation/psi-eps/%s/k=%d" % (label, k), virtual_adams(ea, k), ea
+            yield "augmentation/psi-eps/%s/k=%d" % (label, k), adams(ea, k), ea
     if n <= 4:
         triples = itertools.product(basis, repeat=3)
     else:

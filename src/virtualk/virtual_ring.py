@@ -23,13 +23,16 @@ tuples of offsets and coefficients, integral coefficients stored as ``int``.
 
 Both compute in the integer form of ``coords.numerators``: each factor over
 one common denominator, and both reduce in the sector ring before they read
-a table.  The product writes each sector of a factor as integer terms in x
-and zeta, multiplies each pair of nonzero sectors in one integer product
-(``cyclotomic._poly_times``) and folds it modulo the target sector's modulus
-by the closed form of ``sector_ring``, so powers that cancel there never
-reach a table; it scatters the coefficient of each power s <= n left once,
-through Euler row s (``cyclotomic._scatter``).  So it builds no ``Cyc`` and
-convolves no numerator vectors per pair of coefficients.  The Adams
+a table.  The product reads each factor's ``coords.sector_split``, the
+integer terms in x and zeta of each sector, which a class builds once and
+keeps, so an operand met again is not converted again.  It multiplies each
+pair of nonzero sectors in one integer product (``cyclotomic._poly_times``)
+and folds it modulo the target sector's modulus by the closed form of
+``sector_ring``, so powers that cancel there never reach a table; it
+scatters the coefficient of each power s <= n left once, through Euler row
+s (``cyclotomic._scatter``).  So it builds no ``Cyc`` and convolves no
+numerator vectors per pair of coefficients.  The split holds nothing of a
+table, so a replaced ``euler_factor`` acts on every operand alike.  The Adams
 operation first sums the coordinates of a twisted sector whose images
 x^(jk mod n) coincide, and scatters each sum, and each coordinate of
 sector 0, through its column.  ``coords.from_numerators`` normalises each
@@ -42,8 +45,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from operator import add
 
-from .coords import (Coords, Sparse, from_numerators, from_terms, numerators, sector_start, sparse,
-                     unit)
+from .coords import (Coords, Sparse, from_numerators, from_terms, numerators, sector_split,
+                     sector_start, sparse, unit)
 from .cyclotomic import Cyc, CycPoly, _poly_times, _scatter
 from .sector_ring import bott_counts, sector_adams, sector_monomial
 
@@ -97,28 +100,18 @@ def _euler_rows(n: int, e: tuple[int, ...], untwisted: bool) -> tuple[Sparse, ..
 def virtual_mul(a: Coords, b: Coords) -> Coords:
     """Bilinear extension of the monomial product with its Euler factor.
 
-    Each pair of nonzero sectors is multiplied as two polynomials in x and
-    zeta with integer coefficients (``cyclotomic._poly_times``), over the
-    product of the factors' common denominators, and reduced modulo the
-    target sector's modulus before it meets the Euler factor: x^n = 1 on a
-    twisted target, x^(qn+r) = x^r + q(x^n - 1) on sector 0.  Powers that
-    cancel there are dropped; the coefficient of each power s <= n left is
-    scattered once, through row s of the Euler rows.
+    Each pair of nonzero sectors, as the factors' ``coords.sector_split``
+    gives them, is multiplied as two polynomials in x and zeta with integer
+    coefficients (``cyclotomic._poly_times``), over the product of the
+    factors' common denominators, and reduced modulo the target sector's
+    modulus before it meets the Euler factor: x^n = 1 on a twisted target,
+    x^(qn+r) = x^r + q(x^n - 1) on sector 0.  Powers that cancel there are
+    dropped; the coefficient of each power s <= n left is scattered once,
+    through row s of the Euler rows.
     """
     a.check_kind("sector")
     a.check(b)
-    n, json, factors = a.n, a.basis.json, []
-    for c in (a, b):
-        den, nums = numerators(c)
-        sectors: dict[int, list[tuple[int, int, int]]] = {}
-        for i, num in nums.items():
-            _, m, j = json[i]
-            terms = sectors.setdefault(m, [])
-            for k, v in enumerate(num):
-                if v:
-                    terms.append((j, k, v))
-        factors.append((den, sectors))
-    (da, sectors_a), (db, sectors_b) = factors
+    n, (da, sectors_a), (db, sectors_b) = a.n, sector_split(a), sector_split(b)
     sums: dict[int, list[int]] = {}
     for m1, t1 in sectors_a.items():
         for m2, t2 in sectors_b.items():

@@ -480,7 +480,8 @@ def test_poly_times_matches_the_sum_of_cyc_products(data, n, untwisted):
     # only i = 0 is rational, and two rational factors are not folded.  The
     # product is reduced modulo x^n - 1, or (x - 1)(x^n - 1) when untwisted,
     # here by the long division of conftest.py; exponents up to 2n in each
-    # factor fold more than once.
+    # factor fold more than once.  _poly_times reads each factor in the flat
+    # form _poly_terms writes from the numerator rows of each power of x.
     deg = phi_degree(n)
 
     def factor():
@@ -495,7 +496,13 @@ def test_poly_times_matches_the_sum_of_cyc_products(data, n, untwisted):
         for j2, i2, v2 in b:
             product[j1 + j2] += zeta_pow(n, i1 + i2) * Cyc.rational(n, v1 * v2)
     expected = poly_reduce(n, 0 if untwisted else 1, product)
-    got = cyclotomic._poly_times(n, a, b, untwisted)
+    flat = []
+    for terms in (a, b):
+        rows = {}
+        for j, i, v in terms:
+            rows.setdefault(j, [0] * deg)[i] += v
+        flat.append(cyclotomic._poly_terms(n, sorted(rows.items())))
+    got = cyclotomic._poly_times(n, *flat, untwisted)
     assert [s for s, _ in got] == sorted({s for s, _ in got})
     assert all(len(num) == deg and any(num) for _, num in got)
     assert all(s < n + untwisted for s, _ in got)

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import virtualk.coords as coords
 import virtualk.cyclotomic as cyclotomic
 import virtualk.localization as localization
 import virtualk.virtual_ring as vr
@@ -221,6 +222,24 @@ def test_virtual_mul_multiplies_no_numerator_vectors_pairwise(monkeypatch):
     z = zeta_pow(n, 1)
     assert z * (z + Cyc.one(n)) == zeta_pow(n, 2) + z
     assert list(map(len, calls)) == [1, 1]
+
+
+def test_virtual_mul_splits_each_operand_once(monkeypatch):
+    # The product-oracle pairs at n = 8 split each of the 65 preimages once,
+    # on first use, in the order the pairs first meet them.
+    n = 8
+    pre = [gamma_inverse(e) for _, e in basis_vectors(n, "loc")]
+    calls = record_calls(monkeypatch, coords, "_split_sectors")
+    for i, a in enumerate(pre):
+        for b in pre[i:]:
+            virtual_mul(a, b)
+    assert len(calls) == 65 and [id(a) for a, in calls] == list(map(id, pre))
+    # A repeated product on the same objects builds no split and an equal value.
+    a, b = _dense7()
+    calls.clear()
+    first = virtual_mul(a, b)
+    assert len(calls) == 2
+    assert virtual_mul(a, b) == first == reference_mul(a, b) and len(calls) == 2
 
 
 def _record_products(monkeypatch):

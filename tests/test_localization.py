@@ -470,6 +470,10 @@ CACHES = {
     ("virtual_ring", "_euler_rows", None),
 }
 
+#: The slots of a ``Coords``: its fields and the one memo kept on a value,
+#: its ``sector_split``.  A new per-value memo is a deliberate edit of this line.
+COORDS_SLOTS = ("n", "kind", "terms", "_split")
+
 #: The per-n tables, each with the module that defines it.
 TABLES = {"_loc_mul_table": "localization", "_inverse_weights": "localization",
           "_reduction": "cyclotomic"}
@@ -494,6 +498,7 @@ def _package_caches():
 
 def test_tables_are_not_built_at_import():
     assert _package_caches() == CACHES
+    assert Coords.__slots__ == COORDS_SLOTS
     script = ("import functools, importlib, virtualk.cli; "
               "print([(m, q) for m, q, _ in %r if functools.reduce("
               "getattr, q.split('.'), importlib.import_module('virtualk.' + m))"

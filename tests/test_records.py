@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from virtualk.coords import basis, gen
+from virtualk.coords import basis, gen, sector_split
 from virtualk.cyclotomic import Cyc, CycPoly
 from virtualk.expr import Atom, Binary, LineAtom, Num, Pow, Unary
 from virtualk.line_elements import is_line_element, line_realize, sigma, span_rank
 from virtualk.verify import Check
+from virtualk.virtual_ring import virtual_mul
 
 ONE = Num(Fraction(1), 4)
 X1 = Atom("x", (1,), 7)
@@ -21,11 +22,18 @@ RECORDS = [basis(3, "u"), CycPoly.monomial(3, 2), sigma(3, 1),
            is_line_element(line_realize(sigma(3, 1))), span_rank(3)] + NODES
 #: Scalars are immutable without being records; they copy as records do.
 CYCS = [Cyc.one(3), Cyc(5, [1, -2, 0, 3], 6)]
-#: Coordinate vectors, immutable the same way.
-COORDS = [gen(3, "u", "u[1,0]")]
+#: A sector class whose ``sector_split`` one product has built.
+MULTIPLIED = gen(3, "sector", "x[1]", Cyc(3, [1, 2], 3)) + gen(3, "sector", "one[0]")
+virtual_mul(MULTIPLIED, MULTIPLIED)
+#: Coordinate vectors, immutable the same way, the split slot included.
+COORDS = [gen(3, "u", "u[1,0]"), MULTIPLIED]
 
 
-@pytest.mark.parametrize("record", RECORDS + CYCS + COORDS, ids=lambda r: type(r).__name__)
+def _id(record):
+    return "Coords-split" if record is MULTIPLIED else type(record).__name__
+
+
+@pytest.mark.parametrize("record", RECORDS + CYCS + COORDS, ids=_id)
 def test_a_record_refuses_every_assignment(record):
     # Cyc.zero(n) and Cyc.one(n) are shared, so a deleted field would corrupt
     # every later use of them.
@@ -46,12 +54,24 @@ def _hash(value):
         return None
 
 
-@pytest.mark.parametrize("record", RECORDS + CYCS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", RECORDS + CYCS + COORDS, ids=_id)
 def test_a_record_copies_to_an_equal_value(record):
     twins = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
     for twin in twins:
         assert twin == record and _hash(twin) == _hash(record) and repr(twin) == repr(record)
         assert getattr(twin, "pos", None) == getattr(record, "pos", None)
+
+
+def test_a_copy_leaves_the_split_behind_and_builds_an_equal_one():
+    # The split is kept on the value, outside equality, hashing and copies:
+    # a twin starts without it and builds the same one on first use.
+    split = MULTIPLIED._split
+    assert sector_split(MULTIPLIED) is split
+    for twin in (copy.copy(MULTIPLIED), copy.deepcopy(MULTIPLIED),
+                 pickle.loads(pickle.dumps(MULTIPLIED))):
+        with pytest.raises(AttributeError):
+            twin._split
+        assert sector_split(twin) == split and twin._split is not split
 
 
 def test_nodes_compare_by_their_fields_and_kind_but_not_their_position():
