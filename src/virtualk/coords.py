@@ -15,15 +15,14 @@ so loc and u share one n x n grid after the leading e[0,0], whose (0,0) cell
 holds xe[0,0] in loc.  The products live with their rings; this module knows
 the linear structure, the ring units and the shared text form.
 
-Every kernel computes in one integer form.  ``numerators`` writes the
-stored coordinates of a class as integer numerator vectors over one common
-denominator; the kernels add integer products to raw sums keyed by output
-position (``cyclotomic._scatter``), and ``from_numerators`` normalises each
-output coordinate once.  ``sector_split`` writes a sector class as the
-flat integer terms of each sector that the virtual product reads; it is
-built on first use and kept on the value, the one memo a ``Coords`` holds.
-Tables read by the kernels are ``Sparse`` columns and rows, whose entries
-``sparse`` keeps in Z[zeta_n].
+A class is stored in one integer form, numerators over one denominator
+(``Coords``).  Every kernel reads it, adds integer products to raw sums
+keyed by output position (``cyclotomic._scatter``) and leaves through
+``from_numerators``, one gcd per class; ``from_terms`` is the entry for
+values computed on ``Cyc``, which is built only to read or print a
+coordinate.  ``sector_split`` writes a sector class as the flat integer
+terms of each sector, which the virtual product reads: the one memo a
+``Coords`` keeps.  Table entries (``Sparse``) stay in Z[zeta_n].
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
-from .cyclotomic import Cyc, PolyTerms, _canonical, _poly_terms, format_cyc
+from .cyclotomic import Cyc, PolyTerms, _canonical, _poly_terms, _times, format_cyc
 from .records import Record
 
 KINDS = ("sector", "loc", "u", "res")
@@ -94,14 +94,15 @@ class Coords:
     """An element of one of the rings: its nonzero coordinates in a labelled basis.
 
     ``Coords(n, kind, coeffs)`` takes the dense coordinates, one ``Cyc`` of
-    weight n per basis vector.  ``terms`` maps the position of every nonzero
-    coordinate to its value, in ascending position order, and never holds a
-    zero, so equal vectors store equal terms.  A sector vector also keeps
-    its ``sector_split`` once it is built; equality, hashing, copies and
-    pickles see only n, kind and terms.
+    weight n per basis vector.  ``nums`` maps each nonzero coordinate's
+    position, ascending, to its tuple of deg(Phi_n) integer numerators over
+    ``den`` > 0, with gcd(den, every numerator) = 1, so equal vectors store
+    equal integers.  A sector vector also keeps its
+    ``sector_split`` once built; equality, hashing, copies and pickles see
+    only n, kind, den and nums.
     """
 
-    __slots__ = ("n", "kind", "terms", "_split")
+    __slots__ = ("n", "kind", "den", "nums", "_split")
 
     def __new__(cls, n: int, kind: str, coeffs: Iterable[Cyc]):
         coeffs = tuple(coeffs)
@@ -109,7 +110,7 @@ class Coords:
         if len(coeffs) != size:
             raise ValueError("%s coordinates for n=%d need %d entries, got %d"
                              % (kind, n, size, len(coeffs)))
-        return from_canonical(n, kind, {i: c for i, c in enumerate(coeffs) if _entry(n, c)})
+        return from_terms(n, kind, {i: _entry(n, c) for i, c in enumerate(coeffs)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Coords values are immutable")
@@ -121,31 +122,41 @@ class Coords:
     def basis(self) -> Basis:
         return basis(self.n, self.kind)
 
+    def coord(self, i: int) -> Cyc:
+        """The coordinate at position i, in its own lowest terms."""
+        num = self.nums.get(i)
+        return Cyc.zero(self.n) if num is None else _canonical(self.n, num, self.den)
+
+    @property
+    def terms(self) -> dict[int, Cyc]:
+        """Read-only: each nonzero coordinate as a ``Cyc``, by ascending position."""
+        return {i: _canonical(self.n, num, self.den) for i, num in self.nums.items()}
+
     @property
     def coeffs(self) -> tuple[Cyc, ...]:
         """The dense coordinates, zeros included."""
-        z, get = Cyc.zero(self.n), self.terms.get
-        return tuple(get(i, z) for i in range(len(self.basis.labels)))
+        return tuple(map(self.coord, range(len(self.basis.labels))))
 
     def __getitem__(self, label: str) -> Cyc:
-        return self.terms.get(self.basis.position[label], Cyc.zero(self.n))
+        return self.coord(self.basis.position[label])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coords):
             return NotImplemented
-        return (self.n, self.kind) == (other.n, other.kind) and self.terms == other.terms
+        return ((self.n, self.kind, self.den) == (other.n, other.kind, other.den)
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.kind, tuple(self.terms.items())))
+        return hash((self.n, self.kind, self.den, tuple(self.nums.items())))
 
     def __repr__(self) -> str:
         return "Coords(%d, %r, %s)" % (self.n, self.kind, self)
 
     def __reduce__(self):
-        return from_canonical, (self.n, self.kind, self.terms)
+        return from_numerators, (self.n, self.kind, self.nums, self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def check(self, other: "Coords") -> None:
         """Raise ValueError unless ``other`` has the same weight and basis."""
@@ -162,22 +173,25 @@ class Coords:
 
     def __add__(self, other: "Coords") -> "Coords":
         self.check(other)
-        out = dict(self.terms)
-        for i, b in other.terms.items():
-            out[i] = out[i] + b if i in out else b
-        return from_terms(self.n, self.kind, out)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {i: [x * fa for x in a] for i, a in self.nums.items()}
+        for i, b in other.nums.items():
+            out[i] = [x + y * fb for x, y in zip(out[i], b)] if i in out else [y * fb for y in b]
+        return from_numerators(self.n, self.kind, out, den)
 
     def __neg__(self) -> "Coords":
-        return from_canonical(self.n, self.kind, {i: -a for i, a in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Coords") -> "Coords":
         return self + (-other)
 
     def scale(self, c: Cyc | int | Fraction) -> "Coords":
-        c = c if isinstance(c, Cyc) else Cyc.rational(self.n, c)
-        if not c:
-            return zero(self.n, self.kind)
-        return from_canonical(self.n, self.kind, {i: a * c for i, a in self.terms.items()})
+        c = _entry(self.n, c if isinstance(c, Cyc) else Cyc.rational(self.n, c))
+        rational = c.is_rational()
+        return from_numerators(self.n, self.kind, {i: _times(self.n, c.num, a, rational)
+                                                   for i, a in self.nums.items()},
+                               self.den * c.den)
 
     def __str__(self) -> str:
         """Text form in coordinate order, e.g. ``-e[0,0] + 2*xe[0,0]``."""
@@ -187,17 +201,22 @@ class Coords:
 
 
 # Slot setters that bypass the immutability guard in Coords.__setattr__.
-_set_n, _set_kind, _set_terms = Coords.n.__set__, Coords.kind.__set__, Coords.terms.__set__
-_set_split = Coords._split.__set__
+_set_n, _set_kind, _set_split = Coords.n.__set__, Coords.kind.__set__, Coords._split.__set__
+_set_den, _set_nums = Coords.den.__set__, Coords.nums.__set__
 
 
-def from_canonical(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
-    """The vector with ``terms``, which must already be canonical: ascending
-    positions, each holding a nonzero ``Cyc`` of order n.  Nothing is checked."""
+def from_numerators(n: int, kind: str, sums: dict[int, Sequence[int]], den: int) -> Coords:
+    """The vector with coordinate sums[i] / den at each position i, sums[i] of
+    length deg(Phi_n) and den > 0: the one exit of every kernel."""
+    nums = {i: tuple(sums[i]) for i in sorted(sums) if any(sums[i])}
+    g = math.gcd(den, *chain.from_iterable(nums.values())) if den > 1 else 1
+    if g > 1:
+        den, nums = den // g, {i: tuple([x // g for x in s]) for i, s in nums.items()}
     obj = object.__new__(Coords)
     _set_n(obj, n)
     _set_kind(obj, kind)
-    _set_terms(obj, terms)
+    _set_den(obj, den)
+    _set_nums(obj, nums)
     return obj
 
 
@@ -211,21 +230,24 @@ def _entry(n: int, c: Cyc) -> Cyc:
 
 
 def from_terms(n: int, kind: str, terms: dict[int, Cyc]) -> Coords:
-    """The vector with coordinate ``terms[i]`` at each position i; zero values are dropped."""
-    return from_canonical(n, kind, {i: terms[i] for i in sorted(terms) if terms[i]})
+    """The vector with coordinate ``terms[i]``, a ``Cyc``, at each position i."""
+    den = math.lcm(*[c.den for c in terms.values()])
+    scaled = {i: c.num if c.den == den else [x * (den // c.den) for x in c.num]
+              for i, c in terms.items()}
+    return from_numerators(n, kind, scaled, den)
 
 
 @cache
 def zero(n: int, kind: str) -> Coords:
     basis(n, kind)
-    return from_canonical(n, kind, {})
+    return from_numerators(n, kind, {}, 1)
 
 
 def gen(n: int, kind: str, label: str, coeff: Cyc | int | Fraction = 1) -> Coords:
     """``coeff`` times the basis vector named ``label``."""
     i = basis(n, kind).position[label]
     c = _entry(n, coeff if isinstance(coeff, Cyc) else Cyc.rational(n, coeff))
-    return from_canonical(n, kind, {i: c} if c else {})
+    return from_numerators(n, kind, {i: c.num}, c.den)
 
 
 @cache
@@ -235,7 +257,7 @@ def unit(n: int, kind: str) -> Coords:
     basis(n, kind)
     ones = {"loc": [0] + [grid(n, 0, l) for l in range(1, n)],
             "u": [0] + list(range(grid(n, 1, 0), n * n + 1))}.get(kind, [0])
-    return from_canonical(n, kind, dict.fromkeys(ones, Cyc.one(n)))
+    return from_terms(n, kind, dict.fromkeys(ones, Cyc.one(n)))
 
 
 @cache
@@ -256,29 +278,18 @@ def sparse(entries: Iterable[tuple[int, Cyc | int]]) -> Sparse:
         c.num[0] if isinstance(c, Cyc) and c.is_rational() else c for _, c in nonzero)
 
 
-def numerators(a: Coords) -> tuple[int, dict[int, Sequence[int]]]:
-    """(den, nums): the stored coordinates of ``a`` over their least common
-    denominator, the coordinate at position i being nums[i] / den."""
-    terms, den = a.terms, 1
-    for c in terms.values():
-        if den % c.den:
-            den = math.lcm(den, c.den)
-    return den, {i: c.num if c.den == den else [x * (den // c.den) for x in c.num]
-                 for i, c in terms.items()}
-
-
 #: A sector class as ``sector_split`` writes it: (den, {m: (lo, hi, terms)}).
 Split = tuple[int, dict[int, PolyTerms]]
 
 
 def sector_split(a: Coords) -> Split:
-    """(den, sectors): the sector class ``a`` over its common denominator as
-    integer terms in x and zeta, the form ``cyclotomic._poly_times`` takes.
+    """(den, sectors): the sector class ``a`` over its denominator as integer
+    terms in x and zeta, the form ``cyclotomic._poly_times`` takes.
     sectors[m] is (lo, hi, terms) for each sector m with a stored coordinate:
     lo and hi the lowest and highest power of x stored, and terms the pairs
     ((j - lo) * w + i, v), v != 0 the coefficient of x^j zeta^i, in flat rows
     w = 2 deg(Phi_n) - 1 wide (``cyclotomic._poly_terms``).  A pure function
-    of the terms, built on first use and kept on ``a``."""
+    of den and nums, built on first use and kept on ``a``."""
     try:
         return a._split
     except AttributeError:
@@ -289,19 +300,11 @@ def sector_split(a: Coords) -> Split:
 
 def _split_sectors(a: Coords) -> Split:
     json = a.basis.json
-    den, nums = numerators(a)
     rows: dict[int, list[tuple[int, Sequence[int]]]] = {}
-    for i, num in nums.items():
+    for i, num in a.nums.items():
         _, m, j = json[i]
         rows.setdefault(m, []).append((j, num))
-    return den, {m: _poly_terms(a.n, js) for m, js in rows.items()}
-
-
-def from_numerators(n: int, kind: str, sums: dict[int, Sequence[int]], den: int) -> Coords:
-    """The vector with coordinate sums[i] / den at each position i, from raw
-    numerators of length deg(Phi_n): each is normalised once, zeros are dropped."""
-    return from_canonical(n, kind, {i: _canonical(n, s, den) for i, s in sorted(sums.items())
-                                    if any(s)})
+    return a.den, {m: _poly_terms(a.n, js) for m, js in rows.items()}
 
 
 def power(a: Coords | Cyc, k: int, mul: Callable) -> Coords | Cyc:

@@ -26,9 +26,9 @@ length to deg(Phi_n) entries through rows deg .. 2n-2, after folding a
 longer vector by zeta^n = 1.
 
 The integer kernels build no ``Cyc``: they add integer products to raw
-sums keyed by output position over one denominator that the caller keeps
-(``coords.numerators`` and ``coords.from_numerators``), so they merge no
-denominators and normalise nothing.  ``_times`` multiplies two numerator
+sums keyed by output position over the one denominator of a stored class
+(``coords.Coords``), which ``coords.from_numerators`` normalises once per
+class, so they merge no denominators and normalise nothing.  ``_times`` multiplies two numerator
 vectors: a rational factor scales the other vector, and only two irrational
 factors are convolved.  ``_scatter`` is the multiply-accumulate step of the
 products and the virtual Adams operations: it adds num * r to the sums for

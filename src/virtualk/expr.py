@@ -61,6 +61,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import localization as loc
 from . import virtual_ring as vr
@@ -531,7 +532,9 @@ def _printable(v: Value, what: str = "the power") -> Value:
     if not limit:
         return v
     bound = _TOO_LONG.get(limit) or _TOO_LONG.setdefault(limit, 10 ** limit)
-    coeffs = (v,) if isinstance(v, Cyc) else v.terms.values()
+    # A class's stored integers bound each coordinate, judged as it prints if they fail.
+    coeffs = ((v,) if isinstance(v, Cyc) else () if all(
+        -bound < i < bound for i in (v.den, *chain(*v.nums.values()))) else v.terms.values())
     if not all(-bound < i < bound for c in coeffs for i in (c.den, *c.num)):
         raise EvalError("%s has coefficients of more than %d digits, "
                         "over the limit for integer string conversion" % (what, limit))

@@ -27,7 +27,7 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .coords import Coords, _entry, from_canonical, from_numerators, grid
+from .coords import Coords, _entry, from_numerators, from_terms, grid
 from .cyclotomic import Cyc, _rotation_sums, _times, phi_degree, zeta_pow
 from .localization import u_adams, u_is_invertible, u_mul
 from .records import Record, set_field
@@ -81,7 +81,7 @@ def line_realize(L: LineElt) -> Coords:
     out = {0: Cyc.one(n)}
     out.update((grid(n, 0, q), b) for q, b in enumerate(L.beta) if b)
     out.update((grid(n, l, q), zeta_pow(n, l * f)) for l in range(1, n) for q, f in enumerate(L.f))
-    return from_canonical(n, "u", out)
+    return from_terms(n, "u", out)
 
 
 def line_mul(a: LineElt, b: LineElt) -> LineElt:
@@ -146,20 +146,20 @@ def is_line_element(b: Coords) -> LineCertificate:
 
 def _recover(b: Coords) -> LineElt | None:
     # (f; beta) read off an invertible b, or None when b is not of that form.
-    n = b.n
-    if b.terms[0] != Cyc.one(n):
+    n, nums = b.n, b.nums
+    roots = [tuple(b.den * x for x in zeta_pow(n, t).num) for t in range(n)]  # as stored
+    if nums[0] != roots[0]:
         return None
-    roots = [zeta_pow(n, t) for t in range(n)]
     f = []
     for q in range(n):
         try:
-            fq = roots.index(b.terms[grid(n, 1, q)])
+            fq = roots.index(nums[grid(n, 1, q)])
         except ValueError:
             return None
-        if any(b.terms[grid(n, l, q)] != roots[l * fq % n] for l in range(2, n)):
+        if any(nums[grid(n, l, q)] != roots[l * fq % n] for l in range(2, n)):
             return None
         f.append(fq)
-    return line_element(n, f, [b.terms.get(grid(n, 0, q), Cyc.zero(n)) for q in range(n)])
+    return line_element(n, f, [b.coord(grid(n, 0, q)) for q in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +225,10 @@ def span_rank(n: int) -> SpanWitnesses:
 def realize_combo(n: int, combo: Combo) -> Coords:
     """The sum of c * line_realize(L) over the (L, c) of ``combo``.
 
-    Summed once in integer form over one common denominator: the unit
-    coordinate adds the c, row 0 the c * beta_q, and u[l,q] the c *
-    zeta^(l f_q), which ``_rotation_sums`` gathers per column q with the c
-    of equal f_q added first.
+    The c and beta_q are ``Cyc``, brought once to one common denominator:
+    the unit coordinate adds the c, row 0 the c * beta_q, and u[l,q] the
+    c * zeta^(l f_q), which ``_rotation_sums`` gathers per column q with the
+    c of equal f_q added first; the sum leaves through ``from_numerators``.
     """
     den = 1
     for L, c in combo:

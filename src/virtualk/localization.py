@@ -8,32 +8,31 @@ closed-form preimages of the block generators and extends linearly, with
 (u^n - 1)/(u - zeta^l) always expanded by the inverse DFT;
 no rational-function arithmetic exists anywhere.
 
-Gamma, its inverse and the changes to and from the semisimple basis are
-discrete Fourier transforms over Z[zeta_n] (``cyclotomic._rotation_sums``),
-one per sector or row of ``_blocks``, plus closed-form terms on the block
-(0,0).  Each map writes every output coordinate, passed-through ones too, as
-raw numerators over one denominator and leaves through one
-``coords.from_numerators``.  1/w_l = 1/(1 - zeta^(-l)) exists once, as the
-integer matrix of n/w_l (``_inverse_weights``), so no table inverts a scalar.
+Every map and product here but ``u_inverse`` reads a class's stored
+numerators over its one denominator and leaves through one
+``coords.from_numerators``.  Gamma, its inverse and the changes to and from
+the semisimple basis are discrete Fourier transforms over Z[zeta_n]
+(``cyclotomic._rotation_sums``), one per sector or row of ``_blocks``, plus
+closed-form terms on the block (0,0).  1/w_l = 1/(1 - zeta^(-l)) exists
+once, as the integer matrix of n/w_l (``_inverse_weights``), so no table
+inverts a scalar.
 
 ``loc_mul`` is the localized product table: the products of the meeting
 coordinates' numerators are scattered through its entries, integers and the
-weights w_l and w_l^2 in Z[zeta_n] (``cyclotomic._scatter``), and each output
-coordinate is normalised once.  ``loc_adams`` and ``u_adams``
-are the Adams operations, the pullback along s -> k*s (mod n): each output
-coordinate with character index s reads the input coordinate with index
-k*s mod n.  They compute it from the input side: each stored coordinate
+weights w_l and w_l^2 in Z[zeta_n] (``cyclotomic._scatter``).  ``loc_adams``
+and ``u_adams`` are the Adams operations, the pullback along s -> k*s (mod n):
+each output coordinate with character index s reads the input coordinate with
+index k*s mod n.  They compute it from the input side: each stored coordinate
 with index l is written to every s of its preimage set {s : k*s = l (mod n)}
 (``_preimages``, one table per n and k mod n), so their cost follows the
-stored terms, not the n^2 slots.  Beyond k mod n they depend on k only
-through the linear factors on the untwisted column and on u_0^q.
-Localized classes are ``Coords`` of kind "loc"; kind "u" is the semisimple
-coordinate system: idempotents u_l^q for l != 0 plus the square-zero elements
-u_0^q and the block unit 1_00, in which the product is diagonal and
-line-element computations are immediate.  Both index their n x n grid through
-``coords.grid``.  The per-n tables are built lazily on first use
-(``functools.cache``) from the closed forms in their docstrings; nothing is
-built at import.
+stored terms, not the n^2 slots.  Beyond k mod n they depend on k only through
+the linear factors on the untwisted column and on u_0^q.  Localized classes
+are ``Coords`` of kind "loc"; kind "u" is the semisimple coordinate system:
+idempotents u_l^q for l != 0 plus the square-zero elements u_0^q and the block
+unit 1_00, in which the product is diagonal and line-element computations are
+immediate.  Both index their n x n grid through ``coords.grid``.  The per-n
+tables are built lazily on first use (``functools.cache``) from the closed
+forms in their docstrings; nothing is built at import.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from collections.abc import Iterable, Sequence
 from functools import cache
 from operator import add, mul, sub
 
-from .coords import (Coords, Sparse, basis, from_canonical, from_numerators, from_terms, grid,
-                     numerators, sector_start, sparse, unit, zero)
+from .coords import (Coords, Sparse, basis, from_numerators, from_terms, grid, sector_start,
+                     sparse, unit)
 from .cyclotomic import (Cyc, _canonical, _reduce, _rotation_sums, _scatter, _times, phi_degree,
                          zeta_pow)
 
@@ -55,8 +54,8 @@ def _w(n: int, l: int) -> Cyc:
 
 def _blocks(n: int, items: Iterable[tuple[int, int, Sequence[int]]]
             ) -> dict[int, tuple[list[int], list[list[int]]]]:
-    # (block, index, numerators) triples, all over one denominator
-    # (``coords.numerators``), grouped by block in order of first appearance:
+    # (block, index, numerators) triples, all over the class's denominator,
+    # grouped by block in order of first appearance:
     # the indices and the numerators padded with zeros to length n, the input
     # form of ``cyclotomic._rotation_sums``.
     pad, out = [0] * (n - phi_degree(n)), {}
@@ -114,7 +113,7 @@ def gamma(a: Coords) -> Coords:
     """
     a.check_kind("sector")
     n, json, sums = a.n, a.basis.json, {}
-    den, nums = numerators(a)
+    den, nums = a.den, a.nums
     for m, (js, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
                                         for i, v in nums.items())).items():
         if m == 0:
@@ -152,7 +151,7 @@ def gamma_inverse(b: Coords) -> Coords:
     """
     b.check_kind("loc")
     n, json, sums = b.n, b.basis.json, {}
-    den, nums = numerators(b)
+    den, nums = b.den, b.nums
     for m, (ls, vectors) in _blocks(n, ((json[i][1], json[i][2], v)
                                         for i, v in nums.items())).items():
         start = sector_start(n, m)
@@ -219,19 +218,17 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
     twisted group ring: 1_0l is the row unit and twisted generators multiply
     with weight 1 - zeta^(-l), squared when the sector indices sum to n.
     Cross-row products vanish.  Each nonzero coordinate of ``a`` meets only
-    the nonzero coordinates of ``b`` that its table entry lists, and the
-    factors are written as numerators only when some pair meets.
+    the nonzero coordinates of ``b`` that its table entry lists.
     """
     a.check_kind("loc")
     a.check(b)
     n, table = a.n, _loc_mul_table(a.n)
-    meets = [(i, j, product) for i in a.terms for j, product in zip(*table[i]) if j in b.terms]
-    if not meets:
-        return zero(n, "loc")
-    (da, A), (db, B), sums = numerators(a), numerators(b), {}
-    for i, j, product in meets:
-        _scatter(n, sums, _times(n, A[i], B[j]), 0, *product)
-    return from_numerators(n, "loc", sums, da * db)
+    A, B, sums = a.nums, b.nums, {}
+    for i, num in A.items():
+        for j, product in zip(*table[i]):
+            if j in B:
+                _scatter(n, sums, _times(n, num, B[j]), 0, *product)
+    return from_numerators(n, "loc", sums, a.den * b.den)
 
 
 def loc_augmentation(a: Coords) -> Coords:
@@ -261,27 +258,27 @@ def loc_adams(a: Coords, k: int) -> Coords:
     and e[m,s] (m != 0) reads e[m,l] times (zeta^(-l) - 1)/(zeta^(-s) - 1),
     or 0 when l = 0.  Column 0 scales: 1_m0 -> k 1_m0 and
     x_00 -> k x_00 - (k-1) 1_00.  Each stored e[m,l] is written to e[m,s]
-    for every s in the preimage set of l.
+    for every s in the preimage set of l; each weight is then
+    1 + zeta^(-s) + ... + zeta^(-s(k-1)), in Z[zeta_n], so den is kept.
     """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("loc")
-    n, A = a.n, a.terms
-    a0, a1 = A.get(0, Cyc.zero(n)), A.get(1, Cyc.zero(n))
-    out = {0: a0 - a1.scale_int(k - 1), 1: a1.scale_int(k)}
+    n, A, zeros = a.n, a.nums, (0,) * phi_degree(a.n)
+    a0, a1 = A.get(0, zeros), A.get(1, zeros)
+    out = {0: [x - (k - 1) * y for x, y in zip(a0, a1)], 1: [k * y for y in a1]}
     pre, row = _preimages(n, k % n), grid(n, 0, 0)  # e[m,l] sits at row + m*n + l
-    if a0 or a1:
-        out.update(dict.fromkeys((row + s for s in pre[0]), a0 + a1))
+    out.update(dict.fromkeys((row + s for s in pre[0]), list(map(add, a0, a1))))
     for i, c in A.items():
         if i > 1:
             m, l = divmod(i - row, n)
             if not l:
-                out[i] = c.scale_int(k)
+                out[i] = [k * x for x in c]
             elif m:
-                out.update((i + s - l, c * _adams_weight(n, l, s)) for s in pre[l])
+                out.update((i + s - l, _times(n, c, _adams_weight(n, l, s).num)) for s in pre[l])
             else:
                 out.update(dict.fromkeys((i + s - l for s in pre[l]), c))
-    return from_terms(n, "loc", out)
+    return from_numerators(n, "loc", out, a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +297,7 @@ def from_u_basis(b: Coords) -> Coords:
     b.check_kind("u")
     n, json, nn = b.n, b.basis.json, b.n * b.n
     deg, weights = phi_degree(n), _inverse_weights(n)
-    den, nums = numerators(b)
+    den, nums = b.den, b.nums
     b0, b1 = (nums.get(i, (0,) * deg) for i in (0, 1))
     sums = {0: [nn * (x - y) for x, y in zip(b0, b1)], 1: [nn * y for y in b1]}
     sums.update((grid(n, json[i][2], 0), [nn * c for c in v]) for i, v in nums.items()
@@ -324,7 +321,7 @@ def to_u_basis(a: Coords) -> Coords:
     """
     a.check_kind("loc")
     n, json = a.n, a.basis.json
-    den, nums = numerators(a)
+    den, nums = a.den, a.nums
     a0, a1 = (nums.get(i, (0,) * phi_degree(n)) for i in (0, 1))
     sums = {0: list(map(add, a0, a1)), 1: a1}
     sums.update((grid(n, 0, json[i][1]), v) for i, v in nums.items() if i > 1 and not json[i][2])
@@ -336,16 +333,17 @@ def to_u_basis(a: Coords) -> Coords:
     return from_numerators(n, "u", sums, den)
 
 
-def square_zero_terms(A: dict[int, Cyc], B: dict[int, Cyc], stop: int) -> dict[int, Cyc]:
-    """The product on positions below ``stop``, from the stored terms of both factors,
+def square_zero_terms(n: int, A: dict, B: dict, stop: int) -> dict[int, list[int]]:
+    """Raw numerators over den(A) * den(B) of the product on positions below ``stop``
     of a block with the unit at position 0 and square-zero elements after it."""
     a0, b0 = A.get(0), B.get(0)
-    out = {0: a0 * b0} if a0 and b0 else {}
+    out = {0: _times(n, a0, b0)} if a0 and b0 else {}
     for c0, other in ((a0, B), (b0, A)):
         if c0:
             for i, c in other.items():
                 if 0 < i < stop:
-                    out[i] = out[i] + c0 * c if i in out else c0 * c
+                    p = _times(n, c0, c)
+                    out[i] = list(map(add, out[i], p)) if i in out else p
     return out
 
 
@@ -355,16 +353,16 @@ def u_mul(a: Coords, b: Coords) -> Coords:
     Only positions stored in both factors meet on the semisimple rows."""
     a.check_kind("u")
     a.check(b)
-    n, A, B = a.n, a.terms, b.terms
+    n, A, B = a.n, a.nums, b.nums
     start = grid(n, 1, 0)
-    out = square_zero_terms(A, B, start)
-    out.update((i, A[i] * B[i]) for i in A.keys() & B.keys() if i >= start)
-    return from_terms(n, "u", out)
+    out = square_zero_terms(n, A, B, start)
+    out.update((i, _times(n, A[i], B[i])) for i in A.keys() & B.keys() if i >= start)
+    return from_numerators(n, "u", out, a.den * b.den)
 
 
 def u_is_invertible(a: Coords) -> bool:
     a.check_kind("u")
-    return 0 in a.terms and all(i in a.terms for i in range(grid(a.n, 1, 0), a.n * a.n + 1))
+    return 0 in a.nums and all(i in a.nums for i in range(grid(a.n, 1, 0), a.n * a.n + 1))
 
 
 def u_inverse(a: Coords) -> Coords:
@@ -385,13 +383,12 @@ def u_adams(a: Coords, k: int) -> Coords:
     u[s,q] reads u[k*s mod n, q], or the unit coordinate e[0,0] when k*s = 0
     (mod n), since the unit is fixed; e[0,0] is kept and u_0^q -> k u_0^q.
     Each stored u[l,q] (l != 0) is written to u[s,q] for every s in the
-    preimage set of l, and e[0,0] for every s in that of 0.  The output
-    positions are sorted once and never hold a zero.
+    preimage set of l, and e[0,0] for every s in that of 0.
     """
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("u")
-    n, A = a.n, a.terms
+    n, A = a.n, a.nums
     pre, start = _preimages(n, k % n), grid(n, 1, 0)
     out = {}
     for i, c in A.items():
@@ -399,8 +396,8 @@ def u_adams(a: Coords, k: int) -> Coords:
             l = (i - 1) // n
             out.update(dict.fromkeys((i + (s - l) * n for s in pre[l]), c))
         elif i:
-            out[i] = c.scale_int(k)
+            out[i] = [k * x for x in c]
         else:
             out.update(dict.fromkeys((grid(n, s, q) for s in pre[0] for q in range(n)), c))
             out[0] = c
-    return from_canonical(n, "u", dict(sorted(out.items())))
+    return from_numerators(n, "u", out, a.den)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .coords import Coords, basis, basis_vectors, from_terms, gen, grid, power, unit, zero
+from .coords import Coords, basis, basis_vectors, from_numerators, gen, grid, power, unit, zero
 from .linalg import SpanAccumulator
 from .line_elements import line_element, line_realize, nu, sigma
 from .localization import square_zero_terms, u_adams, u_mul
@@ -29,7 +29,8 @@ def resolution_mul(x: Coords, y: Coords) -> Coords:
     """(a, b).(a', b') = (a a', a b' + a' b): the square-zero product rule."""
     x.check_kind("res")
     x.check(y)
-    return from_terms(x.n, "res", square_zero_terms(x.terms, y.terms, x.n + 1))
+    return from_numerators(x.n, "res", square_zero_terms(x.n, x.nums, y.nums, x.n + 1),
+                           x.den * y.den)
 
 
 def resolution_adams(x: Coords, k: int) -> Coords:
@@ -37,13 +38,14 @@ def resolution_adams(x: Coords, k: int) -> Coords:
     if k < 1:
         raise ValueError("Adams operations are defined for k >= 1")
     x.check_kind("res")
-    return from_terms(x.n, "res", {i: c.scale_int(k) if i else c for i, c in x.terms.items()})
+    return from_numerators(x.n, "res", {i: [k * v for v in c] if i else c
+                                        for i, c in x.nums.items()}, x.den)
 
 
 def gamma0_project(b: Coords) -> Coords:
     """Projection onto the l = 0 block: keep 1_00 and the u_0^q coordinates."""
     b.check_kind("u")
-    return from_terms(b.n, "res", {i: c for i, c in b.terms.items() if i < grid(b.n, 1, 0)})
+    return from_numerators(b.n, "res", {i: c for i, c in b.nums.items() if i <= b.n}, b.den)
 
 
 #: A relation and its two sides, equal when it holds: (name, lhs, rhs).

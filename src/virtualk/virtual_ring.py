@@ -21,22 +21,17 @@ of one monomial x_m^j under psi~^k, on a twisted sector the Bott counts
 rotated by jk mod n.  Rows and columns are ``coords.Sparse``: parallel
 tuples of offsets and coefficients, integral coefficients stored as ``int``.
 
-Both compute in the integer form of ``coords.numerators``: each factor over
-one common denominator, and both reduce in the sector ring before they read
-a table.  The product reads each factor's ``coords.sector_split``, the
-integer terms in x and zeta of each sector, which a class builds once and
-keeps, so an operand met again is not converted again.  It multiplies each
-pair of nonzero sectors in one integer product (``cyclotomic._poly_times``)
-and folds it modulo the target sector's modulus by the closed form of
-``sector_ring``, so powers that cancel there never reach a table; it
-scatters the coefficient of each power s <= n left once, through Euler row
-s (``cyclotomic._scatter``).  So it builds no ``Cyc`` and convolves no
-numerator vectors per pair of coefficients.  The split holds nothing of a
-table, so a replaced ``euler_factor`` acts on every operand alike.  The Adams
-operation first sums the coordinates of a twisted sector whose images
-x^(jk mod n) coincide, and scatters each sum, and each coordinate of
-sector 0, through its column.  ``coords.from_numerators`` normalises each
-output coordinate once.
+Both read a class's stored numerators over its one denominator, reduce in
+the sector ring before they read a table, build no ``Cyc`` and leave
+through ``coords.from_numerators``.  The product reads each factor's
+``coords.sector_split``, built once per class, multiplies each pair of
+nonzero sectors in one integer product (``cyclotomic._poly_times``) folded
+modulo the target sector's modulus, and scatters the coefficient of each
+power s <= n left once, through Euler row s (``cyclotomic._scatter``).  The
+split holds nothing of a table, so a replaced ``euler_factor`` acts on every
+operand alike.  The Adams operation first sums the coordinates of a twisted
+sector whose images x^(jk mod n) coincide, and scatters each sum, and each
+coordinate of sector 0, through its column.
 """
 
 from __future__ import annotations
@@ -45,9 +40,9 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from operator import add
 
-from .coords import (Coords, Sparse, from_numerators, from_terms, numerators, sector_split,
-                     sector_start, sparse, unit)
-from .cyclotomic import Cyc, CycPoly, _poly_times, _scatter
+from .coords import (Coords, Sparse, from_numerators, from_terms, sector_split, sector_start,
+                     sparse, unit)
+from .cyclotomic import CycPoly, _poly_times, _scatter
 from .sector_ring import bott_counts, sector_adams, sector_monomial
 
 #: Columns kept by the Adams column cache.  Verify's working set at n = 8 is
@@ -149,9 +144,8 @@ def virtual_adams(a: Coords, k: int) -> Coords:
         raise ValueError("Adams operations are defined for k >= 1")
     a.check_kind("sector")
     n, json = a.n, a.basis.json
-    den, nums = numerators(a)
     groups: dict[tuple[int, int], list] = {}
-    for i, num in nums.items():
+    for i, num in a.nums.items():
         _, m, j = json[i]
         key = (m, j * k % n if m else j)
         if key in groups:
@@ -162,7 +156,7 @@ def virtual_adams(a: Coords, k: int) -> Coords:
     for (m, _), (j, num) in groups.items():
         if any(num):
             _scatter(n, sums, num, sector_start(n, m), *_adams_column(n, m, j, k))
-    return from_numerators(n, "sector", sums, den)
+    return from_numerators(n, "sector", sums, a.den)
 
 
 def virtual_augmentation(a: Coords) -> Coords:
@@ -171,8 +165,8 @@ def virtual_augmentation(a: Coords) -> Coords:
     The value at x = 1 is the sum of the sector-0 coefficients.
     """
     a.check_kind("sector")
-    sector0 = sum((c for i, c in a.terms.items() if i <= a.n), Cyc.zero(a.n))
-    return unit(a.n, "sector").scale(sector0)
+    rows = [c for i, c in a.nums.items() if i <= a.n]
+    return from_numerators(a.n, "sector", {0: list(map(sum, zip(*rows)))}, a.den)
 
 
 def lambda_from_adams(a: Coords, i: int) -> Coords:

@@ -50,14 +50,17 @@ def evaluate(coeffs, x: Cyc) -> Cyc:
 
 
 def canonical(v: Coords) -> Coords:
-    """``v``, after asserting its canonical form: positions ascend and lie in
-    the basis, no stored value is zero, and every scalar is in lowest terms."""
-    assert list(v.terms) == sorted(v.terms), v
-    assert all(0 <= i < len(v.basis.labels) for i in v.terms), v
-    for c in v.terms.values():
-        assert c, v
-        assert type(c.num) is tuple and len(c.num) == phi_degree(v.n)
-        assert c.den > 0 and math.gcd(c.den, *c.num) == 1, c
+    """``v``, after asserting its canonical form: den > 0 and the gcd of den
+    and every numerator is 1, positions ascend and lie in the basis, no row
+    is all zero, and each row is a tuple of deg(Phi_n) ints."""
+    assert type(v.den) is int and v.den > 0, v
+    assert math.gcd(v.den, *itertools.chain(*v.nums.values())) == 1, v
+    assert list(v.nums) == sorted(v.nums), v
+    assert all(0 <= i < len(v.basis.labels) for i in v.nums), v
+    for row in v.nums.values():
+        assert any(row), v
+        assert type(row) is tuple and len(row) == phi_degree(v.n), v
+        assert all(type(x) is int for x in row), v
     return v
 
 

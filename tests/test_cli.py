@@ -150,6 +150,16 @@ def test_verify_out_is_left_as_it_was_when_the_run_fails(capsys, tmp_path):
     assert not fresh.exists()
 
 
+def test_verify_json_is_the_same_bytes_under_any_hash_seed():
+    # No output order may follow a hash: str hashes change with the seed.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "virtualk.cli", "verify", "--n-min", "2", "--n-max", "3",
+            "--json"]
+    first, second = (subprocess.run(argv, env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                                    check=True, timeout=300).stdout for seed in ("0", "1"))
+    assert first == second and first.startswith(b"{")
+
+
 def test_verify_out_is_written_in_full_when_stdout_closes_early(tmp_path):
     # As in `verify --json --out FILE | head -c 200`: the reader closes the pipe
     # after 200 bytes of a report far larger than a pipe buffer.  The run ends
@@ -607,6 +617,28 @@ def test_a_literal_at_the_interpreter_limit_converts(capsys):
         assert run(capsys, "eval", "--n", "2", "0" * 4301)[0] == 2
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no conversion limit")
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_each_coordinate_is_judged_by_the_digit_guard_in_its_own_lowest_terms(capsys, flags):
+    # The denominators have 2,201 and 2,195 digits, so each coordinate prints;
+    # the class holds both over their product, of about 4,396 digits.
+    first, second = 10**2200, 3**4600
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, "eval", "--n", "2", *flags,
+                             "1/%d*one[0] + 1/%d*x[0]" % (first, second))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, err) == (0, "")
+    if flags:
+        assert [c["value"] for c in json.loads(out)["coeffs"]] == [
+            ["1/%d" % first], ["1/%d" % second]]
+    else:
+        assert out == "1/%d*one[0] + 1/%d*x[0]\n" % (first, second)
+        assert len(out) == 4416
 
 
 @pytest.mark.parametrize("k,message", [

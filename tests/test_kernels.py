@@ -1,16 +1,15 @@
 """The integer kernels: ``_scatter``, ``from_numerators`` and the basis changes.
 
 ``cyclotomic._scatter`` adds integer products to raw numerators over one
-denominator, and ``coords.from_numerators`` normalises each output
-coordinate once; the products, the virtual Adams operations and the four
-basis changes (``gamma``, ``gamma_inverse``, ``to_u_basis`` and
-``from_u_basis``) leave through it.  The term-by-term sum the kernels
-replaced is kept here as the reference: every term there builds a canonical
-``Cyc`` for its product and another for its sum, so equal results show that
-the single normalisation lands on the same canonical scalars.  Counters
-check that each output coordinate is normalised once, that the basis
-changes form no scalar product and that each leaves through one
-``from_numerators``.
+denominator, and ``coords.from_numerators`` divides the whole output class
+by one gcd; the products, the virtual Adams operations and the four basis
+changes (``gamma``, ``gamma_inverse``, ``to_u_basis`` and ``from_u_basis``)
+leave through it.  The term-by-term sum the kernels replaced is kept here
+as the reference: every term there builds a canonical ``Cyc`` for its
+product and another for its sum, so equal results show that the single
+normalisation lands on the same canonical class.  Counters check that the
+kernels build no scalar, that the basis changes form no scalar product and
+that each leaves through one ``from_numerators``.
 
 The products and Adams operations reduce in the sector ring before they
 read a table: ``virtual_mul`` folds each sector-pair product modulo its
@@ -164,7 +163,7 @@ def test_a_fractional_table_entry_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# One normalisation per output coordinate.
+# One normalisation per output class, no scalar built.
 
 
 def _dense7():
@@ -175,7 +174,9 @@ def _dense7():
                                  for i in range(size)]) for t in (1, 2)]
 
 
-def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
+def test_linear_maps_build_no_scalar(monkeypatch):
+    # Each map leaves through from_numerators, one gcd for the whole class:
+    # no coordinate is normalised on its own until it is read.
     a, b = _dense7()
     loc, loc_b = gamma(a), gamma(b)
     u = to_u_basis(loc)
@@ -186,8 +187,9 @@ def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
                      (from_u_basis, (u,)), (loc_mul, (loc, loc_b)), (virtual_adams, (a, 2)),
                      (virtual_adams, (a, 3))):
         calls.clear()
-        out = fn(*args)
-        assert 0 < len(calls) <= len(out.terms), fn.__name__
+        out = canonical(fn(*args))
+        assert calls == [] and out.nums, fn.__name__
+        assert len(out.terms) == len(calls) == len(out.nums), fn.__name__
     # The guard can fail: the term-by-term sum normalises once per term.
     columns = gamma_columns(a.n)
     calls.clear()
@@ -195,12 +197,12 @@ def test_linear_maps_normalise_once_per_output_coordinate(monkeypatch):
     assert len(calls) > 2 * len(out.terms)
 
 
-def test_virtual_mul_normalises_once_per_output_coordinate(monkeypatch):
+def test_virtual_mul_builds_no_scalar(monkeypatch):
     a, b = _dense7()
     virtual_mul(a, b)  # the Euler rows are built once per sector pair, outside the count
     calls = record_calls(monkeypatch, cyclotomic, "_normalized")
-    out = virtual_mul(a, b)
-    assert 0 < len(calls) <= len(out.terms)
+    out = canonical(virtual_mul(a, b))
+    assert calls == [] and out.nums
     assert out == reference_mul(a, b)
 
 

@@ -472,7 +472,7 @@ CACHES = {
 
 #: The slots of a ``Coords``: its fields and the one memo kept on a value,
 #: its ``sector_split``.  A new per-value memo is a deliberate edit of this line.
-COORDS_SLOTS = ("n", "kind", "terms", "_split")
+COORDS_SLOTS = ("n", "kind", "den", "nums", "_split")
 
 #: The per-n tables, each with the module that defines it.
 TABLES = {"_loc_mul_table": "localization", "_inverse_weights": "localization",

@@ -3,6 +3,7 @@ stored terms against the dense loops they replaced."""
 
 import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,23 @@ def test_linear_structure_is_canonical(ab):
     assert (a - a).terms == {} and (a - a).is_zero()
     assert canonical(a.scale(Cyc.rational(a.n, -3))).coeffs == tuple(
         -(x + x + x) for x in a.coeffs)
+
+
+def _one_form(x, y):
+    # Equal, with the same den, the same rows in the same order and one hash.
+    canonical(x), canonical(y)
+    assert (x.den, list(x.nums.items()), hash(x)) == (y.den, list(y.nums.items()), hash(y))
+    assert x == y
+
+
+@settings(max_examples=40)
+@given(classes(("sector", "sector"), 6, sparse=True))
+def test_equal_values_reached_by_different_routes_share_one_stored_form(ab):
+    a, b = ab
+    _one_form(virtual_mul(a, b), virtual_mul(b, a))
+    _one_form((a + b) - b, a)
+    _one_form(pickle.loads(pickle.dumps(a)), a)
+    _one_form(Coords(a.n, a.kind, a.coeffs), a)
 
 
 def test_orthogonal_idempotents_store_nothing():
