@@ -19,10 +19,12 @@ A class is stored in one integer form, numerators over one denominator
 (``Coords``).  Every kernel reads it, adds integer products to raw sums
 keyed by output position (``cyclotomic._scatter``) and leaves through
 ``from_numerators``, one gcd per class; ``from_terms`` is the entry for
-values computed on ``Cyc``, which is built only to read or print a
-coordinate.  ``sector_split`` writes a sector class as the flat integer
-terms of each sector, which the virtual product reads: the one memo a
-``Coords`` keeps.  Table entries (``Sparse``) stay in Z[zeta_n].
+values computed on ``Cyc``, which is built only to read a coordinate
+(``coord``, ``terms``), not to print it: the text form is written from
+``den`` and ``nums`` by ``cyclotomic.format_num``.  ``sector_split``
+writes a sector class as the flat integer terms of each sector, which the
+virtual product reads: the one memo a ``Coords`` keeps.  Table entries
+(``Sparse``) stay in Z[zeta_n].
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 
-from .cyclotomic import Cyc, PolyTerms, _canonical, _poly_terms, _times, format_cyc
+from .cyclotomic import Cyc, PolyTerms, _canonical, _poly_terms, _times, format_num, format_ratio
 from .records import Record
 
 KINDS = ("sector", "loc", "u", "res")
@@ -172,19 +174,27 @@ class Coords:
             raise ValueError("expected %s coordinates, got %s" % (kind, self.kind))
 
     def __add__(self, other: "Coords") -> "Coords":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "Coords") -> "Coords":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Coords", sign: int) -> "Coords":
+        # self + sign * other over the lcm of the two denominators, one pass.
         self.check(other)
         den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        out = {i: [x * fa for x in a] for i, a in self.nums.items()}
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = dict(self.nums) if fa == 1 else {i: [x * fa for x in a]
+                                               for i, a in self.nums.items()}
         for i, b in other.nums.items():
-            out[i] = [x + y * fb for x, y in zip(out[i], b)] if i in out else [y * fb for y in b]
+            a = out.get(i)
+            out[i] = [y * fb for y in b] if a is None else [x + y * fb for x, y in zip(a, b)]
         return from_numerators(self.n, self.kind, out, den)
 
     def __neg__(self) -> "Coords":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Coords") -> "Coords":
-        return self + (-other)
+        # Negating every row keeps the stored form canonical.
+        return _make(self.n, self.kind, self.den,
+                     {i: tuple([-x for x in a]) for i, a in self.nums.items()})
 
     def scale(self, c: Cyc | int | Fraction) -> "Coords":
         c = _entry(self.n, c if isinstance(c, Cyc) else Cyc.rational(self.n, c))
@@ -194,9 +204,10 @@ class Coords:
                                self.den * c.den)
 
     def __str__(self) -> str:
-        """Text form in coordinate order, e.g. ``-e[0,0] + 2*xe[0,0]``."""
-        labels = self.basis.labels
-        text = "".join(_term(c, labels[i]) for i, c in self.terms.items())
+        """Text form in coordinate order, e.g. ``-e[0,0] + 2*xe[0,0]``, each
+        coefficient in its own lowest terms, written from the stored integers."""
+        labels, den = self.basis.labels, self.den
+        text = "".join([_term(num, den, labels[i]) for i, num in self.nums.items()])
         return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
 
@@ -212,6 +223,11 @@ def from_numerators(n: int, kind: str, sums: dict[int, Sequence[int]], den: int)
     g = math.gcd(den, *chain.from_iterable(nums.values())) if den > 1 else 1
     if g > 1:
         den, nums = den // g, {i: tuple([x // g for x in s]) for i, s in nums.items()}
+    return _make(n, kind, den, nums)
+
+
+def _make(n: int, kind: str, den: int, nums: dict[int, tuple[int, ...]]) -> Coords:
+    # The vector with (den, nums) already canonical.
     obj = object.__new__(Coords)
     _set_n(obj, n)
     _set_kind(obj, kind)
@@ -325,14 +341,14 @@ def power(a: Coords | Cyc, k: int, mul: Callable) -> Coords | Cyc:
     return result
 
 
-def _term(c: Cyc, label: str) -> str:
-    # " + c*label", or " - |c|*label" for a negative rational c; a coefficient
-    # 1 and the label "1" are left out.
-    if c.is_rational():
-        r = c.rational_value()
-        sign, coeff = " - " if r < 0 else " + ", "" if abs(r) == 1 else str(abs(r))
+def _term(num: Sequence[int], den: int, label: str) -> str:
+    # " + c*label" for the coordinate c = num/den, or " - |c|*label" for a
+    # negative rational c; a coefficient 1 and the label "1" are left out.
+    if any(num[1:]):
+        sign, coeff = " + ", "(%s)" % format_num(num, den)
     else:
-        sign, coeff = " + ", "(%s)" % format_cyc(c)
+        c = num[0]
+        sign, coeff = (" - ", format_ratio(-c, den)) if c < 0 else (" + ", format_ratio(c, den))
     if label == "1":
-        return sign + (coeff or "1")
-    return sign + ("%s*%s" % (coeff, label) if coeff else label)
+        return sign + coeff
+    return sign + (label if coeff == "1" else "%s*%s" % (coeff, label))

@@ -45,6 +45,10 @@ in Z[x]/(x^n - 1), where zeta^t is a rotation by t, and reduced once.  That
 is exact because Phi_n divides x^n - 1, so the reduction is a ring map; a
 ``Cyc`` itself must stay modulo Phi_n, where every nonzero value is invertible.
 
+``format_num`` is the one scalar formatter: it writes a numerator row over
+any positive denominator, each coefficient reduced by one gcd
+(``format_ratio``), so neither a ``Cyc`` nor a ``Fraction`` is built to print.
+
 ``CycPoly`` is a dense univariate polynomial with ``Cyc`` coefficients: a
 class of one sector ring of ``sector_ring``.  It carries the ``x[m]^a``
 atoms and the sector-0 Adams columns, and its product and long division
@@ -452,24 +456,38 @@ def zeta_pow(n: int, k: int) -> Cyc:
     return _zeta_powers(n)[k % n]
 
 
-def format_cyc(value: Cyc) -> str:
-    """Deterministic human-readable form, descending powers of zeta."""
+def format_ratio(c: int, den: int) -> str:
+    """c/den as ``str(Fraction(c, den))`` writes it, for den > 0 in any terms:
+    reduced by one gcd, and the bare numerator when the quotient is whole."""
+    if den == 1:
+        return str(c)
+    g = math.gcd(c, den)
+    return str(c // g) if g == den else "%d/%d" % (c // g, den // g)
+
+
+def format_num(num: Sequence[int], den: int) -> str:
+    """The text of sum num[e] zeta^e / den, den > 0 in any terms, descending
+    powers of zeta with each coefficient in its own lowest terms: the one
+    scalar formatter, which ``format_cyc`` and ``coords.Coords`` share."""
     terms = []
-    for e in reversed(range(len(value.num))):
-        c = value.num[e]
+    for e in range(len(num) - 1, -1, -1):
+        c = num[e]
         if not c:
             continue
-        mag = Fraction(abs(c), value.den)
-        if e == 0:
-            body = str(mag)
-        else:
+        mag = format_ratio(c if c > 0 else -c, den)
+        if e:
             sym = "zeta" if e == 1 else "zeta^%d" % e
-            body = sym if mag == 1 else "%s*%s" % (mag, sym)
+            mag = sym if mag == "1" else "%s*%s" % (mag, sym)
         if not terms:
-            terms.append(body if c > 0 else "-" + body)
+            terms.append(mag if c > 0 else "-" + mag)
         else:
-            terms.append((" + " if c > 0 else " - ") + body)
+            terms.append((" + " if c > 0 else " - ") + mag)
     return "".join(terms) if terms else "0"
+
+
+def format_cyc(value: Cyc) -> str:
+    """Deterministic human-readable form, descending powers of zeta."""
+    return format_num(value.num, value.den)
 
 
 class CycPoly(Record):

@@ -66,7 +66,7 @@ from itertools import chain
 from . import localization as loc
 from . import virtual_ring as vr
 from .coords import Coords, gen, power, unit
-from .cyclotomic import Cyc, format_cyc, zeta_pow
+from .cyclotomic import Cyc, format_cyc, format_ratio, zeta_pow
 from .line_elements import line_element, line_realize, nu, sigma
 from .records import Record, set_field
 
@@ -634,16 +634,14 @@ def format_value(v: Value) -> str:
     return format_cyc(v) if isinstance(v, Cyc) else str(v)
 
 
-def _rat_vector(c: Cyc) -> list[str]:
-    return [str(f) for f in c.coeffs]
-
-
 def value_to_json(v: Value) -> str:
-    """Structured serialization; exact rational coefficient vectors throughout."""
+    """Structured serialization; exact rational coefficient vectors throughout,
+    each coefficient written as ``str(Fraction)`` writes it."""
     if isinstance(v, Cyc):
-        doc = {"n": v.n, "basis": SCALAR, "value": _rat_vector(v)}
+        doc = {"n": v.n, "basis": SCALAR, "value": [format_ratio(c, v.den) for c in v.num]}
         return json.dumps(doc, sort_keys=True)
-    index = v.basis.json
-    coeffs = [{"index": list(index[i]), "value": _rat_vector(c)} for i, c in v.terms.items()]
+    index, den = v.basis.json, v.den
+    coeffs = [{"index": list(index[i]), "value": [format_ratio(c, den) for c in num]}
+              for i, num in v.nums.items()]
     doc = {"n": v.n, "basis": v.kind, "coeffs": coeffs}
     return json.dumps(doc, sort_keys=True)

@@ -218,16 +218,23 @@ def loc_mul(a: Coords, b: Coords) -> Coords:
     twisted group ring: 1_0l is the row unit and twisted generators multiply
     with weight 1 - zeta^(-l), squared when the sector indices sum to n.
     Cross-row products vanish.  Each nonzero coordinate of ``a`` meets only
-    the nonzero coordinates of ``b`` that its table entry lists.
+    the nonzero coordinates of ``b`` that its table entry lists.  The raw
+    products that meet one table column (one shared ``Sparse``) are summed
+    first, so each column's weights multiply once per product, not per pair.
     """
     a.check_kind("loc")
     a.check(b)
     n, table = a.n, _loc_mul_table(a.n)
-    A, B, sums = a.nums, b.nums, {}
+    A, B, meets, sums = a.nums, b.nums, {}, {}
     for i, num in A.items():
-        for j, product in zip(*table[i]):
+        for j, column in zip(*table[i]):
             if j in B:
-                _scatter(n, sums, _times(n, num, B[j]), 0, *product)
+                p = _times(n, num, B[j])
+                met = meets.setdefault(id(column), [column, p])
+                if met[1] is not p:
+                    met[1] = list(map(add, met[1], p))
+    for column, p in meets.values():
+        _scatter(n, sums, p, 0, *column)
     return from_numerators(n, "loc", sums, a.den * b.den)
 
 

@@ -79,6 +79,12 @@ from .virtual_ring import (
 _SEED = 0x5EC7
 
 
+#: One check in the canonical report, its keys in sorted order; ``_quote`` is
+#: the C string escaper that ``json.dumps`` uses by default.
+_CHECK_JSON = '{"id": %s, "lhs": %s, "rhs": %s, "status": %s}'
+_quote = json.encoder.encode_basestring_ascii
+
+
 class Check:
     """One compared relation: ``id``, ``status`` ("pass" or "fail") and the
     rendered sides.  Checks compare by value and are not hashable."""
@@ -156,9 +162,10 @@ class Report:
         """The canonical JSON report, in pieces that join to the whole.
 
         The keys are sorted and ``"checks"`` sorts first, so each chunk of
-        checks is encoded as it comes, by one ``json.dumps`` without its
-        brackets, and the rest of the report follows the last chunk; its
-        summary is read then.
+        checks is encoded as it comes and the rest of the report follows the
+        last chunk; its summary is read then.  A check is its fields, quoted
+        by the escaper ``json.dumps`` uses, in a template whose keys are
+        already sorted: the bytes of ``json.dumps(..., sort_keys=True)``.
         """
         if not self.render_passing:
             raise ValueError("the report was built without the sides of passing checks")
@@ -166,9 +173,8 @@ class Report:
         sep = ""
         for checks in chunks:
             if checks:
-                yield sep + json.dumps(
-                    [{"id": c.id, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
-                     for c in checks], sort_keys=True)[1:-1]
+                yield sep + ", ".join([_CHECK_JSON % (_quote(c.id), _quote(c.lhs), _quote(c.rhs),
+                                                      _quote(c.status)) for c in checks])
                 sep = ", "
         summary = {"checks": sum(self.counts.values()), "failures": len(self.failures)}
         rest = {"n_min": self.n_min, "n_max": self.n_max, "k_max": self.k_max,
@@ -216,14 +222,15 @@ def _once(fn: Callable, uses: Counter | None = None) -> Callable:
     memo = {}
 
     def call(*args):
-        if args not in memo:
-            memo[args] = fn(*args)
-        value = memo[args]
-        if uses is not None:
-            uses[args] -= 1
-            if not uses[args]:
-                del memo[args]
-        return value
+        # One lookup per call: each entry is [value, calls left].  A tuple
+        # with no counted uses starts at 0, goes negative and is never dropped.
+        entry = memo.get(args)
+        if entry is None:
+            entry = memo[args] = [fn(*args), uses[args] if uses is not None else 0]
+        entry[1] -= 1
+        if not entry[1]:
+            del memo[args]
+        return entry[0]
 
     return call
 

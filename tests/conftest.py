@@ -8,12 +8,18 @@ modulus of its sector, x^n - 1 on a twisted sector and
 (x - 1)(x^n - 1) = x^(n+1) - x^n - x + 1 on sector 0; products are
 schoolbook products and powers go by square-and-multiply.
 ``test_references.py`` runs it with those routes patched to raise.
+
+The renderer has one reference here too: the text and JSON forms written
+through ``Cyc`` and ``Fraction``, one scalar per coordinate in its own lowest
+terms, which the code renders from the stored integers instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -382,3 +388,63 @@ def reference_u_adams(a: Coords, k: int) -> Coords:
                 for s in solutions(n, k, l):
                     out[grid(n, s, q)] = out[grid(n, s, q)] + c
     return Coords(n, "u", out)
+
+
+# ---------------------------------------------------------------------------
+# The renderer: every coordinate as a Cyc, every coefficient as a Fraction.
+
+
+def reference_format_cyc(value: Cyc) -> str:
+    """Descending powers of zeta, each coefficient a ``Fraction``."""
+    terms = []
+    for e in reversed(range(len(value.num))):
+        c = value.num[e]
+        if not c:
+            continue
+        mag = Fraction(abs(c), value.den)
+        if e == 0:
+            body = str(mag)
+        else:
+            sym = "zeta" if e == 1 else "zeta^%d" % e
+            body = sym if mag == 1 else "%s*%s" % (mag, sym)
+        if not terms:
+            terms.append(body if c > 0 else "-" + body)
+        else:
+            terms.append((" + " if c > 0 else " - ") + body)
+    return "".join(terms) if terms else "0"
+
+
+def _reference_term(c: Cyc, label: str) -> str:
+    # " + c*label", or " - |c|*label" for a negative rational c; a coefficient
+    # 1 and the label "1" are left out.
+    if c.is_rational():
+        r = c.rational_value()
+        sign, coeff = " - " if r < 0 else " + ", "" if abs(r) == 1 else str(abs(r))
+    else:
+        sign, coeff = " + ", "(%s)" % reference_format_cyc(c)
+    if label == "1":
+        return sign + (coeff or "1")
+    return sign + ("%s*%s" % (coeff, label) if coeff else label)
+
+
+def reference_text(v: Coords) -> str:
+    """The text form of a class, one ``Cyc`` per nonzero coordinate."""
+    labels = v.basis.labels
+    text = "".join(_reference_term(c, labels[i]) for i, c in v.terms.items())
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
+
+
+def _reference_rat_vector(c: Cyc) -> list[str]:
+    return [str(f) for f in c.coeffs]
+
+
+def reference_json(v: Cyc | Coords) -> str:
+    """The JSON form of a scalar or a class, one ``Fraction`` per coefficient."""
+    if isinstance(v, Cyc):
+        doc = {"n": v.n, "basis": "scalar", "value": _reference_rat_vector(v)}
+    else:
+        index = v.basis.json
+        doc = {"n": v.n, "basis": v.kind, "coeffs": [
+            {"index": list(index[i]), "value": _reference_rat_vector(c)}
+            for i, c in v.terms.items()]}
+    return json.dumps(doc, sort_keys=True)

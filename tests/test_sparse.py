@@ -72,6 +72,8 @@ def test_linear_structure_is_canonical(ab):
     assert canonical(a) is a and canonical(a + b).coeffs == tuple(
         x + y for x, y in zip(a.coeffs, b.coeffs))
     assert canonical(-a) + a == zero(a.n, "u")
+    assert canonical(-a).coeffs == tuple(-x for x in a.coeffs)
+    assert canonical(a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
     assert (a - a).terms == {} and (a - a).is_zero()
     assert canonical(a.scale(Cyc.rational(a.n, -3))).coeffs == tuple(
         -(x + x + x) for x in a.coeffs)
