@@ -28,7 +28,11 @@ repeats it: ``_once`` memoizes a function by its argument values (or by the
 index of the first equal value) in a dict that lives as long as the suite's
 generator, so nothing is cached across suites or n.  The wrapped function
 is read when the suite runs, as ``SUITES`` is, so a function replaced after
-import is the one called, once per distinct input.
+import is the one called, once per distinct input.  The product and Adams
+oracles transport each distinct image through ``_once``; the product oracle
+also builds each preimage of a localized basis vector once for all its
+families, and multiplies each ordered pair of basis vectors once, keeping
+the products of ``pair`` until ``symmetry`` reads them.
 """
 
 from __future__ import annotations
@@ -259,24 +263,33 @@ def _checks(suite: str, n: int, relations: Iterable[Relation],
 # product-oracle
 
 
-def relations_gamma_roundtrip(n: int, k_max: int) -> Iterator[Relation]:
-    for label, e in basis_vectors(n, "loc"):
-        yield "roundtrip-loc/%s" % label, gamma(gamma_inverse(e)), e
+def relations_gamma_roundtrip(n: int, pre: list) -> Iterator[Relation]:
+    for label, e, ke in pre:
+        yield "roundtrip-loc/%s" % label, gamma(ke), e
     for label, a in basis_vectors(n, "sector"):
         yield "roundtrip-sector/%s" % label, gamma_inverse(gamma(a)), a
 
 
-def relations_product_table(n: int, k_max: int) -> Iterator[Relation]:
-    """Localized product table against the transported polynomial product."""
-    basis = basis_vectors(n, "loc")
-    pre = [(label, e, gamma_inverse(e)) for label, e in basis]
+def relations_product_table(n: int, pre: list) -> Iterator[Relation]:
+    """Localized product table against the transported polynomial product.
+
+    ``symmetry`` takes the products ``pair`` kept by index pair, so each
+    ordered pair is multiplied once; the 2,145 pair products at n = 8 take
+    123 distinct values, each transported once."""
+    transport = _once(gamma)
+    products = {}
     for i, (la, ea, ka) in enumerate(pre):
-        for lb, eb, kb in pre[i:]:
-            yield "pair/%s*%s" % (la, lb), loc_mul(ea, eb), gamma(virtual_mul(ka, kb))
-    for la, ea in basis:
-        for lb, eb in basis:
+        for j, (lb, eb, kb) in enumerate(pre[i:], i):
+            ab = loc_mul(ea, eb)
+            if i < j:
+                products[i, j] = ab
+            yield "pair/%s*%s" % (la, lb), ab, transport(virtual_mul(ka, kb))
+    for i, (la, ea, _) in enumerate(pre):
+        for j, (lb, eb, _) in enumerate(pre):
             if la < lb:
-                yield "symmetry/%s*%s" % (la, lb), loc_mul(ea, eb), loc_mul(eb, ea)
+                ab, ba = ((products.pop((i, j)), loc_mul(eb, ea)) if i < j
+                          else (loc_mul(ea, eb), products.pop((j, i))))
+                yield "symmetry/%s*%s" % (la, lb), ab, ba
     # Semisimple structure constants: Kronecker products and square-zero row 0.
     ubasis = basis_vectors(n, "u")
     for la, ua in ubasis:
@@ -332,8 +345,10 @@ def relations_product_table(n: int, k_max: int) -> Iterator[Relation]:
 
 
 def relations_product_oracle(n: int, k_max: int) -> Iterator[Relation]:
-    yield from relations_gamma_roundtrip(n, k_max)
-    yield from relations_product_table(n, k_max)
+    # Both families read (label, e, gamma_inverse(e)) for each localized basis vector e.
+    pre = [(label, e, gamma_inverse(e)) for label, e in basis_vectors(n, "loc")]
+    yield from relations_gamma_roundtrip(n, pre)
+    yield from relations_product_table(n, pre)
 
 
 def _random_cyc(rng: random.Random, n: int) -> Cyc:
@@ -517,9 +532,8 @@ def relations_resolution(n: int, k_max: int) -> Iterator[Relation]:
     yield from verify_resolution_isomorphism(n, k_max)
     # Augmentation compatibility across the decomposition map.
     for label, a in basis_vectors(n, "sector"):
-        yield ("augmentation-transport/%s" % label,
-               gamma(virtual_augmentation(a)), loc_augmentation(gamma(a)))
         ea = virtual_augmentation(a)
+        yield "augmentation-transport/%s" % label, gamma(ea), loc_augmentation(gamma(a))
         for k in range(1, k_max + 1):
             yield ("augmentation-stability/%s/k=%d" % (label, k),
                    virtual_augmentation(virtual_adams(a, k)), ea)

@@ -16,10 +16,14 @@ closed forms of ``sector_ring``: x^(qn+r) = x^r on a twisted sector and
 x^r + q(x^n - 1) on sector 0.  ``_euler_rows`` holds the reduced class of
 x^s * e for s = 0..n, each power of x folded by that form, keyed on the
 integer Euler factor e itself, so a replaced ``euler_factor`` (a planted
-defect in the tests) gets rows of its own; ``_adams_column`` holds the image
-of one monomial x_m^j under psi~^k, on a twisted sector the Bott counts
-rotated by jk mod n.  Rows and columns are ``coords.Sparse``: parallel
-tuples of offsets and coefficients, integral coefficients stored as ``int``.
+defect in the tests) gets rows of its own; ``_adams_column`` gives the image
+of one monomial x_m^j under psi~^k from one of two caches: on a twisted
+sector the Bott counts rotated by e = jk mod n, cached per (n, e, k) for
+every twisted sector alike, and on sector 0 per (n, j, k).  A replaced
+``_adams_column`` (a planted defect) is the one ``virtual_adams`` reads,
+and the caches behind it stay correct.  Rows and columns are
+``coords.Sparse``: parallel tuples of offsets and coefficients, integral
+coefficients stored as ``int``.
 
 Both read a class's stored numerators over its one denominator, reduce in
 the sector ring before they read a table, build no ``Cyc`` and leave
@@ -45,9 +49,10 @@ from .coords import (Coords, Sparse, from_numerators, from_terms, sector_split, 
 from .cyclotomic import CycPoly, _poly_times, _scatter
 from .sector_ring import bott_counts, sector_adams, sector_monomial
 
-#: Columns kept by the Adams column cache.  Verify's working set at n = 8 is
-#: k = 1..16 on all 65 monomials; a stream of distinct Adams indices evicts
-#: the least recently used columns instead of growing the cache.
+#: Columns kept by each Adams column cache.  Verify's working set at n = 8,
+#: k = 1..16, is 86 twisted columns (one per (jk mod 8, k)) and 144 sector-0
+#: columns (one per (j, k)); a stream of distinct Adams indices evicts the
+#: least recently used columns instead of growing the caches.
 ADAMS_COLUMN_CACHE_SIZE = 2048
 
 
@@ -117,19 +122,27 @@ def virtual_mul(a: Coords, b: Coords) -> Coords:
     return from_numerators(n, "sector", sums, da * db)
 
 
-@lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)
 def _adams_column(n: int, m: int, j: int, k: int) -> Sparse:
     """psi~^k(x_m^j) on sector m: psi^k, times the k-th Bott class when m != 0.
 
     On a twisted sector psi^k(x_m^j) is the monomial x_m^e, e = jk mod n, so
     the product rotates the Bott counts by e: position t gets the count of
-    x^(t-e).  The column depends on j only through e, which lets
-    ``virtual_adams`` scatter the exponents that share e through one column.
+    x^(t-e).  The column depends on m and j only through e, which lets
+    ``virtual_adams`` scatter the exponents that share e through one column,
+    and every twisted sector read one cached column per (n, e, k).
     """
-    if not m:
-        return sparse(enumerate(sector_adams(0, CycPoly.monomial(n, j), k).coeffs))
-    e, counts = j * k % n, bott_counts(n, k)
+    return _twisted_column(n, j * k % n, k) if m else _untwisted_column(n, j, k)
+
+
+@lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)
+def _twisted_column(n: int, e: int, k: int) -> Sparse:
+    counts = bott_counts(n, k)
     return sparse((t, counts[(t - e) % n]) for t in range(n))
+
+
+@lru_cache(maxsize=ADAMS_COLUMN_CACHE_SIZE)
+def _untwisted_column(n: int, j: int, k: int) -> Sparse:
+    return sparse(enumerate(sector_adams(0, CycPoly.monomial(n, j), k).coeffs))
 
 
 def virtual_adams(a: Coords, k: int) -> Coords:

@@ -466,8 +466,9 @@ CACHES = {
     ("localization", "_loc_mul_table", None),
     ("localization", "_preimages", None),
     ("sector_ring", "sector_modulus", None),
-    ("virtual_ring", "_adams_column", 2048),
     ("virtual_ring", "_euler_rows", None),
+    ("virtual_ring", "_twisted_column", 2048),
+    ("virtual_ring", "_untwisted_column", 2048),
 }
 
 #: The slots of a ``Coords``: its fields and the one memo kept on a value,

@@ -25,7 +25,8 @@ from virtualk.cyclotomic import Cyc, CycPoly
 
 #: The routes of the code under test that the reference must not call.
 ROUTES = ("reduce_coeffs", "sector_mul", "sector_adams", "bott_counts", "sector_modulus",
-          "euler_factor", "_euler_rows", "_adams_column")
+          "euler_factor", "_euler_rows", "_adams_column", "_twisted_column",
+          "_untwisted_column")
 
 
 def test_references_call_nothing_of_the_sector_layer(monkeypatch):

@@ -7,7 +7,7 @@ import virtualk.verify as verify
 import virtualk.virtual_ring as vr
 from conftest import perturbed_euler, record_calls
 from virtualk.coords import Coords, basis_vectors
-from virtualk.localization import from_u_basis, gamma_inverse, loc_adams
+from virtualk.localization import from_u_basis, gamma, gamma_inverse, loc_adams
 from virtualk.verify import SUITES, Report, run_verify
 
 
@@ -169,6 +169,44 @@ def test_psi_ring_homomorphism_evaluates_each_distinct_side_once(monkeypatch, n)
     assert (len(keys) == len(pairs) * len(ks)) == (n == 7)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_product_oracle_builds_each_preimage_once(monkeypatch, n):
+    inverses = record_calls(monkeypatch, verify, "gamma_inverse")
+    assert all(c.passed for c in SUITES["product-oracle"](n, 2 * n, render_passing=False))
+    # One preimage per loc basis vector, then one per sector round trip.
+    assert inverses == ([(e,) for _, e in basis_vectors(n, "loc")]
+                        + [(gamma(a),) for _, a in basis_vectors(n, "sector")])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_product_oracle_transports_each_distinct_pair_product_once(monkeypatch, n):
+    gammas = record_calls(monkeypatch, verify, "gamma")
+    assert all(c.passed for c in SUITES["product-oracle"](n, 2 * n, render_passing=False))
+    pre = [gamma_inverse(e) for _, e in basis_vectors(n, "loc")]
+    sector = [a for _, a in basis_vectors(n, "sector")]
+    products = {vr.virtual_mul(pre[i], pre[j]) for i in range(len(pre)) for j in range(i, len(pre))}
+    # The round trips, then one transport per distinct pair product.
+    assert len(gammas) == len(pre) + len(sector) + len(products)
+    assert set(gammas) == {(x,) for x in [*pre, *sector, *products]}
+    assert len(products) < len(pre) * (len(pre) + 1) // 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_product_oracle_multiplies_each_ordered_basis_pair_once(monkeypatch, n):
+    # The calls made since the last relation are the ones made for the next.
+    muls = record_calls(monkeypatch, verify, "loc_mul")
+    table_calls, done = [], 0
+    for name, lhs, rhs in verify.relations_product_oracle(n, 2 * n):
+        assert lhs == rhs, name
+        if name.startswith(("pair/", "symmetry/")):
+            table_calls += muls[done:]
+        done = len(muls)
+    index = {e: i for i, (_, e) in enumerate(basis_vectors(n, "loc"))}
+    size = len(index)
+    assert sorted((index[a], index[b]) for a, b in table_calls) == [
+        (i, j) for i in range(size) for j in range(size)]
+
+
 class _Watched(Coords):
     __slots__ = ("__weakref__",)
 
@@ -192,7 +230,8 @@ def test_no_memoized_value_outlives_its_suite_and_n(monkeypatch):
 
     for name in ("gamma", "to_u_basis", "virtual_adams", "virtual_mul"):
         monkeypatch.setattr(verify, name, watched(name, getattr(verify, name)))
-    for suite, n in (("adams-oracle", 6), ("psi-ring", 6), ("psi-ring", 7)):
+    for suite, n in (("product-oracle", 5), ("adams-oracle", 6), ("psi-ring", 6),
+                     ("psi-ring", 7)):
         checks = SUITES[suite](n, 2 * n, render_passing=False)
         assert checks and all(c.passed for c in checks)
         assert +live == Counter(), (suite, n, +live)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -208,14 +209,18 @@ def test_sector_tables_do_no_polynomial_arithmetic(monkeypatch):
              record_calls(monkeypatch, CycPoly, "__mul__"),
              record_calls(monkeypatch, sr, "reduce_coeffs"),
              record_calls(monkeypatch, sr, "sector_mul")]
-    rows, column = vr._euler_rows.__wrapped__, vr._adams_column.__wrapped__
+    # A twisted column is one rotation e of the Bott counts, a sector-0
+    # column one monomial x^j.
+    rows = vr._euler_rows.__wrapped__
+    twisted, untwisted = vr._twisted_column.__wrapped__, vr._untwisted_column.__wrapped__
     for n in range(2, 9):
         for m1, m2 in itertools.product(range(n), repeat=2):
             rows(n, euler_factor(n, m1, m2), (m1 + m2) % n == 0)
-        for m in range(n):
-            for j, k in itertools.product(range(n + 1 if m == 0 else n),
-                                          [*range(1, 2 * n + 3), 97, 3000]):
-                column(n, m, j, k)
+        for k in [*range(1, 2 * n + 3), 97, 3000]:
+            for e in range(n):
+                twisted(n, e, k)
+            for j in range(n + 1):
+                untwisted(n, j, k)
     assert calls == [[]] * 4
     # The guards can fail: a product on sector 0 past x^n multiplies and divides.
     x8 = sector_monomial(8, 0, 8)
@@ -226,8 +231,8 @@ def test_sector_tables_do_no_polynomial_arithmetic(monkeypatch):
 def test_dense_untwisted_adams_query_divides_nothing(monkeypatch, capsys):
     # psi^3000 of a dense sector-0 class at n = 8, from cold Adams columns.
     text = " + ".join(["x[0]"] + ["x[0]^%d" % j for j in range(2, 9)])
-    cold = lru_cache(maxsize=vr.ADAMS_COLUMN_CACHE_SIZE)(vr._adams_column.__wrapped__)
-    monkeypatch.setattr(vr, "_adams_column", cold)
+    cold = lru_cache(maxsize=vr.ADAMS_COLUMN_CACHE_SIZE)(vr._untwisted_column.__wrapped__)
+    monkeypatch.setattr(vr, "_untwisted_column", cold)
     calls = record_calls(monkeypatch, CycPoly, "divmod_by")
     assert (main(["eval", "--n", "8", "psi[3000](%s)" % text]), calls) == (0, [])
     assert cold.cache_info().misses == 8
@@ -236,7 +241,31 @@ def test_dense_untwisted_adams_query_divides_nothing(monkeypatch, capsys):
 
 
 def test_adams_column_cache_is_bounded():
-    maxsize = vr._adams_column.cache_info().maxsize
-    assert maxsize == vr.ADAMS_COLUMN_CACHE_SIZE
-    # verify at n = 8 uses k = 1..16 on all 65 monomials
-    assert 16 * 65 <= maxsize < 10 ** 5
+    for columns in (vr._twisted_column, vr._untwisted_column):
+        assert columns.cache_info().maxsize == vr.ADAMS_COLUMN_CACHE_SIZE
+    # verify at n = 8 uses k = 1..16: one twisted column per (jk mod 8, k)
+    # and one sector-0 column per (j, k), j = 0..8
+    twisted = {(j * k % 8, k) for j in range(8) for k in range(1, 17)}
+    assert len(twisted) == 86
+    assert len(twisted) + 9 * 16 <= vr.ADAMS_COLUMN_CACHE_SIZE < 10 ** 5
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_virtual_adams_builds_one_column_per_rotation_and_sector_0_monomial(monkeypatch, n):
+    # psi^k of every basis vector for k <= 2n, from cold tables: a twisted
+    # column build reads the Bott counts once, a sector-0 build sector_adams
+    # once, and the n - 1 twisted sectors share one column per (jk mod n, k).
+    for table in vars(vr).values():
+        if hasattr(table, "cache_clear") and table.__module__ == vr.__name__:
+            table.cache_clear()
+    bott = record_calls(monkeypatch, vr, "bott_counts")
+    untwisted = record_calls(monkeypatch, vr, "sector_adams")
+    ks = range(1, 2 * n + 1)
+    for label, a in basis_vectors(n, "sector"):
+        for k in ks:
+            assert virtual_adams(a, k) == reference_adams(a, k), (label, k)
+    rotations = Counter(k for k in ks for _ in {j * k % n for j in range(n)})
+    assert Counter(k for _, k in bott) == rotations
+    assert len(bott) < (n - 1) * n * len(ks)
+    assert sorted((p.degree, k) for _, p, k in untwisted) == [
+        (j, k) for j in range(n + 1) for k in ks]
